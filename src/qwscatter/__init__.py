@@ -72,11 +72,8 @@ from .models import (
     closed_form_sigma_cycle,
     closed_form_sigma_ms,
     crossing_family,
-    crossing_model,
     cycle_family,
-    cycle_model,
     matrix_schrodinger_family,
-    matrix_schrodinger_model,
     partial_fraction_identity,
     random_walk,
 )
@@ -98,6 +95,7 @@ from .spectral import (
     EigenSystem,
     IllConditionedChain,
     NotSimple,
+    NumericalError,
     Resonance,
     ZeroCluster,
     boundary_data,

@@ -41,6 +41,7 @@ from .spectral import (
     DEFAULT_CIRCLE_TOL,
     Cluster,
     EigenSystem,
+    NumericalError,
     boundary_data,
     eigen_decompose,
 )
@@ -66,7 +67,7 @@ MAX_TRACK_DEPTH = 20
 NONRESONANT_DIST = 0.3
 
 
-class SimplicityViolated(ValueError):
+class SimplicityViolated(NumericalError):
     """A unit-circle resonance of the eps=0 walk is degenerate."""
 
     def __init__(self, value, multiplicity):
@@ -77,7 +78,7 @@ class SimplicityViolated(ValueError):
         )
 
 
-class TrackingAmbiguous(ValueError):
+class TrackingAmbiguous(NumericalError):
     """Nearest-neighbour matching failed even after maximal refinement."""
 
     def __init__(self, eps):
@@ -85,11 +86,11 @@ class TrackingAmbiguous(ValueError):
         super().__init__(f"resonance tracking ambiguous near eps = {eps:.6g}")
 
 
-class ResonanceOnCircle(ValueError):
+class ResonanceOnCircle(NumericalError):
     """The tracked resonance sits on the unit circle (nothing decays)."""
 
 
-class NoCrossing(ValueError):
+class NoCrossing(NumericalError):
     """Transmission never falls to one half inside the scan window."""
 
 

@@ -2,19 +2,22 @@
 
     qwscatter validate   --model model.json
     qwscatter resonances --model ms --eps 0.5
+    qwscatter resonances --model ms --eps-grid 0.01:0.5:40 --track
     qwscatter smatrix    --model cycle --N 4 --c 1 --eps 0.3 --z-grid 16
     qwscatter sweep discrepancy --model ms --z 0.921+0.390i
     qwscatter sweep tunneling   --model ms --J 1
     qwscatter sweep width       --model cycle --N 4 --c 1 --J 1
     qwscatter sweep comfort     --model cycle --N 4 --c 1
+    qwscatter barrier --r 0.8,0.8 --positions 0,1 --z-grid 720 --check-routes
 
-Models are either builtin names (``ms``, ``cycle``, ``crossing``) or paths
-to JSON model files.  Numbers print with 17 significant digits so CSV
+Models are either builtin names (the keys of ``models.BUILTIN_FAMILIES``)
+or paths to JSON model files.  Numbers print with 17 significant digits so CSV
 output round-trips doubles losslessly; row order is deterministic (eps
 ascending, then z by angle, then row-major matrix entries).
 
-Exit codes: 0 success, 1 validation failure, 2 numerical failure
-(tolerance breach), 3 usage error.
+Exit codes: 0 success, 1 validation failure (any ``ValueError``), 2
+numerical failure (any ``spectral.NumericalError``: tolerance breach),
+3 usage error.
 """
 
 from __future__ import annotations
@@ -30,60 +33,18 @@ import click
 import numpy as np
 
 from . import asymptotics, modelfile
-from .coins import EvalError, ExprSyntaxError, NotUnitary, eval_coins
-from .graph import GraphError
-from .models import BUILTIN_FAMILIES, EpsOutOfRange, ModelFamily
-from .scattering import (
-    OrthogonalityViolated,
-    PoleHit,
-    SingularSystem,
-    oracle_direct_solve,
-    scattering_matrix,
-)
-from .spectral import (
-    ClusterAmbiguity,
-    IllConditionedChain,
-    NotSimple,
-    ZeroCluster,
-    eigen_decompose,
-    resonance_set,
-)
-from .walk import DimensionMismatch, LabelMismatch, NoExit, NotDeterministic, free_routing_check
+from .coins import eval_coins
+from .line import BarrierSpec, barrier_scattering, line_to_graph, rotation_coin
+from .models import BUILTIN_FAMILIES, ModelFamily
+from .scattering import oracle_direct_solve, scattering_matrix
+from .spectral import DEFAULT_CIRCLE_TOL, NumericalError, eigen_decompose, resonance_set
+from .walk import assemble, free_routing_check
 
 ROUTE_AGREEMENT_TOL = 1e-8
 
 
-class RouteMismatch(Exception):
+class RouteMismatch(NumericalError):
     """Independent scattering routes disagreed beyond tolerance."""
-
-
-VALIDATION_ERRORS = (
-    modelfile.ModelFileError,
-    GraphError,
-    NotUnitary,
-    ExprSyntaxError,
-    EvalError,
-    EpsOutOfRange,
-    DimensionMismatch,
-    NotDeterministic,
-    NoExit,
-    LabelMismatch,
-)
-
-NUMERICAL_ERRORS = (
-    RouteMismatch,
-    PoleHit,
-    OrthogonalityViolated,
-    SingularSystem,
-    ClusterAmbiguity,
-    IllConditionedChain,
-    NotSimple,
-    ZeroCluster,
-    asymptotics.SimplicityViolated,
-    asymptotics.TrackingAmbiguous,
-    asymptotics.ResonanceOnCircle,
-    asymptotics.NoCrossing,
-)
 
 
 def _fmt(value) -> str:
@@ -177,20 +138,21 @@ def parse_split(text: str) -> tuple:
     return channels
 
 
-def parse_strengths(text: str):
+def parse_numbers(text: str, kind, option: str) -> list:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        return [kind(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise click.UsageError("--c wants a number or comma-separated numbers")
+        raise click.UsageError(f"{option} wants a number or comma-separated numbers")
 
 
 def load_family(model: str, n_vertices, strengths) -> ModelFamily:
+    """Resolve ``--model``: a ``BUILTIN_FAMILIES`` key or a model file path."""
     if model == "ms":
         return BUILTIN_FAMILIES["ms"]()
     if model == "cycle":
         if n_vertices is None:
             raise click.UsageError("--model cycle needs --N")
-        c = parse_strengths(strengths) if strengths else [1.0]
+        c = parse_numbers(strengths, float, "--c") if strengths else [1.0]
         if len(c) == 1:
             c = c * n_vertices
         if len(c) != n_vertices:
@@ -199,7 +161,7 @@ def load_family(model: str, n_vertices, strengths) -> ModelFamily:
             )
         return BUILTIN_FAMILIES["cycle"](n=n_vertices, c=c)
     if model == "crossing":
-        c = parse_strengths(strengths) if strengths else [1.0]
+        c = parse_numbers(strengths, float, "--c") if strengths else [1.0]
         if len(c) != 1:
             raise click.UsageError("--model crossing takes a single --c value")
         return BUILTIN_FAMILIES["crossing"](c=c[0])
@@ -208,7 +170,7 @@ def load_family(model: str, n_vertices, strengths) -> ModelFamily:
     if os.sep in model or model.endswith(".json"):
         raise modelfile.ModelFileError(f"model file not found: {model}")
     raise click.UsageError(
-        f"unknown model {model!r}: not a builtin (ms, cycle, crossing) "
+        f"unknown model {model!r}: not a builtin ({', '.join(BUILTIN_FAMILIES)}) "
         "and no such file"
     )
 
@@ -328,30 +290,64 @@ def _resonance_rows(family, eps_values, tol_cluster, tol_circle):
     return rows
 
 
+def _track_rows(family, grid, tol_circle):
+    """One row per (eps, resonance) along the paths that start at eps = 0."""
+    track = asymptotics.track_resonances(family, np.concatenate([[0.0], grid]), tol_circle)
+    rows = []
+    for j, start in enumerate(track.starts):
+        for eps, value in zip(track.eps_grid, track.paths[:, j]):
+            rows.append((eps, start.real, start.imag, value.real, value.imag, abs(value)))
+    return rows
+
+
 @cli.command()
 @model_options
 @click.option("--eps", type=float, default=None)
 @click.option("--eps-grid", "eps_grid", default=None, help="START:STOP:COUNT")
 @click.option("--tol-cluster", type=float, default=None)
-@click.option("--tol-circle", type=float, default=1e-8)
+@click.option("--tol-circle", type=float, default=DEFAULT_CIRCLE_TOL)
+@click.option(
+    "--track",
+    is_flag=True,
+    help="follow the eps=0 unit-circle resonances along --eps-grid",
+)
 @output_options
-def resonances(model, n_vertices, strengths, eps, eps_grid, tol_cluster, tol_circle, out, fmt):
+def resonances(
+    model, n_vertices, strengths, eps, eps_grid, tol_cluster, tol_circle, track, out, fmt
+):
     """List resonances (interior spectrum, zero included) per eps."""
     family = load_family(model, n_vertices, strengths)
     if eps is not None and eps_grid is not None:
         raise click.UsageError("give either --eps or --eps-grid, not both")
     if eps_grid is not None:
         grid = parse_eps_grid(eps_grid)
+    elif track:
+        raise click.UsageError("--track needs --eps-grid")
     else:
         grid = np.array([0.0 if eps is None else eps])
-    rows = _resonance_rows(family, [float(e) for e in grid], tol_cluster, tol_circle)
-    _emit(rows, ("eps", "re", "im", "multiplicity", "on_circle"), None, out, fmt)
+    if track:
+        rows = _track_rows(family, grid, tol_circle)
+        header = ("eps", "start_re", "start_im", "re", "im", "abs")
+    else:
+        rows = _resonance_rows(family, [float(e) for e in grid], tol_cluster, tol_circle)
+        header = ("eps", "re", "im", "multiplicity", "on_circle")
+    _emit(rows, header, None, out, fmt)
     return 0
 
 
-def _route_check(walk, z, system, sigma):
-    """Cross-compare the two analytic routes and the direct linear solve."""
-    other = scattering_matrix(walk, z, "expansion", system).matrix
+def _require_agreement(worst, z):
+    if worst > ROUTE_AGREEMENT_TOL:
+        raise RouteMismatch(
+            f"routes disagree by {worst:.3e} at z = {z:.12g} "
+            f"(tolerance {ROUTE_AGREEMENT_TOL:g})"
+        )
+    return worst
+
+
+def _route_check(walk, z, system, route, sigma):
+    """Compare ``sigma`` (from ``route``) with the other route and the direct solve."""
+    other_route = "expansion" if route == "resolvent" else "resolvent"
+    other = scattering_matrix(walk, z, other_route, system).matrix
     nt = walk.n_tails
     direct = np.zeros((nt, nt), dtype=complex)
     for k in range(nt):
@@ -361,12 +357,7 @@ def _route_check(walk, z, system, sigma):
     worst = max(
         float(np.abs(sigma - other).max()), float(np.abs(sigma - direct).max())
     )
-    if worst > ROUTE_AGREEMENT_TOL:
-        raise RouteMismatch(
-            f"routes disagree by {worst:.3e} at z = {z:.12g} "
-            f"(tolerance {ROUTE_AGREEMENT_TOL:g})"
-        )
-    return worst
+    return _require_agreement(worst, z)
 
 
 @cli.command()
@@ -385,7 +376,7 @@ def _route_check(walk, z, system, sigma):
     help="cross-compare both routes and the direct solve; exit 2 on mismatch",
 )
 @click.option("--tol-cluster", type=float, default=None)
-@click.option("--tol-circle", type=float, default=1e-8)
+@click.option("--tol-circle", type=float, default=DEFAULT_CIRCLE_TOL)
 @output_options
 def smatrix(
     model,
@@ -418,7 +409,7 @@ def smatrix(
         report = scattering_matrix(walk, z, route, system)
         sigma = report.matrix
         if check_routes:
-            _route_check(walk, z, system, sigma)
+            _route_check(walk, z, system, route, sigma)
         for row in range(sigma.shape[0]):
             for col in range(sigma.shape[1]):
                 rows.append(
@@ -562,6 +553,49 @@ def comfort(model, n_vertices, strengths, lam_text, eps_grid, out, fmt):
     return 0
 
 
+@cli.command()
+@click.option("--r", "r_text", required=True, help="rotation parameter per barrier, e.g. 0.8,0.8")
+@click.option("--positions", "positions_text", required=True, help="barrier sites, the first at 0")
+@click.option("--z-grid", "z_count", type=int, default=360, help="uniform circle grid size")
+@click.option(
+    "--check-routes",
+    is_flag=True,
+    help="cross-check the closed form against the graph pipeline; exit 2 on mismatch",
+)
+@output_options
+def barrier(r_text, positions_text, z_count, check_routes, out, fmt):
+    """Transmission and reflection of a two- or three-barrier line around the circle."""
+    if z_count < 1:
+        raise click.UsageError("--z-grid must be positive")
+    strengths = parse_numbers(r_text, float, "--r")
+    positions = parse_numbers(positions_text, int, "--positions")
+    spec = BarrierSpec(positions, tuple(rotation_coin(r) for r in strengths))
+    summary = {
+        "peak_angles": [cmath.phase(p) for p in barrier_scattering(spec, 1j).peaks]
+    }
+    if check_routes:
+        graph, coins = line_to_graph(spec)
+        walk = assemble(graph, eval_coins(coins, 0.0))
+        system = eigen_decompose(walk.interior)
+        summary["graph_deviation_max"] = 0.0
+    rows = []
+    for k in range(z_count):
+        angle = 2.0 * cmath.pi * k / z_count
+        z = cmath.exp(1j * angle)
+        closed = barrier_scattering(spec, z)
+        t, r = closed.transmission, closed.reflection
+        if check_routes:
+            # |Sigma_12|^2 = |Sigma_21|^2 = t and |Sigma_11|^2 = |Sigma_22|^2 = r
+            power = np.abs(scattering_matrix(walk, z, "resolvent", system).matrix) ** 2
+            deviation = float(np.abs(power - [[r, t], [t, r]]).max())
+            summary["graph_deviation_max"] = max(
+                summary["graph_deviation_max"], _require_agreement(deviation, z)
+            )
+        rows.append((angle, t, r))
+    _emit(rows, ("angle", "t", "r"), summary, out, fmt)
+    return 0
+
+
 def _show_error(kind: str, exc: Exception) -> None:
     payload = {
         "error": {
@@ -587,12 +621,9 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         _show_error("numerical", exc)
         return 2
-    except VALIDATION_ERRORS as exc:
-        _show_error("validation", exc)
-        return 1
     except ValueError as exc:
         _show_error("validation", exc)
         return 1

@@ -104,24 +104,6 @@ def near_reflective_coin(strength: float, eps: float) -> np.ndarray:
     return np.array([[kappa, off], [-off, kappa]], dtype=complex)
 
 
-def transfer_matrix(coin, z: complex) -> np.ndarray:
-    """One-site transfer matrix (1/C11) [[z, -C12], [C21, det(C)/z]].
-
-    Propagates the pair (left-moving amplitude at x, right-moving amplitude
-    at x+1) across the site x carrying the given coin.
-    """
-    coin = np.asarray(coin, dtype=complex)
-    if abs(coin[0, 0]) <= CORNER_TOL:
-        raise ZeroCorner(coin[0, 0])
-    if z == 0:
-        raise ZeroCorner(z)
-    det = coin[0, 0] * coin[1, 1] - coin[0, 1] * coin[1, 0]
-    return (
-        np.array([[z, -coin[0, 1]], [coin[1, 0], det / z]], dtype=complex)
-        / coin[0, 0]
-    )
-
-
 def _check_corners(*coins):
     for coin in coins:
         if abs(coin[0, 0]) <= CORNER_TOL:
@@ -130,6 +112,22 @@ def _check_corners(*coins):
 
 def _det(coin) -> complex:
     return coin[0, 0] * coin[1, 1] - coin[0, 1] * coin[1, 0]
+
+
+def transfer_matrix(coin, z: complex) -> np.ndarray:
+    """One-site transfer matrix (1/C11) [[z, -C12], [C21, det(C)/z]].
+
+    Propagates the pair (left-moving amplitude at x, right-moving amplitude
+    at x+1) across the site x carrying the given coin.
+    """
+    coin = np.asarray(coin, dtype=complex)
+    _check_corners(coin)
+    if z == 0:
+        raise ZeroCorner(z)
+    return (
+        np.array([[z, -coin[0, 1]], [coin[1, 0], _det(coin) / z]], dtype=complex)
+        / coin[0, 0]
+    )
 
 
 @dataclass(frozen=True)

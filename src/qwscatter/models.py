@@ -86,12 +86,6 @@ def matrix_schrodinger_family() -> ModelFamily:
     return ModelFamily("ms", graph, coins, eps_limit=1 / math.sqrt(2))
 
 
-def matrix_schrodinger_model(eps: float) -> tuple[TailedGraph, CoinFamily]:
-    family = matrix_schrodinger_family()
-    family.check_eps(eps)
-    return family.graph, family.coins
-
-
 def closed_form_sigma_ms(eps: float, z: complex) -> np.ndarray:
     """Scattering matrix of the two-channel double-well family, in closed form."""
     z = complex(z)
@@ -144,12 +138,6 @@ def cycle_family(n_vertices: int, strengths) -> ModelFamily:
         eps_limit=limit,
         params={"n": n_vertices, "c": tuple(strengths)},
     )
-
-
-def cycle_model(n_vertices: int, strengths, eps: float):
-    family = cycle_family(n_vertices, strengths)
-    family.check_eps(eps)
-    return family.graph, family.coins
 
 
 def closed_form_sigma_cycle(n_vertices: int, strengths, eps: float, z: complex) -> np.ndarray:
@@ -223,12 +211,6 @@ def crossing_family(strength: float = 1.0) -> ModelFamily:
     return ModelFamily(
         "crossing", graph, coins, eps_limit=1.0 / c, params={"c": c}
     )
-
-
-def crossing_model(eps: float, strength: float = 1.0):
-    family = crossing_family(strength)
-    family.check_eps(eps)
-    return family.graph, family.coins
 
 
 def closed_form_sigma_crossing(eps: float, z: complex, strength: float = 1.0) -> np.ndarray:

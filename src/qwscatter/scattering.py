@@ -35,6 +35,7 @@ import numpy as np
 from .spectral import (
     Cluster,
     EigenSystem,
+    NumericalError,
     ZERO_VALUE_TOL,
     ZeroCluster,
     eigen_decompose,
@@ -49,7 +50,7 @@ NORMALIZATION_TOL = 1e-10
 SUPPORT_TOL = 1e-12
 
 
-class PoleHit(ValueError):
+class PoleHit(NumericalError):
     """The spectral parameter sits on (or too near) a pole."""
 
 
@@ -61,7 +62,7 @@ class AtInteriorResonance(PoleHit):
         )
 
 
-class OrthogonalityViolated(ValueError):
+class OrthogonalityViolated(NumericalError):
     """The driving vector overlaps a bound state of the walk.
 
     Incoming data whose interior drive has a component along a
@@ -70,7 +71,7 @@ class OrthogonalityViolated(ValueError):
     """
 
 
-class SingularSystem(np.linalg.LinAlgError, ValueError):
+class SingularSystem(np.linalg.LinAlgError, NumericalError):
     """The direct solve did not produce a consistent solution."""
 
 

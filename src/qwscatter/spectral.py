@@ -35,11 +35,15 @@ GRAM_REL_TOL = 1e-12
 ZERO_VALUE_TOL = 1e-9
 
 
-class ClusterAmbiguity(ValueError):
+class NumericalError(ValueError):
+    """A computation breached a numerical tolerance (command-line exit 2)."""
+
+
+class ClusterAmbiguity(NumericalError):
     """Greedy eigenvalue clustering depends on processing order."""
 
 
-class IllConditionedChain(ValueError):
+class IllConditionedChain(NumericalError):
     def __init__(self, value: complex, condition: float):
         self.value = value
         self.condition = condition
@@ -49,11 +53,11 @@ class IllConditionedChain(ValueError):
         )
 
 
-class NotSimple(ValueError):
+class NotSimple(NumericalError):
     """The operation requires a multiplicity-one cluster."""
 
 
-class ZeroCluster(ValueError):
+class ZeroCluster(NumericalError):
     """The eigenvalue-zero cluster has no resonant-state extension."""
 
 
@@ -287,11 +291,6 @@ def eigen_decompose(
         )
 
     return EigenSystem(m, tuple(clusters), tol_cluster, tol_circle)
-
-
-def projection_apply(system: EigenSystem, cluster: Cluster, f: np.ndarray) -> np.ndarray:
-    """Apply the spectral projection of ``cluster`` to a vector."""
-    return cluster.project(f)
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,29 @@ Exit-code contract: 0 success, 1 validation failure, 2 numerical
 failure, 3 usage error.
 """
 
+import cmath
 import csv
+import importlib
+import inspect
 import io
 import json
+import math
+import pkgutil
 from contextlib import redirect_stderr, redirect_stdout
 
 import click
 import pytest
 
+import qwscatter
+from qwscatter import cli
 from qwscatter.cli import (
     main,
     parse_complex_value,
     parse_eps_grid,
     parse_split,
 )
+from qwscatter.line import BarrierSpec, barrier_scattering, rotation_coin
+from qwscatter.spectral import NumericalError
 
 UNITARITY_CAP = 1e-8
 
@@ -167,6 +176,31 @@ def test_resonances_option_conflicts():
     assert code == 3
 
 
+def test_resonances_track_follows_hidden_pair():
+    code, out, _ = run_cli(
+        ["resonances", "--model", "ms", "--eps-grid", "0.01:0.1:3", "--track"]
+    )
+    assert code == 0
+    header, rows = csv_rows(out)
+    assert header == ["eps", "start_re", "start_im", "re", "im", "abs"]
+    # four unit-circle resonances at eps = 0, each followed over [0, grid]
+    assert len(rows) == 4 * 4
+    for row in rows:
+        eps, start_re, start_im, _, _, modulus = map(float, row)
+        start = complex(start_re, start_im)
+        if abs(abs(start.imag) - 1) <= 1e-9:
+            # the hidden pair leaves the circle as +-i sqrt(1 - 2 eps^2)
+            assert abs(modulus - math.sqrt(1 - 2 * eps**2)) <= 1e-12
+        else:
+            assert abs(abs(start.real) - 1) <= 1e-9
+            assert abs(modulus - 1) <= 1e-12
+
+
+def test_resonances_track_needs_grid():
+    code, _, _ = run_cli(["resonances", "--model", "ms", "--eps", "0.1", "--track"])
+    assert code == 3
+
+
 def test_empty_eps_grid_is_usage_error():
     code, _, _ = run_cli(
         ["resonances", "--model", "ms", "--eps-grid", "0.1:0.2:0"]
@@ -206,6 +240,24 @@ def test_smatrix_check_routes_passes():
         ]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("route", ["resolvent", "expansion"])
+def test_check_routes_runs_the_other_route(monkeypatch, route):
+    seen = []
+    real = cli.scattering_matrix
+
+    def spy(*args, **kwargs):
+        seen.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "scattering_matrix", spy)
+    code, _, _ = run_cli(
+        ["smatrix", "--model", "ms", "--eps", "0.3", "--z", "i",
+         "--route", route, "--check-routes"]
+    )
+    assert code == 0
+    assert sorted(seen) == ["expansion", "resolvent"]
 
 
 def test_smatrix_grid_is_deterministic():
@@ -369,6 +421,40 @@ def test_sweep_csv_summary_goes_to_stderr():
     assert json.loads(err)["quantity"] == "discrepancy"
 
 
+# ----------------------------------------------------------------- barrier
+
+
+def test_barrier_matches_closed_form_and_graph():
+    code, out, err = run_cli(
+        ["barrier", "--r", "0.8,0.8", "--positions", "0,1", "--z-grid", "8",
+         "--check-routes"]
+    )
+    assert code == 0
+    header, rows = csv_rows(out)
+    assert header == ["angle", "t", "r"]
+    assert len(rows) == 8
+    spec = BarrierSpec((0, 1), (rotation_coin(0.8), rotation_coin(0.8)))
+    for row in rows:
+        angle, t, r = map(float, row)
+        assert abs(t + r - 1) <= 1e-12
+        closed = barrier_scattering(spec, cmath.exp(1j * angle))
+        assert abs(t - closed.transmission) <= 1e-15
+    angle, t, _ = map(float, rows[2])
+    assert angle == pytest.approx(math.pi / 2)
+    assert t == pytest.approx(1.0, abs=1e-12)
+    summary = json.loads(err)
+    assert summary["graph_deviation_max"] <= 1e-12
+    assert summary["peak_angles"] == pytest.approx([-math.pi / 2, math.pi / 2])
+
+
+def test_barrier_rejects_bad_lists():
+    code, _, _ = run_cli(["barrier", "--r", "0.8,x", "--positions", "0,1"])
+    assert code == 3
+    code, _, err = run_cli(["barrier", "--r", "0.8", "--positions", "0,1"])
+    assert code == 1
+    assert json.loads(err)["error"]["type"] == "BadBarrier"
+
+
 # ------------------------------------------------------------ model lookup
 
 
@@ -407,6 +493,50 @@ def test_model_file_runs_through_pipeline(tmp_path):
     assert code == 0
     _, rows = csv_rows(out)
     assert len(rows) == 1
+
+
+# -------------------------------------------------------------- exit codes
+
+# The classes that exit 2; every other public exception in the package
+# is a ValueError and exits 1.
+NUMERICAL = {
+    "NumericalError", "PoleHit", "AtInteriorResonance", "OrthogonalityViolated",
+    "SingularSystem", "ClusterAmbiguity", "IllConditionedChain", "NotSimple",
+    "ZeroCluster", "SimplicityViolated", "TrackingAmbiguous",
+    "ResonanceOnCircle", "NoCrossing", "RouteMismatch",
+}
+
+
+def package_exceptions():
+    found = []
+    for info in pkgutil.iter_modules(qwscatter.__path__):
+        module = importlib.import_module(f"qwscatter.{info.name}")
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__
+                    and not name.startswith("_")):
+                found.append(obj)
+    return sorted(found, key=lambda c: c.__name__)
+
+
+def test_numerical_errors_are_exactly_the_numerical_base():
+    names = {c.__name__ for c in package_exceptions() if issubclass(c, NumericalError)}
+    assert names == NUMERICAL
+
+
+@pytest.mark.parametrize("exc_type", package_exceptions(), ids=lambda c: c.__name__)
+def test_exit_code_follows_exception_base(monkeypatch, exc_type):
+    assert issubclass(exc_type, ValueError)
+    exc = exc_type.__new__(exc_type)
+    Exception.__init__(exc, "probe")
+
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "load_family", fail)
+    code, _, err = run_cli(["resonances", "--model", "ms"])
+    assert code == (2 if exc_type.__name__ in NUMERICAL else 1)
+    assert json.loads(err)["error"]["type"] == exc_type.__name__
 
 
 # ----------------------------------------------------------------- parsers

@@ -15,7 +15,6 @@ from qwscatter.models import (
     crossing_family,
     cycle_family,
     matrix_schrodinger_family,
-    matrix_schrodinger_model,
     partial_fraction_identity,
     random_walk,
 )
@@ -88,8 +87,6 @@ def test_ms_eps_limit():
     fam = matrix_schrodinger_family()
     with pytest.raises(EpsOutOfRange):
         fam.walk(1 / math.sqrt(2))
-    with pytest.raises(EpsOutOfRange):
-        matrix_schrodinger_model(0.71)
     fam.walk(1 / math.sqrt(2) - 1e-9)  # boundary is open
 
 

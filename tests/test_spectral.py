@@ -12,7 +12,6 @@ from qwscatter.spectral import (
     ZeroCluster,
     boundary_data,
     eigen_decompose,
-    projection_apply,
     resonance_set,
 )
 
@@ -74,15 +73,6 @@ def test_random_nonnormal_diagonalizable():
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-10
     for cluster in system.clusters:
         assert cluster.is_simple
-
-
-def test_projection_apply_matches_cluster_project():
-    a = jordan_example()
-    system = eigen_decompose(a)
-    rng = np.random.default_rng(5)
-    f = rng.normal(size=3) + 1j * rng.normal(size=3)
-    for cluster in system.clusters:
-        assert np.allclose(projection_apply(system, cluster, f), cluster.project(f))
 
 
 def test_close_eigenvalues_merge():
