@@ -38,7 +38,6 @@ from .scattering import (
     transmission_reflection,
 )
 from .spectral import (
-    DEFAULT_CIRCLE_TOL,
     Cluster,
     EigenSystem,
     NumericalError,
@@ -204,7 +203,6 @@ def _advance(family, e0, vals0, cur, e1, depth):
 def track_resonances(
     family: Callable[[float], object],
     eps_grid: Sequence[float] | None = None,
-    tol_circle: float = DEFAULT_CIRCLE_TOL,
 ) -> ResonanceTrack:
     """Follow each unit-circle resonance of U(0) along the eps grid.
 
@@ -225,7 +223,7 @@ def track_resonances(
         raise ValueError("eps grid must be strictly increasing")
 
     walk0 = family(0.0)
-    system0 = eigen_decompose(walk0.interior, tol_circle=tol_circle)
+    system0 = eigen_decompose(walk0)
     starts = []
     for cluster in system0.on_circle():
         if not cluster.is_simple:
@@ -332,14 +330,14 @@ class _ResonanceContext(NamedTuple):
     boundary: object
 
 
-def _context(family, eps, lam, lambda_eps=None, tol_circle=DEFAULT_CIRCLE_TOL):
+def _context(family, eps, lam, lambda_eps=None):
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if lambda_eps is None:
-        track = track_resonances(family, (0.0, eps), tol_circle=tol_circle)
+        track = track_resonances(family, (0.0, eps))
         lambda_eps = track.at(eps, lam)
     walk = family(eps)
-    system = eigen_decompose(walk.interior, tol_circle=tol_circle)
+    system = eigen_decompose(walk)
     cluster = system.nearest_cluster(lambda_eps)
     if cluster.on_unit_circle:
         raise ResonanceOnCircle(
@@ -363,12 +361,12 @@ def _split_mask(split, n_tails: int) -> np.ndarray:
 
 
 def _incoming_profile(boundary, mask):
-    """Unit co-state tail profile and its normalised restriction to a split."""
+    """Unit co-state tail profile and its normalised restriction to a split.
+
+    An off-circle resonance couples to the tails, so the profile is nonzero.
+    """
     in_co = np.asarray(boundary.in_data_co, dtype=complex)
-    total = float(np.linalg.norm(in_co))
-    if total == 0.0:
-        raise ResonanceOnCircle("resonant co-state carries no incoming data")
-    profile = in_co / total
+    profile = in_co / float(np.linalg.norm(in_co))
     restricted = np.where(mask, profile, 0.0)
     weight = float(np.linalg.norm(restricted))
     if weight < 1e-15:
@@ -382,7 +380,6 @@ def tunneling_check(
     lam: complex,
     split,
     lambda_eps: complex | None = None,
-    tol_circle: float = DEFAULT_CIRCLE_TOL,
 ) -> TunnelingReport:
     """Evaluate the resonant-tunneling prediction at one parameter point.
 
@@ -393,7 +390,7 @@ def tunneling_check(
     incoming wave is the normalised restriction of the resonant
     co-state's tail profile to the channels in ``split``.
     """
-    ctx = _context(family, eps, lam, lambda_eps, tol_circle)
+    ctx = _context(family, eps, lam, lambda_eps)
     walk, system, cluster, bd = ctx
     mask = _split_mask(split, walk.n_tails)
     profile, amp_in = _incoming_profile(bd, mask)
@@ -408,11 +405,9 @@ def tunneling_check(
     split_set = {int(n) for n in split}
     t_peak, r_peak = transmission_reflection(sigma, split_set, amp_in)
 
-    out_data = np.asarray(bd.out_data, dtype=complex)
-    out_total = float(np.linalg.norm(out_data))
-    exit_profile = np.where(~mask, out_data, 0.0)
+    exit_profile = np.where(~mask, np.asarray(bd.out_data, dtype=complex), 0.0)
     exit_norm = float(np.linalg.norm(exit_profile))
-    if out_total == 0.0 or exit_norm < 1e-15:
+    if exit_norm < 1e-15:
         overlap = 0.0
     else:
         overlap = float(abs(np.vdot(exit_profile / exit_norm, sigma @ amp_in)))
@@ -487,7 +482,6 @@ def peak_width(
     lam: complex,
     split,
     lambda_eps: complex | None = None,
-    tol_circle: float = DEFAULT_CIRCLE_TOL,
 ) -> tuple:
     """Half-height angles (theta_minus, theta_plus) around the peak.
 
@@ -495,7 +489,7 @@ def peak_width(
     z* = lambda_eps/|lambda_eps| until it first falls below one half on
     each side; each crossing is then bisected to ``THETA_TOL``.
     """
-    ctx = _context(family, eps, lam, lambda_eps, tol_circle)
+    ctx = _context(family, eps, lam, lambda_eps)
     walk, system, cluster, bd = ctx
     mask = _split_mask(split, walk.n_tails)
     _, amp_in = _incoming_profile(bd, mask)
@@ -528,7 +522,6 @@ def comfortability_growth(
     eps: float,
     lam: complex,
     lambda_eps: complex | None = None,
-    tol_circle: float = DEFAULT_CIRCLE_TOL,
 ) -> tuple:
     """Interior energy at the peak and its predicted divergence rate.
 
@@ -536,13 +529,10 @@ def comfortability_growth(
     resonant co-state; the bound uses that the resonant pair's interior
     norms multiply to at least one.
     """
-    ctx = _context(family, eps, lam, lambda_eps, tol_circle)
+    ctx = _context(family, eps, lam, lambda_eps)
     walk, system, cluster, bd = ctx
     in_co = np.asarray(bd.in_data_co, dtype=complex)
-    total = float(np.linalg.norm(in_co))
-    if total == 0.0:
-        raise ResonanceOnCircle("resonant co-state carries no incoming data")
-    amp_in = in_co / total
+    amp_in = in_co / float(np.linalg.norm(in_co))
     lam_eps = cluster.value
     z_star = lam_eps / abs(lam_eps)
     energy = comfortability(walk, z_star, amp_in, system)
@@ -555,14 +545,13 @@ def resonant_block_norm(
     lam: complex,
     lambda_eps: complex | None = None,
     z: complex | None = None,
-    tol_circle: float = DEFAULT_CIRCLE_TOL,
 ) -> tuple:
     """Norm of the resonance's pole block and its theoretical floor.
 
     Evaluated at z* = lambda_eps/|lambda_eps| (the default) the block's
     operator norm is at least 1 + |lambda_eps|.
     """
-    ctx = _context(family, eps, lam, lambda_eps, tol_circle)
+    ctx = _context(family, eps, lam, lambda_eps)
     walk, system, cluster, _ = ctx
     lam_eps = cluster.value
     if z is None:
@@ -605,7 +594,7 @@ def discrepancy_table(
     z = _project_to_circle(z)
     grid = _positive(eps_values)
     walk0 = family(0.0)
-    system0 = eigen_decompose(walk0.interior)
+    system0 = eigen_decompose(walk0)
     s_zero = scattering_matrix(walk0, z, route, system0).matrix
     rows = []
     values = []
@@ -628,10 +617,8 @@ def discrepancy_table(
     return rows, summary
 
 
-def _tracked_values(family, lam, grid, tol_circle):
-    track = track_resonances(
-        family, np.concatenate([[0.0], grid]), tol_circle=tol_circle
-    )
+def _tracked_values(family, lam, grid):
+    track = track_resonances(family, np.concatenate([[0.0], grid]))
     return track.path(lam)[1:]
 
 
@@ -640,19 +627,16 @@ def tunneling_table(
     lam: complex,
     split,
     eps_values=None,
-    tol_circle: float = DEFAULT_CIRCLE_TOL,
 ) -> tuple:
     """Sweep the tunneling report along an eps grid."""
     grid = _positive(eps_values)
-    tracked = _tracked_values(family, lam, grid, tol_circle)
+    tracked = _tracked_values(family, lam, grid)
     rows = []
     t_values = []
     residuals = []
     overlap_consts = []
     for eps, lam_eps in zip(grid, tracked):
-        report = tunneling_check(
-            family, eps, lam, split, lambda_eps=lam_eps, tol_circle=tol_circle
-        )
+        report = tunneling_check(family, eps, lam, split, lambda_eps=lam_eps)
         z_star = report.z_star
         rows.append(SweepRow(float(eps), z_star, "t_at_peak", report.t_at_peak))
         rows.append(
@@ -699,17 +683,14 @@ def width_table(
     lam: complex,
     split,
     eps_values=None,
-    tol_circle: float = DEFAULT_CIRCLE_TOL,
 ) -> tuple:
     """Sweep measured versus predicted peak widths."""
     grid = _positive(eps_values)
-    tracked = _tracked_values(family, lam, grid, tol_circle)
+    tracked = _tracked_values(family, lam, grid)
     rows = []
     ratios = []
     for eps, lam_eps in zip(grid, tracked):
-        theta_minus, theta_plus = peak_width(
-            family, eps, lam, split, lambda_eps=lam_eps, tol_circle=tol_circle
-        )
+        theta_minus, theta_plus = peak_width(family, eps, lam, split, lambda_eps=lam_eps)
         measured = theta_plus - theta_minus
         predicted = 2.0 * (1.0 - abs(lam_eps))
         z_star = lam_eps / abs(lam_eps)
@@ -732,18 +713,15 @@ def comfort_table(
     family,
     lam: complex,
     eps_values=None,
-    tol_circle: float = DEFAULT_CIRCLE_TOL,
 ) -> tuple:
     """Sweep interior energy against its divergence-rate bound."""
     grid = _positive(eps_values)
-    tracked = _tracked_values(family, lam, grid, tol_circle)
+    tracked = _tracked_values(family, lam, grid)
     rows = []
     ratios = []
     scaled = []
     for eps, lam_eps in zip(grid, tracked):
-        energy, bound = comfortability_growth(
-            family, eps, lam, lambda_eps=lam_eps, tol_circle=tol_circle
-        )
+        energy, bound = comfortability_growth(family, eps, lam, lambda_eps=lam_eps)
         z_star = lam_eps / abs(lam_eps)
         rows.append(SweepRow(float(eps), z_star, "comfort", energy))
         rows.append(SweepRow(float(eps), z_star, "comfort_bound", bound))
@@ -767,7 +745,6 @@ def remainder_table(
     eps_values=None,
     n_grid: int = 64,
     route: str = "resolvent",
-    tol_circle: float = DEFAULT_CIRCLE_TOL,
 ) -> tuple:
     """Residual of the pole-sum approximation to the scattering discrepancy.
 
@@ -780,18 +757,16 @@ def remainder_table(
     grid = _positive(eps_values)
     z_points = [cmath.exp(2j * cmath.pi * k / n_grid) for k in range(n_grid)]
     walk0 = family(0.0)
-    system0 = eigen_decompose(walk0.interior, tol_circle=tol_circle)
+    system0 = eigen_decompose(walk0)
     s_zero = {
         z: scattering_matrix(walk0, z, route, system0).matrix for z in z_points
     }
-    track = track_resonances(
-        family, np.concatenate([[0.0], grid]), tol_circle=tol_circle
-    )
+    track = track_resonances(family, np.concatenate([[0.0], grid]))
     rows = []
     ratios = []
     for i, eps in enumerate(grid):
         walk = family(eps)
-        system = eigen_decompose(walk.interior, tol_circle=tol_circle)
+        system = eigen_decompose(walk)
         clusters = []
         for k in range(len(track.starts)):
             clusters.append(system.nearest_cluster(track.paths[i + 1, k]))

@@ -37,7 +37,7 @@ from .coins import eval_coins
 from .line import BarrierSpec, barrier_scattering, line_to_graph, rotation_coin
 from .models import BUILTIN_FAMILIES, ModelFamily
 from .scattering import oracle_direct_solve, scattering_matrix
-from .spectral import DEFAULT_CIRCLE_TOL, NumericalError, eigen_decompose, resonance_set
+from .spectral import NumericalError, eigen_decompose, resonance_set
 from .walk import assemble, free_routing_check
 
 ROUTE_AGREEMENT_TOL = 1e-8
@@ -268,11 +268,10 @@ def validate(model, n_vertices, strengths, eps):
     return 0 if not failures else 1
 
 
-def _resonance_rows(family, eps_values, tol_cluster, tol_circle):
+def _resonance_rows(family, eps_values):
     rows = []
     for eps in eps_values:
-        walk = family.walk(eps)
-        resonances, _ = resonance_set(walk, tol_cluster, tol_circle)
+        resonances, _ = resonance_set(family.walk(eps))
         ordered = sorted(
             resonances,
             key=lambda r: (round(cmath.phase(r.value), 12), abs(r.value)),
@@ -290,9 +289,9 @@ def _resonance_rows(family, eps_values, tol_cluster, tol_circle):
     return rows
 
 
-def _track_rows(family, grid, tol_circle):
+def _track_rows(family, grid):
     """One row per (eps, resonance) along the paths that start at eps = 0."""
-    track = asymptotics.track_resonances(family, np.concatenate([[0.0], grid]), tol_circle)
+    track = asymptotics.track_resonances(family, np.concatenate([[0.0], grid]))
     rows = []
     for j, start in enumerate(track.starts):
         for eps, value in zip(track.eps_grid, track.paths[:, j]):
@@ -304,18 +303,18 @@ def _track_rows(family, grid, tol_circle):
 @model_options
 @click.option("--eps", type=float, default=None)
 @click.option("--eps-grid", "eps_grid", default=None, help="START:STOP:COUNT")
-@click.option("--tol-cluster", type=float, default=None)
-@click.option("--tol-circle", type=float, default=DEFAULT_CIRCLE_TOL)
 @click.option(
     "--track",
     is_flag=True,
     help="follow the eps=0 unit-circle resonances along --eps-grid",
 )
 @output_options
-def resonances(
-    model, n_vertices, strengths, eps, eps_grid, tol_cluster, tol_circle, track, out, fmt
-):
-    """List resonances (interior spectrum, zero included) per eps."""
+def resonances(model, n_vertices, strengths, eps, eps_grid, track, out, fmt):
+    """List resonances (interior spectrum, zero included) per eps.
+
+    ``on_circle`` is true for a resonance whose states do not couple to
+    the tails: a bound state of the full walk.
+    """
     family = load_family(model, n_vertices, strengths)
     if eps is not None and eps_grid is not None:
         raise click.UsageError("give either --eps or --eps-grid, not both")
@@ -326,10 +325,10 @@ def resonances(
     else:
         grid = np.array([0.0 if eps is None else eps])
     if track:
-        rows = _track_rows(family, grid, tol_circle)
+        rows = _track_rows(family, grid)
         header = ("eps", "start_re", "start_im", "re", "im", "abs")
     else:
-        rows = _resonance_rows(family, [float(e) for e in grid], tol_cluster, tol_circle)
+        rows = _resonance_rows(family, [float(e) for e in grid])
         header = ("eps", "re", "im", "multiplicity", "on_circle")
     _emit(rows, header, None, out, fmt)
     return 0
@@ -348,12 +347,7 @@ def _route_check(walk, z, system, route, sigma):
     """Compare ``sigma`` (from ``route``) with the other route and the direct solve."""
     other_route = "expansion" if route == "resolvent" else "resolvent"
     other = scattering_matrix(walk, z, other_route, system).matrix
-    nt = walk.n_tails
-    direct = np.zeros((nt, nt), dtype=complex)
-    for k in range(nt):
-        amp_in = np.zeros(nt, dtype=complex)
-        amp_in[k] = 1.0
-        _, direct[:, k] = oracle_direct_solve(walk, z, amp_in)
+    _, direct = oracle_direct_solve(walk, z, np.eye(walk.n_tails))
     worst = max(
         float(np.abs(sigma - other).max()), float(np.abs(sigma - direct).max())
     )
@@ -375,8 +369,6 @@ def _route_check(walk, z, system, route, sigma):
     is_flag=True,
     help="cross-compare both routes and the direct solve; exit 2 on mismatch",
 )
-@click.option("--tol-cluster", type=float, default=None)
-@click.option("--tol-circle", type=float, default=DEFAULT_CIRCLE_TOL)
 @output_options
 def smatrix(
     model,
@@ -387,8 +379,6 @@ def smatrix(
     z_count,
     route,
     check_routes,
-    tol_cluster,
-    tol_circle,
     out,
     fmt,
 ):
@@ -403,7 +393,7 @@ def smatrix(
             raise click.UsageError("--z-grid must be positive")
         points = [cmath.exp(2j * cmath.pi * k / z_count) for k in range(z_count)]
     walk = family.walk(eps)
-    system = eigen_decompose(walk.interior, tol_cluster, tol_circle)
+    system = eigen_decompose(walk)
     rows = []
     for z in points:
         report = scattering_matrix(walk, z, route, system)
@@ -576,7 +566,7 @@ def barrier(r_text, positions_text, z_count, check_routes, out, fmt):
     if check_routes:
         graph, coins = line_to_graph(spec)
         walk = assemble(graph, eval_coins(coins, 0.0))
-        system = eigen_decompose(walk.interior)
+        system = eigen_decompose(walk)
         summary["graph_deviation_max"] = 0.0
     rows = []
     for k in range(z_count):

@@ -22,8 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .coins import UNITARITY_TOL, const_expr
-from .graph import TailedGraph, build_graph
+from .coins import UNITARITY_TOL, const_expr, eval_coins
+from .graph import build_graph
+from .scattering import scattering_matrix
+from .spectral import eigen_decompose
+from .walk import assemble
 
 # Transfer matrices divide by the upper-left coin entry; below this the
 # barrier is a perfect mirror and the closed forms degenerate.
@@ -358,14 +361,18 @@ def _embedded_coin(coin, pos: int, x_last: int):
     return [[c[0, 0], c[0, 1]], [c[1, 0], c[1, 1]]]
 
 
-def graph_transmission(spec: BarrierSpec, z: complex) -> float:
-    """Transmission via the full graph pipeline (cross-check route)."""
-    from .coins import eval_coins
-    from .scattering import scattering_matrix
-    from .walk import assemble
+def graph_transmission(spec: BarrierSpec, z_values: Sequence[complex]) -> np.ndarray:
+    """Transmission at each of ``z_values`` via the full graph pipeline.
 
+    This is the cross-check route: the embedded walk is built and
+    decomposed once, then scattered at every point.
+    """
     graph, coins = line_to_graph(spec)
     walk = assemble(graph, eval_coins(coins, 0.0))
-    sigma = scattering_matrix(walk, z).matrix
-    # incidence from the right (tail 2), transmitted power read on tail 1
-    return float(abs(sigma[0, 1]) ** 2)
+    system = eigen_decompose(walk)
+    out = []
+    for z in z_values:
+        sigma = scattering_matrix(walk, z, system=system).matrix
+        # incidence from the right (tail 2), transmitted power read on tail 1
+        out.append(abs(sigma[0, 1]) ** 2)
+    return np.array(out)

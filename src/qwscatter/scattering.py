@@ -36,7 +36,6 @@ from .spectral import (
     Cluster,
     EigenSystem,
     NumericalError,
-    ZERO_VALUE_TOL,
     ZeroCluster,
     eigen_decompose,
 )
@@ -126,7 +125,7 @@ def generalized_eigenfunction(
     z = _check_z(z)
     amp_in = np.asarray(amp_in, dtype=complex)
     if system is None:
-        system = eigen_decompose(walk.interior)
+        system = eigen_decompose(walk)
     for cluster in system.off_circle():
         if abs(z - cluster.value) <= EIGENVALUE_HIT_TOL:
             raise AtInteriorResonance(z, cluster.value)
@@ -166,6 +165,10 @@ def oracle_direct_solve(
     least-squares solution is returned — which is the same
     representative the spectral routes produce, since trapped states
     project orthogonally.
+
+    ``amp_in`` may be one incoming vector or a matrix whose columns are
+    solved at once (``np.eye(n_tails)`` gives the scattering matrix);
+    the residual is checked column by column.
     """
     z = complex(z)
     amp_in = np.asarray(amp_in, dtype=complex)
@@ -178,13 +181,14 @@ def oracle_direct_solve(
             u = np.linalg.solve(a, -f)
         else:
             u = np.linalg.pinv(a, rcond=1e-8) @ (-f)
-        residual = float(np.linalg.norm(a @ u + f))
-        if residual > ORACLE_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(f))):
+        residual = np.linalg.norm(a @ u + f, axis=0)
+        bound = ORACLE_RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(f, axis=0))
+        if np.any(residual > bound):
             raise SingularSystem(
-                f"direct solve at z = {z:.9g} left residual {residual:.3e}"
+                f"direct solve at z = {z:.9g} left residual {np.max(residual):.3e}"
             )
     else:
-        u = np.zeros(0, dtype=complex)
+        u = np.zeros((0,) + amp_in.shape[1:], dtype=complex)
     amp_out = walk.interior_to_tail @ u + walk.tail_to_tail @ amp_in
     return u, amp_out
 
@@ -246,7 +250,7 @@ def pole_block(
     block = np.zeros((nt, nt), dtype=complex)
     if cluster.on_unit_circle:
         return block
-    if abs(lam) <= ZERO_VALUE_TOL:
+    if cluster.is_zero:
         raise ZeroCluster(
             "the zero resonance has its own block (with the pass-through term)"
         )
@@ -320,7 +324,7 @@ def scattering_matrix(
     """The full tails-in to tails-out response at parameter ``z``."""
     z = _check_z(z)
     if system is None:
-        system = eigen_decompose(walk.interior)
+        system = eigen_decompose(walk)
     nt = walk.n_tails
 
     if route == "resolvent":
@@ -335,9 +339,8 @@ def scattering_matrix(
     elif route == "expansion":
         matrix = zero_pole_block(walk, system, z)
         for cluster in system.off_circle():
-            if abs(cluster.value) <= ZERO_VALUE_TOL:
-                continue
-            matrix = matrix + pole_block(walk, cluster, z)
+            if not cluster.is_zero:
+                matrix = matrix + pole_block(walk, cluster, z)
         interior = None
     else:
         raise ValueError(f"unknown route {route!r}")

@@ -9,9 +9,11 @@ consumes its spectral data in one fixed shape:
   eigenvalues are one resonance with multiplicity),
 * each cluster carries right Jordan chains ``v_1, ..., v_L`` with
   ``(M - λ) v_l = v_{l-1}`` (``v_0 = 0``),
-* and co-chains ``w_1, ..., w_L`` with ``(M* - λ̄) w_l = w_{l+1}``
+* co-chains ``w_1, ..., w_L`` with ``(M* - λ̄) w_l = w_{l+1}``
   (``w_{L+1} = 0``), normalized so that ``<v, w>`` pairs to the
-  identity across the cluster.
+  identity across the cluster,
+* and a cluster is on the unit circle exactly when its states do not
+  couple to the tails (a bound state of the full walk).
 
 The co-chains are *not* built by running the chain algorithm on the
 adjoint: they are the dual basis of the right chains inside the left
@@ -28,8 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_CIRCLE_TOL = 1e-8
 CLUSTER_REL_TOL = 1e-8
+# Tail coupling below which a cluster is on the unit circle (see
+# ``_decoupled``); a decoupled state shows ~1e-16 of roundoff there.
+CIRCLE_COUPLING_TOL = 1e-12
 RANK_REL_TOL = 1e-10
 GRAM_REL_TOL = 1e-12
 ZERO_VALUE_TOL = 1e-9
@@ -77,6 +81,11 @@ class Cluster:
     def is_simple(self) -> bool:
         return self.multiplicity == 1
 
+    @property
+    def is_zero(self) -> bool:
+        """The conventional zero resonance (eigenvalue zero)."""
+        return abs(self.value) <= ZERO_VALUE_TOL
+
     def right_basis(self) -> np.ndarray:
         """All chain vectors as columns, chain-major, l ascending."""
         return np.concatenate(self.chains, axis=0).T
@@ -95,8 +104,6 @@ class Cluster:
 class EigenSystem:
     matrix: np.ndarray
     clusters: tuple
-    tol_cluster: float
-    tol_circle: float
 
     def off_circle(self):
         return [c for c in self.clusters if not c.on_unit_circle]
@@ -106,7 +113,7 @@ class EigenSystem:
 
     def zero_cluster(self):
         for c in self.clusters:
-            if abs(c.value) <= ZERO_VALUE_TOL:
+            if c.is_zero:
                 return c
         return None
 
@@ -224,24 +231,30 @@ def _nilpotent_chains(r: np.ndarray, floor: float):
     return chains
 
 
-def eigen_decompose(
-    matrix: np.ndarray,
-    tol_cluster: float | None = None,
-    tol_circle: float = DEFAULT_CIRCLE_TOL,
-) -> EigenSystem:
-    """Cluster the spectrum of ``matrix`` and build biorthogonal chains."""
-    m = np.asarray(matrix, dtype=complex)
-    n = m.shape[0]
-    scale = float(np.linalg.norm(m, 2)) if n else 0.0
-    if tol_cluster is None:
-        tol_cluster = CLUSTER_REL_TOL * max(scale, 1e-300)
-    if n == 0:
-        return EigenSystem(m, (), tol_cluster, tol_circle)
+def _decoupled(walk, right: np.ndarray, left: np.ndarray) -> bool:
+    """Whether a cluster's states and co-states both miss the tails.
 
+    The walk maps interior + incoming arcs unitarily onto interior +
+    outgoing arcs, so a unit eigenvector or co-eigenvector couples to the
+    tails with norm sqrt(1 - |λ|²).  The gap to the circle thus shows as
+    a square root: 1.4e-8 at 1 - |λ| = 1e-16, which |λ| cannot resolve.
+    """
+    emitted = np.linalg.norm(walk.interior_to_tail @ right) / np.linalg.norm(right)
+    picked = np.linalg.norm(walk.tail_to_interior.conj().T @ left) / np.linalg.norm(left)
+    return bool(emitted <= CIRCLE_COUPLING_TOL and picked <= CIRCLE_COUPLING_TOL)
+
+
+def eigen_decompose(walk) -> EigenSystem:
+    """Cluster the interior spectrum of ``walk`` and build biorthogonal chains."""
+    m = np.asarray(walk.interior, dtype=complex)
+    n = m.shape[0]
+    if n == 0:
+        return EigenSystem(m, ())
+    scale = float(np.linalg.norm(m, 2))
     values = np.linalg.eigvals(m)
     floor = 1e-12 * max(scale, 1.0)
     clusters = []
-    for idx in _cluster_indices(values, tol_cluster):
+    for idx in _cluster_indices(values, CLUSTER_REL_TOL * max(scale, 1e-300)):
         lam = complex(values[idx].mean())
         mult = len(idx)
         if mult == n:
@@ -286,11 +299,11 @@ def eigen_decompose(
                 eigenvalues=tuple(sorted(map(complex, values[idx]), key=_sort_key)),
                 chains=tuple(big_chains),
                 co_chains=tuple(co_chains),
-                on_unit_circle=abs(abs(lam) - 1.0) <= tol_circle,
+                on_unit_circle=_decoupled(walk, right, left),
             )
         )
 
-    return EigenSystem(m, tuple(clusters), tol_cluster, tol_circle)
+    return EigenSystem(m, tuple(clusters))
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +317,18 @@ class Resonance:
     on_unit_circle: bool
 
 
-def resonance_set(walk, tol_cluster: float | None = None, tol_circle: float = DEFAULT_CIRCLE_TOL):
+def resonance_set(walk):
     """All resonances of the walk: interior eigenvalues, zero included.
 
     Nonzero interior eigenvalues are resonances with their algebraic
     multiplicity; eigenvalue zero is reported as the conventional zero
     resonance.  Values on the unit circle are flagged — those are true
-    eigenvalues of the full walk.
+    eigenvalues of the full walk, whose states never reach the tails.
     """
-    system = eigen_decompose(walk.interior, tol_cluster, tol_circle)
+    system = eigen_decompose(walk)
     out = []
     for c in system.clusters:
-        value = 0j if abs(c.value) <= ZERO_VALUE_TOL else c.value
+        value = 0j if c.is_zero else c.value
         out.append(Resonance(value, c.multiplicity, c.on_unit_circle))
     return out, system
 
@@ -352,7 +365,7 @@ def boundary_data(walk, cluster: Cluster) -> ResonantStateBoundary:
     if cluster.on_unit_circle:
         zero = np.zeros(nt, dtype=complex)
         return ResonantStateBoundary(lam, v, w, zero, zero.copy(), True)
-    if abs(lam) <= ZERO_VALUE_TOL:
+    if cluster.is_zero:
         raise ZeroCluster(
             "the zero resonance has no incoming/outgoing tail extension"
         )

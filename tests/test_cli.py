@@ -26,6 +26,7 @@ from qwscatter.cli import (
     parse_split,
 )
 from qwscatter.line import BarrierSpec, barrier_scattering, rotation_coin
+from qwscatter.models import closed_form_sigma_ms
 from qwscatter.spectral import NumericalError
 
 UNITARITY_CAP = 1e-8
@@ -135,6 +136,18 @@ def test_resonances_hidden_pair():
     assert len(circle) == 2
 
 
+def test_resonances_tiny_eps_hidden_pair_is_off_circle():
+    # 1 - |lambda| = 1e-12 for the hidden pair, but it still couples to
+    # the tails; the pass-through pair +-1 does not
+    code, out, _ = run_cli(["resonances", "--model", "ms", "--eps", "1e-6"])
+    assert code == 0
+    _, rows = csv_rows(out)
+    flags = {
+        (round(float(r[1])), round(float(r[2]))): r[4] for r in rows if r[3] == "1"
+    }
+    assert flags == {(0, 1): "false", (0, -1): "false", (1, 0): "true", (-1, 0): "true"}
+
+
 def test_resonances_cycle_detached_ring():
     code, out, _ = run_cli(
         ["resonances", "--model", "cycle", "--N", "4", "--c", "1", "--eps", "0.6"]
@@ -240,6 +253,20 @@ def test_smatrix_check_routes_passes():
         ]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("route", ["resolvent", "expansion"])
+def test_smatrix_tiny_eps_matches_closed_form(route):
+    code, out, err = run_cli(
+        ["smatrix", "--model", "ms", "--eps", "1e-4", "--z", "0.7+0.1i",
+         "--route", route, "--check-routes"]
+    )
+    assert code == 0, err
+    _, rows = csv_rows(out)
+    want = closed_form_sigma_ms(1e-4, 0.7 + 0.1j)
+    for r in rows:
+        got = complex(float(r[5]), float(r[6]))
+        assert abs(got - want[int(r[3]) - 1, int(r[4]) - 1]) <= 1e-14
 
 
 @pytest.mark.parametrize("route", ["resolvent", "expansion"])
@@ -537,6 +564,42 @@ def test_exit_code_follows_exception_base(monkeypatch, exc_type):
     code, _, err = run_cli(["resonances", "--model", "ms"])
     assert code == (2 if exc_type.__name__ in NUMERICAL else 1)
     assert json.loads(err)["error"]["type"] == exc_type.__name__
+
+
+# ---------------------------------------------------------------- surface
+
+CLI_OPTIONS = {
+    "validate": ["--model", "--N", "--c", "--eps"],
+    "resonances": ["--model", "--N", "--c", "--eps", "--eps-grid", "--track",
+                   "--format", "--out"],
+    "smatrix": ["--model", "--N", "--c", "--eps", "--z", "--z-grid", "--route",
+                "--check-routes", "--format", "--out"],
+    "sweep discrepancy": ["--model", "--N", "--c", "--z", "--eps-grid", "--route",
+                          "--format", "--out"],
+    "sweep tunneling": ["--model", "--N", "--c", "--J", "--lambda", "--eps-grid",
+                        "--format", "--out"],
+    "sweep width": ["--model", "--N", "--c", "--J", "--lambda", "--eps-grid",
+                    "--format", "--out"],
+    "sweep comfort": ["--model", "--N", "--c", "--lambda", "--eps-grid",
+                      "--format", "--out"],
+    "barrier": ["--r", "--positions", "--z-grid", "--check-routes", "--format",
+                "--out"],
+}
+
+
+def cli_surface(command, path=()):
+    if isinstance(command, click.Group):
+        for name, sub in command.commands.items():
+            yield from cli_surface(sub, path + (name,))
+    else:
+        options = [o for p in command.params if isinstance(p, click.Option) for o in p.opts]
+        yield " ".join(path), options
+
+
+def test_cli_surface_is_pinned():
+    # a new option or command must show up here as a deliberate diff
+    assert dict(cli_surface(cli.cli)) == CLI_OPTIONS
+    assert sum(len(v) for v in CLI_OPTIONS.values()) == 59
 
 
 # ----------------------------------------------------------------- parsers

@@ -197,10 +197,11 @@ def test_state_balance_symmetric_is_unity():
 
 @pytest.mark.parametrize("spec", [SYMMETRIC, TRIPLE], ids=["pair", "triple"])
 def test_graph_embedding_matches_closed_form(spec):
-    for k in range(16):
-        z = cmath.exp(2j * cmath.pi * (k + 0.31) / 16)
-        closed = barrier_scattering(spec, z).transmission
-        assert abs(graph_transmission(spec, z) - closed) <= 1e-10
+    points = [cmath.exp(2j * cmath.pi * (k + 0.31) / 16) for k in range(16)]
+    got = graph_transmission(spec, points)
+    assert got.shape == (16,)
+    for z, t in zip(points, got):
+        assert abs(t - barrier_scattering(spec, z).transmission) <= 1e-10
 
 
 def test_graph_embedding_produces_unitary_smatrix():

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwscatter.models import (
+    closed_form_sigma_cycle,
+    closed_form_sigma_ms,
     crossing_family,
     cycle_family,
     matrix_schrodinger_family,
@@ -72,6 +74,45 @@ def test_routes_match_the_direct_solve_oracle(route):
         assert np.abs(sigma - oracle).max() <= ROUTE_TOL
 
 
+TINY_EPS = (1e-4, 1e-6, 1e-8)
+CLOSED_FORM_TOL = 1e-14
+
+
+@pytest.mark.parametrize("eps", TINY_EPS)
+@pytest.mark.parametrize("route", ["resolvent", "expansion"])
+def test_ms_matches_closed_form_at_tiny_eps(route, eps):
+    # the hidden pair sits within 1e-8 of the circle here but still
+    # couples to the tails, so it is a resonance, not a bound state
+    z = (0.7 + 0.1j) / abs(0.7 + 0.1j)
+    sigma = scattering_matrix(ms_walk(eps), z, route=route).matrix
+    assert np.abs(sigma - closed_form_sigma_ms(eps, z)).max() <= CLOSED_FORM_TOL
+
+
+@pytest.mark.parametrize("eps", TINY_EPS)
+@pytest.mark.parametrize("route", ["resolvent", "expansion"])
+@pytest.mark.parametrize(
+    "n, strengths", [(4, [1.0] * 4), (3, [0.9, 0.4, 0.7])], ids=["cycle4", "cycle3"]
+)
+def test_cycle_matches_closed_form_at_tiny_eps(n, strengths, route, eps):
+    z = np.exp(1j * np.pi / n)
+    walk = cycle_family(n, strengths).walk(eps)
+    sigma = scattering_matrix(walk, z, route=route).matrix
+    want = closed_form_sigma_cycle(n, strengths, eps, z)
+    assert np.abs(sigma - want).max() <= CLOSED_FORM_TOL
+
+
+def test_direct_solve_takes_all_columns_at_once():
+    w = ms_walk(0.35)
+    z = np.exp(2.2j)
+    u, sigma = oracle_direct_solve(w, z, np.eye(2))
+    assert u.shape == (w.n_interior, 2) and sigma.shape == (2, 2)
+    for n in range(2):
+        u_n, out_n = oracle_direct_solve(w, z, np.eye(2)[n])
+        assert out_n.shape == (2,)
+        assert np.abs(sigma[:, n] - out_n).max() <= 1e-14
+        assert np.abs(u[:, n] - u_n).max() <= 1e-14
+
+
 def test_resolvent_and_expansion_agree_on_random_models():
     rng = np.random.default_rng(42)
     for seed in range(10):
@@ -84,7 +125,7 @@ def test_resolvent_and_expansion_agree_on_random_models():
 
 def test_expansion_is_zero_block_plus_pole_blocks():
     w = ms_walk(0.25)
-    system = eigen_decompose(w.interior)
+    system = eigen_decompose(w)
     z = np.exp(1.3j)
     total = zero_pole_block(w, system, z)
     for cluster in system.clusters:

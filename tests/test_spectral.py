@@ -1,6 +1,7 @@
 """Tests for eigenvalue clustering, Jordan chains, and resonance data."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qwscatter.spectral import (
     ClusterAmbiguity,
     NotSimple,
     ZeroCluster,
+    _cluster_indices,
     boundary_data,
     eigen_decompose,
     resonance_set,
@@ -17,6 +19,17 @@ from qwscatter.spectral import (
 
 CHAIN_TOL = 1e-8
 PROJ_TOL = 1e-8
+
+
+def bare(matrix):
+    """A walk stand-in: ``matrix`` as the interior, coupled to no tail."""
+    interior = np.asarray(matrix, dtype=complex)
+    n = interior.shape[0]
+    return SimpleNamespace(
+        interior=interior,
+        interior_to_tail=np.zeros((0, n), dtype=complex),
+        tail_to_interior=np.zeros((n, 0), dtype=complex),
+    )
 
 
 def jordan_example():
@@ -29,7 +42,7 @@ def jordan_example():
 
 
 def test_jordan_block_is_one_chain():
-    system = eigen_decompose(jordan_example())
+    system = eigen_decompose(bare(jordan_example()))
     assert len(system.clusters) == 2
     cluster = system.nearest_cluster(0.5)
     assert cluster.multiplicity == 2
@@ -39,7 +52,7 @@ def test_jordan_block_is_one_chain():
 
 def test_chain_law():
     a = jordan_example()
-    cluster = eigen_decompose(a).nearest_cluster(0.5)
+    cluster = eigen_decompose(bare(a)).nearest_cluster(0.5)
     (chain,) = cluster.chains
     lam = cluster.value
     shifted = a - lam * np.eye(3)
@@ -49,7 +62,7 @@ def test_chain_law():
 
 def test_biorthogonality_and_projections():
     a = jordan_example()
-    system = eigen_decompose(a)
+    system = eigen_decompose(bare(a))
     total = np.zeros((3, 3), dtype=complex)
     for cluster in system.clusters:
         v = cluster.right_basis()
@@ -67,7 +80,7 @@ def test_random_nonnormal_diagonalizable():
     values = np.array([0.5, 0.9j, -0.3 + 0.1j])
     v = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     a = v @ np.diag(values) @ np.linalg.inv(v)
-    system = eigen_decompose(a)
+    system = eigen_decompose(bare(a))
     got = sorted((c.value for c in system.clusters), key=lambda z: (z.real, z.imag))
     want = sorted(values, key=lambda z: (z.real, z.imag))
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-10
@@ -77,36 +90,40 @@ def test_random_nonnormal_diagonalizable():
 
 def test_close_eigenvalues_merge():
     a = np.diag([0.5, 0.5 + 1e-13, 0.9]).astype(complex)
-    system = eigen_decompose(a)
+    system = eigen_decompose(bare(a))
     assert len(system.clusters) == 2
     assert system.nearest_cluster(0.5).multiplicity == 2
 
 
 def test_chained_merge_is_ambiguous():
-    a = np.diag([0.0, 0.09, 0.18, 0.27]).astype(complex)
+    values = np.array([0.0, 0.09, 0.18, 0.27], dtype=complex)
     with pytest.raises(ClusterAmbiguity):
-        eigen_decompose(a, tol_cluster=0.1)
+        _cluster_indices(values, 0.1)
 
 
-def test_on_circle_flag():
-    a = np.diag([1.0, 0.5j, -1.0]).astype(complex)
-    system = eigen_decompose(a)
-    flags = {
-        complex(round(c.value.real, 6), round(c.value.imag, 6)): c.on_unit_circle
-        for c in system.clusters
-    }
-    assert flags[1 + 0j] is True
-    assert flags[-1 + 0j] is True
-    assert flags[0.5j] is False
+def test_on_circle_flag_follows_tail_coupling():
+    # the hidden pair +-i is decoupled at eps = 0; at eps = 1e-8 it sits
+    # within roundoff of the circle, yet couples to the tails with 1.4e-8
+    family = matrix_schrodinger_family()
+    decoupled = eigen_decompose(family.walk(0.0))
+    assert [c.on_unit_circle for c in decoupled.clusters if not c.is_zero] == [True] * 4
+    system = eigen_decompose(family.walk(1e-8))
+    assert all(type(c.on_unit_circle) is bool for c in system.clusters)
+    hidden = [system.nearest_cluster(1j), system.nearest_cluster(-1j)]
+    assert [c.on_unit_circle for c in hidden] == [False, False]
+    assert all(abs(abs(c.value) - 1.0) <= 1e-15 for c in hidden)
+    assert system.nearest_cluster(1.0).on_unit_circle
+    assert system.nearest_cluster(-1.0).on_unit_circle
 
 
 def test_zero_cluster_lookup():
     a = np.diag([0.0, 0.7]).astype(complex)
-    system = eigen_decompose(a)
+    system = eigen_decompose(bare(a))
     zero = system.zero_cluster()
-    assert zero is not None
+    assert zero is not None and zero.is_zero
     assert abs(zero.value) <= 1e-12
-    none_sys = eigen_decompose(np.diag([0.4, 0.7]).astype(complex))
+    assert [c.is_zero for c in system.clusters] == [True, False]
+    none_sys = eigen_decompose(bare(np.diag([0.4, 0.7])))
     assert none_sys.zero_cluster() is None
 
 
