@@ -101,7 +101,7 @@ def test_chained_merge_is_ambiguous():
         _cluster_indices(values, 0.1)
 
 
-def test_on_circle_flag_follows_tail_coupling():
+def test_on_circle_flag():
     # the hidden pair +-i is decoupled at eps = 0; at eps = 1e-8 it sits
     # within roundoff of the circle, yet couples to the tails with 1.4e-8
     family = matrix_schrodinger_family()
