@@ -140,16 +140,15 @@ def generalized_eigenfunction(
             f"drive overlaps unit-circle eigenvectors with norm {overlap:.3e}"
         )
 
-    n0 = walk.n_interior
-    u = np.zeros(n0, dtype=complex)
+    u = np.zeros(walk.n_interior, dtype=complex)
     m_mat = walk.interior
     for cluster in system.off_circle():
         lam = cluster.value
         current = cluster.project(f)
-        shifted = m_mat - lam * np.eye(n0)
         for k in range(cluster.multiplicity):
             u += current / (z - lam) ** (k + 1)
-            current = shifted @ current
+            if k + 1 < cluster.multiplicity:
+                current = m_mat @ current - lam * current
     amp_out = walk.interior_to_tail @ u + walk.tail_to_tail @ amp_in
     return ScatterSolution(z, amp_in, u, amp_out, overlap)
 

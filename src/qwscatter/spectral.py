@@ -11,22 +11,27 @@ consumes its spectral data in one fixed shape:
   ``(M - λ) v_l = v_{l-1}`` (``v_0 = 0``),
 * co-chains ``w_1, ..., w_L`` with ``(M* - λ̄) w_l = w_{l+1}``
   (``w_{L+1} = 0``), normalized so that ``<v, w>`` pairs to the
-  identity across the cluster,
+  identity,
 * and a cluster is on the unit circle exactly when its states do not
   couple to the tails (a bound state of the full walk).
 
+One ``eig`` of the interior serves every simple cluster: its column is
+the eigenvector.  Only clusters of multiplicity above one run the
+Jordan staircase, on their own generalized eigenspace.
+
 The co-chains are *not* built by running the chain algorithm on the
-adjoint: they are the dual basis of the right chains inside the left
-generalized eigenspace.  If ``M V = V J`` on the cluster and ``W`` is
-dual to ``V`` there, then automatically ``M* W = W J*``, which is
-exactly the co-chain recursion — so biorthogonality is exact by
-construction and the chain relations hold to the accuracy of the
-eigenspace bases.
+adjoint: they are the dual basis of the whole right basis ``V`` (every
+chain of every cluster), the columns of ``inv(V)*``.  If ``M V = V J``
+then automatically ``M* W = W J*``, which is exactly the co-chain
+recursion — so ``W* V = I`` holds across the whole spectrum, within
+clusters and between them, and the chain relations hold to the
+accuracy of the right basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +70,13 @@ class ZeroCluster(NumericalError):
     """The eigenvalue-zero cluster has no resonant-state extension."""
 
 
+def _columns(blocks: tuple) -> np.ndarray:
+    """The rows of ``blocks`` as read-only columns (a view for one block)."""
+    out = (blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)).T
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class Cluster:
     value: complex
@@ -73,7 +85,7 @@ class Cluster:
     co_chains: tuple  # matching shapes
     on_unit_circle: bool
 
-    @property
+    @cached_property
     def multiplicity(self) -> int:
         return sum(c.shape[0] for c in self.chains)
 
@@ -86,12 +98,20 @@ class Cluster:
         """The conventional zero resonance (eigenvalue zero)."""
         return abs(self.value) <= ZERO_VALUE_TOL
 
+    @cached_property
+    def _right(self) -> np.ndarray:
+        return _columns(self.chains)
+
+    @cached_property
+    def _left(self) -> np.ndarray:
+        return _columns(self.co_chains)
+
     def right_basis(self) -> np.ndarray:
-        """All chain vectors as columns, chain-major, l ascending."""
-        return np.concatenate(self.chains, axis=0).T
+        """All chain vectors as columns, chain-major, l ascending (read-only)."""
+        return self._right
 
     def left_basis(self) -> np.ndarray:
-        return np.concatenate(self.co_chains, axis=0).T
+        return self._left
 
     def project(self, f: np.ndarray) -> np.ndarray:
         """Spectral (oblique) projection of ``f`` onto this cluster."""
@@ -137,12 +157,11 @@ def _cluster_indices(values: np.ndarray, tol: float):
             a = parent[a]
         return a
 
-    for a in range(n):
-        for b in range(a + 1, n):
-            if abs(values[a] - values[b]) <= tol:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
+    close = np.abs(np.subtract.outer(values, values)) <= tol
+    for a, b in zip(*np.nonzero(np.triu(close, 1))):
+        ra, rb = find(int(a)), find(int(b))
+        if ra != rb:
+            parent[rb] = ra
 
     groups: dict = {}
     for a in range(n):
@@ -244,6 +263,38 @@ def _decoupled(walk, right: np.ndarray, left: np.ndarray) -> bool:
     return bool(emitted <= CIRCLE_COUPLING_TOL and picked <= CIRCLE_COUPLING_TOL)
 
 
+def _right_chains(m: np.ndarray, lam: complex, idx, vectors: np.ndarray, floor: float):
+    """Right Jordan chains of one cluster, each led by a unit eigenvector.
+
+    A simple cluster takes its eigenvector from ``vectors`` (the columns
+    of ``eig``).  A multiple one runs the staircase on its generalized
+    eigenspace, the null space of ``(M - λ)^mult``.  Every chain is
+    scaled so its eigenvector has unit norm and a real positive pivot.
+    """
+    n = m.shape[0]
+    mult = len(idx)
+    if mult == 1:
+        chains = [vectors[:, idx].T]
+    else:
+        if mult == n:
+            v0 = np.eye(n, dtype=complex)
+        else:
+            power = np.linalg.matrix_power(m - lam * np.eye(n), mult)
+            v0 = np.linalg.svd(power)[2][n - mult :].conj().T
+        restricted = v0.conj().T @ (m - lam * np.eye(n)) @ v0
+        chains = [chain @ v0.T for chain in _nilpotent_chains(restricted, floor)]
+    scaled = []
+    for lifted in chains:
+        eigvec = lifted[0]
+        norm = float(np.linalg.norm(eigvec))
+        if norm < floor:
+            raise IllConditionedChain(lam, float("inf"))
+        pivot = int(np.argmax(np.abs(eigvec)))
+        phase = eigvec[pivot] / abs(eigvec[pivot])
+        scaled.append(lifted / (norm * phase))
+    return scaled
+
+
 def eigen_decompose(walk) -> EigenSystem:
     """Cluster the interior spectrum of ``walk`` and build biorthogonal chains."""
     m = np.asarray(walk.interior, dtype=complex)
@@ -251,53 +302,44 @@ def eigen_decompose(walk) -> EigenSystem:
     if n == 0:
         return EigenSystem(m, ())
     scale = float(np.linalg.norm(m, 2))
-    values = np.linalg.eigvals(m)
+    values, vectors = np.linalg.eig(m)
     floor = 1e-12 * max(scale, 1.0)
+    groups = _cluster_indices(values, CLUSTER_REL_TOL * max(scale, 1e-300))
+    lams = [complex(values[idx].mean()) for idx in groups]
+    chains = [_right_chains(m, lam, idx, vectors, floor) for idx, lam in zip(groups, lams)]
+
+    basis = np.concatenate([c for group in chains for c in group], axis=0).T
+    try:
+        dual = np.linalg.inv(basis).conj().T
+    except np.linalg.LinAlgError:
+        # a singular basis: blame the cluster nearest to another one
+        gaps = np.abs(np.subtract.outer(lams, lams)) + np.diag(np.full(len(lams), np.inf))
+        raise IllConditionedChain(lams[int(np.argmin(gaps.min(axis=1)))], float("inf"))
+
     clusters = []
-    for idx in _cluster_indices(values, CLUSTER_REL_TOL * max(scale, 1e-300)):
-        lam = complex(values[idx].mean())
-        mult = len(idx)
-        if mult == n:
-            v0 = np.eye(n, dtype=complex)
-            w0 = np.eye(n, dtype=complex)
-        else:
-            power = np.linalg.matrix_power(m - lam * np.eye(n), mult)
-            u, s, vh = np.linalg.svd(power)
-            v0 = vh[n - mult :].conj().T
-            w0 = u[:, n - mult :]
-
-        restricted = v0.conj().T @ (m - lam * np.eye(n)) @ v0
-        small_chains = _nilpotent_chains(restricted, floor)
-        big_chains = []
-        for chain in small_chains:
-            lifted = chain @ v0.T  # rows are chain vectors in the big space
-            eigvec = lifted[0]
-            norm = float(np.linalg.norm(eigvec))
-            if norm < floor:
-                raise IllConditionedChain(lam, float("inf"))
-            pivot = int(np.argmax(np.abs(eigvec)))
-            phase = eigvec[pivot] / abs(eigvec[pivot])
-            big_chains.append(lifted / (norm * phase))
-
-        right = np.concatenate(big_chains, axis=0).T
-        gram = w0.conj().T @ right
-        sig = np.linalg.svd(gram, compute_uv=False)
-        if sig[-1] < GRAM_REL_TOL * sig[0]:
-            raise IllConditionedChain(lam, float(sig[0] / sig[-1]))
-        left = w0 @ np.linalg.inv(gram).conj().T
+    offset = 0
+    for idx, lam, group in zip(groups, lams, chains):
+        width = sum(c.shape[0] for c in group)
+        right = basis[:, offset : offset + width]
+        left = dual[:, offset : offset + width]
+        # ||V||·||W|| bounds the cluster's spectral projector; for a simple
+        # cluster it is the eigenvalue condition number 1/|<v, w>| of unit v, w
+        order = 2 if width > 1 else None  # one column: Frobenius is the 2-norm
+        condition = float(np.linalg.norm(right, order) * np.linalg.norm(left, order))
+        if not condition * GRAM_REL_TOL <= 1.0:
+            raise IllConditionedChain(lam, condition)
 
         co_chains = []
-        offset = 0
-        for chain in big_chains:
+        for chain in group:
             length = chain.shape[0]
-            co_chains.append(left[:, offset : offset + length].T)
+            co_chains.append(dual[:, offset : offset + length].T)
             offset += length
 
         clusters.append(
             Cluster(
                 value=lam,
                 eigenvalues=tuple(sorted(map(complex, values[idx]), key=_sort_key)),
-                chains=tuple(big_chains),
+                chains=tuple(group),
                 co_chains=tuple(co_chains),
                 on_unit_circle=_decoupled(walk, right, left),
             )

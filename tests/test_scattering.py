@@ -1,5 +1,7 @@
 """Tests for generalized eigenfunctions and the scattering matrix routes."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,3 +244,25 @@ def test_unitarity_property(eps, theta):
     assert rep.unitarity_residual <= 1e-8
     t, r = transmission_reflection(rep.matrix, {1}, np.array([1.0, 0.0]))
     assert abs(t + r - 1) <= 1e-8
+
+
+def test_resolvent_steps_through_a_nonzero_jordan_chain():
+    # a triangular interior with a 2x2 Jordan block at 0.5 and a simple 0.9,
+    # coupled to two tails at random: the resolvent route must apply
+    # (M - 0.5) along the chain
+    rng = np.random.default_rng(17)
+    walk = SimpleNamespace(
+        interior=np.array([[0.5, 1.0, 0.3], [0.0, 0.5, 0.2], [0.0, 0.0, 0.9]]),
+        tail_to_interior=rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)),
+        interior_to_tail=rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)),
+        tail_to_tail=rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+        n_interior=3,
+    )
+    system = eigen_decompose(walk)
+    assert [c.multiplicity for c in system.off_circle()] == [2, 1]
+    for z in (np.exp(0.4j), 0.6 + 0.2j, -1.1j):
+        for amp_in in np.eye(2):
+            sol = generalized_eigenfunction(walk, z, amp_in, system)
+            u, amp_out = oracle_direct_solve(walk, z, amp_in)
+            assert np.abs(sol.interior - u).max() <= ROUTE_TOL
+            assert np.abs(sol.amp_out - amp_out).max() <= ROUTE_TOL

@@ -1,14 +1,23 @@
 """Tests for eigenvalue clustering, Jordan chains, and resonance data."""
 
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import qwscatter
+from qwscatter.coins import eval_coins
+from qwscatter.graph import build_graph
+from qwscatter.line import BarrierSpec, double_barrier, line_to_graph, rotation_coin
 from qwscatter.models import cycle_family, matrix_schrodinger_family, random_walk
+from qwscatter.scattering import oracle_direct_solve, scattering_matrix
 from qwscatter.spectral import (
     ClusterAmbiguity,
+    IllConditionedChain,
     NotSimple,
     ZeroCluster,
     _cluster_indices,
@@ -16,9 +25,13 @@ from qwscatter.spectral import (
     eigen_decompose,
     resonance_set,
 )
+from qwscatter.walk import assemble
 
 CHAIN_TOL = 1e-8
 PROJ_TOL = 1e-8
+# W* V = I over the whole spectrum; per-cluster duals left 2.6e-13 between
+# clusters of the 84-arc random walk below, the one dual basis leaves 3e-15
+PAIRING_TOL = 1e-13
 
 
 def bare(matrix):
@@ -95,10 +108,47 @@ def test_close_eigenvalues_merge():
     assert system.nearest_cluster(0.5).multiplicity == 2
 
 
+def test_cluster_indices_match_pairwise_loop():
+    # reference: grow each group by scanning every pair until nothing joins
+    rng = np.random.default_rng(8)
+    centers = rng.normal(size=12) + 1j * rng.normal(size=12)
+    values = np.repeat(centers, 3)[:30] + 1e-3 * rng.normal(size=30)
+    tol = 0.01
+    groups = [{a} for a in range(len(values))]
+    merged = True
+    while merged:
+        merged = False
+        for i, g in enumerate(groups):
+            for h in groups[i + 1 :]:
+                if any(abs(values[a] - values[b]) <= tol for a in g for b in h):
+                    g |= h
+                    groups.remove(h)
+                    merged = True
+                    break
+            if merged:
+                break
+    got = _cluster_indices(values, tol)
+    assert sorted(map(sorted, got)) == sorted(map(sorted, groups))
+    assert len(got) < len(values)
+
+
 def test_chained_merge_is_ambiguous():
     values = np.array([0.0, 0.09, 0.18, 0.27], dtype=complex)
     with pytest.raises(ClusterAmbiguity):
         _cluster_indices(values, 0.1)
+
+
+def staircase(gap):
+    """Ones above a diagonal of eigenvalues ``gap`` apart: near-defective."""
+    return np.diag([0.5, 0.5 + gap, 0.5 + 2 * gap]) + np.diag([1.0, 1.0], 1)
+
+
+def test_ill_conditioned_simple_pairing_rejected():
+    # 1e-7 apart the three eigenvalues are separate clusters, but each
+    # eigenvector pairs with its co-vector at condition ~5e13 > 1/GRAM_REL_TOL
+    assert [c.multiplicity for c in eigen_decompose(bare(staircase(1e-5))).clusters] == [1] * 3
+    with pytest.raises(IllConditionedChain):
+        eigen_decompose(bare(staircase(1e-7)))
 
 
 def test_on_circle_flag():
@@ -201,9 +251,6 @@ def test_on_circle_resonance_has_silent_boundary():
 
 def test_zero_cluster_has_no_boundary_data():
     # a self-loop bounced straight to the tail leaves a simple zero behind
-    from qwscatter.graph import build_graph
-    from qwscatter.walk import assemble
-
     g = build_graph(["u"], [("u", "u")], [(1, "u", "u")])
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     walk = assemble(g, {"u": swap})
@@ -214,18 +261,19 @@ def test_zero_cluster_has_no_boundary_data():
         boundary_data(walk, zero)
 
 
-def test_degenerate_cluster_rejected():
-    # two decoupled interior 2-cycles make +-1 doubly degenerate
-    from qwscatter.graph import build_graph
-    from qwscatter.walk import assemble
-
+def two_cycles_walk():
+    """Two decoupled interior 2-cycles: +-1 are doubly degenerate."""
     g = build_graph(
         ["a", "b"],
         [("a", "b"), ("b", "a"), ("a", "b"), ("b", "a")],
         [(1, "a", "a")],
     )
     coins = {"a": np.eye(3, dtype=complex), "b": np.eye(2, dtype=complex)}
-    walk = assemble(g, coins)
+    return assemble(g, coins)
+
+
+def test_degenerate_cluster_rejected():
+    walk = two_cycles_walk()
     _, system = resonance_set(walk)
     degenerate = [c for c in system.clusters if c.multiplicity > 1]
     assert degenerate
@@ -246,3 +294,109 @@ def test_resonances_of_cycle_are_roots_of_tau():
     assert len(off) == 3
     for lam in off:
         assert abs(lam**3 - tau) <= 1e-10
+
+
+def full_bases(system):
+    """Right and left bases of the whole spectrum, cluster by cluster."""
+    right = np.concatenate([c.right_basis() for c in system.clusters], axis=1)
+    left = np.concatenate([c.left_basis() for c in system.clusters], axis=1)
+    return right, left
+
+
+def coupled_jordan_example():
+    # the same Jordan structure with non-orthogonal eigenspaces; triangular,
+    # so roundoff cannot split the double eigenvalue
+    a = jordan_example()
+    a[0, 2] = 0.3
+    a[1, 2] = 0.2
+    return a
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [bare(jordan_example()), bare(coupled_jordan_example()), two_cycles_walk()],
+    ids=["jordan", "coupled-jordan", "two-cycles"],
+)
+def test_mixed_spectrum_chains_and_full_pairing(walk):
+    system = eigen_decompose(walk)
+    a = np.asarray(walk.interior)
+    n = a.shape[0]
+    assert sum(c.multiplicity for c in system.clusters) == n
+    assert any(not c.is_simple for c in system.clusters)
+    for cluster in system.clusters:
+        lam = cluster.value
+        shifted = a - lam * np.eye(n)
+        for chain, co_chain in zip(cluster.chains, cluster.co_chains):
+            below = np.vstack([np.zeros(n), chain[:-1]])
+            assert np.abs(chain @ shifted.T - below).max() <= CHAIN_TOL
+            above = np.vstack([co_chain[1:], np.zeros(n)])
+            assert np.abs(co_chain @ shifted.conj() - above).max() <= CHAIN_TOL
+    right, left = full_bases(system)
+    assert np.abs(left.conj().T @ right - np.eye(n)).max() <= PAIRING_TOL
+
+
+def barrier_line_walk(x0):
+    spec = BarrierSpec((0, x0), (rotation_coin(0.8), rotation_coin(0.6)))
+    graph, coins = line_to_graph(spec)
+    return spec, assemble(graph, eval_coins(coins, 0.0))
+
+
+def large_random_walk():
+    walk = random_walk(
+        np.random.default_rng(4), max_vertices=20, max_cycles=8, max_tails=4
+    )
+    assert (walk.n_interior, walk.n_tails) == (84, 4)
+    return walk
+
+
+def check_routes_against_direct_solve(walk, system):
+    eye = np.eye(walk.n_tails)
+    for z in (np.exp(0.3j), np.exp(2.1j), 0.8 * np.exp(-1.2j), 1.3 * np.exp(0.7j)):
+        _, want = oracle_direct_solve(walk, z, eye)
+        for route in ("resolvent", "expansion"):
+            got = scattering_matrix(walk, z, route=route, system=system).matrix
+            assert np.abs(got - want).max() <= 1e-11
+
+
+def test_large_barrier_line_matches_closed_form():
+    x0 = 40
+    spec, walk = barrier_line_walk(x0)
+    assert walk.n_interior == 2 * x0
+    resonances, system = resonance_set(walk)
+    assert all(r.multiplicity == 1 for r in resonances)
+    got = np.array([r.value for r in resonances])
+    want = np.array(double_barrier(spec, 1j).resonances)
+    assert len(got) == len(want) == 2 * x0
+    distance = np.abs(np.subtract.outer(got, want))
+    assert distance.min(axis=1).max() <= 1e-9
+    assert distance.min(axis=0).max() <= 1e-9
+    right, left = full_bases(system)
+    assert np.abs(left.conj().T @ right - np.eye(2 * x0)).max() <= PAIRING_TOL
+    check_routes_against_direct_solve(walk, system)
+
+
+def test_large_random_walk_pairs_and_scatters():
+    walk = large_random_walk()
+    system = eigen_decompose(walk)
+    right, left = full_bases(system)
+    assert np.abs(left.conj().T @ right - np.eye(walk.n_interior)).max() <= PAIRING_TOL
+    check_routes_against_direct_solve(walk, system)
+
+
+def test_cluster_bases_are_built_once():
+    cluster = eigen_decompose(bare(jordan_example())).nearest_cluster(0.5)
+    assert cluster.right_basis() is cluster.right_basis()
+    assert cluster.left_basis() is cluster.left_basis()
+    assert not cluster.right_basis().flags.writeable
+    assert not cluster.left_basis().flags.writeable
+
+
+def test_import_does_not_load_scipy():
+    # the package is numpy-only; importing scipy would double the start-up time
+    src = os.path.dirname(os.path.dirname(qwscatter.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, qwscatter; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
