@@ -62,8 +62,14 @@ THETA_WINDOW = np.pi / 4
 CIRCLE_SLACK = 1e-3
 # Maximum bisection depth when a tracking step is ambiguous.
 MAX_TRACK_DEPTH = 20
-# Test points should stay at least this far from every resonance.
+# Test points should stay at least this far from every resonance; they
+# are searched among this many evenly spaced circle points.
 NONRESONANT_DIST = 0.3
+NONRESONANT_SCAN = 256
+# The default eps sweep is geometric over these decades.
+EPS_GRID_START = 1e-3
+EPS_GRID_STOP = 1e-1
+EPS_PER_DECADE = 25
 
 
 class SimplicityViolated(NumericalError):
@@ -93,18 +99,11 @@ class NoCrossing(NumericalError):
     """Transmission never falls to one half inside the scan window."""
 
 
-def default_eps_grid(
-    start: float = 1e-3,
-    stop: float = 1e-1,
-    per_decade: int = 25,
-    include_zero: bool = True,
-) -> np.ndarray:
-    """Geometric eps grid, 25 points per decade by default, plus eps = 0."""
-    if not 0 < start < stop:
-        raise ValueError("need 0 < start < stop")
-    decades = np.log10(stop / start)
-    count = int(round(per_decade * decades)) + 1
-    grid = np.geomspace(start, stop, count)
+def default_eps_grid(include_zero: bool = True) -> np.ndarray:
+    """Geometric eps grid over the default decades, optionally plus eps = 0."""
+    decades = np.log10(EPS_GRID_STOP / EPS_GRID_START)
+    count = int(round(EPS_PER_DECADE * decades)) + 1
+    grid = np.geomspace(EPS_GRID_START, EPS_GRID_STOP, count)
     if include_zero:
         grid = np.concatenate([[0.0], grid])
     return grid
@@ -273,21 +272,19 @@ def fit_loglog_slope(eps_values, values) -> tuple:
     return float(slope), float(intercept)
 
 
-def nonresonant_point(
-    family, min_dist: float = NONRESONANT_DIST, n_scan: int = 256
-) -> complex:
+def nonresonant_point(family) -> complex:
     """A deterministic unit-circle point far from every resonance of U(0)."""
     values = _eigenvalues(family, 0.0)
     best, best_dist = None, -1.0
-    for k in range(n_scan):
-        z = cmath.exp(2j * cmath.pi * (k + 0.5) / n_scan)
+    for k in range(NONRESONANT_SCAN):
+        z = cmath.exp(2j * cmath.pi * (k + 0.5) / NONRESONANT_SCAN)
         dist = float(np.min(np.abs(values - z))) if len(values) else np.inf
-        if dist >= min_dist:
+        if dist >= NONRESONANT_DIST:
             return z
         if dist > best_dist:
             best, best_dist = z, dist
     raise ValueError(
-        f"no circle point stays {min_dist} away from the resonances "
+        f"no circle point stays {NONRESONANT_DIST} away from the resonances "
         f"(best gap {best_dist:.3g} at {best:.6g})"
     )
 

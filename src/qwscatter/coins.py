@@ -421,7 +421,7 @@ def eval_matrix(grid, eps: float) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def eval_coins(coins: CoinFamily, eps: float, check_unitary: bool = True) -> dict:
+def eval_coins(coins: CoinFamily, eps: float) -> dict:
     """Evaluate every coin in the family at the given coupling.
 
     Square coins are required to be unitary to ``UNITARITY_TOL``
@@ -431,7 +431,7 @@ def eval_coins(coins: CoinFamily, eps: float, check_unitary: bool = True) -> dic
     out = {}
     for vertex, grid in coins.items():
         mat = eval_matrix(grid, eps)
-        if check_unitary and mat.shape[0] == mat.shape[1] and mat.size:
+        if mat.shape[0] == mat.shape[1] and mat.size:
             residual = np.abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max()
             if residual > UNITARITY_TOL:
                 raise NotUnitary(vertex, float(residual))

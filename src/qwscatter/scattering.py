@@ -22,6 +22,10 @@ Three constructions of the same object live here:
   structured routes can be checked against something with no shared
   machinery.
 
+``generalized_eigenfunction`` and ``oracle_direct_solve`` take one
+incoming vector or a matrix of incoming columns, so the resolvent route
+scatters every tail in one pass per ``z`` (``amp_in = np.eye(n_tails)``).
+
 The routes agree wherever they are all defined; keeping them separate
 is the point, so resist the urge to share intermediate results.
 """
@@ -86,7 +90,11 @@ class NotNormalized(ValueError):
 
 @dataclass(frozen=True)
 class ScatterSolution:
-    """One scattered wave: interior amplitudes and outgoing tail data."""
+    """Scattered waves: interior amplitudes and outgoing tail data.
+
+    ``interior`` and ``amp_out`` have one column per column of ``amp_in``
+    (plain vectors for a vector input).
+    """
 
     z: complex
     amp_in: np.ndarray
@@ -121,6 +129,9 @@ def generalized_eigenfunction(
     with ``f`` the interior drive.  Unit-circle clusters must not see
     any of ``f`` (they would trap amplitude forever); their projections
     are measured and reported, and a violation is an error.
+
+    ``amp_in`` may be one incoming vector or a matrix whose columns are
+    scattered at once; the overlap is checked column by column.
     """
     z = _check_z(z)
     amp_in = np.asarray(amp_in, dtype=complex)
@@ -131,16 +142,16 @@ def generalized_eigenfunction(
             raise AtInteriorResonance(z, cluster.value)
 
     f = walk.tail_to_interior @ amp_in
-    scale = max(1.0, float(np.linalg.norm(amp_in)))
-    overlap = 0.0
+    scale = np.maximum(1.0, np.linalg.norm(amp_in, axis=0))
+    overlap = np.zeros(amp_in.shape[1:])
     for cluster in system.on_circle():
-        overlap = max(overlap, float(np.linalg.norm(cluster.project(f))))
-    if overlap > ORTHOGONALITY_TOL * scale:
+        overlap = np.maximum(overlap, np.linalg.norm(cluster.project(f), axis=0))
+    if np.any(overlap > ORTHOGONALITY_TOL * scale):
         raise OrthogonalityViolated(
-            f"drive overlaps unit-circle eigenvectors with norm {overlap:.3e}"
+            f"drive overlaps unit-circle eigenvectors with norm {np.max(overlap):.3e}"
         )
 
-    u = np.zeros(walk.n_interior, dtype=complex)
+    u = np.zeros(f.shape, dtype=complex)
     m_mat = walk.interior
     for cluster in system.off_circle():
         lam = cluster.value
@@ -150,7 +161,7 @@ def generalized_eigenfunction(
             if k + 1 < cluster.multiplicity:
                 current = m_mat @ current - lam * current
     amp_out = walk.interior_to_tail @ u + walk.tail_to_tail @ amp_in
-    return ScatterSolution(z, amp_in, u, amp_out, overlap)
+    return ScatterSolution(z, amp_in, u, amp_out, float(np.max(overlap, initial=0.0)))
 
 
 def oracle_direct_solve(
@@ -197,33 +208,31 @@ def oracle_direct_solve(
 
 
 def _chain_boundary_out(walk: WalkOperator, lam: complex, chain: np.ndarray):
-    """Outgoing tail values of every state in a resonance chain.
+    """Outgoing tail values of every state in a resonance chain, as columns.
 
     The chain states extend to the tails, and on the innermost outgoing
     arcs the walk relation turns into the two-term recursion
     ``tail_value(l) = (emission(l) - tail_value(l-1)) / λ`` with the
     emission ``interior_to_tail @ v_l``.
     """
-    out = []
-    prev = np.zeros(walk.n_tails, dtype=complex)
-    for v in chain:
-        prev = (walk.interior_to_tail @ v - prev) / lam
-        out.append(prev)
+    out = walk.interior_to_tail @ chain.T
+    out[:, 0] /= lam
+    for l in range(1, out.shape[1]):
+        out[:, l] = (out[:, l] - out[:, l - 1]) / lam
     return out
 
 
 def _chain_boundary_in_co(walk: WalkOperator, lam: complex, co_chain: np.ndarray):
-    """Incoming tail values of the co-states, top of the chain first solved.
+    """Incoming tail values of the co-states, as columns.
 
     Same recursion as the outgoing side but running down from the end
     of the chain (the co-chain relation steps l -> l+1).
     """
-    length = co_chain.shape[0]
-    values = [np.zeros(walk.n_tails, dtype=complex)] * length
-    nxt = np.zeros(walk.n_tails, dtype=complex)
-    for l in range(length - 1, -1, -1):
-        nxt = (walk.tail_to_interior.conj().T @ co_chain[l] - nxt) / np.conj(lam)
-        values[l] = nxt
+    lam_bar = np.conj(lam)
+    values = walk.tail_to_interior.conj().T @ co_chain.T
+    values[:, -1] /= lam_bar
+    for l in range(values.shape[1] - 2, -1, -1):
+        values[:, l] = (values[:, l] - values[:, l + 1]) / lam_bar
     return values
 
 
@@ -240,8 +249,9 @@ def pole_block(
                        * out_(l) / (z - λ)^(p+1),
 
     where q are the incoming co-state values and out the outgoing state
-    values of chain k.  Unit-circle clusters have identically zero
-    boundary data and contribute nothing.
+    values of chain k (q beyond the chain's end is zero).  The terms of
+    one pole order p form one product.  Unit-circle clusters have
+    identically zero boundary data and contribute nothing.
     """
     z = _check_z(z)
     lam = cluster.value
@@ -257,19 +267,12 @@ def pole_block(
     for chain, co_chain in zip(cluster.chains, cluster.co_chains):
         length = chain.shape[0]
         outs = _chain_boundary_out(walk, lam, chain)
-        incos = _chain_boundary_in_co(walk, lam, co_chain)
-
-        def inco(j):
-            return incos[j - 1] if 1 <= j <= length else np.zeros(nt, dtype=complex)
-
-        for l in range(1, length + 1):
-            for p in range(0, length - l + 1):
-                pairing = (
-                    lam_bar**2 * inco(l + p)
-                    + 2 * lam_bar * inco(l + p + 1)
-                    + inco(l + p + 2)
-                )
-                block += np.outer(outs[l - 1], np.conj(pairing)) / (z - lam) ** (p + 1)
+        q = np.concatenate(
+            [_chain_boundary_in_co(walk, lam, co_chain), np.zeros((nt, 2))], axis=1
+        )
+        pairing = lam_bar**2 * q[:, :-2] + 2 * lam_bar * q[:, 1:-1] + q[:, 2:]
+        for p in range(length):
+            block += outs[:, : length - p] @ pairing[:, p:].conj().T / (z - lam) ** (p + 1)
     return block
 
 
@@ -283,20 +286,16 @@ def zero_pole_block(
     those emissions show up as pure powers of 1/z.
     """
     z = _check_z(z)
-    nt = walk.n_tails
     block = np.array(walk.tail_to_tail, dtype=complex, copy=True)
     cluster = system.zero_cluster()
     if cluster is None:
         return block
     for chain, co_chain in zip(cluster.chains, cluster.co_chains):
         length = chain.shape[0]
-        emissions = [walk.interior_to_tail @ v for v in chain]
-        pickups = [walk.tail_to_interior.conj().T @ w for w in co_chain]
-        for l in range(1, length + 1):
-            for p in range(0, length - l + 1):
-                block += np.outer(
-                    emissions[l - 1], np.conj(pickups[l + p - 1])
-                ) / z ** (p + 1)
+        emissions = walk.interior_to_tail @ chain.T
+        pickups = walk.tail_to_interior.conj().T @ co_chain.T
+        for p in range(length):
+            block += emissions[:, : length - p] @ pickups[:, p:].conj().T / z ** (p + 1)
     return block
 
 
@@ -310,7 +309,6 @@ class ScatteringReport:
     eps: float | None
     route: str
     matrix: np.ndarray
-    interior: np.ndarray | None
     unitarity_residual: float | None
 
 
@@ -327,20 +325,12 @@ def scattering_matrix(
     nt = walk.n_tails
 
     if route == "resolvent":
-        matrix = np.zeros((nt, nt), dtype=complex)
-        interior = np.zeros((walk.n_interior, nt), dtype=complex)
-        for n in range(nt):
-            amp_in = np.zeros(nt, dtype=complex)
-            amp_in[n] = 1.0
-            sol = generalized_eigenfunction(walk, z, amp_in, system)
-            matrix[:, n] = sol.amp_out
-            interior[:, n] = sol.interior
+        matrix = generalized_eigenfunction(walk, z, np.eye(nt), system).amp_out
     elif route == "expansion":
         matrix = zero_pole_block(walk, system, z)
         for cluster in system.off_circle():
             if not cluster.is_zero:
                 matrix = matrix + pole_block(walk, cluster, z)
-        interior = None
     else:
         raise ValueError(f"unknown route {route!r}")
 
@@ -348,7 +338,7 @@ def scattering_matrix(
     if abs(abs(z) - 1.0) <= 1e-8:
         gram = matrix.conj().T @ matrix
         residual = float(np.abs(gram - np.eye(nt)).max())
-    return ScatteringReport(z, walk.eps, route, matrix, interior, residual)
+    return ScatteringReport(z, walk.eps, route, matrix, residual)
 
 
 def transmission_reflection(

@@ -152,9 +152,6 @@ def test_eval_coins_rejects_non_unitary():
     family = parse_coin_family({"v": [["1", "1"], ["0", "1"]]})
     with pytest.raises(NotUnitary):
         eval_coins(family, 0.0)
-    # the same matrix passes when the check is waived
-    raw = eval_coins(family, 0.0, check_unitary=False)
-    assert raw["v"][0, 1] == 1.0
 
 
 def test_unitarity_tolerance_is_tight():

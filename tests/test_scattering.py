@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwscatter.scattering as scattering
 from qwscatter.models import (
     closed_form_sigma_cycle,
     closed_form_sigma_ms,
@@ -19,6 +20,7 @@ from qwscatter.scattering import (
     AtInteriorResonance,
     BadSupport,
     NotNormalized,
+    OrthogonalityViolated,
     PoleHit,
     SingularSystem,
     comfortability,
@@ -29,7 +31,7 @@ from qwscatter.scattering import (
     transmission_reflection,
     zero_pole_block,
 )
-from qwscatter.spectral import eigen_decompose, resonance_set
+from qwscatter.spectral import Cluster, EigenSystem, eigen_decompose, resonance_set
 
 ROUTE_TOL = 1e-10
 UNITARITY_TOL = 1e-10
@@ -246,23 +248,130 @@ def test_unitarity_property(eps, theta):
     assert abs(t + r - 1) <= 1e-8
 
 
-def test_resolvent_steps_through_a_nonzero_jordan_chain():
-    # a triangular interior with a 2x2 Jordan block at 0.5 and a simple 0.9,
-    # coupled to two tails at random: the resolvent route must apply
-    # (M - 0.5) along the chain
+JORDAN_ZS = (np.exp(0.4j), 0.6 + 0.2j, -1.1j)
+
+
+def coupled_to_two_tails(interior):
     rng = np.random.default_rng(17)
-    walk = SimpleNamespace(
-        interior=np.array([[0.5, 1.0, 0.3], [0.0, 0.5, 0.2], [0.0, 0.0, 0.9]]),
-        tail_to_interior=rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)),
-        interior_to_tail=rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)),
+    n = interior.shape[0]
+    return SimpleNamespace(
+        interior=interior,
+        tail_to_interior=rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)),
+        interior_to_tail=rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n)),
         tail_to_tail=rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
-        n_interior=3,
+        n_interior=n,
+        n_tails=2,
+        eps=None,
     )
+
+
+def jordan_standin(lam):
+    # a triangular interior with a 2x2 Jordan block at lam and a simple 0.9,
+    # coupled to two tails at random
+    return coupled_to_two_tails(
+        np.array([[lam, 1.0, 0.3], [0.0, lam, 0.2], [0.0, 0.0, 0.9]])
+    )
+
+
+def test_resolvent_steps_through_a_nonzero_jordan_chain():
+    # the resolvent route must apply (M - 0.5) along the chain
+    walk = jordan_standin(0.5)
     system = eigen_decompose(walk)
     assert [c.multiplicity for c in system.off_circle()] == [2, 1]
-    for z in (np.exp(0.4j), 0.6 + 0.2j, -1.1j):
+    for z in JORDAN_ZS:
         for amp_in in np.eye(2):
             sol = generalized_eigenfunction(walk, z, amp_in, system)
             u, amp_out = oracle_direct_solve(walk, z, amp_in)
             assert np.abs(sol.interior - u).max() <= ROUTE_TOL
             assert np.abs(sol.amp_out - amp_out).max() <= ROUTE_TOL
+
+
+JORDAN3 = np.array(
+    [
+        [0.5, 1.0, 0.0, 0.3],
+        [0.0, 0.5, 1.0, 0.2],
+        [0.0, 0.0, 0.5, 0.1],
+        [0.0, 0.0, 0.0, 0.9],
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "walk, length",
+    [
+        (jordan_standin(0.5), 2),
+        (jordan_standin(0.0), 2),
+        (coupled_to_two_tails(JORDAN3), 3),
+    ],
+    ids=["pole_block", "zero_pole_block", "pole_block_length3"],
+)
+def test_expansion_steps_through_jordan_chains(walk, length):
+    # every pole order of one Jordan chain; the third co-state term of the
+    # pairing only reaches a chain of length 3
+    system = eigen_decompose(walk)
+    assert [c.chains[0].shape[0] for c in system.off_circle()] == [length, 1]
+    for z in JORDAN_ZS:
+        sigma = scattering_matrix(walk, z, "expansion", system).matrix
+        _, oracle = oracle_direct_solve(walk, z, np.eye(2))
+        assert np.abs(sigma - oracle).max() <= ROUTE_TOL
+
+
+@pytest.mark.parametrize(
+    "walk", [ms_walk(0.35), jordan_standin(0.5)], ids=["ms", "jordan"]
+)
+def test_generalized_eigenfunction_takes_all_columns_at_once(walk):
+    rng = np.random.default_rng(5)
+    amp_in = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    system = eigen_decompose(walk)
+    for z in (np.exp(2.2j), 0.6 + 0.2j):
+        sol = generalized_eigenfunction(walk, z, amp_in, system)
+        assert sol.interior.shape == (walk.n_interior, 3)
+        assert sol.amp_out.shape == (2, 3)
+        for n in range(3):
+            # the matrix and the vector products round differently, so
+            # compare to 1e-14 relative to the column's size
+            one = generalized_eigenfunction(walk, z, amp_in[:, n], system)
+            scale = max(1.0, np.abs(one.amp_out).max(), np.abs(one.interior).max())
+            assert np.abs(sol.interior[:, n] - one.interior).max() <= 1e-14 * scale
+            assert np.abs(sol.amp_out[:, n] - one.amp_out).max() <= 1e-14 * scale
+
+
+def test_drive_onto_a_bound_state_is_rejected_per_column():
+    # tail n drives interior state n; state 0 is declared a bound state
+    walk = SimpleNamespace(
+        interior=np.diag([1.0, 0.5]).astype(complex),
+        tail_to_interior=np.eye(2),
+        interior_to_tail=np.eye(2),
+        tail_to_tail=np.zeros((2, 2)),
+        n_interior=2,
+    )
+    e0, e1 = np.eye(2, dtype=complex)
+    system = EigenSystem(
+        walk.interior,
+        (
+            Cluster(0.5, (0.5,), (e1[None, :],), (e1[None, :],), False),
+            Cluster(1.0, (1.0,), (e0[None, :],), (e0[None, :],), True),
+        ),
+    )
+    z = np.exp(0.3j)
+    with pytest.raises(OrthogonalityViolated):
+        generalized_eigenfunction(walk, z, np.eye(2), system)
+    sol = generalized_eigenfunction(walk, z, e1, system)
+    assert sol.circle_overlap == 0.0
+    assert np.abs(sol.interior - e1 / (z - 0.5)).max() <= 1e-15
+
+
+def test_resolvent_route_scatters_all_tails_in_one_call(monkeypatch):
+    calls = []
+    solve = scattering.generalized_eigenfunction
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "generalized_eigenfunction", spy)
+    walk = cycle_family(8, [1.0] * 8).walk(0.05)
+    sigma = scattering_matrix(walk, np.exp(0.3j)).matrix
+    assert len(calls) == 1
+    _, oracle = oracle_direct_solve(walk, np.exp(0.3j), np.eye(walk.n_tails))
+    assert np.abs(sigma - oracle).max() <= ROUTE_TOL
