@@ -752,33 +752,27 @@ def remainder_table(
     first-order bound residual <= C * eps.
     """
     grid = _positive(eps_values)
-    z_points = [cmath.exp(2j * cmath.pi * k / n_grid) for k in range(n_grid)]
+    z_points = np.array(
+        [cmath.exp(2j * cmath.pi * k / n_grid) for k in range(n_grid)]
+    )
     walk0 = family(0.0)
-    system0 = eigen_decompose(walk0)
-    s_zero = {
-        z: scattering_matrix(walk0, z, route, system0).matrix for z in z_points
-    }
+    s_zero = scattering_matrix(walk0, z_points, route, eigen_decompose(walk0)).matrix
     track = track_resonances(family, np.concatenate([[0.0], grid]))
     rows = []
     ratios = []
     for i, eps in enumerate(grid):
         walk = family(eps)
         system = eigen_decompose(walk)
-        clusters = []
+        approx = s_zero
         for k in range(len(track.starts)):
-            clusters.append(system.nearest_cluster(track.paths[i + 1, k]))
-        worst = 0.0
-        worst_z = z_points[0]
-        for z in z_points:
-            sigma = scattering_matrix(walk, z, route, system).matrix
-            approx = s_zero[z].copy()
-            for cluster in clusters:
-                approx = approx + pole_block(walk, cluster, z)
-            residual = float(np.linalg.norm(sigma - approx, 2))
-            if residual > worst:
-                worst, worst_z = residual, z
-        rows.append(SweepRow(float(eps), worst_z, "remainder_sup", worst))
-        ratios.append(worst / eps)
+            cluster = system.nearest_cluster(track.paths[i + 1, k])
+            approx = approx + pole_block(walk, cluster, z_points)
+        sigma = scattering_matrix(walk, z_points, route, system).matrix
+        residuals = np.linalg.norm(sigma - approx, 2, axis=(1, 2))
+        worst = int(np.argmax(residuals))
+        sup = float(residuals[worst])
+        rows.append(SweepRow(float(eps), complex(z_points[worst]), "remainder_sup", sup))
+        ratios.append(sup / eps)
     summary = {
         "quantity": "remainder",
         "points": len(grid),

@@ -47,26 +47,43 @@ class RouteMismatch(NumericalError):
     """Independent scattering routes disagreed beyond tolerance."""
 
 
-def _fmt(value) -> str:
-    """One CSV cell: 17 significant digits for floats, bare text otherwise."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
-def _write_csv(rows, header, out_path):
+def _csv_field(text: str) -> str:
+    """``text`` as one field of a CSV row, quoted by the csv module's rule."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    text = buffer.getvalue()
+    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+    return buffer.getvalue()[: -len(",\n")]
+
+
+def _column_text(column) -> list:
+    """The CSV cells of one column; each distinct value is formatted once.
+
+    Floats print with 17 significant digits, so the CSV round-trips
+    doubles; NaN marks an absent value (a unitarity residual off the
+    circle) and prints as an empty cell.  Bools print as true/false and
+    anything else as ``str``.  Distinct floats are found by bit pattern,
+    not by value, so -0.0 keeps its sign.
+    """
+    column = np.asarray(column)
+    floats = column.dtype == np.float64
+    distinct, spread = np.unique(
+        column.view(np.uint64) if floats else column, return_inverse=True
+    )
+    if floats:
+        values = distinct.view(np.float64).tolist()
+        text = ["" if v != v else format(v, ".17g") for v in values]
+    elif column.dtype == bool:
+        text = ["true" if v else "false" for v in distinct.tolist()]
+    else:
+        text = [_csv_field(str(v)) for v in distinct.tolist()]
+    return np.array(text, dtype=object)[spread].tolist()
+
+
+def _json_column(column) -> list:
+    """One column as Python values; NaN (an absent value) becomes None."""
+    return [None if v != v else v for v in np.asarray(column).tolist()]
+
+
+def _write(text, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -74,35 +91,29 @@ def _write_csv(rows, header, out_path):
         sys.stdout.write(text)
 
 
-def _emit(rows, header, summary, out_path, fmt):
+def _emit(table, summary, out_path, fmt):
+    """Write ``table``, a dict of equal-length columns keyed by header name.
+
+    CSV goes column by column through :func:`_column_text`; JSON rows are
+    built from Python values, so both read as a row-by-row writer would.
+    """
     if fmt == "json":
         document = {
-            "columns": list(header),
-            "rows": [[_json_cell(v) for v in row] for row in rows],
+            "columns": list(table),
+            "rows": [list(row) for row in zip(*map(_json_column, table.values()))],
         }
         if summary is not None:
             document["summary"] = summary
-        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
-        if out_path:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(json.dumps(document, indent=2, sort_keys=True) + "\n", out_path)
         return
-    _write_csv(rows, header, out_path)
+    lines = [",".join(map(_csv_field, table))]
+    lines += map(",".join, zip(*map(_column_text, table.values())))
+    _write("\n".join(lines) + "\n", out_path)
     if summary is not None:
         text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         # keep a bare-stdout CSV stream machine-readable: the summary goes
         # to stderr unless the CSV went to a file
         (sys.stdout if out_path else sys.stderr).write(text)
-
-
-def _json_cell(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
 
 
 def parse_complex_value(text: str) -> complex:
@@ -268,35 +279,42 @@ def validate(model, n_vertices, strengths, eps):
     return 0 if not failures else 1
 
 
-def _resonance_rows(family, eps_values):
-    rows = []
+def _resonance_table(family, eps_values):
+    eps_column, values, multiplicity, on_circle = [], [], [], []
     for eps in eps_values:
         resonances, _ = resonance_set(family.walk(eps))
         ordered = sorted(
             resonances,
             key=lambda r: (round(cmath.phase(r.value), 12), abs(r.value)),
         )
-        for res in ordered:
-            rows.append(
-                (
-                    eps,
-                    res.value.real,
-                    res.value.imag,
-                    res.multiplicity,
-                    res.on_unit_circle,
-                )
-            )
-    return rows
+        eps_column += [eps] * len(ordered)
+        values += [res.value for res in ordered]
+        multiplicity += [res.multiplicity for res in ordered]
+        on_circle += [res.on_unit_circle for res in ordered]
+    values = np.array(values, dtype=complex)
+    return {
+        "eps": np.array(eps_column, dtype=float),
+        "re": values.real,
+        "im": values.imag,
+        "multiplicity": np.array(multiplicity, dtype=int),
+        "on_circle": np.array(on_circle, dtype=bool),
+    }
 
 
-def _track_rows(family, grid):
+def _track_table(family, grid):
     """One row per (eps, resonance) along the paths that start at eps = 0."""
     track = asymptotics.track_resonances(family, np.concatenate([[0.0], grid]))
-    rows = []
-    for j, start in enumerate(track.starts):
-        for eps, value in zip(track.eps_grid, track.paths[:, j]):
-            rows.append((eps, start.real, start.imag, value.real, value.imag, abs(value)))
-    return rows
+    n_eps, n_starts = track.paths.shape
+    starts = np.repeat(np.array(track.starts, dtype=complex), n_eps)
+    values = track.paths.T.reshape(-1)
+    return {
+        "eps": np.tile(track.eps_grid, n_starts),
+        "start_re": starts.real,
+        "start_im": starts.imag,
+        "re": values.real,
+        "im": values.imag,
+        "abs": np.abs(values),
+    }
 
 
 @cli.command()
@@ -325,31 +343,33 @@ def resonances(model, n_vertices, strengths, eps, eps_grid, track, out, fmt):
     else:
         grid = np.array([0.0 if eps is None else eps])
     if track:
-        rows = _track_rows(family, grid)
-        header = ("eps", "start_re", "start_im", "re", "im", "abs")
+        table = _track_table(family, grid)
     else:
-        rows = _resonance_rows(family, [float(e) for e in grid])
-        header = ("eps", "re", "im", "multiplicity", "on_circle")
-    _emit(rows, header, None, out, fmt)
+        table = _resonance_table(family, [float(e) for e in grid])
+    _emit(table, None, out, fmt)
     return 0
 
 
 def _require_agreement(worst, z):
-    if worst > ROUTE_AGREEMENT_TOL:
+    """The largest per-point disagreement; raises at the first point over tolerance."""
+    over = worst > ROUTE_AGREEMENT_TOL
+    if over.any():
+        j = int(np.argmax(over))
         raise RouteMismatch(
-            f"routes disagree by {worst:.3e} at z = {z:.12g} "
+            f"routes disagree by {worst[j]:.3e} at z = {complex(z[j]):.12g} "
             f"(tolerance {ROUTE_AGREEMENT_TOL:g})"
         )
-    return worst
+    return float(worst.max())
 
 
 def _route_check(walk, z, system, route, sigma):
-    """Compare ``sigma`` (from ``route``) with the other route and the direct solve."""
+    """Compare the stack ``sigma`` (from ``route``) with the other route and
+    the direct solve, each run once over the whole array ``z``."""
     other_route = "expansion" if route == "resolvent" else "resolvent"
     other = scattering_matrix(walk, z, other_route, system).matrix
     _, direct = oracle_direct_solve(walk, z, np.eye(walk.n_tails))
-    worst = max(
-        float(np.abs(sigma - other).max()), float(np.abs(sigma - direct).max())
+    worst = np.maximum(
+        np.abs(sigma - other).max(axis=(1, 2)), np.abs(sigma - direct).max(axis=(1, 2))
     )
     return _require_agreement(worst, z)
 
@@ -392,30 +412,28 @@ def smatrix(
         if z_count < 1:
             raise click.UsageError("--z-grid must be positive")
         points = [cmath.exp(2j * cmath.pi * k / z_count) for k in range(z_count)]
+    points = np.array(points, dtype=complex)
     walk = family.walk(eps)
     system = eigen_decompose(walk)
-    rows = []
-    for z in points:
-        report = scattering_matrix(walk, z, route, system)
-        sigma = report.matrix
-        if check_routes:
-            _route_check(walk, z, system, route, sigma)
-        for row in range(sigma.shape[0]):
-            for col in range(sigma.shape[1]):
-                rows.append(
-                    (
-                        eps,
-                        z.real,
-                        z.imag,
-                        row + 1,
-                        col + 1,
-                        sigma[row, col].real,
-                        sigma[row, col].imag,
-                        report.unitarity_residual,
-                    )
-                )
-    header = ("eps", "z_re", "z_im", "row", "col", "value_re", "value_im", "unitarity_residual")
-    _emit(rows, header, None, out, fmt)
+    report = scattering_matrix(walk, points, route, system)
+    sigma = report.matrix
+    if check_routes:
+        _route_check(walk, points, system, route, sigma)
+    # rows run over the points, then row-major over the matrix entries
+    nt = sigma.shape[-1]
+    cells = nt * nt
+    index = np.arange(1, nt + 1)
+    table = {
+        "eps": np.full(sigma.size, float(eps)),
+        "z_re": np.repeat(points.real, cells),
+        "z_im": np.repeat(points.imag, cells),
+        "row": np.tile(np.repeat(index, nt), len(points)),
+        "col": np.tile(index, len(points) * nt),
+        "value_re": sigma.real.reshape(-1),
+        "value_im": sigma.imag.reshape(-1),
+        "unitarity_residual": np.repeat(report.unitarity_residuals, cells),
+    }
+    _emit(table, None, out, fmt)
     return 0
 
 
@@ -424,14 +442,15 @@ def sweep():
     """Sweep a quantity over an eps grid and report fits."""
 
 
-def _sweep_rows(table_rows):
-    return [
-        (row.eps, row.z.real, row.z.imag, row.quantity, row.value)
-        for row in table_rows
-    ]
-
-
-SWEEP_HEADER = ("eps", "z_re", "z_im", "quantity", "value")
+def _sweep_table(rows):
+    z = np.array([row.z for row in rows], dtype=complex)
+    return {
+        "eps": np.array([row.eps for row in rows], dtype=float),
+        "z_re": z.real,
+        "z_im": z.imag,
+        "quantity": [row.quantity for row in rows],
+        "value": np.array([row.value for row in rows], dtype=float),
+    }
 
 
 def _eps_values(eps_grid):
@@ -484,7 +503,7 @@ def discrepancy(model, n_vertices, strengths, z_text, eps_grid, route, out, fmt)
     rows, summary = asymptotics.discrepancy_table(
         family, z, _eps_values(eps_grid), route
     )
-    _emit(_sweep_rows(rows), SWEEP_HEADER, summary, out, fmt)
+    _emit(_sweep_table(rows), summary, out, fmt)
     return 0
 
 
@@ -503,7 +522,7 @@ def tunneling(model, n_vertices, strengths, split_text, lam_text, eps_grid, out,
     rows, summary = asymptotics.tunneling_table(family, lam, split, eps_values)
     summary["lambda_re"] = lam.real
     summary["lambda_im"] = lam.imag
-    _emit(_sweep_rows(rows), SWEEP_HEADER, summary, out, fmt)
+    _emit(_sweep_table(rows), summary, out, fmt)
     return 0
 
 
@@ -522,7 +541,7 @@ def width(model, n_vertices, strengths, split_text, lam_text, eps_grid, out, fmt
     rows, summary = asymptotics.width_table(family, lam, split, eps_values)
     summary["lambda_re"] = lam.real
     summary["lambda_im"] = lam.imag
-    _emit(_sweep_rows(rows), SWEEP_HEADER, summary, out, fmt)
+    _emit(_sweep_table(rows), summary, out, fmt)
     return 0
 
 
@@ -539,7 +558,7 @@ def comfort(model, n_vertices, strengths, lam_text, eps_grid, out, fmt):
     rows, summary = asymptotics.comfort_table(family, lam, eps_values)
     summary["lambda_re"] = lam.real
     summary["lambda_im"] = lam.imag
-    _emit(_sweep_rows(rows), SWEEP_HEADER, summary, out, fmt)
+    _emit(_sweep_table(rows), summary, out, fmt)
     return 0
 
 
@@ -563,26 +582,21 @@ def barrier(r_text, positions_text, z_count, check_routes, out, fmt):
     summary = {
         "peak_angles": [cmath.phase(p) for p in barrier_scattering(spec, 1j).peaks]
     }
+    angles = [2.0 * cmath.pi * k / z_count for k in range(z_count)]
+    points = [cmath.exp(1j * angle) for angle in angles]
+    closed = [barrier_scattering(spec, z) for z in points]
+    t = np.array([c.transmission for c in closed])
+    r = np.array([c.reflection for c in closed])
     if check_routes:
         graph, coins = line_to_graph(spec)
         walk = assemble(graph, eval_coins(coins, 0.0))
-        system = eigen_decompose(walk)
-        summary["graph_deviation_max"] = 0.0
-    rows = []
-    for k in range(z_count):
-        angle = 2.0 * cmath.pi * k / z_count
-        z = cmath.exp(1j * angle)
-        closed = barrier_scattering(spec, z)
-        t, r = closed.transmission, closed.reflection
-        if check_routes:
-            # |Sigma_12|^2 = |Sigma_21|^2 = t and |Sigma_11|^2 = |Sigma_22|^2 = r
-            power = np.abs(scattering_matrix(walk, z, "resolvent", system).matrix) ** 2
-            deviation = float(np.abs(power - [[r, t], [t, r]]).max())
-            summary["graph_deviation_max"] = max(
-                summary["graph_deviation_max"], _require_agreement(deviation, z)
-            )
-        rows.append((angle, t, r))
-    _emit(rows, ("angle", "t", "r"), summary, out, fmt)
+        grid = np.array(points)
+        sigma = scattering_matrix(walk, grid, "resolvent", eigen_decompose(walk)).matrix
+        # |Sigma_12|^2 = |Sigma_21|^2 = t and |Sigma_11|^2 = |Sigma_22|^2 = r
+        want = np.stack([np.stack([r, t], axis=1), np.stack([t, r], axis=1)], axis=1)
+        deviation = np.abs(np.abs(sigma) ** 2 - want).max(axis=(1, 2))
+        summary["graph_deviation_max"] = _require_agreement(deviation, grid)
+    _emit({"angle": angles, "t": t, "r": r}, summary, out, fmt)
     return 0
 
 

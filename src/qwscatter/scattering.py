@@ -24,7 +24,16 @@ Three constructions of the same object live here:
 
 ``generalized_eigenfunction`` and ``oracle_direct_solve`` take one
 incoming vector or a matrix of incoming columns, so the resolvent route
-scatters every tail in one pass per ``z`` (``amp_in = np.eye(n_tails)``).
+scatters every tail in one pass (``amp_in = np.eye(n_tails)``).
+
+Every function that takes ``z`` takes a scalar or a 1-d array of
+points.  An array of ``nz`` points puts one leading axis of length
+``nz`` on each result, so ``scattering_matrix`` returns an
+``(nz, n_tails, n_tails)`` stack; a scalar is the one-point case of the
+same computation and returns the shapes without that axis.  What does not depend on
+``z`` (the drive, the spectral coefficients, the chain boundary values)
+is computed once per call, and every check names the first offending
+point.
 
 The routes agree wherever they are all defined; keeping them separate
 is the point, so resist the urge to share intermediate results.
@@ -32,6 +41,7 @@ is the point, so resist the urge to share intermediate results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,28 +103,40 @@ class ScatterSolution:
     """Scattered waves: interior amplitudes and outgoing tail data.
 
     ``interior`` and ``amp_out`` have one column per column of ``amp_in``
-    (plain vectors for a vector input).
+    (plain vectors for a vector input), behind one leading axis per
+    point when ``z`` is an array.
     """
 
-    z: complex
+    z: complex | np.ndarray
     amp_in: np.ndarray
     interior: np.ndarray
     amp_out: np.ndarray
     circle_overlap: float
 
 
-def _check_z(z: complex) -> complex:
-    z = complex(z)
-    if abs(z) < SMALL_Z:
+def _first(mask: np.ndarray) -> int:
+    """Flat index of the first true entry of ``mask``."""
+    return int(np.argmax(mask.reshape(-1)))
+
+
+def _check_z(z) -> np.ndarray:
+    """``z`` as a complex array of shape () or (nz,), clear of the zero guard."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim > 1:
+        raise ValueError(f"z must be a scalar or a 1-d array, got shape {z.shape}")
+    small = np.abs(z) < SMALL_Z
+    if np.count_nonzero(small):
+        bad = complex(z.reshape(-1)[_first(small)])
         raise PoleHit(
-            f"|z| = {abs(z):.3e} is inside the zero-resonance guard ({SMALL_Z:.0e})"
+            f"|z| = {abs(bad):.3e} at z = {bad:.9g} is inside the zero-resonance "
+            f"guard ({SMALL_Z:.0e})"
         )
     return z
 
 
 def generalized_eigenfunction(
     walk: WalkOperator,
-    z: complex,
+    z,
     amp_in: np.ndarray,
     system: EigenSystem | None = None,
 ) -> ScatterSolution:
@@ -126,20 +148,29 @@ def generalized_eigenfunction(
 
         sum_{k<m} (M - λ)^k P f / (z - λ)^(k+1),
 
-    with ``f`` the interior drive.  Unit-circle clusters must not see
-    any of ``f`` (they would trap amplitude forever); their projections
-    are measured and reported, and a violation is an error.
+    with ``f`` the interior drive.  Every cluster with a simple pole
+    (all its chains of length one, so the k > 0 terms vanish) enters
+    one product, ``V · diag(1/(z - λ)) · W* f``, over the basis that
+    ``system.simple_poles`` stacks once; only clusters with a longer
+    chain step through ``(M - λ)^k``, whose terms do not depend on ``z``.
+    Unit-circle clusters must not see any of ``f`` (they would trap
+    amplitude forever); their projections are measured and reported,
+    and a violation is an error.
 
     ``amp_in`` may be one incoming vector or a matrix whose columns are
-    scattered at once; the overlap is checked column by column.
+    scattered at once; the overlap is checked column by column.  ``z``
+    may be a scalar or a 1-d array (see the module docstring).
     """
     z = _check_z(z)
     amp_in = np.asarray(amp_in, dtype=complex)
     if system is None:
         system = eigen_decompose(walk)
-    for cluster in system.off_circle():
-        if abs(z - cluster.value) <= EIGENVALUE_HIT_TOL:
-            raise AtInteriorResonance(z, cluster.value)
+    off = system.off_circle()
+    gaps = np.abs(z.reshape(-1, 1) - np.array([c.value for c in off], dtype=complex))
+    hits = gaps <= EIGENVALUE_HIT_TOL
+    if np.count_nonzero(hits):
+        point, cluster = divmod(_first(hits), len(off))
+        raise AtInteriorResonance(complex(z.reshape(-1)[point]), off[cluster].value)
 
     f = walk.tail_to_interior @ amp_in
     scale = np.maximum(1.0, np.linalg.norm(amp_in, axis=0))
@@ -151,21 +182,35 @@ def generalized_eigenfunction(
             f"drive overlaps unit-circle eigenvectors with norm {np.max(overlap):.3e}"
         )
 
-    u = np.zeros(f.shape, dtype=complex)
+    # one leading axis over the points, incoming data as columns
+    shift = z.reshape(-1, 1, 1)
+    columns = math.prod(amp_in.shape[1:])
+    drive = f.reshape(f.shape[0], columns)
+    values, right, left_h = system.simple_poles
+    u = right @ ((left_h @ drive) / (shift - values[:, None]))
     m_mat = walk.interior
-    for cluster in system.off_circle():
+    for cluster in off:
+        if cluster.has_simple_pole:
+            continue  # summed above
         lam = cluster.value
-        current = cluster.project(f)
+        current = cluster.project(drive)
         for k in range(cluster.multiplicity):
-            u += current / (z - lam) ** (k + 1)
+            u += current / (shift - lam) ** (k + 1)
             if k + 1 < cluster.multiplicity:
                 current = m_mat @ current - lam * current
-    amp_out = walk.interior_to_tail @ u + walk.tail_to_tail @ amp_in
-    return ScatterSolution(z, amp_in, u, amp_out, float(np.max(overlap, initial=0.0)))
+    direct = walk.tail_to_tail @ amp_in
+    amp_out = walk.interior_to_tail @ u + direct.reshape(direct.shape[0], columns)
+    return ScatterSolution(
+        z[()],
+        amp_in,
+        u.reshape(z.shape + f.shape),
+        amp_out.reshape(z.shape + direct.shape),
+        float(np.max(overlap, initial=0.0)),
+    )
 
 
 def oracle_direct_solve(
-    walk: WalkOperator, z: complex, amp_in: np.ndarray
+    walk: WalkOperator, z, amp_in: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Brute-force scattered wave; the check everything else answers to.
 
@@ -178,29 +223,39 @@ def oracle_direct_solve(
 
     ``amp_in`` may be one incoming vector or a matrix whose columns are
     solved at once (``np.eye(n_tails)`` gives the scattering matrix);
-    the residual is checked column by column.
+    the residual is checked per point and column by column.  An array
+    of ``z`` is one batched singular-value scan and one stacked solve
+    over the regular points; only singular points fall back to the
+    pseudo-inverse.
     """
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
     amp_in = np.asarray(amp_in, dtype=complex)
     f = walk.tail_to_interior @ amp_in
     n0 = walk.n_interior
-    a = walk.interior - z * np.eye(n0)
+    points = z.reshape(-1)
+    columns = math.prod(amp_in.shape[1:])
+    drive = f.reshape(n0, columns)
+    u = np.zeros((len(points),) + drive.shape, dtype=complex)
     if n0:
-        smallest = np.linalg.svd(a, compute_uv=False)[-1]
-        if smallest > EIGENVALUE_HIT_TOL:
-            u = np.linalg.solve(a, -f)
-        else:
-            u = np.linalg.pinv(a, rcond=1e-8) @ (-f)
-        residual = np.linalg.norm(a @ u + f, axis=0)
-        bound = ORACLE_RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(f, axis=0))
-        if np.any(residual > bound):
+        a = walk.interior - points[:, None, None] * np.eye(n0)
+        regular = np.linalg.svd(a, compute_uv=False)[:, -1] > EIGENVALUE_HIT_TOL
+        if np.count_nonzero(regular):
+            # a leading length-1 axis makes -drive one right-hand side for every point
+            u[regular] = np.linalg.solve(a[regular], -drive[None])
+        for j in np.flatnonzero(~regular):
+            u[j] = np.linalg.pinv(a[j], rcond=1e-8) @ (-drive)
+        residual = np.linalg.norm(a @ u + drive, axis=-2)
+        bound = ORACLE_RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(drive, axis=0))
+        bad = residual > bound
+        if np.count_nonzero(bad):
+            j = _first(bad.any(axis=1))
             raise SingularSystem(
-                f"direct solve at z = {z:.9g} left residual {np.max(residual):.3e}"
+                f"direct solve at z = {complex(points[j]):.9g} left residual "
+                f"{np.max(residual[j]):.3e}"
             )
-    else:
-        u = np.zeros((0,) + amp_in.shape[1:], dtype=complex)
-    amp_out = walk.interior_to_tail @ u + walk.tail_to_tail @ amp_in
-    return u, amp_out
+    direct = walk.tail_to_tail @ amp_in
+    amp_out = walk.interior_to_tail @ u + direct.reshape(direct.shape[0], columns)
+    return u.reshape(z.shape + f.shape), amp_out.reshape(z.shape + direct.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +291,7 @@ def _chain_boundary_in_co(walk: WalkOperator, lam: complex, co_chain: np.ndarray
     return values
 
 
-def pole_block(
-    walk: WalkOperator, cluster: Cluster, z: complex
-) -> np.ndarray:
+def pole_block(walk: WalkOperator, cluster: Cluster, z) -> np.ndarray:
     """The rank-structured pole term of one off-circle, nonzero resonance.
 
     Acting on incoming data α, the block pairs α against shifted
@@ -249,14 +302,15 @@ def pole_block(
                        * out_(l) / (z - λ)^(p+1),
 
     where q are the incoming co-state values and out the outgoing state
-    values of chain k (q beyond the chain's end is zero).  The terms of
-    one pole order p form one product.  Unit-circle clusters have
-    identically zero boundary data and contribute nothing.
+    values of chain k (q beyond the chain's end is zero).  The boundary
+    values are built once per call, and the terms of one pole order p
+    form one product, scaled across every point of ``z``.  Unit-circle
+    clusters have identically zero boundary data and contribute nothing.
     """
     z = _check_z(z)
     lam = cluster.value
     nt = walk.n_tails
-    block = np.zeros((nt, nt), dtype=complex)
+    block = np.zeros(z.shape + (nt, nt), dtype=complex)
     if cluster.on_unit_circle:
         return block
     if cluster.is_zero:
@@ -264,21 +318,23 @@ def pole_block(
             "the zero resonance has its own block (with the pass-through term)"
         )
     lam_bar = np.conj(lam)
+    shift = z[..., None, None] - lam
     for chain, co_chain in zip(cluster.chains, cluster.co_chains):
         length = chain.shape[0]
         outs = _chain_boundary_out(walk, lam, chain)
-        q = np.concatenate(
-            [_chain_boundary_in_co(walk, lam, co_chain), np.zeros((nt, 2))], axis=1
-        )
-        pairing = lam_bar**2 * q[:, :-2] + 2 * lam_bar * q[:, 1:-1] + q[:, 2:]
+        q = _chain_boundary_in_co(walk, lam, co_chain)
+        pairing = lam_bar**2 * q
+        pairing[:, :-1] += 2 * lam_bar * q[:, 1:]
+        pairing[:, :-2] += q[:, 2:]
+        power = shift
         for p in range(length):
-            block += outs[:, : length - p] @ pairing[:, p:].conj().T / (z - lam) ** (p + 1)
+            block += outs[:, : length - p] @ pairing[:, p:].conj().T / power
+            if p + 1 < length:
+                power = power * shift
     return block
 
 
-def zero_pole_block(
-    walk: WalkOperator, system: EigenSystem, z: complex
-) -> np.ndarray:
+def zero_pole_block(walk: WalkOperator, system: EigenSystem, z) -> np.ndarray:
     """Pole block of the conventional zero resonance.
 
     Always contains the direct tail-to-tail pass-through; when zero is
@@ -286,16 +342,22 @@ def zero_pole_block(
     those emissions show up as pure powers of 1/z.
     """
     z = _check_z(z)
-    block = np.array(walk.tail_to_tail, dtype=complex, copy=True)
+    nt = walk.n_tails
+    block = np.empty(z.shape + (nt, nt), dtype=complex)
+    block[...] = walk.tail_to_tail
     cluster = system.zero_cluster()
     if cluster is None:
         return block
+    shift = z[..., None, None]
     for chain, co_chain in zip(cluster.chains, cluster.co_chains):
         length = chain.shape[0]
         emissions = walk.interior_to_tail @ chain.T
         pickups = walk.tail_to_interior.conj().T @ co_chain.T
+        power = shift
         for p in range(length):
-            block += emissions[:, : length - p] @ pickups[:, p:].conj().T / z ** (p + 1)
+            block += emissions[:, : length - p] @ pickups[:, p:].conj().T / power
+            if p + 1 < length:
+                power = power * shift
     return block
 
 
@@ -305,20 +367,28 @@ def zero_pole_block(
 
 @dataclass(frozen=True)
 class ScatteringReport:
-    z: complex
+    """Σ at one point ``z``, or the ``(nz, n_tails, n_tails)`` stack over an array.
+
+    ``unitarity_residuals`` holds max|Σ*Σ - I| per point, NaN off the
+    unit circle; ``unitarity_residual`` is the largest of them over the
+    points on the circle, ``None`` when there are none.
+    """
+
+    z: complex | np.ndarray
     eps: float | None
     route: str
     matrix: np.ndarray
     unitarity_residual: float | None
+    unitarity_residuals: np.ndarray
 
 
 def scattering_matrix(
     walk: WalkOperator,
-    z: complex,
+    z,
     route: str = "resolvent",
     system: EigenSystem | None = None,
 ) -> ScatteringReport:
-    """The full tails-in to tails-out response at parameter ``z``."""
+    """The full tails-in to tails-out response at ``z``, a point or a 1-d array."""
     z = _check_z(z)
     if system is None:
         system = eigen_decompose(walk)
@@ -330,15 +400,23 @@ def scattering_matrix(
         matrix = zero_pole_block(walk, system, z)
         for cluster in system.off_circle():
             if not cluster.is_zero:
-                matrix = matrix + pole_block(walk, cluster, z)
+                matrix += pole_block(walk, cluster, z)
     else:
         raise ValueError(f"unknown route {route!r}")
 
-    residual = None
-    if abs(abs(z) - 1.0) <= 1e-8:
-        gram = matrix.conj().T @ matrix
-        residual = float(np.abs(gram - np.eye(nt)).max())
-    return ScatteringReport(z, walk.eps, route, matrix, residual)
+    gram = np.swapaxes(matrix.conj(), -1, -2) @ matrix
+    on_circle = np.abs(np.abs(z) - 1.0) <= 1e-8
+    # fmax skips the NaN start, so a point off the circle (no entries
+    # reduced) keeps NaN, and so does the worst point when none is on it
+    residuals = np.fmax.reduce(
+        np.abs(gram - np.eye(nt)),
+        axis=(-2, -1),
+        where=on_circle[..., None, None],
+        initial=np.nan,
+    )
+    worst = float(np.fmax.reduce(residuals, axis=None, initial=np.nan))
+    residual = None if np.isnan(worst) else worst
+    return ScatteringReport(z[()], walk.eps, route, matrix, residual, residuals)
 
 
 def transmission_reflection(

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +95,11 @@ class Cluster:
         return self.multiplicity == 1
 
     @property
+    def has_simple_pole(self) -> bool:
+        """Every chain has length one, so the resolvent's pole here is simple."""
+        return all(chain.shape[0] == 1 for chain in self.chains)
+
+    @property
     def is_zero(self) -> bool:
         """The conventional zero resonance (eigenvalue zero)."""
         return abs(self.value) <= ZERO_VALUE_TOL
@@ -120,6 +126,14 @@ class Cluster:
         return v @ (w.conj().T @ f)
 
 
+class SimplePoles(NamedTuple):
+    """Off-circle clusters with a simple pole, stacked (column/row k is pole k)."""
+
+    values: np.ndarray  # (s,)
+    right: np.ndarray  # (n0, s): the eigenvectors V
+    left_h: np.ndarray  # (s, n0): the co-eigenvectors W*
+
+
 @dataclass(frozen=True)
 class EigenSystem:
     matrix: np.ndarray
@@ -127,6 +141,25 @@ class EigenSystem:
 
     def off_circle(self):
         return [c for c in self.clusters if not c.on_unit_circle]
+
+    @cached_property
+    def simple_poles(self) -> SimplePoles:
+        """The off-circle clusters with a simple pole, as one basis.
+
+        Every simple cluster qualifies, and so does e.g. a semisimple zero
+        cluster; each of its chains contributes the value, eigenvector and
+        co-eigenvector.  The basis depends on neither ``z`` nor the
+        incoming data, so it is built once, and the resolvent route sums
+        these poles in one product.
+        """
+        clusters = [c for c in self.off_circle() if c.has_simple_pole]
+        empty = np.zeros((self.matrix.shape[0], 0), dtype=complex)
+        right = np.concatenate([empty] + [c.right_basis() for c in clusters], axis=1)
+        left = np.concatenate([empty] + [c.left_basis() for c in clusters], axis=1)
+        values = np.array(
+            [c.value for c in clusters for _ in c.chains], dtype=complex
+        )
+        return SimplePoles(values, right, np.ascontiguousarray(left.conj().T))
 
     def on_circle(self):
         return [c for c in self.clusters if c.on_unit_circle]

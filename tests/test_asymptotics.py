@@ -33,7 +33,8 @@ from qwscatter.models import (
     cycle_family,
     matrix_schrodinger_family,
 )
-from qwscatter.scattering import scattering_matrix, transmission_reflection
+from qwscatter.scattering import pole_block, scattering_matrix, transmission_reflection
+from qwscatter.spectral import eigen_decompose
 from qwscatter.walk import assemble
 
 TRACK_TOL = 1e-10
@@ -245,6 +246,38 @@ def test_remainder_constant_stays_finite():
     assert summary["constant"] <= 1.0
     assert all(r.quantity == "remainder_sup" for r in rows)
     assert all(r.value >= 0 for r in rows)
+
+
+def remainder_by_scalar_loop(family, eps, n_grid, route):
+    # the per-z loop the stacked table replaced, kept as its reference
+    z_points = [cmath.exp(2j * cmath.pi * k / n_grid) for k in range(n_grid)]
+    track = track_resonances(family, [0.0, eps])
+    walk0, walk = family(0.0), family(eps)
+    system = eigen_decompose(walk)
+    clusters = [system.nearest_cluster(lam) for lam in track.paths[1]]
+    residuals = []
+    for z in z_points:
+        approx = scattering_matrix(walk0, z, route).matrix
+        for cluster in clusters:
+            approx = approx + pole_block(walk, cluster, z)
+        sigma = scattering_matrix(walk, z, route, system).matrix
+        residuals.append(float(np.linalg.norm(sigma - approx, 2)))
+    return z_points, residuals
+
+
+@pytest.mark.parametrize(
+    "family, route",
+    [(matrix_schrodinger_family(), "resolvent"), (cycle_family(8, [1.0] * 8), "expansion")],
+    ids=["ms", "cycle8"],
+)
+def test_remainder_table_matches_a_loop_over_z(family, route):
+    rows, _ = remainder_table(family, eps_values=[0.01, 0.05], n_grid=32, route=route)
+    for row in rows:
+        z_points, residuals = remainder_by_scalar_loop(family, row.eps, 32, route)
+        assert abs(row.value - max(residuals)) <= 1e-15
+        # the reported point attains the sup, up to ties at roundoff
+        at = residuals[int(np.argmin(np.abs(np.array(z_points) - row.z)))]
+        assert abs(at - row.value) <= 1e-15
 
 
 def test_circle_resonance_has_no_tunneling_peak():

@@ -15,6 +15,7 @@ import pkgutil
 from contextlib import redirect_stderr, redirect_stdout
 
 import click
+import numpy as np
 import pytest
 
 import qwscatter
@@ -336,6 +337,166 @@ def test_smatrix_json_format():
     document = json.loads(out)
     assert document["columns"][:3] == ["eps", "z_re", "z_im"]
     assert len(document["rows"]) == 4
+
+
+def test_smatrix_grid_is_one_call_per_route(monkeypatch):
+    seen, direct = [], []
+    real, oracle = cli.scattering_matrix, cli.oracle_direct_solve
+
+    def spy(walk, z, route, system):
+        seen.append((route, z.shape))
+        return real(walk, z, route, system)
+
+    def oracle_spy(walk, z, amp_in):
+        direct.append(z.shape)
+        return oracle(walk, z, amp_in)
+
+    monkeypatch.setattr(cli, "scattering_matrix", spy)
+    monkeypatch.setattr(cli, "oracle_direct_solve", oracle_spy)
+    for route, other in (("resolvent", "expansion"), ("expansion", "resolvent")):
+        seen.clear()
+        code, out, _ = run_cli(
+            ["smatrix", "--model", "cycle", "--N", "4", "--eps", "0.2",
+             "--z-grid", "64", "--route", route]
+        )
+        assert code == 0 and len(csv_rows(out)[1]) == 64 * 16
+        assert seen == [(route, (64,))]
+        seen.clear()
+        code, _, _ = run_cli(
+            ["smatrix", "--model", "cycle", "--N", "4", "--eps", "0.2",
+             "--z-grid", "64", "--route", route, "--check-routes"]
+        )
+        assert code == 0
+        assert seen == [(route, (64,)), (other, (64,))]
+    assert direct == [(64,), (64,)]
+
+
+def test_route_mismatch_names_the_first_bad_point(monkeypatch):
+    oracle = cli.oracle_direct_solve
+
+    def off_at_two_points(walk, z, amp_in):
+        u, out = oracle(walk, z, amp_in)
+        out[[2, 5]] += 1e-6
+        return u, out
+
+    monkeypatch.setattr(cli, "oracle_direct_solve", off_at_two_points)
+    code, _, err = run_cli(
+        ["smatrix", "--model", "ms", "--eps", "0.3", "--z-grid", "8", "--check-routes"]
+    )
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "RouteMismatch"
+    assert f"at z = {cmath.exp(2j * cmath.pi * 2 / 8):.12g} " in error["message"]
+
+
+# ------------------------------------------------------------------ output
+
+
+def fmt_by_row(value) -> str:
+    # the cell rule of the row-by-row writer: None was the only absent value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def write_by_row(table, summary, fmt):
+    """Reference writer: one tuple of Python values per row, one cell at a time."""
+    header = list(table)
+    columns = [np.asarray(column).tolist() for column in table.values()]
+    rows = [tuple(None if v != v else v for v in row) for row in zip(*columns)]
+    if fmt == "json":
+        document = {"columns": header, "rows": [list(row) for row in rows]}
+        if summary is not None:
+            document["summary"] = summary
+        return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt_by_row(v) for v in row])
+    return buffer.getvalue()
+
+
+EMIT_CASES = {
+    "smatrix": (["smatrix", "--model", "ms", "--eps", "0.3", "--z-grid", "16"], ",1,2,"),
+    "smatrix_json": (
+        ["smatrix", "--model", "ms", "--eps", "0.3", "--z-grid", "8", "--format", "json"],
+        '"columns"',
+    ),
+    # off the circle the unitarity residual is an empty cell
+    "smatrix_no_residual": (["smatrix", "--model", "ms", "--eps", "0.3", "--z", "0.5"], ",\n"),
+    "smatrix_no_residual_json": (
+        ["smatrix", "--model", "ms", "--eps", "0.3", "--z", "0.5", "--format", "json"],
+        "null",
+    ),
+    # z_im is -0.0, which must not print as 0
+    "smatrix_negative_zero": (
+        ["smatrix", "--model", "crossing", "--c", "0.8", "--eps", "0.3", "--z", "-1-0i"],
+        ",-1,-0,",
+    ),
+    "resonances": (["resonances", "--model", "ms", "--eps-grid", "0.01:0.5:3"], ",true\n"),
+    "resonances_json": (
+        ["resonances", "--model", "ms", "--eps", "0.2", "--format", "json"],
+        "false",
+    ),
+    "track": (["resonances", "--model", "ms", "--eps-grid", "0.01:0.1:3", "--track"], ","),
+    "sweep": (
+        ["sweep", "discrepancy", "--model", "crossing", "--c", "0.8", "--z", "i",
+         "--eps-grid", "0.001:0.1:5"],
+        ",discrepancy,",
+    ),
+    "sweep_json": (
+        ["sweep", "comfort", "--model", "cycle", "--N", "4", "--lambda", "1",
+         "--eps-grid", "0.02:0.05:2", "--format", "json"],
+        '"comfort_bound"',
+    ),
+    "barrier": (
+        ["barrier", "--r", "0.8,0.8", "--positions", "0,1", "--z-grid", "8",
+         "--check-routes"],
+        "angle,t,r\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EMIT_CASES)
+def test_columnwise_output_matches_a_row_by_row_writer(monkeypatch, case):
+    argv, feature = EMIT_CASES[case]
+    emitted = []
+    emit = cli._emit
+
+    def spy(table, summary, out_path, fmt):
+        emitted.append((table, summary, fmt))
+        return emit(table, summary, out_path, fmt)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    [(table, summary, fmt)] = emitted
+    assert out == write_by_row(table, summary, fmt)
+    assert feature in out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_keeps_signed_zeros_and_absent_values(capsys, fmt):
+    # one column holds both zeros: distinct values are found by bit pattern
+    table = {
+        "x": np.array([0.0, -0.0, 0.1, -0.0, 1e300, 0.0]),
+        "n": np.arange(6),
+        "flag": np.array([True, False] * 3),
+        "name": ["a", "b,c", "a", "", "b,c", "a"],
+        "residual": np.array([np.nan, 1e-17, np.nan, 2.0, 1e-17, np.nan]),
+    }
+    cli._emit(table, None, None, fmt)
+    out = capsys.readouterr().out
+    assert out == write_by_row(table, None, fmt)
+    if fmt == "csv":
+        assert out.splitlines()[1:3] == ["0,0,true,a,", '-0,1,false,"b,c",1.0000000000000001e-17']
 
 
 # ------------------------------------------------------------------ sweeps

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwscatter import line
 from qwscatter.line import (
     BadBarrier,
     BarrierSpec,
@@ -196,10 +197,18 @@ def test_state_balance_symmetric_is_unity():
 
 
 @pytest.mark.parametrize("spec", [SYMMETRIC, TRIPLE], ids=["pair", "triple"])
-def test_graph_embedding_matches_closed_form(spec):
+def test_graph_embedding_matches_closed_form(spec, monkeypatch):
+    calls = []
+
+    def spy(walk, z, *args, **kwargs):
+        calls.append(np.shape(z))
+        return scattering_matrix(walk, z, *args, **kwargs)
+
+    monkeypatch.setattr(line, "scattering_matrix", spy)
     points = [cmath.exp(2j * cmath.pi * (k + 0.31) / 16) for k in range(16)]
     got = graph_transmission(spec, points)
     assert got.shape == (16,)
+    assert calls == [(16,)]  # one call for the whole grid
     for z, t in zip(points, got):
         assert abs(t - barrier_scattering(spec, z).transmission) <= 1e-10
 

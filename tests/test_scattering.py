@@ -1,5 +1,6 @@
 """Tests for generalized eigenfunctions and the scattering matrix routes."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwscatter.scattering as scattering
+from qwscatter.coins import eval_coins
+from qwscatter.line import BarrierSpec, line_to_graph, rotation_coin
 from qwscatter.models import (
     closed_form_sigma_cycle,
     closed_form_sigma_ms,
@@ -32,6 +35,7 @@ from qwscatter.scattering import (
     zero_pole_block,
 )
 from qwscatter.spectral import Cluster, EigenSystem, eigen_decompose, resonance_set
+from qwscatter.walk import assemble
 
 ROUTE_TOL = 1e-10
 UNITARITY_TOL = 1e-10
@@ -375,3 +379,165 @@ def test_resolvent_route_scatters_all_tails_in_one_call(monkeypatch):
     assert len(calls) == 1
     _, oracle = oracle_direct_solve(walk, np.exp(0.3j), np.eye(walk.n_tails))
     assert np.abs(sigma - oracle).max() <= ROUTE_TOL
+
+
+# ---------------------------------------------------------------------------
+# A whole array of z in one call
+
+STACK_TOL = 2e-15
+
+
+def two_barrier_line(x0):
+    spec = BarrierSpec((0, x0), (rotation_coin(0.8), rotation_coin(0.6)))
+    graph, coins = line_to_graph(spec)
+    return assemble(graph, eval_coins(coins, 0.0))
+
+
+def stack_points(count):
+    # the circle, a repeated point and points inside and outside the disk
+    circle = np.exp(2j * np.pi * (np.arange(count) + 0.37) / count)
+    return np.concatenate([circle, circle[:1], [0.6 + 0.2j, -1.1j, 1.4 * np.exp(0.5j)]])
+
+
+def loop_of_scalar_calls(walk, points, route, system):
+    if route == "oracle":
+        return np.array(
+            [oracle_direct_solve(walk, z, np.eye(walk.n_tails))[1] for z in points]
+        )
+    return np.array([scattering_matrix(walk, z, route, system).matrix for z in points])
+
+
+def stack_call(walk, points, route, system):
+    if route == "oracle":
+        return oracle_direct_solve(walk, points, np.eye(walk.n_tails))[1]
+    return scattering_matrix(walk, points, route, system).matrix
+
+
+@pytest.mark.parametrize("route", ["resolvent", "expansion", "oracle"])
+@pytest.mark.parametrize(
+    "walk, tol",
+    [
+        (ms_walk(0.3), STACK_TOL),
+        (cycle_family(8, [1.0] * 8).walk(0.2), STACK_TOL),
+        (cycle_family(16, [1.0] * 16).walk(0.2), STACK_TOL),
+        (jordan_standin(0.5), STACK_TOL),
+        (jordan_standin(0.0), STACK_TOL),
+        (coupled_to_two_tails(JORDAN3), STACK_TOL),
+        (two_barrier_line(40), 1e-14),
+    ],
+    ids=["ms", "cycle8", "cycle16", "jordan", "jordan_zero", "jordan3", "line_n0_80"],
+)
+def test_stack_matches_a_loop_of_scalar_calls(walk, tol, route):
+    system = eigen_decompose(walk)
+    points = stack_points(24)
+    stack = stack_call(walk, points, route, system)
+    assert stack.shape == (len(points), walk.n_tails, walk.n_tails)
+    loop = loop_of_scalar_calls(walk, points, route, system)
+    assert np.abs(stack - loop).max() <= tol
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=2 * np.pi),
+            st.sampled_from([1.0, 1.0, 0.5, 1.7]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_stack_property(angle_radius, repeats):
+    walk = ms_walk(0.35)
+    system = eigen_decompose(walk)
+    points = np.array([r * np.exp(1j * a) for a, r in angle_radius])
+    points = np.concatenate([points, points[:repeats]])
+    for route in ("resolvent", "expansion"):
+        report = scattering_matrix(walk, points, route, system)
+        loop = [scattering_matrix(walk, z, route, system) for z in points]
+        assert np.abs(report.matrix - [r.matrix for r in loop]).max() <= STACK_TOL
+        on_circle = [r.unitarity_residual for r in loop if r.unitarity_residual is not None]
+        assert report.unitarity_residual == (max(on_circle) if on_circle else None)
+        per_point = [np.nan if r.unitarity_residual is None else r.unitarity_residual
+                     for r in loop]
+        np.testing.assert_array_equal(report.unitarity_residuals, per_point)
+    _, direct = oracle_direct_solve(walk, points, np.eye(2))
+    assert np.abs(direct - loop_of_scalar_calls(walk, points, "oracle", system)).max() <= STACK_TOL
+
+
+def test_a_scalar_z_keeps_the_one_point_report():
+    walk = ms_walk(0.3)
+    on = scattering_matrix(walk, np.exp(0.4j))
+    assert on.matrix.shape == (2, 2)
+    assert isinstance(on.z, complex)
+    assert type(on.unitarity_residual) is float
+    off = scattering_matrix(walk, 0.8 * np.exp(0.4j), "expansion")
+    assert off.matrix.shape == (2, 2)
+    assert off.unitarity_residual is None
+    assert np.isnan(off.unitarity_residuals)
+    u, amp_out = oracle_direct_solve(walk, 0.8, np.array([1.0, 0.0]))
+    assert u.shape == (walk.n_interior,) and amp_out.shape == (2,)
+
+
+def test_array_report_keeps_the_worst_on_circle_residual():
+    walk = ms_walk(0.3)
+    points = np.array([np.exp(0.4j), 0.8, np.exp(2.0j)])
+    report = scattering_matrix(walk, points)
+    assert report.z.shape == (3,)
+    assert np.isnan(report.unitarity_residuals[1])
+    assert report.unitarity_residual == max(report.unitarity_residuals[[0, 2]])
+    assert type(report.unitarity_residual) is float
+    assert scattering_matrix(walk, points[1:2]).unitarity_residual is None
+
+
+RESONANCE_MS = 0.9055385138137417j  # an interior eigenvalue of ms at eps = 0.3
+
+
+@pytest.mark.parametrize("route", ["resolvent", "expansion"])
+def test_one_small_point_in_an_array_is_a_pole_hit(route):
+    points = np.array([np.exp(0.3j), 1e-8j, np.exp(1.3j)])
+    with pytest.raises(PoleHit, match=re.escape("z = 0+1e-08j ")):
+        scattering_matrix(ms_walk(0.3), points, route)
+
+
+def test_one_resonance_hit_in_an_array_names_that_point():
+    points = np.array([np.exp(0.3j), np.exp(2.0j), RESONANCE_MS, np.exp(1.3j)])
+    named = re.escape(f"z = {RESONANCE_MS:.9g} ")
+    with pytest.raises(AtInteriorResonance, match=named):
+        scattering_matrix(ms_walk(0.3), points)
+    with pytest.raises(SingularSystem, match=named):
+        oracle_direct_solve(ms_walk(0.3), points, np.eye(2))
+
+
+def test_drive_onto_a_bound_state_is_rejected_for_an_array():
+    walk = SimpleNamespace(
+        interior=np.diag([1.0, 0.5]).astype(complex),
+        tail_to_interior=np.eye(2),
+        interior_to_tail=np.eye(2),
+        tail_to_tail=np.zeros((2, 2)),
+        n_interior=2,
+    )
+    e0, e1 = np.eye(2, dtype=complex)
+    system = EigenSystem(
+        walk.interior,
+        (
+            Cluster(0.5, (0.5,), (e1[None, :],), (e1[None, :],), False),
+            Cluster(1.0, (1.0,), (e0[None, :],), (e0[None, :],), True),
+        ),
+    )
+    points = np.exp(1j * np.array([0.3, 1.1]))
+    with pytest.raises(OrthogonalityViolated):
+        generalized_eigenfunction(walk, points, np.eye(2), system)
+    sol = generalized_eigenfunction(walk, points, e1, system)
+    assert sol.interior.shape == (2, 2)
+    assert np.abs(sol.interior - e1 / (points[:, None] - 0.5)).max() <= 1e-15
+
+
+def test_simple_poles_are_stacked_once():
+    system = eigen_decompose(ms_walk(0.3))
+    poles = system.simple_poles
+    assert system.simple_poles is poles
+    # the semisimple zero cluster (two chains of length one) is a simple pole
+    assert len(poles.values) == sum(c.multiplicity for c in system.off_circle())
+    assert np.abs(poles.left_h @ poles.right - np.eye(len(poles.values))).max() <= 1e-13
