@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -83,12 +84,12 @@ def _json_column(column) -> list:
     return [None if v != v else v for v in np.asarray(column).tolist()]
 
 
-def _write(text, out_path):
+def _write(chunks, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit(table, summary, out_path, fmt):
@@ -104,11 +105,11 @@ def _emit(table, summary, out_path, fmt):
         }
         if summary is not None:
             document["summary"] = summary
-        _write(json.dumps(document, indent=2, sort_keys=True) + "\n", out_path)
+        _write([json.dumps(document, indent=2, sort_keys=True), "\n"], out_path)
         return
-    lines = [",".join(map(_csv_field, table))]
-    lines += map(",".join, zip(*map(_column_text, table.values())))
-    _write("\n".join(lines) + "\n", out_path)
+    rows = zip(*map(_column_text, table.values()))
+    lines = itertools.chain([map(_csv_field, table)], rows)
+    _write((",".join(cells) + "\n" for cells in lines), out_path)
     if summary is not None:
         text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         # keep a bare-stdout CSV stream machine-readable: the summary goes
