@@ -340,7 +340,7 @@ def test_generalized_eigenfunction_takes_all_columns_at_once(walk):
             assert np.abs(sol.amp_out[:, n] - one.amp_out).max() <= 1e-14 * scale
 
 
-def test_drive_onto_a_bound_state_is_rejected_per_column():
+def bound_state_walk():
     # tail n drives interior state n; state 0 is declared a bound state
     walk = SimpleNamespace(
         interior=np.diag([1.0, 0.5]).astype(complex),
@@ -357,6 +357,11 @@ def test_drive_onto_a_bound_state_is_rejected_per_column():
             Cluster(1.0, (1.0,), (e0[None, :],), (e0[None, :],), True),
         ),
     )
+    return walk, system, e1
+
+
+def test_drive_onto_a_bound_state_is_rejected_per_column():
+    walk, system, e1 = bound_state_walk()
     z = np.exp(0.3j)
     with pytest.raises(OrthogonalityViolated):
         generalized_eigenfunction(walk, z, np.eye(2), system)
@@ -511,21 +516,7 @@ def test_one_resonance_hit_in_an_array_names_that_point():
 
 
 def test_drive_onto_a_bound_state_is_rejected_for_an_array():
-    walk = SimpleNamespace(
-        interior=np.diag([1.0, 0.5]).astype(complex),
-        tail_to_interior=np.eye(2),
-        interior_to_tail=np.eye(2),
-        tail_to_tail=np.zeros((2, 2)),
-        n_interior=2,
-    )
-    e0, e1 = np.eye(2, dtype=complex)
-    system = EigenSystem(
-        walk.interior,
-        (
-            Cluster(0.5, (0.5,), (e1[None, :],), (e1[None, :],), False),
-            Cluster(1.0, (1.0,), (e0[None, :],), (e0[None, :],), True),
-        ),
-    )
+    walk, system, e1 = bound_state_walk()
     points = np.exp(1j * np.array([0.3, 1.1]))
     with pytest.raises(OrthogonalityViolated):
         generalized_eigenfunction(walk, points, np.eye(2), system)
