@@ -320,14 +320,19 @@ class TunnelingReport:
             raise ValueError(f"transmission {self.t_at_peak} outside [0, 1]")
 
 
-class _ResonanceContext(NamedTuple):
+class _Peak(NamedTuple):
+    """A tracked resonance and its transmission peak z* = λ_ε/|λ_ε|."""
+
     walk: object
     system: EigenSystem
     cluster: Cluster
     boundary: object
+    lam_eps: complex
+    z_star: complex
+    profile: np.ndarray  # unit co-state tail profile
 
 
-def _context(family, eps, lam, lambda_eps=None):
+def _peak(family, eps, lam, lambda_eps=None) -> _Peak:
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if lambda_eps is None:
@@ -340,13 +345,20 @@ def _context(family, eps, lam, lambda_eps=None):
         raise ResonanceOnCircle(
             f"resonance {cluster.value:.6g} sits on the unit circle"
         )
-    return _ResonanceContext(walk, system, cluster, boundary_data(walk, cluster))
+    bd = boundary_data(walk, cluster)
+    # an off-circle resonance couples to the tails, so the profile is nonzero
+    in_co = np.asarray(bd.in_data_co, dtype=complex)
+    value = cluster.value
+    profile = in_co / float(np.linalg.norm(in_co))
+    return _Peak(walk, system, cluster, bd, value, value / abs(value), profile)
 
 
-def _split_mask(split, n_tails: int) -> np.ndarray:
+def _split(peak: _Peak, split) -> tuple:
+    """Sorted channels, their mask, and the profile restricted to them, normalised."""
     channels = sorted(set(int(n) for n in split))
     if not channels:
         raise ValueError("channel split must be nonempty")
+    n_tails = peak.walk.n_tails
     mask = np.zeros(n_tails, dtype=bool)
     for n in channels:
         if not 1 <= n <= n_tails:
@@ -354,21 +366,17 @@ def _split_mask(split, n_tails: int) -> np.ndarray:
         mask[n - 1] = True
     if mask.all():
         raise ValueError("channel split must leave at least one channel out")
-    return mask
-
-
-def _incoming_profile(boundary, mask):
-    """Unit co-state tail profile and its normalised restriction to a split.
-
-    An off-circle resonance couples to the tails, so the profile is nonzero.
-    """
-    in_co = np.asarray(boundary.in_data_co, dtype=complex)
-    profile = in_co / float(np.linalg.norm(in_co))
-    restricted = np.where(mask, profile, 0.0)
+    restricted = np.where(mask, peak.profile, 0.0)
     weight = float(np.linalg.norm(restricted))
     if weight < 1e-15:
         raise ValueError("co-state has no weight on the chosen channels")
-    return profile, restricted / weight
+    return channels, mask, restricted / weight
+
+
+def _transmission(peak: _Peak, z, channels, amp_in):
+    """Σ at ``z`` (a point or an array) and the transmitted and reflected power."""
+    sigma = scattering_matrix(peak.walk, z, system=peak.system).matrix
+    return (sigma,) + transmission_reflection(sigma, channels, amp_in)
 
 
 def tunneling_check(
@@ -387,90 +395,84 @@ def tunneling_check(
     incoming wave is the normalised restriction of the resonant
     co-state's tail profile to the channels in ``split``.
     """
-    ctx = _context(family, eps, lam, lambda_eps)
-    walk, system, cluster, bd = ctx
-    mask = _split_mask(split, walk.n_tails)
-    profile, amp_in = _incoming_profile(bd, mask)
-
-    lam_eps = cluster.value
-    z_star = lam_eps / abs(lam_eps)
-    weight_in = float(np.linalg.norm(np.where(mask, profile, 0.0)))
-    weight_out = float(np.linalg.norm(np.where(~mask, profile, 0.0)))
+    peak = _peak(family, eps, lam, lambda_eps)
+    channels, mask, amp_in = _split(peak, split)
+    weight_in = float(np.linalg.norm(np.where(mask, peak.profile, 0.0)))
+    weight_out = float(np.linalg.norm(np.where(~mask, peak.profile, 0.0)))
     symmetry_residual = abs(weight_in - weight_out)
 
-    sigma = scattering_matrix(walk, z_star, system=system).matrix
-    split_set = {int(n) for n in split}
-    t_peak, r_peak = transmission_reflection(sigma, split_set, amp_in)
-
-    exit_profile = np.where(~mask, np.asarray(bd.out_data, dtype=complex), 0.0)
+    sigma, t_peak, r_peak = _transmission(peak, peak.z_star, channels, amp_in)
+    exit_profile = np.where(~mask, peak.boundary.out_data, 0.0)
     exit_norm = float(np.linalg.norm(exit_profile))
     if exit_norm < 1e-15:
         overlap = 0.0
     else:
         overlap = float(abs(np.vdot(exit_profile / exit_norm, sigma @ amp_in)))
 
-    predicted = 2.0 * (1.0 - abs(lam_eps))
     measured = None
     if t_peak >= PEAK_FLOOR:
         try:
-            theta_minus, theta_plus = _half_height_window(
-                walk, system, z_star, split_set, amp_in, 1.0 - abs(lam_eps)
-            )
+            theta_minus, theta_plus = _half_height_window(peak, channels, amp_in)
             measured = theta_plus - theta_minus
         except NoCrossing:
-            measured = None
+            pass
 
-    energy = comfortability(walk, z_star, profile, system)
-    bound = comfortability_bound(lam_eps)
     return TunnelingReport(
         lam=complex(lam),
-        lambda_eps=lam_eps,
+        lambda_eps=peak.lam_eps,
         eps=float(eps),
-        z_star=z_star,
-        split=tuple(sorted(split_set)),
+        z_star=peak.z_star,
+        split=tuple(channels),
         symmetry_residual=symmetry_residual,
         t_at_peak=t_peak,
         r_at_peak=r_peak,
         out_channel_overlap=overlap,
         peak_width_measured=measured,
-        peak_width_predicted=predicted,
-        comfortability_value=energy,
-        comfortability_bound=bound,
+        peak_width_predicted=2.0 * (1.0 - abs(peak.lam_eps)),
+        comfortability_value=comfortability(
+            peak.walk, peak.z_star, peak.profile, peak.system
+        ),
+        comfortability_bound=comfortability_bound(peak.lam_eps),
     )
 
 
-def _half_height_window(walk, system, z_star, split_set, amp_in, scale):
-    """Bisect for the half-height angles on both sides of the peak."""
-    base = cmath.phase(z_star)
+def _half_height_window(peak: _Peak, channels, amp_in) -> tuple:
+    """Bisect for the half-height angles on both sides of the peak.
 
-    def t_at(theta: float) -> float:
-        z = cmath.exp(1j * (base + theta))
-        sigma = scattering_matrix(walk, z, system=system).matrix
-        t, _ = transmission_reflection(sigma, split_set, amp_in)
-        return t
+    One stacked Σ evaluates the doubling steps
+    ``max((1 - |λ_ε|)/16, 1e-12) * 2^k <= THETA_WINDOW`` on both sides;
+    the first step below one half and the step before it (or 0) bracket
+    each crossing.  Both brackets are then bisected to ``THETA_TOL``
+    together, one Σ over the sides still open per step.
+    """
+    base = cmath.phase(peak.z_star)
+    sides = np.array([-1.0, 1.0])
 
-    def crossing(sign: int) -> float:
-        low = 0.0
-        step = max(scale / 16.0, 1e-12)
-        while step <= THETA_WINDOW:
-            if t_at(sign * step) < 0.5:
-                high = step
-                break
-            low = step
-            step *= 2.0
-        else:
-            raise NoCrossing(
-                f"transmission stays above 1/2 within {THETA_WINDOW:.3f} rad"
-            )
-        while high - low > THETA_TOL:
-            mid = 0.5 * (low + high)
-            if t_at(sign * mid) < 0.5:
-                high = mid
-            else:
-                low = mid
-        return sign * 0.5 * (low + high)
+    def below_half(theta):
+        t = _transmission(peak, np.exp(1j * (base + theta)), channels, amp_in)[1]
+        return t < 0.5
 
-    return crossing(-1), crossing(+1)
+    steps = []
+    step = max((1.0 - abs(peak.lam_eps)) / 16.0, 1e-12)
+    while step <= THETA_WINDOW:
+        steps.append(step)
+        step *= 2.0
+    steps = np.array(steps)
+    below = below_half(np.outer(sides, steps).reshape(-1)).reshape(2, -1)
+    if not below.any(axis=1).all():
+        raise NoCrossing(
+            f"transmission stays above 1/2 within {THETA_WINDOW:.3f} rad"
+        )
+    first = np.argmax(below, axis=1)
+    high = steps[first]
+    low = np.where(first > 0, steps[first - 1], 0.0)
+    while (open_ := high - low > THETA_TOL).any():
+        mid = 0.5 * (low[open_] + high[open_])
+        hit = below_half(sides[open_] * mid)
+        high[open_] = np.where(hit, mid, high[open_])
+        low[open_] = np.where(hit, low[open_], mid)
+    theta = sides * 0.5 * (low + high)
+    return float(theta[0]), float(theta[1])
 
 
 def peak_width(
@@ -486,24 +488,15 @@ def peak_width(
     z* = lambda_eps/|lambda_eps| until it first falls below one half on
     each side; each crossing is then bisected to ``THETA_TOL``.
     """
-    ctx = _context(family, eps, lam, lambda_eps)
-    walk, system, cluster, bd = ctx
-    mask = _split_mask(split, walk.n_tails)
-    _, amp_in = _incoming_profile(bd, mask)
-    lam_eps = cluster.value
-    z_star = lam_eps / abs(lam_eps)
-    split_set = {int(n) for n in split}
-
-    sigma = scattering_matrix(walk, z_star, system=system).matrix
-    t_peak, _ = transmission_reflection(sigma, split_set, amp_in)
+    peak = _peak(family, eps, lam, lambda_eps)
+    channels, _, amp_in = _split(peak, split)
+    _, t_peak, _ = _transmission(peak, peak.z_star, channels, amp_in)
     if t_peak < PEAK_FLOOR:
         raise ValueError(
             f"transmission {t_peak:.3f} at the peak is below {PEAK_FLOOR}; "
             "nothing to measure"
         )
-    return _half_height_window(
-        walk, system, z_star, split_set, amp_in, 1.0 - abs(lam_eps)
-    )
+    return _half_height_window(peak, channels, amp_in)
 
 
 def comfortability_bound(lambda_eps: complex) -> float:
@@ -526,14 +519,9 @@ def comfortability_growth(
     resonant co-state; the bound uses that the resonant pair's interior
     norms multiply to at least one.
     """
-    ctx = _context(family, eps, lam, lambda_eps)
-    walk, system, cluster, bd = ctx
-    in_co = np.asarray(bd.in_data_co, dtype=complex)
-    amp_in = in_co / float(np.linalg.norm(in_co))
-    lam_eps = cluster.value
-    z_star = lam_eps / abs(lam_eps)
-    energy = comfortability(walk, z_star, amp_in, system)
-    return energy, comfortability_bound(lam_eps)
+    peak = _peak(family, eps, lam, lambda_eps)
+    energy = comfortability(peak.walk, peak.z_star, peak.profile, peak.system)
+    return energy, comfortability_bound(peak.lam_eps)
 
 
 def resonant_block_norm(
@@ -548,13 +536,9 @@ def resonant_block_norm(
     Evaluated at z* = lambda_eps/|lambda_eps| (the default) the block's
     operator norm is at least 1 + |lambda_eps|.
     """
-    ctx = _context(family, eps, lam, lambda_eps)
-    walk, system, cluster, _ = ctx
-    lam_eps = cluster.value
-    if z is None:
-        z = lam_eps / abs(lam_eps)
-    block = pole_block(walk, cluster, z)
-    return float(np.linalg.norm(block, 2)), 1.0 + abs(lam_eps)
+    peak = _peak(family, eps, lam, lambda_eps)
+    block = pole_block(peak.walk, peak.cluster, peak.z_star if z is None else z)
+    return float(np.linalg.norm(block, 2)), 1.0 + abs(peak.lam_eps)
 
 
 # ---------------------------------------------------------------------------

@@ -462,12 +462,7 @@ def _pick_resonance(family, lam_text, eps_values):
     """Resolve --lambda, defaulting to the resonance that detaches fastest."""
     if lam_text is not None:
         return parse_complex_value(lam_text)
-    grid = (
-        asymptotics.default_eps_grid(include_zero=False)
-        if eps_values is None
-        else np.asarray(eps_values, dtype=float)
-    )
-    grid = grid[grid > 0]
+    grid = asymptotics._positive(eps_values)
     track = asymptotics.track_resonances(family, np.concatenate([[0.0], grid]))
     if not track.starts:
         raise click.UsageError(

@@ -111,12 +111,6 @@ class TailedGraph:
             return self.n_arcs + self.n_tails + (i - 1)
         raise KeyError(key)
 
-    def slot_label(self, key: SlotKey) -> str:
-        kind, i = key
-        if kind == "arc":
-            return self.arcs[i].label(i)
-        return f"{kind}{i}"
-
     def carrier_labels(self) -> list[str]:
         labels = [a.label(i) for i, a in enumerate(self.arcs)]
         labels += [f"in{t.index}" for t in self.tails]

@@ -107,8 +107,6 @@ class ScatterSolution:
     point when ``z`` is an array.
     """
 
-    z: complex | np.ndarray
-    amp_in: np.ndarray
     interior: np.ndarray
     amp_out: np.ndarray
     circle_overlap: float
@@ -132,6 +130,15 @@ def _check_z(z) -> np.ndarray:
             f"guard ({SMALL_Z:.0e})"
         )
     return z
+
+
+def _check_poles(z: np.ndarray, clusters) -> None:
+    """Raise at the first point of ``z`` within the hit tolerance of a cluster value."""
+    gaps = np.abs(z.reshape(-1, 1) - np.array([c.value for c in clusters], dtype=complex))
+    hits = gaps <= EIGENVALUE_HIT_TOL
+    if np.count_nonzero(hits):
+        point, cluster = divmod(_first(hits), len(clusters))
+        raise AtInteriorResonance(complex(z.reshape(-1)[point]), clusters[cluster].value)
 
 
 def generalized_eigenfunction(
@@ -166,11 +173,7 @@ def generalized_eigenfunction(
     if system is None:
         system = eigen_decompose(walk)
     off = system.off_circle()
-    gaps = np.abs(z.reshape(-1, 1) - np.array([c.value for c in off], dtype=complex))
-    hits = gaps <= EIGENVALUE_HIT_TOL
-    if np.count_nonzero(hits):
-        point, cluster = divmod(_first(hits), len(off))
-        raise AtInteriorResonance(complex(z.reshape(-1)[point]), off[cluster].value)
+    _check_poles(z, off)
 
     f = walk.tail_to_interior @ amp_in
     scale = np.maximum(1.0, np.linalg.norm(amp_in, axis=0))
@@ -201,8 +204,6 @@ def generalized_eigenfunction(
     direct = walk.tail_to_tail @ amp_in
     amp_out = walk.interior_to_tail @ u + direct.reshape(direct.shape[0], columns)
     return ScatterSolution(
-        z[()],
-        amp_in,
         u.reshape(z.shape + f.shape),
         amp_out.reshape(z.shape + direct.shape),
         float(np.max(overlap, initial=0.0)),
@@ -397,8 +398,10 @@ def scattering_matrix(
     if route == "resolvent":
         matrix = generalized_eigenfunction(walk, z, np.eye(nt), system).amp_out
     elif route == "expansion":
+        off = system.off_circle()
+        _check_poles(z, off)
         matrix = zero_pole_block(walk, system, z)
-        for cluster in system.off_circle():
+        for cluster in off:
             if not cluster.is_zero:
                 matrix += pole_block(walk, cluster, z)
     else:
@@ -419,19 +422,20 @@ def scattering_matrix(
     return ScatteringReport(z[()], walk.eps, route, matrix, residual, residuals)
 
 
-def transmission_reflection(
-    matrix: np.ndarray, split: set, amp_in: np.ndarray
-) -> tuple[float, float]:
+def transmission_reflection(matrix: np.ndarray, split: set, amp_in: np.ndarray) -> tuple:
     """Transmitted and reflected power for a wave entering on channels ``split``.
 
     ``split`` holds 1-based tail numbers; the incoming amplitude must be
     a unit vector supported on those channels.  Transmission is the
     outgoing power on the complementary channels, reflection the power
-    coming back out of ``split`` itself.
+    coming back out of ``split`` itself.  ``matrix`` is one Σ, which
+    gives two floats, or an ``(nz, n_tails, n_tails)`` stack, which gives
+    two arrays of one value per point; the split and the amplitude are
+    checked once per call.
     """
     matrix = np.asarray(matrix, dtype=complex)
     amp_in = np.asarray(amp_in, dtype=complex)
-    nt = matrix.shape[0]
+    nt = matrix.shape[-1]
     mask = np.zeros(nt, dtype=bool)
     for n in split:
         if not 1 <= n <= nt:
@@ -443,8 +447,10 @@ def transmission_reflection(
     if abs(norm - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(norm)
     out = matrix @ amp_in
-    transmitted = float(np.sum(np.abs(out[~mask]) ** 2))
-    reflected = float(np.sum(np.abs(out[mask]) ** 2))
+    transmitted = np.sum(np.abs(out[..., ~mask]) ** 2, axis=-1)
+    reflected = np.sum(np.abs(out[..., mask]) ** 2, axis=-1)
+    if out.ndim == 1:
+        return float(transmitted), float(reflected)
     return transmitted, reflected
 
 

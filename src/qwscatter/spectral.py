@@ -81,7 +81,6 @@ def _columns(blocks: tuple) -> np.ndarray:
 @dataclass(frozen=True)
 class Cluster:
     value: complex
-    eigenvalues: tuple
     chains: tuple  # of ndarrays, shape (length, dim); row l-1 is v_l
     co_chains: tuple  # matching shapes
     on_unit_circle: bool
@@ -371,7 +370,6 @@ def eigen_decompose(walk) -> EigenSystem:
         clusters.append(
             Cluster(
                 value=lam,
-                eigenvalues=tuple(sorted(map(complex, values[idx]), key=_sort_key)),
                 chains=tuple(group),
                 co_chains=tuple(co_chains),
                 on_unit_circle=_decoupled(walk, right, left),

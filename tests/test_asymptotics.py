@@ -5,9 +5,13 @@ import cmath
 import numpy as np
 import pytest
 
+import qwscatter.asymptotics as asymptotics
 from qwscatter.asymptotics import (
     FIRST_ORDER_BAND,
     SECOND_ORDER_BAND,
+    THETA_TOL,
+    THETA_WINDOW,
+    NoCrossing,
     ResonanceOnCircle,
     SimplicityViolated,
     comfort_table,
@@ -34,7 +38,7 @@ from qwscatter.models import (
     matrix_schrodinger_family,
 )
 from qwscatter.scattering import pole_block, scattering_matrix, transmission_reflection
-from qwscatter.spectral import eigen_decompose
+from qwscatter.spectral import boundary_data, eigen_decompose
 from qwscatter.walk import assemble
 
 TRACK_TOL = 1e-10
@@ -147,6 +151,115 @@ def test_peak_width_needs_balanced_split():
     fam = cycle_family(4, [1.0] * 4)
     with pytest.raises(ValueError):
         peak_width(fam, 0.05, 1.0, (1,))
+
+
+def half_height_by_scalar_search(family, eps, lam, split):
+    # the scalar doubling and bisection the stacked search replaced, one
+    # Σ per probe, kept as its reference
+    walk = family(eps)
+    system = eigen_decompose(walk)
+    cluster = system.nearest_cluster(track_resonances(family, [0.0, eps]).at(eps, lam))
+    in_co = boundary_data(walk, cluster).in_data_co
+    mask = np.isin(np.arange(1, walk.n_tails + 1), split)
+    restricted = np.where(mask, in_co / np.linalg.norm(in_co), 0.0)
+    amp_in = restricted / np.linalg.norm(restricted)
+    base = cmath.phase(cluster.value / abs(cluster.value))
+
+    def t_at(theta):
+        sigma = scattering_matrix(walk, cmath.exp(1j * (base + theta)), system=system).matrix
+        return transmission_reflection(sigma, set(split), amp_in)[0]
+
+    def crossing(sign):
+        low = 0.0
+        step = max((1.0 - abs(cluster.value)) / 16.0, 1e-12)
+        while step <= THETA_WINDOW:
+            if t_at(sign * step) < 0.5:
+                high = step
+                break
+            low = step
+            step *= 2.0
+        else:
+            raise NoCrossing("no crossing")
+        while high - low > THETA_TOL:
+            mid = 0.5 * (low + high)
+            if t_at(sign * mid) < 0.5:
+                high = mid
+            else:
+                low = mid
+        return sign * 0.5 * (low + high)
+
+    return crossing(-1), crossing(+1)
+
+
+def two_loop_family():
+    """Loops of lengths 1 and 2 through vertex a: peaks lean to one side."""
+    g = build_graph(
+        ["a", "b"], [("a", "b"), ("b", "a"), ("a", "a")], [(1, "a", "a"), (2, "b", "b")]
+    )
+    mix = np.array([[np.cos(0.6), np.sin(0.6), 0], [-np.sin(0.6), np.cos(0.6), 0], [0, 0, 1]])
+
+    def walk(eps):
+        s = np.sqrt(1 - eps**2)
+        leak = np.array([[s, 0, eps], [0, 1, 0], [-eps, 0, s]])
+        rotate = np.array([[s, eps], [-eps, s]])
+        return assemble(g, {"a": (leak @ mix).astype(complex), "b": rotate.astype(complex)}, eps)
+
+    return walk
+
+
+PEAKS = {
+    "ms": (matrix_schrodinger_family(), 1j, (1,)),
+    "cycle4": (cycle_family(4, [1.0] * 4), 1.0, (1, 2)),
+    "two_loop": (two_loop_family(), np.exp(0.42j), (1,)),
+}
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.05, 0.3, 0.7])
+@pytest.mark.parametrize("model", sorted(PEAKS))
+def test_peak_width_matches_the_scalar_search_bit_for_bit(model, eps):
+    family, lam, split = PEAKS[model]
+    try:
+        expected = half_height_by_scalar_search(family, eps, lam, split)
+    except NoCrossing:
+        with pytest.raises(NoCrossing):
+            peak_width(family, eps, lam, split)
+        return
+    assert peak_width(family, eps, lam, split) == expected
+
+
+def test_two_loop_peak_is_asymmetric():
+    family, lam, split = PEAKS["two_loop"]
+    theta_minus, theta_plus = peak_width(family, 0.3, lam, split)
+    assert abs(theta_plus + theta_minus) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "family, eps, lam, split",
+    [(cycle_family(4, [1.0] * 4), 0.8, 1.0, (1, 2)), (matrix_schrodinger_family(), 0.6, 1j, (1,))],
+    ids=["cycle4", "ms"],
+)
+def test_a_peak_wider_than_the_window_has_no_crossing(family, eps, lam, split):
+    with pytest.raises(NoCrossing):
+        peak_width(family, eps, lam, split)
+    report = tunneling_check(family, eps, lam, split)
+    assert report.t_at_peak >= 0.9
+    assert report.peak_width_measured is None
+
+
+@pytest.mark.parametrize("model", sorted(PEAKS))
+def test_peak_width_makes_few_sigma_calls(monkeypatch, model):
+    family, lam, split = PEAKS[model]
+    lambda_eps = track_resonances(family, [0.0, 0.01]).at(0.01, lam)
+    calls = []
+    solve = asymptotics.scattering_matrix
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "scattering_matrix", spy)
+    peak_width(family, 0.01, lam, split, lambda_eps=lambda_eps)
+    assert len(calls) <= 32
 
 
 def test_comfortability_growth_and_bound():

@@ -26,7 +26,8 @@ from qwscatter.cli import (
     parse_eps_grid,
     parse_split,
 )
-from qwscatter.line import BarrierSpec, barrier_scattering, rotation_coin
+from qwscatter.line import BarrierSpec, barrier_scattering, line_to_graph, rotation_coin
+from qwscatter.modelfile import save_model
 from qwscatter.models import closed_form_sigma_ms
 from qwscatter.spectral import NumericalError
 
@@ -309,14 +310,15 @@ def test_smatrix_rejects_center():
 
 
 def test_smatrix_rejects_resonance_hit():
-    code, _, err = run_cli(
-        [
-            "smatrix", "--model", "ms", "--eps", "0.3",
-            "--z", "0+0.9055385138137417i",
-        ]
-    )
-    assert code == 2
-    assert json.loads(err)["error"]["type"] == "AtInteriorResonance"
+    for route in ("resolvent", "expansion"):
+        code, _, err = run_cli(
+            [
+                "smatrix", "--model", "ms", "--eps", "0.3",
+                "--z", "0+0.9055385138137417i", "--route", route,
+            ]
+        )
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "AtInteriorResonance"
 
 
 def test_smatrix_wants_exactly_one_z():
@@ -578,6 +580,28 @@ def test_sweep_comfort_growth():
     assert code == 0
     summary = json.loads(out)["summary"]
     assert summary["growth_band_pass"]
+
+
+def test_sweep_default_lambda_needs_a_resonance_that_leaves_the_circle():
+    code, _, err = run_cli(
+        [
+            "sweep", "comfort", "--model", "crossing", "--c", "0.8",
+            "--eps-grid", "0.01:0.05:3",
+        ]
+    )
+    assert code == 3
+    assert "every tracked resonance stays on the unit circle" in err
+
+
+def test_sweep_default_lambda_needs_a_circle_resonance(tmp_path):
+    spec = BarrierSpec((0, 3), (rotation_coin(0.8), rotation_coin(0.6)))
+    path = str(tmp_path / "line.json")
+    save_model(*line_to_graph(spec), path)
+    code, _, err = run_cli(
+        ["sweep", "comfort", "--model", path, "--eps-grid", "0.01:0.05:3"]
+    )
+    assert code == 3
+    assert "no unit-circle resonances to track" in err
 
 
 def test_sweep_out_file_keeps_summary_on_stdout(tmp_path):

@@ -353,8 +353,8 @@ def bound_state_walk():
     system = EigenSystem(
         walk.interior,
         (
-            Cluster(0.5, (0.5,), (e1[None, :],), (e1[None, :],), False),
-            Cluster(1.0, (1.0,), (e0[None, :],), (e0[None, :],), True),
+            Cluster(0.5, (e1[None, :],), (e1[None, :],), False),
+            Cluster(1.0, (e0[None, :],), (e0[None, :],), True),
         ),
     )
     return walk, system, e1
@@ -509,8 +509,9 @@ def test_one_small_point_in_an_array_is_a_pole_hit(route):
 def test_one_resonance_hit_in_an_array_names_that_point():
     points = np.array([np.exp(0.3j), np.exp(2.0j), RESONANCE_MS, np.exp(1.3j)])
     named = re.escape(f"z = {RESONANCE_MS:.9g} ")
-    with pytest.raises(AtInteriorResonance, match=named):
-        scattering_matrix(ms_walk(0.3), points)
+    for route in ("resolvent", "expansion"):
+        with pytest.raises(AtInteriorResonance, match=named):
+            scattering_matrix(ms_walk(0.3), points, route)
     with pytest.raises(SingularSystem, match=named):
         oracle_direct_solve(ms_walk(0.3), points, np.eye(2))
 
@@ -532,3 +533,19 @@ def test_simple_poles_are_stacked_once():
     # the semisimple zero cluster (two chains of length one) is a simple pole
     assert len(poles.values) == sum(c.multiplicity for c in system.off_circle())
     assert np.abs(poles.left_h @ poles.right - np.eye(len(poles.values))).max() <= 1e-13
+
+
+def test_transmission_reflection_on_a_stack_matches_single_matrices():
+    walk = cycle_family(4, [1.0] * 4).walk(0.2)
+    stack = scattering_matrix(walk, np.exp(1j * np.linspace(-0.5, 2.5, 7))).matrix
+    amp = np.array([1.0, 1.0j, 0.0, 0.0]) / np.sqrt(2.0)
+    t, r = transmission_reflection(stack, {1, 2}, amp)
+    assert t.shape == r.shape == (7,)
+    singles = [transmission_reflection(sigma, {1, 2}, amp) for sigma in stack]
+    assert all(type(v) is float for pair in singles for v in pair)
+    assert np.abs(t - [pair[0] for pair in singles]).max() <= 1e-15
+    assert np.abs(r - [pair[1] for pair in singles]).max() <= 1e-15
+    with pytest.raises(BadSupport):
+        transmission_reflection(stack, {1}, amp)
+    with pytest.raises(NotNormalized):
+        transmission_reflection(stack, {1, 2}, 2 * amp)
