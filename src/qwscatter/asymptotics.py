@@ -200,8 +200,7 @@ def _advance(family, e0, vals0, cur, e1, depth):
 
 
 def track_resonances(
-    family: Callable[[float], object],
-    eps_grid: Sequence[float] | None = None,
+    family: Callable[[float], object], eps_grid: Sequence[float]
 ) -> ResonanceTrack:
     """Follow each unit-circle resonance of U(0) along the eps grid.
 
@@ -209,11 +208,7 @@ def track_resonances(
     of the decoupled walk must be simple, otherwise the perturbation
     picture breaks down and ``SimplicityViolated`` is raised.
     """
-    grid = (
-        default_eps_grid()
-        if eps_grid is None
-        else np.asarray([float(e) for e in eps_grid])
-    )
+    grid = np.asarray([float(e) for e in eps_grid])
     if len(grid) == 0:
         raise ValueError("empty eps grid")
     if grid[0] != 0.0:
@@ -251,13 +246,11 @@ def track_resonances(
 # Discrepancy from the decoupled limit
 
 
-def discrepancy_norm(
-    family, z: complex, eps: float, route: str = "resolvent"
-) -> float:
+def discrepancy_norm(family, z: complex, eps: float) -> float:
     """Operator norm of Sigma(eps, z) - Sigma(0, z) on the unit circle."""
     z = _project_to_circle(z)
-    s_eps = scattering_matrix(family(eps), z, route).matrix
-    s_zero = scattering_matrix(family(0.0), z, route).matrix
+    s_eps = scattering_matrix(family(eps), z).matrix
+    s_zero = scattering_matrix(family(0.0), z).matrix
     return float(np.linalg.norm(s_eps - s_zero, 2))
 
 
@@ -529,15 +522,14 @@ def resonant_block_norm(
     eps: float,
     lam: complex,
     lambda_eps: complex | None = None,
-    z: complex | None = None,
 ) -> tuple:
     """Norm of the resonance's pole block and its theoretical floor.
 
-    Evaluated at z* = lambda_eps/|lambda_eps| (the default) the block's
-    operator norm is at least 1 + |lambda_eps|.
+    Evaluated at z* = lambda_eps/|lambda_eps| the block's operator norm
+    is at least 1 + |lambda_eps|.
     """
     peak = _peak(family, eps, lam, lambda_eps)
-    block = pole_block(peak.walk, peak.cluster, peak.z_star if z is None else z)
+    block = pole_block(peak.walk, peak.cluster, peak.z_star)
     return float(np.linalg.norm(block, 2)), 1.0 + abs(peak.lam_eps)
 
 
@@ -598,9 +590,27 @@ def discrepancy_table(
     return rows, summary
 
 
-def _tracked_values(family, lam, grid):
+def _peak_sweep(family, lam, eps_values, measure) -> tuple:
+    """Rows of ``measure`` along the tracked peak, and each quantity as an array.
+
+    λ is tracked once over the positive grid; ``measure(eps, lam_eps)``
+    returns a dict of quantity -> value at each eps, where ``None`` is
+    an absent value: it makes no row, and NaN in the quantity's array.
+    Every row carries the peak z* = λ_ε/|λ_ε|.
+    """
+    grid = _positive(eps_values)
     track = track_resonances(family, np.concatenate([[0.0], grid]))
-    return track.path(lam)[1:]
+    rows = []
+    columns: dict = {}
+    for eps, lam_eps in zip(grid, track.path(lam)[1:]):
+        value = complex(lam_eps)
+        z_star = value / abs(value)
+        for quantity, measured in measure(eps, lam_eps).items():
+            columns.setdefault(quantity, []).append(measured)
+            if measured is not None:
+                rows.append(SweepRow(float(eps), z_star, quantity, measured))
+    arrays = {q: np.array(values, dtype=float) for q, values in columns.items()}
+    return rows, grid, arrays
 
 
 def tunneling_table(
@@ -610,51 +620,28 @@ def tunneling_table(
     eps_values=None,
 ) -> tuple:
     """Sweep the tunneling report along an eps grid."""
-    grid = _positive(eps_values)
-    tracked = _tracked_values(family, lam, grid)
-    rows = []
-    t_values = []
-    residuals = []
-    overlap_consts = []
-    for eps, lam_eps in zip(grid, tracked):
+
+    def measure(eps, lam_eps):
         report = tunneling_check(family, eps, lam, split, lambda_eps=lam_eps)
-        z_star = report.z_star
-        rows.append(SweepRow(float(eps), z_star, "t_at_peak", report.t_at_peak))
-        rows.append(
-            SweepRow(
-                float(eps), z_star, "symmetry_residual", report.symmetry_residual
-            )
-        )
-        rows.append(
-            SweepRow(float(eps), z_star, "overlap", report.out_channel_overlap)
-        )
-        if report.peak_width_measured is not None:
-            rows.append(
-                SweepRow(
-                    float(eps),
-                    z_star,
-                    "width_measured",
-                    report.peak_width_measured,
-                )
-            )
-        rows.append(
-            SweepRow(
-                float(eps), z_star, "width_predicted", report.peak_width_predicted
-            )
-        )
-        t_values.append(report.t_at_peak)
-        residuals.append(report.symmetry_residual)
-        overlap_consts.append(
-            (1.0 - report.out_channel_overlap) / np.sqrt(eps) if eps > 0 else 0.0
-        )
-    t_values = np.asarray(t_values)
+        return {
+            "t_at_peak": report.t_at_peak,
+            "symmetry_residual": report.symmetry_residual,
+            "overlap": report.out_channel_overlap,
+            "width_measured": report.peak_width_measured,
+            "width_predicted": report.peak_width_predicted,
+        }
+
+    rows, grid, values = _peak_sweep(family, lam, eps_values, measure)
+    t_values = values["t_at_peak"]
     summary = {
         "quantity": "tunneling",
         "points": len(grid),
         "min_t_at_peak": float(t_values.min()),
         "peak_band_pass": bool(np.all(t_values >= 1.0 - 10.0 * grid)),
-        "max_symmetry_residual": float(max(residuals)),
-        "overlap_sqrt_eps_constant": float(max(overlap_consts)),
+        "max_symmetry_residual": float(values["symmetry_residual"].max()),
+        "overlap_sqrt_eps_constant": float(
+            np.max((1.0 - values["overlap"]) / np.sqrt(grid))
+        ),
     }
     return rows, summary
 
@@ -666,26 +653,25 @@ def width_table(
     eps_values=None,
 ) -> tuple:
     """Sweep measured versus predicted peak widths."""
-    grid = _positive(eps_values)
-    tracked = _tracked_values(family, lam, grid)
-    rows = []
-    ratios = []
-    for eps, lam_eps in zip(grid, tracked):
+
+    def measure(eps, lam_eps):
         theta_minus, theta_plus = peak_width(family, eps, lam, split, lambda_eps=lam_eps)
         measured = theta_plus - theta_minus
         predicted = 2.0 * (1.0 - abs(lam_eps))
-        z_star = lam_eps / abs(lam_eps)
-        rows.append(SweepRow(float(eps), z_star, "width_measured", measured))
-        rows.append(SweepRow(float(eps), z_star, "width_predicted", predicted))
-        rows.append(SweepRow(float(eps), z_star, "width_ratio", measured / predicted))
-        ratios.append(measured / predicted)
-    ratios = np.asarray(ratios)
+        return {
+            "width_measured": measured,
+            "width_predicted": predicted,
+            "width_ratio": measured / predicted,
+        }
+
+    rows, grid, values = _peak_sweep(family, lam, eps_values, measure)
+    deviation = np.abs(values["width_ratio"] - 1.0)
     summary = {
         "quantity": "width",
         "points": len(grid),
-        "max_ratio_deviation": float(np.max(np.abs(ratios - 1.0))),
+        "max_ratio_deviation": float(np.max(deviation)),
         "rel_slack": WIDTH_REL_SLACK,
-        "width_band_pass": bool(np.all(np.abs(ratios - 1.0) <= WIDTH_REL_SLACK)),
+        "width_band_pass": bool(np.all(deviation <= WIDTH_REL_SLACK)),
     }
     return rows, summary
 
@@ -696,27 +682,25 @@ def comfort_table(
     eps_values=None,
 ) -> tuple:
     """Sweep interior energy against its divergence-rate bound."""
-    grid = _positive(eps_values)
-    tracked = _tracked_values(family, lam, grid)
-    rows = []
-    ratios = []
-    scaled = []
-    for eps, lam_eps in zip(grid, tracked):
+
+    def measure(eps, lam_eps):
         energy, bound = comfortability_growth(family, eps, lam, lambda_eps=lam_eps)
-        z_star = lam_eps / abs(lam_eps)
-        rows.append(SweepRow(float(eps), z_star, "comfort", energy))
-        rows.append(SweepRow(float(eps), z_star, "comfort_bound", bound))
-        scaled_value = energy * (1.0 - abs(lam_eps))
-        rows.append(SweepRow(float(eps), z_star, "comfort_scaled", scaled_value))
-        ratios.append(energy / bound)
-        scaled.append(scaled_value)
+        return {
+            "comfort": energy,
+            "comfort_bound": bound,
+            "comfort_scaled": energy * (1.0 - abs(lam_eps)),
+        }
+
+    rows, grid, values = _peak_sweep(family, lam, eps_values, measure)
+    ratios = values["comfort"] / values["comfort_bound"]
+    scaled = values["comfort_scaled"]
     summary = {
         "quantity": "comfort",
         "points": len(grid),
-        "min_ratio_to_bound": float(min(ratios)),
-        "growth_band_pass": bool(min(ratios) >= 0.9),
-        "scaled_min": float(min(scaled)),
-        "scaled_max": float(max(scaled)),
+        "min_ratio_to_bound": float(ratios.min()),
+        "growth_band_pass": bool(ratios.min() >= 0.9),
+        "scaled_min": float(scaled.min()),
+        "scaled_max": float(scaled.max()),
     }
     return rows, summary
 

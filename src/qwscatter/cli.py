@@ -262,11 +262,9 @@ def validate(model, n_vertices, strengths, eps):
             return {"eps": eps}
 
         run("coin_unitarity", unitarity)
-        walk0 = {}
 
         def routing():
-            walk0["walk"] = fam.walk(0.0)
-            route = free_routing_check(walk0["walk"])
+            route = free_routing_check(fam.walk(0.0))
             return {
                 "steps": list(route.steps),
                 "phases": [[phase.real, phase.imag] for phase in route.phases],
@@ -478,6 +476,17 @@ def _pick_resonance(family, lam_text, eps_values):
     return track.starts[best]
 
 
+def _run_peak_table(table, family, lam_text, eps_grid, out, fmt, *split):
+    """Run a peak table (tunneling, width, comfort) on the picked resonance."""
+    eps_values = _eps_values(eps_grid)
+    lam = _pick_resonance(family, lam_text, eps_values)
+    rows, summary = table(family, lam, *split, eps_values)
+    summary["lambda_re"] = lam.real
+    summary["lambda_im"] = lam.imag
+    _emit(_sweep_table(rows), summary, out, fmt)
+    return 0
+
+
 @sweep.command()
 @model_options
 @click.option("--z", "z_text", default=None, help="fixed circle point (default: auto non-resonant)")
@@ -513,13 +522,9 @@ def tunneling(model, n_vertices, strengths, split_text, lam_text, eps_grid, out,
     """Resonant-tunneling diagnostics at the tracked peak."""
     family = load_family(model, n_vertices, strengths)
     split = parse_split(split_text)
-    eps_values = _eps_values(eps_grid)
-    lam = _pick_resonance(family, lam_text, eps_values)
-    rows, summary = asymptotics.tunneling_table(family, lam, split, eps_values)
-    summary["lambda_re"] = lam.real
-    summary["lambda_im"] = lam.imag
-    _emit(_sweep_table(rows), summary, out, fmt)
-    return 0
+    return _run_peak_table(
+        asymptotics.tunneling_table, family, lam_text, eps_grid, out, fmt, split
+    )
 
 
 @sweep.command()
@@ -532,13 +537,9 @@ def width(model, n_vertices, strengths, split_text, lam_text, eps_grid, out, fmt
     """Measured half-height peak widths against 2(1-|lambda_eps|)."""
     family = load_family(model, n_vertices, strengths)
     split = parse_split(split_text)
-    eps_values = _eps_values(eps_grid)
-    lam = _pick_resonance(family, lam_text, eps_values)
-    rows, summary = asymptotics.width_table(family, lam, split, eps_values)
-    summary["lambda_re"] = lam.real
-    summary["lambda_im"] = lam.imag
-    _emit(_sweep_table(rows), summary, out, fmt)
-    return 0
+    return _run_peak_table(
+        asymptotics.width_table, family, lam_text, eps_grid, out, fmt, split
+    )
 
 
 @sweep.command()
@@ -549,13 +550,7 @@ def width(model, n_vertices, strengths, split_text, lam_text, eps_grid, out, fmt
 def comfort(model, n_vertices, strengths, lam_text, eps_grid, out, fmt):
     """Interior energy at the peak against its divergence-rate bound."""
     family = load_family(model, n_vertices, strengths)
-    eps_values = _eps_values(eps_grid)
-    lam = _pick_resonance(family, lam_text, eps_values)
-    rows, summary = asymptotics.comfort_table(family, lam, eps_values)
-    summary["lambda_re"] = lam.real
-    summary["lambda_im"] = lam.imag
-    _emit(_sweep_table(rows), summary, out, fmt)
-    return 0
+    return _run_peak_table(asymptotics.comfort_table, family, lam_text, eps_grid, out, fmt)
 
 
 @cli.command()

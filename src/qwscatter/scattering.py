@@ -11,8 +11,9 @@ after which the outgoing amplitudes are
 
 Three constructions of the same object live here:
 
-* the *resolvent* route expands ``u`` over spectral projections and
-  nilpotent corrections of the interior matrix,
+* the *resolvent* route expands ``u`` over the stacked Jordan chains
+  of the interior matrix: one pole sum, back-substituted along each
+  chain,
 * the *expansion* route never forms ``u`` at all — it sums one
   pole block per off-circle resonance, each block built purely from
   the resonance's boundary data (tail values of resonant states and
@@ -30,10 +31,10 @@ Every function that takes ``z`` takes a scalar or a 1-d array of
 points.  An array of ``nz`` points puts one leading axis of length
 ``nz`` on each result, so ``scattering_matrix`` returns an
 ``(nz, n_tails, n_tails)`` stack; a scalar is the one-point case of the
-same computation and returns the shapes without that axis.  What does not depend on
-``z`` (the drive, the spectral coefficients, the chain boundary values)
-is computed once per call, and every check names the first offending
-point.
+same computation and returns the shapes without that axis.  What does
+not depend on ``z`` (the drive, the chain coefficients ``W* f``, the
+chain boundary values) is computed once per call, and every check
+names the first offending point.
 
 The routes agree wherever they are all defined; keeping them separate
 is the point, so resist the urge to share intermediate results.
@@ -141,6 +142,28 @@ def _check_poles(z: np.ndarray, clusters) -> None:
         raise AtInteriorResonance(complex(z.reshape(-1)[point]), clusters[cluster].value)
 
 
+def _pole_sum(poles, drive: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``V a`` with ``(z - J) a = W* drive``, for each point of ``shift = z``.
+
+    ``poles`` stacks the chain vectors ``V`` (with ``M V = V J``), the
+    co-chain vectors ``W*`` and the value λ_k of each column.  The
+    coefficients ``a = W* drive / (z - λ)`` of the simple poles are
+    final.  Along a Jordan chain, ``(M - λ) v_l = v_{l-1}`` couples each
+    coefficient to the next one up the chain, so the chain is
+    back-substituted from its top,
+
+        a_k += a_(k+1) / (z - λ_k)   for k in ``links``, reversed.
+
+    ``shift`` has shape (nz, 1, 1) and ``drive`` one column per incoming
+    vector; the result has shape (nz, n0, columns).
+    """
+    values, right, left_h, links = poles
+    a = (left_h @ drive) / (shift - values[:, None])
+    for k in reversed(links):
+        a[:, k] += a[:, k + 1] / (shift[:, 0] - values[k])
+    return right @ a
+
+
 def generalized_eigenfunction(
     walk: WalkOperator,
     z,
@@ -149,20 +172,11 @@ def generalized_eigenfunction(
 ) -> ScatterSolution:
     """Scattered wave for incoming data ``amp_in`` at parameter ``z``.
 
-    The interior part is assembled cluster by cluster from the spectral
-    projections: for each off-circle cluster with value λ and
-    multiplicity m, the contribution is
-
-        sum_{k<m} (M - λ)^k P f / (z - λ)^(k+1),
-
-    with ``f`` the interior drive.  Every cluster with a simple pole
-    (all its chains of length one, so the k > 0 terms vanish) enters
-    one product, ``V · diag(1/(z - λ)) · W* f``, over the basis that
-    ``system.simple_poles`` stacks once; only clusters with a longer
-    chain step through ``(M - λ)^k``, whose terms do not depend on ``z``.
-    Unit-circle clusters must not see any of ``f`` (they would trap
-    amplitude forever); their projections are measured and reported,
-    and a violation is an error.
+    The interior part is ``u = (z - M)^-1 f`` for the interior drive
+    ``f``, one pole sum (:func:`_pole_sum`) over every off-circle chain,
+    which ``system.poles`` stacks once.  Unit-circle clusters must not
+    see any of ``f`` (they would trap amplitude forever); their
+    projections are measured and reported, and a violation is an error.
 
     ``amp_in`` may be one incoming vector or a matrix whose columns are
     scattered at once; the overlap is checked column by column.  ``z``
@@ -172,8 +186,7 @@ def generalized_eigenfunction(
     amp_in = np.asarray(amp_in, dtype=complex)
     if system is None:
         system = eigen_decompose(walk)
-    off = system.off_circle()
-    _check_poles(z, off)
+    _check_poles(z, system.off_circle())
 
     f = walk.tail_to_interior @ amp_in
     scale = np.maximum(1.0, np.linalg.norm(amp_in, axis=0))
@@ -189,18 +202,7 @@ def generalized_eigenfunction(
     shift = z.reshape(-1, 1, 1)
     columns = math.prod(amp_in.shape[1:])
     drive = f.reshape(f.shape[0], columns)
-    values, right, left_h = system.simple_poles
-    u = right @ ((left_h @ drive) / (shift - values[:, None]))
-    m_mat = walk.interior
-    for cluster in off:
-        if cluster.has_simple_pole:
-            continue  # summed above
-        lam = cluster.value
-        current = cluster.project(drive)
-        for k in range(cluster.multiplicity):
-            u += current / (shift - lam) ** (k + 1)
-            if k + 1 < cluster.multiplicity:
-                current = m_mat @ current - lam * current
+    u = _pole_sum(system.poles, drive, shift)
     direct = walk.tail_to_tail @ amp_in
     amp_out = walk.interior_to_tail @ u + direct.reshape(direct.shape[0], columns)
     return ScatterSolution(

@@ -94,11 +94,6 @@ class Cluster:
         return self.multiplicity == 1
 
     @property
-    def has_simple_pole(self) -> bool:
-        """Every chain has length one, so the resolvent's pole here is simple."""
-        return all(chain.shape[0] == 1 for chain in self.chains)
-
-    @property
     def is_zero(self) -> bool:
         """The conventional zero resonance (eigenvalue zero)."""
         return abs(self.value) <= ZERO_VALUE_TOL
@@ -125,12 +120,13 @@ class Cluster:
         return v @ (w.conj().T @ f)
 
 
-class SimplePoles(NamedTuple):
-    """Off-circle clusters with a simple pole, stacked (column/row k is pole k)."""
+class PoleBasis(NamedTuple):
+    """Every off-circle chain, stacked (column/row k is chain vector k)."""
 
-    values: np.ndarray  # (s,)
-    right: np.ndarray  # (n0, s): the eigenvectors V
-    left_h: np.ndarray  # (s, n0): the co-eigenvectors W*
+    values: np.ndarray  # (s,): the cluster value of each column
+    right: np.ndarray  # (n0, s): the chain vectors V, C-contiguous
+    left_h: np.ndarray  # (s, n0): the co-chain vectors W*
+    links: tuple  # columns k whose chain continues in column k + 1
 
 
 @dataclass(frozen=True)
@@ -142,23 +138,30 @@ class EigenSystem:
         return [c for c in self.clusters if not c.on_unit_circle]
 
     @cached_property
-    def simple_poles(self) -> SimplePoles:
-        """The off-circle clusters with a simple pole, as one basis.
+    def poles(self) -> PoleBasis:
+        """The chains of every off-circle cluster, as one basis.
 
-        Every simple cluster qualifies, and so does e.g. a semisimple zero
-        cluster; each of its chains contributes the value, eigenvector and
-        co-eigenvector.  The basis depends on neither ``z`` nor the
-        incoming data, so it is built once, and the resolvent route sums
-        these poles in one product.
+        Columns run cluster by cluster and, within a cluster, chain by
+        chain with ``l`` ascending, so ``M V = V J`` for the Jordan matrix
+        ``J`` whose superdiagonal is one exactly at ``links``.  The basis
+        depends on neither ``z`` nor the incoming data, so it is built
+        once, and the resolvent route sums every pole in one product.
         """
-        clusters = [c for c in self.off_circle() if c.has_simple_pole]
+        clusters = self.off_circle()
         empty = np.zeros((self.matrix.shape[0], 0), dtype=complex)
         right = np.concatenate([empty] + [c.right_basis() for c in clusters], axis=1)
         left = np.concatenate([empty] + [c.left_basis() for c in clusters], axis=1)
-        values = np.array(
-            [c.value for c in clusters for _ in c.chains], dtype=complex
+        values, links = [], []
+        for c in clusters:
+            for chain in c.chains:
+                links += range(len(values), len(values) + chain.shape[0] - 1)
+                values += [c.value] * chain.shape[0]
+        return PoleBasis(
+            np.array(values, dtype=complex),
+            right,
+            np.ascontiguousarray(left.conj().T),
+            tuple(links),
         )
-        return SimplePoles(values, right, np.ascontiguousarray(left.conj().T))
 
     def on_circle(self):
         return [c for c in self.clusters if c.on_unit_circle]

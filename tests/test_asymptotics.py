@@ -351,6 +351,28 @@ def test_comfort_table_growth_band():
     assert all(0.1 <= v <= 10.0 for v in scaled)
 
 
+@pytest.mark.parametrize("model", ["ms", "cycle4"])
+def test_every_peak_row_carries_the_peaks_z_star(model):
+    # one z* per eps, rounded as the peak itself rounds it
+    family, lam, split = PEAKS[model]
+    grid = geometric_grid(1e-3, 0.1, 9)
+    path = track_resonances(family, np.concatenate([[0.0], grid])).path(lam)[1:]
+    z_star = {
+        float(eps): tunneling_check(family, eps, lam, split, lambda_eps=lam_eps).z_star
+        for eps, lam_eps in zip(grid, path)
+    }
+    tables = {
+        "tunneling": tunneling_table(family, lam, split, grid),
+        "width": width_table(family, lam, split, grid),
+        "comfort": comfort_table(family, lam, grid),
+    }
+    for name, (rows, summary) in tables.items():
+        assert summary["points"] == len(grid)
+        assert {row.eps for row in rows} == set(z_star), name
+        for row in rows:
+            assert row.z == z_star[row.eps], (name, row)
+
+
 def test_remainder_constant_stays_finite():
     rows, summary = remainder_table(
         matrix_schrodinger_family(), eps_values=[0.02, 0.05], n_grid=16

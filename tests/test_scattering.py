@@ -277,19 +277,6 @@ def jordan_standin(lam):
     )
 
 
-def test_resolvent_steps_through_a_nonzero_jordan_chain():
-    # the resolvent route must apply (M - 0.5) along the chain
-    walk = jordan_standin(0.5)
-    system = eigen_decompose(walk)
-    assert [c.multiplicity for c in system.off_circle()] == [2, 1]
-    for z in JORDAN_ZS:
-        for amp_in in np.eye(2):
-            sol = generalized_eigenfunction(walk, z, amp_in, system)
-            u, amp_out = oracle_direct_solve(walk, z, amp_in)
-            assert np.abs(sol.interior - u).max() <= ROUTE_TOL
-            assert np.abs(sol.amp_out - amp_out).max() <= ROUTE_TOL
-
-
 JORDAN3 = np.array(
     [
         [0.5, 1.0, 0.0, 0.3],
@@ -298,6 +285,36 @@ JORDAN3 = np.array(
         [0.0, 0.0, 0.0, 0.9],
     ]
 )
+
+# two chains at 0.5, of lengths 2 and 1, and a simple 0.9
+TWO_CHAINS = np.array(
+    [
+        [0.5, 1.0, 0.0, 0.3],
+        [0.0, 0.5, 0.0, 0.2],
+        [0.0, 0.0, 0.5, 0.1],
+        [0.0, 0.0, 0.0, 0.9],
+    ]
+)
+
+
+def test_resolvent_steps_through_a_nonzero_jordan_chain():
+    # the resolvent route must back-substitute along every chain, top down;
+    # chain lengths per off-circle cluster
+    cases = [
+        (jordan_standin(0.5), [[2], [1]]),
+        (coupled_to_two_tails(JORDAN3), [[3], [1]]),
+        (coupled_to_two_tails(TWO_CHAINS), [[2, 1], [1]]),
+    ]
+    for walk, lengths in cases:
+        system = eigen_decompose(walk)
+        chains = [[c.shape[0] for c in cl.chains] for cl in system.off_circle()]
+        assert chains == lengths
+        for z in JORDAN_ZS:
+            for amp_in in np.eye(2):
+                sol = generalized_eigenfunction(walk, z, amp_in, system)
+                u, amp_out = oracle_direct_solve(walk, z, amp_in)
+                assert np.abs(sol.interior - u).max() <= ROUTE_TOL
+                assert np.abs(sol.amp_out - amp_out).max() <= ROUTE_TOL
 
 
 @pytest.mark.parametrize(
@@ -528,10 +545,11 @@ def test_drive_onto_a_bound_state_is_rejected_for_an_array():
 
 def test_simple_poles_are_stacked_once():
     system = eigen_decompose(ms_walk(0.3))
-    poles = system.simple_poles
-    assert system.simple_poles is poles
+    poles = system.poles
+    assert system.poles is poles
     # the semisimple zero cluster (two chains of length one) is a simple pole
     assert len(poles.values) == sum(c.multiplicity for c in system.off_circle())
+    assert len(poles.links) == 0
     assert np.abs(poles.left_h @ poles.right - np.eye(len(poles.values))).max() <= 1e-13
 
 
