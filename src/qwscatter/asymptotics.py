@@ -99,6 +99,10 @@ class NoCrossing(NumericalError):
     """Transmission never falls to one half inside the scan window."""
 
 
+class NoDetachingResonance(ValueError):
+    """No unit-circle resonance of U(0) leaves the circle along the grid."""
+
+
 def default_eps_grid(include_zero: bool = True) -> np.ndarray:
     """Geometric eps grid over the default decades, optionally plus eps = 0."""
     decades = np.log10(EPS_GRID_STOP / EPS_GRID_START)
@@ -149,10 +153,20 @@ class ResonanceTrack:
     continuity: np.ndarray
 
     def column(self, start: complex) -> int:
+        """The nearest start's column; ``start`` must lie within half its gap
+        to the next start, the rule of the tracking steps."""
         if not self.starts:
             raise ValueError("no resonances tracked")
         dists = [abs(s - start) for s in self.starts]
-        return int(np.argmin(dists))
+        k = int(np.argmin(dists))
+        gaps = [abs(s - self.starts[k]) for j, s in enumerate(self.starts) if j != k]
+        if gaps and not dists[k] < 0.5 * min(gaps):
+            named = ", ".join(f"{s:.6g}" for s in self.starts)
+            raise ValueError(
+                f"lambda = {complex(start):.6g} names none of the tracked "
+                f"resonances ({named})"
+            )
+        return k
 
     def path(self, start: complex) -> np.ndarray:
         return self.paths[:, self.column(start)]
@@ -591,37 +605,49 @@ def discrepancy_table(
 
 
 def _peak_sweep(family, lam, eps_values, measure) -> tuple:
-    """Rows of ``measure`` along the tracked peak, and each quantity as an array.
+    """λ, the rows of ``measure`` along its tracked peak, and each quantity as an array.
 
-    λ is tracked once over the positive grid; ``measure(eps, lam_eps)``
-    returns a dict of quantity -> value at each eps, where ``None`` is
-    an absent value: it makes no row, and NaN in the quantity's array.
-    Every row carries the peak z* = λ_ε/|λ_ε|.
+    λ is tracked once over the positive grid; ``lam=None`` picks the
+    start that detaches fastest, whose path ends nearest the origin.  ``measure(eps, lam, lam_eps)`` returns
+    a dict of quantity -> value at each eps, where ``None`` is an absent
+    value: it makes no row, and NaN in the quantity's array.  Every row
+    carries the peak z* = λ_ε/|λ_ε|.
     """
     grid = _positive(eps_values)
     track = track_resonances(family, np.concatenate([[0.0], grid]))
+    if lam is None:
+        if not track.starts:
+            raise NoDetachingResonance("the eps=0 walk has no unit-circle resonances to track")
+        finals = np.abs(track.paths[-1])
+        lam = track.starts[int(np.argmin(finals))]
+        if finals.min() > 1.0 - 1e-12:
+            raise NoDetachingResonance(
+                "every tracked resonance stays on the unit circle; "
+                "pick one explicitly with --lambda"
+            )
+    lam = complex(lam)
     rows = []
     columns: dict = {}
     for eps, lam_eps in zip(grid, track.path(lam)[1:]):
         value = complex(lam_eps)
         z_star = value / abs(value)
-        for quantity, measured in measure(eps, lam_eps).items():
+        for quantity, measured in measure(eps, lam, lam_eps).items():
             columns.setdefault(quantity, []).append(measured)
             if measured is not None:
                 rows.append(SweepRow(float(eps), z_star, quantity, measured))
     arrays = {q: np.array(values, dtype=float) for q, values in columns.items()}
-    return rows, grid, arrays
+    return lam, rows, grid, arrays
 
 
 def tunneling_table(
     family,
-    lam: complex,
+    lam: complex | None,
     split,
     eps_values=None,
 ) -> tuple:
     """Sweep the tunneling report along an eps grid."""
 
-    def measure(eps, lam_eps):
+    def measure(eps, lam, lam_eps):
         report = tunneling_check(family, eps, lam, split, lambda_eps=lam_eps)
         return {
             "t_at_peak": report.t_at_peak,
@@ -631,10 +657,11 @@ def tunneling_table(
             "width_predicted": report.peak_width_predicted,
         }
 
-    rows, grid, values = _peak_sweep(family, lam, eps_values, measure)
+    lam, rows, grid, values = _peak_sweep(family, lam, eps_values, measure)
     t_values = values["t_at_peak"]
     summary = {
         "quantity": "tunneling",
+        "lambda_re": lam.real, "lambda_im": lam.imag,
         "points": len(grid),
         "min_t_at_peak": float(t_values.min()),
         "peak_band_pass": bool(np.all(t_values >= 1.0 - 10.0 * grid)),
@@ -648,13 +675,13 @@ def tunneling_table(
 
 def width_table(
     family,
-    lam: complex,
+    lam: complex | None,
     split,
     eps_values=None,
 ) -> tuple:
     """Sweep measured versus predicted peak widths."""
 
-    def measure(eps, lam_eps):
+    def measure(eps, lam, lam_eps):
         theta_minus, theta_plus = peak_width(family, eps, lam, split, lambda_eps=lam_eps)
         measured = theta_plus - theta_minus
         predicted = 2.0 * (1.0 - abs(lam_eps))
@@ -664,10 +691,11 @@ def width_table(
             "width_ratio": measured / predicted,
         }
 
-    rows, grid, values = _peak_sweep(family, lam, eps_values, measure)
+    lam, rows, grid, values = _peak_sweep(family, lam, eps_values, measure)
     deviation = np.abs(values["width_ratio"] - 1.0)
     summary = {
         "quantity": "width",
+        "lambda_re": lam.real, "lambda_im": lam.imag,
         "points": len(grid),
         "max_ratio_deviation": float(np.max(deviation)),
         "rel_slack": WIDTH_REL_SLACK,
@@ -678,12 +706,12 @@ def width_table(
 
 def comfort_table(
     family,
-    lam: complex,
+    lam: complex | None,
     eps_values=None,
 ) -> tuple:
     """Sweep interior energy against its divergence-rate bound."""
 
-    def measure(eps, lam_eps):
+    def measure(eps, lam, lam_eps):
         energy, bound = comfortability_growth(family, eps, lam, lambda_eps=lam_eps)
         return {
             "comfort": energy,
@@ -691,11 +719,12 @@ def comfort_table(
             "comfort_scaled": energy * (1.0 - abs(lam_eps)),
         }
 
-    rows, grid, values = _peak_sweep(family, lam, eps_values, measure)
+    lam, rows, grid, values = _peak_sweep(family, lam, eps_values, measure)
     ratios = values["comfort"] / values["comfort_bound"]
     scaled = values["comfort_scaled"]
     summary = {
         "quantity": "comfort",
+        "lambda_re": lam.real, "lambda_im": lam.imag,
         "points": len(grid),
         "min_ratio_to_bound": float(ratios.min()),
         "growth_band_pass": bool(ratios.min() >= 0.9),

@@ -456,33 +456,15 @@ def _eps_values(eps_grid):
     return parse_eps_grid(eps_grid) if eps_grid is not None else None
 
 
-def _pick_resonance(family, lam_text, eps_values):
-    """Resolve --lambda, defaulting to the resonance that detaches fastest."""
-    if lam_text is not None:
-        return parse_complex_value(lam_text)
-    grid = asymptotics._positive(eps_values)
-    track = asymptotics.track_resonances(family, np.concatenate([[0.0], grid]))
-    if not track.starts:
-        raise click.UsageError(
-            "the eps=0 walk has no unit-circle resonances to track"
-        )
-    finals = np.abs(track.paths[-1])
-    best = int(np.argmin(finals))
-    if finals[best] > 1.0 - 1e-12:
-        raise click.UsageError(
-            "every tracked resonance stays on the unit circle; "
-            "pick one explicitly with --lambda"
-        )
-    return track.starts[best]
-
-
 def _run_peak_table(table, family, lam_text, eps_grid, out, fmt, *split):
-    """Run a peak table (tunneling, width, comfort) on the picked resonance."""
+    """Run a peak table (tunneling, width, comfort) on --lambda, by default
+    on the resonance that detaches fastest."""
     eps_values = _eps_values(eps_grid)
-    lam = _pick_resonance(family, lam_text, eps_values)
-    rows, summary = table(family, lam, *split, eps_values)
-    summary["lambda_re"] = lam.real
-    summary["lambda_im"] = lam.imag
+    lam = None if lam_text is None else parse_complex_value(lam_text)
+    try:
+        rows, summary = table(family, lam, *split, eps_values)
+    except asymptotics.NoDetachingResonance as exc:
+        raise click.UsageError(str(exc))
     _emit(_sweep_table(rows), summary, out, fmt)
     return 0
 

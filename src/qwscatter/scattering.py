@@ -14,11 +14,10 @@ Three constructions of the same object live here:
 * the *resolvent* route expands ``u`` over the stacked Jordan chains
   of the interior matrix: one pole sum, back-substituted along each
   chain,
-* the *expansion* route never forms ``u`` at all — it sums one
-  pole block per off-circle resonance, each block built purely from
-  the resonance's boundary data (tail values of resonant states and
-  co-states), plus the zero-resonance block that also carries the
-  direct tail-to-tail term,
+* the *expansion* route never forms ``u`` at all — it adds to the
+  direct tail-to-tail term the pole blocks of the same stacked chains,
+  built purely from their boundary data (tail values of resonant states
+  and co-states), one product per pole order,
 * the *oracle* solves the linear system head-on and exists so the two
   structured routes can be checked against something with no shared
   machinery.
@@ -33,8 +32,8 @@ points.  An array of ``nz`` points puts one leading axis of length
 ``(nz, n_tails, n_tails)`` stack; a scalar is the one-point case of the
 same computation and returns the shapes without that axis.  What does
 not depend on ``z`` (the drive, the chain coefficients ``W* f``, the
-chain boundary values) is computed once per call, and every check
-names the first offending point.
+boundary values of every chain) is computed once per call, and every
+check names the first offending point.
 
 The routes agree wherever they are all defined; keeping them separate
 is the point, so resist the urge to share intermediate results.
@@ -48,10 +47,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
+    ZERO_VALUE_TOL,
     Cluster,
     EigenSystem,
     NumericalError,
     ZeroCluster,
+    _pole_basis,
     eigen_decompose,
 )
 from .walk import WalkOperator
@@ -133,13 +134,12 @@ def _check_z(z) -> np.ndarray:
     return z
 
 
-def _check_poles(z: np.ndarray, clusters) -> None:
-    """Raise at the first point of ``z`` within the hit tolerance of a cluster value."""
-    gaps = np.abs(z.reshape(-1, 1) - np.array([c.value for c in clusters], dtype=complex))
-    hits = gaps <= EIGENVALUE_HIT_TOL
+def _check_poles(z: np.ndarray, values: np.ndarray) -> None:
+    """Raise at the first point of ``z`` within the hit tolerance of a pole value."""
+    hits = np.abs(z.reshape(-1, 1) - values) <= EIGENVALUE_HIT_TOL
     if np.count_nonzero(hits):
-        point, cluster = divmod(_first(hits), len(clusters))
-        raise AtInteriorResonance(complex(z.reshape(-1)[point]), clusters[cluster].value)
+        point, column = divmod(_first(hits), len(values))
+        raise AtInteriorResonance(complex(z.reshape(-1)[point]), complex(values[column]))
 
 
 def _pole_sum(poles, drive: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -186,7 +186,7 @@ def generalized_eigenfunction(
     amp_in = np.asarray(amp_in, dtype=complex)
     if system is None:
         system = eigen_decompose(walk)
-    _check_poles(z, system.off_circle())
+    _check_poles(z, system.poles.values)
 
     f = walk.tail_to_interior @ amp_in
     scale = np.maximum(1.0, np.linalg.norm(amp_in, axis=0))
@@ -265,76 +265,71 @@ def oracle_direct_solve(
 # Pole blocks (the expansion route)
 
 
-def _chain_boundary_out(walk: WalkOperator, lam: complex, chain: np.ndarray):
-    """Outgoing tail values of every state in a resonance chain, as columns.
+def _pole_blocks(walk: WalkOperator, poles, z: np.ndarray) -> np.ndarray:
+    """The pole blocks of every column of ``poles``, summed at each point of ``z``.
 
-    The chain states extend to the tails, and on the innermost outgoing
-    arcs the walk relation turns into the two-term recursion
-    ``tail_value(l) = (emission(l) - tail_value(l-1)) / λ`` with the
-    emission ``interior_to_tail @ v_l``.
+    The block of a chain at a nonzero λ pairs incoming data α against
+    co-state tail values ``q`` and emits resonant-state tail values ``out``:
+
+        block(z) α = sum_{l,p} <α, λ̄² q_(l+p) + 2 λ̄ q_(l+p+1) + q_(l+p+2)>
+                       * out_l / (z - λ)^(p+1),
+
+    with q zero beyond the chain's end.  ``out = T_it V / λ``, then
+    ``out[:, k+1] -= out[:, k] / λ`` for ``k`` in ``links`` ascending; ``q``
+    runs down each chain the same way from ``T_ti* W``.  A zero-value
+    column has no tail extension and enters with its raw emission and
+    pick-up.  Pole order p is one product over the columns whose chain
+    runs p further.
     """
-    out = walk.interior_to_tail @ chain.T
-    out[:, 0] /= lam
-    for l in range(1, out.shape[1]):
-        out[:, l] = (out[:, l] - out[:, l - 1]) / lam
-    return out
+    values, right, left_h, links = poles
+    zero = np.abs(values) <= ZERO_VALUE_TOL
+    lam = np.where(zero, 0.0, values)
+    lam_bar = lam.conj()
+    unit = np.where(zero, 1.0, lam)
+    follows = np.zeros(len(values), dtype=bool)
+    follows[list(links)] = True
+    steps = [k for k in links if not zero[k]]
 
+    out = (walk.interior_to_tail @ right) / unit
+    for k in steps:
+        out[:, k + 1] -= out[:, k] / lam[k]
+    q = (walk.tail_to_interior.conj().T @ left_h.conj().T) / unit.conj()
+    for k in reversed(steps):
+        q[:, k] -= q[:, k + 1] / lam_bar[k]
+    pairing = np.where(zero, 1.0, lam_bar**2) * q
+    for k in steps:
+        pairing[:, k] += 2 * lam_bar[k] * q[:, k + 1]
+        if follows[k + 1]:
+            pairing[:, k] += q[:, k + 2]
 
-def _chain_boundary_in_co(walk: WalkOperator, lam: complex, co_chain: np.ndarray):
-    """Incoming tail values of the co-states, as columns.
-
-    Same recursion as the outgoing side but running down from the end
-    of the chain (the co-chain relation steps l -> l+1).
-    """
-    lam_bar = np.conj(lam)
-    values = walk.tail_to_interior.conj().T @ co_chain.T
-    values[:, -1] /= lam_bar
-    for l in range(values.shape[1] - 2, -1, -1):
-        values[:, l] = (values[:, l] - values[:, l + 1]) / lam_bar
-    return values
+    nt = walk.n_tails
+    shift = z.reshape(-1, 1) - lam
+    block = np.zeros((len(shift), nt, nt), dtype=complex)
+    columns = np.arange(len(values))
+    power = shift
+    p = 0
+    while columns.size:
+        block += (out[:, columns] / power[:, None, :]) @ pairing[:, columns + p].conj().T
+        further = follows[columns + p]
+        columns = columns[further]
+        power = power[:, further] * shift[:, columns]
+        p += 1
+    return block.reshape(z.shape + (nt, nt))
 
 
 def pole_block(walk: WalkOperator, cluster: Cluster, z) -> np.ndarray:
-    """The rank-structured pole term of one off-circle, nonzero resonance.
+    """The pole term of one off-circle, nonzero resonance (:func:`_pole_blocks`).
 
-    Acting on incoming data α, the block pairs α against shifted
-    combinations of co-state tail values and emits resonant-state tail
-    values:
-
-        block(z) α = sum_{k,l,p} <α, λ̄² q_(l+p) + 2 λ̄ q_(l+p+1) + q_(l+p+2)>
-                       * out_(l) / (z - λ)^(p+1),
-
-    where q are the incoming co-state values and out the outgoing state
-    values of chain k (q beyond the chain's end is zero).  The boundary
-    values are built once per call, and the terms of one pole order p
-    form one product, scaled across every point of ``z``.  Unit-circle
-    clusters have identically zero boundary data and contribute nothing.
+    Unit-circle clusters have zero boundary data and contribute nothing.
     """
     z = _check_z(z)
-    lam = cluster.value
-    nt = walk.n_tails
-    block = np.zeros(z.shape + (nt, nt), dtype=complex)
     if cluster.on_unit_circle:
-        return block
+        return np.zeros(z.shape + (walk.n_tails, walk.n_tails), dtype=complex)
     if cluster.is_zero:
         raise ZeroCluster(
             "the zero resonance has its own block (with the pass-through term)"
         )
-    lam_bar = np.conj(lam)
-    shift = z[..., None, None] - lam
-    for chain, co_chain in zip(cluster.chains, cluster.co_chains):
-        length = chain.shape[0]
-        outs = _chain_boundary_out(walk, lam, chain)
-        q = _chain_boundary_in_co(walk, lam, co_chain)
-        pairing = lam_bar**2 * q
-        pairing[:, :-1] += 2 * lam_bar * q[:, 1:]
-        pairing[:, :-2] += q[:, 2:]
-        power = shift
-        for p in range(length):
-            block += outs[:, : length - p] @ pairing[:, p:].conj().T / power
-            if p + 1 < length:
-                power = power * shift
-    return block
+    return _pole_blocks(walk, _pole_basis([cluster], walk.n_interior), z)
 
 
 def zero_pole_block(walk: WalkOperator, system: EigenSystem, z) -> np.ndarray:
@@ -342,26 +337,13 @@ def zero_pole_block(walk: WalkOperator, system: EigenSystem, z) -> np.ndarray:
 
     Always contains the direct tail-to-tail pass-through; when zero is
     an interior eigenvalue, its chains radiate after one walk step, and
-    those emissions show up as pure powers of 1/z.
+    those emissions show up as pure powers of 1/z (:func:`_pole_blocks`
+    on the zero cluster's chains).
     """
     z = _check_z(z)
-    nt = walk.n_tails
-    block = np.empty(z.shape + (nt, nt), dtype=complex)
-    block[...] = walk.tail_to_tail
     cluster = system.zero_cluster()
-    if cluster is None:
-        return block
-    shift = z[..., None, None]
-    for chain, co_chain in zip(cluster.chains, cluster.co_chains):
-        length = chain.shape[0]
-        emissions = walk.interior_to_tail @ chain.T
-        pickups = walk.tail_to_interior.conj().T @ co_chain.T
-        power = shift
-        for p in range(length):
-            block += emissions[:, : length - p] @ pickups[:, p:].conj().T / power
-            if p + 1 < length:
-                power = power * shift
-    return block
+    poles = _pole_basis([] if cluster is None else [cluster], walk.n_interior)
+    return walk.tail_to_tail + _pole_blocks(walk, poles, z)
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +382,8 @@ def scattering_matrix(
     if route == "resolvent":
         matrix = generalized_eigenfunction(walk, z, np.eye(nt), system).amp_out
     elif route == "expansion":
-        off = system.off_circle()
-        _check_poles(z, off)
-        matrix = zero_pole_block(walk, system, z)
-        for cluster in off:
-            if not cluster.is_zero:
-                matrix += pole_block(walk, cluster, z)
+        _check_poles(z, system.poles.values)
+        matrix = walk.tail_to_tail + _pole_blocks(walk, system.poles, z)
     else:
         raise ValueError(f"unknown route {route!r}")
 

@@ -129,6 +129,24 @@ class PoleBasis(NamedTuple):
     links: tuple  # columns k whose chain continues in column k + 1
 
 
+def _pole_basis(clusters, n0: int) -> PoleBasis:
+    """The chains of ``clusters`` as one basis on ``n0`` interior sites."""
+    empty = np.zeros((n0, 0), dtype=complex)
+    right = np.concatenate([empty] + [c.right_basis() for c in clusters], axis=1)
+    left = np.concatenate([empty] + [c.left_basis() for c in clusters], axis=1)
+    values, links = [], []
+    for c in clusters:
+        for chain in c.chains:
+            links += range(len(values), len(values) + chain.shape[0] - 1)
+            values += [c.value] * chain.shape[0]
+    return PoleBasis(
+        np.array(values, dtype=complex),
+        right,
+        np.ascontiguousarray(left.conj().T),
+        tuple(links),
+    )
+
+
 @dataclass(frozen=True)
 class EigenSystem:
     matrix: np.ndarray
@@ -145,23 +163,9 @@ class EigenSystem:
         chain with ``l`` ascending, so ``M V = V J`` for the Jordan matrix
         ``J`` whose superdiagonal is one exactly at ``links``.  The basis
         depends on neither ``z`` nor the incoming data, so it is built
-        once, and the resolvent route sums every pole in one product.
+        once, and each analytic route sums every pole in one pass.
         """
-        clusters = self.off_circle()
-        empty = np.zeros((self.matrix.shape[0], 0), dtype=complex)
-        right = np.concatenate([empty] + [c.right_basis() for c in clusters], axis=1)
-        left = np.concatenate([empty] + [c.left_basis() for c in clusters], axis=1)
-        values, links = [], []
-        for c in clusters:
-            for chain in c.chains:
-                links += range(len(values), len(values) + chain.shape[0] - 1)
-                values += [c.value] * chain.shape[0]
-        return PoleBasis(
-            np.array(values, dtype=complex),
-            right,
-            np.ascontiguousarray(left.conj().T),
-            tuple(links),
-        )
+        return _pole_basis(self.off_circle(), self.matrix.shape[0])
 
     def on_circle(self):
         return [c for c in self.clusters if c.on_unit_circle]

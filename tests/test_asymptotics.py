@@ -12,6 +12,7 @@ from qwscatter.asymptotics import (
     THETA_TOL,
     THETA_WINDOW,
     NoCrossing,
+    NoDetachingResonance,
     ResonanceOnCircle,
     SimplicityViolated,
     comfort_table,
@@ -371,6 +372,58 @@ def test_every_peak_row_carries_the_peaks_z_star(model):
         assert {row.eps for row in rows} == set(z_star), name
         for row in rows:
             assert row.z == z_star[row.eps], (name, row)
+
+
+@pytest.mark.parametrize("model", ["ms", "cycle4"])
+def test_peak_tables_pick_the_fastest_start_for_lam_none(model, monkeypatch):
+    # lam=None tracks once, picks the start nearest the origin at the last
+    # eps, and gives the same tables as naming that start
+    family, _, split = PEAKS[model]
+    grid = geometric_grid(0.01, 0.05, 3)
+    track = track_resonances(family, np.concatenate([[0.0], grid]))
+    fastest = track.starts[int(np.argmin(np.abs(track.paths[-1])))]
+    calls = []
+    tracker = asymptotics.track_resonances
+
+    def spy(*args):
+        calls.append(args)
+        return tracker(*args)
+
+    monkeypatch.setattr(asymptotics, "track_resonances", spy)
+    tables = {
+        "tunneling": lambda lam: tunneling_table(family, lam, split, grid),
+        "width": lambda lam: width_table(family, lam, split, grid),
+        "comfort": lambda lam: comfort_table(family, lam, grid),
+    }
+    for name, table in tables.items():
+        del calls[:]
+        rows, summary = table(None)
+        assert len(calls) == 1, name
+        assert complex(summary["lambda_re"], summary["lambda_im"]) == fastest
+        assert (rows, summary) == table(fastest), name
+
+
+def test_lam_none_needs_a_resonance_that_leaves_the_circle():
+    grid = geometric_grid(0.01, 0.05, 3)
+    with pytest.raises(NoDetachingResonance, match="stays on the unit circle"):
+        comfort_table(crossing_family(0.8), None, grid)
+
+
+def test_a_lambda_that_names_no_start_is_rejected():
+    family = cycle_family(4, [1.0] * 4)
+    grid = geometric_grid(0.01, 0.1, 3)
+    with pytest.raises(ValueError, match="names none of the tracked resonances"):
+        width_table(family, 0.2, (1, 2), grid)
+    track = track_resonances(family, np.concatenate([[0.0], grid]))
+    # the start 1 lies sqrt(2) from the next, so it is named from 0.35
+    # (0.65 away) but not from 0.25 (0.75 away)
+    assert track.starts[track.column(0.35)] == 1.0
+    with pytest.raises(ValueError, match="names none"):
+        track.path(0.25)
+    # two-loop: exp(0.42j) lies 1.03e-3 from its start
+    family, lam, _ = PEAKS["two_loop"]
+    track = track_resonances(family, [0.0, 0.01])
+    assert abs(track.starts[track.column(lam)] - lam) <= 1.1e-3
 
 
 def test_remainder_constant_stays_finite():

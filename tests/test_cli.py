@@ -604,6 +604,47 @@ def test_sweep_default_lambda_needs_a_circle_resonance(tmp_path):
     assert "no unit-circle resonances to track" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tunneling", "--model", "ms", "--J", "1"],
+        ["width", "--model", "cycle", "--N", "4", "--J", "1,2"],
+        ["comfort", "--model", "cycle", "--N", "4"],
+    ],
+    ids=["tunneling", "width", "comfort"],
+)
+def test_sweep_default_lambda_tracks_the_grid_once(monkeypatch, argv):
+    calls = []
+    tracker = cli.asymptotics.track_resonances
+
+    def spy(*args):
+        calls.append(args)
+        return tracker(*args)
+
+    monkeypatch.setattr(cli.asymptotics, "track_resonances", spy)
+    code, out, _ = run_cli(
+        ["sweep"] + argv + ["--eps-grid", "0.02:0.05:2", "--format", "json"]
+    )
+    assert code == 0
+    assert len(calls) == 1
+    summary = json.loads(out)["summary"]
+    assert abs(complex(summary["lambda_re"], summary["lambda_im"])) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "model", [["cycle", "--N", "4", "--J", "1,2"], ["ms", "--J", "1"]], ids=["cycle4", "ms"]
+)
+def test_sweep_lambda_must_name_a_tracked_resonance(model):
+    code, _, err = run_cli(
+        ["sweep", "width", "--model"] + model
+        + ["--lambda", "0.2", "--eps-grid", "0.01:0.1:3"]
+    )
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation"
+    assert "lambda = 0.2+0j names none of the tracked resonances" in error["message"]
+
+
 def test_sweep_out_file_keeps_summary_on_stdout(tmp_path):
     target = tmp_path / "sweep.csv"
     code, out, _ = run_cli(

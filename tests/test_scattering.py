@@ -297,6 +297,14 @@ TWO_CHAINS = np.array(
 )
 
 
+# chains of length 2 at -0.4i, 2 at 0, 3 at 0.5 and a simple 0.9: stacked,
+# the links meet cluster boundaries and the zero cluster sits inside
+MIXED = np.diag([0, 0, 0.5, 0.5, 0.5, 0.9, -0.4j, -0.4j]) + np.diag(
+    [1, 0, 1, 1, 0, 0, 1], 1
+)
+MIXED_LENGTHS = [[2], [2], [3], [1]]
+
+
 def test_resolvent_steps_through_a_nonzero_jordan_chain():
     # the resolvent route must back-substitute along every chain, top down;
     # chain lengths per off-circle cluster
@@ -304,6 +312,7 @@ def test_resolvent_steps_through_a_nonzero_jordan_chain():
         (jordan_standin(0.5), [[2], [1]]),
         (coupled_to_two_tails(JORDAN3), [[3], [1]]),
         (coupled_to_two_tails(TWO_CHAINS), [[2, 1], [1]]),
+        (coupled_to_two_tails(MIXED), MIXED_LENGTHS),
     ]
     for walk, lengths in cases:
         system = eigen_decompose(walk)
@@ -318,23 +327,45 @@ def test_resolvent_steps_through_a_nonzero_jordan_chain():
 
 
 @pytest.mark.parametrize(
-    "walk, length",
+    "walk, lengths",
     [
-        (jordan_standin(0.5), 2),
-        (jordan_standin(0.0), 2),
-        (coupled_to_two_tails(JORDAN3), 3),
+        (jordan_standin(0.5), [[2], [1]]),
+        (jordan_standin(0.0), [[2], [1]]),
+        (coupled_to_two_tails(JORDAN3), [[3], [1]]),
+        (coupled_to_two_tails(TWO_CHAINS), [[2, 1], [1]]),
+        (coupled_to_two_tails(MIXED), MIXED_LENGTHS),
     ],
-    ids=["pole_block", "zero_pole_block", "pole_block_length3"],
+    ids=["pole_block", "zero_pole_block", "pole_block_length3", "two_chains", "mixed"],
 )
-def test_expansion_steps_through_jordan_chains(walk, length):
-    # every pole order of one Jordan chain; the third co-state term of the
-    # pairing only reaches a chain of length 3
+def test_expansion_steps_through_jordan_chains(walk, lengths):
+    # every pole order of every Jordan chain; the third co-state term of the
+    # pairing only reaches a chain of length 3; chain lengths per off-circle
+    # cluster
     system = eigen_decompose(walk)
-    assert [c.chains[0].shape[0] for c in system.off_circle()] == [length, 1]
+    assert [[c.shape[0] for c in cl.chains] for cl in system.off_circle()] == lengths
     for z in JORDAN_ZS:
         sigma = scattering_matrix(walk, z, "expansion", system).matrix
         _, oracle = oracle_direct_solve(walk, z, np.eye(2))
         assert np.abs(sigma - oracle).max() <= ROUTE_TOL
+
+
+@pytest.mark.parametrize(
+    "walk", [ms_walk(0.35), coupled_to_two_tails(MIXED)], ids=["ms", "mixed"]
+)
+def test_the_routes_do_not_share_a_pole_sum(walk, monkeypatch):
+    # each analytic route must stand without the other's pole sum
+    system = eigen_decompose(walk)
+    points = np.array(JORDAN_ZS)
+    _, oracle = oracle_direct_solve(walk, points, np.eye(2))
+
+    def fail(*args):
+        raise AssertionError("one route ran the other's pole sum")
+
+    for route, other in [("expansion", "_pole_sum"), ("resolvent", "_pole_blocks")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(scattering, other, fail)
+            sigma = scattering_matrix(walk, points, route, system).matrix
+        assert np.abs(sigma - oracle).max() <= ROUTE_TOL, route
 
 
 @pytest.mark.parametrize(
