@@ -14,7 +14,7 @@ the corresponding asymptotic statements into measurements:
 * :func:`tunneling_check` evaluates the resonant-tunneling picture at a
   single (eps, resonance, channel-split) triple,
 * :func:`peak_width` measures the half-height width of a transmission
-  peak by bisection,
+  peak by a bracketed root search (Illinois-rule regula falsi),
 * :func:`comfortability_growth` compares the interior energy against its
   divergence rate (1 + |lambda|) |lambda|^2 / (1 - |lambda|).
 
@@ -33,6 +33,7 @@ import numpy as np
 
 from .scattering import (
     comfortability,
+    generalized_eigenfunction,
     pole_block,
     scattering_matrix,
     transmission_reflection,
@@ -53,7 +54,8 @@ SECOND_ORDER_BAND = (1.8, 2.2)
 WIDTH_REL_SLACK = 0.2
 # Transmission counts as a resonant peak when it exceeds this.
 PEAK_FLOOR = 0.9
-# Angular bisection tolerance for half-height crossings.
+# Angular tolerance for half-height crossings: each side's final bracket
+# is at most this wide.
 THETA_TOL = 1e-12
 # Half-height scans stay within this angular window of the peak.
 THETA_WINDOW = np.pi / 4
@@ -408,7 +410,14 @@ def tunneling_check(
     weight_out = float(np.linalg.norm(np.where(~mask, peak.profile, 0.0)))
     symmetry_residual = abs(weight_in - weight_out)
 
-    sigma, t_peak, r_peak = _transmission(peak, peak.z_star, channels, amp_in)
+    # one solve at z* scatters every tail and the profile: Σ(z*) and the
+    # interior wave whose energy is the comfortability
+    nt = peak.walk.n_tails
+    solution = generalized_eigenfunction(
+        peak.walk, peak.z_star, np.column_stack([np.eye(nt), peak.profile]), peak.system
+    )
+    sigma = solution.amp_out[:, :nt]
+    t_peak, r_peak = transmission_reflection(sigma, channels, amp_in)
     exit_profile = np.where(~mask, peak.boundary.out_data, 0.0)
     exit_norm = float(np.linalg.norm(exit_profile))
     if exit_norm < 1e-15:
@@ -419,7 +428,7 @@ def tunneling_check(
     measured = None
     if t_peak >= PEAK_FLOOR:
         try:
-            theta_minus, theta_plus = _half_height_window(peak, channels, amp_in)
+            theta_minus, theta_plus = _half_height_window(peak, channels, amp_in, t_peak)
             measured = theta_plus - theta_minus
         except NoCrossing:
             pass
@@ -436,28 +445,34 @@ def tunneling_check(
         out_channel_overlap=overlap,
         peak_width_measured=measured,
         peak_width_predicted=2.0 * (1.0 - abs(peak.lam_eps)),
-        comfortability_value=comfortability(
-            peak.walk, peak.z_star, peak.profile, peak.system
-        ),
+        comfortability_value=float(np.linalg.norm(solution.interior[:, nt]) ** 2),
         comfortability_bound=comfortability_bound(peak.lam_eps),
     )
 
 
-def _half_height_window(peak: _Peak, channels, amp_in) -> tuple:
-    """Bisect for the half-height angles on both sides of the peak.
+def _half_height_window(peak: _Peak, channels, amp_in, t_peak: float) -> tuple:
+    """Find the half-height angles on both sides of the peak.
 
     One stacked Σ evaluates the doubling steps
     ``max((1 - |λ_ε|)/16, 1e-12) * 2^k <= THETA_WINDOW`` on both sides;
-    the first step below one half and the step before it (or 0) bracket
-    each crossing.  Both brackets are then bisected to ``THETA_TOL``
-    together, one Σ over the sides still open per step.
+    the first step below one half and the step before it (or 0, where T
+    is ``t_peak``) bracket each crossing.  Both brackets are then closed
+    to ``THETA_TOL`` together, one Σ over the sides still open per step,
+    by regula falsi on T - 1/2 with the Illinois rule (Dowell & Jarratt,
+    1971): an end kept twice in a row has its value halved, so neither
+    end stalls.  Each side steps on its own evaluated values.  A step
+    closer than ``THETA_TOL/2`` to an end moves out to that distance, so
+    once one end sits on the crossing the next step closes the bracket.
+    A step off the bracket, or any step once the bracket has not halved
+    in three steps, bisects instead, so a bracket halves at least every
+    four steps.  Each side returns the midpoint of its closed bracket.
     """
     base = cmath.phase(peak.z_star)
     sides = np.array([-1.0, 1.0])
 
-    def below_half(theta):
+    def excess(theta):
         t = _transmission(peak, np.exp(1j * (base + theta)), channels, amp_in)[1]
-        return t < 0.5
+        return t - 0.5
 
     steps = []
     step = max((1.0 - abs(peak.lam_eps)) / 16.0, 1e-12)
@@ -465,19 +480,36 @@ def _half_height_window(peak: _Peak, channels, amp_in) -> tuple:
         steps.append(step)
         step *= 2.0
     steps = np.array(steps)
-    below = below_half(np.outer(sides, steps).reshape(-1)).reshape(2, -1)
-    if not below.any(axis=1).all():
+    g = excess(np.outer(sides, steps).reshape(-1)).reshape(2, -1)
+    if not (g < 0).any(axis=1).all():
         raise NoCrossing(
             f"transmission stays above 1/2 within {THETA_WINDOW:.3f} rad"
         )
-    first = np.argmax(below, axis=1)
-    high = steps[first]
+    first = np.argmax(g < 0, axis=1)
+    high, g_high = steps[first], g[[0, 1], first]
     low = np.where(first > 0, steps[first - 1], 0.0)
+    g_low = np.where(first > 0, g[[0, 1], first - 1], t_peak - 0.5)
+    # per side: +1 when the last step kept the low end, -1 the high end
+    kept = np.zeros(2)
+    width_before = np.full((3, 2), np.inf)  # one, two and three steps ago
+    near = 0.5 * THETA_TOL
     while (open_ := high - low > THETA_TOL).any():
-        mid = 0.5 * (low[open_] + high[open_])
-        hit = below_half(sides[open_] * mid)
-        high[open_] = np.where(hit, mid, high[open_])
-        low[open_] = np.where(hit, low[open_], mid)
+        lo, hi, g_lo, g_hi = low[open_], high[open_], g_low[open_], g_high[open_]
+        width = hi - lo
+        theta = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        bisect = ~((lo <= theta) & (theta <= hi)) | (width > 0.5 * width_before[2, open_])
+        theta = np.where(bisect, 0.5 * (lo + hi), np.clip(theta, lo + near, hi - near))
+        g_theta = excess(sides[open_] * theta)
+        hit = g_theta < 0
+        now = np.where(hit, 1.0, -1.0)
+        halve = np.where(kept[open_] == now, 0.5, 1.0)
+        low[open_] = np.where(hit, lo, theta)
+        g_low[open_] = np.where(hit, halve * g_lo, g_theta)
+        high[open_] = np.where(hit, theta, hi)
+        g_high[open_] = np.where(hit, g_theta, halve * g_hi)
+        kept[open_] = now
+        width_before[1:, open_] = width_before[:-1, open_]
+        width_before[0, open_] = width
     theta = sides * 0.5 * (low + high)
     return float(theta[0]), float(theta[1])
 
@@ -493,7 +525,8 @@ def peak_width(
 
     The transmission through the ``split`` channels is scanned away from
     z* = lambda_eps/|lambda_eps| until it first falls below one half on
-    each side; each crossing is then bisected to ``THETA_TOL``.
+    each side; each crossing is then closed to ``THETA_TOL`` by a
+    safeguarded regula falsi (:func:`_half_height_window`).
     """
     peak = _peak(family, eps, lam, lambda_eps)
     channels, _, amp_in = _split(peak, split)
@@ -503,7 +536,7 @@ def peak_width(
             f"transmission {t_peak:.3f} at the peak is below {PEAK_FLOOR}; "
             "nothing to measure"
         )
-    return _half_height_window(peak, channels, amp_in)
+    return _half_height_window(peak, channels, amp_in, t_peak)
 
 
 def comfortability_bound(lambda_eps: complex) -> float:
@@ -760,10 +793,8 @@ def remainder_table(
     for i, eps in enumerate(grid):
         walk = family(eps)
         system = eigen_decompose(walk)
-        approx = s_zero
-        for k in range(len(track.starts)):
-            cluster = system.nearest_cluster(track.paths[i + 1, k])
-            approx = approx + pole_block(walk, cluster, z_points)
+        clusters = [system.nearest_cluster(value) for value in track.paths[i + 1]]
+        approx = s_zero + pole_block(walk, clusters, z_points)
         sigma = scattering_matrix(walk, z_points, route, system).matrix
         residuals = np.linalg.norm(sigma - approx, 2, axis=(1, 2))
         worst = int(np.argmax(residuals))

@@ -317,19 +317,22 @@ def _pole_blocks(walk: WalkOperator, poles, z: np.ndarray) -> np.ndarray:
     return block.reshape(z.shape + (nt, nt))
 
 
-def pole_block(walk: WalkOperator, cluster: Cluster, z) -> np.ndarray:
-    """The pole term of one off-circle, nonzero resonance (:func:`_pole_blocks`).
+def pole_block(walk: WalkOperator, clusters, z) -> np.ndarray:
+    """The summed pole terms of off-circle, nonzero resonances (:func:`_pole_blocks`).
 
-    Unit-circle clusters have zero boundary data and contribute nothing.
+    ``clusters`` is one :class:`Cluster` or a sequence of them, stacked
+    into one basis; a cluster named twice is added twice.  Unit-circle
+    clusters have zero boundary data and contribute nothing.
     """
     z = _check_z(z)
-    if cluster.on_unit_circle:
-        return np.zeros(z.shape + (walk.n_tails, walk.n_tails), dtype=complex)
-    if cluster.is_zero:
+    if isinstance(clusters, Cluster):
+        clusters = [clusters]
+    clusters = [c for c in clusters if not c.on_unit_circle]
+    if any(c.is_zero for c in clusters):
         raise ZeroCluster(
             "the zero resonance has its own block (with the pass-through term)"
         )
-    return _pole_blocks(walk, _pole_basis([cluster], walk.n_interior), z)
+    return _pole_blocks(walk, _pole_basis(clusters, walk.n_interior), z)
 
 
 def zero_pole_block(walk: WalkOperator, system: EigenSystem, z) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qwscatter.asymptotics as asymptotics
+import qwscatter.scattering as scattering
 from qwscatter.asymptotics import (
     FIRST_ORDER_BAND,
     SECOND_ORDER_BAND,
@@ -38,7 +39,12 @@ from qwscatter.models import (
     cycle_family,
     matrix_schrodinger_family,
 )
-from qwscatter.scattering import pole_block, scattering_matrix, transmission_reflection
+from qwscatter.scattering import (
+    comfortability,
+    pole_block,
+    scattering_matrix,
+    transmission_reflection,
+)
 from qwscatter.spectral import boundary_data, eigen_decompose
 from qwscatter.walk import assemble
 
@@ -154,9 +160,44 @@ def test_peak_width_needs_balanced_split():
         peak_width(fam, 0.05, 1.0, (1,))
 
 
-def half_height_by_scalar_search(family, eps, lam, split):
-    # the scalar doubling and bisection the stacked search replaced, one
-    # Σ per probe, kept as its reference
+def bisect_side(t_at, sign, low, t_low, high, t_high):
+    # plain bisection, one Σ per probe
+    while high - low > THETA_TOL:
+        mid = 0.5 * (low + high)
+        if t_at(sign * mid) < 0.5:
+            high = mid
+        else:
+            low = mid
+    return sign * 0.5 * (low + high)
+
+
+def illinois_side(t_at, sign, low, t_low, high, t_high):
+    # the stacked search's rule on one side alone
+    g_low, g_high = t_low - 0.5, t_high - 0.5
+    kept, width_before = 0.0, [np.inf] * 3
+    while high - low > THETA_TOL:
+        width = high - low
+        theta = (low * g_high - high * g_low) / (g_high - g_low)
+        if not low <= theta <= high or width > 0.5 * width_before[2]:
+            theta = 0.5 * (low + high)
+        else:
+            theta = min(max(theta, low + 0.5 * THETA_TOL), high - 0.5 * THETA_TOL)
+        g = t_at(sign * theta) - 0.5
+        now = 1.0 if g < 0 else -1.0
+        halve = 0.5 if kept == now else 1.0
+        if g < 0:
+            high, g_high, g_low = theta, g, halve * g_low
+        else:
+            low, g_low, g_high = theta, g, halve * g_high
+        kept = now
+        width_before = [width] + width_before[:2]
+    return sign * 0.5 * (low + high)
+
+
+def half_height_by_scalar_search(family, eps, lam, split, close=bisect_side):
+    # the scalar doubling the stacked search replaced, one Σ per probe,
+    # each side then closed by ``close``; with bisection it is the
+    # reference every width answers to
     walk = family(eps)
     system = eigen_decompose(walk)
     cluster = system.nearest_cluster(track_resonances(family, [0.0, eps]).at(eps, lam))
@@ -164,30 +205,24 @@ def half_height_by_scalar_search(family, eps, lam, split):
     mask = np.isin(np.arange(1, walk.n_tails + 1), split)
     restricted = np.where(mask, in_co / np.linalg.norm(in_co), 0.0)
     amp_in = restricted / np.linalg.norm(restricted)
-    base = cmath.phase(cluster.value / abs(cluster.value))
+    z_star = cluster.value / abs(cluster.value)
+    base = cmath.phase(z_star)
 
     def t_at(theta):
-        sigma = scattering_matrix(walk, cmath.exp(1j * (base + theta)), system=system).matrix
+        z = z_star if theta == 0.0 else cmath.exp(1j * (base + theta))
+        sigma = scattering_matrix(walk, z, system=system).matrix
         return transmission_reflection(sigma, set(split), amp_in)[0]
 
     def crossing(sign):
-        low = 0.0
+        low, t_low = 0.0, t_at(0.0)
         step = max((1.0 - abs(cluster.value)) / 16.0, 1e-12)
         while step <= THETA_WINDOW:
-            if t_at(sign * step) < 0.5:
-                high = step
-                break
-            low = step
+            t = t_at(sign * step)
+            if t < 0.5:
+                return close(t_at, sign, low, t_low, step, t)
+            low, t_low = step, t
             step *= 2.0
-        else:
-            raise NoCrossing("no crossing")
-        while high - low > THETA_TOL:
-            mid = 0.5 * (low + high)
-            if t_at(sign * mid) < 0.5:
-                high = mid
-            else:
-                low = mid
-        return sign * 0.5 * (low + high)
+        raise NoCrossing("no crossing")
 
     return crossing(-1), crossing(+1)
 
@@ -218,6 +253,20 @@ PEAKS = {
 @pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.05, 0.3, 0.7])
 @pytest.mark.parametrize("model", sorted(PEAKS))
 def test_peak_width_matches_the_scalar_search_bit_for_bit(model, eps):
+    # both sides stepped in one stacked Σ give the bits of each side alone
+    family, lam, split = PEAKS[model]
+    try:
+        expected = half_height_by_scalar_search(family, eps, lam, split, illinois_side)
+    except NoCrossing:
+        with pytest.raises(NoCrossing):
+            peak_width(family, eps, lam, split)
+        return
+    assert peak_width(family, eps, lam, split) == expected
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.05, 0.3, 0.7])
+@pytest.mark.parametrize("model", sorted(PEAKS))
+def test_peak_width_straddles_the_bisected_crossing(model, eps):
     family, lam, split = PEAKS[model]
     try:
         expected = half_height_by_scalar_search(family, eps, lam, split)
@@ -225,7 +274,46 @@ def test_peak_width_matches_the_scalar_search_bit_for_bit(model, eps):
         with pytest.raises(NoCrossing):
             peak_width(family, eps, lam, split)
         return
-    assert peak_width(family, eps, lam, split) == expected
+    got = peak_width(family, eps, lam, split)
+    assert np.all(np.abs(np.subtract(got, expected)) <= THETA_TOL)
+    # T >= 1/2 just inside each crossing and < 1/2 just outside, through Σ
+    walk = family(eps)
+    lam_eps = track_resonances(family, [0.0, eps]).at(eps, lam)
+    cluster = eigen_decompose(walk).nearest_cluster(lam_eps)
+    in_co = boundary_data(walk, cluster).in_data_co
+    amp_in = np.where(np.isin(np.arange(1, walk.n_tails + 1), split), in_co, 0.0)
+    amp_in = amp_in / np.linalg.norm(amp_in)
+    base = cmath.phase(cluster.value / abs(cluster.value))
+    for theta in got:
+        inside, outside = (np.sign(theta) * (abs(theta) + d) for d in (-THETA_TOL, THETA_TOL))
+        z = np.exp(1j * (base + np.array([inside, outside])))
+        t, _ = transmission_reflection(scattering_matrix(walk, z).matrix, set(split), amp_in)
+        assert t[0] >= 0.5 > t[1], (theta, t)
+
+
+def test_a_crossing_inside_the_first_step_starts_from_t_peak(monkeypatch):
+    # a synthetic peak narrower than the first doubling step: the bracket
+    # is [0, step], whose low end is z* itself with T = t_peak, not 1
+    family, lam, split = PEAKS["ms"]
+    peak = asymptotics._peak(family, 0.05, lam)
+    channels, _, amp_in = asymptotics._split(peak, split)
+    step = (1.0 - abs(peak.lam_eps)) / 16.0
+    t_peak, gamma = 0.95, step / 4.0
+
+    def lorentzian(z):
+        return t_peak / (1.0 + (np.angle(z / peak.z_star) / gamma) ** 2)
+
+    def t_at(theta):
+        return lorentzian(np.exp(1j * (cmath.phase(peak.z_star) + theta)))
+
+    monkeypatch.setattr(
+        asymptotics, "_transmission", lambda peak_, z, *args: (None, lorentzian(z), None)
+    )
+    assert t_at(-step) < 0.5 and t_at(step) < 0.5
+    expected = tuple(illinois_side(t_at, s, 0.0, t_peak, step, t_at(s * step)) for s in (-1, 1))
+    assert asymptotics._half_height_window(peak, channels, amp_in, t_peak) == expected
+    crossing = gamma * np.sqrt(2 * t_peak - 1)
+    assert np.all(np.abs(np.abs(expected) - crossing) <= THETA_TOL)
 
 
 def test_two_loop_peak_is_asymmetric():
@@ -247,10 +335,9 @@ def test_a_peak_wider_than_the_window_has_no_crossing(family, eps, lam, split):
     assert report.peak_width_measured is None
 
 
-@pytest.mark.parametrize("model", sorted(PEAKS))
-def test_peak_width_makes_few_sigma_calls(monkeypatch, model):
+def sigma_calls_per_width(monkeypatch, model, eps):
     family, lam, split = PEAKS[model]
-    lambda_eps = track_resonances(family, [0.0, 0.01]).at(0.01, lam)
+    lambda_eps = track_resonances(family, [0.0, eps]).at(eps, lam)
     calls = []
     solve = asymptotics.scattering_matrix
 
@@ -259,8 +346,45 @@ def test_peak_width_makes_few_sigma_calls(monkeypatch, model):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(asymptotics, "scattering_matrix", spy)
-    peak_width(family, 0.01, lam, split, lambda_eps=lambda_eps)
-    assert len(calls) <= 32
+    peak_width(family, eps, lam, split, lambda_eps=lambda_eps)
+    return len(calls)
+
+
+@pytest.mark.parametrize("model", sorted(PEAKS))
+def test_peak_width_makes_few_sigma_calls(monkeypatch, model):
+    # z*, the doubling stack and the regula falsi steps
+    assert sigma_calls_per_width(monkeypatch, model, 0.01) <= 12
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.05, 0.3])
+@pytest.mark.parametrize("model", sorted(PEAKS))
+def test_peak_width_stays_cheap_across_eps(monkeypatch, model, eps):
+    assert sigma_calls_per_width(monkeypatch, model, eps) <= 16
+
+
+@pytest.mark.parametrize("model", sorted(PEAKS))
+def test_tunneling_check_solves_once_at_z_star(monkeypatch, model):
+    # Σ(z*) and the profile's interior wave come from one resolvent solve
+    family, lam, split = PEAKS[model]
+    lambda_eps = track_resonances(family, [0.0, 0.01]).at(0.01, lam)
+    shifts = []
+    pole_sum = scattering._pole_sum
+
+    def spy(poles, drive, shift):
+        shifts.append(shift.reshape(-1))
+        return pole_sum(poles, drive, shift)
+
+    monkeypatch.setattr(scattering, "_pole_sum", spy)
+    report = tunneling_check(family, 0.01, lam, split, lambda_eps=lambda_eps)
+    assert sum(len(s) == 1 and s[0] == report.z_star for s in shifts) == 1
+    # the same numbers as a solve per quantity
+    peak = asymptotics._peak(family, 0.01, lam, lambda_eps)
+    _, _, amp_in = asymptotics._split(peak, split)
+    sigma = scattering_matrix(peak.walk, peak.z_star, system=peak.system).matrix
+    t_peak, _ = transmission_reflection(sigma, set(split), amp_in)
+    assert report.t_at_peak == pytest.approx(t_peak, rel=1e-14)
+    energy = comfortability(peak.walk, peak.z_star, peak.profile, peak.system)
+    assert report.comfortability_value == pytest.approx(energy, rel=1e-14)
 
 
 def test_comfortability_growth_and_bound():

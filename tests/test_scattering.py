@@ -34,7 +34,13 @@ from qwscatter.scattering import (
     transmission_reflection,
     zero_pole_block,
 )
-from qwscatter.spectral import Cluster, EigenSystem, eigen_decompose, resonance_set
+from qwscatter.spectral import (
+    Cluster,
+    EigenSystem,
+    ZeroCluster,
+    eigen_decompose,
+    resonance_set,
+)
 from qwscatter.walk import assemble
 
 ROUTE_TOL = 1e-10
@@ -366,6 +372,27 @@ def test_the_routes_do_not_share_a_pole_sum(walk, monkeypatch):
             patch.setattr(scattering, other, fail)
             sigma = scattering_matrix(walk, points, route, system).matrix
         assert np.abs(sigma - oracle).max() <= ROUTE_TOL, route
+
+
+def test_pole_block_sums_a_sequence_of_clusters():
+    # one stack over the named clusters: a cluster named twice is added
+    # twice, on-circle clusters add nothing and the zero cluster is refused
+    walk = coupled_to_two_tails(MIXED)
+    system = eigen_decompose(walk)
+    z = np.array(JORDAN_ZS)
+    nonzero = [c for c in system.clusters if not c.is_zero]
+    blocks = [pole_block(walk, c, z) for c in nonzero]
+    summed = pole_block(walk, nonzero + nonzero[:1], z)
+    assert np.abs(summed - sum(blocks) - blocks[0]).max() <= 1e-13
+    with pytest.raises(ZeroCluster):
+        pole_block(walk, system.clusters, z)
+    ms = ms_walk(0.35)
+    system = eigen_decompose(ms)
+    assert system.on_circle()
+    assert not np.any(pole_block(ms, system.on_circle(), z))
+    nonzero = [c for c in system.clusters if not c.is_zero]
+    off_circle = [c for c in nonzero if not c.on_unit_circle]
+    assert np.array_equal(pole_block(ms, nonzero, z), pole_block(ms, off_circle, z))
 
 
 @pytest.mark.parametrize(
