@@ -61,7 +61,6 @@ from .line import (
     near_reflective_coin,
     rotation_coin,
     transfer_matrix,
-    triple_barrier,
 )
 from .modelfile import ModelFileError, family_from_file, load_model, save_model
 from .models import (

@@ -158,7 +158,15 @@ def parse_numbers(text: str, kind, option: str) -> list:
 
 
 def load_family(model: str, n_vertices, strengths) -> ModelFamily:
-    """Resolve ``--model``: a ``BUILTIN_FAMILIES`` key or a model file path."""
+    """Resolve ``--model``: a ``BUILTIN_FAMILIES`` key or a model file path.
+
+    ``--N`` belongs to ``cycle`` and ``--c`` to ``cycle`` and ``crossing``;
+    either one given to a model that would ignore it is a usage error.
+    """
+    if n_vertices is not None and model != "cycle":
+        raise click.UsageError(f"--N applies only to --model cycle, not {model!r}")
+    if strengths is not None and model not in ("cycle", "crossing"):
+        raise click.UsageError(f"--c applies only to --model cycle or crossing, not {model!r}")
     if model == "ms":
         return BUILTIN_FAMILIES["ms"]()
     if model == "cycle":
@@ -542,28 +550,24 @@ def comfort(model, n_vertices, strengths, lam_text, eps_grid, out, fmt):
 @click.option(
     "--check-routes",
     is_flag=True,
-    help="cross-check the closed form against the graph pipeline; exit 2 on mismatch",
+    help="cross-check the transfer-matrix product against the graph pipeline; exit 2 on mismatch",
 )
 @output_options
 def barrier(r_text, positions_text, z_count, check_routes, out, fmt):
-    """Transmission and reflection of a two- or three-barrier line around the circle."""
+    """Transmission and reflection of a line with any number of barriers around the circle."""
     if z_count < 1:
         raise click.UsageError("--z-grid must be positive")
     strengths = parse_numbers(r_text, float, "--r")
     positions = parse_numbers(positions_text, int, "--positions")
     spec = BarrierSpec(positions, tuple(rotation_coin(r) for r in strengths))
-    summary = {
-        "peak_angles": [cmath.phase(p) for p in barrier_scattering(spec, 1j).peaks]
-    }
-    angles = [2.0 * cmath.pi * k / z_count for k in range(z_count)]
-    points = [cmath.exp(1j * angle) for angle in angles]
-    closed = [barrier_scattering(spec, z) for z in points]
-    t = np.array([c.transmission for c in closed])
-    r = np.array([c.reflection for c in closed])
+    angles = 2.0 * np.pi * np.arange(z_count) / z_count
+    grid = np.exp(1j * angles)
+    product = barrier_scattering(spec, grid)
+    t, r = product.transmission, product.reflection
+    summary = {"peak_angles": [cmath.phase(p) for p in product.peaks]}
     if check_routes:
         graph, coins = line_to_graph(spec)
         walk = assemble(graph, eval_coins(coins, 0.0))
-        grid = np.array(points)
         sigma = scattering_matrix(walk, grid, "resolvent", eigen_decompose(walk)).matrix
         # |Sigma_12|^2 = |Sigma_21|^2 = t and |Sigma_11|^2 = |Sigma_22|^2 = r
         want = np.stack([np.stack([r, t], axis=1), np.stack([t, r], axis=1)], axis=1)

@@ -1,17 +1,19 @@
 """Quantum walks on the integer line with a finite number of coin barriers.
 
 A line walk is free (pure shift) everywhere except at finitely many
-*barrier* sites, each carrying a 2x2 unitary coin.  For two or three
-barriers the transmission and reflection coefficients have closed forms,
-which this module evaluates directly; :func:`line_to_graph` embeds the
-same system into the general tailed-graph framework so the two results
-can be cross-checked through the full scattering pipeline.
+*barrier* sites, each carrying a 2x2 unitary coin.  For any number of
+barriers the transmission and reflection coefficients come from one
+product of 2x2 transfer matrices, evaluated for a scalar z or a whole
+1-d array of z at once; :func:`line_to_graph` embeds the same system into
+the general tailed-graph framework so the two results can be
+cross-checked through the full scattering pipeline.
 
 Conventions.  The left barrier always sits at position 0.  The incident
 wave comes from the left with amplitude normalised so that the state at
 x <= -1 is (z^x, 0)^T; the transmission coefficient is read off past the
-last barrier.  Closed forms are evaluated as written -- no transfer
-matrices are iterated, so nothing overflows for |z| != 1.
+last barrier.  Off the unit circle the product's entries grow like
+|z|^{+-x_last}, as the closed forms do, so a line with x_last = 300 stays
+finite at |z| = 1/2 and 2.
 """
 
 from __future__ import annotations
@@ -78,12 +80,6 @@ class BarrierSpec:
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "coins", coins)
 
-    def coin_at(self, x: int) -> np.ndarray:
-        for pos, coin in zip(self.positions, self.coins):
-            if pos == x:
-                return coin
-        return np.eye(2, dtype=complex)
-
 
 def rotation_coin(r: float) -> np.ndarray:
     """The one-parameter real coin [[sqrt(1-r^2), r], [-r, sqrt(1-r^2)]]."""
@@ -117,31 +113,35 @@ def _det(coin) -> complex:
     return coin[0, 0] * coin[1, 1] - coin[0, 1] * coin[1, 0]
 
 
-def transfer_matrix(coin, z: complex) -> np.ndarray:
+def transfer_matrix(coin, z) -> np.ndarray:
     """One-site transfer matrix (1/C11) [[z, -C12], [C21, det(C)/z]].
 
     Propagates the pair (left-moving amplitude at x, right-moving amplitude
-    at x+1) across the site x carrying the given coin.
+    at x+1) across the site x carrying the given coin.  A 1-d array of
+    ``nz`` points returns an ``(nz, 2, 2)`` stack.
     """
     coin = np.asarray(coin, dtype=complex)
     _check_corners(coin)
-    if z == 0:
-        raise ZeroCorner(z)
-    return (
-        np.array([[z, -coin[0, 1]], [coin[1, 0], _det(coin) / z]], dtype=complex)
-        / coin[0, 0]
-    )
+    z = np.asarray(z, dtype=complex)
+    if z.ndim > 1:
+        raise ValueError(f"z must be a scalar or a 1-d array, got shape {z.shape}")
+    if np.any(z == 0):
+        raise ZeroCorner(0j)
+    entries = np.broadcast_arrays(z, -coin[0, 1], coin[1, 0], _det(coin) / z)
+    return np.stack(entries, axis=-1).reshape(z.shape + (2, 2)) / coin[0, 0]
 
 
 @dataclass(frozen=True)
 class BarrierScattering:
-    """Closed-form scattering data of a two- or three-barrier line model.
+    """Scattering data of a barrier line at a scalar z or a 1-d array of z.
 
-    ``a`` and ``b`` are the denominators/numerators of the outgoing
-    amplitudes: transmission = |prod C_11 / a|^2 and reflection = |b/a|^2.
-    ``resonances`` lists the nonzero resonances (the conventional resonance
-    at 0 is omitted); for two barriers ``peaks`` lists the unit-circle
-    spectral parameters of perfect transmission candidates, when defined.
+    ``a`` and ``b`` are the entries M_00 and M_10 of the transfer product
+    M of :func:`barrier_scattering`: transmission = 1/|a|^2 and reflection
+    = |b/a|^2, each an array over z when z is one.  For two barriers
+    ``resonances`` lists the nonzero resonances (the conventional
+    resonance at 0 is omitted) and ``peaks`` the unit-circle spectral
+    parameters of perfect transmission candidates, when defined; both are
+    empty for any other number of barriers.
     """
 
     z: complex
@@ -153,7 +153,37 @@ class BarrierScattering:
     peaks: tuple
 
 
-def double_barrier(spec: BarrierSpec, z: complex) -> BarrierScattering:
+def barrier_scattering(spec: BarrierSpec, z) -> BarrierScattering:
+    """Scattering through any number of barriers, at a scalar z or a 1-d array.
+
+    M = tau(c_N) D^{x_N - x_{N-1} - 1} ... tau(c_1) D^{x_1 - 1} tau(c_0)
+    carries the incident wave across the line, with D = diag(z, 1/z) the
+    free step and tau = :func:`transfer_matrix`.
+    """
+    z = np.asarray(z, dtype=complex)
+    total = transfer_matrix(spec.coins[0], z)
+    for prev, cur, coin in zip(spec.positions, spec.positions[1:], spec.coins[1:]):
+        gap = cur - prev - 1
+        free = np.stack([z ** gap, z ** -gap], axis=-1)[..., None]
+        total = transfer_matrix(coin, z) @ (free * total)
+    a, b = total[..., 0, 0][()], total[..., 1, 0][()]
+    resonances = peaks = ()
+    if len(spec.positions) == 2:
+        c0, cx = spec.coins
+        resonances = _roots_of_power(2 * spec.positions[1], c0[1, 0] * cx[0, 1])
+        peaks = double_barrier_peaks(spec)
+    return BarrierScattering(
+        z=z[()],
+        transmission=1.0 / np.abs(a) ** 2,
+        reflection=np.abs(b / a) ** 2,
+        a=a,
+        b=b,
+        resonances=resonances,
+        peaks=peaks,
+    )
+
+
+def double_barrier(spec: BarrierSpec, z) -> BarrierScattering:
     """Scattering through two barriers at 0 and x0.
 
     On the unit circle the transmission probability equals
@@ -162,25 +192,7 @@ def double_barrier(spec: BarrierSpec, z: complex) -> BarrierScattering:
     """
     if len(spec.positions) != 2:
         raise BadBarrier("double_barrier needs exactly two barriers")
-    if z == 0:
-        raise ZeroCorner(z)
-    c0, cx = spec.coins
-    x0 = spec.positions[1]
-    _check_corners(c0, cx)
-    norm = c0[0, 0] * cx[0, 0]
-    a = (z ** x0 - c0[1, 0] * cx[0, 1] * z ** (-x0)) / norm
-    b = (cx[1, 0] * z ** x0 + c0[1, 0] * _det(cx) * z ** (-x0)) / norm
-    transmission = 1.0 / abs(a) ** 2
-    reflection = abs(b / a) ** 2
-    return BarrierScattering(
-        z=z,
-        transmission=transmission,
-        reflection=reflection,
-        a=a,
-        b=b,
-        resonances=_roots_of_power(2 * x0, c0[1, 0] * cx[0, 1]),
-        peaks=double_barrier_peaks(spec),
-    )
+    return barrier_scattering(spec, z)
 
 
 def double_barrier_peaks(spec: BarrierSpec) -> tuple:
@@ -236,51 +248,6 @@ def double_barrier_state_balance(spec: BarrierSpec, lam: complex):
     ) / abs(c0[0, 0] * cx[0, 0])
     invariant = np.sqrt(abs(c0[1, 0] / cx[0, 1])) * abs(cx[1, 1] / c0[0, 0])
     return amplitude, invariant
-
-
-def triple_barrier(spec: BarrierSpec, z: complex) -> BarrierScattering:
-    """Scattering through three barriers at 0 < x0 < x1."""
-    if len(spec.positions) != 3:
-        raise BadBarrier("triple_barrier needs exactly three barriers")
-    if z == 0:
-        raise ZeroCorner(z)
-    c0, cx0, cx1 = spec.coins
-    _, x0, x1 = spec.positions
-    _check_corners(c0, cx0, cx1)
-    a = (
-        z ** (x1 + 1)
-        - cx0[1, 0] * cx1[0, 1] * z ** (2 * x0 - x1 + 1)
-        - c0[1, 0] * cx0[0, 1] * z ** (x1 - 2 * x0 + 1)
-        - c0[1, 0] * cx1[0, 1] * _det(cx0) * z ** (-x1 + 1)
-    )
-    b = (
-        cx1[1, 0] * z ** x1
-        + cx0[1, 0] * _det(cx1) * z ** (2 * x0 - x1)
-        - c0[1, 0] * cx0[0, 1] * cx1[1, 0] * z ** (x1 - 2 * x0)
-        + c0[1, 0] * _det(cx0) * _det(cx1) * z ** (-x1)
-    )
-    numerator = c0[0, 0] * cx0[0, 0] * cx1[0, 0]
-    return BarrierScattering(
-        z=z,
-        transmission=abs(numerator / a) ** 2,
-        reflection=abs(b / a) ** 2,
-        a=a,
-        b=b,
-        resonances=(),
-        peaks=(),
-    )
-
-
-def barrier_scattering(spec: BarrierSpec, z: complex) -> BarrierScattering:
-    """Dispatch to the two- or three-barrier closed form."""
-    if len(spec.positions) == 2:
-        return double_barrier(spec, z)
-    if len(spec.positions) == 3:
-        return triple_barrier(spec, z)
-    raise BadBarrier(
-        "closed forms cover two or three barriers; embed larger systems "
-        "with line_to_graph"
-    )
 
 
 def line_to_graph(spec: BarrierSpec):

@@ -28,7 +28,6 @@ from qwscatter.line import (
     graph_transmission,
     near_reflective_coin,
     rotation_coin,
-    triple_barrier,
 )
 from qwscatter.models import (
     closed_form_sigma_cycle,
@@ -240,7 +239,7 @@ def test_criterion_09_triple_barrier():
     spec = BarrierSpec(
         (0, 2, 3), tuple(rotation_coin(r) for r in (1 / 2, 2 / 5, 3 / 4))
     )
-    assert abs(triple_barrier(spec, 1j).transmission - 1.0) <= 1e-10
+    assert abs(barrier_scattering(spec, 1j).transmission - 1.0) <= 1e-10
     _report(9, "triple barrier transmits perfectly at z = i")
 
 

@@ -700,6 +700,33 @@ def test_barrier_matches_closed_form_and_graph():
     assert summary["peak_angles"] == pytest.approx([-math.pi / 2, math.pi / 2])
 
 
+def test_barrier_scatters_the_whole_grid_in_one_call(monkeypatch):
+    grids = []
+
+    def spy(spec, z):
+        grids.append(np.shape(z))
+        return barrier_scattering(spec, z)
+
+    monkeypatch.setattr(cli, "barrier_scattering", spy)
+    code, _, err = run_cli(["barrier", "--r", "0.8,0.6", "--positions", "0,3", "--z-grid", "24"])
+    assert code == 0
+    assert grids == [(24,)]
+    assert len(json.loads(err)["peak_angles"]) == 6
+
+
+def test_barrier_takes_five_barriers():
+    code, out, err = run_cli(
+        ["barrier", "--r", "0.8,0.7,0.6,0.75,0.65", "--positions", "0,30,60,100,150",
+         "--z-grid", "64", "--check-routes"]
+    )
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert len(rows) == 64
+    summary = json.loads(err)
+    assert summary["graph_deviation_max"] <= 1e-10
+    assert summary["peak_angles"] == []
+
+
 def test_barrier_rejects_bad_lists():
     code, _, _ = run_cli(["barrier", "--r", "0.8,x", "--positions", "0,1"])
     assert code == 3
@@ -735,6 +762,26 @@ def test_cycle_strength_count_must_match():
          "--eps", "0.1"]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "model, extra, option",
+    [
+        ("ms", ["--N", "4"], "--N"),
+        ("ms", ["--c", "2"], "--c"),
+        ("file", ["--N", "4"], "--N"),
+        ("file", ["--c", "2"], "--c"),
+        ("crossing", ["--N", "7"], "--N"),
+    ],
+    ids=["ms-N", "ms-c", "file-N", "file-c", "crossing-N"],
+)
+def test_option_the_model_ignores_is_usage_error(tmp_path, model, extra, option):
+    if model == "file":
+        model = write_model(tmp_path, "loop.json", self_loop_document([["0", "1"], ["1", "0"]]))
+    code, out, err = run_cli(["smatrix", "--model", model, *extra, "--z", "i"])
+    assert code == 3
+    assert out == ""
+    assert option in err
 
 
 def test_model_file_runs_through_pipeline(tmp_path):

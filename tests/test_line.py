@@ -21,11 +21,11 @@ from qwscatter.line import (
     near_reflective_coin,
     rotation_coin,
     transfer_matrix,
-    triple_barrier,
 )
 from qwscatter.walk import assemble
 from qwscatter.coins import eval_coins
-from qwscatter.scattering import scattering_matrix
+from qwscatter.scattering import oracle_direct_solve, scattering_matrix
+from qwscatter.spectral import resonance_set
 
 MATCH_TOL = 1e-12
 PEAK_TOL = 1e-10
@@ -124,12 +124,12 @@ def test_double_barrier_amplitudes_match_product_entries(seed):
     z = cmath.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     out = double_barrier(spec, z)
     total = _transfer_product(spec, z)
-    assert abs(total[0, 0] - z * out.a) <= 1e-12
+    assert abs(total[0, 0] - out.a) <= 1e-12
     assert abs(total[1, 0] - out.b) <= 1e-12
 
 
 def test_triple_barrier_reference_peak():
-    out = triple_barrier(TRIPLE, 1j)
+    out = barrier_scattering(TRIPLE, 1j)
     assert abs(out.transmission - 1.0) <= PEAK_TOL
     assert out.reflection <= PEAK_TOL
 
@@ -138,18 +138,17 @@ def test_triple_barrier_reference_peak():
 def test_triple_barrier_matches_transfer_product(seed):
     rng = np.random.default_rng(7200 + seed)
     spec = _random_spec(rng, 3)
-    prod_c11 = np.prod([np.asarray(c)[0, 0] for c in spec.coins])
     for k in range(6):
         z = cmath.exp(2j * cmath.pi * (k + 0.21) / 6)
-        out = triple_barrier(spec, z)
+        out = barrier_scattering(spec, z)
         total = _transfer_product(spec, z)
         assert abs(out.transmission - 1.0 / abs(total[0, 0]) ** 2) <= MATCH_TOL
         assert (
             abs(out.reflection - abs(total[1, 0] / total[0, 0]) ** 2)
             <= MATCH_TOL
         )
-        assert abs(total[0, 0] * prod_c11 - out.a) <= 1e-12
-        assert abs(total[1, 0] * prod_c11 - out.b) <= 1e-12
+        assert abs(total[0, 0] - out.a) <= 1e-12
+        assert abs(total[1, 0] - out.b) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -272,13 +271,8 @@ def test_spec_validation():
 
 
 def test_dispatch_rejects_unsupported_counts():
-    coin = rotation_coin(0.5)
     with pytest.raises(BadBarrier):
-        barrier_scattering(BarrierSpec((0,), (coin,)), 1j)
-    with pytest.raises(BadBarrier):
-        barrier_scattering(
-            BarrierSpec((0, 1, 2, 3), (coin,) * 4), 1j
-        )
+        double_barrier(TRIPLE, 1j)
     with pytest.raises(BadBarrier):
         double_barrier_peaks(TRIPLE)
     with pytest.raises(BadBarrier):
@@ -299,6 +293,85 @@ def test_peaks_empty_when_condition_degenerates():
     # identity second coin: no reflection there, peak condition collapses
     spec = BarrierSpec((0, 1), (rotation_coin(0.5), np.eye(2)))
     assert double_barrier_peaks(spec) == ()
+
+
+# ------------------------------------------------ any number of barriers
+
+LONG_LINES = [(0, 5, 13), (0, 7, 15, 34), (0, 30, 60, 100, 150)]
+
+
+def _rotation_line(positions):
+    strengths = (0.8, 0.7, 0.6, 0.75, 0.65)
+    return BarrierSpec(positions, tuple(rotation_coin(r) for r in strengths[: len(positions)]))
+
+
+def _line_walk(spec):
+    graph, coins = line_to_graph(spec)
+    return assemble(graph, eval_coins(coins, 0.0))
+
+
+def test_single_barrier_transmits_its_corner():
+    coin = _random_unitary(np.random.default_rng(7600))
+    points = np.exp(2j * np.pi * (np.arange(8) + 0.37) / 8)
+    out = barrier_scattering(BarrierSpec((0,), (coin,)), points)
+    assert np.abs(out.transmission - abs(coin[0, 0]) ** 2).max() <= 1e-14
+    assert np.abs(out.reflection - abs(coin[1, 0]) ** 2).max() <= 1e-14
+
+
+@pytest.mark.parametrize("positions", LONG_LINES, ids=["n3", "n4", "n5"])
+def test_array_of_z_matches_scalar_calls(positions):
+    spec = _rotation_line(positions)
+    points = np.concatenate([np.exp(2j * np.pi * (np.arange(6) + 0.37) / 6), [0.6 + 0.2j, -1.1j]])
+    stack = barrier_scattering(spec, points)
+    assert transfer_matrix(spec.coins[0], points).shape == (len(points), 2, 2)
+    with pytest.raises(ValueError):
+        barrier_scattering(spec, points.reshape(2, -1))
+    for k, z in enumerate(points):
+        one = barrier_scattering(spec, z)
+        assert np.ndim(one.a) == 0
+        assert abs(one.a - stack.a[k]) <= 1e-15 * abs(one.a)
+        assert abs(one.b - stack.b[k]) <= 1e-15 * abs(one.a)
+        total = _transfer_product(spec, z)
+        assert abs(total[0, 0] - one.a) <= 1e-12 * abs(total[0, 0])
+        assert abs(total[1, 0] - one.b) <= 1e-12 * abs(total[0, 0])
+
+
+@pytest.mark.parametrize("positions", LONG_LINES, ids=["n3", "n4", "n5"])
+def test_line_resonances_zero_the_product_corner(positions):
+    # certificate independent of the eigensolver: M_00 vanishes at each root
+    spec = _rotation_line(positions)
+    roots = [r for r in resonance_set(_line_walk(spec))[0] if r.value != 0]
+    assert sum(r.multiplicity for r in roots) == 2 * positions[-1]
+    for r in roots:
+        total = _transfer_product(spec, r.value)
+        assert abs(total[0, 0]) <= 1e-10 * np.linalg.norm(total, 2)
+
+
+def test_five_barrier_line_matches_direct_solve():
+    spec = _rotation_line(LONG_LINES[-1])
+    walk = _line_walk(spec)
+    sharpest = max((r.value for r in resonance_set(walk)[0]), key=abs)
+    points = np.append(np.exp(2j * np.pi * np.arange(7) / 7), sharpest / abs(sharpest))
+    sigma = oracle_direct_solve(walk, points, np.eye(2))[1]
+    out = barrier_scattering(spec, points)
+    t, r = out.transmission[:, None, None], out.reflection[:, None, None]
+    err = np.abs(np.abs(sigma) ** 2 - np.where(np.eye(2, dtype=bool), r, t)).max(axis=(1, 2))
+    assert err[:7].max() <= 1e-13
+    # on the sharpest peak the direct solve's error grows like u/|z - lambda|
+    assert err[7] <= 1e-12
+
+
+@pytest.mark.parametrize("radius", [0.5, 2.0])
+def test_long_line_stays_finite_off_the_circle(radius):
+    # any overflow warning fails here: the suite turns warnings into errors
+    spec = _rotation_line((0, 60, 120, 200, 300))
+    points = radius * np.exp(2j * np.pi * (np.arange(7) + 0.37) / 7)
+    out = barrier_scattering(spec, points)
+    assert np.all(np.isfinite(out.a)) and np.all(out.transmission > 0)
+    assert np.all(np.isfinite(out.reflection))
+    for k, z in enumerate(points):
+        total = _transfer_product(spec, z)
+        assert abs(total[0, 0] - out.a[k]) <= 1e-12 * abs(total[0, 0])
 
 
 @settings(max_examples=40, deadline=None)
