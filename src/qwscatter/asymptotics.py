@@ -42,6 +42,7 @@ from .spectral import (
     Cluster,
     EigenSystem,
     NumericalError,
+    _eig_input,
     boundary_data,
     eigen_decompose,
 )
@@ -181,7 +182,7 @@ class ResonanceTrack:
 
 
 def _eigenvalues(family, eps: float) -> np.ndarray:
-    return np.linalg.eigvals(family(eps).interior)
+    return np.linalg.eigvals(_eig_input(family(eps).interior)).astype(complex, copy=False)
 
 
 def _match_step(vals0, cur, vals1):

@@ -241,6 +241,8 @@ def validate(model, n_vertices, strengths, eps):
     def run(name, fn):
         try:
             detail = fn()
+        except click.UsageError:
+            raise  # the command line is wrong, not the model: exit 3
         except Exception as exc:  # collected, not raised: report all checks
             failures.append(
                 {"check": name, "error": type(exc).__name__, "message": str(exc)}

@@ -541,7 +541,7 @@ def test_a_lambda_that_names_no_start_is_rejected():
     track = track_resonances(family, np.concatenate([[0.0], grid]))
     # the start 1 lies sqrt(2) from the next, so it is named from 0.35
     # (0.65 away) but not from 0.25 (0.75 away)
-    assert track.starts[track.column(0.35)] == 1.0
+    assert track.column(0.35) == track.column(1.0)
     with pytest.raises(ValueError, match="names none"):
         track.path(0.25)
     # two-loop: exp(0.42j) lies 1.03e-3 from its start

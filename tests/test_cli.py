@@ -120,6 +120,20 @@ def test_validate_flags_nondeterministic_routing(tmp_path):
     assert report["errors"][0]["error"] == "NotDeterministic"
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [(["--model", "ms", "--N", "4"], "--N applies only"),
+     (["--model", "cycle"], "needs --N")],
+    ids=["ms-N", "cycle-without-N"],
+)
+def test_validate_usage_error_exits_3(extra, message):
+    # a wrong command line is no failed check of the model: no JSON report
+    code, out, err = run_cli(["validate", *extra])
+    assert code == 3
+    assert out == ""
+    assert "Usage:" in err and message in err
+
+
 # -------------------------------------------------------------- resonances
 
 

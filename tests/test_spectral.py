@@ -10,16 +10,19 @@ import numpy as np
 import pytest
 
 import qwscatter
+from qwscatter import asymptotics
 from qwscatter.coins import eval_coins
 from qwscatter.graph import build_graph
 from qwscatter.line import BarrierSpec, double_barrier, line_to_graph, rotation_coin
 from qwscatter.models import cycle_family, matrix_schrodinger_family, random_walk
 from qwscatter.scattering import oracle_direct_solve, scattering_matrix
 from qwscatter.spectral import (
+    CIRCLE_COUPLING_TOL,
     ClusterAmbiguity,
     IllConditionedChain,
     NotSimple,
     ZeroCluster,
+    _classify,
     _cluster_indices,
     boundary_data,
     eigen_decompose,
@@ -400,3 +403,149 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# Real arithmetic for real interiors, and the one pass over simple clusters
+
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def three_barrier_line_walk():
+    spec = BarrierSpec((0, 5, 13), tuple(rotation_coin(r) for r in (0.8, 0.6, 0.7)))
+    graph, coins = line_to_graph(spec)
+    return assemble(graph, eval_coins(coins, 0.0))
+
+
+REAL_WALKS = {
+    "ms": lambda: matrix_schrodinger_family().walk(0.3),
+    "cycle5": lambda: cycle_family(5, [0.9, 1.0, 1.1, 0.8, 0.95]).walk(0.3),
+    "three-barrier": three_barrier_line_walk,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_WALKS))
+def test_real_interiors_give_exact_conjugate_pairs(name):
+    walk = REAL_WALKS[name]()
+    assert not np.asarray(walk.interior).imag.any()
+    system = eigen_decompose(walk)
+    by_value = {c.value: c for c in system.clusters}
+    nonreal = [c for c in system.clusters if c.value.imag != 0]
+    assert len(nonreal) >= 2
+    for cluster in nonreal:
+        partner = by_value[cluster.value.conjugate()]  # bit for bit
+        assert partner.multiplicity == cluster.multiplicity
+        for chain, mirror in zip(cluster.chains, partner.chains):
+            assert np.abs(chain - mirror.conj()).max() <= 4 * UNIT_ROUNDOFF
+
+
+def spy_on(monkeypatch, name):
+    """Record the dtype of every array handed to ``np.linalg.<name>``."""
+    seen = []
+    original = getattr(np.linalg, name)
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "build, dtype",
+    [(lambda: matrix_schrodinger_family().walk(0.3), np.float64),
+     (lambda: random_walk(np.random.default_rng(105)), np.complex128)],
+    ids=["ms-real", "haar-digraph-complex"],
+)
+def test_eigensolver_arithmetic_follows_the_interior(monkeypatch, build, dtype):
+    walk = build()
+    assert np.iscomplexobj(walk.interior)  # the walk itself is always complex
+    seen_eig = spy_on(monkeypatch, "eig")
+    seen_eigvals = spy_on(monkeypatch, "eigvals")
+    system = eigen_decompose(walk)
+    values = asymptotics._eigenvalues(lambda eps: walk, 0.0)
+    assert seen_eig == [dtype] and seen_eigvals == [dtype]
+    assert system.matrix.dtype == np.complex128 and values.dtype == np.complex128
+    assert all(c.chains[0].dtype == np.complex128 for c in system.clusters)
+
+
+def jordan_matrix(system):
+    """The Jordan matrix J with M V = V J, cluster by cluster, chain by chain."""
+    diagonal, links = [], []
+    for cluster in system.clusters:
+        for chain in cluster.chains:
+            links += range(len(diagonal), len(diagonal) + chain.shape[0] - 1)
+            diagonal += [cluster.value] * chain.shape[0]
+    j = np.diag(np.array(diagonal, dtype=complex))
+    j[links, [k + 1 for k in links]] = 1.0
+    return j
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: matrix_schrodinger_family().walk(0.3), three_barrier_line_walk,
+     lambda: random_walk(np.random.default_rng(105))],
+    ids=["ms", "three-barrier", "haar-digraph"],
+)
+def test_decomposition_residuals_are_at_roundoff(build):
+    walk = build()
+    system = eigen_decompose(walk)
+    m = np.asarray(walk.interior)
+    n = m.shape[0]
+    right, left = full_bases(system)
+    bound = 64 * n * UNIT_ROUNDOFF * np.linalg.norm(m, 2)
+    assert np.linalg.norm(m @ right - right @ jordan_matrix(system), 2) <= bound
+    assert np.linalg.norm(left.conj().T @ right - np.eye(n), 2) <= bound
+    for cluster in system.clusters:
+        for chain in cluster.chains:
+            # unit eigenvector whose largest entry (up to ties) is real positive
+            v = chain[0]
+            assert abs(np.linalg.norm(v) - 1.0) <= 4 * UNIT_ROUNDOFF
+            near = v[np.abs(v) >= (1 - 1e-12) * np.abs(v).max()]
+            assert np.any((near.real > 0) & (np.abs(near.imag) <= 4 * UNIT_ROUNDOFF))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-8])
+def test_one_pass_classification_matches_the_per_cluster_rule(eps):
+    # at eps = 0 the hidden pair +-i is on the circle, at 1e-8 it is off
+    # it by 1e-16 but couples to the tails; the zero cluster is a Jordan block
+    walk = matrix_schrodinger_family().walk(eps)
+    system = eigen_decompose(walk)
+    assert any(c.multiplicity == 2 for c in system.clusters)
+    right, left = full_bases(system)
+    widths = [c.multiplicity for c in system.clusters]
+    starts = np.cumsum(widths) - widths
+    condition, on_circle = _classify(walk, right, left, starts)
+    for k, cluster in enumerate(system.clusters):
+        v, w = cluster.right_basis(), cluster.left_basis()
+        order = 2 if cluster.multiplicity > 1 else None
+        want = np.linalg.norm(v, order) * np.linalg.norm(w, order)
+        assert condition[k] == pytest.approx(want, rel=4 * UNIT_ROUNDOFF, abs=0)
+        emitted = np.linalg.norm(walk.interior_to_tail @ v) / np.linalg.norm(v)
+        picked = np.linalg.norm(walk.tail_to_interior.conj().T @ w) / np.linalg.norm(w)
+        decoupled = emitted <= CIRCLE_COUPLING_TOL and picked <= CIRCLE_COUPLING_TOL
+        assert on_circle[k] == decoupled == cluster.on_unit_circle
+    hidden = [system.nearest_cluster(1j), system.nearest_cluster(-1j)]
+    assert [c.on_unit_circle for c in hidden] == [eps == 0.0] * 2
+
+
+def test_a_multiple_cluster_is_classified_by_all_its_columns():
+    # the 0.5 block's chain is e1, e2/2, so ||V||·||W|| = 2 while its
+    # eigenvector alone has condition 1; only e2 emits into the tail, only
+    # the co-state e3 of 0.9 picks up from it, and 0.7 on e4 is decoupled
+    interior = np.diag([0.5, 0.5, 0.9, 0.7]).astype(complex)
+    interior[0, 1] = 2.0
+    walk = SimpleNamespace(
+        interior=interior,
+        interior_to_tail=np.array([[0.0, 1e-3, 0.0, 0.0]], dtype=complex),
+        tail_to_interior=np.array([[0.0], [0.0], [1e-3], [0.0]], dtype=complex),
+    )
+    system = eigen_decompose(walk)
+    assert [c.value for c in system.clusters] == [0.5, 0.7, 0.9]
+    assert [c.shape[0] for c in system.clusters[0].chains] == [2]
+    right, left = full_bases(system)
+    condition, on_circle = _classify(walk, right, left, np.array([0, 2, 3]))
+    assert condition[0] == pytest.approx(2.0, rel=1e-15)
+    assert list(on_circle) == [False, True, False]
+    assert [c.on_unit_circle for c in system.clusters] == [False, True, False]
