@@ -21,17 +21,27 @@ the corresponding asymptotic statements into measurements:
 The ``*_table`` variants wrap these into sweep tables (rows of
 ``(eps, z, quantity, value)``) plus a JSON-ready summary dict with
 fitted slopes and band checks; the command line serialises them.
+
+The tables that follow a resonance (tunneling, width, comfort and
+remainder) stream the eps grid (:func:`_stream`): each eps builds its
+walk and decomposes it once, tracking matches on that decomposition's
+cluster values, and the measure at that eps reads the same walk and
+decomposition, one eps at a time.  The half-height search takes each
+step's Σ from the resolvent route's bare pole sum and checks the split
+and incoming wave once per peak.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .scattering import (
+    _powers,
     comfortability,
     generalized_eigenfunction,
     pole_block,
@@ -121,8 +131,9 @@ def geometric_grid(start: float, stop: float, count: int) -> np.ndarray:
         raise ValueError("grid needs at least one point")
     if count == 1:
         return np.array([float(start)])
-    if not 0 < start <= stop:
-        raise ValueError("need 0 < start <= stop for a geometric grid")
+    # start == stop would repeat one eps count times
+    if not 0 < start < stop:
+        raise ValueError("need 0 < start < stop for a geometric grid of several points")
     return np.geomspace(start, stop, count)
 
 
@@ -156,20 +167,7 @@ class ResonanceTrack:
     continuity: np.ndarray
 
     def column(self, start: complex) -> int:
-        """The nearest start's column; ``start`` must lie within half its gap
-        to the next start, the rule of the tracking steps."""
-        if not self.starts:
-            raise ValueError("no resonances tracked")
-        dists = [abs(s - start) for s in self.starts]
-        k = int(np.argmin(dists))
-        gaps = [abs(s - self.starts[k]) for j, s in enumerate(self.starts) if j != k]
-        if gaps and not dists[k] < 0.5 * min(gaps):
-            named = ", ".join(f"{s:.6g}" for s in self.starts)
-            raise ValueError(
-                f"lambda = {complex(start):.6g} names none of the tracked "
-                f"resonances ({named})"
-            )
-        return k
+        return _column(self.starts, start)
 
     def path(self, start: complex) -> np.ndarray:
         return self.paths[:, self.column(start)]
@@ -181,8 +179,47 @@ class ResonanceTrack:
         return complex(self.paths[i, self.column(start)])
 
 
+def _column(starts, start: complex) -> int:
+    """The nearest start's column; ``start`` must lie within half its gap
+    to the next start, the rule of the tracking steps."""
+    if len(starts) == 0:
+        raise ValueError("no resonances tracked")
+    dists = [abs(s - start) for s in starts]
+    k = int(np.argmin(dists))
+    gaps = [abs(s - starts[k]) for j, s in enumerate(starts) if j != k]
+    if gaps and not dists[k] < 0.5 * min(gaps):
+        named = ", ".join(f"{s:.6g}" for s in starts)
+        raise ValueError(
+            f"lambda = {complex(start):.6g} names none of the tracked "
+            f"resonances ({named})"
+        )
+    return k
+
+
+def _starts(system0: EigenSystem) -> list:
+    """The unit-circle resonances of U(0) by phase; each must be simple."""
+    starts = []
+    for cluster in system0.on_circle():
+        if not cluster.is_simple:
+            raise SimplicityViolated(cluster.value, cluster.multiplicity)
+        starts.append(cluster.value)
+    starts.sort(key=lambda v: cmath.phase(v))
+    return starts
+
+
 def _eigenvalues(family, eps: float) -> np.ndarray:
     return np.linalg.eigvals(_eig_input(family(eps).interior)).astype(complex, copy=False)
+
+
+def _spectrum(system: EigenSystem) -> np.ndarray:
+    """The cluster values of ``system``, each repeated by its multiplicity.
+
+    A simple cluster's value is its eigenvalue from ``eig``, which
+    rounds as the same matrix's ``eigvals`` (:func:`_eigenvalues`) does.
+    """
+    return np.array(
+        [c.value for c in system.clusters for _ in range(c.multiplicity)], dtype=complex
+    )
 
 
 def _match_step(vals0, cur, vals1):
@@ -204,8 +241,14 @@ def _match_step(vals0, cur, vals1):
     return new
 
 
-def _advance(family, e0, vals0, cur, e1, depth):
-    vals1 = _eigenvalues(family, e1)
+def _advance(family, e0, vals0, cur, e1, depth, vals1=None):
+    """Match ``cur`` from the spectrum ``vals0`` at ``e0`` into the one at ``e1``.
+
+    ``vals1`` is the spectrum at ``e1`` when the caller has it; bisection
+    midpoints solve for their own eigenvalues.
+    """
+    if vals1 is None:
+        vals1 = _eigenvalues(family, e1)
     new = _match_step(vals0, cur, vals1)
     if new is not None:
         return vals1, new
@@ -213,7 +256,7 @@ def _advance(family, e0, vals0, cur, e1, depth):
         raise TrackingAmbiguous(e1)
     mid = 0.5 * (e0 + e1)
     vals_m, cur_m = _advance(family, e0, vals0, cur, mid, depth + 1)
-    return _advance(family, mid, vals_m, cur_m, e1, depth + 1)
+    return _advance(family, mid, vals_m, cur_m, e1, depth + 1, vals1)
 
 
 def track_resonances(
@@ -233,15 +276,7 @@ def track_resonances(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("eps grid must be strictly increasing")
 
-    walk0 = family(0.0)
-    system0 = eigen_decompose(walk0)
-    starts = []
-    for cluster in system0.on_circle():
-        if not cluster.is_simple:
-            raise SimplicityViolated(cluster.value, cluster.multiplicity)
-        starts.append(cluster.value)
-    starts.sort(key=lambda v: cmath.phase(v))
-
+    starts = _starts(eigen_decompose(family(0.0)))
     paths = np.zeros((len(grid), len(starts)), dtype=complex)
     if starts:
         paths[0] = starts
@@ -257,6 +292,41 @@ def track_resonances(
         paths=paths,
         continuity=continuity,
     )
+
+
+class _GridPoint(NamedTuple):
+    """One eps of a streamed track (:func:`_stream`)."""
+
+    eps: float
+    walk: object
+    system: EigenSystem
+    tracked: np.ndarray  # where each start is at eps: a row of ResonanceTrack.paths
+
+
+def _stream(family, eps_values):
+    """Walk, decompose and track at eps = 0 and then at each of ``eps_values``.
+
+    ``eps_values`` are positive and increasing.  Each eps builds
+    ``family(eps)`` and decomposes it once; the tracked resonances are
+    matched on that decomposition's cluster values (:func:`_spectrum`),
+    so the walk and system each point hands out are the ones its
+    measure uses.  Only bisection midpoints solve for eigenvalues alone.
+    A generator, so one point's decomposition is alive at a time; the
+    first point's ``tracked`` are the starts, as :func:`track_resonances`
+    orders them.
+    """
+    walk = family(0.0)
+    system = eigen_decompose(walk)
+    tracked = _starts(system)
+    values = _spectrum(system)
+    yield _GridPoint(0.0, walk, system, np.array(tracked, dtype=complex))
+    e0 = 0.0
+    for eps in eps_values:
+        walk = family(eps)
+        system = eigen_decompose(walk)
+        values, tracked = _advance(family, e0, values, tracked, eps, 0, _spectrum(system))
+        yield _GridPoint(float(eps), walk, system, np.array(tracked, dtype=complex))
+        e0 = eps
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +413,19 @@ class _Peak(NamedTuple):
 
 
 def _peak(family, eps, lam, lambda_eps=None) -> _Peak:
+    """The peak of ``lam`` at ``eps``; without ``lambda_eps``, from its own (0, eps) track."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if lambda_eps is None:
-        track = track_resonances(family, (0.0, eps))
-        lambda_eps = track.at(eps, lam)
+        # at eps = 0 the track is its start, which sits on the circle
+        points = list(_stream(family, [] if eps == 0 else [eps]))
+        point = points[-1]
+        return _peak_at(point.walk, point.system, point.tracked[_column(points[0].tracked, lam)])
     walk = family(eps)
-    system = eigen_decompose(walk)
+    return _peak_at(walk, eigen_decompose(walk), lambda_eps)
+
+
+def _peak_at(walk, system: EigenSystem, lambda_eps) -> _Peak:
     cluster = system.nearest_cluster(lambda_eps)
     if cluster.on_unit_circle:
         raise ResonanceOnCircle(
@@ -383,10 +459,26 @@ def _split(peak: _Peak, split) -> tuple:
     return channels, mask, restricted / weight
 
 
-def _transmission(peak: _Peak, z, channels, amp_in):
-    """Σ at ``z`` (a point or an array) and the transmitted and reflected power."""
-    sigma = scattering_matrix(peak.walk, z, system=peak.system).matrix
-    return (sigma,) + transmission_reflection(sigma, channels, amp_in)
+def _sigma(peak: _Peak, z) -> np.ndarray:
+    """Σ at ``z`` (a point or an array): the resolvent route's pole sum alone.
+
+    The same numbers as ``scattering_matrix(..., route="resolvent")``,
+    without its unitarity residuals.
+    """
+    return generalized_eigenfunction(
+        peak.walk, z, np.eye(peak.walk.n_tails), peak.system
+    ).amp_out
+
+
+def _transmission(peak: _Peak, z, mask, amp_in):
+    """Σ at ``z`` (a point or an array) and the transmitted and reflected power.
+
+    ``mask`` flags the incoming channels.  The split and ``amp_in`` are
+    not checked here: :func:`_split` built them, and each peak checks
+    them once through :func:`transmission_reflection` at z*.
+    """
+    sigma = _sigma(peak, z)
+    return (sigma,) + _powers(sigma, mask, amp_in)
 
 
 def tunneling_check(
@@ -405,7 +497,10 @@ def tunneling_check(
     incoming wave is the normalised restriction of the resonant
     co-state's tail profile to the channels in ``split``.
     """
-    peak = _peak(family, eps, lam, lambda_eps)
+    return _tunneling(_peak(family, eps, lam, lambda_eps), eps, lam, split)
+
+
+def _tunneling(peak: _Peak, eps: float, lam: complex, split) -> TunnelingReport:
     channels, mask, amp_in = _split(peak, split)
     weight_in = float(np.linalg.norm(np.where(mask, peak.profile, 0.0)))
     weight_out = float(np.linalg.norm(np.where(~mask, peak.profile, 0.0)))
@@ -470,9 +565,11 @@ def _half_height_window(peak: _Peak, channels, amp_in, t_peak: float) -> tuple:
     """
     base = cmath.phase(peak.z_star)
     sides = np.array([-1.0, 1.0])
+    mask = np.zeros(peak.walk.n_tails, dtype=bool)
+    mask[np.asarray(channels) - 1] = True
 
     def excess(theta):
-        t = _transmission(peak, np.exp(1j * (base + theta)), channels, amp_in)[1]
+        t = _transmission(peak, np.exp(1j * (base + theta)), mask, amp_in)[1]
         return t - 0.5
 
     steps = []
@@ -529,9 +626,13 @@ def peak_width(
     each side; each crossing is then closed to ``THETA_TOL`` by a
     safeguarded regula falsi (:func:`_half_height_window`).
     """
-    peak = _peak(family, eps, lam, lambda_eps)
+    return _width(_peak(family, eps, lam, lambda_eps), split)
+
+
+def _width(peak: _Peak, split) -> tuple:
     channels, _, amp_in = _split(peak, split)
-    _, t_peak, _ = _transmission(peak, peak.z_star, channels, amp_in)
+    # the one check of the split and the incoming wave for this peak
+    t_peak, _ = transmission_reflection(_sigma(peak, peak.z_star), channels, amp_in)
     if t_peak < PEAK_FLOOR:
         raise ValueError(
             f"transmission {t_peak:.3f} at the peak is below {PEAK_FLOOR}; "
@@ -560,7 +661,10 @@ def comfortability_growth(
     resonant co-state; the bound uses that the resonant pair's interior
     norms multiply to at least one.
     """
-    peak = _peak(family, eps, lam, lambda_eps)
+    return _comfort(_peak(family, eps, lam, lambda_eps))
+
+
+def _comfort(peak: _Peak) -> tuple:
     energy = comfortability(peak.walk, peak.z_star, peak.profile, peak.system)
     return energy, comfortability_bound(peak.lam_eps)
 
@@ -593,11 +697,21 @@ class SweepRow(NamedTuple):
 
 
 def _positive(eps_values) -> np.ndarray:
-    grid = (
-        default_eps_grid(include_zero=False)
-        if eps_values is None
-        else np.asarray([float(e) for e in eps_values])
-    )
+    """The positive eps of ``eps_values`` (default: the default grid), sorted.
+
+    An exact 0 is dropped; a negative, non-finite or repeated eps raises
+    ``ValueError`` naming the first one.
+    """
+    if eps_values is None:
+        return default_eps_grid(include_zero=False)
+    grid = np.asarray([float(e) for e in eps_values])
+    seen = set()
+    for eps in grid.tolist():
+        if not (math.isfinite(eps) and eps >= 0):
+            raise ValueError(f"eps = {eps!r} is not a finite nonnegative value")
+        if eps in seen:
+            raise ValueError(f"eps = {eps!r} appears more than once in the grid")
+        seen.add(eps)
     grid = grid[grid > 0]
     if len(grid) == 0:
         raise ValueError("need at least one positive eps value")
@@ -641,15 +755,19 @@ def discrepancy_table(
 def _peak_sweep(family, lam, eps_values, measure) -> tuple:
     """λ, the rows of ``measure`` along its tracked peak, and each quantity as an array.
 
-    λ is tracked once over the positive grid; ``lam=None`` picks the
-    start that detaches fastest, whose path ends nearest the origin.  ``measure(eps, lam, lam_eps)`` returns
-    a dict of quantity -> value at each eps, where ``None`` is an absent
+    The positive grid is streamed (:func:`_stream`): each eps is walked
+    and decomposed once, and ``measure(eps, lam, lam_eps, peak)`` gets
+    the tracked λ_ε and the :class:`_Peak` built on that walk and
+    decomposition.  ``lam=None`` first tracks the eigenvalues alone
+    over the grid (:func:`track_resonances`) and picks the start that
+    detaches fastest, whose path ends nearest the origin.  ``measure``
+    returns a dict of quantity -> value, where ``None`` is an absent
     value: it makes no row, and NaN in the quantity's array.  Every row
     carries the peak z* = λ_ε/|λ_ε|.
     """
     grid = _positive(eps_values)
-    track = track_resonances(family, np.concatenate([[0.0], grid]))
     if lam is None:
+        track = track_resonances(family, np.concatenate([[0.0], grid]))
         if not track.starts:
             raise NoDetachingResonance("the eps=0 walk has no unit-circle resonances to track")
         finals = np.abs(track.paths[-1])
@@ -662,13 +780,18 @@ def _peak_sweep(family, lam, eps_values, measure) -> tuple:
     lam = complex(lam)
     rows = []
     columns: dict = {}
-    for eps, lam_eps in zip(grid, track.path(lam)[1:]):
+    points = _stream(family, grid)
+    k = _column(next(points).tracked, lam)
+    for point in points:
+        lam_eps = point.tracked[k]
         value = complex(lam_eps)
         z_star = value / abs(value)
-        for quantity, measured in measure(eps, lam, lam_eps).items():
+        # no name keeps the peak, so the next eps is measured with this one's decomposition gone
+        peak_values = measure(point.eps, lam, lam_eps, _peak_at(point.walk, point.system, lam_eps))
+        for quantity, measured in peak_values.items():
             columns.setdefault(quantity, []).append(measured)
             if measured is not None:
-                rows.append(SweepRow(float(eps), z_star, quantity, measured))
+                rows.append(SweepRow(point.eps, z_star, quantity, measured))
     arrays = {q: np.array(values, dtype=float) for q, values in columns.items()}
     return lam, rows, grid, arrays
 
@@ -681,8 +804,8 @@ def tunneling_table(
 ) -> tuple:
     """Sweep the tunneling report along an eps grid."""
 
-    def measure(eps, lam, lam_eps):
-        report = tunneling_check(family, eps, lam, split, lambda_eps=lam_eps)
+    def measure(eps, lam, lam_eps, peak):
+        report = _tunneling(peak, eps, lam, split)
         return {
             "t_at_peak": report.t_at_peak,
             "symmetry_residual": report.symmetry_residual,
@@ -715,8 +838,8 @@ def width_table(
 ) -> tuple:
     """Sweep measured versus predicted peak widths."""
 
-    def measure(eps, lam, lam_eps):
-        theta_minus, theta_plus = peak_width(family, eps, lam, split, lambda_eps=lam_eps)
+    def measure(eps, lam, lam_eps, peak):
+        theta_minus, theta_plus = _width(peak, split)
         measured = theta_plus - theta_minus
         predicted = 2.0 * (1.0 - abs(lam_eps))
         return {
@@ -745,8 +868,8 @@ def comfort_table(
 ) -> tuple:
     """Sweep interior energy against its divergence-rate bound."""
 
-    def measure(eps, lam, lam_eps):
-        energy, bound = comfortability_growth(family, eps, lam, lambda_eps=lam_eps)
+    def measure(eps, lam, lam_eps, peak):
+        energy, bound = _comfort(peak)
         return {
             "comfort": energy,
             "comfort_bound": bound,
@@ -780,28 +903,28 @@ def remainder_table(
     decoupled one plus the pole blocks of all tracked resonances; the
     table records the supremum of the operator-norm residual over a
     uniform circle grid, and the summary fits the constant in the
-    first-order bound residual <= C * eps.
+    first-order bound residual <= C * eps.  The grid is streamed
+    (:func:`_stream`): each eps, 0 included, is walked and decomposed once.
     """
     grid = _positive(eps_values)
     z_points = np.array(
         [cmath.exp(2j * cmath.pi * k / n_grid) for k in range(n_grid)]
     )
-    walk0 = family(0.0)
-    s_zero = scattering_matrix(walk0, z_points, route, eigen_decompose(walk0)).matrix
-    track = track_resonances(family, np.concatenate([[0.0], grid]))
+    points = _stream(family, grid)
+    start = next(points)
+    s_zero = scattering_matrix(start.walk, z_points, route, start.system).matrix
+    del start  # one decomposition alive at a time
     rows = []
     ratios = []
-    for i, eps in enumerate(grid):
-        walk = family(eps)
-        system = eigen_decompose(walk)
-        clusters = [system.nearest_cluster(value) for value in track.paths[i + 1]]
-        approx = s_zero + pole_block(walk, clusters, z_points)
-        sigma = scattering_matrix(walk, z_points, route, system).matrix
+    for point in points:
+        clusters = [point.system.nearest_cluster(value) for value in point.tracked]
+        approx = s_zero + pole_block(point.walk, clusters, z_points)
+        sigma = scattering_matrix(point.walk, z_points, route, point.system).matrix
         residuals = np.linalg.norm(sigma - approx, 2, axis=(1, 2))
         worst = int(np.argmax(residuals))
         sup = float(residuals[worst])
-        rows.append(SweepRow(float(eps), complex(z_points[worst]), "remainder_sup", sup))
-        ratios.append(sup / eps)
+        rows.append(SweepRow(point.eps, complex(z_points[worst]), "remainder_sup", sup))
+        ratios.append(sup / point.eps)
     summary = {
         "quantity": "remainder",
         "points": len(grid),

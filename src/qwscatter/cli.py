@@ -6,7 +6,7 @@
     qwscatter smatrix    --model cycle --N 4 --c 1 --eps 0.3 --z-grid 16
     qwscatter sweep discrepancy --model ms --z 0.921+0.390i
     qwscatter sweep tunneling   --model ms --J 1
-    qwscatter sweep width       --model cycle --N 4 --c 1 --J 1
+    qwscatter sweep width       --model cycle --N 4 --c 1 --J 1,2
     qwscatter sweep comfort     --model cycle --N 4 --c 1
     qwscatter barrier --r 0.8,0.8 --positions 0,1 --z-grid 720 --check-routes
 

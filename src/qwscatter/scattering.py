@@ -429,6 +429,15 @@ def transmission_reflection(matrix: np.ndarray, split: set, amp_in: np.ndarray) 
     norm = float(np.linalg.norm(amp_in))
     if abs(norm - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(norm)
+    return _powers(matrix, mask, amp_in)
+
+
+def _powers(matrix: np.ndarray, mask: np.ndarray, amp_in: np.ndarray) -> tuple:
+    """Power out of the channels off ``mask`` and on it, for ``matrix @ amp_in``.
+
+    The sums of :func:`transmission_reflection`, with no checks: callers
+    that step one validated split over many z call this directly.
+    """
     out = matrix @ amp_in
     transmitted = np.sum(np.abs(out[..., ~mask]) ** 2, axis=-1)
     reflected = np.sum(np.abs(out[..., mask]) ** 2, axis=-1)

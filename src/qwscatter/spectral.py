@@ -22,7 +22,8 @@ conjugate pairs; the arrays downstream stay complex.  Every simple
 cluster is normalised, conditioned and classified on or off the circle
 in one vectorised pass over the whole basis.  Only clusters of
 multiplicity above one run the Jordan staircase, on their own
-generalized eigenspace, and take 2-norms for their condition.
+generalized eigenspace, and take the 2-norms of their condition from
+one stacked singular-value call.
 
 The co-chains are *not* built by running the chain algorithm on the
 adjoint: they are the dual basis of the whole right basis ``V`` (every
@@ -357,7 +358,8 @@ def _classify(walk, basis: np.ndarray, dual: np.ndarray, starts: np.ndarray):
     of ``basis`` (its chains V) and ``dual`` (its co-chains W).
     ``||V||·||W||`` bounds the cluster's spectral projector; for a simple
     cluster it is the eigenvalue condition number 1/|<v, w>| of unit v, w,
-    taken from column norms, and a multiple one takes 2-norms.
+    taken from column norms, and a multiple one takes the largest singular
+    values of V and W, from one stacked call.
 
     A cluster is on the unit circle when its states and co-states both
     miss the tails.  The walk maps interior + incoming arcs unitarily
@@ -372,7 +374,8 @@ def _classify(walk, basis: np.ndarray, dual: np.ndarray, starts: np.ndarray):
     ends = np.append(starts[1:], basis.shape[1])
     for k in np.flatnonzero(ends - starts > 1):
         cols = slice(starts[k], ends[k])
-        condition[k] = np.linalg.norm(basis[:, cols], 2) * np.linalg.norm(dual[:, cols], 2)
+        sigmas = np.linalg.svd(np.stack([basis[:, cols], dual[:, cols]]), compute_uv=False)
+        condition[k] = sigmas[0, 0] * sigmas[1, 0]
 
     def coupling(block, columns_sq):
         return np.sqrt(
@@ -391,7 +394,7 @@ def eigen_decompose(walk) -> EigenSystem:
     if n == 0:
         return EigenSystem(m, ())
     a = _eig_input(m)
-    scale = float(np.linalg.norm(a, 2))
+    scale = float(np.linalg.svd(a, compute_uv=False)[0])  # the 2-norm
     values, vectors = np.linalg.eig(a)
     values = values.astype(complex, copy=False)
     floor = 1e-12 * max(scale, 1.0)

@@ -1,6 +1,7 @@
 """Tests for resonance tracking and the small-eps sweep tables."""
 
 import cmath
+import weakref
 
 import numpy as np
 import pytest
@@ -73,6 +74,47 @@ def test_geometric_grid_endpoints_and_spacing():
     assert np.allclose(ratios, ratios[0])
     with pytest.raises(ValueError):
         geometric_grid(1e-3, 1e-1, 0)
+
+
+def test_geometric_grid_needs_distinct_ends():
+    # start == stop would repeat one eps; one point may still name it
+    with pytest.raises(ValueError, match="start < stop"):
+        geometric_grid(0.05, 0.05, 3)
+    with pytest.raises(ValueError, match="start < stop"):
+        geometric_grid(0.1, 0.05, 3)
+    assert geometric_grid(0.05, 0.05, 1).tolist() == [0.05]
+
+
+SWEEPS = {
+    "width": lambda eps_values: width_table(matrix_schrodinger_family(), 1j, (1,), eps_values),
+    "discrepancy": lambda eps_values: discrepancy_table(
+        matrix_schrodinger_family(), 1j, eps_values
+    ),
+    "remainder": lambda eps_values: remainder_table(
+        matrix_schrodinger_family(), eps_values, n_grid=8
+    ),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+@pytest.mark.parametrize(
+    "eps_values, named",
+    [
+        ([-0.01, 0.02], "eps = -0.01 is not"),
+        ([0.02, float("nan"), -1.0], "eps = nan is not"),
+        ([0.01, float("inf")], "eps = inf is not"),
+        ([0.02, 0.01, 0.05, 0.01, 0.05], "eps = 0.01 appears more than once"),
+    ],
+    ids=["negative", "nan", "inf", "repeated"],
+)
+def test_sweeps_name_the_first_bad_eps(sweep, eps_values, named):
+    with pytest.raises(ValueError, match=named):
+        SWEEPS[sweep](eps_values)
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_sweeps_drop_an_exact_zero_eps(sweep):
+    assert SWEEPS[sweep]([0.0, 0.05, 0.02]) == SWEEPS[sweep]([0.02, 0.05])
 
 
 def test_default_eps_grid_shape():
@@ -336,16 +378,18 @@ def test_a_peak_wider_than_the_window_has_no_crossing(family, eps, lam, split):
 
 
 def sigma_calls_per_width(monkeypatch, model, eps):
+    # a Σ is a scattering matrix or a bare pole sum over every tail
     family, lam, split = PEAKS[model]
     lambda_eps = track_resonances(family, [0.0, eps]).at(eps, lam)
     calls = []
-    solve = asymptotics.scattering_matrix
+    for name in ("scattering_matrix", "generalized_eigenfunction"):
+        solve = getattr(asymptotics, name)
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
+        def spy(*args, solve=solve, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
 
-    monkeypatch.setattr(asymptotics, "scattering_matrix", spy)
+        monkeypatch.setattr(asymptotics, name, spy)
     peak_width(family, eps, lam, split, lambda_eps=lambda_eps)
     return len(calls)
 
@@ -498,7 +542,7 @@ def test_every_peak_row_carries_the_peaks_z_star(model):
             assert row.z == z_star[row.eps], (name, row)
 
 
-@pytest.mark.parametrize("model", ["ms", "cycle4"])
+@pytest.mark.parametrize("model", ["ms", "cycle4", "two_loop"])
 def test_peak_tables_pick_the_fastest_start_for_lam_none(model, monkeypatch):
     # lam=None tracks once, picks the start nearest the origin at the last
     # eps, and gives the same tables as naming that start
@@ -525,6 +569,107 @@ def test_peak_tables_pick_the_fastest_start_for_lam_none(model, monkeypatch):
         assert len(calls) == 1, name
         assert complex(summary["lambda_re"], summary["lambda_im"]) == fastest
         assert (rows, summary) == table(fastest), name
+
+
+STREAMED = {
+    "tunneling": lambda family, lam, split, grid: tunneling_table(family, lam, split, grid),
+    "width": lambda family, lam, split, grid: width_table(family, lam, split, grid),
+    "comfort": lambda family, lam, split, grid: comfort_table(family, lam, grid),
+    "remainder": lambda family, lam, split, grid: remainder_table(family, grid, n_grid=8),
+}
+
+
+@pytest.mark.parametrize("table", sorted(STREAMED))
+@pytest.mark.parametrize("model", ["ms", "cycle4"])
+def test_a_sweep_walks_and_decomposes_each_eps_once(monkeypatch, model, table):
+    # eps = 0 and each grid eps: one walk, one decomposition, no eigvals
+    family, lam, split = PEAKS[model]
+    grid = geometric_grid(1e-3, 0.1, 6)
+    counts = {"walk": 0, "decompose": 0, "eigvals": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return spy
+
+    for module in (asymptotics, scattering):
+        monkeypatch.setattr(module, "eigen_decompose", counted("decompose", module.eigen_decompose))
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+    STREAMED[table](counted("walk", family), lam, split, grid)
+    assert counts == {"walk": len(grid) + 1, "decompose": len(grid) + 1, "eigvals": 0}
+
+
+@pytest.mark.parametrize("table", sorted(STREAMED))
+def test_a_sweep_keeps_one_decomposition_alive(monkeypatch, table):
+    family, lam, split = PEAKS["ms"]
+    grid = geometric_grid(1e-3, 0.1, 6)
+    systems, alive = [], []
+    decompose = asymptotics.eigen_decompose
+
+    def spy(walk):
+        system = decompose(walk)
+        systems.append(weakref.ref(system))
+        return system
+
+    def counted(fn):
+        def measured(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in systems))
+            return fn(*args, **kwargs)
+
+        return measured
+
+    monkeypatch.setattr(asymptotics, "eigen_decompose", spy)
+    # each peak reads its resonance's boundary data; each remainder eps sums its pole blocks
+    monkeypatch.setattr(asymptotics, "boundary_data", counted(asymptotics.boundary_data))
+    monkeypatch.setattr(asymptotics, "pole_block", counted(asymptotics.pole_block))
+    STREAMED[table](family, lam, split, grid)
+    assert alive == [1] * len(grid)
+
+
+def rows_from_the_public_functions(family, lam, split, grid):
+    # each eps fed to the per-eps functions with the tracked value, as
+    # the sweeps did before they streamed the grid
+    track = track_resonances(family, np.concatenate([[0.0], grid]))
+    rows = {"tunneling": [], "width": [], "comfort": []}
+    for eps in grid:
+        lam_eps = track.at(eps, lam)
+        report = tunneling_check(family, eps, lam, split, lambda_eps=lam_eps)
+        at = (float(eps), report.z_star)
+        for quantity, value in [
+            ("t_at_peak", report.t_at_peak),
+            ("symmetry_residual", report.symmetry_residual),
+            ("overlap", report.out_channel_overlap),
+            ("width_measured", report.peak_width_measured),
+            ("width_predicted", report.peak_width_predicted),
+        ]:
+            if value is not None:
+                rows["tunneling"].append(at + (quantity, value))
+        theta_minus, theta_plus = peak_width(family, eps, lam, split, lambda_eps=lam_eps)
+        measured, predicted = theta_plus - theta_minus, 2.0 * (1.0 - abs(lam_eps))
+        rows["width"] += [
+            at + ("width_measured", measured),
+            at + ("width_predicted", predicted),
+            at + ("width_ratio", measured / predicted),
+        ]
+        energy, bound = comfortability_growth(family, eps, lam, lambda_eps=lam_eps)
+        rows["comfort"] += [
+            at + ("comfort", energy),
+            at + ("comfort_bound", bound),
+            at + ("comfort_scaled", energy * (1.0 - abs(lam_eps))),
+        ]
+    return rows
+
+
+@pytest.mark.parametrize("model", sorted(PEAKS))
+def test_streamed_rows_match_the_per_eps_functions_bit_for_bit(model):
+    family, lam, split = PEAKS[model]
+    grid = geometric_grid(1e-3, 0.1, 5)
+    expected = rows_from_the_public_functions(family, lam, split, grid)
+    for name in expected:
+        rows, _ = STREAMED[name](family, lam, split, grid)
+        assert [tuple(row) for row in rows] == expected[name], name
 
 
 def test_lam_none_needs_a_resonance_that_leaves_the_circle():
@@ -590,6 +735,23 @@ def test_remainder_table_matches_a_loop_over_z(family, route):
         # the reported point attains the sup, up to ties at roundoff
         at = residuals[int(np.argmin(np.abs(np.array(z_points) - row.z)))]
         assert abs(at - row.value) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda family: tunneling_check(family, 0.0, 1j, (1,)),
+        lambda family: peak_width(family, 0.0, 1j, (1,)),
+        lambda family: comfortability_growth(family, 0.0, 1j),
+        lambda family: resonant_block_norm(family, 0.0, 1j),
+    ],
+    ids=["tunneling_check", "peak_width", "comfortability_growth", "resonant_block_norm"],
+)
+def test_a_peak_at_eps_zero_sits_on_the_circle(measure):
+    # the (0, 0) track is its start, which is on the circle, as with lambda_eps given
+    family = matrix_schrodinger_family()
+    with pytest.raises(ResonanceOnCircle):
+        measure(family)
 
 
 def test_circle_resonance_has_no_tunneling_peak():

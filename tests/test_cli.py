@@ -12,6 +12,7 @@ import io
 import json
 import math
 import pkgutil
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
 
 import click
@@ -28,7 +29,7 @@ from qwscatter.cli import (
 )
 from qwscatter.line import BarrierSpec, barrier_scattering, line_to_graph, rotation_coin
 from qwscatter.modelfile import save_model
-from qwscatter.models import closed_form_sigma_ms
+from qwscatter.models import closed_form_sigma_ms, matrix_schrodinger_family
 from qwscatter.spectral import NumericalError
 
 UNITARITY_CAP = 1e-8
@@ -235,6 +236,22 @@ def test_empty_eps_grid_is_usage_error():
         ["resonances", "--model", "ms", "--eps-grid", "0.1:0.2:0"]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "discrepancy", "--model", "ms", "--z", "0.921+0.390i"],
+        ["sweep", "width", "--model", "cycle", "--N", "4", "--c", "1", "--J", "1,2"],
+    ],
+    ids=["discrepancy", "width"],
+)
+def test_a_grid_of_one_repeated_eps_is_a_usage_error(argv):
+    # 0.05:0.05:3 would be three copies of one eps: no slope, no track
+    code, out, err = run_cli(argv + ["--eps-grid", "0.05:0.05:3"])
+    assert code == 3
+    assert not out
+    assert "start < stop" in err
 
 
 # ----------------------------------------------------------------- smatrix
@@ -932,3 +949,24 @@ def test_parse_split_sorts_and_dedupes():
         parse_split("")
     with pytest.raises(click.UsageError):
         parse_split("one")
+
+
+DOCSTRING_COMMANDS = [
+    line.strip() for line in cli.__doc__.splitlines() if line.strip().startswith("qwscatter ")
+]
+
+
+def test_cli_docstring_has_examples():
+    assert len(DOCSTRING_COMMANDS) >= 9
+
+
+@pytest.mark.parametrize("command", DOCSTRING_COMMANDS)
+def test_cli_docstring_command_exits_zero(command, tmp_path):
+    # the module docstring's examples run as written; model.json is a saved ms
+    ms = matrix_schrodinger_family()
+    model = str(tmp_path / "model.json")
+    save_model(ms.graph, ms.coins, model)
+    argv = [model if word == "model.json" else word for word in shlex.split(command)[1:]]
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    assert out
