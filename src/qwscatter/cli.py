@@ -12,8 +12,11 @@
 
 Models are either builtin names (the keys of ``models.BUILTIN_FAMILIES``)
 or paths to JSON model files.  Numbers print with 17 significant digits so CSV
-output round-trips doubles losslessly; row order is deterministic (eps
-ascending, then z by angle, then row-major matrix entries).
+output round-trips doubles losslessly; JSON cells are Python's shortest
+round-trip ``repr`` (``null`` for an absent value, ``Infinity`` for an
+infinite one).  Row order is deterministic (eps ascending, then z by
+angle, then row-major matrix entries), and tables of either format are
+written in chunks of rows, never as one string.
 
 Exit codes: 0 success, 1 validation failure (any ``ValueError``), 2
 numerical failure (any ``spectral.NumericalError``: tolerance breach),
@@ -42,6 +45,7 @@ from .spectral import NumericalError, eigen_decompose, resonance_set
 from .walk import assemble, free_routing_check
 
 ROUTE_AGREEMENT_TOL = 1e-8
+ROWS_PER_CHUNK = 4096
 
 
 class RouteMismatch(NumericalError):
@@ -55,14 +59,27 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[: -len(",\n")]
 
 
-def _column_text(column) -> list:
-    """The CSV cells of one column; each distinct value is formatted once.
+# the row separator, row opening, cell separator and row end of each format;
+# JSON rows sit in the document's top-level "rows" list, laid out as
+# json.dumps(indent=2) lays them out
+_LAYOUT = {
+    "csv": ("", "", ",", "\n"),
+    "json": (",", "\n    [\n      ", ",\n      ", "\n    ]"),
+}
 
-    Floats print with 17 significant digits, so the CSV round-trips
-    doubles; NaN marks an absent value (a unitarity residual off the
-    circle) and prints as an empty cell.  Bools print as true/false and
-    anything else as ``str``.  Distinct floats are found by bit pattern,
-    not by value, so -0.0 keeps its sign.
+
+def _column_text(column, fmt, lead, sep) -> np.ndarray:
+    """The cells of one column, each as ``lead + text + sep``; each distinct
+    value is formatted once.
+
+    CSV floats print with 17 significant digits, so the CSV round-trips
+    doubles; JSON floats print as Python's shortest round-trip ``repr``,
+    with ``Infinity`` for an infinite value as ``json.dumps`` writes it.
+    NaN marks an absent value (a unitarity residual off the circle) and
+    prints as an empty CSV cell or JSON ``null``.  Bools print as
+    true/false; anything else as a quoted CSV field of its ``str`` or as
+    its ``json.dumps``.  Distinct floats are found by bit pattern, not by
+    value, so -0.0 keeps its sign.
     """
     column = np.asarray(column)
     floats = column.dtype == np.float64
@@ -70,18 +87,46 @@ def _column_text(column) -> list:
         column.view(np.uint64) if floats else column, return_inverse=True
     )
     if floats:
-        values = distinct.view(np.float64).tolist()
-        text = ["" if v != v else format(v, ".17g") for v in values]
+        values = distinct.view(np.float64)
+        pattern = lead + ("%.17g" if fmt == "csv" else "%r") + sep
+        text = list(map(pattern.__mod__, values.tolist()))
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            v = values.item(i)
+            if v != v:
+                text[i] = lead + ("" if fmt == "csv" else "null") + sep
+            elif fmt == "json":
+                text[i] = lead + json.dumps(v) + sep  # Infinity or -Infinity
     elif column.dtype == bool:
-        text = ["true" if v else "false" for v in distinct.tolist()]
+        text = [lead + ("true" if v else "false") + sep for v in distinct.tolist()]
     else:
-        text = [_csv_field(str(v)) for v in distinct.tolist()]
-    return np.array(text, dtype=object)[spread].tolist()
+        cell = (lambda v: _csv_field(str(v))) if fmt == "csv" else json.dumps
+        text = [lead + cell(v) + sep for v in distinct.tolist()]
+    return np.array(text, dtype=object)[spread]
 
 
-def _json_column(column) -> list:
-    """One column as Python values; NaN (an absent value) becomes None."""
-    return [None if v != v else v for v in np.asarray(column).tolist()]
+def _row_chunks(table, fmt):
+    """The rows of ``table`` as text, ``ROWS_PER_CHUNK`` rows per string.
+
+    The column texts fill one (rows, columns) grid, and each chunk is one
+    join over a block of it: no join per row, and the whole body never
+    exists as one string.
+    """
+    row_sep, row_open, cell_sep, row_end = _LAYOUT[fmt]
+    columns = list(table.values())
+    last = len(columns) - 1
+    grid = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        grid[:, j] = _column_text(
+            column,
+            fmt,
+            row_sep + row_open if j == 0 else "",
+            row_end if j == last else cell_sep,
+        )
+    if len(grid):
+        # the row separator goes before every row but the first
+        grid[0, 0] = grid[0, 0][len(row_sep):]
+    for start in range(0, len(grid), ROWS_PER_CHUNK):
+        yield "".join(grid[start : start + ROWS_PER_CHUNK].reshape(-1).tolist())
 
 
 def _write(chunks, out_path):
@@ -95,21 +140,24 @@ def _write(chunks, out_path):
 def _emit(table, summary, out_path, fmt):
     """Write ``table``, a dict of equal-length columns keyed by header name.
 
-    CSV goes column by column through :func:`_column_text`; JSON rows are
-    built from Python values, so both read as a row-by-row writer would.
+    Both formats go column by column through :func:`_column_text` and
+    are written in chunks of rows; the bytes are those of a row-by-row
+    writer, and of ``json.dumps(indent=2, sort_keys=True)`` for JSON.
     """
+    rows = _row_chunks(table, fmt)
     if fmt == "json":
-        document = {
-            "columns": list(table),
-            "rows": [list(row) for row in zip(*map(_json_column, table.values()))],
-        }
+        document = {"columns": list(table), "rows": []}
         if summary is not None:
             document["summary"] = summary
-        _write([json.dumps(document, indent=2, sort_keys=True), "\n"], out_path)
+        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        if not len(next(iter(table.values()))):
+            _write([text], out_path)
+            return
+        # "columns" sorts first and holds only strings, so this is the top-level key
+        head, _, tail = text.partition('"rows": []')
+        _write(itertools.chain([head + '"rows": ['], rows, ["\n  ]" + tail]), out_path)
         return
-    rows = zip(*map(_column_text, table.values()))
-    lines = itertools.chain([map(_csv_field, table)], rows)
-    _write((",".join(cells) + "\n" for cells in lines), out_path)
+    _write(itertools.chain([",".join(map(_csv_field, table)) + "\n"], rows), out_path)
     if summary is not None:
         text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         # keep a bare-stdout CSV stream machine-readable: the summary goes
@@ -122,11 +170,14 @@ def parse_complex_value(text: str) -> complex:
     if not cleaned:
         raise click.UsageError("empty complex number")
     try:
-        return complex(cleaned.replace("i", "j"))
+        value = complex(cleaned.replace("i", "j"))
     except ValueError:
         raise click.UsageError(
             f"cannot parse complex number {text!r}; write e.g. 0.921+0.390i"
         )
+    if not cmath.isfinite(value):
+        raise click.UsageError(f"complex number {text!r} is not finite")
+    return value
 
 
 def parse_eps_grid(text: str) -> np.ndarray:
@@ -360,8 +411,9 @@ def resonances(model, n_vertices, strengths, eps, eps_grid, track, out, fmt):
 
 
 def _require_agreement(worst, z):
-    """The largest per-point disagreement; raises at the first point over tolerance."""
-    over = worst > ROUTE_AGREEMENT_TOL
+    """The largest per-point disagreement; raises at the first point over
+    tolerance, or at the first NaN."""
+    over = ~(worst <= ROUTE_AGREEMENT_TOL)
     if over.any():
         j = int(np.argmax(over))
         raise RouteMismatch(

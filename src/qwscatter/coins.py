@@ -433,7 +433,7 @@ def eval_coins(coins: CoinFamily, eps: float) -> dict:
         mat = eval_matrix(grid, eps)
         if mat.shape[0] == mat.shape[1] and mat.size:
             residual = np.abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max()
-            if residual > UNITARITY_TOL:
+            if not residual <= UNITARITY_TOL:  # a NaN residual fails too
                 raise NotUnitary(vertex, float(residual))
         out[vertex] = mat
     return out

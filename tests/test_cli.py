@@ -110,6 +110,15 @@ def test_validate_flags_nonunitary_coin_at_eps(tmp_path):
     assert code == 0
 
 
+def test_validate_fails_a_nan_eps():
+    # a NaN residual must not slip through a "residual > tolerance" gate
+    code, out, _ = run_cli(["validate", "--model", "ms", "--eps", "nan"])
+    assert code == 1
+    report = json.loads(out)
+    assert not report["pass"]
+    assert report["errors"][0]["error"] == "NotUnitary"
+
+
 def test_validate_flags_nondeterministic_routing(tmp_path):
     s = "0.70710678118654752"
     doc = self_loop_document([[s, s], [f"-{s}", s]])
@@ -422,6 +431,42 @@ def test_route_mismatch_names_the_first_bad_point(monkeypatch):
     assert f"at z = {cmath.exp(2j * cmath.pi * 2 / 8):.12g} " in error["message"]
 
 
+def test_a_nan_route_deviation_is_a_mismatch(monkeypatch):
+    oracle = cli.oracle_direct_solve
+
+    def nan_at_three(walk, z, amp_in):
+        u, out = oracle(walk, z, amp_in)
+        out[3] = np.nan
+        return u, out
+
+    monkeypatch.setattr(cli, "oracle_direct_solve", nan_at_three)
+    code, _, err = run_cli(
+        ["smatrix", "--model", "ms", "--eps", "0.3", "--z-grid", "8", "--check-routes"]
+    )
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "RouteMismatch"
+    assert f"by nan at z = {cmath.exp(2j * cmath.pi * 3 / 8):.12g} " in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["smatrix", "--model", "ms", "--eps", "0.3", "--z", "nan"],
+        ["smatrix", "--model", "ms", "--eps", "0.3", "--z", "1e400"],
+        ["sweep", "discrepancy", "--model", "crossing", "--z", "nan",
+         "--eps-grid", "0.001:0.1:3"],
+        ["sweep", "tunneling", "--model", "ms", "--J", "1", "--lambda", "nan"],
+    ],
+    ids=["smatrix-nan", "smatrix-overflow", "discrepancy", "tunneling"],
+)
+def test_a_non_finite_point_is_a_usage_error(argv):
+    code, out, err = run_cli(argv)
+    assert code == 3
+    assert out == ""
+    assert "is not finite" in err
+
+
 # ------------------------------------------------------------------ output
 
 
@@ -489,6 +534,16 @@ EMIT_CASES = {
          "--eps-grid", "0.02:0.05:2", "--format", "json"],
         '"comfort_bound"',
     ),
+    # 65 536 rows: many chunks
+    "smatrix_chunks": (
+        ["smatrix", "--model", "cycle", "--N", "16", "--eps", "0.2", "--z-grid", "256"],
+        ",16,16,",
+    ),
+    "smatrix_chunks_json": (
+        ["smatrix", "--model", "cycle", "--N", "16", "--eps", "0.2", "--z-grid", "256",
+         "--format", "json"],
+        "\n      16,\n      16,\n",
+    ),
     "barrier": (
         ["barrier", "--r", "0.8,0.8", "--positions", "0,1", "--z-grid", "8",
          "--check-routes"],
@@ -530,6 +585,74 @@ def test_emit_keeps_signed_zeros_and_absent_values(capsys, fmt):
     assert out == write_by_row(table, None, fmt)
     if fmt == "csv":
         assert out.splitlines()[1:3] == ["0,0,true,a,", '-0,1,false,"b,c",1.0000000000000001e-17']
+
+
+def mixed_table(n):
+    k = np.arange(n)
+    return {
+        "x": np.sin(k) * 10.0 ** (k % 7 - 3),
+        "n": k % 5,
+        "flag": k % 3 == 0,
+        "name": [("a", "b,c", "é")[i % 3] for i in range(n)],
+        "residual": np.where(k % 4 == 0, np.nan, k / 7.0),
+    }
+
+
+CHUNK_EDGES = {
+    "0": 0,
+    "1": 1,
+    "B-1": cli.ROWS_PER_CHUNK - 1,
+    "B": cli.ROWS_PER_CHUNK,
+    "B+1": cli.ROWS_PER_CHUNK + 1,
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("size", CHUNK_EDGES)
+def test_emit_matches_a_row_by_row_writer_around_a_chunk(capsys, fmt, size):
+    table = mixed_table(CHUNK_EDGES[size])
+    summary = {"rows": CHUNK_EDGES[size]}
+    cli._emit(table, summary, None, fmt)
+    out = capsys.readouterr().out
+    assert out == write_by_row(table, summary, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_writes_special_floats_and_quoted_strings(capsys, fmt):
+    special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, 5e-324]
+    table = {
+        "x": np.array(special),
+        "y": np.array(special[::-1]),
+        "name": ["a,b", 'say "hi"', "naïve", "", "a,b", "plain", "é"],
+    }
+    cli._emit(table, None, None, fmt)
+    out = capsys.readouterr().out
+    assert out == write_by_row(table, None, fmt)
+    if fmt == "json":
+        assert "Infinity" in out and "-Infinity" in out and "null" in out
+        json.loads(out, parse_constant=float)
+    else:
+        assert out.splitlines()[1] == 'inf,4.9406564584124654e-324,"a,b"'
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_streams_a_large_table_in_row_chunks(monkeypatch, capsys, fmt):
+    chunks = []
+    write = cli._write
+
+    def spy(parts, out_path):
+        parts = list(parts)
+        chunks.extend(parts)
+        return write(parts, out_path)
+
+    monkeypatch.setattr(cli, "_write", spy)
+    table = mixed_table(65536)
+    cli._emit(table, None, None, fmt)
+    assert capsys.readouterr().out == "".join(chunks) == write_by_row(table, None, fmt)
+    # a JSON row spans one line per cell plus its brackets
+    lines_per_row = 1 if fmt == "csv" else len(table) + 2
+    assert len(chunks) > 2
+    assert max(chunk.count("\n") for chunk in chunks) <= cli.ROWS_PER_CHUNK * lines_per_row
 
 
 # ------------------------------------------------------------------ sweeps

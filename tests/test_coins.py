@@ -154,6 +154,12 @@ def test_eval_coins_rejects_non_unitary():
         eval_coins(family, 0.0)
 
 
+def test_eval_coins_rejects_a_nan_residual():
+    family = parse_coin_family({"v": [["sqrt(1-eps^2)", "eps"], ["-eps", "sqrt(1-eps^2)"]]})
+    with pytest.raises(NotUnitary):
+        eval_coins(family, float("nan"))
+
+
 def test_unitarity_tolerance_is_tight():
     off = 10 * UNITARITY_TOL
     family = parse_coin_family({"v": [[f"1+{off}"]]})
