@@ -85,6 +85,7 @@ from .scattering import (
     generalized_eigenfunction,
     oracle_direct_solve,
     pole_block,
+    resolvent_kernel,
     scattering_matrix,
     transmission_reflection,
     zero_pole_block,

@@ -26,9 +26,9 @@ The tables that follow a resonance (tunneling, width, comfort and
 remainder) stream the eps grid (:func:`_stream`): each eps builds its
 walk and decomposes it once, tracking matches on that decomposition's
 cluster values, and the measure at that eps reads the same walk and
-decomposition, one eps at a time.  The half-height search takes each
-step's Σ from the resolvent route's bare pole sum and checks the split
-and incoming wave once per peak.
+decomposition, one eps at a time.  Each peak builds one resolvent
+kernel for every tail; its z* check and each half-height step evaluate
+it, and the split and incoming wave are checked once per peak.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ from .scattering import (
     comfortability,
     generalized_eigenfunction,
     pole_block,
+    resolvent_kernel,
     scattering_matrix,
     transmission_reflection,
 )
@@ -276,11 +278,12 @@ def track_resonances(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("eps grid must be strictly increasing")
 
-    starts = _starts(eigen_decompose(family(0.0)))
+    system0 = eigen_decompose(family(0.0))
+    starts = _starts(system0)
     paths = np.zeros((len(grid), len(starts)), dtype=complex)
     if starts:
         paths[0] = starts
-        vals = _eigenvalues(family, 0.0)
+        vals = _spectrum(system0)
         cur = list(starts)
         for i in range(1, len(grid)):
             vals, cur = _advance(family, grid[i - 1], vals, cur, grid[i], 0)
@@ -400,7 +403,8 @@ class TunnelingReport:
             raise ValueError(f"transmission {self.t_at_peak} outside [0, 1]")
 
 
-class _Peak(NamedTuple):
+@dataclass(frozen=True)
+class _Peak:
     """A tracked resonance and its transmission peak z* = λ_ε/|λ_ε|."""
 
     walk: object
@@ -410,6 +414,11 @@ class _Peak(NamedTuple):
     lam_eps: complex
     z_star: complex
     profile: np.ndarray  # unit co-state tail profile
+
+    @cached_property
+    def kernel(self):
+        """The resolvent route for every tail at once, built on first use."""
+        return resolvent_kernel(self.walk, np.eye(self.walk.n_tails), self.system)
 
 
 def _peak(family, eps, lam, lambda_eps=None) -> _Peak:
@@ -460,14 +469,12 @@ def _split(peak: _Peak, split) -> tuple:
 
 
 def _sigma(peak: _Peak, z) -> np.ndarray:
-    """Σ at ``z`` (a point or an array): the resolvent route's pole sum alone.
+    """Σ at ``z`` (a point or an array) from the peak's resolvent kernel.
 
     The same numbers as ``scattering_matrix(..., route="resolvent")``,
     without its unitarity residuals.
     """
-    return generalized_eigenfunction(
-        peak.walk, z, np.eye(peak.walk.n_tails), peak.system
-    ).amp_out
+    return peak.kernel(z).amp_out
 
 
 def _transmission(peak: _Peak, z, mask, amp_in):
@@ -564,7 +571,7 @@ def _half_height_window(peak: _Peak, channels, amp_in, t_peak: float) -> tuple:
     four steps.  Each side returns the midpoint of its closed bracket.
     """
     base = cmath.phase(peak.z_star)
-    sides = np.array([-1.0, 1.0])
+    sides = (-1.0, 1.0)
     mask = np.zeros(peak.walk.n_tails, dtype=bool)
     mask[np.asarray(channels) - 1] = True
 
@@ -584,32 +591,35 @@ def _half_height_window(peak: _Peak, channels, amp_in, t_peak: float) -> tuple:
             f"transmission stays above 1/2 within {THETA_WINDOW:.3f} rad"
         )
     first = np.argmax(g < 0, axis=1)
-    high, g_high = steps[first], g[[0, 1], first]
-    low = np.where(first > 0, steps[first - 1], 0.0)
-    g_low = np.where(first > 0, g[[0, 1], first - 1], t_peak - 0.5)
-    # per side: +1 when the last step kept the low end, -1 the high end
-    kept = np.zeros(2)
-    width_before = np.full((3, 2), np.inf)  # one, two and three steps ago
+    # per side, as floats: the bracket, its values, the end kept last (+1
+    # low, -1 high) and the bracket widths one, two and three steps ago
+    high, g_high = steps[first].tolist(), g[[0, 1], first].tolist()
+    low = np.where(first > 0, steps[first - 1], 0.0).tolist()
+    g_low = np.where(first > 0, g[[0, 1], first - 1], t_peak - 0.5).tolist()
+    kept = [0.0, 0.0]
+    before = [[math.inf] * 3, [math.inf] * 3]
     near = 0.5 * THETA_TOL
-    while (open_ := high - low > THETA_TOL).any():
-        lo, hi, g_lo, g_hi = low[open_], high[open_], g_low[open_], g_high[open_]
-        width = hi - lo
-        theta = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-        bisect = ~((lo <= theta) & (theta <= hi)) | (width > 0.5 * width_before[2, open_])
-        theta = np.where(bisect, 0.5 * (lo + hi), np.clip(theta, lo + near, hi - near))
-        g_theta = excess(sides[open_] * theta)
-        hit = g_theta < 0
-        now = np.where(hit, 1.0, -1.0)
-        halve = np.where(kept[open_] == now, 0.5, 1.0)
-        low[open_] = np.where(hit, lo, theta)
-        g_low[open_] = np.where(hit, halve * g_lo, g_theta)
-        high[open_] = np.where(hit, theta, hi)
-        g_high[open_] = np.where(hit, g_theta, halve * g_hi)
-        kept[open_] = now
-        width_before[1:, open_] = width_before[:-1, open_]
-        width_before[0, open_] = width
-    theta = sides * 0.5 * (low + high)
-    return float(theta[0]), float(theta[1])
+    while opened := [k for k in (0, 1) if high[k] - low[k] > THETA_TOL]:
+        thetas = []
+        for k in opened:
+            lo, hi, g_lo, g_hi = low[k], high[k], g_low[k], g_high[k]
+            theta = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+            if not lo <= theta <= hi or hi - lo > 0.5 * before[k][2]:
+                theta = 0.5 * (lo + hi)
+            else:
+                theta = min(max(theta, lo + near), hi - near)
+            thetas.append(theta)
+        g_theta = excess(np.array([sides[k] * theta for k, theta in zip(opened, thetas)]))
+        for k, theta, g_t in zip(opened, thetas, g_theta.tolist()):
+            now = 1.0 if g_t < 0 else -1.0
+            halve = 0.5 if kept[k] == now else 1.0
+            before[k] = [high[k] - low[k]] + before[k][:2]
+            if g_t < 0:
+                high[k], g_high[k], g_low[k] = theta, g_t, halve * g_low[k]
+            else:
+                low[k], g_low[k], g_high[k] = theta, g_t, halve * g_high[k]
+            kept[k] = now
+    return tuple(float(sides[k] * 0.5 * (low[k] + high[k])) for k in (0, 1))
 
 
 def peak_width(

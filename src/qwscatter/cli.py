@@ -320,6 +320,7 @@ def validate(model, n_vertices, strengths, eps):
 
         def unitarity():
             eval_coins(fam.coins, eps)
+            fam.check_eps(eps)  # as every command that builds a walk does
             return {"eps": eps}
 
         run("coin_unitarity", unitarity)

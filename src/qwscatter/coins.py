@@ -425,15 +425,18 @@ def eval_coins(coins: CoinFamily, eps: float) -> dict:
     """Evaluate every coin in the family at the given coupling.
 
     Square coins are required to be unitary to ``UNITARITY_TOL``
-    (max-entry norm of C*C - I); rectangular grids are left to the walk
-    assembler, which will reject them with a dimension error.
+    (max-entry norm of C*C - I); a coin with a non-finite entry is not,
+    and fails before C*C is formed.  Rectangular grids are left to the
+    walk assembler, which will reject them with a dimension error.
     """
     out = {}
     for vertex, grid in coins.items():
         mat = eval_matrix(grid, eps)
         if mat.shape[0] == mat.shape[1] and mat.size:
+            if not cmath.isfinite(mat.sum()):  # the entries of a unitary are at most 1
+                raise NotUnitary(vertex, float("nan"))
             residual = np.abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max()
-            if not residual <= UNITARITY_TOL:  # a NaN residual fails too
+            if not residual <= UNITARITY_TOL:
                 raise NotUnitary(vertex, float(residual))
         out[vertex] = mat
     return out

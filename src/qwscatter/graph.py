@@ -13,6 +13,7 @@ possible at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 
@@ -119,20 +120,25 @@ class TailedGraph:
 
     # -- coin slots ------------------------------------------------------
 
+    @cached_property
+    def _slots(self) -> tuple:
+        """Every vertex's incoming and outgoing slots, from one pass over the arcs."""
+        ins: dict = {v: [] for v in self.vertices}
+        outs: dict = {v: [] for v in self.vertices}
+        for i, a in enumerate(self.arcs):
+            ins[a.terminus].append(("arc", i))
+            outs[a.origin].append(("arc", i))
+        for t in self.tails:
+            ins[t.in_vertex].append(("in", t.index))
+            outs[t.out_vertex].append(("out", t.index))
+        return ins, outs
+
     def in_slots(self, vertex) -> list[SlotKey]:
         """Arcs delivering amplitude to ``vertex``: interior first, then tails."""
-        slots: list[SlotKey] = [
-            ("arc", i) for i, a in enumerate(self.arcs) if a.terminus == vertex
-        ]
-        slots += [("in", t.index) for t in self.tails if t.in_vertex == vertex]
-        return slots
+        return list(self._slots[0].get(vertex, ()))
 
     def out_slots(self, vertex) -> list[SlotKey]:
-        slots: list[SlotKey] = [
-            ("arc", i) for i, a in enumerate(self.arcs) if a.origin == vertex
-        ]
-        slots += [("out", t.index) for t in self.tails if t.out_vertex == vertex]
-        return slots
+        return list(self._slots[1].get(vertex, ()))
 
     def degree(self, vertex) -> int:
         return len(self.in_slots(vertex))

@@ -24,7 +24,8 @@ Three constructions of the same object live here:
 
 ``generalized_eigenfunction`` and ``oracle_direct_solve`` take one
 incoming vector or a matrix of incoming columns, so the resolvent route
-scatters every tail in one pass (``amp_in = np.eye(n_tails)``).
+scatters every tail in one pass (``amp_in = np.eye(n_tails)``), as one
+:class:`ResolventKernel` that can be evaluated at any number of ``z``.
 
 Every function that takes ``z`` takes a scalar or a 1-d array of
 points.  An array of ``nz`` points puts one leading axis of length
@@ -32,8 +33,8 @@ points.  An array of ``nz`` points puts one leading axis of length
 ``(nz, n_tails, n_tails)`` stack; a scalar is the one-point case of the
 same computation and returns the shapes without that axis.  What does
 not depend on ``z`` (the drive, the chain coefficients ``W* f``, the
-boundary values of every chain) is computed once per call, and every
-check names the first offending point.
+boundary values of every chain) is computed once per kernel or per
+call, and every check names the first offending point.
 
 The routes agree wherever they are all defined; keeping them separate
 is the point, so resist the urge to share intermediate results.
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +53,7 @@ from .spectral import (
     Cluster,
     EigenSystem,
     NumericalError,
+    PoleBasis,
     ZeroCluster,
     _pole_basis,
     eigen_decompose,
@@ -142,74 +145,102 @@ def _check_poles(z: np.ndarray, values: np.ndarray) -> None:
         raise AtInteriorResonance(complex(z.reshape(-1)[point]), complex(values[column]))
 
 
-def _pole_sum(poles, drive: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """``V a`` with ``(z - J) a = W* drive``, for each point of ``shift = z``.
+def _pole_sum(poles, coefficients: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``V a`` with ``(z - J) a = W* f``, for each point of ``shift = z``.
 
     ``poles`` stacks the chain vectors ``V`` (with ``M V = V J``), the
-    co-chain vectors ``W*`` and the value λ_k of each column.  The
-    coefficients ``a = W* drive / (z - λ)`` of the simple poles are
-    final.  Along a Jordan chain, ``(M - λ) v_l = v_{l-1}`` couples each
-    coefficient to the next one up the chain, so the chain is
-    back-substituted from its top,
+    co-chain vectors ``W*`` and the value λ_k of each column, and
+    ``coefficients`` is ``W* f``.  The coefficients ``a = W* f / (z - λ)``
+    of the simple poles are final.  Along a Jordan chain,
+    ``(M - λ) v_l = v_{l-1}`` couples each coefficient to the next one up
+    the chain, so the chain is back-substituted from its top,
 
         a_k += a_(k+1) / (z - λ_k)   for k in ``links``, reversed.
 
-    ``shift`` has shape (nz, 1, 1) and ``drive`` one column per incoming
-    vector; the result has shape (nz, n0, columns).
+    ``shift`` has shape (nz, 1, 1) and ``coefficients`` one column per
+    incoming vector; the result has shape (nz, n0, columns).
     """
-    values, right, left_h, links = poles
-    a = (left_h @ drive) / (shift - values[:, None])
+    values, right, _, links = poles
+    a = coefficients / (shift - values[:, None])
     for k in reversed(links):
         a[:, k] += a[:, k + 1] / (shift[:, 0] - values[k])
     return right @ a
 
 
-def generalized_eigenfunction(
-    walk: WalkOperator,
-    z,
-    amp_in: np.ndarray,
-    system: EigenSystem | None = None,
-) -> ScatterSolution:
-    """Scattered wave for incoming data ``amp_in`` at parameter ``z``.
+class ResolventKernel(NamedTuple):
+    """The resolvent route for one incoming pattern, built once for any ``z``.
 
-    The interior part is ``u = (z - M)^-1 f`` for the interior drive
-    ``f``, one pole sum (:func:`_pole_sum`) over every off-circle chain,
-    which ``system.poles`` stacks once.  Unit-circle clusters must not
-    see any of ``f`` (they would trap amplitude forever); their
-    projections are measured and reported, and a violation is an error.
-
-    ``amp_in`` may be one incoming vector or a matrix whose columns are
-    scattered at once; the overlap is checked column by column.  ``z``
-    may be a scalar or a 1-d array (see the module docstring).
+    :func:`resolvent_kernel` builds it.  Called at ``z`` (a point or a 1-d
+    array), it checks ``z``, then the poles, then the overlap, and makes
+    one pole sum (:func:`_pole_sum`) and the emission into the tails.
     """
-    z = _check_z(z)
+
+    poles: PoleBasis
+    coefficients: np.ndarray  # W* f, one column per incoming vector
+    emission: np.ndarray  # interior_to_tail
+    direct: np.ndarray  # the tail-to-tail term, the same columns
+    shape: tuple  # of amp_in past its first axis
+    overlap: float  # the largest projection of f onto a unit-circle cluster
+    trapped: bool  # some column's overlap breaks ORTHOGONALITY_TOL
+
+    def __call__(self, z) -> ScatterSolution:
+        z = _check_z(z)
+        _check_poles(z, self.poles.values)
+        if self.trapped:
+            raise OrthogonalityViolated(
+                f"drive overlaps unit-circle eigenvectors with norm {self.overlap:.3e}"
+            )
+        u = _pole_sum(self.poles, self.coefficients, z.reshape(-1, 1, 1))
+        amp_out = self.emission @ u + self.direct
+        return ScatterSolution(
+            u.reshape(z.shape + u.shape[1:2] + self.shape),
+            amp_out.reshape(z.shape + amp_out.shape[1:2] + self.shape),
+            self.overlap,
+        )
+
+
+def resolvent_kernel(walk: WalkOperator, amp_in, system: EigenSystem | None = None):
+    """The z-independent half of the resolvent route for incoming data ``amp_in``.
+
+    The drive ``f``, its coefficients ``W* f`` on every off-circle chain
+    (``system.poles``), the direct tail-to-tail term, and the overlap of
+    ``f`` with the unit-circle clusters, which must not see any of it
+    (they would trap amplitude forever), checked column by column.
+    """
     amp_in = np.asarray(amp_in, dtype=complex)
     if system is None:
         system = eigen_decompose(walk)
-    _check_poles(z, system.poles.values)
-
     f = walk.tail_to_interior @ amp_in
     scale = np.maximum(1.0, np.linalg.norm(amp_in, axis=0))
     overlap = np.zeros(amp_in.shape[1:])
     for cluster in system.on_circle():
         overlap = np.maximum(overlap, np.linalg.norm(cluster.project(f), axis=0))
-    if np.any(overlap > ORTHOGONALITY_TOL * scale):
-        raise OrthogonalityViolated(
-            f"drive overlaps unit-circle eigenvectors with norm {np.max(overlap):.3e}"
-        )
-
-    # one leading axis over the points, incoming data as columns
-    shift = z.reshape(-1, 1, 1)
     columns = math.prod(amp_in.shape[1:])
-    drive = f.reshape(f.shape[0], columns)
-    u = _pole_sum(system.poles, drive, shift)
     direct = walk.tail_to_tail @ amp_in
-    amp_out = walk.interior_to_tail @ u + direct.reshape(direct.shape[0], columns)
-    return ScatterSolution(
-        u.reshape(z.shape + f.shape),
-        amp_out.reshape(z.shape + direct.shape),
+    return ResolventKernel(
+        system.poles,
+        system.poles.left_h @ f.reshape(f.shape[0], columns),
+        walk.interior_to_tail,
+        direct.reshape(direct.shape[0], columns),
+        amp_in.shape[1:],
         float(np.max(overlap, initial=0.0)),
+        bool(np.any(overlap > ORTHOGONALITY_TOL * scale)),
     )
+
+
+def generalized_eigenfunction(
+    walk: WalkOperator, z, amp_in: np.ndarray, system: EigenSystem | None = None
+) -> ScatterSolution:
+    """Scattered wave for incoming data ``amp_in`` at parameter ``z``.
+
+    The interior part is ``u = (z - M)^-1 f`` for the interior drive
+    ``f``: one :func:`resolvent_kernel`, evaluated once.  ``amp_in`` may
+    be one incoming vector or a matrix whose columns are scattered at
+    once, and ``z`` a scalar or a 1-d array (see the module docstring).
+    """
+    if system is None:
+        _check_z(z)  # the z guard comes before the decomposition
+    return resolvent_kernel(walk, amp_in, system)(z)
 
 
 def oracle_direct_solve(

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -191,9 +192,14 @@ def _cluster_indices(values: np.ndarray, tol: float):
 
     Union-find is order-independent; ambiguity is flagged afterwards if
     transitivity stretched a cluster beyond diameter 2*tol, which is
-    exactly when a greedy pass would have been order-dependent.
+    exactly when a greedy pass would have been order-dependent.  With no
+    two eigenvalues that close, every cluster is one eigenvalue.
     """
     n = len(values)
+    close = np.abs(np.subtract.outer(values, values)) <= tol
+    if np.count_nonzero(close) == n:  # the diagonal of finite values alone
+        keys = list(map(_sort_key, values.tolist()))
+        return [[a] for a in sorted(range(n), key=keys.__getitem__)]
     parent = list(range(n))
 
     def find(a):
@@ -202,7 +208,6 @@ def _cluster_indices(values: np.ndarray, tol: float):
             a = parent[a]
         return a
 
-    close = np.abs(np.subtract.outer(values, values)) <= tol
     for a, b in zip(*np.nonzero(np.triu(close, 1))):
         ra, rb = find(int(a)), find(int(b))
         if ra != rb:
@@ -240,63 +245,56 @@ def _null_dim(sigmas: np.ndarray, total: int, floor: float) -> int:
     return int(np.sum(sigmas < thr)) + (total - len(sigmas))
 
 
+def _null_basis(power: np.ndarray, d: int) -> np.ndarray:
+    """Orthonormal columns spanning the ``d``-dimensional null space of ``power``."""
+    return np.linalg.svd(power)[2][power.shape[0] - d :].conj().T
+
+
 def _nilpotent_chains(r: np.ndarray, floor: float):
     """Jordan chains of a (numerically) nilpotent matrix.
 
-    Returns a list of chains, each an array of rows ``v_1 .. v_L`` with
+    Returns the chain lengths, longest first, and the chain vectors as
+    the columns of one array, chain by chain, ``v_1 .. v_L`` with
     ``r @ v_l = v_{l-1}``.  The staircase is the textbook one: count
-    nullities of powers, then pick chain tops in ``null(r^k)`` that are
-    independent of ``null(r^(k-1))`` and of the vectors already occupied
-    by longer chains.
+    nullities of powers (from their singular values alone), then pick
+    chain tops in ``null(r^k)`` that are independent of ``null(r^(k-1))``
+    and of the vectors already occupied by longer chains.  The longest
+    chains' tops span the complement of ``null(r^(kmax-1))``, the row
+    space of that power, so they need no search; with ``kmax = 1`` (a
+    semisimple cluster, most often shown by ``r``'s norm alone) they span
+    the whole space.
     """
     m = r.shape[0]
-    if m == 1:
-        return [np.eye(1, dtype=complex)]
-
-    null_bases = [np.zeros((m, 0), dtype=complex)]
-    dims = [0]
-    power = np.eye(m, dtype=complex)
-    kmax = m
-    for k in range(1, m + 1):
-        power = power @ r
-        u, s, vh = np.linalg.svd(power)
-        d = max(_null_dim(s, m, floor), dims[-1])
-        null_bases.append(vh[m - d :].conj().T if d else np.zeros((m, 0), dtype=complex))
-        dims.append(d)
-        if d >= m:
-            kmax = k
-            break
-    else:
-        # numerically the nilpotency never completed; force it
-        dims[-1] = m
-        null_bases[-1] = np.eye(m, dtype=complex)
-        kmax = len(dims) - 1
-
-    # r_k = chains of length >= k
-    geq = [dims[k] - dims[k - 1] for k in range(1, kmax + 1)]
-    chains = []
+    if np.vdot(r, r).real < 0.25 * floor * floor:
+        # ||r||_F < floor/2: every singular value is below the rank threshold
+        return [1] * m, np.eye(m)
+    powers, dims = [np.eye(m, dtype=complex)], [0]
+    while dims[-1] < m:
+        powers.append(powers[-1] @ r)
+        sigmas = np.linalg.svd(powers[-1], compute_uv=False)
+        # the m-th power vanishes: nilpotency is forced there
+        dims.append(m if len(dims) == m else max(_null_dim(sigmas, m, floor), dims[-1]))
+    kmax = len(dims) - 1
+    geq = np.diff(dims).tolist() + [0]  # geq[k - 1]: chains of length >= k
+    lengths, blocks, tops = [], [], []
     for k in range(kmax, 0, -1):
-        longer = geq[k] if k < kmax else 0
-        n_new = geq[k - 1] - longer
+        n_new = geq[k - 1] - geq[k]
         if n_new <= 0:
             continue
-        occupied = [c[k - 1] for c in chains]  # height-k vectors of longer chains
-        blockers = [null_bases[k - 1]] + [v.reshape(m, 1) for v in occupied]
-        blocker = np.concatenate(blockers, axis=1)
-        candidates = null_bases[k]
-        if blocker.shape[1]:
+        if k == kmax:
+            new = np.linalg.svd(powers[k - 1])[2][:n_new].conj().T
+        else:
+            # height-k vectors of the longer chains, and null(r^(k-1))
+            occupied = [powers[length - k] @ t for length, t in tops]
+            blocker = np.concatenate([_null_basis(powers[k - 1], dims[k - 1])] + occupied, axis=1)
             q, _ = np.linalg.qr(blocker)
-            candidates = candidates - q @ (q.conj().T @ candidates)
-        u, s, vh = np.linalg.svd(candidates)
-        tops = u[:, :n_new]
-        for t in tops.T:
-            rows = [t]
-            for _ in range(k - 1):
-                rows.append(r @ rows[-1])
-            chains.append(np.array(rows[::-1]))  # v_1 first
-    # longest chains first, deterministic
-    chains.sort(key=lambda c: -c.shape[0])
-    return chains
+            candidates = _null_basis(powers[k], dims[k])
+            new = np.linalg.svd(candidates - q @ (q.conj().T @ candidates))[0][:, :n_new]
+        tops.append((k, new))
+        lengths += [k] * n_new
+        # v_l = r^(k-l) t for each top t, as columns (chain, l) of one stacked product
+        blocks.append(np.transpose(np.stack(powers[k - 1 :: -1]) @ new, (1, 2, 0)).reshape(m, -1))
+    return lengths, np.concatenate(blocks, axis=1)
 
 
 def _eig_input(m: np.ndarray) -> np.ndarray:
@@ -318,11 +316,10 @@ def _unit_pivot(vectors: np.ndarray, values, floor: float) -> np.ndarray:
     ``floor`` raises ``IllConditionedChain`` there.
     """
     norms = np.sqrt(_column_sq(vectors))
-    short = np.flatnonzero(norms < floor)
-    if short.size:
-        raise IllConditionedChain(complex(values[short[0]]), float("inf"))
-    cols = np.arange(vectors.shape[1])
-    pivots = vectors[np.argmax(np.abs(vectors), axis=0), cols]
+    short = norms < floor
+    if short.any():
+        raise IllConditionedChain(complex(values[int(short.argmax())]), float("inf"))
+    pivots = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
     return norms * (pivots / np.abs(pivots))
 
 
@@ -330,20 +327,19 @@ def _right_chains(m: np.ndarray, lam: complex, mult: int, floor: float):
     """Right Jordan chains of a multiple cluster, each led by a unit eigenvector.
 
     The staircase runs on the cluster's generalized eigenspace, the null
-    space of ``(M - λ)^mult``.  Every chain is scaled so its eigenvector
-    has unit norm and a real positive pivot.
+    space of ``(M - λ)^mult``, and one product maps every chain vector
+    back.  Returns the chain lengths and the vectors as rows, chain by
+    chain; each chain is scaled so its eigenvector has unit norm and a
+    real positive pivot.
     """
     n = m.shape[0]
-    if mult == n:
-        v0 = np.eye(n, dtype=complex)
-    else:
-        power = np.linalg.matrix_power(m - lam * np.eye(n), mult)
-        v0 = np.linalg.svd(power)[2][n - mult :].conj().T
-    restricted = v0.conj().T @ (m - lam * np.eye(n)) @ v0
-    chains = [chain @ v0.T for chain in _nilpotent_chains(restricted, floor)]
-    leads = np.stack([chain[0] for chain in chains], axis=1)
-    divisors = _unit_pivot(leads, [lam] * len(chains), floor)
-    return [chain / d for chain, d in zip(chains, divisors)]
+    shifted = m - lam * np.eye(n)
+    v0 = np.eye(n) if mult == n else _null_basis(np.linalg.matrix_power(shifted, mult), mult)
+    lengths, coords = _nilpotent_chains(v0.conj().T @ shifted @ v0, floor)
+    columns = v0 @ coords
+    heads = list(accumulate(lengths[:-1], initial=0))
+    divisors = _unit_pivot(columns[:, heads], [lam] * len(heads), floor)
+    return lengths, (columns / divisors.repeat(lengths)).T
 
 
 def _column_sq(a: np.ndarray) -> np.ndarray:
@@ -369,22 +365,22 @@ def _classify(walk, basis: np.ndarray, dual: np.ndarray, starts: np.ndarray):
     cannot resolve.  The coupling of a cluster is the Frobenius ratio
     ``||T V|| / ||V||``, summed column by column over its chains.
     """
-    right_sq, left_sq = _column_sq(basis), _column_sq(dual)
-    condition = np.sqrt(right_sq[starts]) * np.sqrt(left_sq[starts])
-    ends = np.append(starts[1:], basis.shape[1])
-    for k in np.flatnonzero(ends - starts > 1):
-        cols = slice(starts[k], ends[k])
-        sigmas = np.linalg.svd(np.stack([basis[:, cols], dual[:, cols]]), compute_uv=False)
-        condition[k] = sigmas[0, 0] * sigmas[1, 0]
-
-    def coupling(block, columns_sq):
-        return np.sqrt(
-            np.add.reduceat(_column_sq(block), starts) / np.add.reduceat(columns_sq, starts)
-        )
-
-    emitted = coupling(walk.interior_to_tail @ basis, right_sq)
-    picked = coupling(walk.tail_to_interior.conj().T @ dual, left_sq)
-    return condition, (emitted <= CIRCLE_COUPLING_TOL) & (picked <= CIRCLE_COUPLING_TOL)
+    tails = (walk.interior_to_tail @ basis, walk.tail_to_interior.conj().T @ dual)
+    states_sq = np.array([_column_sq(basis), _column_sq(dual)])
+    tails_sq = np.array([_column_sq(block) for block in tails])
+    condition = np.sqrt(states_sq[0]) * np.sqrt(states_sq[1])
+    if len(starts) < basis.shape[1]:  # some cluster owns several columns
+        condition = condition[starts]
+        ends = list(starts[1:]) + [basis.shape[1]]
+        for k, (start, end) in enumerate(zip(starts, ends)):
+            if end - start > 1:
+                pair = np.stack([basis[:, start:end], dual[:, start:end]])
+                sigmas = np.linalg.svd(pair, compute_uv=False)
+                condition[k] = sigmas[0, 0] * sigmas[1, 0]
+        states_sq = np.add.reduceat(states_sq, starts, axis=1)
+        tails_sq = np.add.reduceat(tails_sq, starts, axis=1)
+    coupling = np.sqrt(tails_sq / states_sq)
+    return condition, np.logical_and.reduce(coupling <= CIRCLE_COUPLING_TOL)
 
 
 def eigen_decompose(walk) -> EigenSystem:
@@ -400,18 +396,19 @@ def eigen_decompose(walk) -> EigenSystem:
     floor = 1e-12 * max(scale, 1.0)
     groups = _cluster_indices(values, CLUSTER_REL_TOL * max(scale, 1e-300))
     lams = [_centre(values, idx) for idx in groups]
-    widths = np.array([len(idx) for idx in groups])
-    starts = np.cumsum(widths) - widths
+    widths = [len(idx) for idx in groups]
+    starts = list(accumulate(widths[:-1], initial=0))
 
     # row k of ``rows`` is chain vector k: the columns of the right basis
     rows = np.empty((n, n), dtype=complex)
-    simple = np.array([idx[0] for idx in groups if len(idx) == 1], dtype=int)
+    simple = [idx[0] for idx in groups if len(idx) == 1]
     eigvecs = vectors[:, simple]
-    rows[starts[widths == 1]] = (eigvecs / _unit_pivot(eigvecs, values[simple], floor)).T
-    chains = [None] * len(groups)
-    for k in np.flatnonzero(widths > 1):
-        chains[k] = _right_chains(m, lams[k], int(widths[k]), floor)
-        rows[starts[k] : starts[k] + widths[k]] = np.concatenate(chains[k], axis=0)
+    simple_starts = [start for start, width in zip(starts, widths) if width == 1]
+    rows[simple_starts] = (eigvecs / _unit_pivot(eigvecs, values[simple], floor)).T
+    lengths = [(1,)] * len(groups)  # of each cluster's chains
+    for k, (lam, start, width) in enumerate(zip(lams, starts, widths)):
+        if width > 1:
+            lengths[k], rows[start : start + width] = _right_chains(m, lam, width, floor)
     basis = rows.T
     try:
         dual_rows = np.linalg.inv(basis).conj()
@@ -421,28 +418,19 @@ def eigen_decompose(walk) -> EigenSystem:
         raise IllConditionedChain(lams[int(np.argmin(gaps.min(axis=1)))], float("inf"))
 
     condition, on_circle = _classify(walk, basis, dual_rows.T, starts)
-    bad = np.flatnonzero(~(condition * GRAM_REL_TOL <= 1.0))
-    if bad.size:
-        raise IllConditionedChain(lams[bad[0]], float(condition[bad[0]]))
+    good = condition * GRAM_REL_TOL <= 1.0
+    if not good.all():
+        bad = int(good.argmin())
+        raise IllConditionedChain(lams[bad], float(condition[bad]))
 
-    clusters = []
-    for k, lam in enumerate(lams):
-        offset = int(starts[k])
-        group = chains[k] or [rows[offset : offset + 1]]
-        co_chains = []
-        for chain in group:
-            length = chain.shape[0]
-            co_chains.append(dual_rows[offset : offset + length])
-            offset += length
-        clusters.append(
-            Cluster(
-                value=lam,
-                chains=tuple(group),
-                co_chains=tuple(co_chains),
-                on_unit_circle=bool(on_circle[k]),
-            )
-        )
-
+    clusters, stop = [], 0
+    for lam, chain_lengths, circle in zip(lams, lengths, on_circle.tolist()):
+        cuts = []
+        for length in chain_lengths:
+            cuts.append(slice(stop, stop + length))
+            stop += length
+        chains = tuple(rows[cut] for cut in cuts)
+        clusters.append(Cluster(lam, chains, tuple(dual_rows[cut] for cut in cuts), circle))
     return EigenSystem(m, tuple(clusters))
 
 

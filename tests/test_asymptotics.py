@@ -377,19 +377,25 @@ def test_a_peak_wider_than_the_window_has_no_crossing(family, eps, lam, split):
     assert report.peak_width_measured is None
 
 
+def kernel_calls(monkeypatch):
+    """The points of every resolvent kernel evaluation, as they happen."""
+    calls = []
+    evaluate = scattering.ResolventKernel.__call__
+
+    def spy(kernel, z):
+        calls.append(z)
+        return evaluate(kernel, z)
+
+    monkeypatch.setattr(scattering.ResolventKernel, "__call__", spy)
+    return calls
+
+
 def sigma_calls_per_width(monkeypatch, model, eps):
-    # a Σ is a scattering matrix or a bare pole sum over every tail
+    # a Σ is one evaluation of a resolvent kernel over every tail, whether
+    # through scattering_matrix, generalized_eigenfunction or a peak's kernel
     family, lam, split = PEAKS[model]
     lambda_eps = track_resonances(family, [0.0, eps]).at(eps, lam)
-    calls = []
-    for name in ("scattering_matrix", "generalized_eigenfunction"):
-        solve = getattr(asymptotics, name)
-
-        def spy(*args, solve=solve, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(asymptotics, name, spy)
+    calls = kernel_calls(monkeypatch)
     peak_width(family, eps, lam, split, lambda_eps=lambda_eps)
     return len(calls)
 
@@ -397,13 +403,30 @@ def sigma_calls_per_width(monkeypatch, model, eps):
 @pytest.mark.parametrize("model", sorted(PEAKS))
 def test_peak_width_makes_few_sigma_calls(monkeypatch, model):
     # z*, the doubling stack and the regula falsi steps
-    assert sigma_calls_per_width(monkeypatch, model, 0.01) <= 12
+    assert 3 <= sigma_calls_per_width(monkeypatch, model, 0.01) <= 12
 
 
 @pytest.mark.parametrize("eps", [1e-3, 0.05, 0.3])
 @pytest.mark.parametrize("model", sorted(PEAKS))
 def test_peak_width_stays_cheap_across_eps(monkeypatch, model, eps):
-    assert sigma_calls_per_width(monkeypatch, model, eps) <= 16
+    assert 3 <= sigma_calls_per_width(monkeypatch, model, eps) <= 16
+
+
+@pytest.mark.parametrize("model", sorted(PEAKS))
+def test_a_peak_kernel_gives_the_resolvent_route_bits(monkeypatch, model):
+    # one kernel per peak serves z* and every half-height step, with the
+    # bits of a scattering_matrix call at each of those points
+    family, lam, split = PEAKS[model]
+    peak = asymptotics._peak(family, 0.01, lam)
+    points = kernel_calls(monkeypatch)
+    asymptotics._width(peak, split)
+    assert len(points) >= 3 and points[0] == peak.z_star
+    monkeypatch.undo()
+    kernel = peak.kernel
+    for z in points:
+        want = scattering_matrix(peak.walk, z, "resolvent", peak.system).matrix
+        assert np.array_equal(kernel(z).amp_out, want)
+    assert peak.kernel is kernel
 
 
 @pytest.mark.parametrize("model", sorted(PEAKS))
@@ -569,6 +592,28 @@ def test_peak_tables_pick_the_fastest_start_for_lam_none(model, monkeypatch):
         assert len(calls) == 1, name
         assert complex(summary["lambda_re"], summary["lambda_im"]) == fastest
         assert (rows, summary) == table(fastest), name
+
+
+def test_lam_none_reuses_the_eps_zero_decomposition(monkeypatch):
+    # the values-only track that picks lambda reads the eps = 0 spectrum
+    # from the decomposition it made for the starts: over N eps it walks
+    # N + 1 times and calls eigvals N times, then the streamed pass walks
+    # and decomposes N + 1 times
+    family, _, split = PEAKS["ms"]
+    grid = geometric_grid(1e-3, 0.1, 25)
+    counts = {"walk": 0, "decompose": 0, "eigvals": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(asymptotics, "eigen_decompose", counted("decompose", eigen_decompose))
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+    width_table(counted("walk", family), None, split, grid)
+    assert counts == {"walk": 2 * len(grid) + 2, "decompose": len(grid) + 2, "eigvals": len(grid)}
 
 
 STREAMED = {

@@ -119,6 +119,17 @@ def test_validate_fails_a_nan_eps():
     assert report["errors"][0]["error"] == "NotUnitary"
 
 
+def test_validate_fails_an_eps_outside_the_family_range():
+    # the ms coins are unitary at 0.71, but every command that builds a
+    # walk refuses eps >= 1/sqrt(2); validate says so too
+    code, out, _ = run_cli(["validate", "--model", "ms", "--eps", "0.71"])
+    assert code == 1
+    report = json.loads(out)
+    assert not report["pass"]
+    assert [e["error"] for e in report["errors"]] == ["EpsOutOfRange"]
+    assert run_cli(["smatrix", "--model", "ms", "--eps", "0.71", "--z", "1j"])[0] == 1
+
+
 def test_validate_flags_nondeterministic_routing(tmp_path):
     s = "0.70710678118654752"
     doc = self_loop_document([[s, s], [f"-{s}", s]])

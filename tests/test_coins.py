@@ -160,6 +160,16 @@ def test_eval_coins_rejects_a_nan_residual():
         eval_coins(family, float("nan"))
 
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+def test_eval_coins_rejects_a_non_finite_coin_before_forming_its_gram(eps):
+    # warnings are errors here, so a matmul over inf or NaN entries would
+    # raise RuntimeWarning instead of NotUnitary
+    family = parse_coin_family({"u": [["1"]], "v": [["eps", "0"], ["0", "1"]], "w": [["eps"]]})
+    with pytest.raises(NotUnitary) as info:
+        eval_coins(family, eps)
+    assert info.value.vertex == "v" and math.isnan(info.value.residual)
+
+
 def test_unitarity_tolerance_is_tight():
     off = 10 * UNITARITY_TOL
     family = parse_coin_family({"v": [[f"1+{off}"]]})

@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qwscatter
 from qwscatter import asymptotics
@@ -549,3 +551,57 @@ def test_a_multiple_cluster_is_classified_by_all_its_columns():
     assert condition[0] == pytest.approx(2.0, rel=1e-15)
     assert list(on_circle) == [False, True, False]
     assert [c.on_unit_circle for c in system.clusters] == [False, True, False]
+
+
+# Well-separated values, zero among them, so that blocks planted at one
+# value form one cluster and the clusters stay apart.
+PLANTED_VALUES = (0.0, 0.6, -0.5 + 0.4j, 0.7j)
+
+
+@st.composite
+def planted_jordan(draw):
+    """A triangular interior, n0 <= 8, similar to a Jordan matrix with planted blocks.
+
+    Returns the matrix and, per value, its block sizes in decreasing order.
+    The similarity is unit upper triangular, so the matrix is triangular
+    with the Jordan matrix's diagonal: roundoff cannot split a value.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5).filter(lambda s: sum(s) <= 8))
+    values = [draw(st.sampled_from(PLANTED_VALUES)) for _ in sizes]
+    n = sum(sizes)
+    jordan = np.zeros((n, n), dtype=complex)
+    start = 0
+    for size, value in zip(sizes, values):
+        for i in range(start, start + size):
+            jordan[i, i] = value
+            if i + 1 < start + size:
+                jordan[i, i + 1] = 1.0
+        start += size
+    entries = draw(st.lists(st.floats(-0.5, 0.5), min_size=n * n, max_size=n * n))
+    similarity = np.eye(n) + np.triu(np.reshape(entries, (n, n)), 1)
+    matrix = similarity @ jordan @ np.linalg.inv(similarity)
+    blocks: dict = {}
+    for size, value in zip(sizes, values):
+        blocks.setdefault(value, []).append(size)
+    return matrix, {value: sorted(b, reverse=True) for value, b in blocks.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_jordan())
+def test_planted_jordan_blocks_come_back_as_chains(planted):
+    matrix, blocks = planted
+    system = eigen_decompose(bare(matrix))
+    n = matrix.shape[0]
+    assert len(system.clusters) == len(blocks)
+    for value, sizes in blocks.items():
+        cluster = system.nearest_cluster(value)
+        assert abs(cluster.value - value) <= 1e-12
+        assert cluster.multiplicity == sum(sizes)
+        assert [chain.shape[0] for chain in cluster.chains] == sizes
+    right, left = full_bases(system)
+    # the chain law M V = V J and the pairing W* V = I, at roundoff of
+    # the basis: u times ||M|| ||V|| and u times the condition of V
+    residual = np.linalg.norm(matrix @ right - right @ jordan_matrix(system), 2)
+    assert residual <= 64 * n * UNIT_ROUNDOFF * np.linalg.norm(matrix, 2) * np.linalg.norm(right, 2)
+    pairing = np.linalg.norm(left.conj().T @ right - np.eye(n), 2)
+    assert pairing <= 64 * n * UNIT_ROUNDOFF * np.linalg.cond(right)

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
+import qwscatter.models as models
+from qwscatter.coins import eval_coins
 from qwscatter.graph import build_graph
-from qwscatter.models import cycle_family, matrix_schrodinger_family, random_walk
+from qwscatter.line import BarrierSpec, line_to_graph, rotation_coin
+from qwscatter.models import (
+    crossing_family,
+    cycle_family,
+    matrix_schrodinger_family,
+    random_walk,
+)
 from qwscatter.walk import (
     DimensionMismatch,
     LabelMismatch,
@@ -133,3 +141,58 @@ def test_crossed_tails_are_a_label_mismatch():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(LabelMismatch):
         free_routing_check(assemble(g, {"u": swap}))
+
+
+def scanned_carrier(graph, coins):
+    """The carrier matrix with each vertex's slots found by scanning every arc and tail."""
+    full = np.zeros((graph.carrier_dim, graph.carrier_dim), dtype=complex)
+    for v in graph.vertices:
+        ins = [("arc", i) for i, a in enumerate(graph.arcs) if a.terminus == v]
+        ins += [("in", t.index) for t in graph.tails if t.in_vertex == v]
+        outs = [("arc", i) for i, a in enumerate(graph.arcs) if a.origin == v]
+        outs += [("out", t.index) for t in graph.tails if t.out_vertex == v]
+        for r, out_key in enumerate(outs):
+            for c, in_key in enumerate(ins):
+                full[graph.slot_index(out_key), graph.slot_index(in_key)] = coins[v][r, c]
+    return full
+
+
+def family_inputs(family):
+    return family.graph, eval_coins(family.coins, 0.3)
+
+
+def barrier_line_inputs():
+    spec = BarrierSpec((0, 7, 19), (rotation_coin(0.8), rotation_coin(0.6), rotation_coin(0.3)))
+    graph, coins = line_to_graph(spec)
+    return graph, eval_coins(coins, 0.0)
+
+
+def haar_digraph_inputs(monkeypatch):
+    seen = []
+
+    def spy(graph, coins, eps=None):
+        seen.append((graph, coins))
+        return assemble(graph, coins, eps)
+
+    monkeypatch.setattr(models, "assemble", spy)
+    random_walk(np.random.default_rng(11), max_vertices=9, max_cycles=6, max_tails=3)
+    return seen[0]
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        lambda mp: family_inputs(matrix_schrodinger_family()),
+        lambda mp: family_inputs(cycle_family(5, [0.9, 1.0, 0.7, 1.1, 0.8])),
+        lambda mp: family_inputs(crossing_family(0.8)),
+        lambda mp: barrier_line_inputs(),
+        haar_digraph_inputs,
+    ],
+    ids=["ms", "cycle5", "crossing", "barrier-line", "haar-digraph"],
+)
+def test_assembly_matches_a_scan_of_every_arc(monkeypatch, inputs):
+    # the per-vertex slot lists are built once per graph, in one pass over
+    # the arcs; each call still hands out a list of its own to edit
+    graph, coins = inputs(monkeypatch)
+    assert np.array_equal(assemble(graph, coins).full, scanned_carrier(graph, coins))
+    assert graph.in_slots(graph.vertices[0]) is not graph.in_slots(graph.vertices[0])
