@@ -54,7 +54,7 @@ from .spectral import (
     Cluster,
     EigenSystem,
     NumericalError,
-    _eig_input,
+    _eigenvalues as _interior_eigenvalues,
     boundary_data,
     eigen_decompose,
 )
@@ -210,14 +210,14 @@ def _starts(system0: EigenSystem) -> list:
 
 
 def _eigenvalues(family, eps: float) -> np.ndarray:
-    return np.linalg.eigvals(_eig_input(family(eps).interior)).astype(complex, copy=False)
+    return _interior_eigenvalues(family(eps).interior)
 
 
 def _spectrum(system: EigenSystem) -> np.ndarray:
     """The cluster values of ``system``, each repeated by its multiplicity.
 
-    A simple cluster's value is its eigenvalue from ``eig``, which
-    rounds as the same matrix's ``eigvals`` (:func:`_eigenvalues`) does.
+    A simple cluster's value is its eigenvalue from the closed form or
+    ``eig``, which rounds as :func:`_eigenvalues` of the same matrix does.
     """
     return np.array(
         [c.value for c in system.clusters for _ in range(c.multiplicity)], dtype=complex

@@ -426,17 +426,27 @@ def eval_coins(coins: CoinFamily, eps: float) -> dict:
 
     Square coins are required to be unitary to ``UNITARITY_TOL``
     (max-entry norm of C*C - I); a coin with a non-finite entry is not,
-    and fails before C*C is formed.  Rectangular grids are left to the
-    walk assembler, which will reject them with a dimension error.
+    and fails before C*C is formed.  The coins of each size are checked
+    as one stack, and the first failing vertex in family order is named.
+    Rectangular grids are left to the walk assembler, which will reject
+    them with a dimension error.
     """
-    out = {}
-    for vertex, grid in coins.items():
-        mat = eval_matrix(grid, eps)
+    out = {vertex: eval_matrix(grid, eps) for vertex, grid in coins.items()}
+    by_size: dict = {}
+    for vertex, mat in out.items():
         if mat.shape[0] == mat.shape[1] and mat.size:
-            if not cmath.isfinite(mat.sum()):  # the entries of a unitary are at most 1
-                raise NotUnitary(vertex, float("nan"))
-            residual = np.abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max()
-            if not residual <= UNITARITY_TOL:
-                raise NotUnitary(vertex, float(residual))
-        out[vertex] = mat
+            by_size.setdefault(mat.shape[0], []).append(vertex)
+    failed = {}
+    for size, vertices in by_size.items():
+        stack = np.array([out[v] for v in vertices])
+        # the entries of a unitary are at most 1, so a finite coin has a finite sum
+        finite = np.isfinite(stack.sum(axis=(1, 2)))
+        good = stack if finite.all() else stack[finite]
+        residual = np.full(len(vertices), np.nan)
+        residual[finite] = np.abs(good.conj().transpose(0, 2, 1) @ good - np.eye(size)).max(axis=(1, 2))
+        if not residual.max() <= UNITARITY_TOL:
+            failed.update((vertices[k], float(residual[k])) for k in np.flatnonzero(~(residual <= UNITARITY_TOL)))
+    if failed:
+        vertex = next(v for v in out if v in failed)
+        raise NotUnitary(vertex, failed[vertex])
     return out

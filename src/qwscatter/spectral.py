@@ -32,12 +32,21 @@ then automatically ``M* W = W J*``, which is exactly the co-chain
 recursion — so ``W* V = I`` holds across the whole spectrum, within
 clusters and between them, and the chain relations hold to the
 accuracy of the right basis.
+
+A weighted permutation (one nonzero per row and column: every cycle
+model, two-barrier line and ``crossing``), on which QR iteration is
+slowest, takes its eigenpairs in closed form from its cycles, in O(n0²)
+and to a few u, unless two of its values fall within the cluster
+tolerance.  Normalisation and classification are shared.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -91,6 +100,7 @@ class Cluster:
     chains: tuple  # of ndarrays, shape (length, dim); row l-1 is v_l
     co_chains: tuple  # matching shapes
     on_unit_circle: bool
+    condition: float  # ||V||·||W||, the bound on its spectral projector
 
     @cached_property
     def multiplicity(self) -> int:
@@ -309,6 +319,80 @@ def _eig_input(m: np.ndarray) -> np.ndarray:
     return m if m.imag.any() else m.real
 
 
+@lru_cache(maxsize=16)
+def _root_powers(size: int, odd: int):
+    """``e(q_k)`` and ``E[k, t] = e(-q_k t)`` for ``q_k = 2k + odd``, ``e(q) = exp(iπq/L)``.
+
+    One table over the integers ``q mod 2L``, mirrored so that
+    ``e(2L - q) = conj(e(q))`` exactly: real cycles give exact conjugate pairs.
+    """
+    t = np.arange(size)
+    half = np.exp(1j * np.pi / size * t)
+    table = np.concatenate((half, [-1.0], half[:0:-1].conj()))
+    out = table[2 * t + odd], table[np.multiply.outer(2 * t + odd, -t) % (2 * size)]
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
+def _permutation_eig(a: np.ndarray):
+    """Closed-form eigenpairs of ``a`` if it is a weighted permutation with distinct values.
+
+    On a cycle ``j_0 -> ... -> j_{L-1}``, ``a e_{j_t} = a_t e_{j_{t+1}}``, with
+    weight product ``π`` and partial products ``P_t``, the values are the L
+    roots ``μ`` of ``π``, ``v_{j_t} = P_t / μ^t`` and ``w_{j_t} = conj(μ^t / (L P_t))``.
+    ``μ_0^t`` is ``exp((t/L)·log π)``; a real negative ``π`` takes the odd ``q``.
+    Returns values, vectors (columns), co-vectors (rows) and the 2-norm, or None.
+    """
+    n = a.shape[0]
+    nz = a != 0
+    if not n or np.count_nonzero(nz) != n:
+        return None
+    succ = nz.argmax(axis=0)
+    weights, succ = a[succ, np.arange(n)].tolist(), succ.tolist()
+    if len(set(succ)) != n or not all(weights):
+        return None
+    real = not np.iscomplexobj(a)
+    values = np.empty(n, dtype=complex)
+    rows, co = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+    left, stop = set(range(n)), 0
+    for head in range(n):
+        if head not in left:
+            continue
+        cycle = [head]
+        while succ[cycle[-1]] != head:
+            cycle.append(succ[cycle[-1]])
+        left.difference_update(cycle)
+        size, cut, stop = len(cycle), slice(stop, stop + len(cycle)), stop + len(cycle)
+        prods = list(accumulate((weights[j] for j in cycle), operator.mul, initial=1.0))
+        pi = prods.pop()
+        if not 0 < abs(pi) < math.inf:
+            return None
+        log_root = (math.log(abs(pi)) if real else cmath.log(pi)) / size
+        g = np.array(prods) / np.exp(np.arange(size) * log_root)  # P_t / μ_0^t
+        phases, powers = _root_powers(size, int(real and pi < 0))
+        values[cut] = np.exp(log_root) * phases
+        rows[cut, cycle] = block = powers * g
+        co[cut, cycle] = np.multiply(powers, 1 / (size * g.conj()), out=block)
+    scale = max(map(abs, weights))
+    if np.count_nonzero(np.abs(np.subtract.outer(values, values)) <= CLUSTER_REL_TOL * scale) > n:
+        return None
+    return values, rows.T, co, scale
+
+
+def _eig_pairs(a: np.ndarray):
+    """Values, vectors (columns) and 2-norm of ``a`` from LAPACK; no co-vectors."""
+    values, vectors = np.linalg.eig(a)
+    return values.astype(complex, copy=False), vectors, None, float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the interior ``m``, rounded as its clusters carry them."""
+    a = _eig_input(m)
+    closed = _permutation_eig(a)
+    return closed[0] if closed is not None else np.linalg.eigvals(a).astype(complex, copy=False)
+
+
 def _unit_pivot(vectors: np.ndarray, values, floor: float) -> np.ndarray:
     """Per column of ``vectors``, the divisor that leaves it unit with a real positive pivot.
 
@@ -390,9 +474,7 @@ def eigen_decompose(walk) -> EigenSystem:
     if n == 0:
         return EigenSystem(m, ())
     a = _eig_input(m)
-    scale = float(np.linalg.svd(a, compute_uv=False)[0])  # the 2-norm
-    values, vectors = np.linalg.eig(a)
-    values = values.astype(complex, copy=False)
+    values, vectors, co, scale = _permutation_eig(a) or _eig_pairs(a)
     floor = 1e-12 * max(scale, 1.0)
     groups = _cluster_indices(values, CLUSTER_REL_TOL * max(scale, 1e-300))
     lams = [_centre(values, idx) for idx in groups]
@@ -404,18 +486,23 @@ def eigen_decompose(walk) -> EigenSystem:
     simple = [idx[0] for idx in groups if len(idx) == 1]
     eigvecs = vectors[:, simple]
     simple_starts = [start for start, width in zip(starts, widths) if width == 1]
-    rows[simple_starts] = (eigvecs / _unit_pivot(eigvecs, values[simple], floor)).T
+    divisors = _unit_pivot(eigvecs, values[simple], floor)
+    rows[simple_starts] = (eigvecs / divisors).T
     lengths = [(1,)] * len(groups)  # of each cluster's chains
     for k, (lam, start, width) in enumerate(zip(lams, starts, widths)):
         if width > 1:
             lengths[k], rows[start : start + width] = _right_chains(m, lam, width, floor)
     basis = rows.T
-    try:
-        dual_rows = np.linalg.inv(basis).conj()
-    except np.linalg.LinAlgError:
-        # a singular basis: blame the cluster nearest to another one
-        gaps = np.abs(np.subtract.outer(lams, lams)) + np.diag(np.full(len(lams), np.inf))
-        raise IllConditionedChain(lams[int(np.argmin(gaps.min(axis=1)))], float("inf"))
+    if co is not None:  # the closed form: every cluster is simple
+        dual_rows = co[simple]
+        dual_rows *= divisors.conj()[:, None]
+    else:
+        try:
+            dual_rows = np.linalg.inv(basis).conj()
+        except np.linalg.LinAlgError:
+            # a singular basis: blame the cluster nearest to another one
+            gaps = np.abs(np.subtract.outer(lams, lams)) + np.diag(np.full(len(lams), np.inf))
+            raise IllConditionedChain(lams[int(np.argmin(gaps.min(axis=1)))], float("inf"))
 
     condition, on_circle = _classify(walk, basis, dual_rows.T, starts)
     good = condition * GRAM_REL_TOL <= 1.0
@@ -424,13 +511,13 @@ def eigen_decompose(walk) -> EigenSystem:
         raise IllConditionedChain(lams[bad], float(condition[bad]))
 
     clusters, stop = [], 0
-    for lam, chain_lengths, circle in zip(lams, lengths, on_circle.tolist()):
+    for lam, chain_lengths, kappa, circle in zip(lams, lengths, condition.tolist(), on_circle.tolist()):
         cuts = []
         for length in chain_lengths:
             cuts.append(slice(stop, stop + length))
             stop += length
         chains = tuple(rows[cut] for cut in cuts)
-        clusters.append(Cluster(lam, chains, tuple(dual_rows[cut] for cut in cuts), circle))
+        clusters.append(Cluster(lam, chains, tuple(dual_rows[cut] for cut in cuts), circle, kappa))
     return EigenSystem(m, tuple(clusters))
 
 

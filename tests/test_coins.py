@@ -170,6 +170,33 @@ def test_eval_coins_rejects_a_non_finite_coin_before_forming_its_gram(eps):
     assert info.value.vertex == "v" and math.isnan(info.value.residual)
 
 
+@pytest.mark.parametrize(
+    "raw, vertex",
+    [
+        # a 3x3 coin off by 0.5 comes first in family order, a non-finite 2x2 later
+        ({"a": [["1", "0"], ["0", "1"]], "b": [["1.5", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+          "c": [["eps", "0"], ["0", "1"]]}, "b"),
+        # the non-finite 2x2 first, then the 3x3 off by 0.5
+        ({"c": [["eps", "0"], ["0", "1"]], "a": [["1", "0"], ["0", "1"]],
+          "b": [["1.5", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, "c"),
+        # two bad coins of one size: the later one is further off
+        ({"a": [["1"]], "b": [["1", "0.1"], ["0", "1"]], "c": [["2", "0"], ["0", "1"]]}, "b"),
+    ],
+    ids=["size-3-first", "non-finite-first", "same-size"],
+)
+def test_eval_coins_names_the_first_failing_vertex_in_family_order(raw, vertex):
+    family = parse_coin_family(raw)
+    coin = eval_matrix(family[vertex], math.inf)
+    with pytest.raises(NotUnitary) as info:
+        eval_coins(family, math.inf)
+    assert info.value.vertex == vertex
+    if np.isfinite(coin).all():
+        want = np.abs(coin.conj().T @ coin - np.eye(coin.shape[0])).max()
+        assert info.value.residual == want
+    else:
+        assert math.isnan(info.value.residual)
+
+
 def test_unitarity_tolerance_is_tight():
     off = 10 * UNITARITY_TOL
     family = parse_coin_family({"v": [[f"1+{off}"]]})

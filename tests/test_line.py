@@ -212,6 +212,22 @@ def test_graph_embedding_matches_closed_form(spec, monkeypatch):
         assert abs(t - barrier_scattering(spec, z).transmission) <= 1e-10
 
 
+LONG_PAIR = BarrierSpec((0, 100), (rotation_coin(0.8), rotation_coin(0.6)))
+SEVEN = np.arange(7)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [np.exp(2j * np.pi * SEVEN / 7), np.exp(2j * np.pi * (SEVEN + 0.5) / 7),
+     np.exp(1j * np.linspace(0.1, 3.0, 7))],
+    ids=["roots", "half-roots", "angles"],
+)
+def test_long_pair_resolvent_route_matches_the_transfer_product(points):
+    # n0 = 200: the interior is one weighted cycle, decomposed in closed form
+    got = graph_transmission(LONG_PAIR, points)
+    assert np.abs(got - barrier_scattering(LONG_PAIR, points).transmission).max() <= 2e-13
+
+
 def test_graph_embedding_produces_unitary_smatrix():
     graph, coins = line_to_graph(SYMMETRIC)
     walk = assemble(graph, eval_coins(coins, 0.0))

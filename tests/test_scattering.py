@@ -428,8 +428,8 @@ def bound_state_walk():
     system = EigenSystem(
         walk.interior,
         (
-            Cluster(0.5, (e1[None, :],), (e1[None, :],), False),
-            Cluster(1.0, (e0[None, :],), (e0[None, :],), True),
+            Cluster(0.5, (e1[None, :],), (e1[None, :],), False, 1.0),
+            Cluster(1.0, (e0[None, :],), (e0[None, :],), True, 1.0),
         ),
     )
     return walk, system, e1

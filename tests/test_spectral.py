@@ -12,11 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwscatter
-from qwscatter import asymptotics
-from qwscatter.coins import eval_coins
+from qwscatter import asymptotics, spectral
 from qwscatter.graph import build_graph
 from qwscatter.line import BarrierSpec, double_barrier, line_to_graph, rotation_coin
-from qwscatter.models import cycle_family, matrix_schrodinger_family, random_walk
+from qwscatter.coins import eval_coins, parse_coin_family
+from qwscatter.models import (
+    ModelFamily,
+    crossing_family,
+    cycle_family,
+    matrix_schrodinger_family,
+    random_walk,
+)
 from qwscatter.scattering import oracle_direct_solve, scattering_matrix
 from qwscatter.spectral import (
     CIRCLE_COUPLING_TOL,
@@ -422,7 +428,10 @@ def three_barrier_line_walk():
 REAL_WALKS = {
     "ms": lambda: matrix_schrodinger_family().walk(0.3),
     "cycle5": lambda: cycle_family(5, [0.9, 1.0, 1.1, 0.8, 0.95]).walk(0.3),
+    "cycle5-eps0": lambda: cycle_family(5, [0.9, 1.0, 1.1, 0.8, 0.95]).walk(0.0),
     "three-barrier": three_barrier_line_walk,
+    # rotations 0.8 and 0.6 give the line's one cycle the product -0.48
+    "two-barrier": lambda: barrier_line_walk(5)[1],
 }
 
 
@@ -524,6 +533,7 @@ def test_one_pass_classification_matches_the_per_cluster_rule(eps):
         order = 2 if cluster.multiplicity > 1 else None
         want = np.linalg.norm(v, order) * np.linalg.norm(w, order)
         assert condition[k] == pytest.approx(want, rel=4 * UNIT_ROUNDOFF, abs=0)
+        assert cluster.condition == condition[k]
         emitted = np.linalg.norm(walk.interior_to_tail @ v) / np.linalg.norm(v)
         picked = np.linalg.norm(walk.tail_to_interior.conj().T @ w) / np.linalg.norm(w)
         decoupled = emitted <= CIRCLE_COUPLING_TOL and picked <= CIRCLE_COUPLING_TOL
@@ -605,3 +615,88 @@ def test_planted_jordan_blocks_come_back_as_chains(planted):
     assert residual <= 64 * n * UNIT_ROUNDOFF * np.linalg.norm(matrix, 2) * np.linalg.norm(right, 2)
     pairing = np.linalg.norm(left.conj().T @ right - np.eye(n), 2)
     assert pairing <= 64 * n * UNIT_ROUNDOFF * np.linalg.cond(right)
+
+
+# ---------------------------------------------------------------------------
+# Weighted-permutation interiors in closed form
+
+
+def complex_permutation():
+    """A complex weighted permutation with cycles of lengths 1, 2 and 5."""
+    cycles = [[3], [0, 6], [1, 4, 7, 2, 5]]
+    weights = [0.7j, 0.9 * np.exp(0.4j), -0.5, 0.95 * np.exp(-1.1j), 0.8, 1.0, 0.6j, 0.85]
+    a = np.zeros((8, 8), dtype=complex)
+    for cycle in cycles:
+        for j, k in zip(cycle, cycle[1:] + cycle[:1]):
+            a[k, j] = weights[j]
+    return bare(a)
+
+
+def two_cycle3_family():
+    """Two disjoint cycle3 copies, strengths (0.9, 0.4, 0.7) and (0.5, 0.5, 0.5)."""
+    names, arcs, tails, coins = [], [], [], {}
+    for copy, strengths in enumerate([(0.9, 0.4, 0.7), (0.5, 0.5, 0.5)]):
+        vertices = [f"c{copy}v{k}" for k in range(3)]
+        names += vertices
+        for k, c in enumerate(strengths):
+            arcs.append((vertices[k - 1], vertices[k], f"c{copy}a{k}"))
+            tails.append((len(tails) + 1, vertices[k], vertices[k]))
+            root = f"sqrt(1-{c * c!r}*eps^2)"
+            # rows (arc out, tail out), cols (arc in, tail in)
+            coins[vertices[k]] = [[root, f"{c!r}*eps"], [f"-{c!r}*eps", root]]
+    graph = build_graph(names, arcs, tails)
+    return ModelFamily("two-cycle3", graph, parse_coin_family(coins), eps_limit=1 / 0.9)
+
+
+STRENGTHS = [0.9, 0.4, 0.7, 1.1, 0.6]
+PERMUTATION_WALKS = {
+    **{
+        f"cycle{n}-eps{eps}": (lambda n=n, eps=eps: cycle_family(
+            n, [STRENGTHS[k % 5] for k in range(n)]).walk(eps))
+        for n in (3, 4, 5, 64)
+        for eps in (0.0, 0.3)
+    },
+    **{f"line-x{x0}": (lambda x0=x0: barrier_line_walk(x0)[1]) for x0 in (1, 40, 100)},
+    "crossing": lambda: crossing_family().walk(0.3),
+    "complex-cycles-1-2-5": complex_permutation,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERMUTATION_WALKS))
+def test_closed_form_matches_the_eig_path(monkeypatch, name):
+    walk = PERMUTATION_WALKS[name]()
+    seen = spy_on(monkeypatch, "eig")
+    closed = eigen_decompose(walk)
+    assert seen == []
+    # the eig path's own helper, in place of the closed form
+    monkeypatch.setattr(spectral, "_permutation_eig", spectral._eig_pairs)
+    reference = eigen_decompose(walk)
+    assert len(seen) == 1
+    n = walk.interior.shape[0]
+    assert len(closed.clusters) == len(reference.clusters) == n
+    for got, want in zip(closed.clusters, reference.clusters):
+        assert abs(got.value - want.value) <= 1e-13
+        assert got.on_unit_circle == want.on_unit_circle
+        assert got.condition == pytest.approx(want.condition, rel=1e-12, abs=0)
+        projector = got.right_basis() @ got.left_basis().conj().T
+        assert np.abs(projector - want.right_basis() @ want.left_basis().conj().T).max() <= 1e-12
+    right, left = full_bases(closed)
+    assert np.abs(left.conj().T @ right - np.eye(n)).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "build, calls",
+    [(lambda: cycle_family(5, STRENGTHS).walk(0.3), 0),
+     (lambda: matrix_schrodinger_family().walk(0.3), 1),
+     # equal cycles give every value twice: the eig path takes them
+     (lambda: two_cycle3_family().walk(0.0), 1)],
+    ids=["cycle5", "ms", "two-cycle3-eps0"],
+)
+def test_only_a_permutation_with_distinct_values_skips_eig(monkeypatch, build, calls):
+    walk = build()
+    seen = spy_on(monkeypatch, "eig")
+    system = eigen_decompose(walk)
+    assert len(seen) == calls
+    if not calls:  # the closed form's values alone round as its clusters carry them
+        values = asymptotics._eigenvalues(lambda eps: walk, 0.0)
+        assert sorted(values.tolist(), key=spectral._sort_key) == [c.value for c in system.clusters]
