@@ -51,6 +51,7 @@ from .scattering import (
     transmission_reflection,
 )
 from .spectral import (
+    UNIT_ROUNDOFF,
     Cluster,
     EigenSystem,
     NumericalError,
@@ -200,13 +201,12 @@ def _column(starts, start: complex) -> int:
 
 def _starts(system0: EigenSystem) -> list:
     """The unit-circle resonances of U(0) by phase; each must be simple."""
-    starts = []
-    for cluster in system0.on_circle():
-        if not cluster.is_simple:
-            raise SimplicityViolated(cluster.value, cluster.multiplicity)
-        starts.append(cluster.value)
-    starts.sort(key=lambda v: cmath.phase(v))
-    return starts
+    circle = system0.on_unit_circle
+    multiple = circle & (system0.multiplicity > 1)
+    if multiple.any():
+        k = int(multiple.argmax())
+        raise SimplicityViolated(complex(system0.values[k]), int(system0.multiplicity[k]))
+    return sorted(system0.values[circle].tolist(), key=cmath.phase)
 
 
 def _eigenvalues(family, eps: float) -> np.ndarray:
@@ -219,28 +219,28 @@ def _spectrum(system: EigenSystem) -> np.ndarray:
     A simple cluster's value is its eigenvalue from the closed form or
     ``eig``, which rounds as :func:`_eigenvalues` of the same matrix does.
     """
-    return np.array(
-        [c.value for c in system.clusters for _ in range(c.multiplicity)], dtype=complex
-    )
+    return np.repeat(system.values, system.multiplicity)
 
 
 def _match_step(vals0, cur, vals1):
-    """Nearest-neighbour matching of tracked values into a new spectrum."""
-    new = []
-    used = set()
-    for lam in cur:
-        gaps = np.sort(np.abs(vals0 - lam))
-        # the smallest gap is the tracked eigenvalue itself
-        gap = float(gaps[1]) if len(gaps) > 1 else np.inf
-        j = int(np.argmin(np.abs(vals1 - lam)))
-        if j in used:
-            return None
-        move = abs(vals1[j] - lam)
-        if not move < 0.5 * gap:
-            return None
-        used.add(j)
-        new.append(complex(vals1[j]))
-    return new
+    """Nearest-neighbour matching of tracked values into a new spectrum.
+
+    Each tracked value ``cur[i]`` moves to its nearest value in ``vals1``;
+    the step is refused (None) when one moves by half its gap to the rest
+    of ``vals0`` or more, or two of them land on the same value.
+    """
+    cur = np.asarray(cur, dtype=complex)
+    if not len(cur):
+        return []
+    gap = np.inf
+    if len(vals0) > 1:  # the smallest gap is the tracked eigenvalue itself
+        gap = np.partition(np.abs(np.subtract.outer(cur, vals0)), 1, axis=1)[:, 1]
+    distance = np.abs(np.subtract.outer(cur, vals1))
+    nearest = distance.argmin(axis=1)
+    move = distance[np.arange(len(cur)), nearest]
+    if not np.logical_and.reduce(move < 0.5 * gap) or len(set(nearest.tolist())) < len(cur):
+        return None
+    return vals1[nearest].tolist()
 
 
 def _advance(family, e0, vals0, cur, e1, depth, vals1=None):
@@ -901,6 +901,29 @@ def comfort_table(
     return rows, summary
 
 
+def _largest_norm(stack: np.ndarray) -> tuple:
+    """Where and how large the largest 2-norm of a stack of square matrices is.
+
+    Equal, bit for bit, to the argmax and the max of the stacked
+    ``np.linalg.norm(stack, 2, axis=(1, 2))``, but with singular values
+    only where they can reach the max: Gershgorin's bound on ``A*A``,
+    widened by a roundoff margin relative to the unit roundoff, bounds
+    each σ_max from above, and the exact σ_max at the largest Frobenius
+    norm is a first value of the max.  A NaN bound keeps its point.
+    """
+    gram = stack.conj().transpose(0, 2, 1) @ stack
+    margin = 1.0 + 32 * stack.shape[-1] * UNIT_ROUNDOFF
+    bound = np.sqrt(np.maximum.reduce(np.add.reduce(np.abs(gram), axis=2), axis=1)) * margin
+    seed = int(np.argmax(gram.diagonal(axis1=1, axis2=2).real.sum(axis=1)))
+    best = np.linalg.norm(stack[seed : seed + 1], 2, axis=(1, 2))[0]
+    keep = ~(bound < best)
+    keep[seed] = True
+    candidates = np.flatnonzero(keep)
+    norms = np.linalg.norm(stack[candidates], 2, axis=(1, 2))
+    k = int(np.argmax(norms))
+    return int(candidates[k]), float(norms[k])
+
+
 def remainder_table(
     family,
     eps_values=None,
@@ -930,9 +953,7 @@ def remainder_table(
         clusters = [point.system.nearest_cluster(value) for value in point.tracked]
         approx = s_zero + pole_block(point.walk, clusters, z_points)
         sigma = scattering_matrix(point.walk, z_points, route, point.system).matrix
-        residuals = np.linalg.norm(sigma - approx, 2, axis=(1, 2))
-        worst = int(np.argmax(residuals))
-        sup = float(residuals[worst])
+        worst, sup = _largest_norm(sigma - approx)
         rows.append(SweepRow(point.eps, complex(z_points[worst]), "remainder_sup", sup))
         ratios.append(sup / point.eps)
     summary = {

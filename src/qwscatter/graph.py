@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
+import numpy as np
+
 
 class GraphError(ValueError):
     """Base class for malformed graph input."""
@@ -132,6 +134,26 @@ class TailedGraph:
             ins[t.in_vertex].append(("in", t.index))
             outs[t.out_vertex].append(("out", t.index))
         return ins, outs
+
+    @cached_property
+    def coin_entries(self) -> tuple:
+        """The carrier (row, col) of every coin entry, as two index arrays.
+
+        Vertex by vertex in ``vertices`` order, each coin row-major: its
+        rows run over the vertex's outgoing slots, its columns over the
+        incoming ones, so the entries of the coins' ravelled matrices,
+        concatenated, land at ``full[rows, cols]``.
+        """
+        rows, cols = [], []
+        for v in self.vertices:
+            ins = [self.slot_index(key) for key in self._slots[0][v]]
+            for out_key in self._slots[1][v]:
+                rows += [self.slot_index(out_key)] * len(ins)
+                cols += ins
+        out = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+        for array in out:
+            array.flags.writeable = False
+        return out
 
     def in_slots(self, vertex) -> list[SlotKey]:
         """Arcs delivering amplitude to ``vertex``: interior first, then tails."""

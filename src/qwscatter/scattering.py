@@ -213,8 +213,10 @@ def resolvent_kernel(walk: WalkOperator, amp_in, system: EigenSystem | None = No
     f = walk.tail_to_interior @ amp_in
     scale = np.maximum(1.0, np.linalg.norm(amp_in, axis=0))
     overlap = np.zeros(amp_in.shape[1:])
-    for cluster in system.on_circle():
-        overlap = np.maximum(overlap, np.linalg.norm(cluster.project(f), axis=0))
+    for k in np.flatnonzero(system.on_unit_circle).tolist():
+        cut = system.columns(k)
+        projection = system.right[:, cut] @ (system.left_h[cut] @ f)
+        overlap = np.maximum(overlap, np.linalg.norm(projection, axis=0))
     columns = math.prod(amp_in.shape[1:])
     direct = walk.tail_to_tail @ amp_in
     return ResolventKernel(

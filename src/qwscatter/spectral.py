@@ -3,31 +3,44 @@
 The interior restriction of a walk operator is a (generally
 non-normal) contraction.  Everything downstream — resonance lists,
 pole expansions of the scattering matrix, tunneling asymptotics —
-consumes its spectral data in one fixed shape:
+reads its spectral data from one :class:`EigenSystem` of arrays:
 
 * eigenvalues are merged into *clusters* (numerically coincident
-  eigenvalues are one resonance with multiplicity),
-* each cluster carries right Jordan chains ``v_1, ..., v_L`` with
-  ``(M - λ) v_l = v_{l-1}`` (``v_0 = 0``),
-* co-chains ``w_1, ..., w_L`` with ``(M* - λ̄) w_l = w_{l+1}``
-  (``w_{L+1} = 0``), normalized so that ``<v, w>`` pairs to the
-  identity,
-* and a cluster is on the unit circle exactly when its states do not
-  couple to the tails (a bound state of the full walk).
+  eigenvalues are one resonance with multiplicity): ``values`` holds
+  one value per cluster and ``multiplicity`` its number of columns,
+* the columns of ``right`` are right Jordan chains ``v_1, ..., v_L`` with
+  ``(M - λ) v_l = v_{l-1}`` (``v_0 = 0``), cluster by cluster and chain by
+  chain, and ``lengths`` holds the length of every chain,
+* the rows of ``left_h`` are the conjugated co-chains ``w_1, ..., w_L``,
+  with ``(M* - λ̄) w_l = w_{l+1}`` (``w_{L+1} = 0``): ``left_h`` is
+  ``V^-1``, so ``<v, w>`` pairs to the identity,
+* each cluster is on the unit circle exactly when its states do not
+  couple to the tails (a bound state of the full walk), and carries a
+  condition, the bound on its spectral projector ``V W*``.
+
+The pole sums read a column selection of these arrays
+(``EigenSystem.poles``); a :class:`Cluster`, one cluster's columns as
+chains, is built only when asked for.
 
 One ``eig`` of the interior serves every simple cluster: its column is
 the eigenvector.  A real interior (every builtin, line and cycle model)
 runs the real eigensolver, so its nonreal clusters come in exact
-conjugate pairs; the arrays downstream stay complex.  Every simple
-cluster is normalised, conditioned and classified on or off the circle
-in one vectorised pass over the whole basis.  Only clusters of
-multiplicity above one run the Jordan staircase, on their own
-generalized eigenspace, and take the 2-norms of their condition from
-one stacked singular-value call.
+conjugate pairs; the arrays downstream stay complex.  A multiple
+cluster is *semisimple* when its ``eig`` values agree within the floor
+and its unit ``eig`` columns are well conditioned, both measured
+against ``eig``'s backward error in units of the unit roundoff
+(:func:`_semisimple`): those columns are then its chains, one each.
+Every simple and semisimple cluster is normalised in one vectorised
+pass over the basis, and every cluster is bounded and classified on or
+off the circle in another.  Only the other multiple clusters (Jordan
+blocks, or eigenspaces ``eig`` resolves poorly) run the Jordan
+staircase, on their own generalized eigenspace.  The 2-norms of a
+multiple cluster's condition, one stacked singular-value call per
+size, are taken when the condition is read.
 
 The co-chains are *not* built by running the chain algorithm on the
 adjoint: they are the dual basis of the whole right basis ``V`` (every
-chain of every cluster), the columns of ``inv(V)*``.  If ``M V = V J``
+chain of every cluster), the rows of ``inv(V)``.  If ``M V = V J``
 then automatically ``M* W = W J*``, which is exactly the co-chain
 recursion — so ``W* V = I`` holds across the whole spectrum, within
 clusters and between them, and the chain relations hold to the
@@ -54,11 +67,14 @@ import numpy as np
 
 CLUSTER_REL_TOL = 1e-8
 # Tail coupling below which a cluster is on the unit circle (see
-# ``_decoupled``); a decoupled state shows ~1e-16 of roundoff there.
+# ``_classify``); a decoupled state shows ~1e-16 of roundoff there.
 CIRCLE_COUPLING_TOL = 1e-12
 RANK_REL_TOL = 1e-10
 GRAM_REL_TOL = 1e-12
 ZERO_VALUE_TOL = 1e-9
+# The unit roundoff u of the float64 arithmetic every eigensolve runs in;
+# eig's backward error on an n × n matrix is taken as n·u·||M||.
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 class NumericalError(ValueError):
@@ -100,7 +116,7 @@ class Cluster:
     chains: tuple  # of ndarrays, shape (length, dim); row l-1 is v_l
     co_chains: tuple  # matching shapes
     on_unit_circle: bool
-    condition: float  # ||V||·||W||, the bound on its spectral projector
+    condition: float  # the bound on its spectral projector (EigenSystem.condition)
 
     @cached_property
     def multiplicity(self) -> int:
@@ -141,9 +157,18 @@ class PoleBasis(NamedTuple):
     """Every off-circle chain, stacked (column/row k is chain vector k)."""
 
     values: np.ndarray  # (s,): the cluster value of each column
-    right: np.ndarray  # (n0, s): the chain vectors V, C-contiguous
+    right: np.ndarray  # (n0, s): the chain vectors V
     left_h: np.ndarray  # (s, n0): the co-chain vectors W*
     links: tuple  # columns k whose chain continues in column k + 1
+
+
+def _links(lengths) -> tuple:
+    """The columns whose chain continues in the next one, for chains of ``lengths``."""
+    links, stop = [], 0
+    for length in lengths:
+        links += range(stop, stop + length - 1)
+        stop += length
+    return tuple(links)
 
 
 def _pole_basis(clusters, n0: int) -> PoleBasis:
@@ -151,26 +176,122 @@ def _pole_basis(clusters, n0: int) -> PoleBasis:
     empty = np.zeros((n0, 0), dtype=complex)
     right = np.concatenate([empty] + [c.right_basis() for c in clusters], axis=1)
     left = np.concatenate([empty] + [c.left_basis() for c in clusters], axis=1)
-    values, links = [], []
-    for c in clusters:
-        for chain in c.chains:
-            links += range(len(values), len(values) + chain.shape[0] - 1)
-            values += [c.value] * chain.shape[0]
+    lengths = [chain.shape[0] for c in clusters for chain in c.chains]
+    values = [c.value for c in clusters for _ in range(c.multiplicity)]
     return PoleBasis(
         np.array(values, dtype=complex),
         right,
         np.ascontiguousarray(left.conj().T),
-        tuple(links),
+        _links(lengths),
     )
 
 
 @dataclass(frozen=True)
 class EigenSystem:
+    """The clustered spectrum of an interior ``matrix``, as arrays.
+
+    Column ``k`` of ``right`` is chain vector ``k`` and row ``k`` of
+    ``left_h`` (``V^-1``) its dual; cluster ``c`` owns ``multiplicity[c]``
+    consecutive columns, cluster by cluster in ``values`` order, and
+    within a cluster chain by chain with ``l`` ascending.  ``lengths``
+    holds every chain's length in the same order.  ``on_unit_circle``,
+    ``condition_bound`` and ``condition`` are per cluster.  The bound
+    ``||V||_F·||W||_F`` is the condition of a simple cluster and bounds
+    a multiple one's from above; ``eigen_decompose`` checks the bound,
+    so a multiple cluster's 2-norms (one singular-value call per size)
+    are taken only when ``condition`` is read or the bound fails.
+    :class:`Cluster` objects are views of one cluster's columns, built
+    when asked for (``cluster``, ``clusters``, ``nearest_cluster``,
+    ``on_circle``, ``off_circle``, ``zero_cluster``).
+    """
+
     matrix: np.ndarray
-    clusters: tuple
+    values: np.ndarray  # (c,) complex
+    right: np.ndarray  # (n0, n0)
+    left_h: np.ndarray  # (n0, n0)
+    multiplicity: np.ndarray  # (c,) int
+    lengths: np.ndarray  # (chains,) int
+    on_unit_circle: np.ndarray  # (c,) bool
+    condition_bound: np.ndarray  # (c,) float, ||V||_F·||W||_F of each cluster
+
+    @cached_property
+    def condition(self) -> np.ndarray:
+        """Each cluster's bound on its spectral projector ``V W*``, on first use.
+
+        A semisimple cluster's is the norm of that projector, which no
+        choice of its eigenvectors changes: for a simple one its
+        ``condition_bound``, 1/|<v, w>| of unit v, w.  A cluster with a
+        longer Jordan chain takes ``||V||·||W||`` over its chains.  The
+        multiple clusters of each size take these 2-norms from one
+        stacked call each.
+        """
+        condition = np.array(self.condition_bound, dtype=float)
+        for ks, cols in _by_size(self._starts, self.multiplicity.tolist()):
+            chains, co_chains = self.right.T[cols], self.left_h[cols]  # V^T and W*
+            projector = np.linalg.svd(chains.transpose(0, 2, 1) @ co_chains, compute_uv=False)
+            factors = np.linalg.svd(np.concatenate((chains, co_chains)), compute_uv=False)[:, 0]
+            jordan = [len(self._chain_lengths[k]) < len(cols[0]) for k in ks]
+            norms = factors[: len(ks)] * factors[len(ks) :]
+            condition[ks] = np.where(jordan, norms, projector[:, 0])
+        condition.flags.writeable = False
+        return condition
+
+    @cached_property
+    def _starts(self) -> list:
+        """The first column of each cluster."""
+        return list(accumulate(self.multiplicity.tolist()[:-1], initial=0))
+
+    def columns(self, k: int) -> slice:
+        """The columns of ``right`` (rows of ``left_h``) that cluster ``k`` owns."""
+        start = self._starts[k]
+        return slice(start, start + int(self.multiplicity[k]))
+
+    @cached_property
+    def _chain_lengths(self) -> list:
+        """Each cluster's chain lengths."""
+        out, chains = [], iter(self.lengths.tolist())
+        for m in self.multiplicity.tolist():
+            own = [next(chains)]
+            while sum(own) < m:
+                own.append(next(chains))
+            out.append(own)
+        return out
+
+    @cached_property
+    def _built(self) -> dict:
+        return {}
+
+    def cluster(self, k: int) -> Cluster:
+        """Cluster ``k`` as a :class:`Cluster` of views, built once."""
+        built = self._built.get(k)
+        if built is None:
+            cut = self.columns(k)
+            rows, co_rows = self.right.T[cut], self.left_h[cut].conj()
+            chains, co_chains, stop = [], [], 0
+            for length in self._chain_lengths[k]:
+                chains.append(rows[stop : stop + length])
+                co_chains.append(co_rows[stop : stop + length])
+                stop += length
+            # a simple cluster's bound is its condition: no singular values needed
+            condition = self.condition_bound if cut.stop - cut.start == 1 else self.condition
+            built = self._built[k] = Cluster(
+                complex(self.values[k]),
+                tuple(chains),
+                tuple(co_chains),
+                bool(self.on_unit_circle[k]),
+                float(condition[k]),
+            )
+        return built
+
+    @cached_property
+    def clusters(self) -> tuple:
+        return tuple(map(self.cluster, range(len(self.values))))
 
     def off_circle(self):
-        return [c for c in self.clusters if not c.on_unit_circle]
+        return [self.cluster(k) for k in np.flatnonzero(~self.on_unit_circle).tolist()]
+
+    def on_circle(self):
+        return [self.cluster(k) for k in np.flatnonzero(self.on_unit_circle).tolist()]
 
     @cached_property
     def poles(self) -> PoleBasis:
@@ -180,72 +301,101 @@ class EigenSystem:
         chain with ``l`` ascending, so ``M V = V J`` for the Jordan matrix
         ``J`` whose superdiagonal is one exactly at ``links``.  The basis
         depends on neither ``z`` nor the incoming data, so it is built
-        once, and each analytic route sums every pole in one pass.
+        once, as a column selection of the system, and each analytic
+        route sums every pole in one pass.
         """
-        return _pole_basis(self.off_circle(), self.matrix.shape[0])
-
-    def on_circle(self):
-        return [c for c in self.clusters if c.on_unit_circle]
+        n = self.right.shape[1]
+        simple = len(self.values) == n
+        values = self.values if simple else self.values.repeat(self.multiplicity)
+        links = () if len(self.lengths) == n else _links(self.lengths.tolist())
+        keep = ~self.on_unit_circle
+        if not simple:
+            keep = keep.repeat(self.multiplicity)
+        kept = keep.nonzero()[0]
+        if len(kept) == n:
+            return PoleBasis(values, self.right, self.left_h, links)
+        if links:
+            position = keep.cumsum() - 1
+            links = tuple(int(position[k]) for k in links if keep[k])
+        return PoleBasis(values[kept], self.right.take(kept, axis=1), self.left_h[kept], links)
 
     def zero_cluster(self):
-        for c in self.clusters:
-            if c.is_zero:
-                return c
-        return None
+        zero = np.flatnonzero(np.abs(self.values) <= ZERO_VALUE_TOL)
+        return self.cluster(int(zero[0])) if len(zero) else None
 
     def nearest_cluster(self, value: complex) -> Cluster:
-        return min(self.clusters, key=lambda c: abs(c.value - value))
+        return self.cluster(int(np.argmin(np.abs(self.values - value))))
 
 
-def _cluster_indices(values: np.ndarray, tol: float):
+def _cluster_indices(values: np.ndarray, tol: float, merge: bool = True):
     """Transitive merge of eigenvalues closer than ``tol``.
 
-    Union-find is order-independent; ambiguity is flagged afterwards if
-    transitivity stretched a cluster beyond diameter 2*tol, which is
-    exactly when a greedy pass would have been order-dependent.  With no
-    two eigenvalues that close, every cluster is one eigenvalue.
+    The merge is the transitive closure of the ``tol``-neighbour relation
+    (repeated boolean squaring), which is order-independent; ambiguity is
+    flagged afterwards if transitivity stretched a cluster beyond diameter
+    2*tol, which is exactly when a greedy pass would have been
+    order-dependent.  With no two eigenvalues that close, every cluster is
+    one eigenvalue.  Returns each cluster's indices, ascending, and the
+    clusters' values (an eigenvalue, or the mean of several), clusters in
+    value order; without ``merge``, None where some would merge.
     """
     n = len(values)
-    close = np.abs(np.subtract.outer(values, values)) <= tol
-    if np.count_nonzero(close) == n:  # the diagonal of finite values alone
-        keys = list(map(_sort_key, values.tolist()))
-        return [[a] for a in sorted(range(n), key=keys.__getitem__)]
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in zip(*np.nonzero(np.triu(close, 1))):
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[rb] = ra
-
+    distance = np.abs(np.subtract.outer(values, values))
+    reach = distance <= tol  # pairs joined by a path of at most 2^k steps
+    count = direct = np.count_nonzero(reach)
+    if count == n:  # the diagonal of finite values alone
+        listed = values.tolist()
+        order = _value_order(listed)
+        return [[a] for a in order], [listed[a] for a in order]
+    if not merge:
+        return None
+    while count > n + 2:  # one close pair is transitive already
+        reach = reach @ reach  # a superset, as reach holds the diagonal
+        count, grown = np.count_nonzero(reach), count
+        if count == grown:
+            break
     groups: dict = {}
-    for a in range(n):
-        groups.setdefault(find(a), []).append(a)
-
-    for idx in groups.values():
-        for pos, a in enumerate(idx):
-            for b in idx[pos + 1 :]:
-                if abs(values[a] - values[b]) > 2 * tol:
-                    raise ClusterAmbiguity(
-                        f"eigenvalues {values[a]:.9g} and {values[b]:.9g} were "
-                        f"merged only through intermediaries (tolerance {tol:.3e})"
-                    )
+    for a, root in enumerate(reach.argmax(axis=1).tolist()):  # its smallest partner
+        groups.setdefault(root, []).append(a)
+    # only pairs that are not close themselves can stretch a cluster
+    if count > direct and np.maximum.reduce(distance[reach]) > 2 * tol:
+        for idx in groups.values():
+            for pos, a in enumerate(idx):
+                for b in idx[pos + 1 :]:
+                    if distance[a, b] > 2 * tol:
+                        raise ClusterAmbiguity(
+                            f"eigenvalues {values[a]:.9g} and {values[b]:.9g} were "
+                            f"merged only through intermediaries (tolerance {tol:.3e})"
+                        )
     # deterministic cluster order: by mean eigenvalue, lexicographic
-    return sorted(groups.values(), key=lambda idx: _sort_key(_centre(values, idx)))
-
-
-def _centre(values: np.ndarray, idx) -> complex:
-    """The value of the cluster ``idx``: its eigenvalue, or their mean."""
-    return complex(values[idx[0]] if len(idx) == 1 else values[idx].mean())
+    listed = values.tolist()
+    groups = list(groups.values())
+    centres = [listed[idx[0]] if len(idx) == 1 else complex(np.add.reduce(values[idx]) / len(idx))
+               for idx in groups]
+    order = _value_order(centres)
+    return [groups[g] for g in order], [centres[g] for g in order]
 
 
 def _sort_key(z: complex):
     return (round(z.real, 12), round(z.imag, 12))
+
+
+def _value_order(values: list) -> list:
+    """The indices of ``values`` sorted by :func:`_sort_key`, ties by index.
+
+    Two values whose real parts are more than 2e-12 apart, or equal with
+    imaginary parts more than 2e-12 apart, round to 12 decimals in the
+    order of their raw parts.  When every neighbour in the raw order is
+    that far apart the raw order is the rounded one, and ``round``, whose
+    correctly rounded decimal conversion dominates a small spectrum's
+    sort, runs only when some neighbours are closer.
+    """
+    raw = [(z.real, z.imag) for z in values]
+    order = sorted(range(len(values)), key=raw.__getitem__)
+    for (re0, im0), (re1, im1) in zip(map(raw.__getitem__, order), map(raw.__getitem__, order[1:])):
+        if not (re1 - re0 > 2e-12 or (re1 == re0 and im1 - im0 > 2e-12)):
+            return sorted(range(len(values)), key=list(map(_sort_key, values)).__getitem__)
+    return order
 
 
 def _null_dim(sigmas: np.ndarray, total: int, floor: float) -> int:
@@ -316,7 +466,7 @@ def _eig_input(m: np.ndarray) -> np.ndarray:
     eigensolve of an interior goes through here, so the eigenvalues the
     clusters carry and the ones ``asymptotics`` tracks round alike.
     """
-    return m if m.imag.any() else m.real
+    return m if np.count_nonzero(m.imag) else m.real
 
 
 @lru_cache(maxsize=16)
@@ -336,7 +486,7 @@ def _root_powers(size: int, odd: int):
 
 
 def _permutation_eig(a: np.ndarray):
-    """Closed-form eigenpairs of ``a`` if it is a weighted permutation with distinct values.
+    """Closed-form eigenpairs of ``a`` if it is a weighted permutation.
 
     On a cycle ``j_0 -> ... -> j_{L-1}``, ``a e_{j_t} = a_t e_{j_{t+1}}``, with
     weight product ``π`` and partial products ``P_t``, the values are the L
@@ -345,10 +495,9 @@ def _permutation_eig(a: np.ndarray):
     Returns values, vectors (columns), co-vectors (rows) and the 2-norm, or None.
     """
     n = a.shape[0]
-    nz = a != 0
-    if not n or np.count_nonzero(nz) != n:
+    if not n or np.count_nonzero(a) != n:
         return None
-    succ = nz.argmax(axis=0)
+    succ = (a != 0).argmax(axis=0)
     weights, succ = a[succ, np.arange(n)].tolist(), succ.tolist()
     if len(set(succ)) != n or not all(weights):
         return None
@@ -374,23 +523,32 @@ def _permutation_eig(a: np.ndarray):
         values[cut] = np.exp(log_root) * phases
         rows[cut, cycle] = block = powers * g
         co[cut, cycle] = np.multiply(powers, 1 / (size * g.conj()), out=block)
-    scale = max(map(abs, weights))
-    if np.count_nonzero(np.abs(np.subtract.outer(values, values)) <= CLUSTER_REL_TOL * scale) > n:
-        return None
-    return values, rows.T, co, scale
+    return values, rows.T, co, max(map(abs, weights))
 
 
 def _eig_pairs(a: np.ndarray):
     """Values, vectors (columns) and 2-norm of ``a`` from LAPACK; no co-vectors."""
     values, vectors = np.linalg.eig(a)
-    return values.astype(complex, copy=False), vectors, None, float(np.linalg.svd(a, compute_uv=False)[0])
+    scale = float(np.linalg.svd(a, compute_uv=False)[0])
+    return values.astype(complex, copy=False), vectors.astype(complex, copy=False), None, scale
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
-    """The eigenvalues of the interior ``m``, rounded as its clusters carry them."""
+    """The eigenvalues of the interior ``m``, rounded as its clusters carry them.
+
+    The closed form serves unless two of its values fall within the
+    cluster tolerance, where :func:`eigen_decompose` takes ``eig``'s.
+    """
     a = _eig_input(m)
     closed = _permutation_eig(a)
-    return closed[0] if closed is not None else np.linalg.eigvals(a).astype(complex, copy=False)
+    if closed is None or _cluster_indices(closed[0], _cluster_tol(closed[3]), False) is None:
+        return np.linalg.eigvals(a).astype(complex, copy=False)
+    return closed[0]
+
+
+def _cluster_tol(scale: float) -> float:
+    """The distance within which eigenvalues of an interior of 2-norm ``scale`` merge."""
+    return CLUSTER_REL_TOL * max(scale, 1e-300)
 
 
 def _unit_pivot(vectors: np.ndarray, values, floor: float) -> np.ndarray:
@@ -399,12 +557,12 @@ def _unit_pivot(vectors: np.ndarray, values, floor: float) -> np.ndarray:
     ``values[k]`` is the eigenvalue of column ``k``; a column shorter than
     ``floor`` raises ``IllConditionedChain`` there.
     """
-    norms = np.sqrt(_column_sq(vectors))
-    short = norms < floor
-    if short.any():
-        raise IllConditionedChain(complex(values[int(short.argmax())]), float("inf"))
-    pivots = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
-    return norms * (pivots / np.abs(pivots))
+    size = np.abs(vectors)
+    norms = np.sqrt(np.add.reduce(size * size))
+    if min(norms.tolist(), default=floor) < floor:
+        raise IllConditionedChain(complex(values[int(norms.argmin())]), float("inf"))
+    pivot = (size.argmax(axis=0), np.arange(vectors.shape[1]))
+    return vectors[pivot] * (norms / size[pivot])
 
 
 def _right_chains(m: np.ndarray, lam: complex, mult: int, floor: float):
@@ -412,7 +570,7 @@ def _right_chains(m: np.ndarray, lam: complex, mult: int, floor: float):
 
     The staircase runs on the cluster's generalized eigenspace, the null
     space of ``(M - λ)^mult``, and one product maps every chain vector
-    back.  Returns the chain lengths and the vectors as rows, chain by
+    back.  Returns the chain lengths and the vectors as columns, chain by
     chain; each chain is scaled so its eigenvector has unit norm and a
     real positive pivot.
     """
@@ -423,23 +581,79 @@ def _right_chains(m: np.ndarray, lam: complex, mult: int, floor: float):
     columns = v0 @ coords
     heads = list(accumulate(lengths[:-1], initial=0))
     divisors = _unit_pivot(columns[:, heads], [lam] * len(heads), floor)
-    return lengths, (columns / divisors.repeat(lengths)).T
+    return lengths, columns / divisors.repeat(lengths)
 
 
-def _column_sq(a: np.ndarray) -> np.ndarray:
-    """Squared 2-norm of every column of ``a``."""
-    return (a.real * a.real + a.imag * a.imag).sum(axis=0)
+def _semisimple(spread: float, gram: list, n: int, scale: float, floor: float) -> bool:
+    """Whether a multiple cluster takes its m unit ``eig`` columns X as its chains.
+
+    ``spread`` is the largest distance from the cluster's value to one of
+    its ``eig`` values, and ``gram`` the Gram matrix ``X* X`` (nested
+    lists).  ``eig`` is backward stable, so each column's residual
+    ``M x - μ x`` is within about ``n·u·||M||`` (u the unit roundoff) and,
+    on the span of X, ``||(M - λ) y|| / ||y||`` is at most
+    ``sqrt(m)·(spread + n·u·||M||) / σ_min(X)``, where Gershgorin's
+    ``σ_min(X)² >= min_i (G_ii - Σ_{j≠i} |G_ij|)`` (exact for m = 2)
+    bounds σ_min from below.  When the bound is below half the floor, X
+    passes the staircase's own test for a semisimple cluster
+    (``||r||_F < floor/2``, :func:`_nilpotent_chains`) and spans the
+    cluster's eigenspace.  A Jordan block fails: its ``eig`` columns are
+    parallel to within ~u^(1/L), or its values split by as much.
+    """
+    gap = min(2 * abs(row[i]) - sum(map(abs, row)) for i, row in enumerate(gram))
+    bound = math.sqrt(len(gram)) * (spread + n * UNIT_ROUNDOFF * scale)
+    return bound < 0.5 * floor * math.sqrt(max(gap, 0.0))
 
 
-def _classify(walk, basis: np.ndarray, dual: np.ndarray, starts: np.ndarray):
-    """Condition number and on-circle flag of every cluster, in one pass.
+def _by_size(starts, widths):
+    """Per size m > 1: the clusters of that size, and each one's m columns."""
+    sizes: dict = {}
+    for k, width in enumerate(widths):
+        if width > 1:
+            sizes.setdefault(width, []).append(k)
+    for width, ks in sorted(sizes.items()):
+        yield ks, [list(range(starts[k], starts[k] + width)) for k in ks]
 
-    Cluster ``k`` owns the columns from ``starts[k]`` up to the next start
-    of ``basis`` (its chains V) and ``dual`` (its co-chains W).
-    ``||V||·||W||`` bounds the cluster's spectral projector; for a simple
-    cluster it is the eigenvalue condition number 1/|<v, w>| of unit v, w,
-    taken from column norms, and a multiple one takes the largest singular
-    values of V and W, from one stacked call.
+
+def _multiple_clusters(m, columns, column_values, lams, starts, widths, scale, floor):
+    """Jordan chains of the multiple clusters that are not semisimple.
+
+    The clusters of each size are tested (:func:`_semisimple`) on the Gram
+    matrices of their ``eig`` columns, from one stacked product; a
+    semisimple cluster keeps those columns as its chains, and each of the
+    others runs the Jordan staircase, whose chains are written over its
+    columns.  Returns the chain lengths of the latter, by cluster.
+    """
+    n = m.shape[0]
+    listed = column_values.tolist()
+    staircase = {}
+    for ks, cols in _by_size(starts, widths):
+        x = columns[:, cols].transpose(1, 0, 2)  # (clusters, n, m)
+        grams = (x.conj().transpose(0, 2, 1) @ x).tolist()
+        for k, own, gram in zip(ks, cols, grams):
+            spread = max(abs(listed[c] - lams[k]) for c in own)
+            if not _semisimple(spread, gram, n, scale, floor):
+                staircase[k], columns[:, own] = _right_chains(m, lams[k], len(own), floor)
+    return staircase
+
+
+@lru_cache(maxsize=16)
+def _segments(*widths) -> np.ndarray:
+    """The 0/1 matrix that sums consecutive column segments of ``widths``."""
+    out = np.repeat(np.eye(len(widths)), widths, axis=0)
+    out.flags.writeable = False
+    return out
+
+
+def _classify(walk, right: np.ndarray, left_h: np.ndarray, starts):
+    """Condition bound and on-circle flag of every cluster, in one pass.
+
+    Cluster ``k`` owns the columns of ``right`` (its chains V) and the
+    rows of ``left_h`` (its co-chains W*) from ``starts[k]`` up to the next
+    start.  The bound is ``||V||_F·||W||_F``: for a simple cluster it is
+    its condition, the eigenvalue condition number 1/|<v, w>| of unit v,
+    w, and for a multiple one it bounds ``EigenSystem.condition`` from
+    above.
 
     A cluster is on the unit circle when its states and co-states both
     miss the tails.  The walk maps interior + incoming arcs unitarily
@@ -449,22 +663,14 @@ def _classify(walk, basis: np.ndarray, dual: np.ndarray, starts: np.ndarray):
     cannot resolve.  The coupling of a cluster is the Frobenius ratio
     ``||T V|| / ||V||``, summed column by column over its chains.
     """
-    tails = (walk.interior_to_tail @ basis, walk.tail_to_interior.conj().T @ dual)
-    states_sq = np.array([_column_sq(basis), _column_sq(dual)])
-    tails_sq = np.array([_column_sq(block) for block in tails])
-    condition = np.sqrt(states_sq[0]) * np.sqrt(states_sq[1])
-    if len(starts) < basis.shape[1]:  # some cluster owns several columns
-        condition = condition[starts]
-        ends = list(starts[1:]) + [basis.shape[1]]
-        for k, (start, end) in enumerate(zip(starts, ends)):
-            if end - start > 1:
-                pair = np.stack([basis[:, start:end], dual[:, start:end]])
-                sigmas = np.linalg.svd(pair, compute_uv=False)
-                condition[k] = sigmas[0, 0] * sigmas[1, 0]
-        states_sq = np.add.reduceat(states_sq, starts, axis=1)
-        tails_sq = np.add.reduceat(tails_sq, starts, axis=1)
-    coupling = np.sqrt(tails_sq / states_sq)
-    return condition, np.logical_and.reduce(coupling <= CIRCLE_COUPLING_TOL)
+    # row k: v_k, its emission, w_k* and its pickup; one squared norm of each
+    blocks = (right.T, (walk.interior_to_tail @ right).T, left_h, left_h @ walk.tail_to_interior)
+    parts = np.concatenate(blocks, axis=1)
+    sq = np.square(parts.view(float)) @ _segments(*(2 * block.shape[1] for block in blocks))
+    if len(starts) < right.shape[1]:  # some cluster owns several columns: sum over them
+        sq = np.add.reduceat(sq, starts, axis=0)
+    circle = np.logical_and.reduce(sq[:, 1::2] <= CIRCLE_COUPLING_TOL**2 * sq[:, ::2], axis=1)
+    return np.sqrt(sq[:, 0] * sq[:, 2]), circle
 
 
 def eigen_decompose(walk) -> EigenSystem:
@@ -472,53 +678,61 @@ def eigen_decompose(walk) -> EigenSystem:
     m = np.asarray(walk.interior, dtype=complex)
     n = m.shape[0]
     if n == 0:
-        return EigenSystem(m, ())
+        counts, flags = np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
+        return EigenSystem(m, np.zeros(0, dtype=complex), m, m, counts, counts, flags, np.zeros(0))
     a = _eig_input(m)
     values, vectors, co, scale = _permutation_eig(a) or _eig_pairs(a)
+    clustered = _cluster_indices(values, _cluster_tol(scale), merge=co is None)
+    if clustered is None:  # coinciding closed-form values: eig's clusters
+        values, vectors, co, scale = _eig_pairs(a)
+        clustered = _cluster_indices(values, _cluster_tol(scale))
+    groups, centres = clustered
     floor = 1e-12 * max(scale, 1.0)
-    groups = _cluster_indices(values, CLUSTER_REL_TOL * max(scale, 1e-300))
-    lams = [_centre(values, idx) for idx in groups]
-    widths = [len(idx) for idx in groups]
-    starts = list(accumulate(widths[:-1], initial=0))
-
-    # row k of ``rows`` is chain vector k: the columns of the right basis
-    rows = np.empty((n, n), dtype=complex)
-    simple = [idx[0] for idx in groups if len(idx) == 1]
-    eigvecs = vectors[:, simple]
-    simple_starts = [start for start, width in zip(starts, widths) if width == 1]
-    divisors = _unit_pivot(eigvecs, values[simple], floor)
-    rows[simple_starts] = (eigvecs / divisors).T
-    lengths = [(1,)] * len(groups)  # of each cluster's chains
-    for k, (lam, start, width) in enumerate(zip(lams, starts, widths)):
-        if width > 1:
-            lengths[k], rows[start : start + width] = _right_chains(m, lam, width, floor)
-    basis = rows.T
+    order = [i for idx in groups for i in idx]
+    columns, column_values = vectors[:, order], values[order]
+    widths = list(map(len, groups))
+    if len(groups) == n:
+        lams, starts, staircase = column_values, list(range(n)), {}
+    else:
+        starts = list(accumulate(widths[:-1], initial=0))
+        staircase = _multiple_clusters(
+            m, columns, column_values, centres, starts, widths, scale, floor
+        )
+        lams = np.array(centres)
+    # one pass normalises every simple and semisimple cluster's columns
+    if staircase:
+        passing = [c for k, start in enumerate(starts) if k not in staircase
+                   for c in range(start, start + widths[k])]
+        divisors = _unit_pivot(columns[:, passing], column_values[passing], floor)
+        columns[:, passing] /= divisors
+    else:
+        divisors = _unit_pivot(columns, column_values, floor)
+        columns /= divisors
+    right = columns
     if co is not None:  # the closed form: every cluster is simple
-        dual_rows = co[simple]
-        dual_rows *= divisors.conj()[:, None]
+        left_h = co[order].conj()
+        left_h *= divisors[:, None]
     else:
         try:
-            dual_rows = np.linalg.inv(basis).conj()
+            left_h = np.linalg.inv(right)
         except np.linalg.LinAlgError:
             # a singular basis: blame the cluster nearest to another one
             gaps = np.abs(np.subtract.outer(lams, lams)) + np.diag(np.full(len(lams), np.inf))
-            raise IllConditionedChain(lams[int(np.argmin(gaps.min(axis=1)))], float("inf"))
+            raise IllConditionedChain(complex(lams[int(np.argmin(gaps.min(axis=1)))]), float("inf"))
 
-    condition, on_circle = _classify(walk, basis, dual_rows.T, starts)
-    good = condition * GRAM_REL_TOL <= 1.0
-    if not good.all():
-        bad = int(good.argmin())
-        raise IllConditionedChain(lams[bad], float(condition[bad]))
-
-    clusters, stop = [], 0
-    for lam, chain_lengths, kappa, circle in zip(lams, lengths, condition.tolist(), on_circle.tolist()):
-        cuts = []
-        for length in chain_lengths:
-            cuts.append(slice(stop, stop + length))
-            stop += length
-        chains = tuple(rows[cut] for cut in cuts)
-        clusters.append(Cluster(lam, chains, tuple(dual_rows[cut] for cut in cuts), circle, kappa))
-    return EigenSystem(m, tuple(clusters))
+    bound, on_circle = _classify(walk, right, left_h, starts)
+    for array in (lams, right, left_h):
+        array.flags.writeable = False
+    lengths = [length for k, width in enumerate(widths) for length in staircase.get(k, [1] * width)]
+    system = EigenSystem(
+        m, lams, right, left_h, np.array(widths), np.array(lengths), on_circle, bound
+    )
+    if not np.maximum.reduce(bound) * GRAM_REL_TOL <= 1.0:  # NaN too: check the conditions
+        condition = system.condition
+        if not np.maximum.reduce(condition) * GRAM_REL_TOL <= 1.0:
+            bad = int(condition.argmax())
+            raise IllConditionedChain(complex(lams[bad]), float(condition[bad]))
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +755,9 @@ def resonance_set(walk):
     eigenvalues of the full walk, whose states never reach the tails.
     """
     system = eigen_decompose(walk)
-    out = []
-    for c in system.clusters:
-        value = 0j if c.is_zero else c.value
-        out.append(Resonance(value, c.multiplicity, c.on_unit_circle))
+    values = np.where(np.abs(system.values) <= ZERO_VALUE_TOL, 0j, system.values)
+    out = list(map(Resonance, values.tolist(), system.multiplicity.tolist(),
+                   system.on_unit_circle.tolist()))
     return out, system
 
 

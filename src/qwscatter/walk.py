@@ -137,24 +137,24 @@ def assemble(graph: TailedGraph, coin_matrices: dict, eps: float | None = None) 
     """
     dim = graph.carrier_dim
     full = np.zeros((dim, dim), dtype=complex)
+    entries = []  # each coin ravelled, in the order of graph.coin_entries
     for v in graph.vertices:
-        ins = graph.in_slots(v)
-        outs = graph.out_slots(v)
-        if not ins and v not in coin_matrices:
+        n_in, n_out = len(graph.in_slots(v)), len(graph.out_slots(v))
+        if not n_in and v not in coin_matrices:
             continue  # isolated vertex, nothing to place
         try:
             coin = np.asarray(coin_matrices[v], dtype=complex)
         except KeyError:
             raise DimensionMismatch(f"no coin given for vertex {v!r}") from None
-        if coin.shape != (len(outs), len(ins)):
+        if coin.shape != (n_out, n_in):
             raise DimensionMismatch(
                 f"coin at vertex {v!r} has shape {coin.shape}, "
-                f"but the vertex has {len(ins)} incoming and {len(outs)} "
+                f"but the vertex has {n_in} incoming and {n_out} "
                 "outgoing slots"
             )
-        for r, out_key in enumerate(outs):
-            for c, in_key in enumerate(ins):
-                full[graph.slot_index(out_key), graph.slot_index(in_key)] = coin[r, c]
+        entries.append(coin.ravel())
+    if entries:
+        full[graph.coin_entries] = np.concatenate(entries)
     return WalkOperator(graph, full, eps)
 
 

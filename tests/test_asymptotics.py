@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qwscatter.asymptotics as asymptotics
 import qwscatter.scattering as scattering
@@ -780,6 +782,90 @@ def test_remainder_table_matches_a_loop_over_z(family, route):
         # the reported point attains the sup, up to ties at roundoff
         at = residuals[int(np.argmin(np.abs(np.array(z_points) - row.z)))]
         assert abs(at - row.value) <= 1e-15
+
+
+def largest_norm_in_full(stack):
+    """The stacked 2-norm of every matrix, then its argmax and max."""
+    norms = np.linalg.norm(stack, 2, axis=(1, 2))
+    worst = int(np.argmax(norms))
+    return worst, float(norms[worst])
+
+
+@pytest.mark.parametrize(
+    "family, route",
+    [
+        (matrix_schrodinger_family(), "resolvent"),
+        (cycle_family(8, [0.97, 1.02, 0.99, 1.01, 0.96, 1.03, 1.0, 0.98]), "expansion"),
+        # its interior stays on the circle: each residual is a rotation minus
+        # the identity, whose two singular values are equal
+        (crossing_family(0.8), "resolvent"),
+    ],
+    ids=["ms", "cycle8", "crossing-flat"],
+)
+def test_remainder_rows_match_the_full_stacked_norm(monkeypatch, family, route):
+    grid = geometric_grid(1e-3, 1e-1, 9)
+    seen = []
+    pruned = asymptotics._largest_norm
+
+    def spy(stack):
+        seen.append(stack)
+        return pruned(stack)
+
+    monkeypatch.setattr(asymptotics, "_largest_norm", spy)
+    rows, summary = remainder_table(family, grid, 64, route)
+    monkeypatch.setattr(asymptotics, "_largest_norm", largest_norm_in_full)
+    assert (rows, summary) == remainder_table(family, grid, 64, route)  # bit for bit
+    for stack in seen:
+        assert pruned(stack) == largest_norm_in_full(stack)
+    if family.name == "crossing":
+        sigmas = np.linalg.svd(seen[-1], compute_uv=False)
+        assert np.abs(sigmas[:, 0] - sigmas[:, 1]).max() <= 1e-15
+
+
+def match_step_by_loop(vals0, cur, vals1):
+    """The per-value matching loop that _match_step vectorises."""
+    new, used = [], set()
+    for lam in cur:
+        gaps = np.sort(np.abs(vals0 - lam))
+        gap = float(gaps[1]) if len(gaps) > 1 else np.inf
+        j = int(np.argmin(np.abs(vals1 - lam)))
+        if j in used:
+            return None
+        if not abs(vals1[j] - lam) < 0.5 * gap:
+            return None
+        used.add(j)
+        new.append(complex(vals1[j]))
+    return new
+
+
+# a coarse lattice, so that ties in the gaps and in the nearest value,
+# and two tracked values with one nearest target, come up often
+QUARTERS = st.integers(-3, 3).map(lambda k: k / 4)
+LATTICE = st.builds(complex, QUARTERS, QUARTERS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(LATTICE, min_size=1, max_size=7),
+    st.lists(LATTICE, min_size=1, max_size=7),
+    st.data(),
+)
+def test_match_step_agrees_with_the_loop(vals0, vals1, data):
+    cur = data.draw(st.lists(st.sampled_from(vals0), max_size=4))
+    if data.draw(st.booleans()):  # tracked values off the old spectrum too
+        cur += data.draw(st.lists(LATTICE, max_size=2))
+    vals0, vals1 = np.array(vals0), np.array(vals1)
+    want = match_step_by_loop(vals0, cur, vals1)
+    got = asymptotics._match_step(vals0, cur, vals1)
+    assert got == want
+    assert got is None or all(type(v) is complex for v in got)
+
+
+def test_match_step_refuses_two_values_on_one_target():
+    vals0 = np.array([0.0, 0.1, 1.0], dtype=complex)
+    assert asymptotics._match_step(vals0, [0.0, 0.1], np.array([0.05, 1.0])) is None
+    assert asymptotics._match_step(vals0, [0.0, 1.0], np.array([0.01, 0.99])) == [0.01, 0.99]
+    assert asymptotics._match_step(vals0, [], np.array([0.5])) == []
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,6 @@ from qwscatter.scattering import (
     zero_pole_block,
 )
 from qwscatter.spectral import (
-    Cluster,
     EigenSystem,
     ZeroCluster,
     eigen_decompose,
@@ -425,12 +424,17 @@ def bound_state_walk():
         n_interior=2,
     )
     e0, e1 = np.eye(2, dtype=complex)
+    # the pole 0.5 on e1, then the bound state 1.0 on e0
+    basis = np.array([e1, e0]).T
     system = EigenSystem(
         walk.interior,
-        (
-            Cluster(0.5, (e1[None, :],), (e1[None, :],), False, 1.0),
-            Cluster(1.0, (e0[None, :],), (e0[None, :],), True, 1.0),
-        ),
+        values=np.array([0.5, 1.0], dtype=complex),
+        right=basis,
+        left_h=basis.conj().T,
+        multiplicity=np.array([1, 1]),
+        lengths=np.array([1, 1]),
+        on_unit_circle=np.array([False, True]),
+        condition_bound=np.array([1.0, 1.0]),
     )
     return walk, system, e1
 

@@ -138,9 +138,25 @@ def test_cluster_indices_match_pairwise_loop():
                     break
             if merged:
                 break
-    got = _cluster_indices(values, tol)
+    got, centres = _cluster_indices(values, tol)
     assert sorted(map(sorted, got)) == sorted(map(sorted, groups))
+    assert centres == [complex(values[idx].mean()) for idx in got]
     assert len(got) < len(values)
+
+
+# parts on a coarse grid, nudged by less and more than the 1e-12 rounding step
+NEAR_TIES = st.builds(
+    lambda k, nudge: k / 4 + nudge,
+    st.integers(-4, 4),
+    st.sampled_from([0.0, -0.0, 1e-16, -2e-13, 6e-13, 1.5e-12, -3e-12, 5e-12]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(complex, NEAR_TIES, NEAR_TIES), max_size=8))
+def test_value_order_is_the_rounded_key_order(values):
+    want = sorted(range(len(values)), key=lambda a: spectral._sort_key(values[a]))
+    assert spectral._value_order(values) == want
 
 
 def test_chained_merge_is_ambiguous():
@@ -517,23 +533,44 @@ def test_decomposition_residuals_are_at_roundoff(build):
             assert np.any((near.real > 0) & (np.abs(near.imag) <= 4 * UNIT_ROUNDOFF))
 
 
-@pytest.mark.parametrize("eps", [0.0, 1e-8])
-def test_one_pass_classification_matches_the_per_cluster_rule(eps):
+def spy_calls(monkeypatch, name):
+    """Record the arguments of every call to ``spectral.<name>``."""
+    seen = []
+    original = getattr(spectral, name)
+
+    def spy(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(spectral, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-8, 1e-2, 0.5])
+def test_one_pass_classification_matches_the_per_cluster_rule(monkeypatch, eps):
     # at eps = 0 the hidden pair +-i is on the circle, at 1e-8 it is off
-    # it by 1e-16 but couples to the tails; the zero cluster is a Jordan block
+    # it by 1e-16 but couples to the tails; the zero cluster is semisimple,
+    # two chains of length one taken from eig's columns, with no staircase
+    staircase = spy_calls(monkeypatch, "_right_chains")
     walk = matrix_schrodinger_family().walk(eps)
     system = eigen_decompose(walk)
-    assert any(c.multiplicity == 2 for c in system.clusters)
+    multiple = [cl for cl in system.clusters if cl.multiplicity > 1]
+    assert [[c.shape[0] for c in cl.chains] for cl in multiple] == [[1, 1]]
+    assert system.zero_cluster().multiplicity == 2
+    assert staircase == []
     right, left = full_bases(system)
     widths = [c.multiplicity for c in system.clusters]
     starts = np.cumsum(widths) - widths
-    condition, on_circle = _classify(walk, right, left, starts)
+    bound, on_circle = _classify(walk, right, left.conj().T, starts)
+    condition = system.condition
     for k, cluster in enumerate(system.clusters):
         v, w = cluster.right_basis(), cluster.left_basis()
-        order = 2 if cluster.multiplicity > 1 else None
-        want = np.linalg.norm(v, order) * np.linalg.norm(w, order)
+        # a semisimple cluster's condition is the norm of its projector
+        want = np.linalg.norm(v @ w.conj().T, 2)
         assert condition[k] == pytest.approx(want, rel=4 * UNIT_ROUNDOFF, abs=0)
         assert cluster.condition == condition[k]
+        frobenius = np.linalg.norm(v) * np.linalg.norm(w)
+        assert bound[k] == pytest.approx(frobenius, rel=4 * UNIT_ROUNDOFF, abs=0)
         emitted = np.linalg.norm(walk.interior_to_tail @ v) / np.linalg.norm(v)
         picked = np.linalg.norm(walk.tail_to_interior.conj().T @ w) / np.linalg.norm(w)
         decoupled = emitted <= CIRCLE_COUPLING_TOL and picked <= CIRCLE_COUPLING_TOL
@@ -542,23 +579,72 @@ def test_one_pass_classification_matches_the_per_cluster_rule(eps):
     assert [c.on_unit_circle for c in hidden] == [eps == 0.0] * 2
 
 
-def test_a_multiple_cluster_is_classified_by_all_its_columns():
-    # the 0.5 block's chain is e1, e2/2, so ||V||·||W|| = 2 while its
-    # eigenvector alone has condition 1; only e2 emits into the tail, only
-    # the co-state e3 of 0.9 picks up from it, and 0.7 on e4 is decoupled
+def test_poles_are_a_column_selection_of_the_system():
+    # the off-circle columns of the arrays, as the clusters' own chains would stack them
+    for walk in (matrix_schrodinger_family().walk(0.3), jordan_walk_with_tails()):
+        system = eigen_decompose(walk)
+        poles = system.poles
+        stacked = spectral._pole_basis(system.off_circle(), walk.interior.shape[0])
+        assert np.array_equal(poles.values, stacked.values)
+        assert np.array_equal(poles.right, stacked.right)
+        assert np.array_equal(poles.left_h, stacked.left_h)
+        assert poles.links == stacked.links
+    assert system.on_unit_circle.any() and poles.links
+    # with no cluster on the circle the poles are the system's own arrays
+    system = eigen_decompose(cycle_family(5, STRENGTHS).walk(0.3))
+    assert system.poles.right is system.right and system.poles.left_h is system.left_h
+
+
+def test_clusters_are_built_only_when_asked():
+    system = eigen_decompose(matrix_schrodinger_family().walk(0.3))
+    shared = (system.values, system.right, system.left_h)
+    assert not any(array.flags.writeable for array in shared)
+    assert len(system.poles.values) < system.right.shape[1]  # +-1 sit on the circle
+    cluster = system.nearest_cluster(1j)
+    k = int(np.argmin(np.abs(system.values - 1j)))
+    assert system.nearest_cluster(1j) is cluster and list(system._built) == [k]
+    # a simple cluster's condition is its bound: no singular values taken
+    assert "condition" not in vars(system)
+    assert cluster.condition == system.condition_bound[k]
+    assert system.clusters[k] is cluster
+    assert [c.value for c in system.clusters] == system.values.tolist()
+    assert system.zero_cluster() is system.clusters[int(np.argmin(np.abs(system.values)))]
+
+
+def test_semisimple_rule_needs_agreeing_values_and_independent_columns():
+    n, scale, floor = 6, 1.0, 1e-12
+    orthogonal = [[1.0, 0.0], [0.0, 1.0]]
+    skew = [[1.0, 0.6], [0.6, 1.0]]  # unit columns at condition 2
+    parallel = [[1.0, 1 - 1e-16], [1 - 1e-16, 1.0]]  # a Jordan block's eig columns
+    assert spectral._semisimple(0.0, orthogonal, n, scale, floor)
+    assert spectral._semisimple(1e-14, skew, n, scale, floor)
+    assert not spectral._semisimple(0.0, parallel, n, scale, floor)
+    assert not spectral._semisimple(1e-12, orthogonal, n, scale, floor)
+
+
+def jordan_walk_with_tails():
+    """A Jordan block at 0.5 with one tail, 0.9 coupled to it and 0.7 decoupled."""
     interior = np.diag([0.5, 0.5, 0.9, 0.7]).astype(complex)
     interior[0, 1] = 2.0
-    walk = SimpleNamespace(
+    return SimpleNamespace(
         interior=interior,
         interior_to_tail=np.array([[0.0, 1e-3, 0.0, 0.0]], dtype=complex),
         tail_to_interior=np.array([[0.0], [0.0], [1e-3], [0.0]], dtype=complex),
     )
+
+
+def test_a_multiple_cluster_is_classified_by_all_its_columns():
+    # the 0.5 block's chain is e1, e2/2, so ||V||·||W|| = 2 while its
+    # eigenvector alone has condition 1; only e2 emits into the tail, only
+    # the co-state e3 of 0.9 picks up from it, and 0.7 on e4 is decoupled
+    walk = jordan_walk_with_tails()
     system = eigen_decompose(walk)
     assert [c.value for c in system.clusters] == [0.5, 0.7, 0.9]
     assert [c.shape[0] for c in system.clusters[0].chains] == [2]
     right, left = full_bases(system)
-    condition, on_circle = _classify(walk, right, left, np.array([0, 2, 3]))
-    assert condition[0] == pytest.approx(2.0, rel=1e-15)
+    bound, on_circle = _classify(walk, right, left.conj().T, np.array([0, 2, 3]))
+    assert system.condition[0] == pytest.approx(2.0, rel=1e-15)
+    assert bound[0] >= system.condition[0]
     assert list(on_circle) == [False, True, False]
     assert [c.on_unit_circle for c in system.clusters] == [False, True, False]
 
@@ -615,6 +701,20 @@ def test_planted_jordan_blocks_come_back_as_chains(planted):
     assert residual <= 64 * n * UNIT_ROUNDOFF * np.linalg.norm(matrix, 2) * np.linalg.norm(right, 2)
     pairing = np.linalg.norm(left.conj().T @ right - np.eye(n), 2)
     assert pairing <= 64 * n * UNIT_ROUNDOFF * np.linalg.cond(right)
+
+
+@settings(max_examples=30, deadline=None)
+@given(planted_jordan())
+def test_planted_jordan_blocks_still_run_the_staircase(planted):
+    # a value with a block longer than one is never taken for semisimple:
+    # its eig columns are parallel, so it runs _right_chains
+    matrix, blocks = planted
+    with pytest.MonkeyPatch.context() as patch:
+        staircase = spy_calls(patch, "_right_chains")
+        eigen_decompose(bare(matrix))
+    jordan = [value for value, sizes in blocks.items() if sizes[0] > 1]
+    ran = [args[1] for args in staircase]
+    assert all(min(abs(lam - value) for lam in ran) <= 1e-12 for value in jordan)
 
 
 # ---------------------------------------------------------------------------

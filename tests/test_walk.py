@@ -100,6 +100,69 @@ def test_wrong_coin_shape_rejected():
         assemble(g, {"u": np.eye(3), "v": np.eye(1)})
 
 
+def assemble_by_entry(graph, coin_matrices):
+    """The carrier matrix placed one coin entry at a time."""
+    dim = graph.carrier_dim
+    full = np.zeros((dim, dim), dtype=complex)
+    for v in graph.vertices:
+        ins, outs = graph.in_slots(v), graph.out_slots(v)
+        coin = np.asarray(coin_matrices[v], dtype=complex)
+        for r, out_key in enumerate(outs):
+            for c, in_key in enumerate(ins):
+                full[graph.slot_index(out_key), graph.slot_index(in_key)] = coin[r, c]
+    return full
+
+
+def haar_coins(graph, rng):
+    coins = {}
+    for v in graph.vertices:
+        d = len(graph.in_slots(v))
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        coins[v] = q
+    return coins
+
+
+@pytest.mark.parametrize(
+    "arcs, tails",
+    [
+        # a self-loop at u, and two parallel arcs each way between u and v
+        (
+            [("u", "u"), ("u", "v"), ("u", "v"), ("v", "u"), ("v", "u")],
+            [(1, "u", "u"), (2, "v", "v")],
+        ),
+        # tails entering at one vertex and leaving at another
+        ([("u", "v"), ("v", "u"), ("v", "w")], [(1, "u", "w"), (2, "v", "u")]),
+        # two self-loops at w, one tail anchored at each end of an arc pair
+        ([("w", "w"), ("w", "w"), ("u", "w"), ("w", "u")], [(2, "w", "u"), (1, "u", "w")]),
+    ],
+    ids=["self-loop-parallel", "tails-across", "double-self-loop"],
+)
+def test_one_indexed_assignment_places_every_coin_entry(arcs, tails):
+    vertices = sorted({a for arc in arcs for a in arc[:2]})
+    graph = build_graph(vertices, arcs, tails)
+    coins = haar_coins(graph, np.random.default_rng(len(arcs)))
+    full = assemble(graph, coins).full
+    assert np.array_equal(full, assemble_by_entry(graph, coins))
+    assert not graph.coin_entries[0].flags.writeable
+    assert graph.coin_entries is graph.coin_entries
+
+
+@pytest.mark.parametrize(
+    "coins, message",
+    [
+        ({"u": np.eye(2)}, "no coin given for vertex 'v'"),
+        ({"u": np.eye(3), "v": np.eye(1)},
+         "coin at vertex 'u' has shape (3, 3), but the vertex has 2 incoming and 2 outgoing slots"),
+    ],
+    ids=["missing", "shape"],
+)
+def test_dimension_mismatch_names_the_vertex(coins, message):
+    g = build_graph(["u", "v"], [("u", "v"), ("v", "u")], [(1, "u", "u")])
+    with pytest.raises(DimensionMismatch) as raised:
+        assemble(g, coins)
+    assert str(raised.value) == message
+
+
 def test_ms_routing():
     routing = free_routing_check(ms_walk(0.0))
     assert routing.steps == (2, 2)
