@@ -426,27 +426,38 @@ def eval_coins(coins: CoinFamily, eps: float) -> dict:
 
     Square coins are required to be unitary to ``UNITARITY_TOL``
     (max-entry norm of C*C - I); a coin with a non-finite entry is not,
-    and fails before C*C is formed.  The coins of each size are checked
-    as one stack, and the first failing vertex in family order is named.
-    Rectangular grids are left to the walk assembler, which will reject
-    them with a dimension error.
+    and fails before C*C is formed.  Every square coin is checked in one
+    stack, each padded with the identity to the largest size, and the
+    first failing vertex in family order is named.  Rectangular grids are
+    left to the walk assembler, which will reject them with a dimension
+    error.
     """
     out = {vertex: eval_matrix(grid, eps) for vertex, grid in coins.items()}
     by_size: dict = {}
     for vertex, mat in out.items():
         if mat.shape[0] == mat.shape[1] and mat.size:
             by_size.setdefault(mat.shape[0], []).append(vertex)
-    failed = {}
-    for size, vertices in by_size.items():
+    if not by_size:
+        return out
+    vertices = [v for group in by_size.values() for v in group]
+    if len(by_size) == 1:
         stack = np.array([out[v] for v in vertices])
-        # the entries of a unitary are at most 1, so a finite coin has a finite sum
-        finite = np.isfinite(stack.sum(axis=(1, 2)))
-        good = stack if finite.all() else stack[finite]
-        residual = np.full(len(vertices), np.nan)
-        residual[finite] = np.abs(good.conj().transpose(0, 2, 1) @ good - np.eye(size)).max(axis=(1, 2))
-        if not residual.max() <= UNITARITY_TOL:
-            failed.update((vertices[k], float(residual[k])) for k in np.flatnonzero(~(residual <= UNITARITY_TOL)))
-    if failed:
-        vertex = next(v for v in out if v in failed)
-        raise NotUnitary(vertex, failed[vertex])
-    return out
+    else:  # [[C, 0], [0, I]] has the residual of C
+        size = max(by_size)
+        stack = np.empty((len(vertices), size, size), dtype=complex)
+        stack[:] = np.eye(size)
+        stop = 0
+        for width, group in by_size.items():
+            stack[stop : stop + len(group), :width, :width] = [out[v] for v in group]
+            stop += len(group)
+    # the entries of a unitary are at most 1, so a finite coin has a finite sum
+    finite = np.isfinite(stack.sum(axis=(1, 2)))
+    good = stack if finite.all() else stack[finite]
+    error = np.abs(np.einsum("kji,kjl->kil", good.conj(), good) - np.eye(stack.shape[1]))  # C*C - I
+    if len(good) == len(stack) and error.max() <= UNITARITY_TOL:
+        return out
+    residual = np.full(len(vertices), np.nan)
+    residual[finite] = error.max(axis=(1, 2))
+    failed = {vertices[k]: float(residual[k]) for k in np.flatnonzero(~(residual <= UNITARITY_TOL))}
+    vertex = next(v for v in out if v in failed)
+    raise NotUnitary(vertex, failed[vertex])

@@ -22,10 +22,11 @@ The pole sums read a column selection of these arrays
 (``EigenSystem.poles``); a :class:`Cluster`, one cluster's columns as
 chains, is built only when asked for.
 
-One ``eig`` of the interior serves every simple cluster: its column is
-the eigenvector.  A real interior (every builtin, line and cycle model)
-runs the real eigensolver, so its nonreal clusters come in exact
-conjugate pairs; the arrays downstream stay complex.  A multiple
+One ``eig`` of the interior, or of a periodic interior's level
+product, serves every simple cluster: its column is the eigenvector.
+A real interior (every builtin, line and cycle model) runs the real
+eigensolver, so its nonreal clusters come in exact conjugate pairs;
+the arrays downstream stay complex.  A multiple
 cluster is *semisimple* when its ``eig`` values agree within the floor
 and its unit ``eig`` columns are well conditioned, both measured
 against ``eig``'s backward error in units of the unit roundoff
@@ -40,17 +41,32 @@ size, are taken when the condition is read.
 
 The co-chains are *not* built by running the chain algorithm on the
 adjoint: they are the dual basis of the whole right basis ``V`` (every
-chain of every cluster), the rows of ``inv(V)``.  If ``M V = V J``
-then automatically ``M* W = W J*``, which is exactly the co-chain
-recursion — so ``W* V = I`` holds across the whole spectrum, within
-clusters and between them, and the chain relations hold to the
-accuracy of the right basis.
+chain of every cluster), the rows of ``inv(V)`` (lifted in closed
+form on a periodic interior, below).  If ``M V = V J`` then
+automatically ``M* W = W J*``, which is exactly the co-chain recursion
+— so ``W* V = I`` holds across the whole spectrum, within clusters and
+between them, and the chain relations hold to the accuracy of the
+right basis.
 
-A weighted permutation (one nonzero per row and column: every cycle
-model, two-barrier line and ``crossing``), on which QR iteration is
-slowest, takes its eigenpairs in closed form from its cycles, in O(n0²)
-and to a few u, unless two of its values fall within the cluster
-tolerance.  Normalisation and classification are shared.
+A periodic interior takes its eigenpairs from a smaller problem.  Arc
+``j`` feeds arc ``k`` where ``M[k, j] != 0``; when the arcs split into
+strongly connected components with no arc between two of them, and
+each component of period ``g`` has ``g`` level classes of one size
+``m``, its block of ``M`` is permutation-similar to a block-cyclic
+matrix (Varga, *Matrix Iterative Analysis*, §4.2).  The block's values
+are the g-th roots of those of the ``m × m`` level product
+``P = B_{g-1} ⋯ B_0``, and its vectors and co-vectors are ``P``'s lifted
+through the blocks, with ``W* V = I`` by construction
+(:func:`_periodic_eig`).  A weighted permutation (every cycle model,
+two-barrier line and ``crossing``) has ``m = 1`` and runs no ``eig`` at
+all; a barrier line has period twice the gcd of its gaps, so the
+five-barrier line (0, 30, 60, 100, 150) runs one 15 × 15 ``eig`` where
+the interior is 300 × 300.  QR iteration is slowest on such interiors,
+and the lifted eigenvectors are also the more accurate.  Two values
+within the cluster tolerance, a singular ``P`` or a lifted vector whose
+residual exceeds ``eig``'s backward error ``n·u·||M||`` send the interior
+to ``eig``, as does any other interior.  Normalisation and
+classification are shared.
 """
 
 from __future__ import annotations
@@ -470,60 +486,234 @@ def _eig_input(m: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _root_powers(size: int, odd: int):
+def _root_powers(size: int):
     """``e(q_k)`` and ``E[k, t] = e(-q_k t)`` for ``q_k = 2k + odd``, ``e(q) = exp(iπq/L)``.
 
-    One table over the integers ``q mod 2L``, mirrored so that
+    Row ``odd`` (0 or 1) of each array holds that parity's table.  One
+    table over the integers ``q mod 2L``, mirrored so that
     ``e(2L - q) = conj(e(q))`` exactly: real cycles give exact conjugate pairs.
     """
     t = np.arange(size)
     half = np.exp(1j * np.pi / size * t)
     table = np.concatenate((half, [-1.0], half[:0:-1].conj()))
-    out = table[2 * t + odd], table[np.multiply.outer(2 * t + odd, -t) % (2 * size)]
+    q = 2 * t + np.array([[0], [1]])
+    out = table[q], table[(q[:, :, None] * -t) % (2 * size)]
     for array in out:
         array.flags.writeable = False
     return out
 
 
-def _permutation_eig(a: np.ndarray):
-    """Closed-form eigenpairs of ``a`` if it is a weighted permutation.
+def _levels(a: np.ndarray):
+    """The arcs of each component of ``a``'s arc digraph, class by class, or None.
 
-    On a cycle ``j_0 -> ... -> j_{L-1}``, ``a e_{j_t} = a_t e_{j_{t+1}}``, with
-    weight product ``π`` and partial products ``P_t``, the values are the L
-    roots ``μ`` of ``π``, ``v_{j_t} = P_t / μ^t`` and ``w_{j_t} = conj(μ^t / (L P_t))``.
-    ``μ_0^t`` is ``exp((t/L)·log π)``; a real negative ``π`` takes the odd ``q``.
-    Returns values, vectors (columns), co-vectors (rows) and the 2-norm, or None.
+    Arc ``j`` feeds arc ``k`` when ``a[k, j] != 0`` (exact zeros, as
+    ``assemble`` leaves them).  A breadth-first search from the first arc
+    of each component gives every arc a level, and the period ``g`` is the
+    gcd of ``level[j] + 1 - level[k]`` over the component's arcs, so every
+    arc runs from level class ``t`` to ``t + 1 (mod g)``.  A search back
+    along the arcs must reach the same arcs: each component is strongly
+    connected and no arc joins two of them.  Returns ``(g, arcs)`` per
+    component, its arcs class by class (a cycle's in its own order), or
+    None for a component of period 1 with more than one arc, or with
+    classes of unequal size.  A weighted permutation (one nonzero per row
+    and column) is its cycles.
     """
     n = a.shape[0]
-    if not n or np.count_nonzero(a) != n:
+    nonzero = a != 0
+    count = np.count_nonzero(nonzero)
+    if count <= n:  # a zero column, or one nonzero per column
+        succ = nonzero.argmax(axis=0).tolist()
+        if count < n or len(set(succ)) != n:
+            return None
+        out, left = [], set(range(n))
+        for head in range(n):
+            if head in left:
+                cycle = [head]
+                while succ[cycle[-1]] != head:
+                    cycle.append(succ[cycle[-1]])
+                left.difference_update(cycle)
+                out.append((len(cycle), cycle))
+        return out
+    feeds = [divmod(f, n) for f in np.flatnonzero(nonzero).tolist()]  # (k, j): arc j feeds arc k
+    ahead, back = [[] for _ in range(n)], None
+    for k, j in feeds:
+        ahead[j].append(k)
+    level, out = [-1] * n, []
+    for root in range(n):
+        if level[root] >= 0:
+            continue
+        level[root], arcs, g = 0, [root], 0
+        for j in arcs:  # arcs grows as the search reaches new ones
+            step = level[j] + 1
+            for k in ahead[j]:
+                if level[k] < 0:
+                    level[k] = step
+                    arcs.append(k)
+                elif level[k] != step:
+                    g = math.gcd(g, step - level[k])
+        if not (g > 1 or len(arcs) == g == 1):
+            return None
+        classes = [[] for _ in range(g)]
+        for j in arcs:
+            classes[level[j] % g].append(j)
+        if any(len(c) * g != len(arcs) for c in classes):
+            return None
+        if back is None:
+            back = [[] for _ in range(n)]
+            for k, j in feeds:
+                back[k].append(j)
+        reached, seen = [root], {root}
+        for k in reached:
+            for j in back[k]:
+                if j not in seen:
+                    if level[j] < 0:  # an arc into the component from outside
+                        return None
+                    seen.add(j)
+                    reached.append(j)
+        if len(reached) != len(arcs):
+            return None
+        out.append((g, [j for c in classes for j in c]))
+    return out
+
+
+def _cycle_eig(weights: list, real: bool):
+    """The eigenpairs of one weighted cycle, in closed form, or None.
+
+    On ``j_0 -> ... -> j_{L-1}``, ``a e_{j_t} = a_t e_{j_{t+1}}``, with
+    weight product ``π`` and partial products ``P_t``, the values are the L
+    roots ``μ`` of ``π``, ``v_{j_t} = P_t / μ^t`` and ``w*_{j_t} = 1 / (L v_{j_t})``.
+    ``μ_0^t`` is ``exp((t/L)·log π)``; a real negative ``π`` takes the odd ``q``.
+    Returns what :func:`_level_product_eig` does, with a residual of 0.
+    """
+    size = len(weights)
+    prods = list(accumulate(weights, operator.mul, initial=1.0))
+    pi = prods.pop()
+    if not 0 < abs(pi) < math.inf:
         return None
-    succ = (a != 0).argmax(axis=0)
-    weights, succ = a[succ, np.arange(n)].tolist(), succ.tolist()
-    if len(set(succ)) != n or not all(weights):
+    log_root = (math.log(abs(pi)) if real else cmath.log(pi)) / size
+    g = np.array(prods) / np.exp(np.arange(size) * log_root)  # P_t / μ_0^t
+    odd = int(real and pi < 0)
+    phases, powers = _root_powers(size)
+    block = powers[odd] * g
+    return np.exp(log_root) * phases[odd], block, np.divide(1 / size, block), max(map(abs, weights)), 0.0
+
+
+def _level_product_eig(b: np.ndarray, real: bool):
+    """The eigenpairs of a block-cyclic interior, from its level product, or None.
+
+    ``b[k]`` (m × m) maps level class ``k`` to ``k + 1 (mod g)``.  Each
+    eigenpair ``(μ, x)`` of ``P = b[g-1] ⋯ b[0]``, with ``y*`` the matching
+    row of ``X^-1``, gives g values ``λ`` (the g-th roots of ``μ``,
+    :func:`_root_powers`), the vectors ``v_k = b[k-1] ⋯ b[0] x / λ^k`` and
+    the co-vectors ``w*_k = y* b[g-1] ⋯ b[k] λ^(k-g) / g``, so that
+    ``W* V = I``.  A real ``P``'s pairs ``μ``, ``μ̄`` are lifted once and
+    mirrored, and a real negative ``μ`` takes the odd roots, so a real
+    interior's values and vectors come in exact conjugate pairs.  Rows
+    run value by value, columns class by class.  Returns values, vector
+    rows, dual rows, the 2-norm (the largest of a block's) and the
+    largest relative residual ``||M v - λ v|| / ||v||`` of a lifted vector;
+    None when ``P`` is singular.  The co-vectors are the vectors' duals
+    through ``Y* X = I``, as ``inv(V)`` is on the ``eig`` path.
+    """
+    g, m = b.shape[:2]
+    norms = np.linalg.svd(b, compute_uv=False)[:, 0]
+    p = b[0]
+    for block in b[1:]:
+        p = block @ p
+    mu, x = np.linalg.eig(p)
+    mu = mu.astype(complex, copy=False)
+    if not np.abs(mu).min() > m * UNIT_ROUNDOFF * np.multiply.reduce(norms):  # NaN too
+        return None
+    try:
+        y = np.linalg.inv(x)
+    except np.linalg.LinAlgError:
+        return None
+    # LAPACK gives a real matrix's nonreal values as pairs μ, μ̄ with conjugate
+    # columns: lift the upper half-plane, then the real axis, and mirror the first
+    mirrored = np.count_nonzero(mu.imag > 0) if real else 0
+    keep = np.argsort(-np.sign(mu.imag), kind="stable")[: m - mirrored] if mirrored else slice(None)
+    mu, x, y = mu[keep], x.T[keep], y[keep]
+    # row-vector chains: x^T b[0]^T ⋯ b[k-1]^T forwards, y* b[g-1] ⋯ b[k] backwards
+    lifted, pulled = np.empty((g + 1,) + x.shape, dtype=complex), np.empty((g,) + y.shape, dtype=complex)
+    lifted[0], acc = x, y
+    for k in range(g):
+        lifted[k + 1] = lifted[k] @ b[k].T
+        pulled[g - 1 - k] = acc = acc @ b[g - 1 - k]
+    odd = real & (mu.imag == 0) & (mu.real < 0)
+    log_root = np.log(np.where(odd, -mu, mu)) / g
+    base = np.exp(np.multiply.outer(np.arange(g), log_root))  # μ_0^k, (g, K)
+    pair = np.empty((2, g) + x.shape, dtype=complex)  # the levels of each v and w*
+    np.divide(lifted[:g], base[:, :, None], out=pair[0])
+    np.multiply(pulled, (base / (g * mu))[:, :, None], out=pair[1])
+    # the lift leaves M v - λ v on level 0 alone: (P x - μ x) / λ^(g-1)
+    residual = _squares(lifted[g] - mu[:, None] * x, 1) / np.square(np.abs(base[-1]))
+    miss = math.sqrt((residual / _squares(pair[0], (0, 2))).max())
+    phases, powers = _root_powers(g)
+    parity = odd.astype(int)
+    powers = powers[parity]  # (K, g, g): row j, column k holds e(-q_j k)
+    size = g * m
+    out = np.empty((2, m, g, g, m), dtype=complex)
+    values = np.empty((m, g), dtype=complex)
+    np.multiply(pair.transpose(0, 2, 1, 3)[:, :, None], np.stack((powers, powers.conj()))[..., None],
+                out=out[:, : m - mirrored])
+    np.multiply(np.exp(log_root)[:, None], phases[parity], out=values[: m - mirrored])
+    if mirrored:  # the lower half-plane mirrors the upper one
+        np.conjugate(out[:, :mirrored], out=out[:, m - mirrored :])
+        np.conjugate(values[:mirrored], out=values[m - mirrored :])
+    return values.ravel(), out[0].reshape(size, size), out[1].reshape(size, size), float(norms.max()), miss
+
+
+def _squares(a: np.ndarray, axis) -> np.ndarray:
+    """The summed squared moduli of complex ``a`` over ``axis`` (which holds its last axis)."""
+    return np.square(a.view(float)).sum(axis=axis)
+
+
+def _periodic_eig(a: np.ndarray):
+    """Closed-form eigenpairs of ``a`` if every component of its arc digraph is periodic.
+
+    The components and their level classes come from :func:`_levels`.  A
+    component of period g with one arc per class is a weighted cycle
+    (:func:`_cycle_eig`); one with m > 1 arcs per class is block-cyclic
+    and runs ``eig`` on its m × m level product only
+    (:func:`_level_product_eig`), whose lifted vectors must leave residuals
+    within ``eig``'s own backward error, ``n·u·||M||``.  ``||M||`` is the
+    largest 2-norm of a level block.  Returns values, vectors (columns),
+    dual rows ``W*`` and the 2-norm, or None.
+    """
+    n = a.shape[0]
+    components = _levels(a) if n else None
+    if components is None:
         return None
     real = not np.iscomplexobj(a)
-    values = np.empty(n, dtype=complex)
-    rows, co = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
-    left, stop = set(range(n)), 0
-    for head in range(n):
-        if head not in left:
-            continue
-        cycle = [head]
-        while succ[cycle[-1]] != head:
-            cycle.append(succ[cycle[-1]])
-        left.difference_update(cycle)
-        size, cut, stop = len(cycle), slice(stop, stop + len(cycle)), stop + len(cycle)
-        prods = list(accumulate((weights[j] for j in cycle), operator.mul, initial=1.0))
-        pi = prods.pop()
-        if not 0 < abs(pi) < math.inf:
+    sums = a.sum(axis=0).tolist()  # a cycle's arc feeds one arc: its column sum is its weight
+    scale, miss, parts = 0.0, 0.0, []
+    for g, arcs in components:
+        if g == len(arcs):
+            pairs = _cycle_eig([sums[j] for j in arcs], real)
+        else:
+            grid = np.array(arcs).reshape(g, -1)
+            pairs = _level_product_eig(a[np.roll(grid, -1, axis=0)[:, :, None], grid[:, None, :]], real)
+        if pairs is None:
             return None
-        log_root = (math.log(abs(pi)) if real else cmath.log(pi)) / size
-        g = np.array(prods) / np.exp(np.arange(size) * log_root)  # P_t / μ_0^t
-        phases, powers = _root_powers(size, int(real and pi < 0))
-        values[cut] = np.exp(log_root) * phases
-        rows[cut, cycle] = block = powers * g
-        co[cut, cycle] = np.multiply(powers, 1 / (size * g.conj()), out=block)
-    return values, rows.T, co, max(map(abs, weights))
+        *part, norm, residual = pairs
+        scale, miss = max(scale, norm), max(miss, residual)
+        parts.append(part)
+    if not miss <= n * UNIT_ROUNDOFF * scale:
+        return None
+    if len(parts) == 1:
+        values, rows, co = parts[0]
+    else:  # block diagonal, columns in component order
+        values = np.concatenate([part[0] for part in parts])
+        rows, co = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+        stop = 0
+        for _, block, co_block in parts:
+            cut = slice(stop, stop + len(block))
+            rows[cut, cut], co[cut, cut], stop = block, co_block, cut.stop
+    order = [j for _, arcs in components for j in arcs]
+    if order != list(range(n)):  # columns back in arc order
+        inverse = np.argsort(order)
+        rows, co = rows[:, inverse], co[:, inverse]
+    return values, rows.T, co, scale
 
 
 def _eig_pairs(a: np.ndarray):
@@ -536,11 +726,13 @@ def _eig_pairs(a: np.ndarray):
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
     """The eigenvalues of the interior ``m``, rounded as its clusters carry them.
 
-    The closed form serves unless two of its values fall within the
-    cluster tolerance, where :func:`eigen_decompose` takes ``eig``'s.
+    The periodic closed form (:func:`_periodic_eig`, with its level
+    product's ``eig``) serves unless it declines or two of its values
+    fall within the cluster tolerance, where :func:`eigen_decompose`
+    takes ``eig``'s.
     """
     a = _eig_input(m)
-    closed = _permutation_eig(a)
+    closed = _periodic_eig(a)
     if closed is None or _cluster_indices(closed[0], _cluster_tol(closed[3]), False) is None:
         return np.linalg.eigvals(a).astype(complex, copy=False)
     return closed[0]
@@ -681,7 +873,7 @@ def eigen_decompose(walk) -> EigenSystem:
         counts, flags = np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
         return EigenSystem(m, np.zeros(0, dtype=complex), m, m, counts, counts, flags, np.zeros(0))
     a = _eig_input(m)
-    values, vectors, co, scale = _permutation_eig(a) or _eig_pairs(a)
+    values, vectors, co, scale = _periodic_eig(a) or _eig_pairs(a)
     clustered = _cluster_indices(values, _cluster_tol(scale), merge=co is None)
     if clustered is None:  # coinciding closed-form values: eig's clusters
         values, vectors, co, scale = _eig_pairs(a)
@@ -710,7 +902,7 @@ def eigen_decompose(walk) -> EigenSystem:
         columns /= divisors
     right = columns
     if co is not None:  # the closed form: every cluster is simple
-        left_h = co[order].conj()
+        left_h = co[order]
         left_h *= divisors[:, None]
     else:
         try:

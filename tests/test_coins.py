@@ -181,8 +181,11 @@ def test_eval_coins_rejects_a_non_finite_coin_before_forming_its_gram(eps):
           "b": [["1.5", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, "c"),
         # two bad coins of one size: the later one is further off
         ({"a": [["1"]], "b": [["1", "0.1"], ["0", "1"]], "c": [["2", "0"], ["0", "1"]]}, "b"),
+        # a 1x1 coin off by 0.5, checked padded to 3x3, before a 3x3 off by 0.5
+        ({"a": [["1", "0"], ["0", "1"]], "d": [["1.5"]],
+          "b": [["1.5", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, "d"),
     ],
-    ids=["size-3-first", "non-finite-first", "same-size"],
+    ids=["size-3-first", "non-finite-first", "same-size", "size-1-padded"],
 )
 def test_eval_coins_names_the_first_failing_vertex_in_family_order(raw, vertex):
     family = parse_coin_family(raw)

@@ -1,6 +1,7 @@
 """Tests for the one-dimensional barrier models and their graph embedding."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -375,6 +376,34 @@ def test_five_barrier_line_matches_direct_solve():
     assert err[:7].max() <= 1e-13
     # on the sharpest peak the direct solve's error grows like u/|z - lambda|
     assert err[7] <= 1e-12
+
+
+@pytest.mark.parametrize("positions", LONG_LINES + [(0, 30, 61)], ids=["n3", "n4", "n5", "coprime"])
+def test_long_lines_take_one_eig_of_their_level_product(monkeypatch, positions):
+    # every step moves one site, so the arc digraph's period is twice the gaps' gcd
+    walk = _line_walk(_rotation_line(positions))
+    period = 2 * math.gcd(*np.diff(positions).tolist())
+    shapes, eig = [], np.linalg.eig
+
+    def spy(a):
+        shapes.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    resonance_set(walk)
+    assert shapes == [(walk.n_interior // period,) * 2]
+
+
+@pytest.mark.parametrize("points", [np.exp(2j * np.pi * SEVEN / 7), np.exp(2j * np.pi * (SEVEN + 0.5) / 7),
+                                    np.exp(1j * np.linspace(0.1, 3.0, 7))],
+                         ids=["roots", "half-roots", "angles"])
+def test_five_barrier_resolvent_route_matches_the_transfer_product(points):
+    # n0 = 300, period 20: eig runs on the 15 x 15 level product
+    spec = _rotation_line(LONG_LINES[-1])
+    sigma = scattering_matrix(_line_walk(spec), points, route="resolvent").matrix
+    out = barrier_scattering(spec, points)
+    t, r = out.transmission[:, None, None], out.reflection[:, None, None]
+    assert np.abs(np.abs(sigma) ** 2 - np.where(np.eye(2, dtype=bool), r, t)).max() <= 2e-13
 
 
 @pytest.mark.parametrize("radius", [0.5, 2.0])

@@ -18,6 +18,7 @@ from qwscatter.line import BarrierSpec, double_barrier, line_to_graph, rotation_
 from qwscatter.coins import eval_coins, parse_coin_family
 from qwscatter.models import (
     ModelFamily,
+    _haar_unitary,
     crossing_family,
     cycle_family,
     matrix_schrodinger_family,
@@ -448,6 +449,9 @@ REAL_WALKS = {
     "three-barrier": three_barrier_line_walk,
     # rotations 0.8 and 0.6 give the line's one cycle the product -0.48
     "two-barrier": lambda: barrier_line_walk(5)[1],
+    # period 20 and 2: their level products are 15 x 15 and 61 x 61
+    "five-barrier": lambda: rotation_line_walk((0, 30, 60, 100, 150)),
+    "coprime-gaps": lambda: rotation_line_walk((0, 30, 61)),
 }
 
 
@@ -512,8 +516,9 @@ def jordan_matrix(system):
 @pytest.mark.parametrize(
     "build",
     [lambda: matrix_schrodinger_family().walk(0.3), three_barrier_line_walk,
-     lambda: random_walk(np.random.default_rng(105))],
-    ids=["ms", "three-barrier", "haar-digraph"],
+     lambda: random_walk(np.random.default_rng(105)),
+     lambda: rotation_line_walk((0, 30, 60, 100, 150)), lambda: bipartite_haar_walk(11)],
+    ids=["ms", "three-barrier", "haar-digraph", "five-barrier", "bipartite-haar-seed-11"],
 )
 def test_decomposition_residuals_are_at_roundoff(build):
     walk = build()
@@ -769,10 +774,15 @@ def test_closed_form_matches_the_eig_path(monkeypatch, name):
     closed = eigen_decompose(walk)
     assert seen == []
     # the eig path's own helper, in place of the closed form
-    monkeypatch.setattr(spectral, "_permutation_eig", spectral._eig_pairs)
+    monkeypatch.setattr(spectral, "_periodic_eig", spectral._eig_pairs)
     reference = eigen_decompose(walk)
     assert len(seen) == 1
-    n = walk.interior.shape[0]
+    assert_matches_the_eig_path(closed, reference)
+
+
+def assert_matches_the_eig_path(closed, reference):
+    """The closed form's system against the eig path's, cluster by cluster."""
+    n = closed.matrix.shape[0]
     assert len(closed.clusters) == len(reference.clusters) == n
     for got, want in zip(closed.clusters, reference.clusters):
         assert abs(got.value - want.value) <= 1e-13
@@ -800,3 +810,133 @@ def test_only_a_permutation_with_distinct_values_skips_eig(monkeypatch, build, c
     if not calls:  # the closed form's values alone round as its clusters carry them
         values = asymptotics._eigenvalues(lambda eps: walk, 0.0)
         assert sorted(values.tolist(), key=spectral._sort_key) == [c.value for c in system.clusters]
+
+
+# ---------------------------------------------------------------------------
+# Periodic interiors through their level product
+
+
+def rotation_line_walk(positions):
+    strengths = (0.8, 0.7, 0.6, 0.75, 0.65)
+    spec = BarrierSpec(positions, tuple(rotation_coin(r) for r in strengths[: len(positions)]))
+    graph, coins = line_to_graph(spec)
+    return assemble(graph, eval_coins(coins, 0.0))
+
+
+def bipartite_haar_walk(seed=0, half=10, n_arcs=100):
+    """Haar coins on a digraph whose arcs alternate between two vertex sets.
+
+    Every closed walk alternates, so the arc digraph has period 2 (a
+    2-cycle is among them) with as many arcs out of each set as into it.
+    At seed 0 no cluster's condition exceeds 2.2; at seed 11 one reaches
+    59, and there the eig path's own projector is off by ~4e-12.
+    """
+    rng = np.random.default_rng(seed)
+    a, b = [f"a{i}" for i in range(half)], [f"b{i}" for i in range(half)]
+    walks = [[v for pair in zip(a, b) for v in pair], [a[0], b[3]]]
+    while sum(map(len, walks)) < n_arcs:
+        steps = min(13, (n_arcs - sum(map(len, walks))) // 2)
+        walks.append([v for _ in range(steps) for v in (a[rng.integers(half)], b[rng.integers(half)])])
+    arcs = [(w[i], w[(i + 1) % len(w)]) for w in walks for i in range(len(w))]
+    tails = [(k + 1, v, v) for k, v in enumerate(rng.choice(a + b, 4, replace=False).tolist())]
+    graph = build_graph(a + b, arcs, tails)
+    return assemble(graph, {v: _haar_unitary(rng, graph.degree(v)) for v in graph.vertices})
+
+
+# name -> (the walk, its period): a line's period is twice the gcd of its gaps
+PERIODIC_WALKS = {
+    "line-0-5-13": (lambda: rotation_line_walk((0, 5, 13)), 2),
+    "line-0-7-15-34": (lambda: rotation_line_walk((0, 7, 15, 34)), 2),
+    "line-0-30-60-100-150": (lambda: rotation_line_walk((0, 30, 60, 100, 150)), 20),
+    "line-0-30-61": (lambda: rotation_line_walk((0, 30, 61)), 2),
+    "line-0-30-60": (lambda: rotation_line_walk((0, 30, 60)), 60),
+    "bipartite-haar": (bipartite_haar_walk, 2),
+}
+
+
+def spy_shapes(monkeypatch, name):
+    """Record the shape of every array handed to ``np.linalg.<name>``."""
+    seen = []
+    original = getattr(np.linalg, name)
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(PERIODIC_WALKS))
+def test_level_product_matches_the_eig_path(monkeypatch, name):
+    build, period = PERIODIC_WALKS[name]
+    walk = build()
+    n = walk.n_interior
+    seen = spy_shapes(monkeypatch, "eig")
+    closed = eigen_decompose(walk)
+    assert seen == [(n // period, n // period)]  # the level product's alone
+    # the values alone round as the clusters carry them, from the same eig
+    values = asymptotics._eigenvalues(lambda eps: walk, 0.0)
+    assert sorted(values.tolist(), key=spectral._sort_key) == closed.values.tolist()
+    monkeypatch.setattr(spectral, "_periodic_eig", spectral._eig_pairs)
+    reference = eigen_decompose(walk)
+    assert seen == [(n // period, n // period)] * 2 + [(n, n)]
+    assert_matches_the_eig_path(closed, reference)
+
+
+def not_strongly_connected():
+    """Two period-2 lines, one arc from the first into the second's next level class."""
+    first = np.asarray(rotation_line_walk((0, 5, 13)).interior)
+    second = np.asarray(three_barrier_line_walk().interior)
+    (_, arcs_first), = spectral._levels(first.real)
+    (_, arcs_second), = spectral._levels(second.real)
+    a = np.zeros((52, 52), dtype=complex)
+    a[:26, :26], a[26:, 26:] = first, second
+    a[26 + arcs_second[13], arcs_first[0]] = 0.5  # level class 0 feeds class 1
+    return bare(a)
+
+
+def tiny_root_level_product():
+    """A period-2 interior whose 2 x 2 level product has a value 1e-9 below its norm.
+
+    ``eig`` resolves that value of P only to ~u, so its square roots, two
+    of the interior's values, would be off by ~u / 1e-4.5: the lift's
+    residual check sends the interior to ``eig``.
+    """
+    def rotation(t):
+        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+    a = np.zeros((4, 4))
+    a[2:, :2] = rotation(0.3) @ np.diag([1.0, 1e-9]) @ rotation(1.1)
+    a[:2, 2:] = rotation(0.7)
+    return bare(a)
+
+
+def two_equal_lines():
+    a = np.asarray(three_barrier_line_walk().interior)
+    return bare(np.kron(np.eye(2), a))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: matrix_schrodinger_family().walk(0.3),  # level classes of 2 and 4 arcs
+     lambda: random_walk(np.random.default_rng(105)),  # period 1
+     not_strongly_connected,
+     two_equal_lines,  # every value twice
+     tiny_root_level_product],
+    ids=["ms", "haar-digraph-period-1", "not-strongly-connected", "two-equal-lines", "tiny-root"],
+)
+def test_other_interiors_keep_their_eig(monkeypatch, build):
+    walk = build()
+    n = walk.interior.shape[0]
+    seen = spy_shapes(monkeypatch, "eig")
+    system = eigen_decompose(walk)
+    # equal lines decompose one by one before their values are found to coincide
+    assert seen[-1] == (n, n) and seen.count((n, n)) == 1
+    assert sum(system.multiplicity.tolist()) == n
+
+
+def test_level_search_needs_strong_connectivity():
+    a = np.asarray(not_strongly_connected().interior).real
+    assert spectral._levels(a[:26, :26]) is not None
+    assert spectral._levels(a) is None
