@@ -27,14 +27,17 @@ remainder) stream the eps grid (:func:`_stream`): each eps builds its
 walk and decomposes it once, tracking matches on that decomposition's
 cluster values, and the measure at that eps reads the same walk and
 decomposition, one eps at a time.  Each peak builds one resolvent
-kernel for every tail; its z* check and each half-height step evaluate
-it, and the split and incoming wave are checked once per peak.
+kernel over every tail and the co-state profile, and checks the split
+once: one solve at z* gives T, R, the out-channel overlap and the
+comfortability, and each half-height step evaluates the same kernel.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -43,8 +46,6 @@ import numpy as np
 
 from .scattering import (
     _powers,
-    comfortability,
-    generalized_eigenfunction,
     pole_block,
     resolvent_kernel,
     scattering_matrix,
@@ -132,6 +133,8 @@ def default_eps_grid(include_zero: bool = True) -> np.ndarray:
 def geometric_grid(start: float, stop: float, count: int) -> np.ndarray:
     if count < 1:
         raise ValueError("grid needs at least one point")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"grid ends must be finite, not {start!r} and {stop!r}")
     if count == 1:
         return np.array([float(start)])
     # start == stop would repeat one eps count times
@@ -380,8 +383,9 @@ def nonresonant_point(family) -> complex:
 class TunnelingReport:
     """Everything the resonant-tunneling picture predicts at one eps.
 
-    Peak widths are ``None`` when the transmission at the peak is below
-    ``PEAK_FLOOR`` — there is no peak to measure then.
+    The measured peak width is ``None`` when there is no width to
+    measure: the transmission at the peak is below ``PEAK_FLOOR``, or it
+    stays above one half within ``THETA_WINDOW`` of the peak (no crossing).
     """
 
     lam: complex
@@ -405,7 +409,13 @@ class TunnelingReport:
 
 @dataclass(frozen=True)
 class _Peak:
-    """A tracked resonance and its transmission peak z* = λ_ε/|λ_ε|."""
+    """A tracked resonance and its transmission peak z* = λ_ε/|λ_ε|.
+
+    One resolvent kernel over the columns [I | profile], built on first
+    use, serves every z: its first ``n_tails`` columns give Σ and the
+    last scatters the co-state profile.  Its one solve at z* gives Σ(z*)
+    and the interior energy of the profile's wave (``comfort``).
+    """
 
     walk: object
     system: EigenSystem
@@ -417,8 +427,29 @@ class _Peak:
 
     @cached_property
     def kernel(self):
-        """The resolvent route for every tail at once, built on first use."""
-        return resolvent_kernel(self.walk, np.eye(self.walk.n_tails), self.system)
+        nt = self.walk.n_tails
+        return resolvent_kernel(self.walk, np.column_stack([np.eye(nt), self.profile]), self.system)
+
+    @cached_property
+    def at_z_star(self):
+        return self.kernel(self.z_star)
+
+    def sigma(self, z=None) -> np.ndarray:
+        """Σ at ``z`` (a point or an array; by default z*, from the one solve there):
+        the numbers of ``scattering_matrix(..., route="resolvent")``, without its residuals."""
+        return (self.at_z_star if z is None else self.kernel(z)).amp_out[..., : self.walk.n_tails]
+
+    @property
+    def comfort(self) -> float:
+        return float(np.linalg.norm(self.at_z_star.interior[:, -1]) ** 2)
+
+    @property
+    def comfort_bound(self) -> float:
+        return comfortability_bound(self.lam_eps)
+
+    @property
+    def comfort_scaled(self) -> float:
+        return self.comfort * (1.0 - abs(self.lam_eps))
 
 
 def _peak(family, eps, lam, lambda_eps=None) -> _Peak:
@@ -430,6 +461,9 @@ def _peak(family, eps, lam, lambda_eps=None) -> _Peak:
         points = list(_stream(family, [] if eps == 0 else [eps]))
         point = points[-1]
         return _peak_at(point.walk, point.system, point.tracked[_column(points[0].tracked, lam)])
+    # all distances to a NaN are NaN, and nearest_cluster would pick the first cluster
+    if not cmath.isfinite(lambda_eps):
+        raise ValueError(f"lambda_eps = {lambda_eps!r} is not finite")
     walk = family(eps)
     return _peak_at(walk, eigen_decompose(walk), lambda_eps)
 
@@ -448,44 +482,73 @@ def _peak_at(walk, system: EigenSystem, lambda_eps) -> _Peak:
     return _Peak(walk, system, cluster, bd, value, value / abs(value), profile)
 
 
-def _split(peak: _Peak, split) -> tuple:
-    """Sorted channels, their mask, and the profile restricted to them, normalised."""
-    channels = sorted(set(int(n) for n in split))
-    if not channels:
-        raise ValueError("channel split must be nonempty")
-    n_tails = peak.walk.n_tails
-    mask = np.zeros(n_tails, dtype=bool)
-    for n in channels:
-        if not 1 <= n <= n_tails:
-            raise ValueError(f"channel {n} is not one of 1..{n_tails}")
-        mask[n - 1] = True
-    if mask.all():
-        raise ValueError("channel split must leave at least one channel out")
-    restricted = np.where(mask, peak.profile, 0.0)
-    weight = float(np.linalg.norm(restricted))
-    if weight < 1e-15:
-        raise ValueError("co-state has no weight on the chosen channels")
-    return channels, mask, restricted / weight
+class _PeakRecord:
+    """One peak seen through one channel split, its quantities named as table rows.
 
-
-def _sigma(peak: _Peak, z) -> np.ndarray:
-    """Σ at ``z`` (a point or an array) from the peak's resolvent kernel.
-
-    The same numbers as ``scattering_matrix(..., route="resolvent")``,
-    without its unitarity residuals.
+    The split is checked here, once: its channels must be some but not
+    all of the tails, and the co-state profile must have weight on them.
+    The incoming wave is that restriction, normalised.  T, R and the
+    out-channel overlap read the peak's one solve at z*; the half-height
+    window is searched on first use.
     """
-    return peak.kernel(z).amp_out
 
+    def __init__(self, peak: _Peak, split):
+        channels = sorted(set(operator.index(n) for n in split))
+        if not channels:
+            raise ValueError("channel split must be nonempty")
+        n_tails = peak.walk.n_tails
+        mask = np.zeros(n_tails, dtype=bool)
+        for n in channels:
+            if not 1 <= n <= n_tails:
+                raise ValueError(f"channel {n} is not one of 1..{n_tails}")
+            mask[n - 1] = True
+        if mask.all():
+            raise ValueError("channel split must leave at least one channel out")
+        restricted = np.where(mask, peak.profile, 0.0)
+        weight_in = float(np.linalg.norm(restricted))
+        if weight_in < 1e-15:
+            raise ValueError("co-state has no weight on the chosen channels")
+        self.peak, self.channels, self.mask = peak, tuple(channels), mask
+        self.amp_in = restricted / weight_in
+        self.symmetry_residual = abs(weight_in - float(np.linalg.norm(peak.profile - restricted)))
+        self.width_predicted = 2.0 * (1.0 - abs(peak.lam_eps))
+        sigma = peak.sigma()
+        # the one check of the split and the incoming wave for this peak
+        self.t_at_peak, self.r_at_peak = transmission_reflection(sigma, channels, self.amp_in)
+        exit_profile = np.where(~mask, peak.boundary.out_data, 0.0)
+        exit_norm = float(np.linalg.norm(exit_profile))
+        self.overlap = 0.0
+        if exit_norm >= 1e-15:
+            self.overlap = float(abs(np.vdot(exit_profile / exit_norm, sigma @ self.amp_in)))
 
-def _transmission(peak: _Peak, z, mask, amp_in):
-    """Σ at ``z`` (a point or an array) and the transmitted and reflected power.
+    def transmission(self, z):
+        """T at ``z`` (a point or an array), with no further checks."""
+        return _powers(self.peak.sigma(z), self.mask, self.amp_in)[0]
 
-    ``mask`` flags the incoming channels.  The split and ``amp_in`` are
-    not checked here: :func:`_split` built them, and each peak checks
-    them once through :func:`transmission_reflection` at z*.
-    """
-    sigma = _sigma(peak, z)
-    return (sigma,) + _powers(sigma, mask, amp_in)
+    @cached_property
+    def window(self) -> tuple:
+        """The half-height angles (θ₋, θ₊): ``ValueError`` when T at z* is
+        below ``PEAK_FLOOR``, ``NoCrossing`` when T stays above one half."""
+        if self.t_at_peak < PEAK_FLOOR:
+            raise ValueError(
+                f"transmission {self.t_at_peak:.3f} at the peak is below {PEAK_FLOOR}; "
+                "nothing to measure"
+            )
+        return _half_height_window(self)
+
+    @property
+    def width_measured(self) -> float | None:
+        """θ₊ − θ₋, or ``None`` where there is no peak or no crossing."""
+        if self.t_at_peak >= PEAK_FLOOR:
+            with contextlib.suppress(NoCrossing):
+                theta_minus, theta_plus = self.window
+                return theta_plus - theta_minus
+        return None
+
+    @property
+    def width_ratio(self) -> float:
+        theta_minus, theta_plus = self.window
+        return (theta_plus - theta_minus) / self.width_predicted
 
 
 def tunneling_check(
@@ -504,62 +567,32 @@ def tunneling_check(
     incoming wave is the normalised restriction of the resonant
     co-state's tail profile to the channels in ``split``.
     """
-    return _tunneling(_peak(family, eps, lam, lambda_eps), eps, lam, split)
-
-
-def _tunneling(peak: _Peak, eps: float, lam: complex, split) -> TunnelingReport:
-    channels, mask, amp_in = _split(peak, split)
-    weight_in = float(np.linalg.norm(np.where(mask, peak.profile, 0.0)))
-    weight_out = float(np.linalg.norm(np.where(~mask, peak.profile, 0.0)))
-    symmetry_residual = abs(weight_in - weight_out)
-
-    # one solve at z* scatters every tail and the profile: Σ(z*) and the
-    # interior wave whose energy is the comfortability
-    nt = peak.walk.n_tails
-    solution = generalized_eigenfunction(
-        peak.walk, peak.z_star, np.column_stack([np.eye(nt), peak.profile]), peak.system
-    )
-    sigma = solution.amp_out[:, :nt]
-    t_peak, r_peak = transmission_reflection(sigma, channels, amp_in)
-    exit_profile = np.where(~mask, peak.boundary.out_data, 0.0)
-    exit_norm = float(np.linalg.norm(exit_profile))
-    if exit_norm < 1e-15:
-        overlap = 0.0
-    else:
-        overlap = float(abs(np.vdot(exit_profile / exit_norm, sigma @ amp_in)))
-
-    measured = None
-    if t_peak >= PEAK_FLOOR:
-        try:
-            theta_minus, theta_plus = _half_height_window(peak, channels, amp_in, t_peak)
-            measured = theta_plus - theta_minus
-        except NoCrossing:
-            pass
-
+    record = _PeakRecord(_peak(family, eps, lam, lambda_eps), split)
+    peak = record.peak
     return TunnelingReport(
         lam=complex(lam),
         lambda_eps=peak.lam_eps,
         eps=float(eps),
         z_star=peak.z_star,
-        split=tuple(channels),
-        symmetry_residual=symmetry_residual,
-        t_at_peak=t_peak,
-        r_at_peak=r_peak,
-        out_channel_overlap=overlap,
-        peak_width_measured=measured,
-        peak_width_predicted=2.0 * (1.0 - abs(peak.lam_eps)),
-        comfortability_value=float(np.linalg.norm(solution.interior[:, nt]) ** 2),
-        comfortability_bound=comfortability_bound(peak.lam_eps),
+        split=record.channels,
+        symmetry_residual=record.symmetry_residual,
+        t_at_peak=record.t_at_peak,
+        r_at_peak=record.r_at_peak,
+        out_channel_overlap=record.overlap,
+        peak_width_measured=record.width_measured,
+        peak_width_predicted=record.width_predicted,
+        comfortability_value=peak.comfort,
+        comfortability_bound=peak.comfort_bound,
     )
 
 
-def _half_height_window(peak: _Peak, channels, amp_in, t_peak: float) -> tuple:
-    """Find the half-height angles on both sides of the peak.
+def _half_height_window(record: _PeakRecord) -> tuple:
+    """Find the half-height angles on both sides of the record's peak.
 
     One stacked Σ evaluates the doubling steps
     ``max((1 - |λ_ε|)/16, 1e-12) * 2^k <= THETA_WINDOW`` on both sides;
     the first step below one half and the step before it (or 0, where T
-    is ``t_peak``) bracket each crossing.  Both brackets are then closed
+    is ``t_at_peak``) bracket each crossing.  Both brackets are then closed
     to ``THETA_TOL`` together, one Σ over the sides still open per step,
     by regula falsi on T - 1/2 with the Illinois rule (Dowell & Jarratt,
     1971): an end kept twice in a row has its value halved, so neither
@@ -570,17 +603,14 @@ def _half_height_window(peak: _Peak, channels, amp_in, t_peak: float) -> tuple:
     in three steps, bisects instead, so a bracket halves at least every
     four steps.  Each side returns the midpoint of its closed bracket.
     """
-    base = cmath.phase(peak.z_star)
+    base = cmath.phase(record.peak.z_star)
     sides = (-1.0, 1.0)
-    mask = np.zeros(peak.walk.n_tails, dtype=bool)
-    mask[np.asarray(channels) - 1] = True
 
     def excess(theta):
-        t = _transmission(peak, np.exp(1j * (base + theta)), mask, amp_in)[1]
-        return t - 0.5
+        return record.transmission(np.exp(1j * (base + theta))) - 0.5
 
     steps = []
-    step = max((1.0 - abs(peak.lam_eps)) / 16.0, 1e-12)
+    step = max((1.0 - abs(record.peak.lam_eps)) / 16.0, 1e-12)
     while step <= THETA_WINDOW:
         steps.append(step)
         step *= 2.0
@@ -595,7 +625,7 @@ def _half_height_window(peak: _Peak, channels, amp_in, t_peak: float) -> tuple:
     # low, -1 high) and the bracket widths one, two and three steps ago
     high, g_high = steps[first].tolist(), g[[0, 1], first].tolist()
     low = np.where(first > 0, steps[first - 1], 0.0).tolist()
-    g_low = np.where(first > 0, g[[0, 1], first - 1], t_peak - 0.5).tolist()
+    g_low = np.where(first > 0, g[[0, 1], first - 1], record.t_at_peak - 0.5).tolist()
     kept = [0.0, 0.0]
     before = [[math.inf] * 3, [math.inf] * 3]
     near = 0.5 * THETA_TOL
@@ -636,19 +666,7 @@ def peak_width(
     each side; each crossing is then closed to ``THETA_TOL`` by a
     safeguarded regula falsi (:func:`_half_height_window`).
     """
-    return _width(_peak(family, eps, lam, lambda_eps), split)
-
-
-def _width(peak: _Peak, split) -> tuple:
-    channels, _, amp_in = _split(peak, split)
-    # the one check of the split and the incoming wave for this peak
-    t_peak, _ = transmission_reflection(_sigma(peak, peak.z_star), channels, amp_in)
-    if t_peak < PEAK_FLOOR:
-        raise ValueError(
-            f"transmission {t_peak:.3f} at the peak is below {PEAK_FLOOR}; "
-            "nothing to measure"
-        )
-    return _half_height_window(peak, channels, amp_in, t_peak)
+    return _PeakRecord(_peak(family, eps, lam, lambda_eps), split).window
 
 
 def comfortability_bound(lambda_eps: complex) -> float:
@@ -671,12 +689,8 @@ def comfortability_growth(
     resonant co-state; the bound uses that the resonant pair's interior
     norms multiply to at least one.
     """
-    return _comfort(_peak(family, eps, lam, lambda_eps))
-
-
-def _comfort(peak: _Peak) -> tuple:
-    energy = comfortability(peak.walk, peak.z_star, peak.profile, peak.system)
-    return energy, comfortability_bound(peak.lam_eps)
+    peak = _peak(family, eps, lam, lambda_eps)
+    return peak.comfort, peak.comfort_bound
 
 
 def resonant_block_norm(
@@ -762,18 +776,18 @@ def discrepancy_table(
     return rows, summary
 
 
-def _peak_sweep(family, lam, eps_values, measure) -> tuple:
-    """λ, the rows of ``measure`` along its tracked peak, and each quantity as an array.
+def _peak_sweep(family, lam, eps_values, quantities, split=None) -> tuple:
+    """Rows of ``quantities`` along λ's tracked peak, the grid, each as an array, a summary head.
 
     The positive grid is streamed (:func:`_stream`): each eps is walked
-    and decomposed once, and ``measure(eps, lam, lam_eps, peak)`` gets
-    the tracked λ_ε and the :class:`_Peak` built on that walk and
-    decomposition.  ``lam=None`` first tracks the eigenvalues alone
-    over the grid (:func:`track_resonances`) and picks the start that
-    detaches fastest, whose path ends nearest the origin.  ``measure``
-    returns a dict of quantity -> value, where ``None`` is an absent
-    value: it makes no row, and NaN in the quantity's array.  Every row
-    carries the peak z* = λ_ε/|λ_ε|.
+    and decomposed once, and the :class:`_Peak` of the tracked λ_ε is
+    built on that walk and decomposition.  Each quantity is an attribute
+    of that peak, or of its :class:`_PeakRecord` through ``split`` when
+    one is given.  ``lam=None`` first tracks the eigenvalues alone over
+    the grid (:func:`track_resonances`) and picks the start that
+    detaches fastest, whose path ends nearest the origin.  A ``None``
+    value is absent: it makes no row, and NaN in the quantity's array.
+    Every row carries the peak z* = λ_ε/|λ_ε|.
     """
     grid = _positive(eps_values)
     if lam is None:
@@ -789,21 +803,21 @@ def _peak_sweep(family, lam, eps_values, measure) -> tuple:
             )
     lam = complex(lam)
     rows = []
-    columns: dict = {}
+    columns = {quantity: [] for quantity in quantities}
     points = _stream(family, grid)
     k = _column(next(points).tracked, lam)
     for point in points:
-        lam_eps = point.tracked[k]
-        value = complex(lam_eps)
-        z_star = value / abs(value)
-        # no name keeps the peak, so the next eps is measured with this one's decomposition gone
-        peak_values = measure(point.eps, lam, lam_eps, _peak_at(point.walk, point.system, lam_eps))
-        for quantity, measured in peak_values.items():
-            columns.setdefault(quantity, []).append(measured)
+        peak = _peak_at(point.walk, point.system, point.tracked[k])
+        record = peak if split is None else _PeakRecord(peak, split)
+        for quantity in quantities:
+            measured = getattr(record, quantity)
+            columns[quantity].append(measured)
             if measured is not None:
-                rows.append(SweepRow(point.eps, z_star, quantity, measured))
+                rows.append(SweepRow(point.eps, peak.z_star, quantity, measured))
+        # the next eps is measured with this one's decomposition gone
+        del peak, record
     arrays = {q: np.array(values, dtype=float) for q, values in columns.items()}
-    return lam, rows, grid, arrays
+    return rows, grid, arrays, {"lambda_re": lam.real, "lambda_im": lam.imag, "points": len(grid)}
 
 
 def tunneling_table(
@@ -813,23 +827,11 @@ def tunneling_table(
     eps_values=None,
 ) -> tuple:
     """Sweep the tunneling report along an eps grid."""
-
-    def measure(eps, lam, lam_eps, peak):
-        report = _tunneling(peak, eps, lam, split)
-        return {
-            "t_at_peak": report.t_at_peak,
-            "symmetry_residual": report.symmetry_residual,
-            "overlap": report.out_channel_overlap,
-            "width_measured": report.peak_width_measured,
-            "width_predicted": report.peak_width_predicted,
-        }
-
-    lam, rows, grid, values = _peak_sweep(family, lam, eps_values, measure)
+    quantities = ("t_at_peak", "symmetry_residual", "overlap", "width_measured", "width_predicted")
+    rows, grid, values, summary = _peak_sweep(family, lam, eps_values, quantities, split)
     t_values = values["t_at_peak"]
-    summary = {
+    summary |= {
         "quantity": "tunneling",
-        "lambda_re": lam.real, "lambda_im": lam.imag,
-        "points": len(grid),
         "min_t_at_peak": float(t_values.min()),
         "peak_band_pass": bool(np.all(t_values >= 1.0 - 10.0 * grid)),
         "max_symmetry_residual": float(values["symmetry_residual"].max()),
@@ -847,23 +849,11 @@ def width_table(
     eps_values=None,
 ) -> tuple:
     """Sweep measured versus predicted peak widths."""
-
-    def measure(eps, lam, lam_eps, peak):
-        theta_minus, theta_plus = _width(peak, split)
-        measured = theta_plus - theta_minus
-        predicted = 2.0 * (1.0 - abs(lam_eps))
-        return {
-            "width_measured": measured,
-            "width_predicted": predicted,
-            "width_ratio": measured / predicted,
-        }
-
-    lam, rows, grid, values = _peak_sweep(family, lam, eps_values, measure)
+    quantities = ("width_measured", "width_predicted", "width_ratio")
+    rows, grid, values, summary = _peak_sweep(family, lam, eps_values, quantities, split)
     deviation = np.abs(values["width_ratio"] - 1.0)
-    summary = {
+    summary |= {
         "quantity": "width",
-        "lambda_re": lam.real, "lambda_im": lam.imag,
-        "points": len(grid),
         "max_ratio_deviation": float(np.max(deviation)),
         "rel_slack": WIDTH_REL_SLACK,
         "width_band_pass": bool(np.all(deviation <= WIDTH_REL_SLACK)),
@@ -877,22 +867,12 @@ def comfort_table(
     eps_values=None,
 ) -> tuple:
     """Sweep interior energy against its divergence-rate bound."""
-
-    def measure(eps, lam, lam_eps, peak):
-        energy, bound = _comfort(peak)
-        return {
-            "comfort": energy,
-            "comfort_bound": bound,
-            "comfort_scaled": energy * (1.0 - abs(lam_eps)),
-        }
-
-    lam, rows, grid, values = _peak_sweep(family, lam, eps_values, measure)
+    quantities = ("comfort", "comfort_bound", "comfort_scaled")
+    rows, grid, values, summary = _peak_sweep(family, lam, eps_values, quantities)
     ratios = values["comfort"] / values["comfort_bound"]
     scaled = values["comfort_scaled"]
-    summary = {
+    summary |= {
         "quantity": "comfort",
-        "lambda_re": lam.real, "lambda_im": lam.imag,
-        "points": len(grid),
         "min_ratio_to_bound": float(ratios.min()),
         "growth_band_pass": bool(ratios.min() >= 0.9),
         "scaled_min": float(scaled.min()),

@@ -87,6 +87,16 @@ def test_geometric_grid_needs_distinct_ends():
     assert geometric_grid(0.05, 0.05, 1).tolist() == [0.05]
 
 
+@pytest.mark.parametrize(
+    "start, stop, count",
+    [(0.01, np.inf, 3), (np.nan, 0.1, 1), (0.01, np.nan, 3), (0.01, np.inf, 1), (-np.inf, 0.1, 3)],
+)
+def test_geometric_grid_needs_finite_ends(start, stop, count):
+    # also for one point, whose stop is not used; numpy's warnings are errors here
+    with pytest.raises(ValueError, match="grid ends must be finite"):
+        geometric_grid(start, stop, count)
+
+
 SWEEPS = {
     "width": lambda eps_values: width_table(matrix_schrodinger_family(), 1j, (1,), eps_values),
     "discrepancy": lambda eps_values: discrepancy_table(
@@ -339,8 +349,8 @@ def test_a_crossing_inside_the_first_step_starts_from_t_peak(monkeypatch):
     # a synthetic peak narrower than the first doubling step: the bracket
     # is [0, step], whose low end is z* itself with T = t_peak, not 1
     family, lam, split = PEAKS["ms"]
-    peak = asymptotics._peak(family, 0.05, lam)
-    channels, _, amp_in = asymptotics._split(peak, split)
+    record = asymptotics._PeakRecord(asymptotics._peak(family, 0.05, lam), split)
+    peak = record.peak
     step = (1.0 - abs(peak.lam_eps)) / 16.0
     t_peak, gamma = 0.95, step / 4.0
 
@@ -350,12 +360,11 @@ def test_a_crossing_inside_the_first_step_starts_from_t_peak(monkeypatch):
     def t_at(theta):
         return lorentzian(np.exp(1j * (cmath.phase(peak.z_star) + theta)))
 
-    monkeypatch.setattr(
-        asymptotics, "_transmission", lambda peak_, z, *args: (None, lorentzian(z), None)
-    )
+    monkeypatch.setattr(asymptotics._PeakRecord, "transmission", lambda record_, z: lorentzian(z))
+    record.t_at_peak = t_peak
     assert t_at(-step) < 0.5 and t_at(step) < 0.5
     expected = tuple(illinois_side(t_at, s, 0.0, t_peak, step, t_at(s * step)) for s in (-1, 1))
-    assert asymptotics._half_height_window(peak, channels, amp_in, t_peak) == expected
+    assert record.window == expected
     crossing = gamma * np.sqrt(2 * t_peak - 1)
     assert np.all(np.abs(np.abs(expected) - crossing) <= THETA_TOL)
 
@@ -421,13 +430,15 @@ def test_a_peak_kernel_gives_the_resolvent_route_bits(monkeypatch, model):
     family, lam, split = PEAKS[model]
     peak = asymptotics._peak(family, 0.01, lam)
     points = kernel_calls(monkeypatch)
-    asymptotics._width(peak, split)
+    asymptotics._PeakRecord(peak, split).window
     assert len(points) >= 3 and points[0] == peak.z_star
     monkeypatch.undo()
     kernel = peak.kernel
+    # its first n_tails columns are Σ; the last scatters the co-state profile
+    nt = peak.walk.n_tails
     for z in points:
         want = scattering_matrix(peak.walk, z, "resolvent", peak.system).matrix
-        assert np.array_equal(kernel(z).amp_out, want)
+        assert np.array_equal(kernel(z).amp_out[..., :nt], want)
     assert peak.kernel is kernel
 
 
@@ -448,12 +459,59 @@ def test_tunneling_check_solves_once_at_z_star(monkeypatch, model):
     assert sum(len(s) == 1 and s[0] == report.z_star for s in shifts) == 1
     # the same numbers as a solve per quantity
     peak = asymptotics._peak(family, 0.01, lam, lambda_eps)
-    _, _, amp_in = asymptotics._split(peak, split)
+    amp_in = asymptotics._PeakRecord(peak, split).amp_in
     sigma = scattering_matrix(peak.walk, peak.z_star, system=peak.system).matrix
     t_peak, _ = transmission_reflection(sigma, set(split), amp_in)
     assert report.t_at_peak == pytest.approx(t_peak, rel=1e-14)
     energy = comfortability(peak.walk, peak.z_star, peak.profile, peak.system)
     assert report.comfortability_value == pytest.approx(energy, rel=1e-14)
+
+
+def kernels_built(monkeypatch):
+    """The incoming pattern of every resolvent kernel built, as it happens."""
+    shapes = []
+    build = scattering.resolvent_kernel
+
+    def spy(walk, amp_in, system=None):
+        shapes.append(np.shape(amp_in))
+        return build(walk, amp_in, system)
+
+    for module in (asymptotics, scattering):
+        monkeypatch.setattr(module, "resolvent_kernel", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("model", sorted(PEAKS))
+def test_tunneling_check_builds_one_kernel_per_peak(monkeypatch, model):
+    # one kernel over every tail and the profile serves z* and the width
+    family, lam, split = PEAKS[model]
+    lambda_eps = track_resonances(family, [0.0, 0.01]).at(0.01, lam)
+    shapes = kernels_built(monkeypatch)
+    tunneling_check(family, 0.01, lam, split, lambda_eps=lambda_eps)
+    nt = family(0.01).n_tails
+    assert shapes == [(nt, nt + 1)]
+
+
+@pytest.mark.parametrize("model", sorted(PEAKS))
+def test_a_tunneling_table_builds_one_kernel_per_eps(monkeypatch, model):
+    family, lam, split = PEAKS[model]
+    grid = geometric_grid(1e-3, 0.1, 6)
+    shapes = kernels_built(monkeypatch)
+    tunneling_table(family, lam, split, grid)
+    assert len(shapes) == len(grid)
+
+
+@pytest.mark.parametrize("model", sorted(PEAKS))
+def test_comfortability_growth_is_the_tunneling_reports_bits(model):
+    # both read the interior energy off the peak's one solve at z*
+    family, lam, split = PEAKS[model]
+    grid = geometric_grid(1e-3, 0.1, 5)
+    track = track_resonances(family, np.concatenate([[0.0], grid]))
+    for eps in grid:
+        lam_eps = track.at(eps, lam)
+        energy, _ = comfortability_growth(family, eps, lam, lambda_eps=lam_eps)
+        report = tunneling_check(family, eps, lam, split, lambda_eps=lam_eps)
+        assert energy == report.comfortability_value, eps
 
 
 def test_comfortability_growth_and_bound():
@@ -883,6 +941,50 @@ def test_a_peak_at_eps_zero_sits_on_the_circle(measure):
     family = matrix_schrodinger_family()
     with pytest.raises(ResonanceOnCircle):
         measure(family)
+
+
+@pytest.mark.parametrize("lambda_eps", [np.nan, complex(0.0, np.inf)], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda family, value: tunneling_check(family, 0.05, 1j, (1,), lambda_eps=value),
+        lambda family, value: peak_width(family, 0.05, 1j, (1,), lambda_eps=value),
+        lambda family, value: comfortability_growth(family, 0.05, 1j, lambda_eps=value),
+        lambda family, value: resonant_block_norm(family, 0.05, 1j, lambda_eps=value),
+    ],
+    ids=["tunneling_check", "peak_width", "comfortability_growth", "resonant_block_norm"],
+)
+def test_a_non_finite_lambda_eps_is_rejected(measure, lambda_eps):
+    # nearest_cluster would take the first cluster for a NaN
+    with pytest.raises(ValueError, match=r"lambda_eps = .* is not finite"):
+        measure(matrix_schrodinger_family(), lambda_eps)
+
+
+@pytest.mark.parametrize(
+    "split, error, named",
+    [
+        ((), ValueError, "must be nonempty"),
+        ((3,), ValueError, "channel 3 is not one of 1..2"),
+        ((0, 1), ValueError, "channel 0 is not one of 1..2"),
+        ((1, 2), ValueError, "leave at least one channel out"),
+        ((1.5,), TypeError, "integer"),
+        ((1.0,), TypeError, "integer"),
+    ],
+    ids=["empty", "past-the-tails", "zero", "every-channel", "fraction", "float"],
+)
+def test_a_bad_split_is_rejected(split, error, named):
+    family = matrix_schrodinger_family()
+    with pytest.raises(error, match=named):
+        tunneling_check(family, 0.05, 1j, split)
+    with pytest.raises(error, match=named):
+        peak_width(family, 0.05, 1j, split)
+
+
+def test_a_split_of_numpy_integers_is_a_split():
+    family = matrix_schrodinger_family()
+    assert tunneling_check(family, 0.05, 1j, (np.int64(1),)) == tunneling_check(
+        family, 0.05, 1j, (1,)
+    )
 
 
 def test_circle_resonance_has_no_tunneling_peak():

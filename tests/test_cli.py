@@ -13,6 +13,7 @@ import json
 import math
 import pkgutil
 import shlex
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import click
@@ -476,6 +477,22 @@ def test_a_non_finite_point_is_a_usage_error(argv):
     assert code == 3
     assert out == ""
     assert "is not finite" in err
+
+
+@pytest.mark.parametrize("grid", ["0.01:inf:3", "nan:0.1:1", "0.01:nan:3"])
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "width", "--model", "ms", "--J", "1"], ["resonances", "--model", "ms", "--track"]],
+    ids=["sweep-width", "resonances-track"],
+)
+def test_a_non_finite_grid_end_is_a_usage_error(argv, grid):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv + ["--eps-grid", grid])
+    assert code == 3
+    assert out == ""
+    assert "grid ends must be finite" in err
+    assert "Warning" not in err and caught == []
 
 
 # ------------------------------------------------------------------ output
