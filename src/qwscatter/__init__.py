@@ -16,14 +16,10 @@ from .asymptotics import (
     SimplicityViolated,
     TrackingAmbiguous,
     TunnelingReport,
-    comfortability_growth,
     default_eps_grid,
-    discrepancy_norm,
     fit_loglog_slope,
     nonresonant_point,
-    peak_width,
     remainder_table,
-    resonant_block_norm,
     track_resonances,
     tunneling_check,
 )

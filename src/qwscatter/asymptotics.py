@@ -9,14 +9,10 @@ the corresponding asymptotic statements into measurements:
 * :func:`track_resonances` follows each unit-circle resonance of the
   eps = 0 walk along an eps grid (nearest-neighbour matching with
   automatic step bisection),
-* :func:`discrepancy_norm` measures how far the scattering matrix has
-  moved from its decoupled limit,
-* :func:`tunneling_check` evaluates the resonant-tunneling picture at a
-  single (eps, resonance, channel-split) triple,
-* :func:`peak_width` measures the half-height width of a transmission
-  peak by a bracketed root search (Illinois-rule regula falsi),
-* :func:`comfortability_growth` compares the interior energy against its
-  divergence rate (1 + |lambda|) |lambda|^2 / (1 - |lambda|).
+* :func:`tunneling_check` evaluates the resonant-tunneling picture at one
+  (eps, resonance, channel-split) triple: its :class:`TunnelingReport`
+  has T and R at the peak, the half-height window and the interior
+  energy against (1 + |lambda|) |lambda|^2 / (1 - |lambda|).
 
 The ``*_table`` variants wrap these into sweep tables (rows of
 ``(eps, z, quantity, value)``) plus a JSON-ready summary dict with
@@ -135,11 +131,11 @@ def geometric_grid(start: float, stop: float, count: int) -> np.ndarray:
         raise ValueError("grid needs at least one point")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"grid ends must be finite, not {start!r} and {stop!r}")
-    if count == 1:
-        return np.array([float(start)])
+    if not 0 < start:
+        raise ValueError(f"need 0 < start for a geometric grid, not {start!r}")
     # start == stop would repeat one eps count times
-    if not 0 < start < stop:
-        raise ValueError("need 0 < start < stop for a geometric grid of several points")
+    if count > 1 and not start < stop:
+        raise ValueError("need start < stop for a geometric grid of several points")
     return np.geomspace(start, stop, count)
 
 
@@ -336,15 +332,7 @@ def _stream(family, eps_values):
 
 
 # ---------------------------------------------------------------------------
-# Discrepancy from the decoupled limit
-
-
-def discrepancy_norm(family, z: complex, eps: float) -> float:
-    """Operator norm of Sigma(eps, z) - Sigma(0, z) on the unit circle."""
-    z = _project_to_circle(z)
-    s_eps = scattering_matrix(family(eps), z).matrix
-    s_zero = scattering_matrix(family(0.0), z).matrix
-    return float(np.linalg.norm(s_eps - s_zero, 2))
+# Slope fits and test points
 
 
 def fit_loglog_slope(eps_values, values) -> tuple:
@@ -377,34 +365,6 @@ def nonresonant_point(family) -> complex:
 
 # ---------------------------------------------------------------------------
 # Resonant tunneling
-
-
-@dataclass(frozen=True)
-class TunnelingReport:
-    """Everything the resonant-tunneling picture predicts at one eps.
-
-    The measured peak width is ``None`` when there is no width to
-    measure: the transmission at the peak is below ``PEAK_FLOOR``, or it
-    stays above one half within ``THETA_WINDOW`` of the peak (no crossing).
-    """
-
-    lam: complex
-    lambda_eps: complex
-    eps: float
-    z_star: complex
-    split: tuple
-    symmetry_residual: float
-    t_at_peak: float
-    r_at_peak: float
-    out_channel_overlap: float
-    peak_width_measured: float | None
-    peak_width_predicted: float
-    comfortability_value: float
-    comfortability_bound: float
-
-    def __post_init__(self):
-        if not -1e-8 <= self.t_at_peak <= 1.0 + 1e-8:
-            raise ValueError(f"transmission {self.t_at_peak} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -452,22 +412,6 @@ class _Peak:
         return self.comfort * (1.0 - abs(self.lam_eps))
 
 
-def _peak(family, eps, lam, lambda_eps=None) -> _Peak:
-    """The peak of ``lam`` at ``eps``; without ``lambda_eps``, from its own (0, eps) track."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if lambda_eps is None:
-        # at eps = 0 the track is its start, which sits on the circle
-        points = list(_stream(family, [] if eps == 0 else [eps]))
-        point = points[-1]
-        return _peak_at(point.walk, point.system, point.tracked[_column(points[0].tracked, lam)])
-    # all distances to a NaN are NaN, and nearest_cluster would pick the first cluster
-    if not cmath.isfinite(lambda_eps):
-        raise ValueError(f"lambda_eps = {lambda_eps!r} is not finite")
-    walk = family(eps)
-    return _peak_at(walk, eigen_decompose(walk), lambda_eps)
-
-
 def _peak_at(walk, system: EigenSystem, lambda_eps) -> _Peak:
     cluster = system.nearest_cluster(lambda_eps)
     if cluster.on_unit_circle:
@@ -482,17 +426,19 @@ def _peak_at(walk, system: EigenSystem, lambda_eps) -> _Peak:
     return _Peak(walk, system, cluster, bd, value, value / abs(value), profile)
 
 
-class _PeakRecord:
-    """One peak seen through one channel split, its quantities named as table rows.
+class TunnelingReport:
+    """One peak at one eps through one channel split, its quantities
+    named as the sweep tables print them.
 
-    The split is checked here, once: its channels must be some but not
-    all of the tails, and the co-state profile must have weight on them.
-    The incoming wave is that restriction, normalised.  T, R and the
-    out-channel overlap read the peak's one solve at z*; the half-height
-    window is searched on first use.
+    ``peak`` holds the tracked resonance ``lambda_eps``, its walk,
+    decomposition, cluster, co-state profile and resolvent kernel, and
+    carries ``comfort`` and ``comfort_bound``.  The split is checked
+    once: some but not all tails, with co-state weight on them; the
+    incoming wave is that restriction, normalised.  T, R and the overlap
+    read the peak's one solve at z*; ``window`` is searched on first use.
     """
 
-    def __init__(self, peak: _Peak, split):
+    def __init__(self, peak: _Peak, split, eps: float):
         channels = sorted(set(operator.index(n) for n in split))
         if not channels:
             raise ValueError("channel split must be nonempty")
@@ -509,6 +455,7 @@ class _PeakRecord:
         if weight_in < 1e-15:
             raise ValueError("co-state has no weight on the chosen channels")
         self.peak, self.channels, self.mask = peak, tuple(channels), mask
+        self.eps, self.lambda_eps, self.z_star = float(eps), peak.lam_eps, peak.z_star
         self.amp_in = restricted / weight_in
         self.symmetry_residual = abs(weight_in - float(np.linalg.norm(peak.profile - restricted)))
         self.width_predicted = 2.0 * (1.0 - abs(peak.lam_eps))
@@ -565,28 +512,29 @@ def tunneling_check(
     (pass the value from a prior :func:`track_resonances` run when
     sweeping, which avoids re-tracking from 0 at every eps).  The
     incoming wave is the normalised restriction of the resonant
-    co-state's tail profile to the channels in ``split``.
+    co-state's tail profile to the channels in ``split``; a ``t_at_peak``
+    more than 1e-8 outside [0, 1] raises ``ValueError``.
     """
-    record = _PeakRecord(_peak(family, eps, lam, lambda_eps), split)
-    peak = record.peak
-    return TunnelingReport(
-        lam=complex(lam),
-        lambda_eps=peak.lam_eps,
-        eps=float(eps),
-        z_star=peak.z_star,
-        split=record.channels,
-        symmetry_residual=record.symmetry_residual,
-        t_at_peak=record.t_at_peak,
-        r_at_peak=record.r_at_peak,
-        out_channel_overlap=record.overlap,
-        peak_width_measured=record.width_measured,
-        peak_width_predicted=record.width_predicted,
-        comfortability_value=peak.comfort,
-        comfortability_bound=peak.comfort_bound,
-    )
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    if lambda_eps is None:
+        # at eps = 0 the track is its start, which sits on the circle
+        points = list(_stream(family, [] if eps == 0 else [eps]))
+        walk, system = points[-1].walk, points[-1].system
+        lambda_eps = points[-1].tracked[_column(points[0].tracked, lam)]
+    elif not cmath.isfinite(lambda_eps):
+        # all distances to a NaN are NaN, and nearest_cluster would pick the first cluster
+        raise ValueError(f"lambda_eps = {lambda_eps!r} is not finite")
+    else:
+        walk = family(eps)
+        system = eigen_decompose(walk)
+    report = TunnelingReport(_peak_at(walk, system, lambda_eps), split, eps)
+    if not -1e-8 <= report.t_at_peak <= 1.0 + 1e-8:
+        raise ValueError(f"transmission {report.t_at_peak} outside [0, 1]")
+    return report
 
 
-def _half_height_window(record: _PeakRecord) -> tuple:
+def _half_height_window(record: TunnelingReport) -> tuple:
     """Find the half-height angles on both sides of the record's peak.
 
     One stacked Σ evaluates the doubling steps
@@ -652,61 +600,12 @@ def _half_height_window(record: _PeakRecord) -> tuple:
     return tuple(float(sides[k] * 0.5 * (low[k] + high[k])) for k in (0, 1))
 
 
-def peak_width(
-    family,
-    eps: float,
-    lam: complex,
-    split,
-    lambda_eps: complex | None = None,
-) -> tuple:
-    """Half-height angles (theta_minus, theta_plus) around the peak.
-
-    The transmission through the ``split`` channels is scanned away from
-    z* = lambda_eps/|lambda_eps| until it first falls below one half on
-    each side; each crossing is then closed to ``THETA_TOL`` by a
-    safeguarded regula falsi (:func:`_half_height_window`).
-    """
-    return _PeakRecord(_peak(family, eps, lam, lambda_eps), split).window
-
-
 def comfortability_bound(lambda_eps: complex) -> float:
     """Divergence-rate lower bound (1 + |l|) |l|^2 / (1 - |l|)."""
     mod = abs(lambda_eps)
     if mod >= 1.0:
         raise ResonanceOnCircle(f"|lambda| = {mod} is not inside the disk")
     return (1.0 + mod) * mod * mod / (1.0 - mod)
-
-
-def comfortability_growth(
-    family,
-    eps: float,
-    lam: complex,
-    lambda_eps: complex | None = None,
-) -> tuple:
-    """Interior energy at the peak and its predicted divergence rate.
-
-    The incoming wave is the full normalised tail profile of the
-    resonant co-state; the bound uses that the resonant pair's interior
-    norms multiply to at least one.
-    """
-    peak = _peak(family, eps, lam, lambda_eps)
-    return peak.comfort, peak.comfort_bound
-
-
-def resonant_block_norm(
-    family,
-    eps: float,
-    lam: complex,
-    lambda_eps: complex | None = None,
-) -> tuple:
-    """Norm of the resonance's pole block and its theoretical floor.
-
-    Evaluated at z* = lambda_eps/|lambda_eps| the block's operator norm
-    is at least 1 + |lambda_eps|.
-    """
-    peak = _peak(family, eps, lam, lambda_eps)
-    block = pole_block(peak.walk, peak.cluster, peak.z_star)
-    return float(np.linalg.norm(block, 2)), 1.0 + abs(peak.lam_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +681,7 @@ def _peak_sweep(family, lam, eps_values, quantities, split=None) -> tuple:
     The positive grid is streamed (:func:`_stream`): each eps is walked
     and decomposed once, and the :class:`_Peak` of the tracked λ_ε is
     built on that walk and decomposition.  Each quantity is an attribute
-    of that peak, or of its :class:`_PeakRecord` through ``split`` when
+    of that peak, or of its :class:`TunnelingReport` through ``split`` when
     one is given.  ``lam=None`` first tracks the eigenvalues alone over
     the grid (:func:`track_resonances`) and picks the start that
     detaches fastest, whose path ends nearest the origin.  A ``None``
@@ -808,7 +707,7 @@ def _peak_sweep(family, lam, eps_values, quantities, split=None) -> tuple:
     k = _column(next(points).tracked, lam)
     for point in points:
         peak = _peak_at(point.walk, point.system, point.tracked[k])
-        record = peak if split is None else _PeakRecord(peak, split)
+        record = peak if split is None else TunnelingReport(peak, split, point.eps)
         for quantity in quantities:
             measured = getattr(record, quantity)
             columns[quantity].append(measured)

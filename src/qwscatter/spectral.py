@@ -162,12 +162,6 @@ class Cluster:
     def left_basis(self) -> np.ndarray:
         return self._left
 
-    def project(self, f: np.ndarray) -> np.ndarray:
-        """Spectral (oblique) projection of ``f`` onto this cluster."""
-        v = self.right_basis()
-        w = self.left_basis()
-        return v @ (w.conj().T @ f)
-
 
 class PoleBasis(NamedTuple):
     """Every off-circle chain, stacked (column/row k is chain vector k)."""

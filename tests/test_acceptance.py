@@ -13,13 +13,11 @@ import numpy as np
 
 from qwscatter.asymptotics import (
     comfortability_bound,
-    comfortability_growth,
     discrepancy_table,
     fit_loglog_slope,
     geometric_grid,
-    peak_width,
-    resonant_block_norm,
     track_resonances,
+    tunneling_check,
 )
 from qwscatter.line import (
     BarrierSpec,
@@ -41,6 +39,7 @@ from qwscatter.models import (
 from qwscatter.scattering import (
     comfortability,
     oracle_direct_solve,
+    pole_block,
     scattering_matrix,
     transmission_reflection,
 )
@@ -283,7 +282,9 @@ def test_criterion_11_asymptotic_slopes():
 
 def test_criterion_12_peak_norm_floor():
     fam = cycle_family(4, [1.0] * 4)
-    norm, floor = resonant_block_norm(fam, 0.05, 1.0)
+    peak = tunneling_check(fam, 0.05, 1.0, (1, 2)).peak
+    norm = float(np.linalg.norm(pole_block(peak.walk, peak.cluster, peak.z_star), 2))
+    floor = 1.0 + abs(peak.lam_eps)
     assert floor >= 1.99
     assert norm >= floor - 1e-8
     _report(12, f"resonant block norm {norm:.6f} >= 1 + |lambda_eps|")
@@ -293,9 +294,7 @@ def test_criterion_13_peak_width():
     fam = cycle_family(4, [1.0] * 4)
     track = track_resonances(fam, eps_grid=[0.0, 0.05])
     lam_eps = track.at(0.05, 1.0)
-    theta_minus, theta_plus = peak_width(
-        fam, 0.05, 1.0, (1, 2), lambda_eps=lam_eps
-    )
+    theta_minus, theta_plus = tunneling_check(fam, 0.05, 1.0, (1, 2), lambda_eps=lam_eps).window
     measured = theta_plus - theta_minus
     predicted = 2.0 * (1.0 - abs(lam_eps))
     assert abs(measured / predicted - 1.0) <= 0.2
@@ -321,7 +320,8 @@ def test_criterion_14_comfortability():
     track = track_resonances(fam, eps_grid=[0.0, 0.05])
     lam_eps = track.at(0.05, 1.0)
     # the resonance-aligned incoming profile realises the divergence rate
-    energy, bound = comfortability_growth(fam, 0.05, 1.0, lambda_eps=lam_eps)
+    peak = tunneling_check(fam, 0.05, 1.0, (1, 2), lambda_eps=lam_eps).peak
+    energy, bound = peak.comfort, peak.comfort_bound
     by_hand = (1.0 + abs(lam_eps)) * abs(lam_eps) ** 2 / (1.0 - abs(lam_eps))
     assert abs(bound - by_hand) <= 1e-9
     assert abs(bound - comfortability_bound(lam_eps)) <= 1e-9

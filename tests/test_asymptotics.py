@@ -21,16 +21,12 @@ from qwscatter.asymptotics import (
     SimplicityViolated,
     comfort_table,
     comfortability_bound,
-    comfortability_growth,
     default_eps_grid,
-    discrepancy_norm,
     discrepancy_table,
     fit_loglog_slope,
     geometric_grid,
     nonresonant_point,
-    peak_width,
     remainder_table,
-    resonant_block_norm,
     track_resonances,
     tunneling_check,
     tunneling_table,
@@ -85,6 +81,14 @@ def test_geometric_grid_needs_distinct_ends():
     with pytest.raises(ValueError, match="start < stop"):
         geometric_grid(0.1, 0.05, 3)
     assert geometric_grid(0.05, 0.05, 1).tolist() == [0.05]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("start", [0.0, -1.0])
+def test_geometric_grid_needs_a_positive_start(start, count):
+    # also for one point, which is the start itself
+    with pytest.raises(ValueError, match="need 0 < start"):
+        geometric_grid(start, 0.1, count)
 
 
 @pytest.mark.parametrize(
@@ -191,16 +195,27 @@ def test_tunneling_check_hidden_channel():
     assert report.t_at_peak >= 1.0 - 1e-6
     assert report.r_at_peak <= 1e-6
     assert report.symmetry_residual <= 1e-12
-    assert report.out_channel_overlap >= 1.0 - 1e-6
-    assert report.peak_width_measured is not None
-    ratio = report.peak_width_measured / report.peak_width_predicted
+    assert report.overlap >= 1.0 - 1e-6
+    assert report.width_measured is not None
+    ratio = report.width_measured / report.width_predicted
     assert abs(ratio - 1.0) <= WIDTH_SLACK
-    assert report.comfortability_value >= report.comfortability_bound
+    assert report.peak.comfort >= report.peak.comfort_bound
+
+
+def test_tunneling_check_rejects_a_transmission_outside_the_unit_band(monkeypatch):
+    # the band applies to tunneling_check alone; the tables never applied it
+    family, lam, split = PEAKS["ms"]
+    monkeypatch.setattr(asymptotics, "transmission_reflection", lambda *args: (1.0 + 2e-8, 0.0))
+    with pytest.raises(ValueError, match=r"transmission 1\.00000002 outside \[0, 1\]"):
+        tunneling_check(family, 0.05, lam, split)
+    rows, summary = tunneling_table(family, lam, split, [0.05])
+    assert [row.value for row in rows if row.quantity == "t_at_peak"] == [1.0 + 2e-8]
+    assert summary["min_t_at_peak"] == 1.0 + 2e-8
 
 
 def test_peak_width_matches_gap_prediction():
     fam = cycle_family(4, [1.0] * 4)
-    theta_minus, theta_plus = peak_width(fam, 0.05, 1.0, (1, 2))
+    theta_minus, theta_plus = tunneling_check(fam, 0.05, 1.0, (1, 2)).window
     assert theta_minus < 0 < theta_plus
     measured = theta_plus - theta_minus
     lam_eps = np.sqrt(1 - 0.05**2)  # |lambda_eps|^4 = (1 - eps^2)^2
@@ -211,7 +226,7 @@ def test_peak_width_matches_gap_prediction():
 def test_peak_width_needs_balanced_split():
     fam = cycle_family(4, [1.0] * 4)
     with pytest.raises(ValueError):
-        peak_width(fam, 0.05, 1.0, (1,))
+        tunneling_check(fam, 0.05, 1.0, (1,)).window
 
 
 def bisect_side(t_at, sign, low, t_low, high, t_high):
@@ -313,9 +328,9 @@ def test_peak_width_matches_the_scalar_search_bit_for_bit(model, eps):
         expected = half_height_by_scalar_search(family, eps, lam, split, illinois_side)
     except NoCrossing:
         with pytest.raises(NoCrossing):
-            peak_width(family, eps, lam, split)
+            tunneling_check(family, eps, lam, split).window
         return
-    assert peak_width(family, eps, lam, split) == expected
+    assert tunneling_check(family, eps, lam, split).window == expected
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.05, 0.3, 0.7])
@@ -326,9 +341,9 @@ def test_peak_width_straddles_the_bisected_crossing(model, eps):
         expected = half_height_by_scalar_search(family, eps, lam, split)
     except NoCrossing:
         with pytest.raises(NoCrossing):
-            peak_width(family, eps, lam, split)
+            tunneling_check(family, eps, lam, split).window
         return
-    got = peak_width(family, eps, lam, split)
+    got = tunneling_check(family, eps, lam, split).window
     assert np.all(np.abs(np.subtract(got, expected)) <= THETA_TOL)
     # T >= 1/2 just inside each crossing and < 1/2 just outside, through Σ
     walk = family(eps)
@@ -349,7 +364,7 @@ def test_a_crossing_inside_the_first_step_starts_from_t_peak(monkeypatch):
     # a synthetic peak narrower than the first doubling step: the bracket
     # is [0, step], whose low end is z* itself with T = t_peak, not 1
     family, lam, split = PEAKS["ms"]
-    record = asymptotics._PeakRecord(asymptotics._peak(family, 0.05, lam), split)
+    record = tunneling_check(family, 0.05, lam, split)
     peak = record.peak
     step = (1.0 - abs(peak.lam_eps)) / 16.0
     t_peak, gamma = 0.95, step / 4.0
@@ -360,7 +375,7 @@ def test_a_crossing_inside_the_first_step_starts_from_t_peak(monkeypatch):
     def t_at(theta):
         return lorentzian(np.exp(1j * (cmath.phase(peak.z_star) + theta)))
 
-    monkeypatch.setattr(asymptotics._PeakRecord, "transmission", lambda record_, z: lorentzian(z))
+    monkeypatch.setattr(asymptotics.TunnelingReport, "transmission", lambda record_, z: lorentzian(z))
     record.t_at_peak = t_peak
     assert t_at(-step) < 0.5 and t_at(step) < 0.5
     expected = tuple(illinois_side(t_at, s, 0.0, t_peak, step, t_at(s * step)) for s in (-1, 1))
@@ -371,7 +386,7 @@ def test_a_crossing_inside_the_first_step_starts_from_t_peak(monkeypatch):
 
 def test_two_loop_peak_is_asymmetric():
     family, lam, split = PEAKS["two_loop"]
-    theta_minus, theta_plus = peak_width(family, 0.3, lam, split)
+    theta_minus, theta_plus = tunneling_check(family, 0.3, lam, split).window
     assert abs(theta_plus + theta_minus) > 1e-3
 
 
@@ -381,11 +396,11 @@ def test_two_loop_peak_is_asymmetric():
     ids=["cycle4", "ms"],
 )
 def test_a_peak_wider_than_the_window_has_no_crossing(family, eps, lam, split):
-    with pytest.raises(NoCrossing):
-        peak_width(family, eps, lam, split)
     report = tunneling_check(family, eps, lam, split)
+    with pytest.raises(NoCrossing):
+        report.window
     assert report.t_at_peak >= 0.9
-    assert report.peak_width_measured is None
+    assert report.width_measured is None
 
 
 def kernel_calls(monkeypatch):
@@ -407,7 +422,7 @@ def sigma_calls_per_width(monkeypatch, model, eps):
     family, lam, split = PEAKS[model]
     lambda_eps = track_resonances(family, [0.0, eps]).at(eps, lam)
     calls = kernel_calls(monkeypatch)
-    peak_width(family, eps, lam, split, lambda_eps=lambda_eps)
+    tunneling_check(family, eps, lam, split, lambda_eps=lambda_eps).window
     return len(calls)
 
 
@@ -428,9 +443,10 @@ def test_a_peak_kernel_gives_the_resolvent_route_bits(monkeypatch, model):
     # one kernel per peak serves z* and every half-height step, with the
     # bits of a scattering_matrix call at each of those points
     family, lam, split = PEAKS[model]
-    peak = asymptotics._peak(family, 0.01, lam)
     points = kernel_calls(monkeypatch)
-    asymptotics._PeakRecord(peak, split).window
+    report = tunneling_check(family, 0.01, lam, split)
+    report.window
+    peak = report.peak
     assert len(points) >= 3 and points[0] == peak.z_star
     monkeypatch.undo()
     kernel = peak.kernel
@@ -456,15 +472,15 @@ def test_tunneling_check_solves_once_at_z_star(monkeypatch, model):
 
     monkeypatch.setattr(scattering, "_pole_sum", spy)
     report = tunneling_check(family, 0.01, lam, split, lambda_eps=lambda_eps)
+    comfort = report.peak.comfort
     assert sum(len(s) == 1 and s[0] == report.z_star for s in shifts) == 1
     # the same numbers as a solve per quantity
-    peak = asymptotics._peak(family, 0.01, lam, lambda_eps)
-    amp_in = asymptotics._PeakRecord(peak, split).amp_in
+    peak = report.peak
     sigma = scattering_matrix(peak.walk, peak.z_star, system=peak.system).matrix
-    t_peak, _ = transmission_reflection(sigma, set(split), amp_in)
+    t_peak, _ = transmission_reflection(sigma, set(split), report.amp_in)
     assert report.t_at_peak == pytest.approx(t_peak, rel=1e-14)
     energy = comfortability(peak.walk, peak.z_star, peak.profile, peak.system)
-    assert report.comfortability_value == pytest.approx(energy, rel=1e-14)
+    assert comfort == pytest.approx(energy, rel=1e-14)
 
 
 def kernels_built(monkeypatch):
@@ -487,7 +503,7 @@ def test_tunneling_check_builds_one_kernel_per_peak(monkeypatch, model):
     family, lam, split = PEAKS[model]
     lambda_eps = track_resonances(family, [0.0, 0.01]).at(0.01, lam)
     shapes = kernels_built(monkeypatch)
-    tunneling_check(family, 0.01, lam, split, lambda_eps=lambda_eps)
+    tunneling_check(family, 0.01, lam, split, lambda_eps=lambda_eps).window
     nt = family(0.01).n_tails
     assert shapes == [(nt, nt + 1)]
 
@@ -503,20 +519,23 @@ def test_a_tunneling_table_builds_one_kernel_per_eps(monkeypatch, model):
 
 @pytest.mark.parametrize("model", sorted(PEAKS))
 def test_comfortability_growth_is_the_tunneling_reports_bits(model):
-    # both read the interior energy off the peak's one solve at z*
+    # a one-eps comfort table and the report both read the interior
+    # energy off the peak's one solve at z*
     family, lam, split = PEAKS[model]
     grid = geometric_grid(1e-3, 0.1, 5)
     track = track_resonances(family, np.concatenate([[0.0], grid]))
     for eps in grid:
         lam_eps = track.at(eps, lam)
-        energy, _ = comfortability_growth(family, eps, lam, lambda_eps=lam_eps)
+        rows, _ = comfort_table(family, lam, [eps])
+        energy = next(row.value for row in rows if row.quantity == "comfort")
         report = tunneling_check(family, eps, lam, split, lambda_eps=lam_eps)
-        assert energy == report.comfortability_value, eps
+        assert energy == report.peak.comfort, eps
 
 
 def test_comfortability_growth_and_bound():
     fam = cycle_family(4, [1.0] * 4)
-    energy, bound = comfortability_growth(fam, 0.05, 1.0)
+    peak = tunneling_check(fam, 0.05, 1.0, (1, 2)).peak
+    energy, bound = peak.comfort, peak.comfort_bound
     assert energy >= bound
     assert energy >= 1.0 / 0.05
     track = track_resonances(fam, eps_grid=[0.0, 0.05])
@@ -526,7 +545,10 @@ def test_comfortability_growth_and_bound():
 
 def test_resonant_block_norm_floor():
     fam = cycle_family(4, [1.0] * 4)
-    norm, floor = resonant_block_norm(fam, 0.05, 1.0)
+    # at z* the resonance's pole block has norm at least 1 + |lambda_eps|
+    peak = tunneling_check(fam, 0.05, 1.0, (1, 2)).peak
+    norm = float(np.linalg.norm(pole_block(peak.walk, peak.cluster, peak.z_star), 2))
+    floor = 1.0 + abs(peak.lam_eps)
     assert norm >= floor - 1e-8
     assert floor >= 1.99
     track = track_resonances(fam, eps_grid=[0.0, 0.05])
@@ -555,7 +577,9 @@ def test_discrepancy_reports_higher_order_honestly():
 
 
 def test_discrepancy_norm_single_point():
-    value = discrepancy_norm(crossing_family(0.8), 1j, 0.01)
+    # the slope fit needs two points; the first row is the one at 0.01
+    rows, _ = discrepancy_table(crossing_family(0.8), 1j, [0.01, 0.02])
+    value = rows[0].value
     assert value == pytest.approx(0.8 * 0.01, rel=1e-2)
 
 
@@ -745,20 +769,20 @@ def rows_from_the_public_functions(family, lam, split, grid):
         for quantity, value in [
             ("t_at_peak", report.t_at_peak),
             ("symmetry_residual", report.symmetry_residual),
-            ("overlap", report.out_channel_overlap),
-            ("width_measured", report.peak_width_measured),
-            ("width_predicted", report.peak_width_predicted),
+            ("overlap", report.overlap),
+            ("width_measured", report.width_measured),
+            ("width_predicted", report.width_predicted),
         ]:
             if value is not None:
                 rows["tunneling"].append(at + (quantity, value))
-        theta_minus, theta_plus = peak_width(family, eps, lam, split, lambda_eps=lam_eps)
+        theta_minus, theta_plus = report.window
         measured, predicted = theta_plus - theta_minus, 2.0 * (1.0 - abs(lam_eps))
         rows["width"] += [
             at + ("width_measured", measured),
             at + ("width_predicted", predicted),
             at + ("width_ratio", measured / predicted),
         ]
-        energy, bound = comfortability_growth(family, eps, lam, lambda_eps=lam_eps)
+        energy, bound = report.peak.comfort, report.peak.comfort_bound
         rows["comfort"] += [
             at + ("comfort", energy),
             at + ("comfort_bound", bound),
@@ -930,11 +954,8 @@ def test_match_step_refuses_two_values_on_one_target():
     "measure",
     [
         lambda family: tunneling_check(family, 0.0, 1j, (1,)),
-        lambda family: peak_width(family, 0.0, 1j, (1,)),
-        lambda family: comfortability_growth(family, 0.0, 1j),
-        lambda family: resonant_block_norm(family, 0.0, 1j),
     ],
-    ids=["tunneling_check", "peak_width", "comfortability_growth", "resonant_block_norm"],
+    ids=["tunneling_check"],
 )
 def test_a_peak_at_eps_zero_sits_on_the_circle(measure):
     # the (0, 0) track is its start, which is on the circle, as with lambda_eps given
@@ -948,11 +969,8 @@ def test_a_peak_at_eps_zero_sits_on_the_circle(measure):
     "measure",
     [
         lambda family, value: tunneling_check(family, 0.05, 1j, (1,), lambda_eps=value),
-        lambda family, value: peak_width(family, 0.05, 1j, (1,), lambda_eps=value),
-        lambda family, value: comfortability_growth(family, 0.05, 1j, lambda_eps=value),
-        lambda family, value: resonant_block_norm(family, 0.05, 1j, lambda_eps=value),
     ],
-    ids=["tunneling_check", "peak_width", "comfortability_growth", "resonant_block_norm"],
+    ids=["tunneling_check"],
 )
 def test_a_non_finite_lambda_eps_is_rejected(measure, lambda_eps):
     # nearest_cluster would take the first cluster for a NaN
@@ -976,23 +994,28 @@ def test_a_bad_split_is_rejected(split, error, named):
     family = matrix_schrodinger_family()
     with pytest.raises(error, match=named):
         tunneling_check(family, 0.05, 1j, split)
-    with pytest.raises(error, match=named):
-        peak_width(family, 0.05, 1j, split)
 
 
 def test_a_split_of_numpy_integers_is_a_split():
     family = matrix_schrodinger_family()
-    assert tunneling_check(family, 0.05, 1j, (np.int64(1),)) == tunneling_check(
-        family, 0.05, 1j, (1,)
-    )
+    got, want = (tunneling_check(family, 0.05, 1j, split) for split in [(np.int64(1),), (1,)])
+
+    def fields(report):
+        return (
+            report.eps, report.channels, report.lambda_eps, report.z_star,
+            report.symmetry_residual, report.t_at_peak, report.r_at_peak, report.overlap,
+            report.width_measured, report.width_predicted, report.peak.comfort,
+            report.peak.comfort_bound,
+        )
+
+    assert fields(got) == fields(want)
+    assert type(got.channels[0]) is int
 
 
 def test_circle_resonance_has_no_tunneling_peak():
     fam = crossing_family(0.8)
     with pytest.raises(ResonanceOnCircle):
         tunneling_check(fam, 0.05, 1.0, (1,))
-    with pytest.raises(ResonanceOnCircle):
-        peak_width(fam, 0.05, 1.0, (1,))
 
 
 def test_fit_loglog_slope_recovers_power_law():

@@ -495,6 +495,23 @@ def test_a_non_finite_grid_end_is_a_usage_error(argv, grid):
     assert "Warning" not in err and caught == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "width", "--model", "ms", "--J", "1", "--eps-grid", "0:0.1:1"],
+        ["sweep", "width", "--model", "ms", "--J", "1", "--eps-grid", "-1:0.1:1"],
+        ["resonances", "--model", "ms", "--track", "--eps-grid", "0:0.1:1"],
+    ],
+    ids=["sweep-width-zero", "sweep-width-negative", "resonances-track-zero"],
+)
+def test_a_nonpositive_one_point_grid_is_a_usage_error(argv):
+    # as with the same ends and several points; --eps 0 lists eps = 0
+    code, out, err = run_cli(argv)
+    assert code == 3
+    assert out == ""
+    assert "bad --eps-grid value" in err
+
+
 # ------------------------------------------------------------------ output
 
 
