@@ -25,7 +25,13 @@ cluster values, and the measure at that eps reads the same walk and
 decomposition, one eps at a time.  Each peak builds one resolvent
 kernel over every tail and the co-state profile, and checks the split
 once: one solve at z* gives T, R, the out-channel overlap and the
-comfortability, and each half-height step evaluates the same kernel.
+comfortability.  The half-height window reads a :class:`LineShape` off
+the same kernel, with no new solve: T through the split as a pole–residue
+sum, O(n_poles·n_channels) per z with no interior wave.  A sweep keeps
+only each eps's line shape past the stream and searches every window
+afterwards in one lockstep (:func:`_search_windows`), one stacked
+evaluation per step for all the eps, each bracket stepping on its own
+values, so every width has the bits of its eps searched alone.
 """
 
 from __future__ import annotations
@@ -34,14 +40,17 @@ import cmath
 import contextlib
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .scattering import (
-    _powers,
+    EIGENVALUE_HIT_TOL,
+    OrthogonalityViolated,
+    _check_poles,
+    _check_z,
     pole_block,
     resolvent_kernel,
     scattering_matrix,
@@ -435,7 +444,10 @@ class TunnelingReport:
     carries ``comfort`` and ``comfort_bound``.  The split is checked
     once: some but not all tails, with co-state weight on them; the
     incoming wave is that restriction, normalised.  T, R and the overlap
-    read the peak's one solve at z*; ``window`` is searched on first use.
+    read the peak's one solve at z*.  ``line_shape`` is T through the
+    split in pole–residue form, read off the same kernel with no new
+    solve; ``transmission`` evaluates it, and ``window`` is its
+    half-height window, searched on first use.
     """
 
     def __init__(self, peak: _Peak, split, eps: float):
@@ -468,34 +480,31 @@ class TunnelingReport:
         if exit_norm >= 1e-15:
             self.overlap = float(abs(np.vdot(exit_profile / exit_norm, sigma @ self.amp_in)))
 
-    def transmission(self, z):
-        """T at ``z`` (a point or an array), with no further checks."""
-        return _powers(self.peak.sigma(z), self.mask, self.amp_in)[0]
-
     @cached_property
+    def line_shape(self) -> LineShape:
+        """T through this split, from the peak's kernel (:meth:`LineShape.from_kernel`)."""
+        peak = self.peak
+        return LineShape.from_kernel(
+            peak.kernel, self.mask, self.amp_in, peak.z_star, abs(peak.lam_eps), self.t_at_peak
+        )
+
+    def transmission(self, z):
+        """T at ``z`` (a point or an array), from the line shape."""
+        return self.line_shape(z)
+
+    @property
     def window(self) -> tuple:
-        """The half-height angles (θ₋, θ₊): ``ValueError`` when T at z* is
-        below ``PEAK_FLOOR``, ``NoCrossing`` when T stays above one half."""
-        if self.t_at_peak < PEAK_FLOOR:
-            raise ValueError(
-                f"transmission {self.t_at_peak:.3f} at the peak is below {PEAK_FLOOR}; "
-                "nothing to measure"
-            )
-        return _half_height_window(self)
+        """The half-height angles (θ₋, θ₊) (:attr:`LineShape.window`)."""
+        return self.line_shape.window
 
     @property
     def width_measured(self) -> float | None:
         """θ₊ − θ₋, or ``None`` where there is no peak or no crossing."""
-        if self.t_at_peak >= PEAK_FLOOR:
-            with contextlib.suppress(NoCrossing):
-                theta_minus, theta_plus = self.window
-                return theta_plus - theta_minus
-        return None
+        return self.line_shape.width_measured
 
     @property
     def width_ratio(self) -> float:
-        theta_minus, theta_plus = self.window
-        return (theta_plus - theta_minus) / self.width_predicted
+        return self.line_shape.width_ratio
 
 
 def tunneling_check(
@@ -534,70 +543,306 @@ def tunneling_check(
     return report
 
 
-def _half_height_window(record: TunnelingReport) -> tuple:
-    """Find the half-height angles on both sides of the record's peak.
+# ---------------------------------------------------------------------------
+# Line shapes and the half-height search
 
-    One stacked Σ evaluates the doubling steps
+
+@dataclass(eq=False)
+class LineShape:
+    """T(z) through one channel split near its peak, in pole–residue form.
+
+    The transmitted amplitudes are the modal realization D + C(z − Λ)⁻¹B
+    (Kailath, *Linear Systems*, 1980), pole order by pole order:
+
+        out(z) = direct + sum_{p,k} residues[p, k] / (z - values[k])^(p+1),
+
+    and T(z) = |out(z)|².  ``values`` are the kernel's off-circle pole
+    values; ``residues[p, k]`` pairs column k's emission on the
+    transmitted channels with the drive of the column p further up its
+    Jordan chain, zero past the chain's end.  A call checks ``z`` as the
+    kernel does (the zero guard, the pole hits, then the trapped drive)
+    and costs O(n_poles·n_channels) per point, with no interior wave.
+    ``z_star``, ``modulus`` = |λ_ε| and ``t_at_peak`` (T at z* from the
+    peak's solve) set the half-height search; ``window`` runs it on first
+    use, and a sweep searches many line shapes at once
+    (:func:`_search_windows`).
+    """
+
+    z_star: complex
+    modulus: float
+    t_at_peak: float
+    values: np.ndarray  # (n_poles,)
+    residues: np.ndarray  # (orders, n_poles, transmitted channels)
+    direct: np.ndarray  # (transmitted channels,)
+    overlap: float = 0.0
+    trapped: bool = False
+    # the searched window, or the error that ended its search
+    _window: object = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def from_kernel(cls, kernel, mask, amp_in, z_star, modulus, t_at_peak) -> LineShape:
+        """The line shape of ``kernel`` for the incoming wave ``amp_in`` on the
+        channels of ``mask``: its poles, coefficients ``W* f``, emission and
+        direct term, with no solve.  Nothing in it refers to the decomposition."""
+        values, right, _, links = kernel.poles
+        nt = len(mask)
+        drive = kernel.coefficients[:, :nt] @ amp_in
+        emission = kernel.emission[~mask] @ right
+        follows = np.zeros(len(values), dtype=bool)
+        follows[list(links)] = True
+        # order p pairs column k with the drive of column k + p, while the
+        # chain runs on from k through k + p
+        residues = [(emission * drive).T]
+        columns, p = np.flatnonzero(follows), 1
+        while columns.size:
+            order = np.zeros_like(residues[0])
+            order[columns] = (emission[:, columns] * drive[columns + p]).T
+            residues.append(order)
+            columns = columns[follows[columns + p]]
+            p += 1
+        return cls(
+            complex(z_star),
+            float(modulus),
+            float(t_at_peak),
+            np.array(values, dtype=complex),
+            np.stack(residues),
+            (kernel.direct[:, :nt] @ amp_in)[~mask],
+            kernel.overlap,
+            kernel.trapped,
+        )
+
+    def _check(self, z) -> np.ndarray:
+        """``z`` as an array, after the kernel's checks in the kernel's order."""
+        z = _check_z(z)
+        _check_poles(z, self.values)
+        if self.trapped:
+            raise OrthogonalityViolated(
+                f"drive overlaps unit-circle eigenvectors with norm {self.overlap:.3e}"
+            )
+        return z
+
+    def __call__(self, z):
+        """T at ``z``: a float at a point, one value per point of a 1-d array."""
+        z = self._check(z)
+        points = z.reshape(-1)
+        t = _transmissions(_stacked([self]), np.zeros(len(points), dtype=int), points)
+        return float(t[0]) if z.ndim == 0 else t
+
+    @property
+    def window(self) -> tuple:
+        """The half-height angles (θ₋, θ₊): ``ValueError`` when T at z* is
+        below ``PEAK_FLOOR``, ``NoCrossing`` when T stays above one half."""
+        if self.t_at_peak < PEAK_FLOOR:
+            raise ValueError(
+                f"transmission {self.t_at_peak:.3f} at the peak is below {PEAK_FLOOR}; "
+                "nothing to measure"
+            )
+        if self._window is None:
+            _search_windows([self])
+        if isinstance(self._window, Exception):
+            raise self._window
+        return self._window
+
+    @property
+    def width_measured(self) -> float | None:
+        """θ₊ − θ₋, or ``None`` where there is no peak or no crossing."""
+        if self.t_at_peak >= PEAK_FLOOR:
+            with contextlib.suppress(NoCrossing):
+                theta_minus, theta_plus = self.window
+                return theta_plus - theta_minus
+        return None
+
+    @property
+    def width_ratio(self) -> float:
+        theta_minus, theta_plus = self.window
+        return (theta_plus - theta_minus) / (2.0 * (1.0 - self.modulus))
+
+
+def _pow2(n: int) -> int:
+    """The least power of two that is at least ``max(n, 1)``."""
+    return 1 << (max(n, 1) - 1).bit_length()
+
+
+def _stacked(shapes) -> tuple:
+    """The arrays of ``shapes``, one leading row per shape.
+
+    Pole and channel axes are zero-padded to powers of two and the order
+    axis to the longest chain.  A padded pole has value 0, which every
+    checked point clears, and zero residues, so it adds exact zeros.
+    """
+    n_poles = _pow2(max(len(s.values) for s in shapes))
+    orders = max(max(s.residues.shape[0] for s in shapes), 1)
+    n_out = _pow2(max(len(s.direct) for s in shapes))
+    values = np.zeros((len(shapes), n_poles), dtype=complex)
+    residues = np.zeros((len(shapes), orders, n_poles, n_out), dtype=complex)
+    direct = np.zeros((len(shapes), n_out), dtype=complex)
+    for i, shape in enumerate(shapes):
+        p, k, n = shape.residues.shape
+        values[i, :k] = shape.values
+        residues[i, :p, :k, :n] = shape.residues
+        direct[i, : len(shape.direct)] = shape.direct
+    return values, residues, direct
+
+
+def _fold(terms: np.ndarray) -> np.ndarray:
+    """The sum over axis 1, whose length is a power of two, by halves.
+
+    Each point's sum is a fixed tree of elementwise additions, so it does
+    not depend on the other points evaluated with it, and zero padding
+    beyond its own power of two adds exact zeros: a shape gives the same
+    bits alone and in any stack.
+    """
+    while terms.shape[1] > 1:
+        half = terms.shape[1] // 2
+        terms = terms[:, :half] + terms[:, half:]
+    return terms[:, 0]
+
+
+# points per block of a stacked evaluation: 2^16 padded pole-channel terms
+_BLOCK_TERMS = 1 << 16
+
+
+def _transmissions(stack: tuple, owner: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """T at each point ``z[i]`` of the stacked shape ``owner[i]`` (:func:`_stacked`).
+
+    Unchecked: the caller has checked each shape's points.  Points run in
+    blocks, so the temporaries stay small at any number of poles.
+    """
+    values, residues, direct = stack
+    block = max(1, _BLOCK_TERMS // (values.shape[1] * direct.shape[1]))
+    out = np.empty(len(z))
+    for start in range(0, len(z), block):
+        rows = owner[start : start + block]
+        inv = 1.0 / (z[start : start + block, None] - values[rows])
+        power = inv
+        terms = residues[rows, 0] * inv[..., None]
+        for p in range(1, residues.shape[1]):
+            power = power * inv
+            terms += residues[rows, p] * power[..., None]
+        out[start : start + block] = _fold(np.abs(direct[rows] + _fold(terms)) ** 2)
+    return out
+
+
+def _excess(shapes, stack, base, owner, theta, failed) -> np.ndarray:
+    """T − 1/2 at the angles ``theta`` off each owner's z* (phase ``base``).
+
+    A shape whose points here hit one of its poles, or whose kernel traps
+    the drive, gets the error its own call on those points raises
+    (``LineShape._check``) and joins ``failed``; a failed shape is not
+    evaluated, and its points read NaN.
+    """
+    z = np.exp(1j * (base[owner] + theta))
+    values = stack[0]
+    # |z| = 1, so only a pole with |λ| >= 1 - 2·tol can lie within tol of z
+    close = np.flatnonzero((np.abs(values) >= 1.0 - 2 * EIGENVALUE_HIT_TOL).any(axis=0))
+    hit = (np.abs(z[:, None] - values[owner[:, None], close]) <= EIGENVALUE_HIT_TOL).any(axis=1)
+    suspect = np.zeros(len(shapes), dtype=bool)
+    suspect[owner[hit]] = True
+    suspect |= np.array([shape.trapped for shape in shapes])
+    for i in np.flatnonzero(suspect & ~failed).tolist():
+        try:
+            shapes[i]._check(z[owner == i])
+        except NumericalError as exc:
+            shapes[i]._window = exc
+            failed[i] = True
+    g = np.full(len(z), np.nan)
+    keep = ~failed[owner]
+    g[keep] = _transmissions(stack, owner[keep], z[keep]) - 0.5
+    return g
+
+
+def _search_windows(shapes) -> None:
+    """Search the half-height windows of ``shapes`` together, in lockstep.
+
+    Shapes already searched, and those below ``PEAK_FLOOR``, are skipped.
+    One stacked evaluation covers every shape's doubling steps
     ``max((1 - |λ_ε|)/16, 1e-12) * 2^k <= THETA_WINDOW`` on both sides;
-    the first step below one half and the step before it (or 0, where T
-    is ``t_at_peak``) bracket each crossing.  Both brackets are then closed
-    to ``THETA_TOL`` together, one Σ over the sides still open per step,
-    by regula falsi on T - 1/2 with the Illinois rule (Dowell & Jarratt,
-    1971): an end kept twice in a row has its value halved, so neither
-    end stalls.  Each side steps on its own evaluated values.  A step
+    per side, the first step
+    below one half and the step before it (or 0, where T is
+    ``t_at_peak``) bracket the crossing, and a shape with a side that
+    never falls below one half has no crossing (``NoCrossing``).  Then
+    every open (shape, side) bracket is closed to ``THETA_TOL`` together,
+    one stacked evaluation per step, by regula falsi on T - 1/2 with the
+    Illinois rule (Dowell & Jarratt, 1971): an end kept twice in a row
+    has its value halved, so neither end stalls.  Each bracket steps on
+    its own values, so a shape gets the bits it gets alone.  A step
     closer than ``THETA_TOL/2`` to an end moves out to that distance, so
     once one end sits on the crossing the next step closes the bracket.
     A step off the bracket, or any step once the bracket has not halved
     in three steps, bisects instead, so a bracket halves at least every
-    four steps.  Each side returns the midpoint of its closed bracket.
+    four steps.  Each side's angle is the midpoint of its closed bracket.
+    Each shape's ``_window`` gets its angles, or the error that stopped
+    its search.
     """
-    base = cmath.phase(record.peak.z_star)
-    sides = (-1.0, 1.0)
-
-    def excess(theta):
-        return record.transmission(np.exp(1j * (base + theta))) - 0.5
-
-    steps = []
-    step = max((1.0 - abs(record.peak.lam_eps)) / 16.0, 1e-12)
+    shapes = [s for s in shapes if s._window is None and s.t_at_peak >= PEAK_FLOOR]
+    if not shapes:
+        return
+    n = len(shapes)
+    stack = _stacked(shapes)
+    base = np.array([cmath.phase(shape.z_star) for shape in shapes])
+    failed = np.zeros(n, dtype=bool)
+    # each shape's doubling steps max((1 - |λ_ε|)/16, 1e-12)·2^k up to
+    # THETA_WINDOW, one row per shape, on both sides; doubling is exact
+    first_step = np.maximum((1.0 - np.array([shape.modulus for shape in shapes])) / 16.0, 1e-12)
+    step, depth = first_step.min(), 0
     while step <= THETA_WINDOW:
-        steps.append(step)
-        step *= 2.0
-    steps = np.array(steps)
-    g = excess(np.outer(sides, steps).reshape(-1)).reshape(2, -1)
-    if not (g < 0).any(axis=1).all():
-        raise NoCrossing(
+        step, depth = 2.0 * step, depth + 1
+    steps = first_step[:, None] * 2.0 ** np.arange(depth)
+    sides = np.array([-1.0, 1.0])
+    theta = sides[:, None] * steps[:, None, :]
+    valid = np.broadcast_to((steps <= THETA_WINDOW)[:, None, :], theta.shape)
+    owner = np.broadcast_to(np.arange(n)[:, None, None], theta.shape)[valid]
+    g = np.full(theta.shape, np.nan)
+    g[valid] = _excess(shapes, stack, base, owner, theta[valid], failed)
+    # the first step below one half and the one before it (or 0, where T is
+    # t_at_peak) bracket each side's crossing; padding and failed shapes are NaN
+    below = g < 0
+    for i in np.flatnonzero(~below.any(axis=2).all(axis=1) & ~failed).tolist():
+        shapes[i]._window = NoCrossing(
             f"transmission stays above 1/2 within {THETA_WINDOW:.3f} rad"
         )
-    first = np.argmax(g < 0, axis=1)
-    # per side, as floats: the bracket, its values, the end kept last (+1
-    # low, -1 high) and the bracket widths one, two and three steps ago
-    high, g_high = steps[first].tolist(), g[[0, 1], first].tolist()
-    low = np.where(first > 0, steps[first - 1], 0.0).tolist()
-    g_low = np.where(first > 0, g[[0, 1], first - 1], record.t_at_peak - 0.5).tolist()
-    kept = [0.0, 0.0]
-    before = [[math.inf] * 3, [math.inf] * 3]
+        failed[i] = True
+    first = below.argmax(axis=2)
+    previous = np.maximum(first - 1, 0)
+    rows, cols = np.arange(n)[:, None], np.arange(2)[None, :]
+    t_at_peak = np.array([shape.t_at_peak for shape in shapes])[:, None]
+    # per (shape, side), flat: the bracket, its values, the end kept last
+    # (+1 low, -1 high) and the bracket widths one, two and three steps ago
+    high = steps[rows, first].reshape(-1)
+    g_high = g[rows, cols, first].reshape(-1)
+    low = np.where(first > 0, steps[rows, previous], 0.0).reshape(-1)
+    g_low = np.where(first > 0, g[rows, cols, previous], t_at_peak - 0.5).reshape(-1)
+    kept = np.zeros(2 * n)
+    before = np.full((2 * n, 3), np.inf)
+    bracket_owner, side = np.repeat(np.arange(n), 2), np.tile(sides, n)
     near = 0.5 * THETA_TOL
-    while opened := [k for k in (0, 1) if high[k] - low[k] > THETA_TOL]:
-        thetas = []
-        for k in opened:
-            lo, hi, g_lo, g_hi = low[k], high[k], g_low[k], g_high[k]
+    while (opened := np.flatnonzero((high - low > THETA_TOL) & ~failed[bracket_owner])).size:
+        lo, hi, g_lo, g_hi = low[opened], high[opened], g_low[opened], g_high[opened]
+        with np.errstate(divide="ignore", invalid="ignore"):
             theta = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-            if not lo <= theta <= hi or hi - lo > 0.5 * before[k][2]:
-                theta = 0.5 * (lo + hi)
-            else:
-                theta = min(max(theta, lo + near), hi - near)
-            thetas.append(theta)
-        g_theta = excess(np.array([sides[k] * theta for k, theta in zip(opened, thetas)]))
-        for k, theta, g_t in zip(opened, thetas, g_theta.tolist()):
-            now = 1.0 if g_t < 0 else -1.0
-            halve = 0.5 if kept[k] == now else 1.0
-            before[k] = [high[k] - low[k]] + before[k][:2]
-            if g_t < 0:
-                high[k], g_high[k], g_low[k] = theta, g_t, halve * g_low[k]
-            else:
-                low[k], g_low[k], g_high[k] = theta, g_t, halve * g_high[k]
-            kept[k] = now
-    return tuple(float(sides[k] * 0.5 * (low[k] + high[k])) for k in (0, 1))
+        bisect = ~((lo <= theta) & (theta <= hi)) | (hi - lo > 0.5 * before[opened, 2])
+        theta = np.where(
+            bisect, 0.5 * (lo + hi), np.minimum(np.maximum(theta, lo + near), hi - near)
+        )
+        g = _excess(shapes, stack, base, bracket_owner[opened], side[opened] * theta, failed)
+        # a shape that failed at this step keeps no bracket
+        stepped = ~failed[bracket_owner[opened]]
+        opened, lo, hi, g_lo, g_hi, theta, g = (
+            a[stepped] for a in (opened, lo, hi, g_lo, g_hi, theta, g)
+        )
+        below = g < 0
+        now = np.where(below, 1.0, -1.0)
+        halve = np.where(kept[opened] == now, 0.5, 1.0)
+        before[opened] = np.column_stack([hi - lo, before[opened, :2]])
+        high[opened] = np.where(below, theta, hi)
+        g_high[opened] = np.where(below, g, halve * g_hi)
+        low[opened] = np.where(below, lo, theta)
+        g_low[opened] = np.where(below, halve * g_lo, g)
+        kept[opened] = now
+    angles = (side * 0.5) * (low + high)
+    for i, shape in enumerate(shapes):
+        if not failed[i]:
+            shape._window = (float(angles[2 * i]), float(angles[2 * i + 1]))
 
 
 def comfortability_bound(lambda_eps: complex) -> float:
@@ -648,9 +893,15 @@ def _in_band(value: float, band) -> bool:
 def discrepancy_table(
     family, z: complex, eps_values=None, route: str = "resolvent"
 ) -> tuple:
-    """Sweep ||Sigma(eps, z) - Sigma(0, z)|| and fit its log-log slope."""
+    """Sweep ||Sigma(eps, z) - Sigma(0, z)|| and fit its log-log slope.
+
+    The fit needs two positive eps; with fewer, ``ValueError`` is raised
+    before any walk is built.
+    """
     z = _project_to_circle(z)
     grid = _positive(eps_values)
+    if len(grid) < 2:
+        raise ValueError("need at least two positive points for a slope fit")
     walk0 = family(0.0)
     system0 = eigen_decompose(walk0)
     s_zero = scattering_matrix(walk0, z, route, system0).matrix
@@ -675,6 +926,10 @@ def discrepancy_table(
     return rows, summary
 
 
+# the quantities read off a line shape's half-height window
+_WINDOWED = ("width_measured", "width_ratio")
+
+
 def _peak_sweep(family, lam, eps_values, quantities, split=None) -> tuple:
     """Rows of ``quantities`` along λ's tracked peak, the grid, each as an array, a summary head.
 
@@ -682,11 +937,16 @@ def _peak_sweep(family, lam, eps_values, quantities, split=None) -> tuple:
     and decomposed once, and the :class:`_Peak` of the tracked λ_ε is
     built on that walk and decomposition.  Each quantity is an attribute
     of that peak, or of its :class:`TunnelingReport` through ``split`` when
-    one is given.  ``lam=None`` first tracks the eigenvalues alone over
-    the grid (:func:`track_resonances`) and picks the start that
-    detaches fastest, whose path ends nearest the origin.  A ``None``
-    value is absent: it makes no row, and NaN in the quantity's array.
-    Every row carries the peak z* = λ_ε/|λ_ε|.
+    one is given.  A width quantity is read off the report's
+    :class:`LineShape`, the only part of an eps kept past the stream,
+    and every eps's window is searched after the stream, in one lockstep
+    (:func:`_search_windows`).  The rows come out in grid order, and so
+    does the first error: an eps whose window fails raises before a later
+    eps that failed in the stream.  ``lam=None`` first tracks the
+    eigenvalues alone over the grid (:func:`track_resonances`) and picks
+    the start that detaches fastest, whose path ends nearest the origin.
+    A ``None`` value is absent: it makes no row, and NaN in the
+    quantity's array.  Every row carries the peak z* = λ_ε/|λ_ε|.
     """
     grid = _positive(eps_values)
     if lam is None:
@@ -701,20 +961,34 @@ def _peak_sweep(family, lam, eps_values, quantities, split=None) -> tuple:
                 "pick one explicitly with --lambda"
             )
     lam = complex(lam)
-    rows = []
-    columns = {quantity: [] for quantity in quantities}
+    windowed = any(quantity in _WINDOWED for quantity in quantities)
+    measured = []  # per eps: its z*, the quantities read in the stream, its line shape
+    failure = None
     points = _stream(family, grid)
     k = _column(next(points).tracked, lam)
-    for point in points:
-        peak = _peak_at(point.walk, point.system, point.tracked[k])
-        record = peak if split is None else TunnelingReport(peak, split, point.eps)
+    try:
+        for point in points:
+            peak = _peak_at(point.walk, point.system, point.tracked[k])
+            record = peak if split is None else TunnelingReport(peak, split, point.eps)
+            read = {q: getattr(record, q) for q in quantities if q not in _WINDOWED}
+            shape = record.line_shape if windowed else None
+            measured.append((point.eps, peak.z_star, read, shape))
+            # the next eps is measured with this one's decomposition gone
+            del peak, record
+    except Exception as exc:  # raised below, after the windows of the eps before it
+        failure = exc
+    if windowed:
+        _search_windows([shape for *_, shape in measured])
+    rows = []
+    columns = {quantity: [] for quantity in quantities}
+    for eps, z_star, read, shape in measured:
         for quantity in quantities:
-            measured = getattr(record, quantity)
-            columns[quantity].append(measured)
-            if measured is not None:
-                rows.append(SweepRow(point.eps, peak.z_star, quantity, measured))
-        # the next eps is measured with this one's decomposition gone
-        del peak, record
+            value = read[quantity] if quantity in read else getattr(shape, quantity)
+            columns[quantity].append(value)
+            if value is not None:
+                rows.append(SweepRow(eps, z_star, quantity, value))
+    if failure is not None:
+        raise failure
     arrays = {q: np.array(values, dtype=float) for q, values in columns.items()}
     return rows, grid, arrays, {"lambda_re": lam.real, "lambda_im": lam.imag, "points": len(grid)}
 

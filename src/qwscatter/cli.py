@@ -550,9 +550,10 @@ def discrepancy(model, n_vertices, strengths, z_text, eps_grid, route, out, fmt)
         if z_text is not None
         else asymptotics.nonresonant_point(family)
     )
-    rows, summary = asymptotics.discrepancy_table(
-        family, z, _eps_values(eps_grid), route
-    )
+    eps_values = _eps_values(eps_grid)
+    if eps_values is not None and len(eps_values) < 2:
+        raise click.UsageError("bad --eps-grid value: the slope fit needs at least two points")
+    rows, summary = asymptotics.discrepancy_table(family, z, eps_values, route)
     _emit(_sweep_table(rows), summary, out, fmt)
     return 0
 

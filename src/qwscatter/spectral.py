@@ -393,19 +393,28 @@ def _sort_key(z: complex):
 def _value_order(values: list) -> list:
     """The indices of ``values`` sorted by :func:`_sort_key`, ties by index.
 
-    Two values whose real parts are more than 2e-12 apart, or equal with
-    imaginary parts more than 2e-12 apart, round to 12 decimals in the
-    order of their raw parts.  When every neighbour in the raw order is
-    that far apart the raw order is the rounded one, and ``round``, whose
-    correctly rounded decimal conversion dominates a small spectrum's
-    sort, runs only when some neighbours are closer.
+    Rounding is monotone, so two values whose real parts are more than
+    2e-12 apart round to 12 decimals in the order of their raw parts: the
+    raw order splits into runs at such gaps, and the runs keep their
+    order.  A run of several values is sorted by the rounded key, unless
+    its values share one real part with imaginary parts more than 2e-12
+    apart, which is that order already.  So ``round``, whose correctly
+    rounded decimal conversion dominates a small spectrum's sort, runs
+    only on the values of a run that needs it.
     """
     raw = [(z.real, z.imag) for z in values]
     order = sorted(range(len(values)), key=raw.__getitem__)
-    for (re0, im0), (re1, im1) in zip(map(raw.__getitem__, order), map(raw.__getitem__, order[1:])):
-        if not (re1 - re0 > 2e-12 or (re1 == re0 and im1 - im0 > 2e-12)):
-            return sorted(range(len(values)), key=list(map(_sort_key, values)).__getitem__)
-    return order
+    result, start = [], 0
+    for stop in range(1, len(order) + 1):
+        if stop < len(order) and raw[order[stop]][0] - raw[order[stop - 1]][0] <= 2e-12:
+            continue
+        run = order[start:stop]
+        pairs = zip(map(raw.__getitem__, run), map(raw.__getitem__, run[1:]))
+        if not all(re1 == re0 and im1 - im0 > 2e-12 for (re0, im0), (re1, im1) in pairs):
+            run = sorted(sorted(run), key=lambda a: _sort_key(values[a]))
+        result += run
+        start = stop
+    return result
 
 
 def _null_dim(sigmas: np.ndarray, total: int, floor: float) -> int:

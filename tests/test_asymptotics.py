@@ -1,6 +1,7 @@
 """Tests for resonance tracking and the small-eps sweep tables."""
 
 import cmath
+import dataclasses
 import weakref
 
 import numpy as np
@@ -15,10 +16,13 @@ from qwscatter.asymptotics import (
     SECOND_ORDER_BAND,
     THETA_TOL,
     THETA_WINDOW,
+    LineShape,
     NoCrossing,
     NoDetachingResonance,
     ResonanceOnCircle,
     SimplicityViolated,
+    TunnelingReport,
+    _peak_at,
     comfort_table,
     comfortability_bound,
     default_eps_grid,
@@ -39,6 +43,9 @@ from qwscatter.models import (
     matrix_schrodinger_family,
 )
 from qwscatter.scattering import (
+    AtInteriorResonance,
+    OrthogonalityViolated,
+    PoleHit,
     comfortability,
     pole_block,
     scattering_matrix,
@@ -46,6 +53,7 @@ from qwscatter.scattering import (
 )
 from qwscatter.spectral import boundary_data, eigen_decompose
 from qwscatter.walk import assemble
+from test_scattering import MIXED, TWO_CHAINS, coupled_to_two_tails, jordan_standin
 
 TRACK_TOL = 1e-10
 WIDTH_SLACK = 0.2
@@ -282,9 +290,15 @@ def half_height_by_scalar_search(family, eps, lam, split, close=bisect_side):
         sigma = scattering_matrix(walk, z, system=system).matrix
         return transmission_reflection(sigma, set(split), amp_in)[0]
 
+    return scalar_window(t_at, abs(cluster.value), close)
+
+
+def scalar_window(t_at, modulus, close):
+    # the doubling steps one point at a time, from T at theta = 0; each
+    # side's first bracket is then closed by ``close``
     def crossing(sign):
         low, t_low = 0.0, t_at(0.0)
-        step = max((1.0 - abs(cluster.value)) / 16.0, 1e-12)
+        step = max((1.0 - modulus) / 16.0, 1e-12)
         while step <= THETA_WINDOW:
             t = t_at(sign * step)
             if t < 0.5:
@@ -322,10 +336,20 @@ PEAKS = {
 @pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.05, 0.3, 0.7])
 @pytest.mark.parametrize("model", sorted(PEAKS))
 def test_peak_width_matches_the_scalar_search_bit_for_bit(model, eps):
-    # both sides stepped in one stacked Σ give the bits of each side alone
+    # both sides stepped in one stacked evaluation give the bits of each
+    # side alone, one record.transmission per probe; T at z* is the
+    # record's own, from the peak's solve
     family, lam, split = PEAKS[model]
+    record = tunneling_check(family, eps, lam, split)
+    base = cmath.phase(record.z_star)
+
+    def t_at(theta):
+        if theta == 0.0:
+            return record.t_at_peak
+        return record.transmission(cmath.exp(1j * (base + theta)))
+
     try:
-        expected = half_height_by_scalar_search(family, eps, lam, split, illinois_side)
+        expected = scalar_window(t_at, abs(record.lambda_eps), illinois_side)
     except NoCrossing:
         with pytest.raises(NoCrossing):
             tunneling_check(family, eps, lam, split).window
@@ -360,28 +384,155 @@ def test_peak_width_straddles_the_bisected_crossing(model, eps):
         assert t[0] >= 0.5 > t[1], (theta, t)
 
 
-def test_a_crossing_inside_the_first_step_starts_from_t_peak(monkeypatch):
+def test_a_crossing_inside_the_first_step_starts_from_t_peak():
     # a synthetic peak narrower than the first doubling step: the bracket
-    # is [0, step], whose low end is z* itself with T = t_peak, not 1
+    # is [0, step], whose low end is z* itself with T = t_peak, not 1.  One
+    # pole at r z* with residue sqrt(t_peak) (1 - r) peaks at t_peak on z*
+    # and crosses one half where 4 r sin²(θ/2) = (1 - r)² (2 t_peak - 1)
     family, lam, split = PEAKS["ms"]
     record = tunneling_check(family, 0.05, lam, split)
-    peak = record.peak
-    step = (1.0 - abs(peak.lam_eps)) / 16.0
+    modulus = abs(record.lambda_eps)
+    step = (1.0 - modulus) / 16.0
     t_peak, gamma = 0.95, step / 4.0
-
-    def lorentzian(z):
-        return t_peak / (1.0 + (np.angle(z / peak.z_star) / gamma) ** 2)
+    r = 1.0 - gamma
+    record.line_shape = LineShape(
+        z_star=record.z_star,
+        modulus=modulus,
+        t_at_peak=t_peak,
+        values=np.array([r * record.z_star]),
+        residues=np.full((1, 1, 1), np.sqrt(t_peak) * (1.0 - r), dtype=complex),
+        direct=np.zeros(1, dtype=complex),
+    )
 
     def t_at(theta):
-        return lorentzian(np.exp(1j * (cmath.phase(peak.z_star) + theta)))
+        return record.transmission(np.exp(1j * (cmath.phase(record.z_star) + theta)))
 
-    monkeypatch.setattr(asymptotics.TunnelingReport, "transmission", lambda record_, z: lorentzian(z))
-    record.t_at_peak = t_peak
     assert t_at(-step) < 0.5 and t_at(step) < 0.5
     expected = tuple(illinois_side(t_at, s, 0.0, t_peak, step, t_at(s * step)) for s in (-1, 1))
     assert record.window == expected
-    crossing = gamma * np.sqrt(2 * t_peak - 1)
+    crossing = 2.0 * np.arcsin((1.0 - r) * np.sqrt(2 * t_peak - 1) / (2.0 * np.sqrt(r)))
     assert np.all(np.abs(np.abs(expected) - crossing) <= THETA_TOL)
+
+
+LINE_SHAPE_TOL = 1e-12
+
+
+def jordan_records():
+    # a split record on each Jordan fixture of test_scattering, at its simple
+    # pole 0.9: its line shape carries every pole order of the other chains
+    return [
+        TunnelingReport(_peak_at(walk, eigen_decompose(walk), 0.9), (1,), 0.0)
+        for walk in (
+            jordan_standin(0.5),
+            coupled_to_two_tails(TWO_CHAINS),
+            coupled_to_two_tails(MIXED),
+        )
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(PEAKS) + ["jordan_standin", "two_chains", "mixed"])
+def test_a_line_shape_gives_the_resolvent_routes_transmission(case):
+    if case in PEAKS:
+        family, lam, split = PEAKS[case]
+        record = tunneling_check(family, 0.01, lam, split)
+        # eight angles a side, from a quarter of the predicted width outwards
+        theta = record.width_predicted * 2.0 ** np.arange(-2, 6)
+        z = record.z_star * np.exp(1j * np.concatenate([-theta, theta]))
+    else:
+        record = jordan_records()[["jordan_standin", "two_chains", "mixed"].index(case)]
+        z = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
+    walk, system = record.peak.walk, record.peak.system
+    sigma = scattering_matrix(walk, z, system=system).matrix
+    want, _ = transmission_reflection(sigma, set(record.channels), record.amp_in)
+    got = record.transmission(z)
+    assert np.all(np.abs(got - want) <= LINE_SHAPE_TOL * want)
+    # a point gives the bits of the same point in an array
+    assert [record.transmission(point) for point in z] == got.tolist()
+
+
+def test_a_line_shape_keeps_the_kernels_errors():
+    record = jordan_records()[0]
+    with pytest.raises(AtInteriorResonance):
+        record.transmission(0.9 + 1e-12)
+    with pytest.raises(PoleHit, match="zero-resonance guard"):
+        record.transmission(0.0)
+    trapped = dataclasses.replace(record.line_shape, overlap=0.5, trapped=True)
+    with pytest.raises(OrthogonalityViolated, match="5.000e-01"):
+        trapped(1j)
+
+
+def test_a_lockstep_gives_each_peak_its_own_window():
+    # ms from eps = 0.01 to 0.6: the widest peak stays above one half
+    family, lam, split = PEAKS["ms"]
+    grid = geometric_grid(0.01, 0.6, 5)
+    path = track_resonances(family, np.concatenate([[0.0], grid])).path(lam)[1:]
+
+    def records():
+        return [
+            tunneling_check(family, eps, lam, split, lambda_eps=lam_eps)
+            for eps, lam_eps in zip(grid, path)
+        ]
+
+    shapes = [record.line_shape for record in records()]
+    asymptotics._search_windows(shapes)
+    assert all(shape._window is not None for shape in shapes)
+    for shape, solo in zip(shapes[:-1], records()):
+        assert shape.window == solo.window
+    with pytest.raises(NoCrossing):
+        shapes[-1].window
+    with pytest.raises(NoCrossing):
+        records()[-1].window
+
+
+def skewed_line_shape(rng):
+    # a peak of height 0.9-1 from one pole at r z*, leaning on a broader
+    # pole beside it, so some brackets bisect while others do not; one to
+    # five tiny far poles vary the pole count, and so the padding of a stack
+    r = 1.0 - 10.0 ** rng.uniform(-5, -1)
+    z_star = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    t_peak = rng.uniform(0.9, 1.0)
+    near = 1.0 - 10.0 ** rng.uniform(-2, -0.5)
+    far = rng.integers(1, 6)
+    values = [r * z_star, near * z_star * np.exp(1j * rng.uniform(-0.3, 0.3))]
+    values += list(0.5 * np.exp(2j * np.pi * rng.uniform(size=far)))
+    residues = [np.sqrt(t_peak) * (1.0 - r), rng.uniform(-0.3, 0.3) * np.sqrt(1.0 - r)]
+    residues += list(1e-6 * rng.normal(size=far))
+    return LineShape(
+        z_star=z_star,
+        modulus=r,
+        t_at_peak=t_peak,
+        values=np.array(values),
+        residues=np.array(residues, dtype=complex).reshape(1, -1, 1),
+        direct=np.zeros(1, dtype=complex),
+    )
+
+
+def test_a_lockstep_steps_each_bracket_on_its_own_values():
+    # forty skewed peaks searched together give each its window searched alone
+    shapes = [skewed_line_shape(np.random.default_rng(seed)) for seed in range(40)]
+    asymptotics._search_windows(shapes)
+    for seed, shape in enumerate(shapes):
+        alone = skewed_line_shape(np.random.default_rng(seed))
+        assert shape.window == alone.window, seed
+
+
+def test_a_window_error_comes_before_a_later_eps_that_fails(monkeypatch):
+    # the windows are searched after the stream, yet the first eps in grid
+    # order that fails raises: here the widest peak's NoCrossing at 0.6,
+    # before a failure planted in the stream at 0.7
+    family, lam, split = PEAKS["ms"]
+    peak_at = asymptotics._peak_at
+
+    def failing(walk, system, lambda_eps):
+        if walk.eps == 0.7:
+            raise ResonanceOnCircle("planted")
+        return peak_at(walk, system, lambda_eps)
+
+    monkeypatch.setattr(asymptotics, "_peak_at", failing)
+    with pytest.raises(NoCrossing):
+        width_table(family, lam, split, [0.01, 0.6, 0.7])
+    with pytest.raises(ResonanceOnCircle, match="planted"):
+        width_table(family, lam, split, [0.01, 0.3, 0.7])
 
 
 def test_two_loop_peak_is_asymmetric():
@@ -416,14 +567,31 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def line_shape_evaluations(monkeypatch):
+    """The points of every stacked line-shape evaluation, as they happen."""
+    calls = []
+    evaluate = asymptotics._transmissions
+
+    def spy(stack, owner, z):
+        calls.append(z)
+        return evaluate(stack, owner, z)
+
+    monkeypatch.setattr(asymptotics, "_transmissions", spy)
+    return calls
+
+
 def sigma_calls_per_width(monkeypatch, model, eps):
     # a Σ is one evaluation of a resolvent kernel over every tail, whether
-    # through scattering_matrix, generalized_eigenfunction or a peak's kernel
+    # through scattering_matrix, generalized_eigenfunction or a peak's
+    # kernel, or one evaluation of the line shape read off that kernel;
+    # the kernel runs once, at z*
     family, lam, split = PEAKS[model]
     lambda_eps = track_resonances(family, [0.0, eps]).at(eps, lam)
     calls = kernel_calls(monkeypatch)
+    evaluations = line_shape_evaluations(monkeypatch)
     tunneling_check(family, eps, lam, split, lambda_eps=lambda_eps).window
-    return len(calls)
+    assert len(calls) == 1
+    return len(calls) + len(evaluations)
 
 
 @pytest.mark.parametrize("model", sorted(PEAKS))
@@ -440,21 +608,21 @@ def test_peak_width_stays_cheap_across_eps(monkeypatch, model, eps):
 
 @pytest.mark.parametrize("model", sorted(PEAKS))
 def test_a_peak_kernel_gives_the_resolvent_route_bits(monkeypatch, model):
-    # one kernel per peak serves z* and every half-height step, with the
-    # bits of a scattering_matrix call at each of those points
+    # one kernel per peak is called once, at z*, with the bits of a
+    # scattering_matrix call there; the half-height steps read the line
+    # shape and call no kernel
     family, lam, split = PEAKS[model]
     points = kernel_calls(monkeypatch)
     report = tunneling_check(family, 0.01, lam, split)
     report.window
     peak = report.peak
-    assert len(points) >= 3 and points[0] == peak.z_star
+    assert points == [peak.z_star]
     monkeypatch.undo()
     kernel = peak.kernel
     # its first n_tails columns are Σ; the last scatters the co-state profile
     nt = peak.walk.n_tails
-    for z in points:
-        want = scattering_matrix(peak.walk, z, "resolvent", peak.system).matrix
-        assert np.array_equal(kernel(z).amp_out[..., :nt], want)
+    want = scattering_matrix(peak.walk, peak.z_star, "resolvent", peak.system).matrix
+    assert np.array_equal(kernel(peak.z_star).amp_out[..., :nt], want)
     assert peak.kernel is kernel
 
 
@@ -574,6 +742,21 @@ def test_discrepancy_reports_higher_order_honestly():
     )
     assert SECOND_ORDER_BAND[0] <= summary["slope"] <= SECOND_ORDER_BAND[1]
     assert not summary["slope_in_band"]
+
+
+@pytest.mark.parametrize("eps_values", [[0.01], [0.0, 0.01]], ids=["one", "zero-and-one"])
+def test_a_one_point_discrepancy_builds_no_walk(eps_values):
+    # the slope fit needs two positive eps; nothing is computed before it says so
+    calls = []
+    family = crossing_family(0.8)
+
+    def spy(eps):
+        calls.append(eps)
+        return family(eps)
+
+    with pytest.raises(ValueError, match="need at least two positive points"):
+        discrepancy_table(spy, 1j, eps_values)
+    assert calls == []
 
 
 def test_discrepancy_norm_single_point():

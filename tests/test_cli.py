@@ -512,6 +512,17 @@ def test_a_nonpositive_one_point_grid_is_a_usage_error(argv):
     assert "bad --eps-grid value" in err
 
 
+def test_a_one_point_discrepancy_grid_is_a_usage_error():
+    # the slope fit needs two points, so one is refused before any walk
+    code, out, err = run_cli(
+        ["sweep", "discrepancy", "--model", "crossing", "--c", "0.8", "--z", "i",
+         "--eps-grid", "0.01:0.1:1"]
+    )
+    assert code == 3
+    assert out == ""
+    assert "bad --eps-grid value: the slope fit needs at least two points" in err
+
+
 # ------------------------------------------------------------------ output
 
 
