@@ -48,9 +48,7 @@ import numpy as np
 
 from .scattering import (
     EIGENVALUE_HIT_TOL,
-    OrthogonalityViolated,
-    _check_poles,
-    _check_z,
+    _checked,
     pole_block,
     resolvent_kernel,
     scattering_matrix,
@@ -403,10 +401,10 @@ class _Peak:
     def at_z_star(self):
         return self.kernel(self.z_star)
 
-    def sigma(self, z=None) -> np.ndarray:
-        """Σ at ``z`` (a point or an array; by default z*, from the one solve there):
-        the numbers of ``scattering_matrix(..., route="resolvent")``, without its residuals."""
-        return (self.at_z_star if z is None else self.kernel(z)).amp_out[..., : self.walk.n_tails]
+    def sigma(self) -> np.ndarray:
+        """Σ at z*, from the one solve there: the numbers of
+        ``scattering_matrix(..., route="resolvent")``, without its residuals."""
+        return self.at_z_star.amp_out[:, : self.walk.n_tails]
 
     @property
     def comfort(self) -> float:
@@ -429,9 +427,8 @@ def _peak_at(walk, system: EigenSystem, lambda_eps) -> _Peak:
         )
     bd = boundary_data(walk, cluster)
     # an off-circle resonance couples to the tails, so the profile is nonzero
-    in_co = np.asarray(bd.in_data_co, dtype=complex)
+    profile = bd.in_data_co / float(np.linalg.norm(bd.in_data_co))
     value = cluster.value
-    profile = in_co / float(np.linalg.norm(in_co))
     return _Peak(walk, system, cluster, bd, value, value / abs(value), profile)
 
 
@@ -582,12 +579,11 @@ class LineShape:
     @classmethod
     def from_kernel(cls, kernel, mask, amp_in, z_star, modulus, t_at_peak) -> LineShape:
         """The line shape of ``kernel`` for the incoming wave ``amp_in`` on the
-        channels of ``mask``: its poles, coefficients ``W* f``, emission and
-        direct term, with no solve.  Nothing in it refers to the decomposition."""
-        values, right, _, links = kernel.poles
-        nt = len(mask)
+        channels of ``mask``: its poles and their emission, coefficients ``W* f``
+        and direct term, with no solve.  Nothing in it refers to the decomposition."""
+        poles, nt = kernel.poles, len(mask)
+        values, emission, links = poles.values, poles.emission[~mask], poles.links
         drive = kernel.coefficients[:, :nt] @ amp_in
-        emission = kernel.emission[~mask] @ right
         follows = np.zeros(len(values), dtype=bool)
         follows[list(links)] = True
         # order p pairs column k with the drive of column k + p, while the
@@ -611,19 +607,9 @@ class LineShape:
             kernel.trapped,
         )
 
-    def _check(self, z) -> np.ndarray:
-        """``z`` as an array, after the kernel's checks in the kernel's order."""
-        z = _check_z(z)
-        _check_poles(z, self.values)
-        if self.trapped:
-            raise OrthogonalityViolated(
-                f"drive overlaps unit-circle eigenvectors with norm {self.overlap:.3e}"
-            )
-        return z
-
     def __call__(self, z):
         """T at ``z``: a float at a point, one value per point of a 1-d array."""
-        z = self._check(z)
+        z = _checked(z, self.values, self.overlap, self.trapped)
         points = z.reshape(-1)
         t = _transmissions(_stacked([self]), np.zeros(len(points), dtype=int), points)
         return float(t[0]) if z.ndim == 0 else t
@@ -727,9 +713,9 @@ def _excess(shapes, stack, base, owner, theta, failed) -> np.ndarray:
     """T − 1/2 at the angles ``theta`` off each owner's z* (phase ``base``).
 
     A shape whose points here hit one of its poles, or whose kernel traps
-    the drive, gets the error its own call on those points raises
-    (``LineShape._check``) and joins ``failed``; a failed shape is not
-    evaluated, and its points read NaN.
+    the drive, gets the error its own call on those points raises (the
+    kernel's checks, ``scattering._checked``) and joins ``failed``; a
+    failed shape is not evaluated, and its points read NaN.
     """
     z = np.exp(1j * (base[owner] + theta))
     values = stack[0]
@@ -741,7 +727,7 @@ def _excess(shapes, stack, base, owner, theta, failed) -> np.ndarray:
     suspect |= np.array([shape.trapped for shape in shapes])
     for i in np.flatnonzero(suspect & ~failed).tolist():
         try:
-            shapes[i]._check(z[owner == i])
+            _checked(z[owner == i], shapes[i].values, shapes[i].overlap, shapes[i].trapped)
         except NumericalError as exc:
             shapes[i]._window = exc
             failed[i] = True

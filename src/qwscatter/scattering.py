@@ -32,12 +32,14 @@ points.  An array of ``nz`` points puts one leading axis of length
 ``nz`` on each result, so ``scattering_matrix`` returns an
 ``(nz, n_tails, n_tails)`` stack; a scalar is the one-point case of the
 same computation and returns the shapes without that axis.  What does
-not depend on ``z`` (the drive, the chain coefficients ``W* f``, the
+not depend on ``z`` (the chain coefficients ``W* T_ti amp_in``, the
 boundary values of every chain) is computed once per kernel or per
 call, and every check names the first offending point.
 
-The routes agree wherever they are all defined; keeping them separate
-is the point, so resist the urge to share intermediate results.
+The routes agree wherever they are all defined and check each other.
+The analytic routes share the decomposition, with its emission
+``T_it V`` and pickup ``W* T_ti``; they keep the z-dependent pole
+algebra apart, and the oracle reads the walk itself.
 """
 
 from __future__ import annotations
@@ -145,8 +147,20 @@ def _check_poles(z: np.ndarray, values: np.ndarray) -> None:
         raise AtInteriorResonance(complex(z.reshape(-1)[point]), complex(values[column]))
 
 
+def _checked(z, values: np.ndarray, overlap: float, trapped: bool) -> np.ndarray:
+    """``z`` as an array, after the zero guard, the hits on the pole ``values``
+    and a drive ``trapped`` by a unit-circle cluster, in that order."""
+    z = _check_z(z)
+    _check_poles(z, values)
+    if trapped:
+        raise OrthogonalityViolated(
+            f"drive overlaps unit-circle eigenvectors with norm {overlap:.3e}"
+        )
+    return z
+
+
 def _pole_sum(poles, coefficients: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """``V a`` with ``(z - J) a = W* f``, for each point of ``shift = z``.
+    """The chain coefficients ``a`` with ``(z - J) a = W* f``, for each point of ``shift = z``.
 
     ``poles`` stacks the chain vectors ``V`` (with ``M V = V J``), the
     co-chain vectors ``W*`` and the value λ_k of each column, and
@@ -158,40 +172,37 @@ def _pole_sum(poles, coefficients: np.ndarray, shift: np.ndarray) -> np.ndarray:
         a_k += a_(k+1) / (z - λ_k)   for k in ``links``, reversed.
 
     ``shift`` has shape (nz, 1, 1) and ``coefficients`` one column per
-    incoming vector; the result has shape (nz, n0, columns).
+    incoming vector; the result ``a`` has shape (nz, s, columns).
     """
-    values, right, _, links = poles
+    values, links = poles.values, poles.links
     a = coefficients / (shift - values[:, None])
     for k in reversed(links):
         a[:, k] += a[:, k + 1] / (shift[:, 0] - values[k])
-    return right @ a
+    return a
 
 
 class ResolventKernel(NamedTuple):
     """The resolvent route for one incoming pattern, built once for any ``z``.
 
     :func:`resolvent_kernel` builds it.  Called at ``z`` (a point or a 1-d
-    array), it checks ``z``, then the poles, then the overlap, and makes
-    one pole sum (:func:`_pole_sum`) and the emission into the tails.
+    array), it checks ``z``, then the poles, then the overlap (:func:`_checked`),
+    and makes one pole sum ``a`` (:func:`_pole_sum`), the wave ``V a`` and its
+    emission ``T_it V a`` into the tails.
     """
 
     poles: PoleBasis
-    coefficients: np.ndarray  # W* f, one column per incoming vector
-    emission: np.ndarray  # interior_to_tail
+    coefficients: np.ndarray  # W* T_ti amp_in, one column per incoming vector
     direct: np.ndarray  # the tail-to-tail term, the same columns
     shape: tuple  # of amp_in past its first axis
-    overlap: float  # the largest projection of f onto a unit-circle cluster
+    overlap: float  # the largest projection of the drive onto a unit-circle cluster
     trapped: bool  # some column's overlap breaks ORTHOGONALITY_TOL
 
     def __call__(self, z) -> ScatterSolution:
-        z = _check_z(z)
-        _check_poles(z, self.poles.values)
-        if self.trapped:
-            raise OrthogonalityViolated(
-                f"drive overlaps unit-circle eigenvectors with norm {self.overlap:.3e}"
-            )
-        u = _pole_sum(self.poles, self.coefficients, z.reshape(-1, 1, 1))
-        amp_out = self.emission @ u + self.direct
+        z = _checked(z, self.poles.values, self.overlap, self.trapped)
+        a = _pole_sum(self.poles, self.coefficients, z.reshape(-1, 1, 1))
+        amp_out = self.poles.emission @ a
+        amp_out += self.direct  # in place: no third buffer of the z stack's size
+        u = self.poles.right @ a
         return ScatterSolution(
             u.reshape(z.shape + u.shape[1:2] + self.shape),
             amp_out.reshape(z.shape + amp_out.shape[1:2] + self.shape),
@@ -202,28 +213,26 @@ class ResolventKernel(NamedTuple):
 def resolvent_kernel(walk: WalkOperator, amp_in, system: EigenSystem | None = None):
     """The z-independent half of the resolvent route for incoming data ``amp_in``.
 
-    The drive ``f``, its coefficients ``W* f`` on every off-circle chain
-    (``system.poles``), the direct tail-to-tail term, and the overlap of
-    ``f`` with the unit-circle clusters, which must not see any of it
-    (they would trap amplitude forever), checked column by column.
+    The coefficients ``W* f = pickup @ amp_in`` of the drive ``f = T_ti
+    amp_in`` on every off-circle chain (``system.poles``), the direct
+    tail-to-tail term, and the overlap of ``f`` with the unit-circle
+    clusters, which must not see any of it (they would trap amplitude
+    forever), checked column by column.
     """
     amp_in = np.asarray(amp_in, dtype=complex)
     if system is None:
         system = eigen_decompose(walk)
-    f = walk.tail_to_interior @ amp_in
     scale = np.maximum(1.0, np.linalg.norm(amp_in, axis=0))
     overlap = np.zeros(amp_in.shape[1:])
     for k in np.flatnonzero(system.on_unit_circle).tolist():
         cut = system.columns(k)
-        projection = system.right[:, cut] @ (system.left_h[cut] @ f)
+        projection = system.right[:, cut] @ (system.pickup[cut] @ amp_in)
         overlap = np.maximum(overlap, np.linalg.norm(projection, axis=0))
-    columns = math.prod(amp_in.shape[1:])
-    direct = walk.tail_to_tail @ amp_in
+    amp = amp_in.reshape(amp_in.shape[0], math.prod(amp_in.shape[1:]))
     return ResolventKernel(
         system.poles,
-        system.poles.left_h @ f.reshape(f.shape[0], columns),
-        walk.interior_to_tail,
-        direct.reshape(direct.shape[0], columns),
+        system.poles.pickup @ amp,
+        walk.tail_to_tail @ amp,
         amp_in.shape[1:],
         float(np.max(overlap, initial=0.0)),
         bool(np.any(overlap > ORTHOGONALITY_TOL * scale)),
@@ -298,7 +307,7 @@ def oracle_direct_solve(
 # Pole blocks (the expansion route)
 
 
-def _pole_blocks(walk: WalkOperator, poles, z: np.ndarray) -> np.ndarray:
+def _pole_blocks(poles, z: np.ndarray) -> np.ndarray:
     """The pole blocks of every column of ``poles``, summed at each point of ``z``.
 
     The block of a chain at a nonzero λ pairs incoming data α against
@@ -307,14 +316,14 @@ def _pole_blocks(walk: WalkOperator, poles, z: np.ndarray) -> np.ndarray:
         block(z) α = sum_{l,p} <α, λ̄² q_(l+p) + 2 λ̄ q_(l+p+1) + q_(l+p+2)>
                        * out_l / (z - λ)^(p+1),
 
-    with q zero beyond the chain's end.  ``out = T_it V / λ``, then
-    ``out[:, k+1] -= out[:, k] / λ`` for ``k`` in ``links`` ascending; ``q``
-    runs down each chain the same way from ``T_ti* W``.  A zero-value
-    column has no tail extension and enters with its raw emission and
-    pick-up.  Pole order p is one product over the columns whose chain
-    runs p further.
+    with q zero beyond the chain's end.  ``out = T_it V / λ`` (the emission),
+    then ``out[:, k+1] -= out[:, k] / λ`` for ``k`` in ``links`` ascending;
+    ``q`` runs down each chain the same way from ``T_ti* W`` (the pickup's
+    adjoint).  A zero-value column has no tail extension and enters with
+    its raw emission and pick-up.  Pole order p is one product over the
+    columns whose chain runs p further.
     """
-    values, right, left_h, links = poles
+    values, _, _, emission, pickup, links = poles
     zero = np.abs(values) <= ZERO_VALUE_TOL
     lam = np.where(zero, 0.0, values)
     lam_bar = lam.conj()
@@ -323,10 +332,10 @@ def _pole_blocks(walk: WalkOperator, poles, z: np.ndarray) -> np.ndarray:
     follows[list(links)] = True
     steps = [k for k in links if not zero[k]]
 
-    out = (walk.interior_to_tail @ right) / unit
+    out = emission / unit
     for k in steps:
         out[:, k + 1] -= out[:, k] / lam[k]
-    q = (walk.tail_to_interior.conj().T @ left_h.conj().T) / unit.conj()
+    q = pickup.conj().T / unit.conj()
     for k in reversed(steps):
         q[:, k] -= q[:, k + 1] / lam_bar[k]
     pairing = np.where(zero, 1.0, lam_bar**2) * q
@@ -335,7 +344,7 @@ def _pole_blocks(walk: WalkOperator, poles, z: np.ndarray) -> np.ndarray:
         if follows[k + 1]:
             pairing[:, k] += q[:, k + 2]
 
-    nt = walk.n_tails
+    nt = len(emission)
     shift = z.reshape(-1, 1) - lam
     block = np.zeros((len(shift), nt, nt), dtype=complex)
     columns = np.arange(len(values))
@@ -365,7 +374,7 @@ def pole_block(walk: WalkOperator, clusters, z) -> np.ndarray:
         raise ZeroCluster(
             "the zero resonance has its own block (with the pass-through term)"
         )
-    return _pole_blocks(walk, _pole_basis(clusters, walk.n_interior), z)
+    return _pole_blocks(_pole_basis(clusters, walk.n_interior, walk.n_tails), z)
 
 
 def zero_pole_block(walk: WalkOperator, system: EigenSystem, z) -> np.ndarray:
@@ -378,8 +387,8 @@ def zero_pole_block(walk: WalkOperator, system: EigenSystem, z) -> np.ndarray:
     """
     z = _check_z(z)
     cluster = system.zero_cluster()
-    poles = _pole_basis([] if cluster is None else [cluster], walk.n_interior)
-    return walk.tail_to_tail + _pole_blocks(walk, poles, z)
+    poles = _pole_basis([] if cluster is None else [cluster], walk.n_interior, walk.n_tails)
+    return walk.tail_to_tail + _pole_blocks(poles, z)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +428,7 @@ def scattering_matrix(
         matrix = generalized_eigenfunction(walk, z, np.eye(nt), system).amp_out
     elif route == "expansion":
         _check_poles(z, system.poles.values)
-        matrix = walk.tail_to_tail + _pole_blocks(walk, system.poles, z)
+        matrix = walk.tail_to_tail + _pole_blocks(system.poles, z)
     else:
         raise ValueError(f"unknown route {route!r}")
 
@@ -462,15 +471,6 @@ def transmission_reflection(matrix: np.ndarray, split: set, amp_in: np.ndarray) 
     norm = float(np.linalg.norm(amp_in))
     if abs(norm - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(norm)
-    return _powers(matrix, mask, amp_in)
-
-
-def _powers(matrix: np.ndarray, mask: np.ndarray, amp_in: np.ndarray) -> tuple:
-    """Power out of the channels off ``mask`` and on it, for ``matrix @ amp_in``.
-
-    The sums of :func:`transmission_reflection`, with no checks: callers
-    that step one validated split over many z call this directly.
-    """
     out = matrix @ amp_in
     transmitted = np.sum(np.abs(out[..., ~mask]) ** 2, axis=-1)
     reflected = np.sum(np.abs(out[..., mask]) ** 2, axis=-1)

@@ -14,13 +14,15 @@ reads its spectral data from one :class:`EigenSystem` of arrays:
 * the rows of ``left_h`` are the conjugated co-chains ``w_1, ..., w_L``,
   with ``(M* - λ̄) w_l = w_{l+1}`` (``w_{L+1} = 0``): ``left_h`` is
   ``V^-1``, so ``<v, w>`` pairs to the identity,
+* ``emission`` is ``T_it V`` and ``pickup`` is ``W* T_ti``, the chains'
+  coupling to the tails, formed once here for every reader downstream,
 * each cluster is on the unit circle exactly when its states do not
   couple to the tails (a bound state of the full walk), and carries a
   condition, the bound on its spectral projector ``V W*``.
 
 The pole sums read a column selection of these arrays
-(``EigenSystem.poles``); a :class:`Cluster`, one cluster's columns as
-chains, is built only when asked for.
+(``EigenSystem.poles``); a :class:`Cluster`, views of one cluster's
+columns, is built only when asked for.
 
 One ``eig`` of the interior, or of a periodic interior's level
 product, serves every simple cluster: its column is the eigenvector.
@@ -119,24 +121,24 @@ class ZeroCluster(NumericalError):
     """The eigenvalue-zero cluster has no resonant-state extension."""
 
 
-def _columns(blocks: tuple) -> np.ndarray:
-    """The rows of ``blocks`` as read-only columns (a view for one block)."""
-    out = (blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)).T
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class Cluster:
+    """One cluster of an :class:`EigenSystem`: read-only views of its columns of
+    ``right`` and ``emission`` and its rows of ``left_h`` and ``pickup``;
+    ``chains`` and ``co_chains`` split them by ``lengths`` on first use."""
+
     value: complex
-    chains: tuple  # of ndarrays, shape (length, dim); row l-1 is v_l
-    co_chains: tuple  # matching shapes
+    right: np.ndarray  # (n0, m)
+    left_h: np.ndarray  # (m, n0)
+    emission: np.ndarray  # (n_tails, m)
+    pickup: np.ndarray  # (m, n_tails)
+    lengths: tuple
     on_unit_circle: bool
     condition: float  # the bound on its spectral projector (EigenSystem.condition)
 
-    @cached_property
+    @property
     def multiplicity(self) -> int:
-        return sum(c.shape[0] for c in self.chains)
+        return self.right.shape[1]
 
     @property
     def is_simple(self) -> bool:
@@ -148,16 +150,24 @@ class Cluster:
         return abs(self.value) <= ZERO_VALUE_TOL
 
     @cached_property
-    def _right(self) -> np.ndarray:
-        return _columns(self.chains)
+    def chains(self) -> tuple:
+        """Each chain as an array of shape (length, n0); row l-1 is v_l."""
+        return tuple(np.split(self.right.T, np.cumsum(self.lengths[:-1])))
 
     @cached_property
-    def _left(self) -> np.ndarray:
-        return _columns(self.co_chains)
+    def co_chains(self) -> tuple:
+        """Each co-chain ``w_1, ..., w_L``, shaped as its chain."""
+        return tuple(np.split(self.left_h.conj(), np.cumsum(self.lengths[:-1])))
 
     def right_basis(self) -> np.ndarray:
         """All chain vectors as columns, chain-major, l ascending (read-only)."""
-        return self._right
+        return self.right
+
+    @cached_property
+    def _left(self) -> np.ndarray:
+        left = self.left_h.conj().T
+        left.flags.writeable = False
+        return left
 
     def left_basis(self) -> np.ndarray:
         return self._left
@@ -169,6 +179,8 @@ class PoleBasis(NamedTuple):
     values: np.ndarray  # (s,): the cluster value of each column
     right: np.ndarray  # (n0, s): the chain vectors V
     left_h: np.ndarray  # (s, n0): the co-chain vectors W*
+    emission: np.ndarray  # (n_tails, s): T_it V
+    pickup: np.ndarray  # (s, n_tails): W* T_ti
     links: tuple  # columns k whose chain continues in column k + 1
 
 
@@ -181,18 +193,15 @@ def _links(lengths) -> tuple:
     return tuple(links)
 
 
-def _pole_basis(clusters, n0: int) -> PoleBasis:
-    """The chains of ``clusters`` as one basis on ``n0`` interior sites."""
-    empty = np.zeros((n0, 0), dtype=complex)
-    right = np.concatenate([empty] + [c.right_basis() for c in clusters], axis=1)
-    left = np.concatenate([empty] + [c.left_basis() for c in clusters], axis=1)
-    lengths = [chain.shape[0] for c in clusters for chain in c.chains]
-    values = [c.value for c in clusters for _ in range(c.multiplicity)]
+def _pole_basis(clusters: list, n0: int, n_tails: int) -> PoleBasis:
+    """The chains of ``clusters`` as one basis on ``n0`` interior sites and ``n_tails`` tails."""
     return PoleBasis(
-        np.array(values, dtype=complex),
-        right,
-        np.ascontiguousarray(left.conj().T),
-        _links(lengths),
+        np.array([c.value for c in clusters for _ in range(c.multiplicity)], dtype=complex),
+        np.concatenate([np.zeros((n0, 0), complex)] + [c.right for c in clusters], axis=1),
+        np.concatenate([np.zeros((0, n0), complex)] + [c.left_h for c in clusters]),
+        np.concatenate([np.zeros((n_tails, 0), complex)] + [c.emission for c in clusters], axis=1),
+        np.concatenate([np.zeros((0, n_tails), complex)] + [c.pickup for c in clusters]),
+        _links([length for c in clusters for length in c.lengths]),
     )
 
 
@@ -204,7 +213,9 @@ class EigenSystem:
     ``left_h`` (``V^-1``) its dual; cluster ``c`` owns ``multiplicity[c]``
     consecutive columns, cluster by cluster in ``values`` order, and
     within a cluster chain by chain with ``l`` ascending.  ``lengths``
-    holds every chain's length in the same order.  ``on_unit_circle``,
+    holds every chain's length in the same order.  ``emission`` (``T_it V``)
+    and ``pickup`` (``W* T_ti``) make ``Σ(z) = T_tt + emission (z - J)^-1
+    pickup`` the interior block's modal realization.  ``on_unit_circle``,
     ``condition_bound`` and ``condition`` are per cluster.  The bound
     ``||V||_F·||W||_F`` is the condition of a simple cluster and bounds
     a multiple one's from above; ``eigen_decompose`` checks the bound,
@@ -219,6 +230,8 @@ class EigenSystem:
     values: np.ndarray  # (c,) complex
     right: np.ndarray  # (n0, n0)
     left_h: np.ndarray  # (n0, n0)
+    emission: np.ndarray  # (n_tails, n0): T_it V
+    pickup: np.ndarray  # (n0, n_tails): W* T_ti
     multiplicity: np.ndarray  # (c,) int
     lengths: np.ndarray  # (chains,) int
     on_unit_circle: np.ndarray  # (c,) bool
@@ -276,18 +289,15 @@ class EigenSystem:
         built = self._built.get(k)
         if built is None:
             cut = self.columns(k)
-            rows, co_rows = self.right.T[cut], self.left_h[cut].conj()
-            chains, co_chains, stop = [], [], 0
-            for length in self._chain_lengths[k]:
-                chains.append(rows[stop : stop + length])
-                co_chains.append(co_rows[stop : stop + length])
-                stop += length
             # a simple cluster's bound is its condition: no singular values needed
             condition = self.condition_bound if cut.stop - cut.start == 1 else self.condition
             built = self._built[k] = Cluster(
                 complex(self.values[k]),
-                tuple(chains),
-                tuple(co_chains),
+                self.right[:, cut],
+                self.left_h[cut],
+                self.emission[:, cut],
+                self.pickup[cut],
+                tuple(self._chain_lengths[k]),
                 bool(self.on_unit_circle[k]),
                 float(condition[k]),
             )
@@ -305,7 +315,7 @@ class EigenSystem:
 
     @cached_property
     def poles(self) -> PoleBasis:
-        """The chains of every off-circle cluster, as one basis.
+        """The chains of every off-circle cluster, with their emission and pickup, as one basis.
 
         Columns run cluster by cluster and, within a cluster, chain by
         chain with ``l`` ascending, so ``M V = V J`` for the Jordan matrix
@@ -323,11 +333,12 @@ class EigenSystem:
             keep = keep.repeat(self.multiplicity)
         kept = keep.nonzero()[0]
         if len(kept) == n:
-            return PoleBasis(values, self.right, self.left_h, links)
+            return PoleBasis(values, self.right, self.left_h, self.emission, self.pickup, links)
         if links:
             position = keep.cumsum() - 1
             links = tuple(int(position[k]) for k in links if keep[k])
-        return PoleBasis(values[kept], self.right.take(kept, axis=1), self.left_h[kept], links)
+        return PoleBasis(values[kept], self.right[:, kept], self.left_h[kept],
+                         self.emission[:, kept], self.pickup[kept], links)
 
     def zero_cluster(self):
         zero = np.flatnonzero(np.abs(self.values) <= ZERO_VALUE_TOL)
@@ -841,7 +852,8 @@ def _segments(*widths) -> np.ndarray:
 
 
 def _classify(walk, right: np.ndarray, left_h: np.ndarray, starts):
-    """Condition bound and on-circle flag of every cluster, in one pass.
+    """Condition bound and on-circle flag of every cluster, in one pass, and
+    the emission ``T_it V`` and pickup ``W* T_ti`` they are read from.
 
     Cluster ``k`` owns the columns of ``right`` (its chains V) and the
     rows of ``left_h`` (its co-chains W*) from ``starts[k]`` up to the next
@@ -858,14 +870,15 @@ def _classify(walk, right: np.ndarray, left_h: np.ndarray, starts):
     cannot resolve.  The coupling of a cluster is the Frobenius ratio
     ``||T V|| / ||V||``, summed column by column over its chains.
     """
+    emission, pickup = walk.interior_to_tail @ right, left_h @ walk.tail_to_interior
     # row k: v_k, its emission, w_k* and its pickup; one squared norm of each
-    blocks = (right.T, (walk.interior_to_tail @ right).T, left_h, left_h @ walk.tail_to_interior)
+    blocks = (right.T, emission.T, left_h, pickup)
     parts = np.concatenate(blocks, axis=1)
     sq = np.square(parts.view(float)) @ _segments(*(2 * block.shape[1] for block in blocks))
     if len(starts) < right.shape[1]:  # some cluster owns several columns: sum over them
         sq = np.add.reduceat(sq, starts, axis=0)
     circle = np.logical_and.reduce(sq[:, 1::2] <= CIRCLE_COUPLING_TOL**2 * sq[:, ::2], axis=1)
-    return np.sqrt(sq[:, 0] * sq[:, 2]), circle
+    return np.sqrt(sq[:, 0] * sq[:, 2]), circle, emission, pickup
 
 
 def eigen_decompose(walk) -> EigenSystem:
@@ -873,8 +886,9 @@ def eigen_decompose(walk) -> EigenSystem:
     m = np.asarray(walk.interior, dtype=complex)
     n = m.shape[0]
     if n == 0:
-        counts, flags = np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
-        return EigenSystem(m, np.zeros(0, dtype=complex), m, m, counts, counts, flags, np.zeros(0))
+        counts = np.zeros(0, dtype=int)
+        bound, flags, emission, pickup = _classify(walk, m, m, counts)
+        return EigenSystem(m, np.zeros(0, complex), m, m, emission, pickup, counts, counts, flags, bound)
     a = _eig_input(m)
     values, vectors, co, scale = _periodic_eig(a) or _eig_pairs(a)
     clustered = _cluster_indices(values, _cluster_tol(scale), merge=co is None)
@@ -915,12 +929,12 @@ def eigen_decompose(walk) -> EigenSystem:
             gaps = np.abs(np.subtract.outer(lams, lams)) + np.diag(np.full(len(lams), np.inf))
             raise IllConditionedChain(complex(lams[int(np.argmin(gaps.min(axis=1)))]), float("inf"))
 
-    bound, on_circle = _classify(walk, right, left_h, starts)
-    for array in (lams, right, left_h):
+    bound, on_circle, emission, pickup = _classify(walk, right, left_h, starts)
+    for array in (lams, right, left_h, emission, pickup):
         array.flags.writeable = False
     lengths = [length for k, width in enumerate(widths) for length in staircase.get(k, [1] * width)]
     system = EigenSystem(
-        m, lams, right, left_h, np.array(widths), np.array(lengths), on_circle, bound
+        m, lams, right, left_h, emission, pickup, np.array(widths), np.array(lengths), on_circle, bound
     )
     if not np.maximum.reduce(bound) * GRAM_REL_TOL <= 1.0:  # NaN too: check the conditions
         condition = system.condition
@@ -982,16 +996,14 @@ def boundary_data(walk, cluster: Cluster) -> ResonantStateBoundary:
             f"cluster at {cluster.value:.6g} has multiplicity {cluster.multiplicity}"
         )
     lam = cluster.value
-    v = cluster.chains[0][0]
-    w = cluster.co_chains[0][0]
-    nt = walk.n_tails
+    v, w = cluster.right[:, 0], cluster.left_basis()[:, 0]
     if cluster.on_unit_circle:
-        zero = np.zeros(nt, dtype=complex)
+        zero = np.zeros(walk.n_tails, dtype=complex)
         return ResonantStateBoundary(lam, v, w, zero, zero.copy(), True)
     if cluster.is_zero:
         raise ZeroCluster(
             "the zero resonance has no incoming/outgoing tail extension"
         )
-    out_data = (walk.interior_to_tail @ v) / lam
-    in_data_co = (walk.tail_to_interior.conj().T @ w) / np.conj(lam)
+    out_data = cluster.emission[:, 0] / lam
+    in_data_co = cluster.pickup[0].conj() / np.conj(lam)
     return ResonantStateBoundary(lam, v, w, out_data, in_data_co, False)

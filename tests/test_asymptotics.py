@@ -1093,10 +1093,11 @@ def match_step_by_loop(vals0, cur, vals1):
     for lam in cur:
         gaps = np.sort(np.abs(vals0 - lam))
         gap = float(gaps[1]) if len(gaps) > 1 else np.inf
-        j = int(np.argmin(np.abs(vals1 - lam)))
+        moves = np.abs(vals1 - lam)
+        j = int(np.argmin(moves))
         if j in used:
             return None
-        if not abs(vals1[j] - lam) < 0.5 * gap:
+        if not moves[j] < 0.5 * gap:
             return None
         used.add(j)
         new.append(complex(vals1[j]))
@@ -1124,6 +1125,14 @@ def test_match_step_agrees_with_the_loop(vals0, vals1, data):
     got = asymptotics._match_step(vals0, cur, vals1)
     assert got == want
     assert got is None or all(type(v) is complex for v in got)
+
+
+def test_match_step_refuses_a_move_of_exactly_half_the_gap():
+    # |0.25i - (0.75 + 0.75i)| is half of the gap |1 + 1.5i| exactly; the
+    # scalar abs reads the move one ulp below the half gap np.abs gives
+    vals0, cur, vals1 = np.array([0.75 + 0.75j, -0.25 - 0.75j]), [0.75 + 0.75j], np.array([0.25j])
+    assert asymptotics._match_step(vals0, cur, vals1) is None
+    assert match_step_by_loop(vals0, cur, vals1) is None
 
 
 def test_match_step_refuses_two_values_on_one_target():

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwscatter.scattering as scattering
+from qwscatter.asymptotics import TunnelingReport, _peak_at
 from qwscatter.coins import eval_coins
+from qwscatter.graph import build_graph
 from qwscatter.line import BarrierSpec, line_to_graph, rotation_coin
 from qwscatter.models import (
     closed_form_sigma_cycle,
@@ -30,6 +32,7 @@ from qwscatter.scattering import (
     generalized_eigenfunction,
     oracle_direct_solve,
     pole_block,
+    resolvent_kernel,
     scattering_matrix,
     transmission_reflection,
     zero_pole_block,
@@ -37,6 +40,7 @@ from qwscatter.scattering import (
 from qwscatter.spectral import (
     EigenSystem,
     ZeroCluster,
+    boundary_data,
     eigen_decompose,
     resonance_set,
 )
@@ -373,6 +377,82 @@ def test_the_routes_do_not_share_a_pole_sum(walk, monkeypatch):
         assert np.abs(sigma - oracle).max() <= ROUTE_TOL, route
 
 
+class Uncoupled:
+    """``walk`` whose interior/tail coupling blocks raise when read."""
+
+    def __init__(self, walk):
+        self._walk = walk
+
+    def __getattr__(self, name):
+        if name in ("interior_to_tail", "tail_to_interior"):
+            raise AssertionError(f"walk.{name} read after the decomposition")
+        return getattr(self._walk, name)
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except ValueError as exc:  # every numerical error of the package is one
+        return type(exc), str(exc)
+
+
+def same_bits(a, b):
+    """Whether ``a`` and ``b`` (arrays, or nests of tuples and dicts of them) hold the same bits."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and same_bits(tuple(a.values()), tuple(b.values()))
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@pytest.mark.parametrize(
+    "walk, lam_eps",
+    [(ms_walk(0.01), 1j), (coupled_to_two_tails(MIXED), 0.9)],
+    ids=["ms", "mixed"],
+)
+def test_the_coupling_is_read_from_the_decomposition(walk, lam_eps):
+    # once eigen_decompose has formed T_it V and W* T_ti, no reader multiplies
+    # the walk's coupling blocks into the chains again: the same bits without them
+    system = eigen_decompose(walk)
+    proxy = Uncoupled(walk)
+    points = np.array(JORDAN_ZS)
+    nonzero = [c for c in system.clusters if not c.is_zero]
+    simple = [c for c in nonzero if c.is_simple]
+    assert simple and system.zero_cluster() is not None
+    calls = [
+        lambda w: scattering_matrix(w, points, "resolvent", system).matrix,
+        lambda w: scattering_matrix(w, points, "expansion", system).matrix,
+        lambda w: vars(resolvent_kernel(w, np.eye(2), system)(points)),
+        lambda w: pole_block(w, nonzero, points),
+        lambda w: zero_pole_block(w, system, points),
+        lambda w: tuple(vars(boundary_data(w, c)) for c in simple),
+    ]
+    for call in calls:
+        assert same_bits(call(proxy), call(walk))
+    reports = [TunnelingReport(_peak_at(w, system, lam_eps), (1,), 0.01) for w in (proxy, walk)]
+    shapes = [report.line_shape for report in reports]
+    for name in ("values", "residues", "direct"):
+        assert np.array_equal(getattr(shapes[0], name), getattr(shapes[1], name))
+    assert same_bits(outcome(lambda: reports[0].window), outcome(lambda: reports[1].window))
+
+
+def test_a_bare_junction_scatters_through_its_coin():
+    # no interior arc: both routes and the oracle give the coin itself
+    coin = np.array([[0.0, 1.0], [1.0, 0.0]])
+    walk = assemble(build_graph(["v"], [], [(1, "v", "v"), (2, "v", "v")]), {"v": coin})
+    assert walk.n_interior == 0
+    system = eigen_decompose(walk)
+    assert system.emission.shape == (2, 0) and system.pickup.shape == (0, 2)
+    for z in (np.exp(0.3j), np.exp(1j * np.array([0.1, 2.0, -1.2]))):
+        for route in ("resolvent", "expansion"):
+            sigma = scattering_matrix(walk, z, route).matrix
+            assert np.array_equal(sigma, np.broadcast_to(coin, sigma.shape))
+        _, direct = oracle_direct_solve(walk, z, np.eye(2))
+        assert np.array_equal(direct, np.broadcast_to(coin, direct.shape))
+    assert resonance_set(walk)[0] == []
+
+
 def test_pole_block_sums_a_sequence_of_clusters():
     # one stack over the named clusters: a cluster named twice is added
     # twice, on-circle clusters add nothing and the zero cluster is refused
@@ -431,6 +511,8 @@ def bound_state_walk():
         values=np.array([0.5, 1.0], dtype=complex),
         right=basis,
         left_h=basis.conj().T,
+        emission=walk.interior_to_tail @ basis,
+        pickup=basis.conj().T @ walk.tail_to_interior,
         multiplicity=np.array([1, 1]),
         lengths=np.array([1, 1]),
         on_unit_circle=np.array([False, True]),

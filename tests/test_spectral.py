@@ -592,7 +592,7 @@ def test_one_pass_classification_matches_the_per_cluster_rule(monkeypatch, eps):
     right, left = full_bases(system)
     widths = [c.multiplicity for c in system.clusters]
     starts = np.cumsum(widths) - widths
-    bound, on_circle = _classify(walk, right, left.conj().T, starts)
+    bound, on_circle, _, _ = _classify(walk, right, left.conj().T, starts)
     condition = system.condition
     for k, cluster in enumerate(system.clusters):
         v, w = cluster.right_basis(), cluster.left_basis()
@@ -614,11 +614,34 @@ def test_poles_are_a_column_selection_of_the_system():
     # the off-circle columns of the arrays, as the clusters' own chains would stack them
     for walk in (matrix_schrodinger_family().walk(0.3), jordan_walk_with_tails()):
         system = eigen_decompose(walk)
+        # the tail coupling of every column is formed once, read-only
+        assert np.array_equal(system.emission, walk.interior_to_tail @ system.right)
+        assert np.array_equal(system.pickup, system.left_h @ walk.tail_to_interior)
+        assert not system.emission.flags.writeable and not system.pickup.flags.writeable
         poles = system.poles
-        stacked = spectral._pole_basis(system.off_circle(), walk.interior.shape[0])
+        kept = np.flatnonzero(np.repeat(~system.on_unit_circle, system.multiplicity))
+        assert np.array_equal(poles.emission, system.emission[:, kept])
+        assert np.array_equal(poles.pickup, system.pickup[kept])
+        for k in range(len(system.values)):
+            cluster, cut = system.cluster(k), system.columns(k)
+            # a cluster's arrays are views of its own columns
+            owned = [
+                (cluster.right, system.right, system.right[:, cut]),
+                (cluster.left_h, system.left_h, system.left_h[cut]),
+                (cluster.emission, system.emission, system.emission[:, cut]),
+                (cluster.pickup, system.pickup, system.pickup[cut]),
+            ]
+            for view, whole, columns in owned:
+                assert view.base is not None and np.shares_memory(view, whole)
+                assert np.array_equal(view, columns)
+        stacked = spectral._pole_basis(
+            system.off_circle(), walk.interior.shape[0], walk.interior_to_tail.shape[0]
+        )
         assert np.array_equal(poles.values, stacked.values)
         assert np.array_equal(poles.right, stacked.right)
         assert np.array_equal(poles.left_h, stacked.left_h)
+        assert np.array_equal(poles.emission, stacked.emission)
+        assert np.array_equal(poles.pickup, stacked.pickup)
         assert poles.links == stacked.links
     assert system.on_unit_circle.any() and poles.links
     # with no cluster on the circle the poles are the system's own arrays
@@ -673,7 +696,7 @@ def test_a_multiple_cluster_is_classified_by_all_its_columns():
     assert [c.value for c in system.clusters] == [0.5, 0.7, 0.9]
     assert [c.shape[0] for c in system.clusters[0].chains] == [2]
     right, left = full_bases(system)
-    bound, on_circle = _classify(walk, right, left.conj().T, np.array([0, 2, 3]))
+    bound, on_circle, _, _ = _classify(walk, right, left.conj().T, np.array([0, 2, 3]))
     assert system.condition[0] == pytest.approx(2.0, rel=1e-15)
     assert bound[0] >= system.condition[0]
     assert list(on_circle) == [False, True, False]
