@@ -60,7 +60,6 @@ from .line import (
 )
 from .modelfile import ModelFileError, family_from_file, load_model, save_model
 from .models import (
-    BUILTIN_FAMILIES,
     EpsOutOfRange,
     ModelFamily,
     closed_form_sigma_crossing,

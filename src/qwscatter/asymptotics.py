@@ -11,8 +11,9 @@ the corresponding asymptotic statements into measurements:
   automatic step bisection),
 * :func:`tunneling_check` evaluates the resonant-tunneling picture at one
   (eps, resonance, channel-split) triple: its :class:`TunnelingReport`
-  has T and R at the peak, the half-height window and the interior
-  energy against (1 + |lambda|) |lambda|^2 / (1 - |lambda|).
+  has T and R at the peak, the interior energy against (1 + |lambda|)
+  |lambda|^2 / (1 - |lambda|), and ``line_shape``, the
+  :class:`LineShape` whose half-height window gives the measured width.
 
 The ``*_table`` variants wrap these into sweep tables (rows of
 ``(eps, z, quantity, value)``) plus a JSON-ready summary dict with
@@ -59,7 +60,7 @@ from .spectral import (
     Cluster,
     EigenSystem,
     NumericalError,
-    _eigenvalues as _interior_eigenvalues,
+    _eigenvalues,
     boundary_data,
     eigen_decompose,
 )
@@ -123,14 +124,11 @@ class NoDetachingResonance(ValueError):
     """No unit-circle resonance of U(0) leaves the circle along the grid."""
 
 
-def default_eps_grid(include_zero: bool = True) -> np.ndarray:
-    """Geometric eps grid over the default decades, optionally plus eps = 0."""
+def default_eps_grid() -> np.ndarray:
+    """eps = 0, then a geometric eps grid over the default decades."""
     decades = np.log10(EPS_GRID_STOP / EPS_GRID_START)
     count = int(round(EPS_PER_DECADE * decades)) + 1
-    grid = np.geomspace(EPS_GRID_START, EPS_GRID_STOP, count)
-    if include_zero:
-        grid = np.concatenate([[0.0], grid])
-    return grid
+    return np.concatenate([[0.0], np.geomspace(EPS_GRID_START, EPS_GRID_STOP, count)])
 
 
 def geometric_grid(start: float, stop: float, count: int) -> np.ndarray:
@@ -215,10 +213,6 @@ def _starts(system0: EigenSystem) -> list:
     return sorted(system0.values[circle].tolist(), key=cmath.phase)
 
 
-def _eigenvalues(family, eps: float) -> np.ndarray:
-    return _interior_eigenvalues(family(eps).interior)
-
-
 def _spectrum(system: EigenSystem) -> np.ndarray:
     """The cluster values of ``system``, each repeated by its multiplicity.
 
@@ -256,7 +250,7 @@ def _advance(family, e0, vals0, cur, e1, depth, vals1=None):
     midpoints solve for their own eigenvalues.
     """
     if vals1 is None:
-        vals1 = _eigenvalues(family, e1)
+        vals1 = _eigenvalues(family(e1).interior)
     new = _match_step(vals0, cur, vals1)
     if new is not None:
         return vals1, new
@@ -355,7 +349,7 @@ def fit_loglog_slope(eps_values, values) -> tuple:
 
 def nonresonant_point(family) -> complex:
     """A deterministic unit-circle point far from every resonance of U(0)."""
-    values = _eigenvalues(family, 0.0)
+    values = _eigenvalues(family(0.0).interior)
     best, best_dist = None, -1.0
     for k in range(NONRESONANT_SCAN):
         z = cmath.exp(2j * cmath.pi * (k + 0.5) / NONRESONANT_SCAN)
@@ -401,11 +395,6 @@ class _Peak:
     def at_z_star(self):
         return self.kernel(self.z_star)
 
-    def sigma(self) -> np.ndarray:
-        """Σ at z*, from the one solve there: the numbers of
-        ``scattering_matrix(..., route="resolvent")``, without its residuals."""
-        return self.at_z_star.amp_out[:, : self.walk.n_tails]
-
     @property
     def comfort(self) -> float:
         return float(np.linalg.norm(self.at_z_star.interior[:, -1]) ** 2)
@@ -443,8 +432,8 @@ class TunnelingReport:
     incoming wave is that restriction, normalised.  T, R and the overlap
     read the peak's one solve at z*.  ``line_shape`` is T through the
     split in pole–residue form, read off the same kernel with no new
-    solve; ``transmission`` evaluates it, and ``window`` is its
-    half-height window, searched on first use.
+    solve: a call gives T, and its ``window``, ``width_measured`` and
+    ``width_ratio`` read the half-height window, searched on first use.
     """
 
     def __init__(self, peak: _Peak, split, eps: float):
@@ -468,7 +457,8 @@ class TunnelingReport:
         self.amp_in = restricted / weight_in
         self.symmetry_residual = abs(weight_in - float(np.linalg.norm(peak.profile - restricted)))
         self.width_predicted = 2.0 * (1.0 - abs(peak.lam_eps))
-        sigma = peak.sigma()
+        # Σ(z*) from the peak's one solve, as scattering_matrix's resolvent route gives it
+        sigma = peak.at_z_star.amp_out[:, :n_tails]
         # the one check of the split and the incoming wave for this peak
         self.t_at_peak, self.r_at_peak = transmission_reflection(sigma, channels, self.amp_in)
         exit_profile = np.where(~mask, peak.boundary.out_data, 0.0)
@@ -485,56 +475,25 @@ class TunnelingReport:
             peak.kernel, self.mask, self.amp_in, peak.z_star, abs(peak.lam_eps), self.t_at_peak
         )
 
-    def transmission(self, z):
-        """T at ``z`` (a point or an array), from the line shape."""
-        return self.line_shape(z)
 
-    @property
-    def window(self) -> tuple:
-        """The half-height angles (θ₋, θ₊) (:attr:`LineShape.window`)."""
-        return self.line_shape.window
-
-    @property
-    def width_measured(self) -> float | None:
-        """θ₊ − θ₋, or ``None`` where there is no peak or no crossing."""
-        return self.line_shape.width_measured
-
-    @property
-    def width_ratio(self) -> float:
-        return self.line_shape.width_ratio
-
-
-def tunneling_check(
-    family,
-    eps: float,
-    lam: complex,
-    split,
-    lambda_eps: complex | None = None,
-) -> TunnelingReport:
+def tunneling_check(family, eps: float, lam: complex, split) -> TunnelingReport:
     """Evaluate the resonant-tunneling prediction at one parameter point.
 
     ``lam`` is a unit-circle resonance of the decoupled walk; its
-    continuation ``lambda_eps`` is tracked automatically unless given
-    (pass the value from a prior :func:`track_resonances` run when
-    sweeping, which avoids re-tracking from 0 at every eps).  The
-    incoming wave is the normalised restriction of the resonant
-    co-state's tail profile to the channels in ``split``; a ``t_at_peak``
-    more than 1e-8 outside [0, 1] raises ``ValueError``.
+    continuation ``lambda_eps`` is tracked from eps = 0 to ``eps`` on
+    the walk and decomposition the peak is measured on (:func:`_stream`),
+    as a sweep tracks each of its eps.  The incoming wave is the
+    normalised restriction of the resonant co-state's tail profile to
+    the channels in ``split``; a ``t_at_peak`` more than 1e-8 outside
+    [0, 1] raises ``ValueError``.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if lambda_eps is None:
-        # at eps = 0 the track is its start, which sits on the circle
-        points = list(_stream(family, [] if eps == 0 else [eps]))
-        walk, system = points[-1].walk, points[-1].system
-        lambda_eps = points[-1].tracked[_column(points[0].tracked, lam)]
-    elif not cmath.isfinite(lambda_eps):
-        # all distances to a NaN are NaN, and nearest_cluster would pick the first cluster
-        raise ValueError(f"lambda_eps = {lambda_eps!r} is not finite")
-    else:
-        walk = family(eps)
-        system = eigen_decompose(walk)
-    report = TunnelingReport(_peak_at(walk, system, lambda_eps), split, eps)
+    # at eps = 0 the track is its start, which sits on the circle
+    points = list(_stream(family, [] if eps == 0 else [eps]))
+    point = points[-1]
+    lambda_eps = point.tracked[_column(points[0].tracked, lam)]
+    report = TunnelingReport(_peak_at(point.walk, point.system, lambda_eps), split, eps)
     if not -1e-8 <= report.t_at_peak <= 1.0 + 1e-8:
         raise ValueError(f"transmission {report.t_at_peak} outside [0, 1]")
     return report
@@ -857,7 +816,7 @@ def _positive(eps_values) -> np.ndarray:
     ``ValueError`` naming the first one.
     """
     if eps_values is None:
-        return default_eps_grid(include_zero=False)
+        return default_eps_grid()[1:]
     grid = np.asarray([float(e) for e in eps_values])
     seen = set()
     for eps in grid.tolist():
@@ -985,7 +944,12 @@ def tunneling_table(
     split,
     eps_values=None,
 ) -> tuple:
-    """Sweep the tunneling report along an eps grid."""
+    """Sweep the tunneling report along an eps grid.
+
+    The summary's ``overlap_sqrt_eps_constant`` prints 17 digits but carries
+    about six: at the small-eps end 1 - overlap is about 5e-10, so one ulp of
+    the overlap moves it by about 2e-7 relative.
+    """
     quantities = ("t_at_peak", "symmetry_residual", "overlap", "width_measured", "width_predicted")
     rows, grid, values, summary = _peak_sweep(family, lam, eps_values, quantities, split)
     t_values = values["t_at_peak"]

@@ -10,13 +10,14 @@
     qwscatter sweep comfort     --model cycle --N 4 --c 1
     qwscatter barrier --r 0.8,0.8 --positions 0,1 --z-grid 720 --check-routes
 
-Models are either builtin names (the keys of ``models.BUILTIN_FAMILIES``)
-or paths to JSON model files.  Numbers print with 17 significant digits so CSV
-output round-trips doubles losslessly; JSON cells are Python's shortest
-round-trip ``repr`` (``null`` for an absent value, ``Infinity`` for an
-infinite one).  Row order is deterministic (eps ascending, then z by
-angle, then row-major matrix entries), and tables of either format are
-written in chunks of rows, never as one string.
+Models are either builtin names (``ms``, ``cycle`` and ``crossing``, built
+by their ``models`` constructors) or paths to JSON model files.  Numbers
+print with 17 significant digits so CSV output round-trips doubles
+losslessly; JSON cells are Python's shortest round-trip ``repr``
+(``null`` for an absent value, ``Infinity`` for an infinite one).  Row
+order is deterministic (eps ascending, then z by angle, then row-major
+matrix entries), and tables of either format are written in chunks of
+rows, never as one string.
 
 Exit codes: 0 success, 1 validation failure (any ``ValueError``), 2
 numerical failure (any ``spectral.NumericalError``: tolerance breach),
@@ -39,7 +40,7 @@ import numpy as np
 from . import asymptotics, modelfile
 from .coins import eval_coins
 from .line import BarrierSpec, barrier_scattering, line_to_graph, rotation_coin
-from .models import BUILTIN_FAMILIES, ModelFamily
+from .models import ModelFamily, crossing_family, cycle_family, matrix_schrodinger_family
 from .scattering import oracle_direct_solve, scattering_matrix
 from .spectral import NumericalError, eigen_decompose, resonance_set
 from .walk import assemble, free_routing_check
@@ -209,7 +210,7 @@ def parse_numbers(text: str, kind, option: str) -> list:
 
 
 def load_family(model: str, n_vertices, strengths) -> ModelFamily:
-    """Resolve ``--model``: a ``BUILTIN_FAMILIES`` key or a model file path.
+    """Resolve ``--model``: a builtin name or a model file path.
 
     ``--N`` belongs to ``cycle`` and ``--c`` to ``cycle`` and ``crossing``;
     either one given to a model that would ignore it is a usage error.
@@ -219,7 +220,7 @@ def load_family(model: str, n_vertices, strengths) -> ModelFamily:
     if strengths is not None and model not in ("cycle", "crossing"):
         raise click.UsageError(f"--c applies only to --model cycle or crossing, not {model!r}")
     if model == "ms":
-        return BUILTIN_FAMILIES["ms"]()
+        return matrix_schrodinger_family()
     if model == "cycle":
         if n_vertices is None:
             raise click.UsageError("--model cycle needs --N")
@@ -230,19 +231,18 @@ def load_family(model: str, n_vertices, strengths) -> ModelFamily:
             raise click.UsageError(
                 f"--c lists {len(c)} strengths but --N is {n_vertices}"
             )
-        return BUILTIN_FAMILIES["cycle"](n=n_vertices, c=c)
+        return cycle_family(n_vertices, c)
     if model == "crossing":
         c = parse_numbers(strengths, float, "--c") if strengths else [1.0]
         if len(c) != 1:
             raise click.UsageError("--model crossing takes a single --c value")
-        return BUILTIN_FAMILIES["crossing"](c=c[0])
+        return crossing_family(c[0])
     if os.path.exists(model):
         return modelfile.family_from_file(model)
     if os.sep in model or model.endswith(".json"):
         raise modelfile.ModelFileError(f"model file not found: {model}")
     raise click.UsageError(
-        f"unknown model {model!r}: not a builtin ({', '.join(BUILTIN_FAMILIES)}) "
-        "and no such file"
+        f"unknown model {model!r}: not a builtin (ms, cycle, crossing) and no such file"
     )
 
 
@@ -519,9 +519,16 @@ def _eps_values(eps_grid):
     return parse_eps_grid(eps_grid) if eps_grid is not None else None
 
 
-def _run_peak_table(table, family, lam_text, eps_grid, out, fmt, *split):
+def _run_peak_table(table, model, n_vertices, strengths, split_text, lam_text, eps_grid, out, fmt):
     """Run a peak table (tunneling, width, comfort) on --lambda, by default
-    on the resonance that detaches fastest."""
+    on the resonance that detaches fastest.
+
+    ``split_text`` is --J, or ``None`` for comfort, which takes no split.
+    The usage errors come in option order: the model, --J, --eps-grid,
+    then --lambda.
+    """
+    family = load_family(model, n_vertices, strengths)
+    split = () if split_text is None else (parse_split(split_text),)
     eps_values = _eps_values(eps_grid)
     lam = None if lam_text is None else parse_complex_value(lam_text)
     try:
@@ -566,10 +573,9 @@ def discrepancy(model, n_vertices, strengths, z_text, eps_grid, route, out, fmt)
 @output_options
 def tunneling(model, n_vertices, strengths, split_text, lam_text, eps_grid, out, fmt):
     """Resonant-tunneling diagnostics at the tracked peak."""
-    family = load_family(model, n_vertices, strengths)
-    split = parse_split(split_text)
     return _run_peak_table(
-        asymptotics.tunneling_table, family, lam_text, eps_grid, out, fmt, split
+        asymptotics.tunneling_table,
+        model, n_vertices, strengths, split_text, lam_text, eps_grid, out, fmt,
     )
 
 
@@ -581,10 +587,9 @@ def tunneling(model, n_vertices, strengths, split_text, lam_text, eps_grid, out,
 @output_options
 def width(model, n_vertices, strengths, split_text, lam_text, eps_grid, out, fmt):
     """Measured half-height peak widths against 2(1-|lambda_eps|)."""
-    family = load_family(model, n_vertices, strengths)
-    split = parse_split(split_text)
     return _run_peak_table(
-        asymptotics.width_table, family, lam_text, eps_grid, out, fmt, split
+        asymptotics.width_table,
+        model, n_vertices, strengths, split_text, lam_text, eps_grid, out, fmt,
     )
 
 
@@ -595,8 +600,10 @@ def width(model, n_vertices, strengths, split_text, lam_text, eps_grid, out, fmt
 @output_options
 def comfort(model, n_vertices, strengths, lam_text, eps_grid, out, fmt):
     """Interior energy at the peak against its divergence-rate bound."""
-    family = load_family(model, n_vertices, strengths)
-    return _run_peak_table(asymptotics.comfort_table, family, lam_text, eps_grid, out, fmt)
+    return _run_peak_table(
+        asymptotics.comfort_table,
+        model, n_vertices, strengths, None, lam_text, eps_grid, out, fmt,
+    )
 
 
 @cli.command()

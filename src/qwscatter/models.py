@@ -287,10 +287,3 @@ def random_walk(
     graph = build_graph(names, arcs, tails)
     coins = {v: _haar_unitary(rng, graph.degree(v)) for v in graph.vertices}
     return assemble(graph, coins)
-
-
-BUILTIN_FAMILIES = {
-    "ms": lambda **kw: matrix_schrodinger_family(),
-    "cycle": lambda **kw: cycle_family(kw["n"], kw["c"]),
-    "crossing": lambda **kw: crossing_family(kw.get("c", 1.0)),
-}

@@ -116,7 +116,6 @@ class ScatterSolution:
 
     interior: np.ndarray
     amp_out: np.ndarray
-    circle_overlap: float
 
 
 def _first(mask: np.ndarray) -> int:
@@ -206,7 +205,6 @@ class ResolventKernel(NamedTuple):
         return ScatterSolution(
             u.reshape(z.shape + u.shape[1:2] + self.shape),
             amp_out.reshape(z.shape + amp_out.shape[1:2] + self.shape),
-            self.overlap,
         )
 
 

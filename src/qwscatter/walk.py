@@ -101,9 +101,6 @@ class WalkOperator:
         """Carrier index of incoming boundary arc ``n`` (1-based)."""
         return self.graph.slot_index(("in", n))
 
-    def out_index(self, n: int) -> int:
-        return self.graph.slot_index(("out", n))
-
     # -- action -----------------------------------------------------------
 
     def apply(self, state: np.ndarray) -> np.ndarray:

@@ -294,7 +294,7 @@ def test_criterion_13_peak_width():
     fam = cycle_family(4, [1.0] * 4)
     track = track_resonances(fam, eps_grid=[0.0, 0.05])
     lam_eps = track.at(0.05, 1.0)
-    theta_minus, theta_plus = tunneling_check(fam, 0.05, 1.0, (1, 2), lambda_eps=lam_eps).window
+    theta_minus, theta_plus = tunneling_check(fam, 0.05, 1.0, (1, 2)).line_shape.window
     measured = theta_plus - theta_minus
     predicted = 2.0 * (1.0 - abs(lam_eps))
     assert abs(measured / predicted - 1.0) <= 0.2
@@ -320,7 +320,7 @@ def test_criterion_14_comfortability():
     track = track_resonances(fam, eps_grid=[0.0, 0.05])
     lam_eps = track.at(0.05, 1.0)
     # the resonance-aligned incoming profile realises the divergence rate
-    peak = tunneling_check(fam, 0.05, 1.0, (1, 2), lambda_eps=lam_eps).peak
+    peak = tunneling_check(fam, 0.05, 1.0, (1, 2)).peak
     energy, bound = peak.comfort, peak.comfort_bound
     by_hand = (1.0 + abs(lam_eps)) * abs(lam_eps) ** 2 / (1.0 - abs(lam_eps))
     assert abs(bound - by_hand) <= 1e-9

@@ -146,8 +146,6 @@ def test_default_eps_grid_shape():
     assert grid[0] == 0.0
     assert np.all(np.diff(grid) > 0)
     assert grid[-1] == pytest.approx(0.1)
-    no_zero = default_eps_grid(include_zero=False)
-    assert no_zero[0] > 0
 
 
 def test_tracking_follows_hidden_resonance():
@@ -204,8 +202,8 @@ def test_tunneling_check_hidden_channel():
     assert report.r_at_peak <= 1e-6
     assert report.symmetry_residual <= 1e-12
     assert report.overlap >= 1.0 - 1e-6
-    assert report.width_measured is not None
-    ratio = report.width_measured / report.width_predicted
+    assert report.line_shape.width_measured is not None
+    ratio = report.line_shape.width_measured / report.width_predicted
     assert abs(ratio - 1.0) <= WIDTH_SLACK
     assert report.peak.comfort >= report.peak.comfort_bound
 
@@ -223,7 +221,7 @@ def test_tunneling_check_rejects_a_transmission_outside_the_unit_band(monkeypatc
 
 def test_peak_width_matches_gap_prediction():
     fam = cycle_family(4, [1.0] * 4)
-    theta_minus, theta_plus = tunneling_check(fam, 0.05, 1.0, (1, 2)).window
+    theta_minus, theta_plus = tunneling_check(fam, 0.05, 1.0, (1, 2)).line_shape.window
     assert theta_minus < 0 < theta_plus
     measured = theta_plus - theta_minus
     lam_eps = np.sqrt(1 - 0.05**2)  # |lambda_eps|^4 = (1 - eps^2)^2
@@ -234,7 +232,7 @@ def test_peak_width_matches_gap_prediction():
 def test_peak_width_needs_balanced_split():
     fam = cycle_family(4, [1.0] * 4)
     with pytest.raises(ValueError):
-        tunneling_check(fam, 0.05, 1.0, (1,)).window
+        tunneling_check(fam, 0.05, 1.0, (1,)).line_shape.window
 
 
 def bisect_side(t_at, sign, low, t_low, high, t_high):
@@ -337,7 +335,7 @@ PEAKS = {
 @pytest.mark.parametrize("model", sorted(PEAKS))
 def test_peak_width_matches_the_scalar_search_bit_for_bit(model, eps):
     # both sides stepped in one stacked evaluation give the bits of each
-    # side alone, one record.transmission per probe; T at z* is the
+    # side alone, one record.line_shape call per probe; T at z* is the
     # record's own, from the peak's solve
     family, lam, split = PEAKS[model]
     record = tunneling_check(family, eps, lam, split)
@@ -346,15 +344,15 @@ def test_peak_width_matches_the_scalar_search_bit_for_bit(model, eps):
     def t_at(theta):
         if theta == 0.0:
             return record.t_at_peak
-        return record.transmission(cmath.exp(1j * (base + theta)))
+        return record.line_shape(cmath.exp(1j * (base + theta)))
 
     try:
         expected = scalar_window(t_at, abs(record.lambda_eps), illinois_side)
     except NoCrossing:
         with pytest.raises(NoCrossing):
-            tunneling_check(family, eps, lam, split).window
+            tunneling_check(family, eps, lam, split).line_shape.window
         return
-    assert tunneling_check(family, eps, lam, split).window == expected
+    assert tunneling_check(family, eps, lam, split).line_shape.window == expected
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.05, 0.3, 0.7])
@@ -365,9 +363,9 @@ def test_peak_width_straddles_the_bisected_crossing(model, eps):
         expected = half_height_by_scalar_search(family, eps, lam, split)
     except NoCrossing:
         with pytest.raises(NoCrossing):
-            tunneling_check(family, eps, lam, split).window
+            tunneling_check(family, eps, lam, split).line_shape.window
         return
-    got = tunneling_check(family, eps, lam, split).window
+    got = tunneling_check(family, eps, lam, split).line_shape.window
     assert np.all(np.abs(np.subtract(got, expected)) <= THETA_TOL)
     # T >= 1/2 just inside each crossing and < 1/2 just outside, through Σ
     walk = family(eps)
@@ -395,7 +393,7 @@ def test_a_crossing_inside_the_first_step_starts_from_t_peak():
     step = (1.0 - modulus) / 16.0
     t_peak, gamma = 0.95, step / 4.0
     r = 1.0 - gamma
-    record.line_shape = LineShape(
+    shape = LineShape(
         z_star=record.z_star,
         modulus=modulus,
         t_at_peak=t_peak,
@@ -405,11 +403,11 @@ def test_a_crossing_inside_the_first_step_starts_from_t_peak():
     )
 
     def t_at(theta):
-        return record.transmission(np.exp(1j * (cmath.phase(record.z_star) + theta)))
+        return shape(np.exp(1j * (cmath.phase(record.z_star) + theta)))
 
     assert t_at(-step) < 0.5 and t_at(step) < 0.5
     expected = tuple(illinois_side(t_at, s, 0.0, t_peak, step, t_at(s * step)) for s in (-1, 1))
-    assert record.window == expected
+    assert shape.window == expected
     crossing = 2.0 * np.arcsin((1.0 - r) * np.sqrt(2 * t_peak - 1) / (2.0 * np.sqrt(r)))
     assert np.all(np.abs(np.abs(expected) - crossing) <= THETA_TOL)
 
@@ -444,18 +442,18 @@ def test_a_line_shape_gives_the_resolvent_routes_transmission(case):
     walk, system = record.peak.walk, record.peak.system
     sigma = scattering_matrix(walk, z, system=system).matrix
     want, _ = transmission_reflection(sigma, set(record.channels), record.amp_in)
-    got = record.transmission(z)
+    got = record.line_shape(z)
     assert np.all(np.abs(got - want) <= LINE_SHAPE_TOL * want)
     # a point gives the bits of the same point in an array
-    assert [record.transmission(point) for point in z] == got.tolist()
+    assert [record.line_shape(point) for point in z] == got.tolist()
 
 
 def test_a_line_shape_keeps_the_kernels_errors():
     record = jordan_records()[0]
     with pytest.raises(AtInteriorResonance):
-        record.transmission(0.9 + 1e-12)
+        record.line_shape(0.9 + 1e-12)
     with pytest.raises(PoleHit, match="zero-resonance guard"):
-        record.transmission(0.0)
+        record.line_shape(0.0)
     trapped = dataclasses.replace(record.line_shape, overlap=0.5, trapped=True)
     with pytest.raises(OrthogonalityViolated, match="5.000e-01"):
         trapped(1j)
@@ -465,23 +463,19 @@ def test_a_lockstep_gives_each_peak_its_own_window():
     # ms from eps = 0.01 to 0.6: the widest peak stays above one half
     family, lam, split = PEAKS["ms"]
     grid = geometric_grid(0.01, 0.6, 5)
-    path = track_resonances(family, np.concatenate([[0.0], grid])).path(lam)[1:]
 
-    def records():
-        return [
-            tunneling_check(family, eps, lam, split, lambda_eps=lam_eps)
-            for eps, lam_eps in zip(grid, path)
-        ]
+    def shapes_searched_alone():
+        return [tunneling_check(family, eps, lam, split).line_shape for eps in grid]
 
-    shapes = [record.line_shape for record in records()]
+    shapes = shapes_searched_alone()
     asymptotics._search_windows(shapes)
     assert all(shape._window is not None for shape in shapes)
-    for shape, solo in zip(shapes[:-1], records()):
+    for shape, solo in zip(shapes[:-1], shapes_searched_alone()):
         assert shape.window == solo.window
     with pytest.raises(NoCrossing):
         shapes[-1].window
     with pytest.raises(NoCrossing):
-        records()[-1].window
+        shapes_searched_alone()[-1].window
 
 
 def skewed_line_shape(rng):
@@ -537,7 +531,7 @@ def test_a_window_error_comes_before_a_later_eps_that_fails(monkeypatch):
 
 def test_two_loop_peak_is_asymmetric():
     family, lam, split = PEAKS["two_loop"]
-    theta_minus, theta_plus = tunneling_check(family, 0.3, lam, split).window
+    theta_minus, theta_plus = tunneling_check(family, 0.3, lam, split).line_shape.window
     assert abs(theta_plus + theta_minus) > 1e-3
 
 
@@ -549,9 +543,9 @@ def test_two_loop_peak_is_asymmetric():
 def test_a_peak_wider_than_the_window_has_no_crossing(family, eps, lam, split):
     report = tunneling_check(family, eps, lam, split)
     with pytest.raises(NoCrossing):
-        report.window
+        report.line_shape.window
     assert report.t_at_peak >= 0.9
-    assert report.width_measured is None
+    assert report.line_shape.width_measured is None
 
 
 def kernel_calls(monkeypatch):
@@ -586,10 +580,9 @@ def sigma_calls_per_width(monkeypatch, model, eps):
     # kernel, or one evaluation of the line shape read off that kernel;
     # the kernel runs once, at z*
     family, lam, split = PEAKS[model]
-    lambda_eps = track_resonances(family, [0.0, eps]).at(eps, lam)
     calls = kernel_calls(monkeypatch)
     evaluations = line_shape_evaluations(monkeypatch)
-    tunneling_check(family, eps, lam, split, lambda_eps=lambda_eps).window
+    tunneling_check(family, eps, lam, split).line_shape.window
     assert len(calls) == 1
     return len(calls) + len(evaluations)
 
@@ -614,7 +607,7 @@ def test_a_peak_kernel_gives_the_resolvent_route_bits(monkeypatch, model):
     family, lam, split = PEAKS[model]
     points = kernel_calls(monkeypatch)
     report = tunneling_check(family, 0.01, lam, split)
-    report.window
+    report.line_shape.window
     peak = report.peak
     assert points == [peak.z_star]
     monkeypatch.undo()
@@ -630,7 +623,6 @@ def test_a_peak_kernel_gives_the_resolvent_route_bits(monkeypatch, model):
 def test_tunneling_check_solves_once_at_z_star(monkeypatch, model):
     # Σ(z*) and the profile's interior wave come from one resolvent solve
     family, lam, split = PEAKS[model]
-    lambda_eps = track_resonances(family, [0.0, 0.01]).at(0.01, lam)
     shifts = []
     pole_sum = scattering._pole_sum
 
@@ -639,7 +631,7 @@ def test_tunneling_check_solves_once_at_z_star(monkeypatch, model):
         return pole_sum(poles, drive, shift)
 
     monkeypatch.setattr(scattering, "_pole_sum", spy)
-    report = tunneling_check(family, 0.01, lam, split, lambda_eps=lambda_eps)
+    report = tunneling_check(family, 0.01, lam, split)
     comfort = report.peak.comfort
     assert sum(len(s) == 1 and s[0] == report.z_star for s in shifts) == 1
     # the same numbers as a solve per quantity
@@ -669,9 +661,8 @@ def kernels_built(monkeypatch):
 def test_tunneling_check_builds_one_kernel_per_peak(monkeypatch, model):
     # one kernel over every tail and the profile serves z* and the width
     family, lam, split = PEAKS[model]
-    lambda_eps = track_resonances(family, [0.0, 0.01]).at(0.01, lam)
     shapes = kernels_built(monkeypatch)
-    tunneling_check(family, 0.01, lam, split, lambda_eps=lambda_eps).window
+    tunneling_check(family, 0.01, lam, split).line_shape.window
     nt = family(0.01).n_tails
     assert shapes == [(nt, nt + 1)]
 
@@ -691,12 +682,10 @@ def test_comfortability_growth_is_the_tunneling_reports_bits(model):
     # energy off the peak's one solve at z*
     family, lam, split = PEAKS[model]
     grid = geometric_grid(1e-3, 0.1, 5)
-    track = track_resonances(family, np.concatenate([[0.0], grid]))
     for eps in grid:
-        lam_eps = track.at(eps, lam)
         rows, _ = comfort_table(family, lam, [eps])
         energy = next(row.value for row in rows if row.quantity == "comfort")
-        report = tunneling_check(family, eps, lam, split, lambda_eps=lam_eps)
+        report = tunneling_check(family, eps, lam, split)
         assert energy == report.peak.comfort, eps
 
 
@@ -815,11 +804,7 @@ def test_every_peak_row_carries_the_peaks_z_star(model):
     # one z* per eps, rounded as the peak itself rounds it
     family, lam, split = PEAKS[model]
     grid = geometric_grid(1e-3, 0.1, 9)
-    path = track_resonances(family, np.concatenate([[0.0], grid])).path(lam)[1:]
-    z_star = {
-        float(eps): tunneling_check(family, eps, lam, split, lambda_eps=lam_eps).z_star
-        for eps, lam_eps in zip(grid, path)
-    }
+    z_star = {float(eps): tunneling_check(family, eps, lam, split).z_star for eps in grid}
     tables = {
         "tunneling": tunneling_table(family, lam, split, grid),
         "width": width_table(family, lam, split, grid),
@@ -941,24 +926,24 @@ def test_a_sweep_keeps_one_decomposition_alive(monkeypatch, table):
 
 
 def rows_from_the_public_functions(family, lam, split, grid):
-    # each eps fed to the per-eps functions with the tracked value, as
-    # the sweeps did before they streamed the grid
+    # each eps fed to the per-eps function on its own, and λ_ε for the
+    # predicted width and the scaled comfort from a track over the whole grid
     track = track_resonances(family, np.concatenate([[0.0], grid]))
     rows = {"tunneling": [], "width": [], "comfort": []}
     for eps in grid:
         lam_eps = track.at(eps, lam)
-        report = tunneling_check(family, eps, lam, split, lambda_eps=lam_eps)
+        report = tunneling_check(family, eps, lam, split)
         at = (float(eps), report.z_star)
         for quantity, value in [
             ("t_at_peak", report.t_at_peak),
             ("symmetry_residual", report.symmetry_residual),
             ("overlap", report.overlap),
-            ("width_measured", report.width_measured),
+            ("width_measured", report.line_shape.width_measured),
             ("width_predicted", report.width_predicted),
         ]:
             if value is not None:
                 rows["tunneling"].append(at + (quantity, value))
-        theta_minus, theta_plus = report.window
+        theta_minus, theta_plus = report.line_shape.window
         measured, predicted = theta_plus - theta_minus, 2.0 * (1.0 - abs(lam_eps))
         rows["width"] += [
             at + ("width_measured", measured),
@@ -982,6 +967,23 @@ def test_streamed_rows_match_the_per_eps_functions_bit_for_bit(model):
     for name in expected:
         rows, _ = STREAMED[name](family, lam, split, grid)
         assert [tuple(row) for row in rows] == expected[name], name
+
+
+@pytest.mark.parametrize("model", sorted(PEAKS))
+def test_tunneling_check_reads_the_trackers_lambda_eps(model):
+    # tunneling_check tracks λ_ε on its own stream from 0 to eps; the
+    # values-only tracker gives the same bits from 0 to eps, and over a whole grid
+    family, lam, split = PEAKS[model]
+    grid = np.concatenate([geometric_grid(1e-3, 0.1, 5), [0.3, 0.5]])
+    whole = track_resonances(family, np.concatenate([[0.0], grid]))
+
+    def bits(value):
+        return np.array([value], dtype=complex).view(np.uint64).tolist()
+
+    for eps in grid:
+        got = bits(tunneling_check(family, eps, lam, split).lambda_eps)
+        assert got == bits(track_resonances(family, [0.0, eps]).at(eps, lam)), eps
+        assert got == bits(whole.at(eps, lam)), eps
 
 
 def test_lam_none_needs_a_resonance_that_leaves_the_circle():
@@ -1150,24 +1152,10 @@ def test_match_step_refuses_two_values_on_one_target():
     ids=["tunneling_check"],
 )
 def test_a_peak_at_eps_zero_sits_on_the_circle(measure):
-    # the (0, 0) track is its start, which is on the circle, as with lambda_eps given
+    # the (0, 0) track is its start, which is on the circle
     family = matrix_schrodinger_family()
     with pytest.raises(ResonanceOnCircle):
         measure(family)
-
-
-@pytest.mark.parametrize("lambda_eps", [np.nan, complex(0.0, np.inf)], ids=["nan", "inf"])
-@pytest.mark.parametrize(
-    "measure",
-    [
-        lambda family, value: tunneling_check(family, 0.05, 1j, (1,), lambda_eps=value),
-    ],
-    ids=["tunneling_check"],
-)
-def test_a_non_finite_lambda_eps_is_rejected(measure, lambda_eps):
-    # nearest_cluster would take the first cluster for a NaN
-    with pytest.raises(ValueError, match=r"lambda_eps = .* is not finite"):
-        measure(matrix_schrodinger_family(), lambda_eps)
 
 
 @pytest.mark.parametrize(
@@ -1196,7 +1184,7 @@ def test_a_split_of_numpy_integers_is_a_split():
         return (
             report.eps, report.channels, report.lambda_eps, report.z_star,
             report.symmetry_residual, report.t_at_peak, report.r_at_peak, report.overlap,
-            report.width_measured, report.width_predicted, report.peak.comfort,
+            report.line_shape.width_measured, report.width_predicted, report.peak.comfort,
             report.peak.comfort_bound,
         )
 

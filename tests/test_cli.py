@@ -949,8 +949,29 @@ def test_barrier_rejects_bad_lists():
 
 
 def test_unknown_builtin_is_usage_error():
-    code, _, _ = run_cli(["resonances", "--model", "hexagon", "--eps", "0.1"])
+    code, _, err = run_cli(["resonances", "--model", "hexagon", "--eps", "0.1"])
     assert code == 3
+    assert "not a builtin (ms, cycle, crossing)" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tunneling", "--model", "nosuch", "--J", "x"], "unknown model 'nosuch'"),
+        (["width", "--model", "ms", "--N", "3", "--J", ","], "--N applies only"),
+        (["width", "--model", "ms", "--J", ",", "--eps-grid", "bad"], "--J must name"),
+        (["tunneling", "--model", "ms", "--J", "1", "--lambda", "z", "--eps-grid", "x"],
+         "--eps-grid wants"),
+        (["comfort", "--model", "cycle", "--lambda", "z"], "--model cycle needs --N"),
+        (["comfort", "--model", "ms", "--lambda", "z"], "cannot parse complex number"),
+    ],
+)
+def test_a_peak_command_names_its_first_bad_option(argv, message):
+    # the model, then --J, then --eps-grid, then --lambda
+    code, out, err = run_cli(["sweep", *argv])
+    assert code == 3
+    assert out == ""
+    assert message in err
 
 
 def test_missing_model_file_is_validation_error():

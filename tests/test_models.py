@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from qwscatter.cli import load_family
 from qwscatter.graph import from_finite_graph
 from qwscatter.models import (
-    BUILTIN_FAMILIES,
     EpsOutOfRange,
     closed_form_sigma_crossing,
     closed_form_sigma_cycle,
@@ -315,9 +315,12 @@ def test_partial_fraction_pole_rejected():
 
 
 def test_builtin_registry():
-    assert set(BUILTIN_FAMILIES) == {"ms", "cycle", "crossing"}
-    fam = BUILTIN_FAMILIES["cycle"](n=3, c=[0.5, 0.5, 0.5])
+    # the builtin names are load_family's branches, each one constructor
+    fam = load_family("cycle", 3, "0.5")
     assert fam.graph.n_tails == 3
+    assert fam.params == cycle_family(3, [0.5, 0.5, 0.5]).params
+    assert load_family("ms", None, None).name == matrix_schrodinger_family().name
+    assert load_family("crossing", None, "0.8").params == crossing_family(0.8).params
 
 
 def test_ms_model_from_finite_graph():

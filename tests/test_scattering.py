@@ -434,7 +434,7 @@ def test_the_coupling_is_read_from_the_decomposition(walk, lam_eps):
     shapes = [report.line_shape for report in reports]
     for name in ("values", "residues", "direct"):
         assert np.array_equal(getattr(shapes[0], name), getattr(shapes[1], name))
-    assert same_bits(outcome(lambda: reports[0].window), outcome(lambda: reports[1].window))
+    assert same_bits(outcome(lambda: shapes[0].window), outcome(lambda: shapes[1].window))
 
 
 def test_a_bare_junction_scatters_through_its_coin():
@@ -527,7 +527,7 @@ def test_drive_onto_a_bound_state_is_rejected_per_column():
     with pytest.raises(OrthogonalityViolated):
         generalized_eigenfunction(walk, z, np.eye(2), system)
     sol = generalized_eigenfunction(walk, z, e1, system)
-    assert sol.circle_overlap == 0.0
+    assert resolvent_kernel(walk, e1, system).overlap == 0.0
     assert np.abs(sol.interior - e1 / (z - 0.5)).max() <= 1e-15
 
 

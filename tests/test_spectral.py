@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qwscatter
-from qwscatter import asymptotics, spectral
+from qwscatter import spectral
 from qwscatter.graph import build_graph
 from qwscatter.line import BarrierSpec, double_barrier, line_to_graph, rotation_coin
 from qwscatter.coins import eval_coins, parse_coin_family
@@ -521,7 +521,7 @@ def test_eigensolver_arithmetic_follows_the_interior(monkeypatch, build, dtype):
     seen_eig = spy_on(monkeypatch, "eig")
     seen_eigvals = spy_on(monkeypatch, "eigvals")
     system = eigen_decompose(walk)
-    values = asymptotics._eigenvalues(lambda eps: walk, 0.0)
+    values = spectral._eigenvalues(walk.interior)
     assert seen_eig == [dtype] and seen_eigvals == [dtype]
     assert system.matrix.dtype == np.complex128 and values.dtype == np.complex128
     assert all(c.chains[0].dtype == np.complex128 for c in system.clusters)
@@ -857,7 +857,7 @@ def test_only_a_permutation_with_distinct_values_skips_eig(monkeypatch, build, c
     system = eigen_decompose(walk)
     assert len(seen) == calls
     if not calls:  # the closed form's values alone round as its clusters carry them
-        values = asymptotics._eigenvalues(lambda eps: walk, 0.0)
+        values = spectral._eigenvalues(walk.interior)
         assert sorted(values.tolist(), key=spectral._sort_key) == [c.value for c in system.clusters]
 
 
@@ -925,7 +925,7 @@ def test_level_product_matches_the_eig_path(monkeypatch, name):
     closed = eigen_decompose(walk)
     assert seen == [(n // period, n // period)]  # the level product's alone
     # the values alone round as the clusters carry them, from the same eig
-    values = asymptotics._eigenvalues(lambda eps: walk, 0.0)
+    values = spectral._eigenvalues(walk.interior)
     assert sorted(values.tolist(), key=spectral._sort_key) == closed.values.tolist()
     monkeypatch.setattr(spectral, "_periodic_eig", spectral._eig_pairs)
     reference = eigen_decompose(walk)
