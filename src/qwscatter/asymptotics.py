@@ -1012,7 +1012,8 @@ def _largest_norm(stack: np.ndarray) -> tuple:
     only where they can reach the max: Gershgorin's bound on ``A*A``,
     widened by a roundoff margin relative to the unit roundoff, bounds
     each σ_max from above, and the exact σ_max at the largest Frobenius
-    norm is a first value of the max.  A NaN bound keeps its point.
+    norm is a first value of the max.  A NaN bound keeps its point.  Every
+    ``remainder_table`` row takes its sup here (the bench's ``sweep-small``).
     """
     gram = stack.conj().transpose(0, 2, 1) @ stack
     margin = 1.0 + 32 * stack.shape[-1] * UNIT_ROUNDOFF
@@ -1042,6 +1043,8 @@ def remainder_table(
     first-order bound residual <= C * eps.  The grid is streamed
     (:func:`_stream`): each eps, 0 included, is walked and decomposed once.
     """
+    if n_grid < 1:
+        raise ValueError(f"n_grid must be at least 1, not {n_grid}")
     grid = _positive(eps_values)
     z_points = np.array(
         [cmath.exp(2j * cmath.pi * k / n_grid) for k in range(n_grid)]

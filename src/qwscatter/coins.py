@@ -440,16 +440,14 @@ def eval_coins(coins: CoinFamily, eps: float) -> dict:
     if not by_size:
         return out
     vertices = [v for group in by_size.values() for v in group]
-    if len(by_size) == 1:
-        stack = np.array([out[v] for v in vertices])
-    else:  # [[C, 0], [0, I]] has the residual of C
-        size = max(by_size)
-        stack = np.empty((len(vertices), size, size), dtype=complex)
-        stack[:] = np.eye(size)
-        stop = 0
-        for width, group in by_size.items():
-            stack[stop : stop + len(group), :width, :width] = [out[v] for v in group]
-            stop += len(group)
+    # [[C, 0], [0, I]] has the residual of C
+    size = max(by_size)
+    stack = np.empty((len(vertices), size, size), dtype=complex)
+    stack[:] = np.eye(size)
+    stop = 0
+    for width, group in by_size.items():
+        stack[stop : stop + len(group), :width, :width] = [out[v] for v in group]
+        stop += len(group)
     # the entries of a unitary are at most 1, so a finite coin has a finite sum
     finite = np.isfinite(stack.sum(axis=(1, 2)))
     good = stack if finite.all() else stack[finite]

@@ -33,13 +33,13 @@ cluster is *semisimple* when its ``eig`` values agree within the floor
 and its unit ``eig`` columns are well conditioned, both measured
 against ``eig``'s backward error in units of the unit roundoff
 (:func:`_semisimple`): those columns are then its chains, one each.
-Every simple and semisimple cluster is normalised in one vectorised
-pass over the basis, and every cluster is bounded and classified on or
-off the circle in another.  Only the other multiple clusters (Jordan
-blocks, or eigenspaces ``eig`` resolves poorly) run the Jordan
-staircase, on their own generalized eigenspace.  The 2-norms of a
-multiple cluster's condition, one stacked singular-value call per
-size, are taken when the condition is read.
+Every column of the basis is normalised in one vectorised pass, and
+every cluster is bounded and classified on or off the circle in
+another.  Only the other multiple clusters (Jordan blocks, or
+eigenspaces ``eig`` resolves poorly) run the Jordan staircase, on their
+own generalized eigenspace, and write their chains over their columns.
+The 2-norms of a multiple cluster's condition are taken, cluster by
+cluster, when the condition is read.
 
 The co-chains are *not* built by running the chain algorithm on the
 adjoint: they are the dual basis of the whole right basis ``V`` (every
@@ -186,11 +186,11 @@ class PoleBasis(NamedTuple):
 
 def _links(lengths) -> tuple:
     """The columns whose chain continues in the next one, for chains of ``lengths``."""
-    links, stop = [], 0
-    for length in lengths:
-        links += range(stop, stop + length - 1)
-        stop += length
-    return tuple(links)
+    heads = accumulate(lengths, initial=0)
+    # a chain of one column adds no link: skipping its empty range keeps this
+    # cheap on the all-simple spectra of the long lines and cycles
+    return tuple(k for head, size in zip(heads, lengths) if size > 1
+                 for k in range(head, head + size - 1))
 
 
 def _pole_basis(clusters: list, n0: int, n_tails: int) -> PoleBasis:
@@ -219,7 +219,7 @@ class EigenSystem:
     ``condition_bound`` and ``condition`` are per cluster.  The bound
     ``||V||_F·||W||_F`` is the condition of a simple cluster and bounds
     a multiple one's from above; ``eigen_decompose`` checks the bound,
-    so a multiple cluster's 2-norms (one singular-value call per size)
+    so a multiple cluster's 2-norms (singular values of its own columns)
     are taken only when ``condition`` is read or the bound fails.
     :class:`Cluster` objects are views of one cluster's columns, built
     when asked for (``cluster``, ``clusters``, ``nearest_cluster``,
@@ -244,18 +244,17 @@ class EigenSystem:
         A semisimple cluster's is the norm of that projector, which no
         choice of its eigenvectors changes: for a simple one its
         ``condition_bound``, 1/|<v, w>| of unit v, w.  A cluster with a
-        longer Jordan chain takes ``||V||·||W||`` over its chains.  The
-        multiple clusters of each size take these 2-norms from one
-        stacked call each.
+        longer Jordan chain takes ``||V||·||W||`` over its chains.  Each
+        multiple cluster's 2-norms are taken on its own columns.
         """
         condition = np.array(self.condition_bound, dtype=float)
-        for ks, cols in _by_size(self._starts, self.multiplicity.tolist()):
-            chains, co_chains = self.right.T[cols], self.left_h[cols]  # V^T and W*
-            projector = np.linalg.svd(chains.transpose(0, 2, 1) @ co_chains, compute_uv=False)
-            factors = np.linalg.svd(np.concatenate((chains, co_chains)), compute_uv=False)[:, 0]
-            jordan = [len(self._chain_lengths[k]) < len(cols[0]) for k in ks]
-            norms = factors[: len(ks)] * factors[len(ks) :]
-            condition[ks] = np.where(jordan, norms, projector[:, 0])
+        for k in np.flatnonzero(self.multiplicity > 1).tolist():
+            own = list(range(self._starts[k], self._starts[k] + int(self.multiplicity[k])))
+            chains, co_chains = self.right.T[own], self.left_h[own]  # V^T and W*
+            if len(self._chain_lengths[k]) < len(own):
+                condition[k] = np.linalg.norm(chains, 2) * np.linalg.norm(co_chains, 2)
+            else:
+                condition[k] = np.linalg.norm(chains.T @ co_chains, 2)
         condition.flags.writeable = False
         return condition
 
@@ -324,19 +323,13 @@ class EigenSystem:
         once, as a column selection of the system, and each analytic
         route sums every pole in one pass.
         """
-        n = self.right.shape[1]
-        simple = len(self.values) == n
-        values = self.values if simple else self.values.repeat(self.multiplicity)
-        links = () if len(self.lengths) == n else _links(self.lengths.tolist())
-        keep = ~self.on_unit_circle
-        if not simple:
-            keep = keep.repeat(self.multiplicity)
+        values = self.values.repeat(self.multiplicity)
+        links = _links(self.lengths.tolist())
+        keep = (~self.on_unit_circle).repeat(self.multiplicity)
         kept = keep.nonzero()[0]
-        if len(kept) == n:
+        if len(kept) == len(keep):
             return PoleBasis(values, self.right, self.left_h, self.emission, self.pickup, links)
-        if links:
-            position = keep.cumsum() - 1
-            links = tuple(int(position[k]) for k in links if keep[k])
+        links = tuple(int(np.count_nonzero(keep[:k])) for k in links if keep[k])
         return PoleBasis(values[kept], self.right[:, kept], self.left_h[kept],
                          self.emission[:, kept], self.pickup[kept], links)
 
@@ -356,9 +349,11 @@ def _cluster_indices(values: np.ndarray, tol: float, merge: bool = True):
     flagged afterwards if transitivity stretched a cluster beyond diameter
     2*tol, which is exactly when a greedy pass would have been
     order-dependent.  With no two eigenvalues that close, every cluster is
-    one eigenvalue.  Returns each cluster's indices, ascending, and the
-    clusters' values (an eigenvalue, or the mean of several), clusters in
-    value order; without ``merge``, None where some would merge.
+    one eigenvalue and the closure is skipped, as on every large interior
+    and every cycle and ``crossing`` sweep.  Returns each cluster's
+    indices, ascending, and the clusters' values (an eigenvalue, or the
+    mean of several), clusters in value order; without ``merge``, None
+    where some would merge.
     """
     n = len(values)
     distance = np.abs(np.subtract.outer(values, values))
@@ -411,7 +406,8 @@ def _value_order(values: list) -> list:
     its values share one real part with imaginary parts more than 2e-12
     apart, which is that order already.  So ``round``, whose correctly
     rounded decimal conversion dominates a small spectrum's sort, runs
-    only on the values of a run that needs it.
+    only on the values of a run that needs it; the long barrier lines and
+    cycles, with hundreds of values, pay for the runs.
     """
     raw = [(z.real, z.imag) for z in values]
     order = sorted(range(len(values)), key=raw.__getitem__)
@@ -429,8 +425,6 @@ def _value_order(values: list) -> list:
 
 
 def _null_dim(sigmas: np.ndarray, total: int, floor: float) -> int:
-    if len(sigmas) == 0:
-        return total
     thr = max(RANK_REL_TOL * sigmas[0], floor)
     return int(np.sum(sigmas < thr)) + (total - len(sigmas))
 
@@ -530,7 +524,8 @@ def _levels(a: np.ndarray):
     component, its arcs class by class (a cycle's in its own order), or
     None for a component of period 1 with more than one arc, or with
     classes of unequal size.  A weighted permutation (one nonzero per row
-    and column) is its cycles.
+    and column) is its cycles, found without the level search: every
+    cycle model, two-barrier line and ``crossing`` is one.
     """
     n = a.shape[0]
     nonzero = a != 0
@@ -597,7 +592,9 @@ def _cycle_eig(weights: list, real: bool):
     weight product ``π`` and partial products ``P_t``, the values are the L
     roots ``μ`` of ``π``, ``v_{j_t} = P_t / μ^t`` and ``w*_{j_t} = 1 / (L v_{j_t})``.
     ``μ_0^t`` is ``exp((t/L)·log π)``; a real negative ``π`` takes the odd ``q``.
-    Returns what :func:`_level_product_eig` does, with a residual of 0.
+    Returns what :func:`_level_product_eig` does, with a residual of 0.  A
+    cycle is the m = 1 case of that lift, which this skips: cycle64 and the
+    two-barrier lines decompose several times faster here.
     """
     size = len(weights)
     prods = list(accumulate(weights, operator.mul, initial=1.0))
@@ -804,42 +801,32 @@ def _semisimple(spread: float, gram: list, n: int, scale: float, floor: float) -
     passes the staircase's own test for a semisimple cluster
     (``||r||_F < floor/2``, :func:`_nilpotent_chains`) and spans the
     cluster's eigenspace.  A Jordan block fails: its ``eig`` columns are
-    parallel to within ~u^(1/L), or its values split by as much.
+    parallel to within ~u^(1/L), or its values split by as much.  ``ms``'s
+    double zero passes, so its sweeps run no staircase at any ε.
     """
     gap = min(2 * abs(row[i]) - sum(map(abs, row)) for i, row in enumerate(gram))
     bound = math.sqrt(len(gram)) * (spread + n * UNIT_ROUNDOFF * scale)
     return bound < 0.5 * floor * math.sqrt(max(gap, 0.0))
 
 
-def _by_size(starts, widths):
-    """Per size m > 1: the clusters of that size, and each one's m columns."""
-    sizes: dict = {}
-    for k, width in enumerate(widths):
-        if width > 1:
-            sizes.setdefault(width, []).append(k)
-    for width, ks in sorted(sizes.items()):
-        yield ks, [list(range(starts[k], starts[k] + width)) for k in ks]
-
-
 def _multiple_clusters(m, columns, column_values, lams, starts, widths, scale, floor):
     """Jordan chains of the multiple clusters that are not semisimple.
 
-    The clusters of each size are tested (:func:`_semisimple`) on the Gram
-    matrices of their ``eig`` columns, from one stacked product; a
-    semisimple cluster keeps those columns as its chains, and each of the
-    others runs the Jordan staircase, whose chains are written over its
-    columns.  Returns the chain lengths of the latter, by cluster.
+    Each multiple cluster is tested (:func:`_semisimple`) on the Gram
+    matrix of its unit ``eig`` columns; a semisimple cluster keeps those
+    columns as its chains, and each of the others runs the Jordan
+    staircase, whose chains are written over its columns.  Returns the
+    chain lengths of the latter, by cluster.
     """
     n = m.shape[0]
-    listed = column_values.tolist()
     staircase = {}
-    for ks, cols in _by_size(starts, widths):
-        x = columns[:, cols].transpose(1, 0, 2)  # (clusters, n, m)
-        grams = (x.conj().transpose(0, 2, 1) @ x).tolist()
-        for k, own, gram in zip(ks, cols, grams):
-            spread = max(abs(listed[c] - lams[k]) for c in own)
-            if not _semisimple(spread, gram, n, scale, floor):
-                staircase[k], columns[:, own] = _right_chains(m, lams[k], len(own), floor)
+    for k, width in enumerate(widths):
+        if width > 1:
+            own = slice(starts[k], starts[k] + width)
+            x = columns[:, own]
+            spread = max(abs(value - lams[k]) for value in column_values[own].tolist())
+            if not _semisimple(spread, (x.conj().T @ x).tolist(), n, scale, floor):
+                staircase[k], columns[:, own] = _right_chains(m, lams[k], width, floor)
     return staircase
 
 
@@ -875,7 +862,7 @@ def _classify(walk, right: np.ndarray, left_h: np.ndarray, starts):
     blocks = (right.T, emission.T, left_h, pickup)
     parts = np.concatenate(blocks, axis=1)
     sq = np.square(parts.view(float)) @ _segments(*(2 * block.shape[1] for block in blocks))
-    if len(starts) < right.shape[1]:  # some cluster owns several columns: sum over them
+    if len(starts) < right.shape[1]:  # some cluster owns several columns (ms's zero): sum them
         sq = np.add.reduceat(sq, starts, axis=0)
     circle = np.logical_and.reduce(sq[:, 1::2] <= CIRCLE_COUPLING_TOL**2 * sq[:, ::2], axis=1)
     return np.sqrt(sq[:, 0] * sq[:, 2]), circle, emission, pickup
@@ -900,23 +887,12 @@ def eigen_decompose(walk) -> EigenSystem:
     order = [i for idx in groups for i in idx]
     columns, column_values = vectors[:, order], values[order]
     widths = list(map(len, groups))
-    if len(groups) == n:
-        lams, starts, staircase = column_values, list(range(n)), {}
-    else:
-        starts = list(accumulate(widths[:-1], initial=0))
-        staircase = _multiple_clusters(
-            m, columns, column_values, centres, starts, widths, scale, floor
-        )
-        lams = np.array(centres)
-    # one pass normalises every simple and semisimple cluster's columns
-    if staircase:
-        passing = [c for k, start in enumerate(starts) if k not in staircase
-                   for c in range(start, start + widths[k])]
-        divisors = _unit_pivot(columns[:, passing], column_values[passing], floor)
-        columns[:, passing] /= divisors
-    else:
-        divisors = _unit_pivot(columns, column_values, floor)
-        columns /= divisors
+    starts = list(accumulate(widths[:-1], initial=0))
+    # one pass normalises every column; the staircase writes its chains over its clusters' own
+    divisors = _unit_pivot(columns, column_values, floor)
+    columns /= divisors
+    staircase = _multiple_clusters(m, columns, column_values, centres, starts, widths, scale, floor)
+    lams = np.array(centres)
     right = columns
     if co is not None:  # the closed form: every cluster is simple
         left_h = co[order]

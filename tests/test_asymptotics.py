@@ -510,6 +510,31 @@ def test_a_lockstep_steps_each_bracket_on_its_own_values():
         assert shape.window == alone.window, seed
 
 
+def test_a_lockstep_step_on_a_pole_fails_that_shape_alone():
+    # a second pole 5e-10 inside the circle beside the fourth doubling step
+    # on the + side of one peak: that shape's window raises what its own
+    # call raises at that step, and the two searched with it keep their
+    # windows searched alone
+    def hit_shape():
+        shape = skewed_line_shape(np.random.default_rng(2))
+        step = max((1.0 - shape.modulus) / 16.0, 1e-12) * 2.0**3
+        point = np.exp(1j * (np.array([cmath.phase(shape.z_star)]) + step))[0]
+        values = np.append(shape.values, (1.0 - 5e-10) * point)
+        residues = np.concatenate([shape.residues, np.zeros((1, 1, 1))], axis=1)
+        return dataclasses.replace(shape, values=values, residues=residues), point
+
+    hit, point = hit_shape()
+    others = [skewed_line_shape(np.random.default_rng(seed)) for seed in (0, 1)]
+    asymptotics._search_windows([others[0], hit, others[1]])
+    with pytest.raises(AtInteriorResonance) as own:
+        hit_shape()[0](point)
+    with pytest.raises(AtInteriorResonance) as searched:
+        hit.window
+    assert str(searched.value) == str(own.value)
+    for seed, shape in zip((0, 1), others):
+        assert shape.window == skewed_line_shape(np.random.default_rng(seed)).window
+
+
 def test_a_window_error_comes_before_a_later_eps_that_fails(monkeypatch):
     # the windows are searched after the stream, yet the first eps in grid
     # order that fails raises: here the widest peak's NoCrossing at 0.6,
@@ -1034,6 +1059,20 @@ def remainder_by_scalar_loop(family, eps, n_grid, route):
         sigma = scattering_matrix(walk, z, route, system).matrix
         residuals.append(float(np.linalg.norm(sigma - approx, 2)))
     return z_points, residuals
+
+
+@pytest.mark.parametrize("n_grid", [0, -1])
+def test_remainder_table_needs_a_grid_point_before_any_walk(n_grid):
+    calls = []
+    family = matrix_schrodinger_family()
+
+    def spy(eps):
+        calls.append(eps)
+        return family(eps)
+
+    with pytest.raises(ValueError, match="n_grid"):
+        remainder_table(spy, [0.01, 0.02], n_grid=n_grid)
+    assert calls == []
 
 
 @pytest.mark.parametrize(

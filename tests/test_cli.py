@@ -22,6 +22,7 @@ import pytest
 
 import qwscatter
 from qwscatter import cli
+from qwscatter.asymptotics import NONRESONANT_DIST, nonresonant_point
 from qwscatter.cli import (
     main,
     parse_complex_value,
@@ -31,7 +32,7 @@ from qwscatter.cli import (
 from qwscatter.line import BarrierSpec, barrier_scattering, line_to_graph, rotation_coin
 from qwscatter.modelfile import save_model
 from qwscatter.models import closed_form_sigma_ms, matrix_schrodinger_family
-from qwscatter.spectral import NumericalError
+from qwscatter.spectral import NumericalError, _eigenvalues
 
 UNITARITY_CAP = 1e-8
 
@@ -371,6 +372,24 @@ def test_smatrix_rejects_resonance_hit():
         )
         assert code == 2
         assert json.loads(err)["error"]["type"] == "AtInteriorResonance"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["smatrix", "--model", "ms", "--eps", "0.3", "--z-grid", "0"], "--z-grid must be positive"),
+        (["barrier", "--r", "0.8,0.6", "--positions", "0,10", "--z-grid", "0"],
+         "--z-grid must be positive"),
+        (["smatrix", "--model", "crossing", "--c", "1,2", "--z", "i"],
+         "--model crossing takes a single --c value"),
+    ],
+    ids=["smatrix-z-grid", "barrier-z-grid", "crossing-c-list"],
+)
+def test_a_bad_grid_size_or_coupling_list_is_a_usage_error(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 3
+    assert out == ""
+    assert message in err
 
 
 def test_smatrix_wants_exactly_one_z():
@@ -741,6 +760,26 @@ def test_sweep_discrepancy_reports_second_order_honestly():
     summary = json.loads(out)["summary"]
     assert 1.8 <= summary["slope"] <= 2.2
     assert not summary["slope_in_band"]
+
+
+def test_sweep_discrepancy_without_z_takes_the_nonresonant_point():
+    code, out, _ = run_cli(
+        ["sweep", "discrepancy", "--model", "ms", "--eps-grid", "0.001:0.1:3", "--format", "json"]
+    )
+    assert code == 0
+    family = matrix_schrodinger_family()
+    z = nonresonant_point(family)
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 3
+    assert all(complex(row[1], row[2]) == z for row in rows)
+    assert np.abs(_eigenvalues(family(0.0).interior) - z).min() >= NONRESONANT_DIST
+
+
+def test_sweep_discrepancy_without_z_needs_a_nonresonant_point():
+    code, out, err = run_cli(["sweep", "discrepancy", "--model", "cycle", "--N", "16"])
+    assert code == 1
+    assert out == ""
+    assert "no circle point stays 0.3 away" in json.loads(err)["error"]["message"]
 
 
 def test_sweep_tunneling_hidden_channel():

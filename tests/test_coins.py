@@ -19,6 +19,7 @@ from qwscatter.coins import (
     parse,
     parse_coin_family,
 )
+from qwscatter.line import near_reflective_coin
 
 EVAL_TOL = 1e-12
 
@@ -81,6 +82,42 @@ def test_division_by_zero_is_an_eval_error():
     assert abs(expr.eval(0.5) - 2.0) <= EVAL_TOL
     with pytest.raises(EvalError):
         expr.eval(0.0)
+
+
+NEAR_REFLECTIVE = {
+    "v": [
+        ["exp(-1/eps)", "sqrt(1 - exp(-2/eps))"],
+        ["-sqrt(1 - exp(-2/eps))", "exp(-1/eps)"],
+    ]
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
+def test_an_exponentially_flat_coin_is_the_mirror_at_eps_zero(eps):
+    # exp(c/eps) with c < 0 takes its limit 0 at eps = 0, as the module promises
+    coin = eval_coins(parse_coin_family(NEAR_REFLECTIVE), eps)["v"]
+    assert np.abs(coin - near_reflective_coin(1.0, eps)).max() <= EVAL_TOL
+
+
+@pytest.mark.parametrize(
+    "text", ["exp(-(1/eps))", "exp(2*(-1/eps))", "exp((-1/eps)*2)", "exp((-1/eps)/2)", "exp(-1/eps^2)"]
+)
+def test_a_negative_divergence_carries_through_to_exp(text):
+    # the divergence passes Neg, Mul on either side and Div with its sign
+    assert parse(text).eval(0.0) == 0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("exp(1/eps)", "without a negative real limit"),
+        ("exp(i/eps)", "without a negative real limit"),
+        ("exp(-1/eps)/eps", "division by zero"),
+    ],
+)
+def test_any_other_divergence_at_eps_zero_is_an_eval_error(text, message):
+    with pytest.raises(EvalError, match=message):
+        parse(text).eval(0.0)
 
 
 def test_const_expr_prints_and_evals():

@@ -966,14 +966,34 @@ def two_equal_lines():
     return bare(np.kron(np.eye(2), a))
 
 
+def singular_level_product():
+    """A period-2 interior whose first level block has rank one.
+
+    Its level product is singular, so the closed form declines; ``eig``
+    finds 0 twice, on one eigenvector: a Jordan chain of length 2.
+    """
+    a = np.zeros((4, 4))
+    a[2:, :2] = [[0.5, 0.5], [0.5, 0.5]]
+    a[:2, 2:] = [[0.6, -0.8], [0.8, 0.6]]
+    return bare(a)
+
+
+def underflowing_cycle():
+    """A 40-cycle of weight 1e-9: its weight product 1e-360 underflows to 0."""
+    return bare(1e-9 * np.roll(np.eye(40), 1, axis=0))
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: matrix_schrodinger_family().walk(0.3),  # level classes of 2 and 4 arcs
      lambda: random_walk(np.random.default_rng(105)),  # period 1
      not_strongly_connected,
      two_equal_lines,  # every value twice
-     tiny_root_level_product],
-    ids=["ms", "haar-digraph-period-1", "not-strongly-connected", "two-equal-lines", "tiny-root"],
+     tiny_root_level_product,
+     singular_level_product,
+     underflowing_cycle],
+    ids=["ms", "haar-digraph-period-1", "not-strongly-connected", "two-equal-lines", "tiny-root",
+         "singular-level-product", "underflowing-cycle"],
 )
 def test_other_interiors_keep_their_eig(monkeypatch, build):
     walk = build()
@@ -983,6 +1003,12 @@ def test_other_interiors_keep_their_eig(monkeypatch, build):
     # equal lines decompose one by one before their values are found to coincide
     assert seen[-1] == (n, n) and seen.count((n, n)) == 1
     assert sum(system.multiplicity.tolist()) == n
+
+
+def test_a_singular_level_product_decomposes_into_a_jordan_chain_at_zero():
+    system = eigen_decompose(singular_level_product())
+    zero = system.zero_cluster()
+    assert zero.multiplicity == 2 and zero.lengths == (2,)
 
 
 def test_level_search_needs_strong_connectivity():
