@@ -170,6 +170,4 @@ def family_from_file(path: str) -> ModelFamily:
     """
     graph, coins = load_model(path)
     name = os.path.splitext(os.path.basename(path))[0]
-    return ModelFamily(
-        name=name, graph=graph, coins=coins, eps_limit=math.inf, params={}
-    )
+    return ModelFamily(name=name, graph=graph, coins=coins, eps_limit=math.inf)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class ModelFamily:
     graph: TailedGraph
     coins: CoinFamily
     eps_limit: float
-    params: dict = field(default_factory=dict)
 
     def check_eps(self, eps: float) -> float:
         eps = float(eps)
@@ -131,13 +130,7 @@ def cycle_family(n_vertices: int, strengths) -> ModelFamily:
         coins[names[n - 1]] = [[s, f"{cr}*eps"], [f"-{cr}*eps", s]]
     cmax = max(strengths)
     limit = math.inf if cmax == 0 else 1.0 / cmax
-    return ModelFamily(
-        "cycle",
-        graph,
-        parse_coin_family(coins),
-        eps_limit=limit,
-        params={"n": n_vertices, "c": tuple(strengths)},
-    )
+    return ModelFamily("cycle", graph, parse_coin_family(coins), eps_limit=limit)
 
 
 def closed_form_sigma_cycle(n_vertices: int, strengths, eps: float, z: complex) -> np.ndarray:
@@ -208,9 +201,7 @@ def crossing_family(strength: float = 1.0) -> ModelFamily:
             "far": [["1"]],
         }
     )
-    return ModelFamily(
-        "crossing", graph, coins, eps_limit=1.0 / c, params={"c": c}
-    )
+    return ModelFamily("crossing", graph, coins, eps_limit=1.0 / c)
 
 
 def closed_form_sigma_crossing(eps: float, z: complex, strength: float = 1.0) -> np.ndarray:

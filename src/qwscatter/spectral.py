@@ -397,31 +397,8 @@ def _sort_key(z: complex):
 
 
 def _value_order(values: list) -> list:
-    """The indices of ``values`` sorted by :func:`_sort_key`, ties by index.
-
-    Rounding is monotone, so two values whose real parts are more than
-    2e-12 apart round to 12 decimals in the order of their raw parts: the
-    raw order splits into runs at such gaps, and the runs keep their
-    order.  A run of several values is sorted by the rounded key, unless
-    its values share one real part with imaginary parts more than 2e-12
-    apart, which is that order already.  So ``round``, whose correctly
-    rounded decimal conversion dominates a small spectrum's sort, runs
-    only on the values of a run that needs it; the long barrier lines and
-    cycles, with hundreds of values, pay for the runs.
-    """
-    raw = [(z.real, z.imag) for z in values]
-    order = sorted(range(len(values)), key=raw.__getitem__)
-    result, start = [], 0
-    for stop in range(1, len(order) + 1):
-        if stop < len(order) and raw[order[stop]][0] - raw[order[stop - 1]][0] <= 2e-12:
-            continue
-        run = order[start:stop]
-        pairs = zip(map(raw.__getitem__, run), map(raw.__getitem__, run[1:]))
-        if not all(re1 == re0 and im1 - im0 > 2e-12 for (re0, im0), (re1, im1) in pairs):
-            run = sorted(sorted(run), key=lambda a: _sort_key(values[a]))
-        result += run
-        start = stop
-    return result
+    """The indices of ``values`` sorted by :func:`_sort_key`, ties by index."""
+    return sorted(range(len(values)), key=lambda a: _sort_key(values[a]))
 
 
 def _null_dim(sigmas: np.ndarray, total: int, floor: float) -> int:
@@ -445,13 +422,10 @@ def _nilpotent_chains(r: np.ndarray, floor: float):
     and of the vectors already occupied by longer chains.  The longest
     chains' tops span the complement of ``null(r^(kmax-1))``, the row
     space of that power, so they need no search; with ``kmax = 1`` (a
-    semisimple cluster, most often shown by ``r``'s norm alone) they span
-    the whole space.
+    semisimple cluster, every singular value of ``r`` below the rank
+    threshold) they span the whole space.
     """
     m = r.shape[0]
-    if np.vdot(r, r).real < 0.25 * floor * floor:
-        # ||r||_F < floor/2: every singular value is below the rank threshold
-        return [1] * m, np.eye(m)
     powers, dims = [np.eye(m, dtype=complex)], [0]
     while dims[-1] < m:
         powers.append(powers[-1] @ r)
@@ -797,10 +771,10 @@ def _semisimple(spread: float, gram: list, n: int, scale: float, floor: float) -
     on the span of X, ``||(M - λ) y|| / ||y||`` is at most
     ``sqrt(m)·(spread + n·u·||M||) / σ_min(X)``, where Gershgorin's
     ``σ_min(X)² >= min_i (G_ii - Σ_{j≠i} |G_ij|)`` (exact for m = 2)
-    bounds σ_min from below.  When the bound is below half the floor, X
-    passes the staircase's own test for a semisimple cluster
-    (``||r||_F < floor/2``, :func:`_nilpotent_chains`) and spans the
-    cluster's eigenspace.  A Jordan block fails: its ``eig`` columns are
+    bounds σ_min from below.  When the bound is below half the floor, every
+    singular value of M - λ on that span is below the staircase's rank
+    threshold (:func:`_nilpotent_chains`), and X spans the cluster's
+    eigenspace.  A Jordan block fails: its ``eig`` columns are
     parallel to within ~u^(1/L), or its values split by as much.  ``ms``'s
     double zero passes, so its sweeps run no staircase at any ε.
     """
@@ -855,15 +829,15 @@ def _classify(walk, right: np.ndarray, left_h: np.ndarray, starts):
     couples to the tails with norm sqrt(1 - |λ|²), and the gap to the
     circle shows as a square root: 1.4e-8 at 1 - |λ| = 1e-16, which |λ|
     cannot resolve.  The coupling of a cluster is the Frobenius ratio
-    ``||T V|| / ||V||``, summed column by column over its chains.
+    ``||T V|| / ||V||``, summed over its chains' columns by one
+    ``np.add.reduceat``, which keeps a one-column cluster's row bit for bit.
     """
     emission, pickup = walk.interior_to_tail @ right, left_h @ walk.tail_to_interior
     # row k: v_k, its emission, w_k* and its pickup; one squared norm of each
     blocks = (right.T, emission.T, left_h, pickup)
     parts = np.concatenate(blocks, axis=1)
     sq = np.square(parts.view(float)) @ _segments(*(2 * block.shape[1] for block in blocks))
-    if len(starts) < right.shape[1]:  # some cluster owns several columns (ms's zero): sum them
-        sq = np.add.reduceat(sq, starts, axis=0)
+    sq = np.add.reduceat(sq, starts, axis=0)
     circle = np.logical_and.reduce(sq[:, 1::2] <= CIRCLE_COUPLING_TOL**2 * sq[:, ::2], axis=1)
     return np.sqrt(sq[:, 0] * sq[:, 2]), circle, emission, pickup
 

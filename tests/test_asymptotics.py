@@ -21,6 +21,7 @@ from qwscatter.asymptotics import (
     NoDetachingResonance,
     ResonanceOnCircle,
     SimplicityViolated,
+    TrackingAmbiguous,
     TunnelingReport,
     _peak_at,
     comfort_table,
@@ -184,6 +185,25 @@ def test_tracking_grid_validation():
 def test_tracking_rejects_degenerate_start():
     with pytest.raises(SimplicityViolated):
         track_resonances(_degenerate_family(), eps_grid=[0.0, 0.1])
+
+
+def _jumping_family():
+    """cycle4's walk at eps = 0 and cycle3's at every eps > 0: no bisection
+    brings cycle4's four unit-circle values onto four distinct values."""
+    start, jumped = cycle_family(4, [1] * 4).walk(0), cycle_family(3, [1] * 3).walk(0.1)
+    return lambda eps: start if eps == 0 else jumped
+
+
+def test_a_step_that_no_bisection_resolves_is_ambiguous():
+    # every refused step halves down to 0.1 / 2^MAX_TRACK_DEPTH
+    deepest = 0.1 / 2**asymptotics.MAX_TRACK_DEPTH
+    assert deepest == 9.5367431640625e-08
+    with pytest.raises(TrackingAmbiguous) as tracked:
+        track_resonances(_jumping_family(), [0, 0.1])
+    assert tracked.value.eps == deepest
+    with pytest.raises(TrackingAmbiguous) as checked:
+        tunneling_check(_jumping_family(), 0.1, 1.0, (1,))
+    assert checked.value.eps == deepest
 
 
 def test_nonresonant_point_keeps_distance():

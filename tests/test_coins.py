@@ -20,6 +20,8 @@ from qwscatter.coins import (
     parse_coin_family,
 )
 from qwscatter.line import near_reflective_coin
+from qwscatter.modelfile import load_model, save_model
+from qwscatter.models import matrix_schrodinger_family
 
 EVAL_TOL = 1e-12
 
@@ -124,6 +126,24 @@ def test_const_expr_prints_and_evals():
     e = const_expr(0.5 - 0.25j)
     assert abs(e.eval(0.7) - (0.5 - 0.25j)) == 0
     assert abs(parse(str(e)).eval(0.0) - (0.5 - 0.25j)) <= EVAL_TOL
+
+
+@pytest.mark.parametrize("value, text", [(-0.25j, "-(0.25*i)"), (0.5 + 0.25j, "0.5 + 0.25*i")])
+def test_const_expr_signs_print_eval_and_round_trip(value, text, tmp_path):
+    # a negative pure imaginary is negated, a positive imaginary part added
+    e = const_expr(value)
+    assert str(e) == text
+    assert e.eval(0.7) == value
+    assert parse(str(e)).eval(0.0) == value
+    # as a coin entry, through a model file on disk
+    fam = matrix_schrodinger_family()
+    (_, b), second = fam.coins["L+"]
+    coins = dict(fam.coins, **{"L+": ((e, b), second)})
+    path = str(tmp_path / "entry.json")
+    save_model(fam.graph, coins, path)
+    loaded = load_model(path)[1]["L+"][0][0]
+    assert str(loaded) == text
+    assert loaded.eval(0.3) == value
 
 
 _atoms = st.one_of(

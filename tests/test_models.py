@@ -318,9 +318,14 @@ def test_builtin_registry():
     # the builtin names are load_family's branches, each one constructor
     fam = load_family("cycle", 3, "0.5")
     assert fam.graph.n_tails == 3
-    assert fam.params == cycle_family(3, [0.5, 0.5, 0.5]).params
-    assert load_family("ms", None, None).name == matrix_schrodinger_family().name
-    assert load_family("crossing", None, "0.8").params == crossing_family(0.8).params
+    for loaded, built in [
+        (fam, cycle_family(3, [0.5, 0.5, 0.5])),
+        (load_family("ms", None, None), matrix_schrodinger_family()),
+        (load_family("crossing", None, "0.8"), crossing_family(0.8)),
+    ]:
+        assert loaded.name == built.name
+        got, want = loaded.walk(0.3).full, built.walk(0.3).full
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_ms_model_from_finite_graph():

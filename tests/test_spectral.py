@@ -676,6 +676,19 @@ def test_semisimple_rule_needs_agreeing_values_and_independent_columns():
     assert not spectral._semisimple(1e-12, orthogonal, n, scale, floor)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("fill", [0.0, 1e-14])
+def test_a_negligible_nilpotent_part_gives_one_chain_per_column(m, fill):
+    # ||r||_F < floor/2 puts every singular value under the rank threshold:
+    # the staircase stops at one chain length, and its tops are the identity
+    floor = 1e-12
+    r = np.full((m, m), fill, dtype=complex)
+    assert np.linalg.norm(r) < floor / 2
+    lengths, coords = spectral._nilpotent_chains(r, floor)
+    assert lengths == [1] * m
+    assert coords.shape == (m, m) and np.array_equal(coords, np.eye(m))
+
+
 def jordan_walk_with_tails():
     """A Jordan block at 0.5 with one tail, 0.9 coupled to it and 0.7 decoupled."""
     interior = np.diag([0.5, 0.5, 0.9, 0.7]).astype(complex)
