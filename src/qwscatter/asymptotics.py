@@ -60,7 +60,6 @@ from .spectral import (
     Cluster,
     EigenSystem,
     NumericalError,
-    _eigenvalues,
     boundary_data,
     eigen_decompose,
 )
@@ -161,8 +160,7 @@ class ResonanceTrack:
     """Paths of the unit-circle resonances of U(0) along an eps grid.
 
     ``paths[i, k]`` is the position at ``eps_grid[i]`` of the resonance
-    that starts at ``starts[k]``; ``continuity[i, k]`` is the jump
-    between consecutive grid points.  Steps are accepted only when each
+    that starts at ``starts[k]``.  Steps are accepted only when each
     resonance moves by less than half its gap to the rest of the
     spectrum, refining the step if necessary, so the columns really are
     continuations of their starting values.
@@ -171,19 +169,6 @@ class ResonanceTrack:
     eps_grid: tuple
     starts: tuple
     paths: np.ndarray
-    continuity: np.ndarray
-
-    def column(self, start: complex) -> int:
-        return _column(self.starts, start)
-
-    def path(self, start: complex) -> np.ndarray:
-        return self.paths[:, self.column(start)]
-
-    def at(self, eps: float, start: complex) -> complex:
-        i = int(np.argmin(np.abs(np.asarray(self.eps_grid) - eps)))
-        if abs(self.eps_grid[i] - eps) > 1e-12 * max(1.0, abs(eps)):
-            raise ValueError(f"eps = {eps!r} is not a grid point of this track")
-        return complex(self.paths[i, self.column(start)])
 
 
 def _column(starts, start: complex) -> int:
@@ -214,11 +199,8 @@ def _starts(system0: EigenSystem) -> list:
 
 
 def _spectrum(system: EigenSystem) -> np.ndarray:
-    """The cluster values of ``system``, each repeated by its multiplicity.
-
-    A simple cluster's value is its eigenvalue from the closed form or
-    ``eig``, which rounds as :func:`_eigenvalues` of the same matrix does.
-    """
+    """The cluster values of ``system``, each repeated by its multiplicity:
+    the spectrum every tracking step matches on."""
     return np.repeat(system.values, system.multiplicity)
 
 
@@ -243,22 +225,22 @@ def _match_step(vals0, cur, vals1):
     return vals1[nearest].tolist()
 
 
-def _advance(family, e0, vals0, cur, e1, depth, vals1=None):
-    """Match ``cur`` from the spectrum ``vals0`` at ``e0`` into the one at ``e1``.
+def _advance(family, e0, vals0, cur, e1, vals1, depth):
+    """Match ``cur`` from the spectrum ``vals0`` at ``e0`` into ``vals1`` at ``e1``.
 
-    ``vals1`` is the spectrum at ``e1`` when the caller has it; bisection
-    midpoints solve for their own eigenvalues.
+    A refused step is halved: each midpoint walks and decomposes
+    ``family(mid)`` and is matched on its :func:`_spectrum`, as a grid
+    point is.
     """
-    if vals1 is None:
-        vals1 = _eigenvalues(family(e1).interior)
     new = _match_step(vals0, cur, vals1)
     if new is not None:
-        return vals1, new
+        return new
     if depth >= MAX_TRACK_DEPTH:
         raise TrackingAmbiguous(e1)
     mid = 0.5 * (e0 + e1)
-    vals_m, cur_m = _advance(family, e0, vals0, cur, mid, depth + 1)
-    return _advance(family, mid, vals_m, cur_m, e1, depth + 1, vals1)
+    vals_m = _spectrum(eigen_decompose(family(mid)))
+    cur_m = _advance(family, e0, vals0, cur, mid, vals_m, depth + 1)
+    return _advance(family, mid, vals_m, cur_m, e1, vals1, depth + 1)
 
 
 def track_resonances(
@@ -268,7 +250,9 @@ def track_resonances(
 
     The grid must start at 0 and increase.  Every unit-circle resonance
     of the decoupled walk must be simple, otherwise the perturbation
-    picture breaks down and ``SimplicityViolated`` is raised.
+    picture breaks down and ``SimplicityViolated`` is raised.  The rows
+    of ``paths`` are the ``tracked`` values of :func:`_stream`; with no
+    start, no walk is built past eps = 0.
     """
     grid = np.asarray([float(e) for e in eps_grid])
     if len(grid) == 0:
@@ -278,23 +262,12 @@ def track_resonances(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("eps grid must be strictly increasing")
 
-    system0 = eigen_decompose(family(0.0))
-    starts = _starts(system0)
-    paths = np.zeros((len(grid), len(starts)), dtype=complex)
-    if starts:
-        paths[0] = starts
-        vals = _spectrum(system0)
-        cur = list(starts)
-        for i in range(1, len(grid)):
-            vals, cur = _advance(family, grid[i - 1], vals, cur, grid[i], 0)
-            paths[i] = cur
-    continuity = np.abs(np.diff(paths, axis=0))
-    return ResonanceTrack(
-        eps_grid=tuple(float(e) for e in grid),
-        starts=tuple(starts),
-        paths=paths,
-        continuity=continuity,
-    )
+    points = _stream(family, grid[1:])
+    starts = next(points).tracked
+    paths = np.zeros((len(grid), 0), dtype=complex)
+    if len(starts):
+        paths = np.array([starts] + [point.tracked for point in points])
+    return ResonanceTrack(tuple(grid.tolist()), tuple(starts.tolist()), paths)
 
 
 class _GridPoint(NamedTuple):
@@ -313,10 +286,10 @@ def _stream(family, eps_values):
     ``family(eps)`` and decomposes it once; the tracked resonances are
     matched on that decomposition's cluster values (:func:`_spectrum`),
     so the walk and system each point hands out are the ones its
-    measure uses.  Only bisection midpoints solve for eigenvalues alone.
-    A generator, so one point's decomposition is alive at a time; the
-    first point's ``tracked`` are the starts, as :func:`track_resonances`
-    orders them.
+    measure uses; a bisection midpoint is decomposed and matched the
+    same way (:func:`_advance`).  A generator, so one point's
+    decomposition is alive at a time; the first point's ``tracked`` are
+    the starts, ordered by phase.
     """
     walk = family(0.0)
     system = eigen_decompose(walk)
@@ -327,9 +300,10 @@ def _stream(family, eps_values):
     for eps in eps_values:
         walk = family(eps)
         system = eigen_decompose(walk)
-        values, tracked = _advance(family, e0, values, tracked, eps, 0, _spectrum(system))
+        spectrum = _spectrum(system)
+        tracked = _advance(family, e0, values, tracked, eps, spectrum, 0)
+        values, e0 = spectrum, eps
         yield _GridPoint(float(eps), walk, system, np.array(tracked, dtype=complex))
-        e0 = eps
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +323,7 @@ def fit_loglog_slope(eps_values, values) -> tuple:
 
 def nonresonant_point(family) -> complex:
     """A deterministic unit-circle point far from every resonance of U(0)."""
-    values = _eigenvalues(family(0.0).interior)
+    values = eigen_decompose(family(0.0)).values
     best, best_dist = None, -1.0
     for k in range(NONRESONANT_SCAN):
         z = cmath.exp(2j * cmath.pi * (k + 0.5) / NONRESONANT_SCAN)
@@ -887,9 +861,10 @@ def _peak_sweep(family, lam, eps_values, quantities, split=None) -> tuple:
     and every eps's window is searched after the stream, in one lockstep
     (:func:`_search_windows`).  The rows come out in grid order, and so
     does the first error: an eps whose window fails raises before a later
-    eps that failed in the stream.  ``lam=None`` first tracks the
-    eigenvalues alone over the grid (:func:`track_resonances`) and picks
-    the start that detaches fastest, whose path ends nearest the origin.
+    eps that failed in the stream.  ``lam=None`` first tracks every
+    start over the grid (:func:`track_resonances`, a stream of its own)
+    and picks the one that detaches fastest, whose path ends nearest the
+    origin.
     A ``None`` value is absent: it makes no row, and NaN in the
     quantity's array.  Every row carries the peak z* = λ_ε/|λ_ε|.
     """

@@ -460,9 +460,7 @@ def _eig_input(m: np.ndarray) -> np.ndarray:
 
     LAPACK's real eigensolver is 1.6-2.8 times faster than the complex one
     on the same matrix, and it returns the nonreal eigenvalues of a real
-    matrix, and their eigenvectors, as exact conjugate pairs.  Every
-    eigensolve of an interior goes through here, so the eigenvalues the
-    clusters carry and the ones ``asymptotics`` tracks round alike.
+    matrix, and their eigenvectors, as exact conjugate pairs.
     """
     return m if np.count_nonzero(m.imag) else m.real
 
@@ -706,21 +704,6 @@ def _eig_pairs(a: np.ndarray):
     values, vectors = np.linalg.eig(a)
     scale = float(np.linalg.svd(a, compute_uv=False)[0])
     return values.astype(complex, copy=False), vectors.astype(complex, copy=False), None, scale
-
-
-def _eigenvalues(m: np.ndarray) -> np.ndarray:
-    """The eigenvalues of the interior ``m``, rounded as its clusters carry them.
-
-    The periodic closed form (:func:`_periodic_eig`, with its level
-    product's ``eig``) serves unless it declines or two of its values
-    fall within the cluster tolerance, where :func:`eigen_decompose`
-    takes ``eig``'s.
-    """
-    a = _eig_input(m)
-    closed = _periodic_eig(a)
-    if closed is None or _cluster_indices(closed[0], _cluster_tol(closed[3]), False) is None:
-        return np.linalg.eigvals(a).astype(complex, copy=False)
-    return closed[0]
 
 
 def _cluster_tol(scale: float) -> float:

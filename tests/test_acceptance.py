@@ -44,6 +44,7 @@ from qwscatter.scattering import (
     transmission_reflection,
 )
 from qwscatter.spectral import boundary_data, resonance_set
+from test_asymptotics import tracked_at
 
 # frozen so the randomized criteria are reproducible run to run
 SEED_CYCLE_FORMS = 20240818
@@ -293,7 +294,7 @@ def test_criterion_12_peak_norm_floor():
 def test_criterion_13_peak_width():
     fam = cycle_family(4, [1.0] * 4)
     track = track_resonances(fam, eps_grid=[0.0, 0.05])
-    lam_eps = track.at(0.05, 1.0)
+    lam_eps = tracked_at(track, 0.05, 1.0)
     theta_minus, theta_plus = tunneling_check(fam, 0.05, 1.0, (1, 2)).line_shape.window
     measured = theta_plus - theta_minus
     predicted = 2.0 * (1.0 - abs(lam_eps))
@@ -318,7 +319,7 @@ def test_criterion_14_comfortability():
 
     fam = cycle_family(4, [1.0] * 4)
     track = track_resonances(fam, eps_grid=[0.0, 0.05])
-    lam_eps = track.at(0.05, 1.0)
+    lam_eps = tracked_at(track, 0.05, 1.0)
     # the resonance-aligned incoming profile realises the divergence rate
     peak = tunneling_check(fam, 0.05, 1.0, (1, 2)).peak
     energy, bound = peak.comfort, peak.comfort_bound

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import math
 import weakref
 
 import numpy as np
@@ -38,7 +39,9 @@ from qwscatter.asymptotics import (
     width_table,
 )
 from qwscatter.graph import build_graph
+from qwscatter.line import BarrierSpec, line_to_graph, rotation_coin
 from qwscatter.models import (
+    ModelFamily,
     crossing_family,
     cycle_family,
     matrix_schrodinger_family,
@@ -58,6 +61,11 @@ from test_scattering import MIXED, TWO_CHAINS, coupled_to_two_tails, jordan_stan
 
 TRACK_TOL = 1e-10
 WIDTH_SLACK = 0.2
+
+
+def tracked_at(track, eps, start):
+    """Where the resonance that starts at ``start`` is at ``track``'s grid point ``eps``."""
+    return complex(track.paths[track.eps_grid.index(eps), asymptotics._column(track.starts, start)])
 
 
 def _degenerate_family():
@@ -153,11 +161,11 @@ def test_tracking_follows_hidden_resonance():
     grid = [0.0, 0.02, 0.05, 0.1, 0.2]
     track = track_resonances(matrix_schrodinger_family(), eps_grid=grid)
     assert len(track.starts) == 4
-    path = track.path(1j)
+    path = track.paths[:, asymptotics._column(track.starts, 1j)]
     for eps, value in zip(grid, path):
         assert abs(value - 1j * np.sqrt(1 - 2 * eps * eps)) <= TRACK_TOL
-    assert abs(track.at(0.1, 1j) - 1j * np.sqrt(0.98)) <= TRACK_TOL
-    assert np.all(track.continuity[1:, track.column(1j)] > 0)
+    assert abs(tracked_at(track, 0.1, 1j) - 1j * np.sqrt(0.98)) <= TRACK_TOL
+    assert np.all(np.abs(np.diff(path))[1:] > 0)
 
 
 def test_tracking_keeps_fixed_resonances_fixed():
@@ -165,7 +173,7 @@ def test_tracking_keeps_fixed_resonances_fixed():
         matrix_schrodinger_family(), eps_grid=[0.0, 0.1, 0.3]
     )
     for start in (1.0, -1.0):
-        path = track.path(start)
+        path = track.paths[:, asymptotics._column(track.starts, start)]
         assert np.max(np.abs(path - start)) <= TRACK_TOL
 
 
@@ -177,9 +185,6 @@ def test_tracking_grid_validation():
         track_resonances(fam, eps_grid=[])
     with pytest.raises(ValueError):
         track_resonances(fam, eps_grid=[0.0, 0.2, 0.1])
-    track = track_resonances(fam, eps_grid=[0.0, 0.05])
-    with pytest.raises(ValueError):
-        track.at(0.03, 1j)
 
 
 def test_tracking_rejects_degenerate_start():
@@ -204,6 +209,34 @@ def test_a_step_that_no_bisection_resolves_is_ambiguous():
     with pytest.raises(TrackingAmbiguous) as checked:
         tunneling_check(_jumping_family(), 0.1, 1.0, (1,))
     assert checked.value.eps == deepest
+
+
+def test_a_refined_step_lands_where_a_fine_grid_does():
+    # ms's one step from 0 to 0.7 is refused and halved six times; the
+    # midpoints' decompositions carry it to the bits a 400-point grid reaches
+    family, built = matrix_schrodinger_family(), []
+
+    def counted(eps):
+        built.append(eps)
+        return family(eps)
+
+    coarse = track_resonances(counted, [0.0, 0.7])
+    assert built[2:] == pytest.approx([0.7 - 0.7 / 2**depth for depth in range(1, 7)])
+    fine = track_resonances(family, np.concatenate([np.linspace(0.0, 0.69, 400), [0.7]]))
+    assert coarse.paths[-1].tobytes() == fine.paths[-1].tobytes()
+
+
+def test_a_walk_with_no_circle_start_is_built_at_eps_zero_alone():
+    graph, coins = line_to_graph(BarrierSpec((0, 20), (rotation_coin(0.8), rotation_coin(0.6))))
+    family, built = ModelFamily("line", graph, coins, eps_limit=math.inf), []
+
+    def counted(eps):
+        built.append(eps)
+        return family(eps)
+
+    track = track_resonances(counted, [0.0, 0.01, 0.02])
+    assert built == [0.0]
+    assert track.starts == () and track.paths.shape == (3, 0)
 
 
 def test_nonresonant_point_keeps_distance():
@@ -295,7 +328,7 @@ def half_height_by_scalar_search(family, eps, lam, split, close=bisect_side):
     # reference every width answers to
     walk = family(eps)
     system = eigen_decompose(walk)
-    cluster = system.nearest_cluster(track_resonances(family, [0.0, eps]).at(eps, lam))
+    cluster = system.nearest_cluster(tracked_at(track_resonances(family, [0.0, eps]), eps, lam))
     in_co = boundary_data(walk, cluster).in_data_co
     mask = np.isin(np.arange(1, walk.n_tails + 1), split)
     restricted = np.where(mask, in_co / np.linalg.norm(in_co), 0.0)
@@ -389,7 +422,7 @@ def test_peak_width_straddles_the_bisected_crossing(model, eps):
     assert np.all(np.abs(np.subtract(got, expected)) <= THETA_TOL)
     # T >= 1/2 just inside each crossing and < 1/2 just outside, through Σ
     walk = family(eps)
-    lam_eps = track_resonances(family, [0.0, eps]).at(eps, lam)
+    lam_eps = tracked_at(track_resonances(family, [0.0, eps]), eps, lam)
     cluster = eigen_decompose(walk).nearest_cluster(lam_eps)
     in_co = boundary_data(walk, cluster).in_data_co
     amp_in = np.where(np.isin(np.arange(1, walk.n_tails + 1), split), in_co, 0.0)
@@ -741,7 +774,7 @@ def test_comfortability_growth_and_bound():
     assert energy >= bound
     assert energy >= 1.0 / 0.05
     track = track_resonances(fam, eps_grid=[0.0, 0.05])
-    lam_eps = track.at(0.05, 1.0)
+    lam_eps = tracked_at(track, 0.05, 1.0)
     assert abs(bound - comfortability_bound(lam_eps)) <= 1e-9
 
 
@@ -754,7 +787,7 @@ def test_resonant_block_norm_floor():
     assert norm >= floor - 1e-8
     assert floor >= 1.99
     track = track_resonances(fam, eps_grid=[0.0, 0.05])
-    assert abs(floor - (1.0 + abs(track.at(0.05, 1.0)))) <= 1e-9
+    assert abs(floor - (1.0 + abs(tracked_at(track, 0.05, 1.0)))) <= 1e-9
 
 
 def test_discrepancy_is_first_order_when_circle_is_stable():
@@ -891,11 +924,10 @@ def test_peak_tables_pick_the_fastest_start_for_lam_none(model, monkeypatch):
         assert (rows, summary) == table(fastest), name
 
 
-def test_lam_none_reuses_the_eps_zero_decomposition(monkeypatch):
-    # the values-only track that picks lambda reads the eps = 0 spectrum
-    # from the decomposition it made for the starts: over N eps it walks
-    # N + 1 times and calls eigvals N times, then the streamed pass walks
-    # and decomposes N + 1 times
+def test_lam_none_streams_the_grid_twice(monkeypatch):
+    # the track that picks lambda is a stream of its own: over N eps it
+    # walks and decomposes N + 1 times, then the streamed pass walks and
+    # decomposes N + 1 times, with no eigvals
     family, _, split = PEAKS["ms"]
     grid = geometric_grid(1e-3, 0.1, 25)
     counts = {"walk": 0, "decompose": 0, "eigvals": 0}
@@ -910,7 +942,7 @@ def test_lam_none_reuses_the_eps_zero_decomposition(monkeypatch):
     monkeypatch.setattr(asymptotics, "eigen_decompose", counted("decompose", eigen_decompose))
     monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
     width_table(counted("walk", family), None, split, grid)
-    assert counts == {"walk": 2 * len(grid) + 2, "decompose": len(grid) + 2, "eigvals": len(grid)}
+    assert counts == {"walk": 2 * len(grid) + 2, "decompose": 2 * len(grid) + 2, "eigvals": 0}
 
 
 STREAMED = {
@@ -976,7 +1008,7 @@ def rows_from_the_public_functions(family, lam, split, grid):
     track = track_resonances(family, np.concatenate([[0.0], grid]))
     rows = {"tunneling": [], "width": [], "comfort": []}
     for eps in grid:
-        lam_eps = track.at(eps, lam)
+        lam_eps = tracked_at(track, eps, lam)
         report = tunneling_check(family, eps, lam, split)
         at = (float(eps), report.z_star)
         for quantity, value in [
@@ -1016,8 +1048,9 @@ def test_streamed_rows_match_the_per_eps_functions_bit_for_bit(model):
 
 @pytest.mark.parametrize("model", sorted(PEAKS))
 def test_tunneling_check_reads_the_trackers_lambda_eps(model):
-    # tunneling_check tracks λ_ε on its own stream from 0 to eps; the
-    # values-only tracker gives the same bits from 0 to eps, and over a whole grid
+    # tunneling_check tracks λ_ε on its own stream from 0 to eps;
+    # track_resonances gives the same bits from 0 to eps, and over a whole
+    # grid, whose steps and bisections differ
     family, lam, split = PEAKS[model]
     grid = np.concatenate([geometric_grid(1e-3, 0.1, 5), [0.3, 0.5]])
     whole = track_resonances(family, np.concatenate([[0.0], grid]))
@@ -1027,8 +1060,8 @@ def test_tunneling_check_reads_the_trackers_lambda_eps(model):
 
     for eps in grid:
         got = bits(tunneling_check(family, eps, lam, split).lambda_eps)
-        assert got == bits(track_resonances(family, [0.0, eps]).at(eps, lam)), eps
-        assert got == bits(whole.at(eps, lam)), eps
+        assert got == bits(tracked_at(track_resonances(family, [0.0, eps]), eps, lam)), eps
+        assert got == bits(tracked_at(whole, eps, lam)), eps
 
 
 def test_lam_none_needs_a_resonance_that_leaves_the_circle():
@@ -1042,16 +1075,16 @@ def test_a_lambda_that_names_no_start_is_rejected():
     grid = geometric_grid(0.01, 0.1, 3)
     with pytest.raises(ValueError, match="names none of the tracked resonances"):
         width_table(family, 0.2, (1, 2), grid)
-    track = track_resonances(family, np.concatenate([[0.0], grid]))
+    starts = track_resonances(family, np.concatenate([[0.0], grid])).starts
     # the start 1 lies sqrt(2) from the next, so it is named from 0.35
     # (0.65 away) but not from 0.25 (0.75 away)
-    assert track.column(0.35) == track.column(1.0)
+    assert asymptotics._column(starts, 0.35) == asymptotics._column(starts, 1.0)
     with pytest.raises(ValueError, match="names none"):
-        track.path(0.25)
+        asymptotics._column(starts, 0.25)
     # two-loop: exp(0.42j) lies 1.03e-3 from its start
     family, lam, _ = PEAKS["two_loop"]
-    track = track_resonances(family, [0.0, 0.01])
-    assert abs(track.starts[track.column(lam)] - lam) <= 1.1e-3
+    starts = track_resonances(family, [0.0, 0.01]).starts
+    assert abs(starts[asymptotics._column(starts, lam)] - lam) <= 1.1e-3
 
 
 def test_remainder_constant_stays_finite():

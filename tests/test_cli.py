@@ -32,7 +32,7 @@ from qwscatter.cli import (
 from qwscatter.line import BarrierSpec, barrier_scattering, line_to_graph, rotation_coin
 from qwscatter.modelfile import save_model
 from qwscatter.models import closed_form_sigma_ms, matrix_schrodinger_family
-from qwscatter.spectral import NumericalError, _eigenvalues
+from qwscatter.spectral import NumericalError
 
 UNITARITY_CAP = 1e-8
 
@@ -772,7 +772,7 @@ def test_sweep_discrepancy_without_z_takes_the_nonresonant_point():
     rows = json.loads(out)["rows"]
     assert len(rows) == 3
     assert all(complex(row[1], row[2]) == z for row in rows)
-    assert np.abs(_eigenvalues(family(0.0).interior) - z).min() >= NONRESONANT_DIST
+    assert np.abs(np.linalg.eigvals(family(0.0).interior) - z).min() >= NONRESONANT_DIST
 
 
 def test_sweep_discrepancy_without_z_needs_a_nonresonant_point():

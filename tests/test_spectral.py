@@ -170,20 +170,15 @@ def test_value_order_is_the_rounded_key_order(values):
     assert spectral._value_order(values) == want
 
 
-def test_ms_decomposes_as_with_every_value_rounded(monkeypatch):
-    # rounding only the runs of near-equal real parts keeps ms's decomposition
-    # bit for bit: its zero still sorts between the hidden pair
-    walk = matrix_schrodinger_family()(0.01)
-    got = eigen_decompose(walk)
-    monkeypatch.setattr(
-        spectral,
-        "_value_order",
-        lambda values: sorted(range(len(values)), key=list(map(spectral._sort_key, values)).__getitem__),
-    )
-    want = eigen_decompose(walk)
-    for name in ("values", "right", "left_h", "multiplicity", "lengths", "on_unit_circle", "condition_bound"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+def test_ms_decomposes_as_with_every_value_rounded():
+    # every value sorts by its rounded key: the hidden pair's real parts
+    # (~1e-16) round to the zero cluster's 0, so the zero sorts between them
+    eps = 0.01
+    r = np.sqrt(1 - 2 * eps**2)
+    system = eigen_decompose(matrix_schrodinger_family()(eps))
+    assert np.abs(system.values - [-1, -1j * r, 0, 1j * r, 1]).max() <= 1e-12
+    assert system.multiplicity.tolist() == [1, 1, 2, 1, 1]
+    assert system.on_unit_circle.tolist() == [True, False, False, False, True]
 
 
 def test_chained_merge_is_ambiguous():
@@ -519,11 +514,9 @@ def test_eigensolver_arithmetic_follows_the_interior(monkeypatch, build, dtype):
     walk = build()
     assert np.iscomplexobj(walk.interior)  # the walk itself is always complex
     seen_eig = spy_on(monkeypatch, "eig")
-    seen_eigvals = spy_on(monkeypatch, "eigvals")
     system = eigen_decompose(walk)
-    values = spectral._eigenvalues(walk.interior)
-    assert seen_eig == [dtype] and seen_eigvals == [dtype]
-    assert system.matrix.dtype == np.complex128 and values.dtype == np.complex128
+    assert seen_eig == [dtype]
+    assert system.matrix.dtype == np.complex128 and system.values.dtype == np.complex128
     assert all(c.chains[0].dtype == np.complex128 for c in system.clusters)
 
 
@@ -867,11 +860,8 @@ def assert_matches_the_eig_path(closed, reference):
 def test_only_a_permutation_with_distinct_values_skips_eig(monkeypatch, build, calls):
     walk = build()
     seen = spy_on(monkeypatch, "eig")
-    system = eigen_decompose(walk)
+    eigen_decompose(walk)
     assert len(seen) == calls
-    if not calls:  # the closed form's values alone round as its clusters carry them
-        values = spectral._eigenvalues(walk.interior)
-        assert sorted(values.tolist(), key=spectral._sort_key) == [c.value for c in system.clusters]
 
 
 # ---------------------------------------------------------------------------
@@ -937,12 +927,9 @@ def test_level_product_matches_the_eig_path(monkeypatch, name):
     seen = spy_shapes(monkeypatch, "eig")
     closed = eigen_decompose(walk)
     assert seen == [(n // period, n // period)]  # the level product's alone
-    # the values alone round as the clusters carry them, from the same eig
-    values = spectral._eigenvalues(walk.interior)
-    assert sorted(values.tolist(), key=spectral._sort_key) == closed.values.tolist()
     monkeypatch.setattr(spectral, "_periodic_eig", spectral._eig_pairs)
     reference = eigen_decompose(walk)
-    assert seen == [(n // period, n // period)] * 2 + [(n, n)]
+    assert seen == [(n // period, n // period), (n, n)]
     assert_matches_the_eig_path(closed, reference)
 
 
