@@ -20,11 +20,12 @@ The ``*_table`` variants wrap these into sweep tables (rows of
 fitted slopes and band checks; the command line serialises them.
 
 The tables that follow a resonance (tunneling, width, comfort and
-remainder) stream the eps grid (:func:`_stream`): each eps builds its
-walk and decomposes it once, tracking matches on that decomposition's
-cluster values, and the measure at that eps reads the same walk and
-decomposition, one eps at a time.  Each peak builds one resolvent
-kernel over every tail and the co-state profile, and checks the split
+remainder) stream the eps grid (:func:`_stream`): each eps's walk is
+built once and decomposed once, a chunk of eps in one
+``eigen_decompose`` call (:func:`_decomposed`), tracking matches on that
+decomposition's cluster values, and the measure at that eps reads the
+same walk and decomposition, one eps at a time.  Each peak builds one
+resolvent kernel over every tail and the co-state profile, and checks the split
 once: one solve at z* gives T, R, the out-channel overlap and the
 comfortability.  The half-height window reads a :class:`LineShape` off
 the same kernel, with no new solve: T through the split as a pole–residue
@@ -90,6 +91,10 @@ NONRESONANT_SCAN = 256
 EPS_GRID_START = 1e-3
 EPS_GRID_STOP = 1e-1
 EPS_PER_DECADE = 25
+# A sweep decomposes its eps grid a chunk at a time, each chunk in one
+# eigen_decompose call: a chunk's complex interiors take at most this many
+# bytes (one walk at least), so a long line holds one chunk, never a grid.
+CHUNK_BYTES = 1 << 20
 
 
 class SimplicityViolated(NumericalError):
@@ -270,6 +275,31 @@ def track_resonances(
     return ResonanceTrack(tuple(grid.tolist()), tuple(starts.tolist()), paths)
 
 
+def _decomposed(family, eps_values, n0: int):
+    """``(eps, walk, system)`` for each of ``eps_values``, decomposed a chunk at a time.
+
+    Each chunk's walks are built with ``family(eps)`` and decomposed in one
+    :func:`eigen_decompose` call, their ``n0 × n0`` interiors within
+    ``CHUNK_BYTES``.  An error raises when the stream reaches its eps, after
+    the chunk's earlier eps: a walk's when it was built, a decomposition's
+    when its system is read.  One chunk is alive at a time.
+    """
+    size = max(1, CHUNK_BYTES // (16 * n0 * n0 or 1))
+    for start in range(0, len(eps_values), size):
+        chunk, walks, failure = eps_values[start : start + size], [], None
+        try:
+            for eps in chunk:
+                walks.append(family(eps))
+        except Exception as exc:  # raised once the eps before it are yielded
+            failure = exc
+        systems = eigen_decompose(walks) if walks else ()
+        for k, walk in enumerate(walks):
+            yield float(chunk[k]), walk, systems[k]
+        del walks, systems  # the next chunk is built with this one gone
+        if failure is not None:
+            raise failure
+
+
 class _GridPoint(NamedTuple):
     """One eps of a streamed track (:func:`_stream`)."""
 
@@ -282,13 +312,15 @@ class _GridPoint(NamedTuple):
 def _stream(family, eps_values):
     """Walk, decompose and track at eps = 0 and then at each of ``eps_values``.
 
-    ``eps_values`` are positive and increasing.  Each eps builds
-    ``family(eps)`` and decomposes it once; the tracked resonances are
-    matched on that decomposition's cluster values (:func:`_spectrum`),
+    ``eps_values`` are positive and increasing.  eps = 0 is walked and
+    decomposed alone, so a track with no start builds no other walk; the
+    others are walked and decomposed a chunk at a time
+    (:func:`_decomposed`), each eps once.  The tracked resonances are
+    matched on each decomposition's cluster values (:func:`_spectrum`),
     so the walk and system each point hands out are the ones its
-    measure uses; a bisection midpoint is decomposed and matched the
-    same way (:func:`_advance`).  A generator, so one point's
-    decomposition is alive at a time; the first point's ``tracked`` are
+    measure uses; a bisection midpoint is decomposed alone and matched
+    the same way (:func:`_advance`).  A generator, so one chunk's
+    decompositions are alive at a time; the first point's ``tracked`` are
     the starts, ordered by phase.
     """
     walk = family(0.0)
@@ -297,13 +329,11 @@ def _stream(family, eps_values):
     values = _spectrum(system)
     yield _GridPoint(0.0, walk, system, np.array(tracked, dtype=complex))
     e0 = 0.0
-    for eps in eps_values:
-        walk = family(eps)
-        system = eigen_decompose(walk)
+    for eps, walk, system in _decomposed(family, eps_values, len(walk.interior)):
         spectrum = _spectrum(system)
         tracked = _advance(family, e0, values, tracked, eps, spectrum, 0)
         values, e0 = spectrum, eps
-        yield _GridPoint(float(eps), walk, system, np.array(tracked, dtype=complex))
+        yield _GridPoint(eps, walk, system, np.array(tracked, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -814,23 +844,23 @@ def discrepancy_table(
 ) -> tuple:
     """Sweep ||Sigma(eps, z) - Sigma(0, z)|| and fit its log-log slope.
 
-    The fit needs two positive eps; with fewer, ``ValueError`` is raised
-    before any walk is built.
+    Each positive eps takes its Σ from its own decomposition, decomposed
+    a chunk at a time (:func:`_decomposed`).  The fit needs two positive
+    eps; with fewer, ``ValueError`` is raised before any walk is built.
     """
     z = _project_to_circle(z)
     grid = _positive(eps_values)
     if len(grid) < 2:
         raise ValueError("need at least two positive points for a slope fit")
     walk0 = family(0.0)
-    system0 = eigen_decompose(walk0)
-    s_zero = scattering_matrix(walk0, z, route, system0).matrix
+    s_zero = scattering_matrix(walk0, z, route, eigen_decompose(walk0)).matrix
     rows = []
     values = []
-    for eps in grid:
-        s_eps = scattering_matrix(family(eps), z, route).matrix
+    for eps, walk, system in _decomposed(family, grid, len(walk0.interior)):
+        s_eps = scattering_matrix(walk, z, route, system).matrix
         value = float(np.linalg.norm(s_eps - s_zero, 2))
         values.append(value)
-        rows.append(SweepRow(float(eps), z, "discrepancy", value))
+        rows.append(SweepRow(eps, z, "discrepancy", value))
     slope, intercept = fit_loglog_slope(grid, values)
     summary = {
         "quantity": "discrepancy",
@@ -853,10 +883,10 @@ def _peak_sweep(family, lam, eps_values, quantities, split=None) -> tuple:
     """Rows of ``quantities`` along λ's tracked peak, the grid, each as an array, a summary head.
 
     The positive grid is streamed (:func:`_stream`): each eps is walked
-    and decomposed once, and the :class:`_Peak` of the tracked λ_ε is
-    built on that walk and decomposition.  Each quantity is an attribute
-    of that peak, or of its :class:`TunnelingReport` through ``split`` when
-    one is given.  A width quantity is read off the report's
+    and decomposed once, a chunk of eps per decomposition call, and the
+    :class:`_Peak` of the tracked λ_ε is built on that eps's walk and
+    system.  Each quantity is an attribute of that peak, or of its
+    :class:`TunnelingReport` through ``split`` when one is given.  A width quantity is read off the report's
     :class:`LineShape`, the only part of an eps kept past the stream,
     and every eps's window is searched after the stream, in one lockstep
     (:func:`_search_windows`).  The rows come out in grid order, and so
@@ -893,7 +923,7 @@ def _peak_sweep(family, lam, eps_values, quantities, split=None) -> tuple:
             read = {q: getattr(record, q) for q in quantities if q not in _WINDOWED}
             shape = record.line_shape if windowed else None
             measured.append((point.eps, peak.z_star, read, shape))
-            # the next eps is measured with this one's decomposition gone
+            # the next eps is measured with this one's peak and kernel gone
             del peak, record
     except Exception as exc:  # raised below, after the windows of the eps before it
         failure = exc
@@ -1016,7 +1046,8 @@ def remainder_table(
     table records the supremum of the operator-norm residual over a
     uniform circle grid, and the summary fits the constant in the
     first-order bound residual <= C * eps.  The grid is streamed
-    (:func:`_stream`): each eps, 0 included, is walked and decomposed once.
+    (:func:`_stream`): each eps, 0 included, is walked and decomposed once,
+    the positive eps a chunk at a time.
     """
     if n_grid < 1:
         raise ValueError(f"n_grid must be at least 1, not {n_grid}")
@@ -1027,7 +1058,7 @@ def remainder_table(
     points = _stream(family, grid)
     start = next(points)
     s_zero = scattering_matrix(start.walk, z_points, route, start.system).matrix
-    del start  # one decomposition alive at a time
+    del start  # one chunk of decompositions alive at a time
     rows = []
     ratios = []
     for point in points:

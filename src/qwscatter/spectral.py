@@ -24,51 +24,31 @@ The pole sums read a column selection of these arrays
 (``EigenSystem.poles``); a :class:`Cluster`, views of one cluster's
 columns, is built only when asked for.
 
-One ``eig`` of the interior, or of a periodic interior's level
-product, serves every simple cluster: its column is the eigenvector.
-A real interior (every builtin, line and cycle model) runs the real
-eigensolver, so its nonreal clusters come in exact conjugate pairs;
-the arrays downstream stay complex.  A multiple
-cluster is *semisimple* when its ``eig`` values agree within the floor
-and its unit ``eig`` columns are well conditioned, both measured
-against ``eig``'s backward error in units of the unit roundoff
-(:func:`_semisimple`): those columns are then its chains, one each.
-Every column of the basis is normalised in one vectorised pass, and
-every cluster is bounded and classified on or off the circle in
-another.  Only the other multiple clusters (Jordan blocks, or
-eigenspaces ``eig`` resolves poorly) run the Jordan staircase, on their
-own generalized eigenspace, and write their chains over their columns.
-The 2-norms of a multiple cluster's condition are taken, cluster by
-cluster, when the condition is read.
+:func:`eigen_decompose` takes one walk, or a stack of them (a sweep's ε
+grid, a chunk at a time).  Walks whose interiors share a dtype and a
+sparsity pattern are decomposed together: one ``eig`` of their stacked
+interiors (the real eigensolver for a real interior, whose nonreal pairs
+come out exact conjugates), or one closed-form lift, serves every simple
+cluster, and one sort, normalisation, ``inv`` and classification on or
+off the circle run over the stack; each walk keeps the bits it gets
+alone.  A multiple cluster is *semisimple* when its ``eig`` values agree
+within the floor and its unit columns are well conditioned
+(:func:`_semisimple`): those columns are its chains.  The others run the
+Jordan staircase on their own generalized eigenspace, walk by walk.
 
-The co-chains are *not* built by running the chain algorithm on the
-adjoint: they are the dual basis of the whole right basis ``V`` (every
-chain of every cluster), the rows of ``inv(V)`` (lifted in closed
-form on a periodic interior, below).  If ``M V = V J`` then
-automatically ``M* W = W J*``, which is exactly the co-chain recursion
-— so ``W* V = I`` holds across the whole spectrum, within clusters and
-between them, and the chain relations hold to the accuracy of the
-right basis.
+The co-chains are the dual basis of the whole right basis ``V``, the
+rows of ``inv(V)``: if ``M V = V J`` then ``M* W = W J*``, which is the
+co-chain recursion, so ``W* V = I`` holds across the whole spectrum.
 
-A periodic interior takes its eigenpairs from a smaller problem.  Arc
-``j`` feeds arc ``k`` where ``M[k, j] != 0``; when the arcs split into
-strongly connected components with no arc between two of them, and
-each component of period ``g`` has ``g`` level classes of one size
-``m``, its block of ``M`` is permutation-similar to a block-cyclic
-matrix (Varga, *Matrix Iterative Analysis*, §4.2).  The block's values
-are the g-th roots of those of the ``m × m`` level product
-``P = B_{g-1} ⋯ B_0``, and its vectors and co-vectors are ``P``'s lifted
-through the blocks, with ``W* V = I`` by construction
-(:func:`_periodic_eig`).  A weighted permutation (every cycle model,
-two-barrier line and ``crossing``) has ``m = 1`` and runs no ``eig`` at
-all; a barrier line has period twice the gcd of its gaps, so the
-five-barrier line (0, 30, 60, 100, 150) runs one 15 × 15 ``eig`` where
-the interior is 300 × 300.  QR iteration is slowest on such interiors,
-and the lifted eigenvectors are also the more accurate.  Two values
-within the cluster tolerance, a singular ``P`` or a lifted vector whose
-residual exceeds ``eig``'s backward error ``n·u·||M||`` send the interior
-to ``eig``, as does any other interior.  Normalisation and
-classification are shared.
+A periodic interior takes its eigenpairs from a smaller problem: when
+its arc digraph splits into strongly connected components whose level
+classes have one size ``m``, each block is permutation-similar to a
+block-cyclic matrix (Varga, *Matrix Iterative Analysis*, §4.2), lifted
+from the eigenpairs of its ``m × m`` level product (:func:`_periodic_eig`).
+A weighted permutation (every cycle model, two-barrier line and
+``crossing``) has ``m = 1`` and runs no ``eig``.  Coinciding values, a
+singular level product or a lifted vector whose residual exceeds
+``n·u·||M||`` send that walk to ``eig``.
 """
 
 from __future__ import annotations
@@ -76,6 +56,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -341,30 +322,22 @@ class EigenSystem:
         return self.cluster(int(np.argmin(np.abs(self.values - value))))
 
 
-def _cluster_indices(values: np.ndarray, tol: float, merge: bool = True):
+def _cluster_indices(values: np.ndarray, tol: float):
     """Transitive merge of eigenvalues closer than ``tol``.
 
     The merge is the transitive closure of the ``tol``-neighbour relation
     (repeated boolean squaring), which is order-independent; ambiguity is
     flagged afterwards if transitivity stretched a cluster beyond diameter
     2*tol, which is exactly when a greedy pass would have been
-    order-dependent.  With no two eigenvalues that close, every cluster is
-    one eigenvalue and the closure is skipped, as on every large interior
-    and every cycle and ``crossing`` sweep.  Returns each cluster's
+    order-dependent.  ``eigen_decompose`` runs it only on a spectrum with
+    two values that close (ms's double zero).  Returns each cluster's
     indices, ascending, and the clusters' values (an eigenvalue, or the
-    mean of several), clusters in value order; without ``merge``, None
-    where some would merge.
+    mean of several), clusters in :func:`_sort_key` order, ties by index.
     """
     n = len(values)
     distance = np.abs(np.subtract.outer(values, values))
     reach = distance <= tol  # pairs joined by a path of at most 2^k steps
     count = direct = np.count_nonzero(reach)
-    if count == n:  # the diagonal of finite values alone
-        listed = values.tolist()
-        order = _value_order(listed)
-        return [[a] for a in order], [listed[a] for a in order]
-    if not merge:
-        return None
     while count > n + 2:  # one close pair is transitive already
         reach = reach @ reach  # a superset, as reach holds the diagonal
         count, grown = np.count_nonzero(reach), count
@@ -388,7 +361,7 @@ def _cluster_indices(values: np.ndarray, tol: float, merge: bool = True):
     groups = list(groups.values())
     centres = [listed[idx[0]] if len(idx) == 1 else complex(np.add.reduce(values[idx]) / len(idx))
                for idx in groups]
-    order = _value_order(centres)
+    order = sorted(range(len(centres)), key=list(map(_sort_key, centres)).__getitem__)
     return [groups[g] for g in order], [centres[g] for g in order]
 
 
@@ -396,9 +369,19 @@ def _sort_key(z: complex):
     return (round(z.real, 12), round(z.imag, 12))
 
 
-def _value_order(values: list) -> list:
-    """The indices of ``values`` sorted by :func:`_sort_key`, ties by index."""
-    return sorted(range(len(values)), key=lambda a: _sort_key(values[a]))
+def _value_order(rows: list) -> np.ndarray:
+    """Per row of ``rows`` (lists of one length), its indices sorted by :func:`_sort_key`, ties by index:
+    a stable ``lexsort`` of the values, unless two neighbours in it differ, in the part that decides,
+    by less than rounding can close (2e-12 and four ulps), which sorts that row by its keys."""
+    z = np.array(rows, dtype=complex).reshape(len(rows), -1)
+    order = np.lexsort((z.imag, z.real))
+    z = z[np.arange(len(z))[:, None], order]
+    step = np.diff(z, axis=1)
+    reach = 2e-12 + 4 * np.spacing(np.maximum(np.abs(z[:, 1:]), np.abs(z[:, :-1])))
+    sure = np.where(step.real == 0, (step.imag == 0) | (step.imag > reach), step.real > reach)
+    for i in np.flatnonzero(~sure.all(axis=1)).tolist():
+        order[i] = sorted(range(len(rows[i])), key=list(map(_sort_key, rows[i])).__getitem__)
+    return order
 
 
 def _null_dim(sigmas: np.ndarray, total: int, floor: float) -> int:
@@ -453,16 +436,6 @@ def _nilpotent_chains(r: np.ndarray, floor: float):
         # v_l = r^(k-l) t for each top t, as columns (chain, l) of one stacked product
         blocks.append(np.transpose(np.stack(powers[k - 1 :: -1]) @ new, (1, 2, 0)).reshape(m, -1))
     return lengths, np.concatenate(blocks, axis=1)
-
-
-def _eig_input(m: np.ndarray) -> np.ndarray:
-    """``m`` in the arithmetic its entries need: real when none is complex.
-
-    LAPACK's real eigensolver is 1.6-2.8 times faster than the complex one
-    on the same matrix, and it returns the nonreal eigenvalues of a real
-    matrix, and their eigenvectors, as exact conjugate pairs.
-    """
-    return m if np.count_nonzero(m.imag) else m.real
 
 
 @lru_cache(maxsize=16)
@@ -557,28 +530,30 @@ def _levels(a: np.ndarray):
     return out
 
 
-def _cycle_eig(weights: list, real: bool):
-    """The eigenpairs of one weighted cycle, in closed form, or None.
+def _cycle_eig(weights: np.ndarray, real: bool):
+    """The eigenpairs of a weighted cycle, one per row of ``weights``, in closed form.
 
     On ``j_0 -> ... -> j_{L-1}``, ``a e_{j_t} = a_t e_{j_{t+1}}``, with
     weight product ``π`` and partial products ``P_t``, the values are the L
     roots ``μ`` of ``π``, ``v_{j_t} = P_t / μ^t`` and ``w*_{j_t} = 1 / (L v_{j_t})``.
     ``μ_0^t`` is ``exp((t/L)·log π)``; a real negative ``π`` takes the odd ``q``.
-    Returns what :func:`_level_product_eig` does, with a residual of 0.  A
-    cycle is the m = 1 case of that lift, which this skips: cycle64 and the
-    two-barrier lines decompose several times faster here.
+    Returns what :func:`_level_product_eig` does, a row per cycle, with
+    residuals of 0, or a NaN norm and residual where ``π`` is 0 or not
+    finite.  A cycle is the m = 1 case of that lift, skipped here, in scalar math per cycle.
     """
-    size = len(weights)
-    prods = list(accumulate(weights, operator.mul, initial=1.0))
-    pi = prods.pop()
-    if not 0 < abs(pi) < math.inf:
-        return None
-    log_root = (math.log(abs(pi)) if real else cmath.log(pi)) / size
-    g = np.array(prods) / np.exp(np.arange(size) * log_root)  # P_t / μ_0^t
-    odd = int(real and pi < 0)
+    size = weights.shape[1]
+    prods = [list(accumulate(row, operator.mul, initial=1.0)) for row in weights.tolist()]
+    good = [0 < abs(row[-1]) < math.inf for row in prods]
+    prods = [row if ok else [1.0] * (size + 1) for row, ok in zip(prods, good)]  # a declined row stays finite
+    pis = [row.pop() for row in prods]
+    log_root = np.array([(math.log(abs(pi)) if real else cmath.log(pi)) / size for pi in pis])
+    g = np.array(prods) / np.exp(np.arange(size) * log_root[:, None])  # P_t / μ_0^t
+    odd = np.array([int(real and pi < 0) for pi in pis])
+    odd = odd[0] if (odd == odd[0]).all() else odd  # one parity: its table, not a copy per row
     phases, powers = _root_powers(size)
-    block = powers[odd] * g
-    return np.exp(log_root) * phases[odd], block, np.divide(1 / size, block), max(map(abs, weights)), 0.0
+    block = powers[odd] * g[:, None, :]
+    norms = np.where(good, [max(map(abs, row)) for row in weights.tolist()], math.nan)
+    return np.exp(log_root)[:, None] * phases[odd], block, np.divide(1 / size, block), norms, 0 * norms
 
 
 def _level_product_eig(b: np.ndarray, real: bool):
@@ -652,77 +627,64 @@ def _squares(a: np.ndarray, axis) -> np.ndarray:
 
 
 def _periodic_eig(a: np.ndarray):
-    """Closed-form eigenpairs of ``a`` if every component of its arc digraph is periodic.
+    """Closed-form eigenpairs of the stacked ``a`` if every component of their arc digraph is periodic.
 
-    The components and their level classes come from :func:`_levels`.  A
-    component of period g with one arc per class is a weighted cycle
-    (:func:`_cycle_eig`); one with m > 1 arcs per class is block-cyclic
-    and runs ``eig`` on its m × m level product only
-    (:func:`_level_product_eig`), whose lifted vectors must leave residuals
-    within ``eig``'s own backward error, ``n·u·||M||``.  ``||M||`` is the
-    largest 2-norm of a level block.  Returns values, vectors (columns),
-    dual rows ``W*`` and the 2-norm, or None.
+    One :func:`_levels` search serves the stack's pattern.  A component of
+    period g with one arc per class is a weighted cycle, lifted for the whole
+    stack at once (:func:`_cycle_eig`); one with m > 1 arcs per class runs
+    ``eig`` on each member's m × m level product (:func:`_level_product_eig`),
+    whose lifted vectors must leave residuals within ``n·u·||M||``.  Returns
+    stacked values, vectors, dual rows and 2-norms (NaN where declined), or None.
     """
-    n = a.shape[0]
-    components = _levels(a) if n else None
+    k, n = a.shape[:2]
+    components = _levels(a[0])
     if components is None:
         return None
     real = not np.iscomplexobj(a)
-    sums = a.sum(axis=0).tolist()  # a cycle's arc feeds one arc: its column sum is its weight
-    scale, miss, parts = 0.0, 0.0, []
+    sums = a.sum(axis=1)  # a cycle's arc feeds one arc: its column sum is its weight
+    parts = []
     for g, arcs in components:
         if g == len(arcs):
-            pairs = _cycle_eig([sums[j] for j in arcs], real)
+            parts.append(_cycle_eig(sums[:, arcs], real))
         else:
-            grid = np.array(arcs).reshape(g, -1)
-            pairs = _level_product_eig(a[np.roll(grid, -1, axis=0)[:, :, None], grid[:, None, :]], real)
-        if pairs is None:
-            return None
-        *part, norm, residual = pairs
-        scale, miss = max(scale, norm), max(miss, residual)
-        parts.append(part)
-    if not miss <= n * UNIT_ROUNDOFF * scale:
-        return None
+            grid, size = np.array(arcs).reshape(g, -1), len(arcs)
+            declined = (np.broadcast_to(0j, size), *[np.broadcast_to(0j, (size, size))] * 2, math.nan, 0.0)
+            lifts = [_level_product_eig(b, real) or declined
+                     for b in a[:, np.roll(grid, -1, axis=0)[:, :, None], grid[:, None, :]]]
+            parts.append([np.stack(field) for field in zip(*lifts)])
     if len(parts) == 1:
-        values, rows, co = parts[0]
+        values, rows, co, scale, miss = parts[0]
     else:  # block diagonal, columns in component order
-        values = np.concatenate([part[0] for part in parts])
-        rows, co = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+        scale, miss = (np.maximum.reduce([part[f] for part in parts]) for f in (3, 4))
+        values = np.concatenate([part[0] for part in parts], axis=1)
+        rows, co = np.zeros((2, k, n, n), dtype=complex)
         stop = 0
-        for _, block, co_block in parts:
-            cut = slice(stop, stop + len(block))
-            rows[cut, cut], co[cut, cut], stop = block, co_block, cut.stop
+        for _, block, co_block, *_ in parts:
+            cut = slice(stop, stop + block.shape[1])
+            rows[:, cut, cut], co[:, cut, cut], stop = block, co_block, cut.stop
+    scale[~(miss <= n * UNIT_ROUNDOFF * scale)] = math.nan
     order = [j for _, arcs in components for j in arcs]
     if order != list(range(n)):  # columns back in arc order
         inverse = np.argsort(order)
-        rows, co = rows[:, inverse], co[:, inverse]
-    return values, rows.T, co, scale
+        rows, co = rows[:, :, inverse], co[:, :, inverse]
+    return values, rows.transpose(0, 2, 1), co, scale
 
 
 def _eig_pairs(a: np.ndarray):
-    """Values, vectors (columns) and 2-norm of ``a`` from LAPACK; no co-vectors."""
-    values, vectors = np.linalg.eig(a)
-    scale = float(np.linalg.svd(a, compute_uv=False)[0])
-    return values.astype(complex, copy=False), vectors.astype(complex, copy=False), None, scale
+    """Values, vectors (columns) and 2-norms of each of the stacked ``a`` from LAPACK; no co-vectors."""
+    values, vectors = np.linalg.eig(a if len(a) > 1 else a[0])  # one walk's matrix goes unstacked
+    scale = np.linalg.svd(a, compute_uv=False)[:, 0]
+    return (values.astype(complex, copy=False).reshape(len(a), -1),
+            vectors.astype(complex, copy=False).reshape(a.shape), None, scale)
 
 
-def _cluster_tol(scale: float) -> float:
-    """The distance within which eigenvalues of an interior of 2-norm ``scale`` merge."""
-    return CLUSTER_REL_TOL * max(scale, 1e-300)
-
-
-def _unit_pivot(vectors: np.ndarray, values, floor: float) -> np.ndarray:
-    """Per column of ``vectors``, the divisor that leaves it unit with a real positive pivot.
-
-    ``values[k]`` is the eigenvalue of column ``k``; a column shorter than
-    ``floor`` raises ``IllConditionedChain`` there.
-    """
+def _unit_pivot(vectors: np.ndarray):
+    """Per column of each stacked ``vectors``, its norm and the divisor to unit norm, real positive pivot."""
     size = np.abs(vectors)
-    norms = np.sqrt(np.add.reduce(size * size))
-    if min(norms.tolist(), default=floor) < floor:
-        raise IllConditionedChain(complex(values[int(norms.argmin())]), float("inf"))
-    pivot = (size.argmax(axis=0), np.arange(vectors.shape[1]))
-    return vectors[pivot] * (norms / size[pivot])
+    norms = np.sqrt(np.add.reduce(size * size, axis=1))
+    pivot = np.arange(len(vectors))[:, None], size.argmax(axis=1), np.arange(vectors.shape[2])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero column fails its caller's norm check
+        return norms, vectors[pivot] * (norms / size[pivot])
 
 
 def _right_chains(m: np.ndarray, lam: complex, mult: int, floor: float):
@@ -732,16 +694,17 @@ def _right_chains(m: np.ndarray, lam: complex, mult: int, floor: float):
     space of ``(M - λ)^mult``, and one product maps every chain vector
     back.  Returns the chain lengths and the vectors as columns, chain by
     chain; each chain is scaled so its eigenvector has unit norm and a
-    real positive pivot.
+    real positive pivot, or raises ``IllConditionedChain`` below ``floor``.
     """
     n = m.shape[0]
     shifted = m - lam * np.eye(n)
     v0 = np.eye(n) if mult == n else _null_basis(np.linalg.matrix_power(shifted, mult), mult)
     lengths, coords = _nilpotent_chains(v0.conj().T @ shifted @ v0, floor)
     columns = v0 @ coords
-    heads = list(accumulate(lengths[:-1], initial=0))
-    divisors = _unit_pivot(columns[:, heads], [lam] * len(heads), floor)
-    return lengths, columns / divisors.repeat(lengths)
+    norms, divisors = _unit_pivot(columns[None, :, list(accumulate(lengths[:-1], initial=0))])
+    if norms.min() < floor:
+        raise IllConditionedChain(complex(lam), math.inf)
+    return lengths, columns / divisors[0].repeat(lengths)
 
 
 def _semisimple(spread: float, gram: list, n: int, scale: float, floor: float) -> bool:
@@ -766,7 +729,7 @@ def _semisimple(spread: float, gram: list, n: int, scale: float, floor: float) -
     return bound < 0.5 * floor * math.sqrt(max(gap, 0.0))
 
 
-def _multiple_clusters(m, columns, column_values, lams, starts, widths, scale, floor):
+def _multiple_clusters(m, columns, column_values, lams, widths, scale, floor):
     """Jordan chains of the multiple clusters that are not semisimple.
 
     Each multiple cluster is tested (:func:`_semisimple`) on the Gram
@@ -777,9 +740,9 @@ def _multiple_clusters(m, columns, column_values, lams, starts, widths, scale, f
     """
     n = m.shape[0]
     staircase = {}
-    for k, width in enumerate(widths):
+    for k, (start, width) in enumerate(zip(accumulate(widths, initial=0), widths)):
         if width > 1:
-            own = slice(starts[k], starts[k] + width)
+            own = slice(start, start + width)
             x = columns[:, own]
             spread = max(abs(value - lams[k]) for value in column_values[own].tolist())
             if not _semisimple(spread, (x.conj().T @ x).tolist(), n, scale, floor):
@@ -787,94 +750,168 @@ def _multiple_clusters(m, columns, column_values, lams, starts, widths, scale, f
     return staircase
 
 
-@lru_cache(maxsize=16)
-def _segments(*widths) -> np.ndarray:
-    """The 0/1 matrix that sums consecutive column segments of ``widths``."""
-    out = np.repeat(np.eye(len(widths)), widths, axis=0)
-    out.flags.writeable = False
-    return out
+def _classify(to_tail: np.ndarray, from_tail: np.ndarray, right: np.ndarray, left_h: np.ndarray, starts):
+    """Condition bound and on-circle flag of every cluster of a stack, in one
+    pass, and the emission ``T_it V`` and pickup ``W* T_ti`` they are read from.
 
-
-def _classify(walk, right: np.ndarray, left_h: np.ndarray, starts):
-    """Condition bound and on-circle flag of every cluster, in one pass, and
-    the emission ``T_it V`` and pickup ``W* T_ti`` they are read from.
-
-    Cluster ``k`` owns the columns of ``right`` (its chains V) and the
-    rows of ``left_h`` (its co-chains W*) from ``starts[k]`` up to the next
-    start.  The bound is ``||V||_F·||W||_F``: for a simple cluster it is
-    its condition, the eigenvalue condition number 1/|<v, w>| of unit v,
-    w, and for a multiple one it bounds ``EigenSystem.condition`` from
-    above.
+    ``right[i]`` and ``left_h[i]`` hold the chains V and co-chains W* of the
+    walk with tail blocks ``to_tail[i]`` and ``from_tail[i]``; counting rows
+    walk after walk, cluster ``k`` owns those from ``starts[k]`` to the next.
+    The bound ``||V||_F·||W||_F`` is a simple cluster's condition, 1/|<v, w>|
+    of unit v, w, and bounds a multiple one's ``EigenSystem.condition``.
 
     A cluster is on the unit circle when its states and co-states both
-    miss the tails.  The walk maps interior + incoming arcs unitarily
-    onto interior + outgoing arcs, so a unit eigenvector or co-eigenvector
-    couples to the tails with norm sqrt(1 - |λ|²), and the gap to the
-    circle shows as a square root: 1.4e-8 at 1 - |λ| = 1e-16, which |λ|
+    miss the tails.  The walk maps interior + incoming arcs unitarily onto
+    interior + outgoing arcs, so a unit (co-)eigenvector couples to the
+    tails with norm sqrt(1 - |λ|²): 1.4e-8 at 1 - |λ| = 1e-16, which |λ|
     cannot resolve.  The coupling of a cluster is the Frobenius ratio
     ``||T V|| / ||V||``, summed over its chains' columns by one
     ``np.add.reduceat``, which keeps a one-column cluster's row bit for bit.
     """
-    emission, pickup = walk.interior_to_tail @ right, left_h @ walk.tail_to_interior
-    # row k: v_k, its emission, w_k* and its pickup; one squared norm of each
-    blocks = (right.T, emission.T, left_h, pickup)
-    parts = np.concatenate(blocks, axis=1)
-    sq = np.square(parts.view(float)) @ _segments(*(2 * block.shape[1] for block in blocks))
-    sq = np.add.reduceat(sq, starts, axis=0)
+    emission, pickup = to_tail @ right, left_h @ from_tail
+    # row k of a walk: v_k, its emission, w_k* and its pickup; one squared norm of each,
+    # summed over each block's columns by a 0/1 matrix
+    blocks = (right.swapaxes(1, 2), emission.swapaxes(1, 2), left_h, pickup)
+    segments = np.repeat(np.eye(4), [2 * block.shape[2] for block in blocks], axis=0)
+    sq = np.square(np.concatenate(blocks, axis=2).view(float)) @ segments
+    sq = np.add.reduceat(sq.reshape(-1, 4), starts, axis=0)
     circle = np.logical_and.reduce(sq[:, 1::2] <= CIRCLE_COUPLING_TOL**2 * sq[:, ::2], axis=1)
     return np.sqrt(sq[:, 0] * sq[:, 2]), circle, emission, pickup
 
 
-def eigen_decompose(walk) -> EigenSystem:
-    """Cluster the interior spectrum of ``walk`` and build biorthogonal chains."""
-    m = np.asarray(walk.interior, dtype=complex)
-    n = m.shape[0]
-    if n == 0:
-        counts = np.zeros(0, dtype=int)
-        bound, flags, emission, pickup = _classify(walk, m, m, counts)
-        return EigenSystem(m, np.zeros(0, complex), m, m, emission, pickup, counts, counts, flags, bound)
-    a = _eig_input(m)
-    values, vectors, co, scale = _periodic_eig(a) or _eig_pairs(a)
-    clustered = _cluster_indices(values, _cluster_tol(scale), merge=co is None)
-    if clustered is None:  # coinciding closed-form values: eig's clusters
-        values, vectors, co, scale = _eig_pairs(a)
-        clustered = _cluster_indices(values, _cluster_tol(scale))
-    groups, centres = clustered
-    floor = 1e-12 * max(scale, 1.0)
-    order = [i for idx in groups for i in idx]
-    columns, column_values = vectors[:, order], values[order]
-    widths = list(map(len, groups))
-    starts = list(accumulate(widths[:-1], initial=0))
-    # one pass normalises every column; the staircase writes its chains over its clusters' own
-    divisors = _unit_pivot(columns, column_values, floor)
-    columns /= divisors
-    staircase = _multiple_clusters(m, columns, column_values, centres, starts, widths, scale, floor)
-    lams = np.array(centres)
-    right = columns
-    if co is not None:  # the closed form: every cluster is simple
-        left_h = co[order]
-        left_h *= divisors[:, None]
-    else:
-        try:
-            left_h = np.linalg.inv(right)
-        except np.linalg.LinAlgError:
-            # a singular basis: blame the cluster nearest to another one
-            gaps = np.abs(np.subtract.outer(lams, lams)) + np.diag(np.full(len(lams), np.inf))
-            raise IllConditionedChain(complex(lams[int(np.argmin(gaps.min(axis=1)))]), float("inf"))
+class EigenStack(Sequence):
+    """The systems of a sequence of walks (:func:`eigen_decompose`): member ``k``
+    is its :class:`EigenSystem`, or raises the error its decomposition raised.
+    ``matrix`` (the largest interior) and ``clusters`` (none) read as one system's."""
 
-    bound, on_circle, emission, pickup = _classify(walk, right, left_h, starts)
-    for array in (lams, right, left_h, emission, pickup):
+    clusters = ()
+
+    def __init__(self, members: tuple, matrix: np.ndarray):
+        self.members, self.matrix = members, matrix  # each walk's EigenSystem or error; the largest interior
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __getitem__(self, k):
+        if isinstance(self.members[k], Exception):
+            raise self.members[k]
+        return self.members[k]
+
+
+def eigen_decompose(walks):
+    """Cluster the interior spectrum of a walk, or of each of a sequence of walks,
+    and build biorthogonal chains: an :class:`EigenSystem`, or their :class:`EigenStack`.
+
+    One walk is a stack of one; each step runs once over the walks of one
+    dtype and sparsity pattern, elementwise or as each walk's own LAPACK or
+    BLAS call, so every array has the bits of its walk alone.
+    """
+    stack = walks if isinstance(walks, Sequence) else [walks]
+    members, groups = [None] * len(stack), {}
+    matrices = [np.asarray(walk.interior, dtype=complex) for walk in stack]
+    # real where no entry is complex: LAPACK's real eig is 1.6-2.8x faster, its pairs exact
+    inputs = [m if np.count_nonzero(m.imag) else m.real for m in matrices]
+    for i, (walk, a) in enumerate(zip(stack, inputs)):  # a lone walk needs no pattern to share
+        pattern = (a != 0).tobytes() if len(stack) > 1 else a.shape
+        groups.setdefault((a.dtype, np.shape(walk.interior_to_tail), pattern), []).append(i)
+    for own in groups.values():
+        try:
+            a = inputs[own[0]][None] if len(own) == 1 else np.stack([inputs[i] for i in own])
+            group = _decompose_group([stack[i] for i in own], [matrices[i] for i in own], a)
+        except np.linalg.LinAlgError as exc:  # LAPACK failed on the stack: each walk alone
+            group = [exc] if len(own) == 1 else [eigen_decompose([stack[i]]).members[0] for i in own]
+        for i, member in zip(own, group):
+            members[i] = member
+    out = EigenStack(tuple(members), max(matrices, key=len, default=np.zeros((0, 0), complex)))
+    return out if stack is walks else out[0]
+
+
+def _decompose_group(walks, matrices, a) -> list:
+    """Each walk's system or error; ``a`` stacks their ``matrices``, of one dtype and pattern, for eig."""
+    k, n = a.shape[:2]
+    tails = [np.stack([getattr(w, t) for w in walks]) for t in ("interior_to_tail", "tail_to_interior")]
+    if n == 0:
+        empty = np.zeros(0, dtype=int)
+        bound, flags, emission, pickup = _classify(*tails, a, a, empty)
+        return [EigenSystem(m, np.zeros(0, complex), m, m, emission[i], pickup[i], empty, empty, flags, bound)
+                for i, m in enumerate(matrices)]
+    values, vectors, co, scale = _periodic_eig(a) or _eig_pairs(a)
+    closed = np.isfinite(scale) & (co is not None)
+    for _ in range(2):  # eig where the closed form declines (a NaN norm) or its values coincide
+        tol = CLUSTER_REL_TOL * np.maximum(scale, 1e-300)
+        close = np.abs(values[:, :, None] - values[:, None, :]) <= tol[:, None, None]
+        simple = np.count_nonzero(close, axis=(1, 2)) == n  # the diagonal alone
+        redo = np.isnan(scale) | closed & ~simple
+        if not redo.any():
+            break
+        values[redo], vectors[redo], _, scale[redo] = _eig_pairs(a[redo])
+        closed &= ~redo
+    out, clusters, orders = [None] * k, {}, np.zeros((k, n), dtype=int)
+    if simple.any():
+        orders[simple] = _value_order(values[simple].tolist())
+    for i in np.flatnonzero(~simple).tolist():
+        try:
+            groups, centres = _cluster_indices(values[i], float(tol[i]))
+            orders[i] = [j for idx in groups for j in idx]
+            clusters[i] = list(map(len, groups)), centres
+        except NumericalError as exc:
+            out[i] = exc
+    # each member's columns in Fortran order, as eig and the closed form give them alone
+    members = np.arange(k)[:, None]
+    columns = vectors.swapaxes(1, 2)[members, orders].swapaxes(1, 2)
+    column_values = values[members, orders]
+    floor = 1e-12 * np.maximum(scale, 1.0)
+    # one pass normalises every column; the staircase writes its chains over its clusters' own
+    norms, divisors = _unit_pivot(columns)
+    for i in np.flatnonzero(norms.min(axis=1) < floor).tolist():
+        out[i] = out[i] or IllConditionedChain(complex(column_values[i, norms[i].argmin()]), math.inf)
+        divisors[i] = 1.0
+    columns /= divisors[:, None, :]
+    staircase = {}
+    for i, (widths, centres) in clusters.items():
+        try:
+            if out[i] is None:
+                staircase[i] = _multiple_clusters(matrices[i], columns[i], column_values[i], centres, widths,
+                                                  scale[i], floor[i])
+        except NumericalError as exc:
+            out[i] = exc
+    left_h = np.empty(columns.shape, complex) if co is None else co[members, orders]
+    if co is not None:  # the closed form's dual rows, scaled as their columns; eig's members take inv
+        left_h *= divisors[:, :, None]
+    solve = [i for i in np.flatnonzero(~closed).tolist() if out[i] is None]
+    try:
+        if len(solve) == k:
+            left_h = np.linalg.inv(columns)
+        elif solve:
+            left_h[solve] = np.linalg.inv(columns[solve])
+    except np.linalg.LinAlgError:  # a singular basis: blame the cluster nearest to another one
+        if len(solve) > 1:
+            raise  # each walk alone finds its own
+        lams = np.array(clusters[solve[0]][1] if solve[0] in clusters else column_values[solve[0]])
+        gaps = np.abs(np.subtract.outer(lams, lams)) + np.diag(np.full(len(lams), np.inf))
+        out[solve[0]] = IllConditionedChain(complex(lams[int(np.argmin(gaps.min(axis=1)))]), math.inf)
+    live = [i for i in range(k) if out[i] is None]
+    pick = live if len(live) < k else slice(None)  # no copies when every member lives
+    widths = [clusters[i][0] if i in clusters else [1] * n for i in live]
+    starts = [pos * n + start for pos, own in enumerate(widths) for start in accumulate(own[:-1], initial=0)]
+    right, left_h = columns.swapaxes(1, 2)[pick].swapaxes(1, 2), left_h[pick]
+    bound, on_circle, emission, pickup = _classify(tails[0][pick], tails[1][pick], right, left_h, starts)
+    for array in (column_values, right, left_h, emission, pickup):
         array.flags.writeable = False
-    lengths = [length for k, width in enumerate(widths) for length in staircase.get(k, [1] * width)]
-    system = EigenSystem(
-        m, lams, right, left_h, emission, pickup, np.array(widths), np.array(lengths), on_circle, bound
-    )
-    if not np.maximum.reduce(bound) * GRAM_REL_TOL <= 1.0:  # NaN too: check the conditions
-        condition = system.condition
-        if not np.maximum.reduce(condition) * GRAM_REL_TOL <= 1.0:
-            bad = int(condition.argmax())
-            raise IllConditionedChain(complex(lams[bad]), float(condition[bad]))
-    return system
+    firsts = list(accumulate(map(len, widths), initial=0))
+    for pos, (i, own, cut) in enumerate(zip(live, widths, map(slice, firsts, firsts[1:]))):
+        lams = column_values[i] if i not in clusters else np.array(clusters[i][1])
+        lams.flags.writeable = False
+        chains = staircase.get(i, {})
+        lengths = [size for c, width in enumerate(own) for size in chains.get(c, [1] * width)]
+        out[i] = system = EigenSystem(matrices[i], lams, right[pos], left_h[pos], emission[pos], pickup[pos],
+                                      np.array(own), np.array(lengths), on_circle[cut], bound[cut])
+        if not np.maximum.reduce(bound[cut]) * GRAM_REL_TOL <= 1.0:  # NaN too: check the conditions
+            condition = system.condition
+            if not np.maximum.reduce(condition) * GRAM_REL_TOL <= 1.0:
+                bad = int(condition.argmax())
+                out[i] = IllConditionedChain(complex(lams[bad]), float(condition[bad]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import qwscatter.asymptotics as asymptotics
 import qwscatter.scattering as scattering
+import qwscatter.spectral as spectral
 from qwscatter.asymptotics import (
     FIRST_ORDER_BAND,
     SECOND_ORDER_BAND,
@@ -41,6 +42,7 @@ from qwscatter.asymptotics import (
 from qwscatter.graph import build_graph
 from qwscatter.line import BarrierSpec, line_to_graph, rotation_coin
 from qwscatter.models import (
+    EpsOutOfRange,
     ModelFamily,
     crossing_family,
     cycle_family,
@@ -926,15 +928,15 @@ def test_peak_tables_pick_the_fastest_start_for_lam_none(model, monkeypatch):
 
 def test_lam_none_streams_the_grid_twice(monkeypatch):
     # the track that picks lambda is a stream of its own: over N eps it
-    # walks and decomposes N + 1 times, then the streamed pass walks and
-    # decomposes N + 1 times, with no eigvals
+    # walks and decomposes N + 1 eps, then the streamed pass walks and
+    # decomposes N + 1 eps, with no eigvals; a chunk counts each of its eps
     family, _, split = PEAKS["ms"]
     grid = geometric_grid(1e-3, 0.1, 25)
     counts = {"walk": 0, "decompose": 0, "eigvals": 0}
 
     def counted(name, fn):
         def spy(*args, **kwargs):
-            counts[name] += 1
+            counts[name] += eps_handed(args[0]) if name == "decompose" else 1
             return fn(*args, **kwargs)
 
         return spy
@@ -953,17 +955,23 @@ STREAMED = {
 }
 
 
+def eps_handed(walks):
+    """The number of eps in one ``eigen_decompose`` call: a chunk's walks, or one walk."""
+    return len(walks) if isinstance(walks, list) else 1
+
+
 @pytest.mark.parametrize("table", sorted(STREAMED))
 @pytest.mark.parametrize("model", ["ms", "cycle4"])
 def test_a_sweep_walks_and_decomposes_each_eps_once(monkeypatch, model, table):
-    # eps = 0 and each grid eps: one walk, one decomposition, no eigvals
+    # eps = 0 and each grid eps: one walk, one decomposition, no eigvals; a
+    # chunk's call counts each of its eps
     family, lam, split = PEAKS[model]
     grid = geometric_grid(1e-3, 0.1, 6)
     counts = {"walk": 0, "decompose": 0, "eigvals": 0}
 
     def counted(name, fn):
         def spy(*args, **kwargs):
-            counts[name] += 1
+            counts[name] += eps_handed(args[0]) if name == "decompose" else 1
             return fn(*args, **kwargs)
 
         return spy
@@ -976,20 +984,27 @@ def test_a_sweep_walks_and_decomposes_each_eps_once(monkeypatch, model, table):
 
 
 @pytest.mark.parametrize("table", sorted(STREAMED))
-def test_a_sweep_keeps_one_decomposition_alive(monkeypatch, table):
+def test_a_sweep_keeps_at_most_one_chunk_alive(monkeypatch, table):
+    # chunks of two eps after eps = 0 alone: each measured eps sees the
+    # systems of its own chunk, and none of an earlier one; while a chunk is
+    # decomposed, at most the point its consumer still holds is left of the
+    # chunk before it
     family, lam, split = PEAKS["ms"]
     grid = geometric_grid(1e-3, 0.1, 6)
-    systems, alive = [], []
+    n0 = family.graph.n_arcs
+    monkeypatch.setattr(asymptotics, "CHUNK_BYTES", 2 * 16 * n0 * n0)
+    chunks, alive, held = [], [], []
     decompose = asymptotics.eigen_decompose
 
-    def spy(walk):
-        system = decompose(walk)
-        systems.append(weakref.ref(system))
-        return system
+    def spy(walks):
+        held.append(sum(ref() is not None for refs in chunks for ref in refs))
+        out = decompose(walks)
+        chunks.append([weakref.ref(system) for system in (out if isinstance(walks, list) else [out])])
+        return out
 
     def counted(fn):
         def measured(*args, **kwargs):
-            alive.append(sum(ref() is not None for ref in systems))
+            alive.append([sum(ref() is not None for ref in refs) for refs in chunks])
             return fn(*args, **kwargs)
 
         return measured
@@ -999,7 +1014,75 @@ def test_a_sweep_keeps_one_decomposition_alive(monkeypatch, table):
     monkeypatch.setattr(asymptotics, "boundary_data", counted(asymptotics.boundary_data))
     monkeypatch.setattr(asymptotics, "pole_block", counted(asymptotics.pole_block))
     STREAMED[table](family, lam, split, grid)
-    assert alive == [1] * len(grid)
+    assert alive == [[0] * (1 + i // 2) + [2] for i in range(len(grid))]
+    assert len(held) == 4 and max(held) <= 1
+
+
+CHUNKED = {
+    **STREAMED,
+    "discrepancy": lambda family, lam, split, grid: discrepancy_table(family, cmath.exp(0.7j), grid),
+    "track": lambda family, lam, split, grid: track_resonances(family, np.concatenate([[0.0], grid])),
+}
+
+
+def comparable(result):
+    """A table's rows and summary, or a track's grid, starts and the bytes of its paths."""
+    if isinstance(result, asymptotics.ResonanceTrack):
+        return result.eps_grid, result.starts, result.paths.tobytes()
+    return result
+
+
+@pytest.mark.parametrize("table", sorted(CHUNKED))
+@pytest.mark.parametrize("model", ["ms", "cycle4"])
+def test_the_chunk_size_changes_nothing(monkeypatch, model, table):
+    # one eps per chunk, and the whole grid in one chunk, give the same rows and summary
+    family, lam, split = PEAKS[model]
+    grid = geometric_grid(1e-3, 0.1, 7)
+    n0 = family.graph.n_arcs
+    decompose, calls, results = asymptotics.eigen_decompose, [], []
+
+    def spy(walks):
+        calls.append(eps_handed(walks))
+        return decompose(walks)
+
+    monkeypatch.setattr(asymptotics, "eigen_decompose", spy)
+    for walks_per_chunk in (1, len(grid)):
+        monkeypatch.setattr(asymptotics, "CHUNK_BYTES", walks_per_chunk * 16 * n0 * n0)
+        results.append(comparable(CHUNKED[table](family, lam, split, grid)))
+    assert calls == [1] * (len(grid) + 1) + [1, len(grid)]
+    assert results[0] == results[1]
+
+
+def test_a_chunk_raises_each_failure_when_the_stream_reaches_its_eps(monkeypatch):
+    # a walk that fails to build, or a member whose decomposition failed,
+    # raises once the eps before it in its chunk are measured
+    family, lam, _ = PEAKS["ms"]
+    measured, peak_at, decompose = [], asymptotics._peak_at, asymptotics.eigen_decompose
+
+    def measuring(walk, system, lambda_eps):
+        measured.append(walk.eps)
+        return peak_at(walk, system, lambda_eps)
+
+    def second_fails(walks):
+        out = decompose(walks)
+        if isinstance(walks, list) and len(walks) > 1:
+            members = list(out.members)
+            members[1] = spectral.IllConditionedChain(0.5, math.inf)
+            out = spectral.EigenStack(tuple(members), out.matrix)
+        return out
+
+    monkeypatch.setattr(asymptotics, "_peak_at", measuring)
+    with pytest.raises(EpsOutOfRange) as alone:
+        family.walk(0.75)
+    with pytest.raises(EpsOutOfRange) as streamed:
+        comfort_table(family, lam, [0.01, 0.3, 0.75, 0.8])
+    assert str(streamed.value) == str(alone.value)
+    assert measured == [0.01, 0.3]
+    monkeypatch.setattr(asymptotics, "eigen_decompose", second_fails)
+    del measured[:]
+    with pytest.raises(spectral.IllConditionedChain):
+        comfort_table(family, lam, [0.01, 0.02, 0.03])
+    assert measured == [0.01]
 
 
 def rows_from_the_public_functions(family, lam, split, grid):

@@ -1,5 +1,6 @@
 """Tests for eigenvalue clustering, Jordan chains, and resonance data."""
 
+import json
 import math
 import os
 import subprocess
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 
 import qwscatter
 from qwscatter import spectral
+from qwscatter.asymptotics import default_eps_grid
 from qwscatter.graph import build_graph
 from qwscatter.line import BarrierSpec, double_barrier, line_to_graph, rotation_coin
 from qwscatter.coins import eval_coins, parse_coin_family
+from qwscatter.modelfile import family_from_file, model_to_dict
 from qwscatter.models import (
     ModelFamily,
     _haar_unitary,
@@ -167,7 +170,7 @@ MS_VALUES = [
 @given(st.lists(st.builds(complex, NEAR_TIES, NEAR_TIES), max_size=8))
 def test_value_order_is_the_rounded_key_order(values):
     want = sorted(range(len(values)), key=list(map(spectral._sort_key, values)).__getitem__)
-    assert spectral._value_order(values) == want
+    assert spectral._value_order([values])[0].tolist() == want
 
 
 def test_ms_decomposes_as_with_every_value_rounded():
@@ -585,7 +588,8 @@ def test_one_pass_classification_matches_the_per_cluster_rule(monkeypatch, eps):
     right, left = full_bases(system)
     widths = [c.multiplicity for c in system.clusters]
     starts = np.cumsum(widths) - widths
-    bound, on_circle, _, _ = _classify(walk, right, left.conj().T, starts)
+    tails = walk.interior_to_tail[None], walk.tail_to_interior[None]
+    bound, on_circle, _, _ = _classify(*tails, right[None], left.conj().T[None], starts)
     condition = system.condition
     for k, cluster in enumerate(system.clusters):
         v, w = cluster.right_basis(), cluster.left_basis()
@@ -702,7 +706,8 @@ def test_a_multiple_cluster_is_classified_by_all_its_columns():
     assert [c.value for c in system.clusters] == [0.5, 0.7, 0.9]
     assert [c.shape[0] for c in system.clusters[0].chains] == [2]
     right, left = full_bases(system)
-    bound, on_circle, _, _ = _classify(walk, right, left.conj().T, np.array([0, 2, 3]))
+    tails = walk.interior_to_tail[None], walk.tail_to_interior[None]
+    bound, on_circle, _, _ = _classify(*tails, right[None], left.conj().T[None], np.array([0, 2, 3]))
     assert system.condition[0] == pytest.approx(2.0, rel=1e-15)
     assert bound[0] >= system.condition[0]
     assert list(on_circle) == [False, True, False]
@@ -1015,3 +1020,94 @@ def test_level_search_needs_strong_connectivity():
     a = np.asarray(not_strongly_connected().interior).real
     assert spectral._levels(a[:26, :26]) is not None
     assert spectral._levels(a) is None
+
+
+# ---------------------------------------------------------------------------
+# A stack of walks decomposes as each walk alone
+
+
+def assert_same_bits(got, want):
+    """Every array of two systems, the pole basis's too, equal byte for byte and laid out alike."""
+    pairs = [(name, getattr(got, name), getattr(want, name)) for name in (
+        "matrix", "values", "right", "left_h", "emission", "pickup", "multiplicity", "lengths",
+        "on_unit_circle", "condition_bound", "condition")]
+    pairs += [(f"poles.{name}", getattr(got.poles, name), getattr(want.poles, name))
+              for name in ("values", "right", "left_h", "emission", "pickup")]
+    for name, a, b in pairs:
+        assert (a.dtype, a.shape, a.strides, a.tobytes()) == (b.dtype, b.shape, b.strides, b.tobytes()), name
+    assert got.poles.links == want.poles.links
+
+
+def phased_ms_file(tmp_path):
+    """ms with a phase on one coin, as a model file: complex coins, on the eig path."""
+    doc = model_to_dict(matrix_schrodinger_family().graph, matrix_schrodinger_family().coins)
+    doc["coins"]["L+"] = [[f"exp(0.3*i)*({entry})" for entry in row] for row in doc["coins"]["L+"]]
+    path = tmp_path / "phased_ms.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return family_from_file(str(path))
+
+
+STACKED_FAMILIES = {
+    "ms": lambda tmp_path: matrix_schrodinger_family(),
+    "cycle3": lambda tmp_path: cycle_family(3, [0.9, 0.4, 0.7]),
+    "cycle4": lambda tmp_path: cycle_family(4, [1.02, 0.97, 1.0, 0.96]),
+    "cycle8": lambda tmp_path: cycle_family(8, STRENGTHS + STRENGTHS[:3]),
+    "crossing": lambda tmp_path: crossing_family(0.8),
+    "phased-ms-file": phased_ms_file,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_FAMILIES))
+def test_a_stacked_grid_decomposes_as_each_eps_alone(tmp_path, name):
+    family = STACKED_FAMILIES[name](tmp_path)
+    walks = [family.walk(eps) for eps in default_eps_grid()]
+    if name == "phased-ms-file":
+        assert all(np.iscomplexobj(w.interior) and np.count_nonzero(w.interior.imag) for w in walks)
+    stack = eigen_decompose(walks)
+    assert len(stack) == len(walks)
+    for walk, system in zip(walks, stack):
+        assert_same_bits(system, eigen_decompose(walk))
+
+
+def fixture_walks():
+    """The suite's fixtures: real, permutation, periodic and staircase walks and random digraphs."""
+    walks = [build() for build in REAL_WALKS.values()]
+    walks += [build() for build in PERMUTATION_WALKS.values()]
+    walks += [build() for build, _ in PERIODIC_WALKS.values()]
+    walks += [bare(jordan_example()), bare(coupled_jordan_example()), two_cycles_walk(),
+              jordan_walk_with_tails(), bare(staircase(1e-5)), singular_level_product(),
+              two_equal_lines(), tiny_root_level_product(), underflowing_cycle(), not_strongly_connected()]
+    return walks + [random_walk(np.random.default_rng(seed)) for seed in range(100, 106)]
+
+
+def test_a_stack_of_every_fixture_decomposes_as_each_walk_alone():
+    walks = fixture_walks()
+    stack = eigen_decompose(walks + walks[::-1])
+    for k, walk in enumerate(walks + walks[::-1]):
+        assert_same_bits(stack[k], eigen_decompose(walk))
+
+
+def test_a_mixed_stack_keeps_each_walks_system_and_error():
+    # eps = 0 with on-circle clusters, a closed form, closed-form values that
+    # coincide (eig takes them), a staircase, and two that raise: each member
+    # is its walk alone, and a failure is raised when that member is read
+    chained = bare(np.diag([1.0, 1.0 + 0.9e-8, 1.0 + 1.8e-8, 1.0 + 2.7e-8]))
+    walks = [matrix_schrodinger_family().walk(0.0), bare(staircase(1e-7)),
+             cycle_family(5, STRENGTHS).walk(0.3), two_cycle3_family().walk(0.0), chained,
+             jordan_walk_with_tails(), bare(staircase(1e-5)), singular_level_product()]
+    stack = eigen_decompose(walks)
+    raised = {}
+    for k, walk in enumerate(walks):
+        try:
+            alone = eigen_decompose(walk)
+        except spectral.NumericalError as exc:
+            with pytest.raises(type(exc)) as read:
+                stack[k]
+            assert str(read.value) == str(exc)
+            raised[k] = type(exc)
+        else:
+            assert_same_bits(stack[k], alone)
+    assert raised == {1: IllConditionedChain, 4: ClusterAmbiguity}
+    assert stack[0].on_unit_circle.any()
+    assert stack[3].multiplicity.max() == 2
+    assert max(stack[5].lengths) == max(stack[7].lengths) == 2
