@@ -42,7 +42,7 @@ from .coins import eval_coins
 from .line import BarrierSpec, barrier_scattering, line_to_graph, rotation_coin
 from .models import ModelFamily, crossing_family, cycle_family, matrix_schrodinger_family
 from .scattering import oracle_direct_solve, scattering_matrix
-from .spectral import NumericalError, eigen_decompose, resonance_set
+from .spectral import NumericalError, _resonances, eigen_decompose
 from .walk import assemble, free_routing_check
 
 ROUTE_AGREEMENT_TOL = 1e-8
@@ -341,13 +341,12 @@ def validate(model, n_vertices, strengths, eps):
 
 
 def _resonance_table(family, eps_values):
+    """One row per (eps, resonance), by phase and then modulus; the walks are decomposed
+    a chunk at a time, as a sweep's are (``asymptotics._decomposed``)."""
     eps_column, values, multiplicity, on_circle = [], [], [], []
-    for eps in eps_values:
-        resonances, _ = resonance_set(family.walk(eps))
-        ordered = sorted(
-            resonances,
-            key=lambda r: (round(cmath.phase(r.value), 12), abs(r.value)),
-        )
+    for eps, _, system in asymptotics._decomposed(family, eps_values, family.graph.n_arcs):
+        ordered = sorted(_resonances(system),
+                         key=lambda r: (round(cmath.phase(r.value), 12), abs(r.value)))
         eps_column += [eps] * len(ordered)
         values += [res.value for res in ordered]
         multiplicity += [res.multiplicity for res in ordered]
@@ -403,10 +402,7 @@ def resonances(model, n_vertices, strengths, eps, eps_grid, track, out, fmt):
         raise click.UsageError("--track needs --eps-grid")
     else:
         grid = np.array([0.0 if eps is None else eps])
-    if track:
-        table = _track_table(family, grid)
-    else:
-        table = _resonance_table(family, [float(e) for e in grid])
+    table = _track_table(family, grid) if track else _resonance_table(family, grid)
     _emit(table, None, out, fmt)
     return 0
 

@@ -362,7 +362,8 @@ def pole_block(walk: WalkOperator, clusters, z) -> np.ndarray:
 
     ``clusters`` is one :class:`Cluster` or a sequence of them, stacked
     into one basis; a cluster named twice is added twice.  Unit-circle
-    clusters have zero boundary data and contribute nothing.
+    clusters have zero boundary data and contribute nothing.  A point of
+    ``z`` on a pole raises ``AtInteriorResonance``, as the expansion route does.
     """
     z = _check_z(z)
     if isinstance(clusters, Cluster):
@@ -372,7 +373,9 @@ def pole_block(walk: WalkOperator, clusters, z) -> np.ndarray:
         raise ZeroCluster(
             "the zero resonance has its own block (with the pass-through term)"
         )
-    return _pole_blocks(_pole_basis(clusters, walk.n_interior, walk.n_tails), z)
+    poles = _pole_basis(clusters, walk.n_interior, walk.n_tails)
+    _check_poles(z, poles.values)
+    return _pole_blocks(poles, z)
 
 
 def zero_pole_block(walk: WalkOperator, system: EigenSystem, z) -> np.ndarray:

@@ -468,27 +468,12 @@ def _levels(a: np.ndarray):
     connected and no arc joins two of them.  Returns ``(g, arcs)`` per
     component, its arcs class by class (a cycle's in its own order), or
     None for a component of period 1 with more than one arc, or with
-    classes of unequal size.  A weighted permutation (one nonzero per row
-    and column) is its cycles, found without the level search: every
-    cycle model, two-barrier line and ``crossing`` is one.
+    classes of unequal size.  A weighted permutation (every cycle model,
+    two-barrier line and ``crossing``) is its cycles, each of period its
+    length with one arc per class, from its lowest arc.
     """
     n = a.shape[0]
-    nonzero = a != 0
-    count = np.count_nonzero(nonzero)
-    if count <= n:  # a zero column, or one nonzero per column
-        succ = nonzero.argmax(axis=0).tolist()
-        if count < n or len(set(succ)) != n:
-            return None
-        out, left = [], set(range(n))
-        for head in range(n):
-            if head in left:
-                cycle = [head]
-                while succ[cycle[-1]] != head:
-                    cycle.append(succ[cycle[-1]])
-                left.difference_update(cycle)
-                out.append((len(cycle), cycle))
-        return out
-    feeds = [divmod(f, n) for f in np.flatnonzero(nonzero).tolist()]  # (k, j): arc j feeds arc k
+    feeds = [divmod(f, n) for f in np.flatnonzero(a != 0).tolist()]  # (k, j): arc j feeds arc k
     ahead, back = [[] for _ in range(n)], None
     for k, j in feeds:
         ahead[j].append(k)
@@ -671,11 +656,10 @@ def _periodic_eig(a: np.ndarray):
 
 
 def _eig_pairs(a: np.ndarray):
-    """Values, vectors (columns) and 2-norms of each of the stacked ``a`` from LAPACK; no co-vectors."""
-    values, vectors = np.linalg.eig(a if len(a) > 1 else a[0])  # one walk's matrix goes unstacked
+    """Values, vectors (columns) and 2-norms of each of the stacked ``a``, LAPACK's call per member."""
+    values, vectors = np.linalg.eig(a)
     scale = np.linalg.svd(a, compute_uv=False)[:, 0]
-    return (values.astype(complex, copy=False).reshape(len(a), -1),
-            vectors.astype(complex, copy=False).reshape(a.shape), None, scale)
+    return values.astype(complex, copy=False), vectors.astype(complex, copy=False), None, scale
 
 
 def _unit_pivot(vectors: np.ndarray):
@@ -802,22 +786,21 @@ def eigen_decompose(walks):
     """Cluster the interior spectrum of a walk, or of each of a sequence of walks,
     and build biorthogonal chains: an :class:`EigenSystem`, or their :class:`EigenStack`.
 
-    One walk is a stack of one; each step runs once over the walks of one
-    dtype and sparsity pattern, elementwise or as each walk's own LAPACK or
-    BLAS call, so every array has the bits of its walk alone.
+    One walk is a stack of one, on the same path: each step runs once over the walks of one dtype,
+    tail shape and sparsity pattern, elementwise or as each walk's own LAPACK or BLAS call, so every
+    array has the bits of its walk alone.
     """
     stack = walks if isinstance(walks, Sequence) else [walks]
     members, groups = [None] * len(stack), {}
     matrices = [np.asarray(walk.interior, dtype=complex) for walk in stack]
     # real where no entry is complex: LAPACK's real eig is 1.6-2.8x faster, its pairs exact
     inputs = [m if np.count_nonzero(m.imag) else m.real for m in matrices]
-    for i, (walk, a) in enumerate(zip(stack, inputs)):  # a lone walk needs no pattern to share
-        pattern = (a != 0).tobytes() if len(stack) > 1 else a.shape
-        groups.setdefault((a.dtype, np.shape(walk.interior_to_tail), pattern), []).append(i)
+    for i, (walk, a) in enumerate(zip(stack, inputs)):
+        groups.setdefault((a.dtype, np.shape(walk.interior_to_tail), (a != 0).tobytes()), []).append(i)
     for own in groups.values():
         try:
-            a = inputs[own[0]][None] if len(own) == 1 else np.stack([inputs[i] for i in own])
-            group = _decompose_group([stack[i] for i in own], [matrices[i] for i in own], a)
+            group = _decompose_group([stack[i] for i in own], [matrices[i] for i in own],
+                                     np.stack([inputs[i] for i in own]))
         except np.linalg.LinAlgError as exc:  # LAPACK failed on the stack: each walk alone
             group = [exc] if len(own) == 1 else [eigen_decompose([stack[i]]).members[0] for i in own]
         for i, member in zip(own, group):
@@ -926,7 +909,7 @@ class Resonance:
 
 
 def resonance_set(walk):
-    """All resonances of the walk: interior eigenvalues, zero included.
+    """All resonances of the walk, zero included (:func:`_resonances` of its system), and the system.
 
     Nonzero interior eigenvalues are resonances with their algebraic
     multiplicity; eigenvalue zero is reported as the conventional zero
@@ -934,10 +917,14 @@ def resonance_set(walk):
     eigenvalues of the full walk, whose states never reach the tails.
     """
     system = eigen_decompose(walk)
+    return _resonances(system), system
+
+
+def _resonances(system: EigenSystem) -> list:
+    """One :class:`Resonance` per cluster of ``system``, a zero-value cluster at exactly 0."""
     values = np.where(np.abs(system.values) <= ZERO_VALUE_TOL, 0j, system.values)
-    out = list(map(Resonance, values.tolist(), system.multiplicity.tolist(),
-                   system.on_unit_circle.tolist()))
-    return out, system
+    return list(map(Resonance, values.tolist(), system.multiplicity.tolist(),
+                    system.on_unit_circle.tolist()))
 
 
 @dataclass(frozen=True)

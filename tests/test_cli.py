@@ -32,7 +32,7 @@ from qwscatter.cli import (
 from qwscatter.line import BarrierSpec, barrier_scattering, line_to_graph, rotation_coin
 from qwscatter.modelfile import save_model
 from qwscatter.models import closed_form_sigma_ms, matrix_schrodinger_family
-from qwscatter.spectral import NumericalError
+from qwscatter.spectral import NumericalError, resonance_set
 
 UNITARITY_CAP = 1e-8
 
@@ -219,6 +219,52 @@ def test_resonances_output_is_deterministic(tmp_path):
     _, rows = csv_rows(first[1])
     eps_column = [float(r[0]) for r in rows]
     assert eps_column == sorted(eps_column)
+
+
+RESONANCE_GRID = ["resonances", "--model", "ms", "--eps-grid", "0.01:0.5:40"]
+
+
+def test_a_resonance_grid_is_decomposed_in_one_call(monkeypatch):
+    # ms's 40 interiors of 6 x 6 fit one chunk of CHUNK_BYTES
+    calls = []
+    decompose = cli.asymptotics.eigen_decompose
+
+    def spy(walks):
+        calls.append(len(walks) if isinstance(walks, list) else 1)
+        return decompose(walks)
+
+    monkeypatch.setattr(cli.asymptotics, "eigen_decompose", spy)
+    code, _, _ = run_cli(RESONANCE_GRID)
+    assert code == 0
+    assert calls == [40]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_resonance_grid_prints_what_resonance_set_lists_at_each_eps(fmt):
+    family = matrix_schrodinger_family()
+    rows = []
+    for eps in parse_eps_grid("0.01:0.5:40").tolist():
+        resonances, _ = resonance_set(family.walk(eps))
+        resonances.sort(key=lambda r: (round(cmath.phase(r.value), 12), abs(r.value)))
+        rows += [(eps, r.value, r.multiplicity, r.on_unit_circle) for r in resonances]
+    eps, values, multiplicity, on_circle = zip(*rows)
+    values = np.array(values)
+    table = {"eps": np.array(eps), "re": values.real, "im": values.imag,
+             "multiplicity": np.array(multiplicity), "on_circle": np.array(on_circle)}
+    want = io.StringIO()
+    with redirect_stdout(want):
+        cli._emit(table, None, None, fmt)
+    code, out, _ = run_cli(RESONANCE_GRID + ["--format", fmt])
+    assert code == 0
+    assert len(rows) == 200
+    assert out == want.getvalue()
+
+
+def test_a_resonance_grid_past_the_family_range_exits_1():
+    code, out, err = run_cli(["resonances", "--model", "ms", "--eps-grid", "0.01:0.8:5"])
+    assert code == 1
+    assert "eps = 0.8 is outside the family's range: valid range is 0 <= eps < 0.707107" in out + err
+    assert "multiplicity" not in out
 
 
 def test_resonances_option_conflicts():

@@ -677,6 +677,20 @@ def test_one_resonance_hit_in_an_array_names_that_point():
         oracle_direct_solve(ms_walk(0.3), points, np.eye(2))
 
 
+@pytest.mark.parametrize("array", [False, True], ids=["point", "array"])
+def test_pole_block_at_its_pole_names_that_point(array):
+    # as the expansion route does at the same z, instead of returning inf
+    walk = ms_walk(0.3)
+    cluster = eigen_decompose(walk).nearest_cluster(RESONANCE_MS)
+    assert not cluster.on_unit_circle and not cluster.is_zero
+    z = np.array([np.exp(0.3j), cluster.value, np.exp(1.3j)]) if array else cluster.value
+    named = re.escape(f"z = {cluster.value:.9g} ")
+    with pytest.raises(AtInteriorResonance, match=named):
+        scattering_matrix(walk, z, "expansion")
+    with pytest.raises(AtInteriorResonance, match=named):
+        pole_block(walk, [cluster] if array else cluster, z)
+
+
 def test_drive_onto_a_bound_state_is_rejected_for_an_array():
     walk, system, e1 = bound_state_walk()
     points = np.exp(1j * np.array([0.3, 1.1]))

@@ -912,12 +912,12 @@ PERIODIC_WALKS = {
 
 
 def spy_shapes(monkeypatch, name):
-    """Record the shape of every array handed to ``np.linalg.<name>``."""
+    """Record the matrix shape of every array handed to ``np.linalg.<name>``."""
     seen = []
     original = getattr(np.linalg, name)
 
     def spy(a, *args, **kwargs):
-        seen.append(np.shape(a))
+        seen.append(np.shape(a)[-2:])
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, name, spy)
@@ -1019,6 +1019,65 @@ def test_a_singular_level_product_decomposes_into_a_jordan_chain_at_zero():
 def test_level_search_needs_strong_connectivity():
     a = np.asarray(not_strongly_connected().interior).real
     assert spectral._levels(a[:26, :26]) is not None
+    assert spectral._levels(a) is None
+
+
+def weighted_permutation(succ, weights):
+    """Arc ``j`` feeds arc ``succ[j]`` with weight ``weights[j]``."""
+    weights = np.asarray(weights)
+    a = np.zeros((len(succ),) * 2, dtype=weights.dtype)
+    a[succ, np.arange(len(succ))] = weights
+    return a
+
+
+def cycles_of(succ):
+    """Each cycle of the map ``succ``, from its lowest arc, in order of that arc."""
+    out, seen = [], set()
+    for head in range(len(succ)):
+        if head not in seen:
+            cycle = [head]
+            while succ[cycle[-1]] != head:
+                cycle.append(succ[cycle[-1]])
+            seen.update(cycle)
+            out.append((len(cycle), cycle))
+    return out
+
+
+def random_permutations():
+    rng = np.random.default_rng(7)
+    for n in list(range(1, 13)) * 4:
+        weights = rng.uniform(0.1, 2, n) * rng.choice([-1, 1], n)
+        if rng.random() < 0.5:
+            weights = weights * np.exp(2j * np.pi * rng.random(n))
+        yield rng.permutation(n).tolist(), weights
+
+
+# cycles of lengths 1 (arc 3), 2 (0, 6) and 5 (1, 4, 7, 2, 5), interleaved
+INTERLEAVED = [6, 4, 5, 3, 7, 1, 0, 2]
+
+
+@pytest.mark.parametrize(
+    "succ, weights",
+    [(INTERLEAVED, np.exp(1j * np.arange(1, 9)) * np.linspace(0.3, 1.0, 8)), ([0], [0.5])]
+    + list(random_permutations()),
+)
+def test_the_level_search_finds_a_weighted_permutations_cycles(succ, weights):
+    assert spectral._levels(weighted_permutation(succ, weights)) == cycles_of(succ)
+
+
+def test_a_zero_column_or_a_repeated_successor_is_no_permutation():
+    a = weighted_permutation(INTERLEAVED, np.linspace(0.3, 1.0, 8))
+    a[:, 4] = 0  # arc 4 feeds no arc
+    assert spectral._levels(a) is None
+    repeated = list(INTERLEAVED)
+    repeated[1] = repeated[0]  # arcs 0 and 1 both feed arc 6, and no arc feeds arc 4
+    assert spectral._levels(weighted_permutation(repeated, np.linspace(0.3, 1.0, 8))) is None
+
+
+def test_a_zero_column_beside_a_doubled_one_is_no_permutation():
+    # one nonzero per arc on average, but arc 0 feeds no arc and arc 1 feeds two
+    a = weighted_permutation([0, 1, 2], [1.0, 1.0, 1.0])
+    a[0, 0], a[2, 1] = 0.0, 1.0
     assert spectral._levels(a) is None
 
 
