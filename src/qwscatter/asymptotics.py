@@ -21,8 +21,8 @@ fitted slopes and band checks; the command line serialises them.
 
 The tables that follow a resonance (tunneling, width, comfort and
 remainder) stream the eps grid (:func:`_stream`): each eps's walk is
-built once and decomposed once, a chunk of eps in one
-``eigen_decompose`` call (:func:`_decomposed`), tracking matches on that
+built once and decomposed once, a chunk of eps in one ``family.walks``
+and one ``eigen_decompose`` call (:func:`_decomposed`), tracking matches on that
 decomposition's cluster values, and the measure at that eps reads the
 same walk and decomposition, one eps at a time.  Each peak builds one
 resolvent kernel over every tail and the co-state profile, and checks the split
@@ -278,7 +278,8 @@ def track_resonances(
 def _decomposed(family, eps_values, n0: int):
     """``(eps, walk, system)`` for each of ``eps_values``, decomposed a chunk at a time.
 
-    Each chunk's walks are built with ``family(eps)`` and decomposed in one
+    Each chunk's walks are built in one ``family.walks`` call (eps by eps
+    for a plain callable, up to the first that fails) and decomposed in one
     :func:`eigen_decompose` call, their ``n0 × n0`` interiors within
     ``CHUNK_BYTES``.  An error raises when the stream reaches its eps, after
     the chunk's earlier eps: a walk's when it was built, a decomposition's
@@ -286,18 +287,28 @@ def _decomposed(family, eps_values, n0: int):
     """
     size = max(1, CHUNK_BYTES // (16 * n0 * n0 or 1))
     for start in range(0, len(eps_values), size):
-        chunk, walks, failure = eps_values[start : start + size], [], None
-        try:
-            for eps in chunk:
-                walks.append(family(eps))
-        except Exception as exc:  # raised once the eps before it are yielded
-            failure = exc
+        chunk = eps_values[start : start + size]
+        walks = family.walks(chunk) if hasattr(family, "walks") else _each_walk(family, chunk)
+        stop = next((k for k, walk in enumerate(walks) if isinstance(walk, Exception)), len(walks))
+        failure = walks[stop] if stop < len(walks) else None
+        walks = walks[:stop]
         systems = eigen_decompose(walks) if walks else ()
         for k, walk in enumerate(walks):
             yield float(chunk[k]), walk, systems[k]
         del walks, systems  # the next chunk is built with this one gone
         if failure is not None:
             raise failure
+
+
+def _each_walk(family, chunk) -> list:
+    """``family(eps)`` for each eps of ``chunk``, up to and with the error of the first that fails."""
+    walks = []
+    for eps in chunk:
+        try:
+            walks.append(family(eps))
+        except Exception as exc:  # raised once the eps before it are yielded
+            return walks + [exc]
+    return walks
 
 
 class _GridPoint(NamedTuple):
@@ -353,7 +364,11 @@ def fit_loglog_slope(eps_values, values) -> tuple:
 
 def nonresonant_point(family) -> complex:
     """A deterministic unit-circle point far from every resonance of U(0)."""
-    values = eigen_decompose(family(0.0)).values
+    return _nonresonant(eigen_decompose(family(0.0)).values)
+
+
+def _nonresonant(values) -> complex:
+    """The first of ``NONRESONANT_SCAN`` circle points at least ``NONRESONANT_DIST`` from ``values``."""
     best, best_dist = None, -1.0
     for k in range(NONRESONANT_SCAN):
         z = cmath.exp(2j * cmath.pi * (k + 0.5) / NONRESONANT_SCAN)
@@ -840,20 +855,24 @@ def _in_band(value: float, band) -> bool:
 
 
 def discrepancy_table(
-    family, z: complex, eps_values=None, route: str = "resolvent"
+    family, z: complex | None, eps_values=None, route: str = "resolvent"
 ) -> tuple:
     """Sweep ||Sigma(eps, z) - Sigma(0, z)|| and fit its log-log slope.
 
-    Each positive eps takes its Σ from its own decomposition, decomposed
-    a chunk at a time (:func:`_decomposed`).  The fit needs two positive
-    eps; with fewer, ``ValueError`` is raised before any walk is built.
+    ``z=None`` takes the :func:`nonresonant_point` of eps = 0's own walk and
+    decomposition, so eps = 0 is walked and decomposed once.  Each positive
+    eps takes its Σ from its own decomposition, decomposed a chunk at a time
+    (:func:`_decomposed`).  The fit needs two positive eps; with fewer,
+    ``ValueError`` is raised before any walk is built.
     """
-    z = _project_to_circle(z)
+    z = None if z is None else _project_to_circle(z)
     grid = _positive(eps_values)
     if len(grid) < 2:
         raise ValueError("need at least two positive points for a slope fit")
     walk0 = family(0.0)
-    s_zero = scattering_matrix(walk0, z, route, eigen_decompose(walk0)).matrix
+    system0 = eigen_decompose(walk0)
+    z = _project_to_circle(_nonresonant(system0.values)) if z is None else z
+    s_zero = scattering_matrix(walk0, z, route, system0).matrix
     rows = []
     values = []
     for eps, walk, system in _decomposed(family, grid, len(walk0.interior)):

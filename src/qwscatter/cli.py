@@ -319,7 +319,7 @@ def validate(model, n_vertices, strengths, eps):
         fam = family["family"]
 
         def unitarity():
-            eval_coins(fam.coins, eps)
+            eval_coins(fam.program, eps)
             fam.check_eps(eps)  # as every command that builds a walk does
             return {"eps": eps}
 
@@ -548,11 +548,7 @@ def _run_peak_table(table, model, n_vertices, strengths, split_text, lam_text, e
 def discrepancy(model, n_vertices, strengths, z_text, eps_grid, route, out, fmt):
     """Distance of the scattering matrix from its decoupled limit."""
     family = load_family(model, n_vertices, strengths)
-    z = (
-        parse_complex_value(z_text)
-        if z_text is not None
-        else asymptotics.nonresonant_point(family)
-    )
+    z = parse_complex_value(z_text) if z_text is not None else None
     eps_values = _eps_values(eps_grid)
     if eps_values is not None and len(eps_values) < 2:
         raise click.UsageError("bad --eps-grid value: the slope fit needs at least two points")

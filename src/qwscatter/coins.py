@@ -12,19 +12,32 @@ singularity is handled specially: an entry of the shape ``exp(c/eps)``
 with ``c < 0`` evaluates to ``0`` at ``eps = 0`` (the limit from the
 right), so exponentially flat coin families can be written down
 directly.  Any other division by zero is an error.
+
+A family is compiled once (:class:`CoinProgram`) and evaluated over a
+whole stack of eps: each node of each entry shape is one numpy operation.
+Values keep the bits of CPython's complex arithmetic and ``cmath``: a
+node uses CPython's formula where numpy's differs, and an element numpy
+cannot be trusted with takes CPython's own operation.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import re
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 UNITARITY_TOL = 1e-10
 
 _FUNCTIONS = ("sqrt", "exp", "cos", "sin")
+# past this modulus of the argument cmath rescales exp, cos and sin, and numpy may round otherwise
+_SAFE_ARGUMENT = 700.0
+# a group of at most this many elements (eps times distinct entries) takes CPython's operations
+_ELEMENTWISE = 4
 
 
 class ExprSyntaxError(ValueError):
@@ -47,36 +60,20 @@ class NotUnitary(ValueError):
         )
 
 
-class _Diverging(Exception):
-    """Internal: a subexpression is c/0.  Carries the numerator value."""
-
-    def __init__(self, numerator: complex):
-        self.numerator = numerator
-
-
 # ---------------------------------------------------------------------------
 # AST
 
 
 @dataclass(frozen=True)
 class Expr:
+    _prec = 5
+
     def eval(self, eps: float) -> complex:
-        try:
-            return self._eval(complex(eps))
-        except _Diverging:
-            raise EvalError("division by zero") from None
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise EvalError(str(exc)) from None
-
-    def _eval(self, eps: complex) -> complex:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _prec(self) -> int:
-        return 5
+        return complex(eval_matrix([[self]], eps)[0, 0])
 
     def _fmt(self, context: int) -> str:
         text = self._text()
-        return f"({text})" if self._prec() < context else text
+        return f"({text})" if self._prec < context else text
 
     def __str__(self) -> str:
         return self._text()
@@ -86,9 +83,6 @@ class Expr:
 class Num(Expr):
     value: float
 
-    def _eval(self, eps):
-        return complex(self.value)
-
     def _text(self):
         return repr(self.value) if self.value != int(self.value) else str(int(self.value))
 
@@ -97,18 +91,12 @@ class Num(Expr):
 class Const(Expr):
     name: str  # "i" or "pi"
 
-    def _eval(self, eps):
-        return 1j if self.name == "i" else complex(cmath.pi)
-
     def _text(self):
         return self.name
 
 
 @dataclass(frozen=True)
 class Eps(Expr):
-    def _eval(self, eps):
-        return eps
-
     def _text(self):
         return "eps"
 
@@ -116,15 +104,7 @@ class Eps(Expr):
 @dataclass(frozen=True)
 class Neg(Expr):
     arg: Expr
-
-    def _prec(self):
-        return 3
-
-    def _eval(self, eps):
-        try:
-            return -self.arg._eval(eps)
-        except _Diverging as d:
-            raise _Diverging(-d.numerator) from None
+    _prec = 3
 
     def _text(self):
         return "-" + self.arg._fmt(4)
@@ -137,64 +117,28 @@ class BinOp(Expr):
 
 
 class Add(BinOp):
-    def _prec(self):
-        return 1
-
-    def _eval(self, eps):
-        return self.lhs._eval(eps) + self.rhs._eval(eps)
+    _prec = 1
 
     def _text(self):
         return f"{self.lhs._fmt(1)} + {self.rhs._fmt(2)}"
 
 
 class Sub(BinOp):
-    def _prec(self):
-        return 1
-
-    def _eval(self, eps):
-        return self.lhs._eval(eps) - self.rhs._eval(eps)
+    _prec = 1
 
     def _text(self):
         return f"{self.lhs._fmt(1)} - {self.rhs._fmt(2)}"
 
 
 class Mul(BinOp):
-    def _prec(self):
-        return 2
-
-    def _eval(self, eps):
-        try:
-            left = self.lhs._eval(eps)
-        except _Diverging as d:
-            return self._scaled(d, self.rhs, eps)
-        try:
-            right = self.rhs._eval(eps)
-        except _Diverging as d:
-            raise _Diverging(d.numerator * left) from None
-        return left * right
-
-    @staticmethod
-    def _scaled(d: _Diverging, other: Expr, eps) -> complex:
-        factor = other._eval(eps)  # a second divergence falls through
-        raise _Diverging(d.numerator * factor) from None
+    _prec = 2
 
     def _text(self):
         return f"{self.lhs._fmt(2)}*{self.rhs._fmt(3)}"
 
 
 class Div(BinOp):
-    def _prec(self):
-        return 2
-
-    def _eval(self, eps):
-        den = self.rhs._eval(eps)
-        if den == 0:
-            raise _Diverging(self.lhs._eval(eps))
-        try:
-            num = self.lhs._eval(eps)
-        except _Diverging as d:
-            raise _Diverging(d.numerator / den) from None
-        return num / den
+    _prec = 2
 
     def _text(self):
         return f"{self.lhs._fmt(2)}/{self.rhs._fmt(3)}"
@@ -204,12 +148,7 @@ class Div(BinOp):
 class Pow(Expr):
     base: Expr
     exponent: int
-
-    def _prec(self):
-        return 4
-
-    def _eval(self, eps):
-        return self.base._eval(eps) ** self.exponent
+    _prec = 4
 
     def _text(self):
         return f"{self.base._fmt(5)}^{self.exponent}"
@@ -219,27 +158,6 @@ class Pow(Expr):
 class Call(Expr):
     fn: str
     arg: Expr
-
-    def _eval(self, eps):
-        if self.fn == "exp":
-            try:
-                value = self.arg._eval(eps)
-            except _Diverging as d:
-                num = d.numerator
-                if num.imag == 0 and num.real < 0:
-                    return 0j  # exp(c/eps) with c < 0, limit eps -> 0+
-                raise EvalError(
-                    "exp of a diverging argument without a negative real limit"
-                ) from None
-            return cmath.exp(value)
-        value = self.arg._eval(eps)
-        if self.fn == "sqrt":
-            return cmath.sqrt(value)
-        if self.fn == "cos":
-            return cmath.cos(value)
-        if self.fn == "sin":
-            return cmath.sin(value)
-        raise EvalError(f"unknown function {self.fn!r}")
 
     def _text(self):
         return f"{self.fn}({self.arg._text()})"
@@ -396,6 +314,258 @@ def const_expr(value: complex) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# Compiled evaluation
+#
+# Each operation node has a numpy formula over stacks, which also names
+# the elements it cannot be trusted with, and CPython's operation for one
+# element.  Those elements, and any whose operand is c/0 or an error, take
+# ``_rule``, which meets operands as a left-to-right evaluation does.
+
+
+class _OverZero(NamedTuple):
+    """The state of a subexpression c/0, carrying c."""
+
+    numerator: complex
+
+
+def _odd(regular):
+    return None if regular.all() else ~regular
+
+
+def _mul(a, b):
+    """CPython's complex product, part by part: numpy's may fuse a multiply and an add."""
+    real = a.real * b.real - a.imag * b.imag
+    out = np.empty(real.shape, complex)
+    out.real, out.imag = real, a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _power(n, a):
+    """CPython's integer power (``c_powi``) for 0 < n <= 100: squarings from 1.
+    Other exponents take a quotient or CPython's general power, element by element."""
+    if not 0 < n <= 100:
+        return a, np.ones(a.shape, bool)
+    power, bit = np.array(1 + 0j), 1
+    while bit <= n:
+        power = _mul(power, a) if n & bit else power
+        bit <<= 1
+        a = _mul(a, a) if bit <= n else a
+    return power, _odd(np.isfinite(power))
+
+
+def _function(fn, a):
+    if fn != "sqrt":
+        return getattr(np, fn)(a), _odd(np.abs(a) <= _SAFE_ARGUMENT)
+    # on the real axis numpy's sqrt is cmath's, away from cmath's scaled-down subnormals
+    size = np.abs(a.real)
+    return np.sqrt(a), _odd((a.imag == 0) & (size >= 8 * sys.float_info.min) & (size <= sys.float_info.max))
+
+
+_NUMPY = {
+    Neg: lambda _, a: (-a, None),
+    Add: lambda _, a, b: (a + b, None),
+    Sub: lambda _, a, b: (a - b, None),
+    Mul: lambda _, a, b: (_mul(a, b), None),
+    Div: lambda _, a, b: (a, np.ones(np.broadcast_shapes(a.shape, b.shape), bool)),  # CPython's quotient
+    Pow: _power,
+    Call: _function,
+}
+_CPYTHON = {
+    Neg: lambda _, a: -a,
+    Add: lambda _, a, b: a + b,
+    Sub: lambda _, a, b: a - b,
+    Mul: lambda _, a, b: a * b,
+    Div: lambda _, a, b: a / b,
+    Pow: lambda n, a: a**n,
+    Call: lambda fn, a: getattr(cmath, fn)(a),
+}
+
+
+def _rule(node, param, a, b=None):
+    """One element of a node, from its operands' states: values, c/0 or errors.
+
+    Values take CPython's operation.  Otherwise the operands are met as a
+    left-to-right evaluation meets them, except that a quotient reads its
+    divisor first: an error stops everything, c/0 stops a sum and passes a
+    power or a function, and a product or a quotient carries it on, scaled.
+    """
+    if isinstance(a, complex) and (b is None or isinstance(b, complex) and (b != 0 or node is not Div)):
+        try:
+            return _CPYTHON[node](param, a) if b is None else _CPYTHON[node](param, a, b)
+        except (OverflowError, ZeroDivisionError) as exc:
+            return EvalError(str(exc))
+        except ValueError as exc:  # a cmath domain error is raised as it is
+            return exc
+    if node is Div:
+        if not isinstance(b, complex):
+            return b
+        if b == 0:
+            return _OverZero(a) if isinstance(a, complex) else a
+        return _OverZero(a.numerator / b) if isinstance(a, _OverZero) else a
+    if isinstance(a, _OverZero):
+        if node is Call and param == "exp":
+            if a.numerator.imag == 0 and a.numerator.real < 0:
+                return 0j  # exp(c/eps) with c < 0, limit eps -> 0+
+            return EvalError("exp of a diverging argument without a negative real limit")
+        if node is Mul:
+            return _OverZero(a.numerator * b) if isinstance(b, complex) else b
+        return _OverZero(-a.numerator) if node is Neg else a
+    if not isinstance(a, complex):
+        return a
+    return _OverZero(b.numerator * a) if node is Mul and isinstance(b, _OverZero) else b
+
+
+_EPS, _LIT = ("eps",), ("lit",)
+
+
+def _lift(expr: Expr, lits: list):
+    """The shape of ``expr``, a tuple tree, its literals appended to ``lits`` in
+    evaluation order; a subtree of literals that evaluates to a number is one literal."""
+    kind = type(expr)
+    if kind is Eps:
+        return _EPS
+    if kind is Num or kind is Const:
+        lits.append(complex(expr.value) if kind is Num else 1j if expr.name == "i" else complex(cmath.pi))
+        return _LIT
+    if kind is Pow or kind is Call or kind is Neg:
+        param = expr.exponent if kind is Pow else expr.fn if kind is Call else None
+        kids = (_lift(expr.base if kind is Pow else expr.arg, lits),)
+    else:
+        param, kids = None, (_lift(expr.lhs, lits), _lift(expr.rhs, lits))
+    if kids[0] is _LIT and kids[-1] is _LIT:
+        value = _rule(kind, param, *lits[len(lits) - len(kids) :])
+        if isinstance(value, complex):
+            lits[len(lits) - len(kids) :] = [value]
+            return _LIT
+    return (kind, param, *kids)
+
+
+def _run(shape, eps, lits):
+    """A shape's values over the stack, and the elements its numpy formulas cannot
+    be trusted with, or None.  ``eps`` is the (n, 1) column of eps and ``lits``
+    yields the (1, k) literal columns in evaluation order."""
+    if shape is _EPS or shape is _LIT:
+        return eps if shape is _EPS else next(lits), None
+    node, param, *kids = shape
+    runs = [_run(kid, eps, lits) for kid in kids]
+    out, odd = _NUMPY[node](param, *(values for values, _ in runs))
+    for _, below in runs:
+        odd = below if odd is None else odd if below is None else odd | below
+    return out, odd
+
+
+def _elementwise(shape):
+    """The shape as a function of one eps and its literals (an iterator), by
+    CPython's operations: an element's value, c/0 or an error."""
+    if shape is _EPS or shape is _LIT:
+        return (lambda eps, lits: eps) if shape is _EPS else (lambda eps, lits: next(lits))
+    node, param, *kids = shape
+    first, *second = [_elementwise(kid) for kid in kids]
+    if not second:
+        return lambda eps, lits: _rule(node, param, first(eps, lits))
+    return lambda eps, lits: _rule(node, param, first(eps, lits), second[0](eps, lits))
+
+
+def _unitarity(stack, eye):
+    """Each coin's max-entry residual |C*C - I|, NaN for a non-finite coin; None if all pass."""
+    error = np.abs(np.einsum("kji,kjl->kil", stack.conj(), stack) - eye)
+    if error.max(initial=0.0) <= UNITARITY_TOL:
+        return None
+    residual = error.max(axis=(1, 2))
+    # the entries of a unitary are at most 1, so a finite coin has a finite sum
+    residual[~np.isfinite(stack.sum(axis=(1, 2)))] = np.nan
+    return residual
+
+
+class CoinProgram:
+    """A coin family compiled once into array operations.
+
+    Its entries (vertex by vertex in family order, each grid row-major) are
+    deduplicated, their literals compared by their bits, so ``0.0`` and
+    ``-0.0`` stay apart, and grouped by shape: each group is one tree of
+    numpy operations over its literal columns.
+    """
+
+    def __init__(self, coins: CoinFamily):
+        self.vertices = tuple(coins)
+        self.shapes = tuple((len(grid), len(grid[0]) if len(grid) else 0) for grid in coins.values())
+        entries = [entry for grid in coins.values() for row in grid for entry in row]
+        if len(entries) != sum(rows * cols for rows, cols in self.shapes):
+            raise ValueError("every coin must be a rectangular matrix")
+        distinct, known = {}, {}  # (shape, literals) -> its literals and entries; id -> that key
+        for k, entry in enumerate(entries):
+            key = known.get(id(entry))
+            if key is None:
+                lits = []
+                key = known[id(entry)] = (_lift(entry, lits), repr(lits))
+                distinct.setdefault(key, (lits, []))
+            distinct[key][1].append(k)
+        groups = {}
+        for (shape, _), member in distinct.items():
+            groups.setdefault(shape, []).append(member)
+        # the distinct entries numbered group by group; each entry reads its distinct column
+        self.groups, self.first, where, literal = [], [], [0] * len(entries), [None] * len(entries)
+        for shape, members in groups.items():
+            start = len(self.first)
+            for lits, places in members:
+                for place in places:
+                    where[place], literal[place] = len(self.first), lits[0] if shape is _LIT else None
+                self.first.append(places[0])  # the entry in family order that fails first
+            each = [lits for lits, _ in members]  # each distinct entry's literals
+            lits = np.array(each, complex).T[:, None]
+            self.groups.append((shape, slice(start, len(self.first)), lits, each, _elementwise(shape)))
+        self.where = np.array(where, dtype=np.intp)
+        # each coin's first entry and shape; the square coins of each size whose
+        # entries vary, their columns and positions in family order; and the
+        # constant square coins that fail, with their residuals
+        starts = itertools.accumulate((rows * cols for rows, cols in self.shapes), initial=0)
+        self.layout, self.placed = dict(zip(self.vertices, zip(starts, self.shapes))), {}
+        squares, constants, self.failing = {}, {}, {}  # size -> (entries or their values, positions)
+        for k, (start, (rows, cols)) in enumerate(self.layout.values()):
+            if rows == cols and rows:
+                values = literal[start : start + rows * cols]
+                constant = all(value is not None for value in values)
+                group = (constants if constant else squares).setdefault(rows, ([], []))
+                group[0].extend(values if constant else range(start, start + rows * cols))
+                group[1].append(k)
+        for size, (values, positions) in constants.items():
+            with np.errstate(all="ignore"):
+                residual = _unitarity(np.reshape(values, (-1, size, size)), np.eye(size))
+            for k, error in zip(positions, () if residual is None else residual):
+                if not error <= UNITARITY_TOL:
+                    self.failing[k] = float(error)
+        self.squares = [(size, columns if columns != list(range(columns[0], columns[-1] + 1))
+                         else slice(columns[0], columns[-1] + 1), positions, np.eye(size))
+                        for size, (columns, positions) in squares.items()]
+
+    def evaluate(self, eps: np.ndarray) -> tuple:
+        """Every entry at each of ``eps`` (a float array), (n_eps, entries) in
+        family order, and each eps's error (its first failing entry's) or None.
+        An element that a numpy formula cannot be trusted with takes CPython's
+        operations throughout."""
+        column = eps.astype(complex)[:, None]
+        points = column[:, 0].tolist()
+        distinct, failed = np.empty((len(column), len(self.first)), complex), {}
+        with np.errstate(all="ignore"):
+            for shape, columns, lits, each, elementwise in self.groups:
+                if shape is _LIT or len(column) * len(each) > _ELEMENTWISE:
+                    distinct[:, columns], odd = _run(shape, column, iter(lits))
+                    odd = () if odd is None else zip(*np.nonzero(np.broadcast_to(odd, distinct[:, columns].shape)))
+                else:  # too few elements to pay numpy's cost per call
+                    odd = itertools.product(range(len(column)), range(len(each)))
+                for i, j in odd:
+                    state = elementwise(points[i], iter(each[j]))
+                    if isinstance(state, complex):
+                        distinct[i, columns.start + j] = state
+                    else:
+                        failed[i, columns.start + j] = EvalError("division by zero") if isinstance(state, _OverZero) else state
+        errors = [None] * len(column)
+        for i, j in sorted(failed, key=lambda at: self.first[at[1]], reverse=True):
+            errors[i] = failed[i, j]  # the first failing entry in family order is written last
+        return distinct[:, self.where], errors
+
+
+# ---------------------------------------------------------------------------
 # Coin families
 
 # A coin family maps each vertex to a rectangular grid of expressions;
@@ -404,11 +574,12 @@ CoinFamily = dict
 
 
 def parse_coin_family(raw: dict) -> CoinFamily:
-    """Parse string-valued coin grids into expression grids."""
-    family = {}
+    """Parse string-valued coin grids into expression grids; equal texts share one tree."""
+    family, trees = {}, {}
     for vertex, grid in raw.items():
         parsed = tuple(
-            tuple(e if isinstance(e, Expr) else parse(e) for e in row) for row in grid
+            tuple(e if isinstance(e, Expr) else trees.get(e) or trees.setdefault(e, parse(e)) for e in row)
+            for row in grid
         )
         if not parsed or any(len(row) != len(parsed[0]) for row in parsed):
             raise ValueError(f"coin at {vertex!r} is not a rectangular matrix")
@@ -417,45 +588,52 @@ def parse_coin_family(raw: dict) -> CoinFamily:
 
 
 def eval_matrix(grid, eps: float) -> np.ndarray:
-    rows = [[entry.eval(eps) for entry in row] for row in grid]
-    return np.array(rows, dtype=complex)
+    values, errors = CoinProgram({None: grid}).evaluate(np.array([eps], dtype=float))
+    if errors[0] is not None:
+        raise errors[0]
+    return values[0].reshape(len(grid), -1)
 
 
-def eval_coins(coins: CoinFamily, eps: float) -> dict:
-    """Evaluate every coin in the family at the given coupling.
+class CoinStack(NamedTuple):
+    """The coins of a family at each eps of a stack (:func:`eval_coins`)."""
 
-    Square coins are required to be unitary to ``UNITARITY_TOL``
-    (max-entry norm of C*C - I); a coin with a non-finite entry is not,
-    and fails before C*C is formed.  Every square coin is checked in one
-    stack, each padded with the identity to the largest size, and the
-    first failing vertex in family order is named.  Rectangular grids are
-    left to the walk assembler, which will reject them with a dimension
-    error.
+    layout: dict  # vertex -> (its coin's first entry, its shape), in family order
+    values: np.ndarray  # every entry at each eps, (n_eps, entries)
+    errors: list  # each eps's error, or None
+    placed: dict  # where an assembler put the entries in each graph, shared by a program's stacks
+
+
+def eval_coins(coins, eps):
+    """Evaluate every coin in the family at ``eps``, or at each of a 1-D array of eps.
+
+    ``coins`` is a family or its :class:`CoinProgram`.  At one eps the
+    result is a dict vertex -> matrix, and an error raises; at an array it
+    is their :class:`CoinStack`, which keeps each eps's error.  Square
+    coins are required to be unitary to ``UNITARITY_TOL`` (max-entry norm
+    of C*C - I); a coin with a non-finite entry is not.  The coins of each
+    size are checked in one stack, and the first failing vertex in family
+    order is named.  Rectangular grids are left to the walk assembler,
+    which will reject them with a dimension error.
     """
-    out = {vertex: eval_matrix(grid, eps) for vertex, grid in coins.items()}
-    by_size: dict = {}
-    for vertex, mat in out.items():
-        if mat.shape[0] == mat.shape[1] and mat.size:
-            by_size.setdefault(mat.shape[0], []).append(vertex)
-    if not by_size:
-        return out
-    vertices = [v for group in by_size.values() for v in group]
-    # [[C, 0], [0, I]] has the residual of C
-    size = max(by_size)
-    stack = np.empty((len(vertices), size, size), dtype=complex)
-    stack[:] = np.eye(size)
-    stop = 0
-    for width, group in by_size.items():
-        stack[stop : stop + len(group), :width, :width] = [out[v] for v in group]
-        stop += len(group)
-    # the entries of a unitary are at most 1, so a finite coin has a finite sum
-    finite = np.isfinite(stack.sum(axis=(1, 2)))
-    good = stack if finite.all() else stack[finite]
-    error = np.abs(np.einsum("kji,kjl->kil", good.conj(), good) - np.eye(stack.shape[1]))  # C*C - I
-    if len(good) == len(stack) and error.max() <= UNITARITY_TOL:
-        return out
-    residual = np.full(len(vertices), np.nan)
-    residual[finite] = error.max(axis=(1, 2))
-    failed = {vertices[k]: float(residual[k]) for k in np.flatnonzero(~(residual <= UNITARITY_TOL))}
-    vertex = next(v for v in out if v in failed)
-    raise NotUnitary(vertex, failed[vertex])
+    program = coins if isinstance(coins, CoinProgram) else CoinProgram(coins)
+    grid = np.asarray(eps, dtype=float)
+    values, errors = program.evaluate(grid.reshape(-1))
+    residual = None
+    with np.errstate(all="ignore"):
+        for size, columns, positions, eye in program.squares:
+            error = _unitarity(values[:, columns].reshape(-1, size, size), eye)
+            if error is not None:
+                residual = np.zeros((len(values), len(program.vertices))) if residual is None else residual
+                residual[:, positions] = error.reshape(len(values), len(positions))
+    if program.failing:
+        residual = np.zeros((len(values), len(program.vertices))) if residual is None else residual
+        residual[:, list(program.failing)] = list(program.failing.values())
+    for k in () if residual is None else np.flatnonzero(~(residual <= UNITARITY_TOL).all(axis=1)):
+        v = np.flatnonzero(~(residual[k] <= UNITARITY_TOL))[0]
+        errors[k] = errors[k] or NotUnitary(program.vertices[v], float(residual[k, v]))
+    if grid.ndim:
+        return CoinStack(program.layout, values, errors, program.placed)
+    if errors[0] is not None:
+        raise errors[0]
+    return {v: values[0, start : start + rows * cols].reshape(rows, cols)
+            for v, (start, (rows, cols)) in program.layout.items()}

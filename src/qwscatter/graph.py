@@ -155,6 +155,11 @@ class TailedGraph:
             array.flags.writeable = False
         return out
 
+    @cached_property
+    def coin_shapes(self) -> dict:
+        """Each vertex's coin shape, (outgoing slots, incoming slots), in ``vertices`` order."""
+        return {v: (len(self._slots[1][v]), len(self._slots[0][v])) for v in self.vertices}
+
     def in_slots(self, vertex) -> list[SlotKey]:
         """Arcs delivering amplitude to ``vertex``: interior first, then tails."""
         return list(self._slots[0].get(vertex, ()))

@@ -11,10 +11,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .coins import CoinFamily, eval_coins, parse_coin_family
+from .coins import CoinFamily, CoinProgram, eval_coins, parse_coin_family
 from .graph import TailedGraph, build_graph
 from .scattering import PoleHit
 from .walk import WalkOperator, assemble
@@ -30,7 +31,7 @@ class EpsOutOfRange(ValueError):
 
 @dataclass(frozen=True)
 class ModelFamily:
-    """A graph with eps-dependent coins, evaluable to a walk at any eps."""
+    """A graph with eps-dependent coins, evaluable to a walk at any eps, or at a stack of them."""
 
     name: str
     graph: TailedGraph
@@ -43,9 +44,29 @@ class ModelFamily:
             raise EpsOutOfRange(eps, f"valid range is 0 <= eps < {self.eps_limit:g}")
         return eps
 
+    @cached_property
+    def program(self) -> CoinProgram:
+        """The coins compiled, at the first walk: families are often built long before."""
+        return CoinProgram(self.coins)
+
+    def walks(self, eps_values) -> list:
+        """Each eps's walk, or the error its build raised (as ``walk`` raises it),
+        from one coin evaluation and one assembly."""
+        checked = []
+        for eps in eps_values:
+            try:
+                checked.append(self.check_eps(eps))
+            except EpsOutOfRange as exc:
+                checked.append(exc)
+        good = [eps for eps in checked if not isinstance(eps, Exception)]
+        built = iter(assemble(self.graph, eval_coins(self.program, np.array(good, dtype=float)), good))
+        return [eps if isinstance(eps, Exception) else next(built) for eps in checked]
+
     def walk(self, eps: float) -> WalkOperator:
-        eps = self.check_eps(eps)
-        return assemble(self.graph, eval_coins(self.coins, eps), eps)
+        member = self.walks([eps])[0]
+        if isinstance(member, Exception):
+            raise member
+        return member
 
     __call__ = walk
 

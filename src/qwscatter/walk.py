@@ -18,10 +18,12 @@ Four blocks of ``full`` drive everything downstream:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .coins import CoinStack
 from .graph import TailedGraph
 
 SUPPORT_TOL = 1e-12
@@ -124,35 +126,60 @@ class WalkOperator:
         return float(np.abs(gram - np.eye(n0 + nt)).max())
 
 
-def assemble(graph: TailedGraph, coin_matrices: dict, eps: float | None = None) -> WalkOperator:
+def assemble(graph: TailedGraph, coin_matrices, eps=None):
     """Place every coin into the carrier matrix.
 
     ``coin_matrices`` maps each vertex to a complex matrix whose rows run
     over the vertex's outgoing slots and columns over its incoming slots,
     both in carrier order (interior arcs by list position, then tails by
-    index).
+    index).  It may instead be a :class:`CoinStack`, the coins at each of
+    ``eps``: then every eps is placed by one indexed assignment, and the
+    result is a list of each eps's walk, or of the error its coins or their
+    shapes raised.
     """
+    stack = coin_matrices
+    if not isinstance(stack, CoinStack):
+        coins = [np.asarray(coin, dtype=complex) for coin in coin_matrices.values()]
+        starts = itertools.accumulate((coin.size for coin in coins), initial=0)
+        layout = dict(zip(coin_matrices, zip(starts, (coin.shape for coin in coins))))
+        values = np.concatenate([coin.ravel() for coin in coins] + [np.zeros(0, complex)])
+        stack = CoinStack(layout, values[None], [None], {})
+    placed = stack.placed.get(id(graph))
+    if placed is None or placed[0] is not graph:
+        placed = stack.placed[id(graph)] = (graph, *_placement(graph, stack.layout))
+    _, take, failure = placed
     dim = graph.carrier_dim
-    full = np.zeros((dim, dim), dtype=complex)
-    entries = []  # each coin ravelled, in the order of graph.coin_entries
-    for v in graph.vertices:
-        n_in, n_out = len(graph.in_slots(v)), len(graph.out_slots(v))
-        if not n_in and v not in coin_matrices:
+    full = np.zeros((len(stack.errors), dim, dim), dtype=complex)
+    if failure is None:
+        full[(slice(None), *graph.coin_entries)] = stack.values[:, take]
+    labels = eps if stack is coin_matrices else [eps]
+    walks = [error or failure or WalkOperator(graph, full[k], label)
+             for k, (error, label) in enumerate(zip(stack.errors, labels))]
+    if stack is coin_matrices:
+        return walks
+    if isinstance(walks[0], Exception):
+        raise walks[0]
+    return walks[0]
+
+
+def _placement(graph: TailedGraph, layout: dict) -> tuple:
+    """The columns of a coin stack's entries in the order of ``graph.coin_entries``,
+    or the ``DimensionMismatch`` of the first vertex whose coin does not fit."""
+    take = []
+    for v, (n_out, n_in) in graph.coin_shapes.items():
+        if v not in layout:
+            if n_in:
+                return None, DimensionMismatch(f"no coin given for vertex {v!r}")
             continue  # isolated vertex, nothing to place
-        try:
-            coin = np.asarray(coin_matrices[v], dtype=complex)
-        except KeyError:
-            raise DimensionMismatch(f"no coin given for vertex {v!r}") from None
-        if coin.shape != (n_out, n_in):
-            raise DimensionMismatch(
-                f"coin at vertex {v!r} has shape {coin.shape}, "
+        start, shape = layout[v]
+        if shape != (n_out, n_in):
+            return None, DimensionMismatch(
+                f"coin at vertex {v!r} has shape {shape}, "
                 f"but the vertex has {n_in} incoming and {n_out} "
                 "outgoing slots"
             )
-        entries.append(coin.ravel())
-    if entries:
-        full[graph.coin_entries] = np.concatenate(entries)
-    return WalkOperator(graph, full, eps)
+        take += range(start, start + n_in * n_out)
+    return np.array(take, dtype=np.intp), None
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwscatter.asymptotics as asymptotics
+import qwscatter.models as models
 import qwscatter.scattering as scattering
 import qwscatter.spectral as spectral
 from qwscatter.asymptotics import (
@@ -39,6 +40,7 @@ from qwscatter.asymptotics import (
     tunneling_table,
     width_table,
 )
+from qwscatter.coins import EvalError, Mul, NotUnitary, eval_coins, parse
 from qwscatter.graph import build_graph
 from qwscatter.line import BarrierSpec, line_to_graph, rotation_coin
 from qwscatter.models import (
@@ -1083,6 +1085,101 @@ def test_a_chunk_raises_each_failure_when_the_stream_reaches_its_eps(monkeypatch
     with pytest.raises(spectral.IllConditionedChain):
         comfort_table(family, lam, [0.01, 0.02, 0.03])
     assert measured == [0.01]
+
+
+def ms_with_factor(factor):
+    """ms's graph and coins with every entry of its L+ coin multiplied by ``factor``,
+    an expression that is exactly 1 away from eps = 0.3."""
+    ms = matrix_schrodinger_family()
+    coins = dict(ms.coins, **{"L+": [[Mul(entry, parse(factor)) for entry in row] for row in ms.coins["L+"]]})
+    return ModelFamily("ms-factor", ms.graph, coins, eps_limit=ms.eps_limit)
+
+
+@pytest.mark.parametrize(
+    "factor, error",
+    [("1 + 0.5*exp(-((eps - 0.3)*1000)^2)", NotUnitary), ("(eps - 0.3)/(eps - 0.3)", EvalError)],
+    ids=["not-unitary", "division-by-zero"],
+)
+def test_a_coin_failure_inside_a_chunk_raises_when_the_stream_reaches_its_eps(monkeypatch, factor, error):
+    # the chunk's coins are evaluated at once, and eps = 0.3 fails there; the
+    # stream measures 0.01 and 0.02 first and raises family(0.3)'s own error
+    family, lam = ms_with_factor(factor), PEAKS["ms"][1]
+    measured, peak_at = [], asymptotics._peak_at
+
+    def measuring(walk, system, lambda_eps):
+        measured.append(walk.eps)
+        return peak_at(walk, system, lambda_eps)
+
+    monkeypatch.setattr(asymptotics, "_peak_at", measuring)
+    with pytest.raises(error) as alone:
+        family.walk(0.3)
+    assert np.array_equal(family.walk(0.02).full, matrix_schrodinger_family().walk(0.02).full)
+    with pytest.raises(error) as streamed:
+        comfort_table(family, lam, [0.01, 0.02, 0.3, 0.4])
+    assert str(streamed.value) == str(alone.value)
+    assert measured == [0.01, 0.02]
+
+
+@pytest.mark.parametrize("walks_per_chunk", [2, 25])
+def test_each_chunk_is_built_by_one_coin_evaluation_and_one_assembly(monkeypatch, walks_per_chunk):
+    # eps = 0 alone, then the grid a chunk at a time: one eval_coins and one
+    # assemble call per chunk, each over the chunk's eps
+    family, lam, split = PEAKS["ms"]
+    grid = geometric_grid(1e-3, 0.1, 7)
+    n0 = family.graph.n_arcs
+    monkeypatch.setattr(asymptotics, "CHUNK_BYTES", walks_per_chunk * 16 * n0 * n0)
+    evaluated, placed = [], []
+
+    def evaluating(coins, eps):
+        evaluated.append(np.asarray(eps).tolist())
+        return eval_coins(coins, eps)
+
+    def placing(graph, stack, eps=None):
+        placed.append(list(eps))
+        return assemble(graph, stack, eps)
+
+    monkeypatch.setattr(models, "eval_coins", evaluating)
+    monkeypatch.setattr(models, "assemble", placing)
+    width_table(family, lam, split, grid)
+    chunks = [grid[k : k + walks_per_chunk].tolist() for k in range(0, len(grid), walks_per_chunk)]
+    assert evaluated == placed == [[0.0]] + chunks
+
+
+def test_a_stack_of_walks_is_each_eps_walked_alone():
+    # ModelFamily.walks keeps each eps's walk, bit for bit, and each build error in its place
+    family = matrix_schrodinger_family()
+    grid = [0.0, 0.3, 0.75, 0.1, -0.2, 0.5]
+    stack = family.walks(grid)
+    for eps, member in zip(grid, stack):
+        if eps in (0.75, -0.2):
+            with pytest.raises(EpsOutOfRange) as alone:
+                family.walk(eps)
+            assert isinstance(member, EpsOutOfRange) and str(member) == str(alone.value)
+        else:
+            assert member.eps == eps and member.full.tobytes() == family.walk(eps).full.tobytes()
+
+
+def test_discrepancy_without_z_walks_and_decomposes_eps_zero_once(monkeypatch):
+    # the nonresonant point comes from eps = 0's own walk and decomposition
+    family = crossing_family(0.8)
+    walked, decomposed = [], []
+    walks, decompose = ModelFamily.walks, asymptotics.eigen_decompose
+
+    def walking(self, eps_values):
+        walked.extend(float(eps) for eps in eps_values)
+        return walks(self, eps_values)
+
+    def decomposing(walk_or_walks):
+        decomposed.extend(w.eps for w in (walk_or_walks if isinstance(walk_or_walks, list) else [walk_or_walks]))
+        return decompose(walk_or_walks)
+
+    monkeypatch.setattr(ModelFamily, "walks", walking)
+    monkeypatch.setattr(asymptotics, "eigen_decompose", decomposing)
+    rows, summary = discrepancy_table(family, None, geometric_grid(1e-3, 0.1, 5))
+    assert walked.count(0.0) == decomposed.count(0.0) == 1
+    z = nonresonant_point(crossing_family(0.8))
+    assert complex(summary["z_re"], summary["z_im"]) == z
+    assert (rows, summary) == discrepancy_table(family, z, geometric_grid(1e-3, 0.1, 5))
 
 
 def rows_from_the_public_functions(family, lam, split, grid):

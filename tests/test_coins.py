@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,9 +10,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qwscatter.coins import (
+    Add,
+    Call,
+    CoinProgram,
+    Const,
+    Div,
+    Eps,
     EvalError,
     ExprSyntaxError,
+    Mul,
+    Neg,
     NotUnitary,
+    Num,
+    Pow,
+    Sub,
     UNITARITY_TOL,
     const_expr,
     eval_coins,
@@ -282,3 +294,144 @@ def test_rotation_family_is_unitary_on_a_grid():
         coins = eval_coins(family, float(eps))
         m = coins["v"]
         assert np.linalg.norm(m.conj().T @ m - np.eye(2)) <= UNITARITY_TOL
+
+
+# ---------------------------------------------------------------------------
+# The scalar interpreter that evaluated coins before they were compiled, kept
+# as the reference every compiled value and error is checked against
+
+
+class _Diverging(Exception):
+    """A subexpression is c/0; carries c."""
+
+    def __init__(self, numerator):
+        self.numerator = numerator
+
+
+def reference_eval(expr, eps):
+    try:
+        return _reference(expr, complex(eps))
+    except _Diverging:
+        raise EvalError("division by zero") from None
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise EvalError(str(exc)) from None
+
+
+def _reference(e, eps):
+    if isinstance(e, Num):
+        return complex(e.value)
+    if isinstance(e, Const):
+        return 1j if e.name == "i" else complex(cmath.pi)
+    if isinstance(e, Eps):
+        return eps
+    if isinstance(e, Neg):
+        try:
+            return -_reference(e.arg, eps)
+        except _Diverging as d:
+            raise _Diverging(-d.numerator) from None
+    if isinstance(e, (Add, Sub)):
+        left, right = _reference(e.lhs, eps), _reference(e.rhs, eps)
+        return left + right if isinstance(e, Add) else left - right
+    if isinstance(e, Mul):
+        try:
+            left = _reference(e.lhs, eps)
+        except _Diverging as d:
+            factor = _reference(e.rhs, eps)  # a second divergence falls through
+            raise _Diverging(d.numerator * factor) from None
+        try:
+            right = _reference(e.rhs, eps)
+        except _Diverging as d:
+            raise _Diverging(d.numerator * left) from None
+        return left * right
+    if isinstance(e, Div):
+        den = _reference(e.rhs, eps)
+        if den == 0:
+            raise _Diverging(_reference(e.lhs, eps))
+        try:
+            num = _reference(e.lhs, eps)
+        except _Diverging as d:
+            raise _Diverging(d.numerator / den) from None
+        return num / den
+    if isinstance(e, Pow):
+        return _reference(e.base, eps) ** e.exponent
+    if e.fn == "exp":
+        try:
+            value = _reference(e.arg, eps)
+        except _Diverging as d:
+            if d.numerator.imag == 0 and d.numerator.real < 0:
+                return 0j  # exp(c/eps) with c < 0, limit eps -> 0+
+            raise EvalError("exp of a diverging argument without a negative real limit") from None
+        return cmath.exp(value)
+    return getattr(cmath, e.fn)(_reference(e.arg, eps))
+
+
+# literals that reach every formula's edge: both zeros, which equality of
+# frozen dataclasses merges, subnormals, overflow for exp and powers
+FUZZ_LITERALS = [0.0, -0.0, 0.5, 1.0, 2.0, 3.25, 1e-5, 1e-320, 1e300, 700.0, 710.0]
+FUZZ_EPS = [0.0, -0.0, 0.5, 1.0, 2.0, 1e-300, 800.0, math.inf, math.nan]
+
+
+def random_tree(rng, depth):
+    """A random expression over every node kind, literals, i and pi, both signs of
+    integer powers (past CPython's limit of 100 too) and each function."""
+    if depth == 0 or rng.random() < 0.25:
+        pick = rng.random()
+        if pick < 0.35:
+            return Eps()
+        return Const(rng.choice(["i", "pi"])) if pick < 0.5 else Num(rng.choice(FUZZ_LITERALS))
+    kind = rng.randrange(8)
+    if kind == 0:
+        return Neg(random_tree(rng, depth - 1))
+    if kind <= 4:
+        return (Add, Sub, Mul, Div)[kind - 1](random_tree(rng, depth - 1), random_tree(rng, depth - 1))
+    if kind == 5:
+        return Pow(random_tree(rng, depth - 1), rng.choice([-101, -3, -2, -1, 0, 1, 2, 3, 5, 7, 101]))
+    return Call(rng.choice(["sqrt", "exp", "cos", "sin"]), random_tree(rng, depth - 1))
+
+
+def outcome(fn, *args):
+    """A value as the bits of its two parts (any NaN as NaN), or an error as its type and message."""
+    try:
+        value = complex(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+    return tuple("nan" if math.isnan(part) else part.hex() for part in (value.real, value.imag))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n_eps", [1, 7, 25])
+def test_compiled_evaluation_keeps_the_scalar_interpreters_bits(seed, n_eps):
+    # every value bit for bit, and every error (a division by zero, the
+    # exp(c/eps) limit and its refusal, 0 to a negative power, overflow) in
+    # type, message and eps, over stacks with eps = 0 among them
+    rng = random.Random(1000 * seed + n_eps)
+    for _ in range(60):
+        entries = [random_tree(rng, rng.randint(1, 5)) for _ in range(rng.randint(1, 6))]
+        eps = [rng.choice(FUZZ_EPS) if rng.random() < 0.3 else rng.uniform(-2, 2) for _ in range(n_eps)]
+        eps[rng.randrange(n_eps)] = 0.0
+        values, errors = CoinProgram({"v": [entries]}).evaluate(np.array(eps))
+        for k, at in enumerate(eps):
+            want = [outcome(reference_eval, entry, at) for entry in entries]
+            first = next((w for w in want if isinstance(w[0], type)), None)
+            if first is not None:
+                assert (type(errors[k]), str(errors[k])) == first, (entries, at)
+                continue
+            assert errors[k] is None, (entries, at)
+            assert [outcome(complex, value) for value in values[k]] == want, (entries, at)
+
+
+def test_signed_zero_literals_stay_apart():
+    # Num(0.0) == Num(-0.0), but the two entries keep their own signs
+    assert Num(0.0) == Num(-0.0) == const_expr(-0.0)
+    values, _ = CoinProgram({"v": [[Num(0.0), const_expr(-0.0), Mul(Num(-0.0), Eps())]]}).evaluate(np.array([0.5]))
+    assert [math.copysign(1, v.real) for v in values[0]] == [1, -1, -1]
+
+
+@pytest.mark.parametrize("n_eps", [1, 7])
+def test_a_negative_power_of_zero_fails_with_cpythons_message(n_eps):
+    with pytest.raises(ZeroDivisionError) as zero:
+        complex(0) ** -2
+    program = CoinProgram({"v": [[parse("eps^-2"), parse("eps")]]})
+    values, errors = program.evaluate(np.linspace(0.0, 0.5, n_eps))
+    assert type(errors[0]) is EvalError and str(errors[0]) == str(zero.value)
+    assert errors[1:] == [None] * (n_eps - 1)
