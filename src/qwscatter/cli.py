@@ -14,14 +14,15 @@ Models are either builtin names (``ms``, ``cycle`` and ``crossing``, built
 by their ``models`` constructors) or paths to JSON model files.  Numbers
 print with 17 significant digits so CSV output round-trips doubles
 losslessly; JSON cells are Python's shortest round-trip ``repr``
-(``null`` for an absent value, ``Infinity`` for an infinite one).  Row
-order is deterministic (eps ascending, then z by angle, then row-major
-matrix entries), and tables of either format are written in chunks of
-rows, never as one string.
+(``null`` for an absent value, ``Infinity`` for an infinite one).  Each
+distinct value is formatted once, and so is each point's and each
+entry's text.  Row order is deterministic (eps ascending, then z by
+angle, then row-major matrix entries), and tables of either format are
+written in chunks of rows, never as one string.
 
-Exit codes: 0 success, 1 validation failure (any ``ValueError``), 2
-numerical failure (any ``spectral.NumericalError``: tolerance breach),
-3 usage error.
+Exit codes: 0 success, 1 validation failure (any ``ValueError``) or a
+closed stdout, 2 numerical failure (any ``spectral.NumericalError``:
+tolerance breach), 3 usage error.
 """
 
 from __future__ import annotations
@@ -69,26 +70,31 @@ _LAYOUT = {
 }
 
 
-def _column_text(column, fmt, lead, sep) -> np.ndarray:
-    """The cells of one column, each as ``lead + text + sep``; each distinct
-    value is formatted once.
+class _Keyed:
+    """A column as its ``values`` and each row's ``index`` into them."""
+
+    def __init__(self, values, index):
+        self.values, self.index = np.asarray(values), index
+
+    def __len__(self):
+        return len(self.index)
+
+    def __array__(self, dtype=None, copy=None):
+        return self.values[self.index]
+
+
+def _column_text(values, fmt, lead, sep) -> list:
+    """The cell of each of ``values`` as ``lead + text + sep``.
 
     CSV floats print with 17 significant digits, so the CSV round-trips
     doubles; JSON floats print as Python's shortest round-trip ``repr``,
     with ``Infinity`` for an infinite value as ``json.dumps`` writes it.
     NaN marks an absent value (a unitarity residual off the circle) and
     prints as an empty CSV cell or JSON ``null``.  Bools print as
-    true/false; anything else as a quoted CSV field of its ``str`` or as
-    its ``json.dumps``.  Distinct floats are found by bit pattern, not by
-    value, so -0.0 keeps its sign.
+    true/false and integers as their ``str``; anything else as a quoted
+    CSV field of its ``str`` or as its ``json.dumps``.
     """
-    column = np.asarray(column)
-    floats = column.dtype == np.float64
-    distinct, spread = np.unique(
-        column.view(np.uint64) if floats else column, return_inverse=True
-    )
-    if floats:
-        values = distinct.view(np.float64)
+    if values.dtype == np.float64:
         pattern = lead + ("%.17g" if fmt == "csv" else "%r") + sep
         text = list(map(pattern.__mod__, values.tolist()))
         for i in np.flatnonzero(~np.isfinite(values)).tolist():
@@ -97,32 +103,45 @@ def _column_text(column, fmt, lead, sep) -> np.ndarray:
                 text[i] = lead + ("" if fmt == "csv" else "null") + sep
             elif fmt == "json":
                 text[i] = lead + json.dumps(v) + sep  # Infinity or -Infinity
-    elif column.dtype == bool:
-        text = [lead + ("true" if v else "false") + sep for v in distinct.tolist()]
+        return text
+    if values.dtype == bool:
+        cell = lambda v: "true" if v else "false"
+    elif values.dtype.kind in "iu":
+        cell = str  # an integer never needs CSV quoting
     else:
         cell = (lambda v: _csv_field(str(v))) if fmt == "csv" else json.dumps
-        text = [lead + cell(v) + sep for v in distinct.tolist()]
-    return np.array(text, dtype=object)[spread]
+    return [lead + cell(v) + sep for v in values.tolist()]
 
 
 def _row_chunks(table, fmt):
     """The rows of ``table`` as text, ``ROWS_PER_CHUNK`` rows per string.
 
-    The column texts fill one (rows, columns) grid, and each chunk is one
-    join over a block of it: no join per row, and the whole body never
-    exists as one string.
+    A plain column is keyed by its distinct values (by bit pattern for
+    floats, so -0.0 keeps its sign).  Each key's text is formatted once,
+    adjacent columns keyed by one index array are joined into one text per
+    key, and each such run fills one column of a (rows, runs) grid by its
+    index.  Each chunk is one join over a block of the grid.
     """
     row_sep, row_open, cell_sep, row_end = _LAYOUT[fmt]
     columns = list(table.values())
     last = len(columns) - 1
-    grid = np.empty((len(columns[0]), len(columns)), dtype=object)
+    runs = []  # [index, text per key] of each run of adjacent columns that share one index
     for j, column in enumerate(columns):
-        grid[:, j] = _column_text(
-            column,
-            fmt,
-            row_sep + row_open if j == 0 else "",
-            row_end if j == last else cell_sep,
-        )
+        if not isinstance(column, _Keyed):
+            column = np.asarray(column)
+            floats = column.dtype == np.float64
+            bits = column.view(np.uint64) if floats else column
+            distinct, index = np.unique(bits, return_inverse=True)
+            column = _Keyed(distinct.view(np.float64) if floats else distinct, index)
+        lead = row_sep + row_open if j == 0 else ""
+        text = _column_text(column.values, fmt, lead, row_end if j == last else cell_sep)
+        if runs and runs[-1][0] is column.index:
+            runs[-1][1] += np.array(text, dtype=object)
+        else:
+            runs.append([column.index, np.array(text, dtype=object)])
+    grid = np.empty((len(columns[0]), len(runs)), dtype=object)
+    for r, (index, text) in enumerate(runs):
+        grid[:, r] = text[index]
     if len(grid):
         # the row separator goes before every row but the first
         grid[0, 0] = grid[0, 0][len(row_sep):]
@@ -342,18 +361,18 @@ def validate(model, n_vertices, strengths, eps):
 
 def _resonance_table(family, eps_values):
     """One row per (eps, resonance), by phase and then modulus; the walks are decomposed
-    a chunk at a time, as a sweep's are (``asymptotics._decomposed``)."""
-    eps_column, values, multiplicity, on_circle = [], [], [], []
-    for eps, _, system in asymptotics._decomposed(family, eps_values, family.graph.n_arcs):
+    a chunk at a time and in grid order, as a sweep's are (``asymptotics._decomposed``)."""
+    counts, values, multiplicity, on_circle = [], [], [], []
+    for _, _, system in asymptotics._decomposed(family, eps_values, family.graph.n_arcs):
         ordered = sorted(_resonances(system),
                          key=lambda r: (round(cmath.phase(r.value), 12), abs(r.value)))
-        eps_column += [eps] * len(ordered)
+        counts.append(len(ordered))
         values += [res.value for res in ordered]
         multiplicity += [res.multiplicity for res in ordered]
         on_circle += [res.on_unit_circle for res in ordered]
     values = np.array(values, dtype=complex)
     return {
-        "eps": np.array(eps_column, dtype=float),
+        "eps": _Keyed(np.asarray(eps_values, float), np.repeat(np.arange(len(counts)), counts)),
         "re": values.real,
         "im": values.imag,
         "multiplicity": np.array(multiplicity, dtype=int),
@@ -365,12 +384,13 @@ def _track_table(family, grid):
     """One row per (eps, resonance) along the paths that start at eps = 0."""
     track = asymptotics.track_resonances(family, np.concatenate([[0.0], grid]))
     n_eps, n_starts = track.paths.shape
-    starts = np.repeat(np.array(track.starts, dtype=complex), n_eps)
+    starts = np.array(track.starts, dtype=complex)
+    start = np.repeat(np.arange(n_starts), n_eps)
     values = track.paths.T.reshape(-1)
     return {
-        "eps": np.tile(track.eps_grid, n_starts),
-        "start_re": starts.real,
-        "start_im": starts.imag,
+        "eps": _Keyed(track.eps_grid, np.tile(np.arange(n_eps), n_starts)),
+        "start_re": _Keyed(starts.real, start),
+        "start_im": _Keyed(starts.imag, start),
         "re": values.real,
         "im": values.imag,
         "abs": np.abs(values),
@@ -479,17 +499,17 @@ def smatrix(
         _route_check(walk, points, system, route, sigma)
     # rows run over the points, then row-major over the matrix entries
     nt = sigma.shape[-1]
-    cells = nt * nt
-    index = np.arange(1, nt + 1)
+    point = np.repeat(np.arange(len(points)), nt * nt)
+    entry, entries = np.arange(nt * nt), np.tile(np.arange(nt * nt), len(points))
     table = {
-        "eps": np.full(sigma.size, float(eps)),
-        "z_re": np.repeat(points.real, cells),
-        "z_im": np.repeat(points.imag, cells),
-        "row": np.tile(np.repeat(index, nt), len(points)),
-        "col": np.tile(index, len(points) * nt),
+        "eps": _Keyed(np.full(len(points), float(eps)), point),
+        "z_re": _Keyed(points.real, point),
+        "z_im": _Keyed(points.imag, point),
+        "row": _Keyed(entry // nt + 1, entries),
+        "col": _Keyed(entry % nt + 1, entries),
         "value_re": sigma.real.reshape(-1),
         "value_im": sigma.imag.reshape(-1),
-        "unitarity_residual": np.repeat(report.unitarity_residuals, cells),
+        "unitarity_residual": _Keyed(report.unitarity_residuals, point),
     }
     _emit(table, None, out, fmt)
     return 0
@@ -501,12 +521,20 @@ def sweep():
 
 
 def _sweep_table(rows):
-    z = np.array([row.z for row in rows], dtype=complex)
+    # a point's rows are adjacent and share its eps and z objects, so identity
+    # finds them and never merges two bit patterns
+    firsts, point, names = [], [], {}
+    for row in rows:
+        if not firsts or row.eps is not firsts[-1].eps or row.z is not firsts[-1].z:
+            firsts.append(row)
+        point.append(len(firsts) - 1)
+    quantity = [names.setdefault(row.quantity, len(names)) for row in rows]
+    z = np.array([row.z for row in firsts], dtype=complex)
     return {
-        "eps": np.array([row.eps for row in rows], dtype=float),
-        "z_re": z.real,
-        "z_im": z.imag,
-        "quantity": [row.quantity for row in rows],
+        "eps": _Keyed(np.array([row.eps for row in firsts], dtype=float), point),
+        "z_re": _Keyed(z.real, point),
+        "z_im": _Keyed(z.imag, point),
+        "quantity": _Keyed(list(names), quantity),
         "value": np.array([row.value for row in rows], dtype=float),
     }
 
@@ -663,6 +691,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _show_error("validation", exc)
         return 1
+    except SystemExit as exc:  # click's exit for a closed stdout (EPIPE)
+        return int(exc.code)
 
 
 if __name__ == "__main__":

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -107,15 +108,24 @@ class NotNormalized(ValueError):
 
 @dataclass(frozen=True)
 class ScatterSolution:
-    """Scattered waves: interior amplitudes and outgoing tail data.
+    """Scattered waves: outgoing tail data, and the interior wave ``V a``
+    held as its chain vectors ``V`` and their coefficients ``a``.
 
     ``interior`` and ``amp_out`` have one column per column of ``amp_in``
     (plain vectors for a vector input), behind one leading axis per
-    point when ``z`` is an array.
+    point when ``z`` is an array.  ``interior`` is formed when it is
+    first read, so a caller that reads only ``amp_out`` (Σ) never pays
+    for the n0-sized product.
     """
 
-    interior: np.ndarray
     amp_out: np.ndarray
+    chains: np.ndarray  # V, (n0, s)
+    coefficients: np.ndarray  # a, (nz, s, columns)
+    shape: tuple  # of ``interior``
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        return (self.chains @ self.coefficients).reshape(self.shape)
 
 
 def _first(mask: np.ndarray) -> int:
@@ -185,8 +195,8 @@ class ResolventKernel(NamedTuple):
 
     :func:`resolvent_kernel` builds it.  Called at ``z`` (a point or a 1-d
     array), it checks ``z``, then the poles, then the overlap (:func:`_checked`),
-    and makes one pole sum ``a`` (:func:`_pole_sum`), the wave ``V a`` and its
-    emission ``T_it V a`` into the tails.
+    and makes one pole sum ``a`` (:func:`_pole_sum`) and its emission
+    ``T_it V a`` into the tails; the wave ``V a`` is formed on first read.
     """
 
     poles: PoleBasis
@@ -201,10 +211,12 @@ class ResolventKernel(NamedTuple):
         a = _pole_sum(self.poles, self.coefficients, z.reshape(-1, 1, 1))
         amp_out = self.poles.emission @ a
         amp_out += self.direct  # in place: no third buffer of the z stack's size
-        u = self.poles.right @ a
+        chains = self.poles.right
         return ScatterSolution(
-            u.reshape(z.shape + u.shape[1:2] + self.shape),
             amp_out.reshape(z.shape + amp_out.shape[1:2] + self.shape),
+            chains,
+            a,
+            z.shape + chains.shape[:1] + self.shape,
         )
 
 

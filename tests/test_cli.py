@@ -6,6 +6,7 @@ failure, 3 usage error.
 
 import cmath
 import csv
+import errno
 import importlib
 import inspect
 import io
@@ -13,6 +14,7 @@ import json
 import math
 import pkgutil
 import shlex
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -774,6 +776,109 @@ def test_emit_streams_a_large_table_in_row_chunks(monkeypatch, capsys, fmt):
     lines_per_row = 1 if fmt == "csv" else len(table) + 2
     assert len(chunks) > 2
     assert max(chunk.count("\n") for chunk in chunks) <= cli.ROWS_PER_CHUNK * lines_per_row
+
+
+SPECIAL = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, 1.5])
+
+
+def keyed_table(n):
+    # a keyed first column in a run of three that share one index, two adjacent
+    # keyed columns with equal but distinct index arrays, and a keyed last column
+    k = np.arange(n)
+    point, entry = k // 3 % len(SPECIAL), k % 4
+    return {
+        "eps": cli._Keyed(SPECIAL, point),
+        "z_re": cli._Keyed(SPECIAL[::-1], point),
+        "z_im": cli._Keyed(-SPECIAL, point),
+        "n": cli._Keyed(np.array([3, -1, 0, 12]), entry),
+        "flag": cli._Keyed(np.array([True, False, False, True]), entry.copy()),
+        "x": np.sin(k),
+        "name": cli._Keyed(["a", "b,c", 'say "hi"', "é"], entry),
+        "residual": cli._Keyed(SPECIAL, point),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("size", CHUNK_EDGES)
+def test_keyed_columns_match_a_row_by_row_writer(capsys, fmt, size):
+    table = keyed_table(CHUNK_EDGES[size])
+    summary = {"rows": CHUNK_EDGES[size]}
+    cli._emit(table, summary, None, fmt)
+    out = capsys.readouterr().out
+    assert out == write_by_row(table, summary, fmt)
+    if fmt == "csv" and size == "B":
+        assert out.splitlines()[1:5:3] == [
+            ",1.5,,3,true,0,a,",
+            "-0,4.9406564584124654e-324,0,12,true,0.14112000805986721,é,-0",
+        ]
+
+
+def test_a_z_grid_formats_each_point_and_entry_once(monkeypatch):
+    # 256 points of a 16 x 16 matrix: each point's eps, z and residual text and
+    # each entry's row and col text is formatted once, and only the two value
+    # columns are searched for their distinct values
+    emitted, formatted, searched = [], [], []
+    emit, column_text, unique = cli._emit, cli._column_text, np.unique
+
+    def spy_text(values, *args):
+        formatted.append(values)
+        return column_text(values, *args)
+
+    def spy_unique(values, *args, **kwargs):
+        searched.append(values)
+        return unique(values, *args, **kwargs)
+
+    def spy_emit(table, *args):
+        emitted.append(table)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_column_text", spy_text)
+            patch.setattr(np, "unique", spy_unique)
+            return emit(table, *args)
+
+    monkeypatch.setattr(cli, "_emit", spy_emit)
+    code, out, _ = run_cli(EMIT_CASES["smatrix_chunks"][0])
+    assert code == 0
+    [table] = emitted
+    points = np.exp(2j * np.pi * np.arange(256) / 256)
+    assert [len(values) for values in formatted[:5]] == [256] * 5
+    assert np.array_equal(formatted[1], points.real) and np.array_equal(formatted[2], points.imag)
+    assert np.array_equal(formatted[3], np.repeat(np.arange(1, 17), 16))
+    assert np.array_equal(formatted[4], np.tile(np.arange(1, 17), 16))
+    assert len(formatted[7]) == 256
+    assert len(searched) == 2
+    for values, name in zip(searched, ["value_re", "value_im"]):
+        assert np.array_equal(values, np.asarray(table[name]).view(np.uint64))
+    assert len(out.splitlines()) == 256 * 256 + 1
+
+
+@pytest.mark.parametrize("case", EMIT_CASES)
+def test_out_writes_the_table_that_stdout_prints(tmp_path, case):
+    argv, _ = EMIT_CASES[case]
+    target = tmp_path / "table"
+    code, printed, printed_err = run_cli(argv)
+    code_out, out, err = run_cli(argv + ["--out", str(target)])
+    assert code == code_out == 0
+    assert target.read_text(encoding="utf-8") == printed
+    if "json" in argv:
+        assert out == "" and err == printed_err
+    else:
+        # a CSV summary goes to stderr, and to stdout once the table is in a file
+        assert out == printed_err and err == ""
+        if case in ("sweep", "barrier"):
+            assert json.loads(out)
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback(monkeypatch):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", Closed())
+    monkeypatch.setattr(sys, "stderr", err)
+    code = main(["smatrix", "--model", "ms", "--eps", "0.3", "--z-grid", "4"])
+    assert code == 1
+    assert err.getvalue() == ""
 
 
 # ------------------------------------------------------------------ sweeps
