@@ -33,7 +33,9 @@ sum, O(n_poles·n_channels) per z with no interior wave.  A sweep keeps
 only each eps's line shape past the stream and searches every window
 afterwards in one lockstep (:func:`_search_windows`), one stacked
 evaluation per step for all the eps, each bracket stepping on its own
-values, so every width has the bits of its eps searched alone.
+values, so every width has the bits of its eps searched alone.  The peak
+floor is ``LineShape._peaked``'s rule alone, the weight floor
+:func:`_weight`'s, and every uniform circle grid is :func:`_circle_grid`'s.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .scattering import (
-    EIGENVALUE_HIT_TOL,
+    _check_route,
     _checked,
+    _hits,
     pole_block,
     resolvent_kernel,
     scattering_matrix,
@@ -61,6 +64,7 @@ from .spectral import (
     Cluster,
     EigenSystem,
     NumericalError,
+    _follows,
     boundary_data,
     eigen_decompose,
 )
@@ -71,8 +75,10 @@ FIRST_ORDER_BAND = (0.9, 1.1)
 SECOND_ORDER_BAND = (1.8, 2.2)
 # Relative slack for the measured-versus-predicted peak width comparison.
 WIDTH_REL_SLACK = 0.2
-# Transmission counts as a resonant peak when it exceeds this.
+# Transmission counts as a resonant peak when it reaches this.
 PEAK_FLOOR = 0.9
+# A tail profile of smaller norm carries no weight.
+_WEIGHT_FLOOR = 1e-15
 # Angular tolerance for half-height crossings: each side's final bracket
 # is at most this wide.
 THETA_TOL = 1e-12
@@ -146,6 +152,11 @@ def geometric_grid(start: float, stop: float, count: int) -> np.ndarray:
     if count > 1 and not start < stop:
         raise ValueError("need start < stop for a geometric grid of several points")
     return np.geomspace(start, stop, count)
+
+
+def _circle_grid(n: int) -> np.ndarray:
+    """The ``n`` points e^(2πik/n), k = 0, ..., n - 1: every uniform circle grid."""
+    return np.array([cmath.exp(2j * cmath.pi * k / n) for k in range(n)], dtype=complex)
 
 
 def _project_to_circle(z: complex) -> complex:
@@ -440,6 +451,12 @@ def _peak_at(walk, system: EigenSystem, lambda_eps) -> _Peak:
     return _Peak(walk, system, cluster, bd, value, value / abs(value), profile)
 
 
+def _weight(profile: np.ndarray) -> float:
+    """The norm of a tail ``profile``, 0.0 below ``_WEIGHT_FLOOR``: the weight floor, applied here alone."""
+    norm = float(np.linalg.norm(profile))
+    return norm if norm >= _WEIGHT_FLOOR else 0.0
+
+
 class TunnelingReport:
     """One peak at one eps through one channel split, its quantities
     named as the sweep tables print them.
@@ -468,8 +485,8 @@ class TunnelingReport:
         if mask.all():
             raise ValueError("channel split must leave at least one channel out")
         restricted = np.where(mask, peak.profile, 0.0)
-        weight_in = float(np.linalg.norm(restricted))
-        if weight_in < 1e-15:
+        weight_in = _weight(restricted)
+        if not weight_in:
             raise ValueError("co-state has no weight on the chosen channels")
         self.peak, self.channels, self.mask = peak, tuple(channels), mask
         self.eps, self.lambda_eps, self.z_star = float(eps), peak.lam_eps, peak.z_star
@@ -481,9 +498,9 @@ class TunnelingReport:
         # the one check of the split and the incoming wave for this peak
         self.t_at_peak, self.r_at_peak = transmission_reflection(sigma, channels, self.amp_in)
         exit_profile = np.where(~mask, peak.boundary.out_data, 0.0)
-        exit_norm = float(np.linalg.norm(exit_profile))
+        exit_norm = _weight(exit_profile)
         self.overlap = 0.0
-        if exit_norm >= 1e-15:
+        if exit_norm:
             self.overlap = float(abs(np.vdot(exit_profile / exit_norm, sigma @ self.amp_in)))
 
     @cached_property
@@ -560,10 +577,9 @@ class LineShape:
         channels of ``mask``: its poles and their emission, coefficients ``W* f``
         and direct term, with no solve.  Nothing in it refers to the decomposition."""
         poles, nt = kernel.poles, len(mask)
-        values, emission, links = poles.values, poles.emission[~mask], poles.links
+        values, emission = poles.values, poles.emission[~mask]
         drive = kernel.coefficients[:, :nt] @ amp_in
-        follows = np.zeros(len(values), dtype=bool)
-        follows[list(links)] = True
+        follows = _follows(poles)
         # order p pairs column k with the drive of column k + p, while the
         # chain runs on from k through k + p
         residues = [(emission * drive).T]
@@ -592,11 +608,15 @@ class LineShape:
         t = _transmissions(_stacked([self]), np.zeros(len(points), dtype=int), points)
         return float(t[0]) if z.ndim == 0 else t
 
+    def _peaked(self) -> bool:
+        """Whether T at z* reaches ``PEAK_FLOOR``: the peak floor, applied here alone."""
+        return self.t_at_peak >= PEAK_FLOOR
+
     @property
     def window(self) -> tuple:
         """The half-height angles (θ₋, θ₊): ``ValueError`` when T at z* is
         below ``PEAK_FLOOR``, ``NoCrossing`` when T stays above one half."""
-        if self.t_at_peak < PEAK_FLOOR:
+        if not self._peaked():
             raise ValueError(
                 f"transmission {self.t_at_peak:.3f} at the peak is below {PEAK_FLOOR}; "
                 "nothing to measure"
@@ -610,7 +630,7 @@ class LineShape:
     @property
     def width_measured(self) -> float | None:
         """θ₊ − θ₋, or ``None`` where there is no peak or no crossing."""
-        if self.t_at_peak >= PEAK_FLOOR:
+        if self._peaked():
             with contextlib.suppress(NoCrossing):
                 theta_minus, theta_plus = self.window
                 return theta_plus - theta_minus
@@ -696,10 +716,7 @@ def _excess(shapes, stack, base, owner, theta, failed) -> np.ndarray:
     failed shape is not evaluated, and its points read NaN.
     """
     z = np.exp(1j * (base[owner] + theta))
-    values = stack[0]
-    # |z| = 1, so only a pole with |λ| >= 1 - 2·tol can lie within tol of z
-    close = np.flatnonzero((np.abs(values) >= 1.0 - 2 * EIGENVALUE_HIT_TOL).any(axis=0))
-    hit = (np.abs(z[:, None] - values[owner[:, None], close]) <= EIGENVALUE_HIT_TOL).any(axis=1)
+    hit = _hits(z, stack[0][owner]).any(axis=1)
     suspect = np.zeros(len(shapes), dtype=bool)
     suspect[owner[hit]] = True
     suspect |= np.array([shape.trapped for shape in shapes])
@@ -738,7 +755,7 @@ def _search_windows(shapes) -> None:
     Each shape's ``_window`` gets its angles, or the error that stopped
     its search.
     """
-    shapes = [s for s in shapes if s._window is None and s.t_at_peak >= PEAK_FLOOR]
+    shapes = [s for s in shapes if s._window is None and s._peaked()]
     if not shapes:
         return
     n = len(shapes)
@@ -869,6 +886,7 @@ def discrepancy_table(
     grid = _positive(eps_values)
     if len(grid) < 2:
         raise ValueError("need at least two positive points for a slope fit")
+    _check_route(route)
     walk0 = family(0.0)
     system0 = eigen_decompose(walk0)
     z = _project_to_circle(_nonresonant(system0.values)) if z is None else z
@@ -1071,9 +1089,8 @@ def remainder_table(
     if n_grid < 1:
         raise ValueError(f"n_grid must be at least 1, not {n_grid}")
     grid = _positive(eps_values)
-    z_points = np.array(
-        [cmath.exp(2j * cmath.pi * k / n_grid) for k in range(n_grid)]
-    )
+    _check_route(route)
+    z_points = _circle_grid(n_grid)
     points = _stream(family, grid)
     start = next(points)
     s_zero = scattering_matrix(start.walk, z_points, route, start.system).matrix

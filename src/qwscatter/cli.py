@@ -116,9 +116,10 @@ def _column_text(values, fmt, lead, sep) -> list:
 def _row_chunks(table, fmt):
     """The rows of ``table`` as text, ``ROWS_PER_CHUNK`` rows per string.
 
-    A plain column is keyed by its distinct values (by bit pattern for
-    floats, so -0.0 keeps its sign).  Each key's text is formatted once,
-    adjacent columns keyed by one index array are joined into one text per
+    Each distinct value of a column (by bit pattern for floats, so -0.0
+    keeps its sign) is formatted once.  A plain column is keyed by those
+    values; a keyed column keeps its keys, each reading its value's text.
+    Adjacent columns keyed by one index array are joined into one text per
     key, and each such run fills one column of a (rows, runs) grid by its
     index.  Each chunk is one join over a block of the grid.
     """
@@ -127,18 +128,18 @@ def _row_chunks(table, fmt):
     last = len(columns) - 1
     runs = []  # [index, text per key] of each run of adjacent columns that share one index
     for j, column in enumerate(columns):
-        if not isinstance(column, _Keyed):
-            column = np.asarray(column)
-            floats = column.dtype == np.float64
-            bits = column.view(np.uint64) if floats else column
-            distinct, index = np.unique(bits, return_inverse=True)
-            column = _Keyed(distinct.view(np.float64) if floats else distinct, index)
+        keyed = isinstance(column, _Keyed)
+        values = column.values if keyed else np.asarray(column)
+        floats = values.dtype == np.float64
+        distinct, inverse = np.unique(values.view(np.uint64) if floats else values, return_inverse=True)
         lead = row_sep + row_open if j == 0 else ""
-        text = _column_text(column.values, fmt, lead, row_end if j == last else cell_sep)
-        if runs and runs[-1][0] is column.index:
-            runs[-1][1] += np.array(text, dtype=object)
+        text = np.array(_column_text(distinct.view(np.float64) if floats else distinct, fmt, lead,
+                                     row_end if j == last else cell_sep), dtype=object)
+        index, text = (column.index, text[inverse]) if keyed else (inverse, text)
+        if runs and runs[-1][0] is index:
+            runs[-1][1] += text
         else:
-            runs.append([column.index, np.array(text, dtype=object)])
+            runs.append([index, text])
     grid = np.empty((len(columns[0]), len(runs)), dtype=object)
     for r, (index, text) in enumerate(runs):
         grid[:, r] = text[index]
@@ -485,12 +486,11 @@ def smatrix(
     if (z_text is None) == (z_count is None):
         raise click.UsageError("give exactly one of --z or --z-grid")
     if z_text is not None:
-        points = [parse_complex_value(z_text)]
+        points = np.array([parse_complex_value(z_text)])
     else:
         if z_count < 1:
             raise click.UsageError("--z-grid must be positive")
-        points = [cmath.exp(2j * cmath.pi * k / z_count) for k in range(z_count)]
-    points = np.array(points, dtype=complex)
+        points = asymptotics._circle_grid(z_count)
     walk = family.walk(eps)
     system = eigen_decompose(walk)
     report = scattering_matrix(walk, points, route, system)

@@ -36,8 +36,6 @@ UNITARITY_TOL = 1e-10
 _FUNCTIONS = ("sqrt", "exp", "cos", "sin")
 # past this modulus of the argument cmath rescales exp, cos and sin, and numpy may round otherwise
 _SAFE_ARGUMENT = 700.0
-# a group of at most this many elements (eps times distinct entries) takes CPython's operations
-_ELEMENTWISE = 4
 
 
 class ExprSyntaxError(ValueError):
@@ -454,27 +452,13 @@ def _run(shape, eps, lits):
     return out, odd
 
 
-def _elementwise(shape):
-    """The shape as a function of one eps and its literals (an iterator), by
-    CPython's operations: an element's value, c/0 or an error."""
+def _element(shape, eps, lits):
+    """The shape at one eps and its literals (an iterator), by CPython's
+    operations: an element's value, c/0 or an error."""
     if shape is _EPS or shape is _LIT:
-        return (lambda eps, lits: eps) if shape is _EPS else (lambda eps, lits: next(lits))
+        return eps if shape is _EPS else next(lits)
     node, param, *kids = shape
-    first, *second = [_elementwise(kid) for kid in kids]
-    if not second:
-        return lambda eps, lits: _rule(node, param, first(eps, lits))
-    return lambda eps, lits: _rule(node, param, first(eps, lits), second[0](eps, lits))
-
-
-def _unitarity(stack, eye):
-    """Each coin's max-entry residual |C*C - I|, NaN for a non-finite coin; None if all pass."""
-    error = np.abs(np.einsum("kji,kjl->kil", stack.conj(), stack) - eye)
-    if error.max(initial=0.0) <= UNITARITY_TOL:
-        return None
-    residual = error.max(axis=(1, 2))
-    # the entries of a unitary are at most 1, so a finite coin has a finite sum
-    residual[~np.isfinite(stack.sum(axis=(1, 2)))] = np.nan
-    return residual
+    return _rule(node, param, *[_element(kid, eps, lits) for kid in kids])
 
 
 class CoinProgram:
@@ -504,38 +488,27 @@ class CoinProgram:
         for (shape, _), member in distinct.items():
             groups.setdefault(shape, []).append(member)
         # the distinct entries numbered group by group; each entry reads its distinct column
-        self.groups, self.first, where, literal = [], [], [0] * len(entries), [None] * len(entries)
+        self.groups, self.first, where = [], [], [0] * len(entries)
         for shape, members in groups.items():
             start = len(self.first)
             for lits, places in members:
                 for place in places:
-                    where[place], literal[place] = len(self.first), lits[0] if shape is _LIT else None
+                    where[place] = len(self.first)
                 self.first.append(places[0])  # the entry in family order that fails first
             each = [lits for lits, _ in members]  # each distinct entry's literals
             lits = np.array(each, complex).T[:, None]
-            self.groups.append((shape, slice(start, len(self.first)), lits, each, _elementwise(shape)))
+            self.groups.append((shape, slice(start, len(self.first)), lits, each))
         self.where = np.array(where, dtype=np.intp)
-        # each coin's first entry and shape; the square coins of each size whose
-        # entries vary, their columns and positions in family order; and the
-        # constant square coins that fail, with their residuals
+        # each coin's first entry and shape, and the square coins of each size:
+        # their entries' columns and their positions in family order
         starts = itertools.accumulate((rows * cols for rows, cols in self.shapes), initial=0)
-        self.layout, self.placed = dict(zip(self.vertices, zip(starts, self.shapes))), {}
-        squares, constants, self.failing = {}, {}, {}  # size -> (entries or their values, positions)
+        self.layout, squares = dict(zip(self.vertices, zip(starts, self.shapes))), {}
         for k, (start, (rows, cols)) in enumerate(self.layout.values()):
             if rows == cols and rows:
-                values = literal[start : start + rows * cols]
-                constant = all(value is not None for value in values)
-                group = (constants if constant else squares).setdefault(rows, ([], []))
-                group[0].extend(values if constant else range(start, start + rows * cols))
-                group[1].append(k)
-        for size, (values, positions) in constants.items():
-            with np.errstate(all="ignore"):
-                residual = _unitarity(np.reshape(values, (-1, size, size)), np.eye(size))
-            for k, error in zip(positions, () if residual is None else residual):
-                if not error <= UNITARITY_TOL:
-                    self.failing[k] = float(error)
-        self.squares = [(size, columns if columns != list(range(columns[0], columns[-1] + 1))
-                         else slice(columns[0], columns[-1] + 1), positions, np.eye(size))
+                columns, positions = squares.setdefault(rows, ([], []))
+                columns.extend(range(start, start + rows * cols))
+                positions.append(k)
+        self.squares = [(size, np.array(columns, dtype=np.intp), positions, np.eye(size))
                         for size, (columns, positions) in squares.items()]
 
     def evaluate(self, eps: np.ndarray) -> tuple:
@@ -547,14 +520,11 @@ class CoinProgram:
         points = column[:, 0].tolist()
         distinct, failed = np.empty((len(column), len(self.first)), complex), {}
         with np.errstate(all="ignore"):
-            for shape, columns, lits, each, elementwise in self.groups:
-                if shape is _LIT or len(column) * len(each) > _ELEMENTWISE:
-                    distinct[:, columns], odd = _run(shape, column, iter(lits))
-                    odd = () if odd is None else zip(*np.nonzero(np.broadcast_to(odd, distinct[:, columns].shape)))
-                else:  # too few elements to pay numpy's cost per call
-                    odd = itertools.product(range(len(column)), range(len(each)))
+            for shape, columns, lits, each in self.groups:
+                distinct[:, columns], odd = _run(shape, column, iter(lits))
+                odd = () if odd is None else zip(*np.nonzero(np.broadcast_to(odd, distinct[:, columns].shape)))
                 for i, j in odd:
-                    state = elementwise(points[i], iter(each[j]))
+                    state = _element(shape, points[i], iter(each[j]))
                     if isinstance(state, complex):
                         distinct[i, columns.start + j] = state
                     else:
@@ -600,7 +570,6 @@ class CoinStack(NamedTuple):
     layout: dict  # vertex -> (its coin's first entry, its shape), in family order
     values: np.ndarray  # every entry at each eps, (n_eps, entries)
     errors: list  # each eps's error, or None
-    placed: dict  # where an assembler put the entries in each graph, shared by a program's stacks
 
 
 def eval_coins(coins, eps):
@@ -618,21 +587,19 @@ def eval_coins(coins, eps):
     program = coins if isinstance(coins, CoinProgram) else CoinProgram(coins)
     grid = np.asarray(eps, dtype=float)
     values, errors = program.evaluate(grid.reshape(-1))
-    residual = None
+    residual = np.zeros((len(values), len(program.vertices)))  # max-entry |C*C - I|, NaN if not finite
     with np.errstate(all="ignore"):
         for size, columns, positions, eye in program.squares:
-            error = _unitarity(values[:, columns].reshape(-1, size, size), eye)
-            if error is not None:
-                residual = np.zeros((len(values), len(program.vertices))) if residual is None else residual
-                residual[:, positions] = error.reshape(len(values), len(positions))
-    if program.failing:
-        residual = np.zeros((len(values), len(program.vertices))) if residual is None else residual
-        residual[:, list(program.failing)] = list(program.failing.values())
-    for k in () if residual is None else np.flatnonzero(~(residual <= UNITARITY_TOL).all(axis=1)):
+            stack = values[:, columns].reshape(-1, size, size)
+            error = np.abs(np.einsum("kji,kjl->kil", stack.conj(), stack) - eye).max(axis=(1, 2))
+            # the entries of a unitary are at most 1, so a finite coin has a finite sum
+            error[~np.isfinite(stack.sum(axis=(1, 2)))] = np.nan
+            residual[:, positions] = error.reshape(len(values), len(positions))
+    for k in np.flatnonzero(~(residual <= UNITARITY_TOL).all(axis=1)):
         v = np.flatnonzero(~(residual[k] <= UNITARITY_TOL))[0]
         errors[k] = errors[k] or NotUnitary(program.vertices[v], float(residual[k, v]))
     if grid.ndim:
-        return CoinStack(program.layout, values, errors, program.placed)
+        return CoinStack(program.layout, values, errors)
     if errors[0] is not None:
         raise errors[0]
     return {v: values[0, start : start + rows * cols].reshape(rows, cols)

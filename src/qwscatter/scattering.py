@@ -39,7 +39,9 @@ call, and every check names the first offending point.
 The routes agree wherever they are all defined and check each other.
 The analytic routes share the decomposition, with its emission
 ``T_it V`` and pickup ``W* T_ti``; they keep the z-dependent pole
-algebra apart, and the oracle reads the walk itself.
+algebra apart, and the oracle reads the walk itself.  The pole hit
+(``EIGENVALUE_HIT_TOL``) is :func:`_hits`'s rule alone, for every route,
+line shape and half-height search.
 """
 
 from __future__ import annotations
@@ -52,23 +54,25 @@ from typing import NamedTuple
 import numpy as np
 
 from .spectral import (
-    ZERO_VALUE_TOL,
     Cluster,
     EigenSystem,
     NumericalError,
     PoleBasis,
     ZeroCluster,
+    _follows,
+    _is_zero,
     _pole_basis,
     eigen_decompose,
 )
-from .walk import WalkOperator
+from .walk import WalkOperator, _supported
 
 SMALL_Z = 1e-6
 EIGENVALUE_HIT_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-8
+# the direct solve's pseudo-inverse cut on σ_min(z - M): the hit rule's value, not its rule
+_ORACLE_SINGULAR_TOL = 1e-9
 ORACLE_RESIDUAL_TOL = 1e-6
 NORMALIZATION_TOL = 1e-10
-SUPPORT_TOL = 1e-12
 
 
 class PoleHit(NumericalError):
@@ -148,9 +152,21 @@ def _check_z(z) -> np.ndarray:
     return z
 
 
+def _check_route(route: str) -> None:
+    """Refuse a route other than the two analytic ones, before any work is done."""
+    if route not in ("resolvent", "expansion"):
+        raise ValueError(f"unknown route {route!r}")
+
+
+def _hits(z: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Whether each point of ``z`` (given a new last axis) is within ``EIGENVALUE_HIT_TOL``
+    of each of ``values``: the pole-hit rule, applied here alone."""
+    return np.abs(z[..., None] - values) <= EIGENVALUE_HIT_TOL
+
+
 def _check_poles(z: np.ndarray, values: np.ndarray) -> None:
-    """Raise at the first point of ``z`` within the hit tolerance of a pole value."""
-    hits = np.abs(z.reshape(-1, 1) - values) <= EIGENVALUE_HIT_TOL
+    """Raise at the first point of ``z`` that hits a pole value (:func:`_hits`)."""
+    hits = _hits(z.reshape(-1), values)
     if np.count_nonzero(hits):
         point, column = divmod(_first(hits), len(values))
         raise AtInteriorResonance(complex(z.reshape(-1)[point]), complex(values[column]))
@@ -293,7 +309,7 @@ def oracle_direct_solve(
     u = np.zeros((len(points),) + drive.shape, dtype=complex)
     if n0:
         a = walk.interior - points[:, None, None] * np.eye(n0)
-        regular = np.linalg.svd(a, compute_uv=False)[:, -1] > EIGENVALUE_HIT_TOL
+        regular = np.linalg.svd(a, compute_uv=False)[:, -1] > _ORACLE_SINGULAR_TOL
         if np.count_nonzero(regular):
             # a leading length-1 axis makes -drive one right-hand side for every point
             u[regular] = np.linalg.solve(a[regular], -drive[None])
@@ -334,12 +350,11 @@ def _pole_blocks(poles, z: np.ndarray) -> np.ndarray:
     columns whose chain runs p further.
     """
     values, _, _, emission, pickup, links = poles
-    zero = np.abs(values) <= ZERO_VALUE_TOL
+    zero = _is_zero(values)
     lam = np.where(zero, 0.0, values)
     lam_bar = lam.conj()
     unit = np.where(zero, 1.0, lam)
-    follows = np.zeros(len(values), dtype=bool)
-    follows[list(links)] = True
+    follows = _follows(poles)
     steps = [k for k in links if not zero[k]]
 
     out = emission / unit
@@ -433,17 +448,16 @@ def scattering_matrix(
 ) -> ScatteringReport:
     """The full tails-in to tails-out response at ``z``, a point or a 1-d array."""
     z = _check_z(z)
+    _check_route(route)
     if system is None:
         system = eigen_decompose(walk)
     nt = walk.n_tails
 
     if route == "resolvent":
         matrix = generalized_eigenfunction(walk, z, np.eye(nt), system).amp_out
-    elif route == "expansion":
+    else:
         _check_poles(z, system.poles.values)
         matrix = walk.tail_to_tail + _pole_blocks(system.poles, z)
-    else:
-        raise ValueError(f"unknown route {route!r}")
 
     gram = np.swapaxes(matrix.conj(), -1, -2) @ matrix
     on_circle = np.abs(np.abs(z) - 1.0) <= 1e-8
@@ -479,7 +493,7 @@ def transmission_reflection(matrix: np.ndarray, split: set, amp_in: np.ndarray) 
         if not 1 <= n <= nt:
             raise BadSupport(f"channel {n} is not one of 1..{nt}")
         mask[n - 1] = True
-    if np.any(np.abs(amp_in[~mask]) > SUPPORT_TOL):
+    if np.any(_supported(amp_in[~mask])):
         raise BadSupport("incoming amplitude has support outside the split")
     norm = float(np.linalg.norm(amp_in))
     if abs(norm - 1.0) > NORMALIZATION_TOL:

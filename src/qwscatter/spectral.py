@@ -21,8 +21,9 @@ reads its spectral data from one :class:`EigenSystem` of arrays:
   condition, the bound on its spectral projector ``V W*``.
 
 The pole sums read a column selection of these arrays
-(``EigenSystem.poles``); a :class:`Cluster`, views of one cluster's
-columns, is built only when asked for.
+(``EigenSystem.poles``, whose chain links :func:`_follows` masks); a
+:class:`Cluster`, views of one cluster's columns, is built only when
+asked for.  The zero cluster (``ZERO_VALUE_TOL``) is :func:`_is_zero`'s rule alone.
 
 :func:`eigen_decompose` takes one walk, or a stack of them (a sweep's ε
 grid, a chunk at a time).  Walks whose interiors share a dtype and a
@@ -127,8 +128,8 @@ class Cluster:
 
     @property
     def is_zero(self) -> bool:
-        """The conventional zero resonance (eigenvalue zero)."""
-        return abs(self.value) <= ZERO_VALUE_TOL
+        """The conventional zero resonance (eigenvalue zero, :func:`_is_zero`)."""
+        return _is_zero(self.value)
 
     @cached_property
     def chains(self) -> tuple:
@@ -163,6 +164,18 @@ class PoleBasis(NamedTuple):
     emission: np.ndarray  # (n_tails, s): T_it V
     pickup: np.ndarray  # (s, n_tails): W* T_ti
     links: tuple  # columns k whose chain continues in column k + 1
+
+
+def _follows(poles: PoleBasis) -> np.ndarray:
+    """``poles.links`` as a mask: per column, whether its chain continues in the next one."""
+    follows = np.zeros(len(poles.values), dtype=bool)
+    follows[list(poles.links)] = True
+    return follows
+
+
+def _is_zero(values):
+    """Which of ``values`` are the zero resonance: the zero-cluster rule, applied here alone."""
+    return abs(values) <= ZERO_VALUE_TOL  # abs: numpy's for an array, hypot for a scalar
 
 
 def _links(lengths) -> tuple:
@@ -315,7 +328,7 @@ class EigenSystem:
                          self.emission[:, kept], self.pickup[kept], links)
 
     def zero_cluster(self):
-        zero = np.flatnonzero(np.abs(self.values) <= ZERO_VALUE_TOL)
+        zero = np.flatnonzero(_is_zero(self.values))
         return self.cluster(int(zero[0])) if len(zero) else None
 
     def nearest_cluster(self, value: complex) -> Cluster:
@@ -922,7 +935,7 @@ def resonance_set(walk):
 
 def _resonances(system: EigenSystem) -> list:
     """One :class:`Resonance` per cluster of ``system``, a zero-value cluster at exactly 0."""
-    values = np.where(np.abs(system.values) <= ZERO_VALUE_TOL, 0j, system.values)
+    values = np.where(_is_zero(system.values), 0j, system.values)
     return list(map(Resonance, values.tolist(), system.multiplicity.tolist(),
                     system.on_unit_circle.tolist()))
 

@@ -14,6 +14,8 @@ Four blocks of ``full`` drive everything downstream:
 * ``tail_to_interior``  -- incoming boundary arcs to interior arcs
 * ``interior_to_tail``  -- interior arcs to outgoing boundary arcs
 * ``tail_to_tail``      -- straight-through boundary to boundary
+
+The support floor ``SUPPORT_TOL`` is applied by :func:`_supported` alone.
 """
 
 from __future__ import annotations
@@ -143,11 +145,8 @@ def assemble(graph: TailedGraph, coin_matrices, eps=None):
         starts = itertools.accumulate((coin.size for coin in coins), initial=0)
         layout = dict(zip(coin_matrices, zip(starts, (coin.shape for coin in coins))))
         values = np.concatenate([coin.ravel() for coin in coins] + [np.zeros(0, complex)])
-        stack = CoinStack(layout, values[None], [None], {})
-    placed = stack.placed.get(id(graph))
-    if placed is None or placed[0] is not graph:
-        placed = stack.placed[id(graph)] = (graph, *_placement(graph, stack.layout))
-    _, take, failure = placed
+        stack = CoinStack(layout, values[None], [None])
+    take, failure = _placement(graph, stack.layout)
     dim = graph.carrier_dim
     full = np.zeros((len(stack.errors), dim, dim), dtype=complex)
     if failure is None:
@@ -182,6 +181,11 @@ def _placement(graph: TailedGraph, layout: dict) -> tuple:
     return np.array(take, dtype=np.intp), None
 
 
+def _supported(values):
+    """Where ``values`` are not zero: the support floor, ``SUPPORT_TOL``, applied here alone."""
+    return abs(values) > SUPPORT_TOL
+
+
 @dataclass(frozen=True)
 class FreeRouting:
     """How the zero-coupling walk carries each tail across the interior.
@@ -212,12 +216,12 @@ def free_routing_check(w: WalkOperator) -> FreeRouting:
         state[w.in_index(n)] = 1.0
         for step in range(1, n0 + 2):
             state = w.apply(state)
-            support = np.flatnonzero(np.abs(state) > SUPPORT_TOL)
+            support = np.flatnonzero(_supported(state))
             if len(support) != 1:
                 raise NotDeterministic(n, step)
             idx = int(support[0])
             amp = complex(state[idx])
-            if abs(abs(amp) - 1.0) > SUPPORT_TOL:
+            if _supported(abs(amp) - 1.0):  # not of unit modulus
                 raise NotDeterministic(n, step)
             if idx >= n0 + nt:  # landed on an outgoing boundary arc
                 reached = idx - (n0 + nt) + 1

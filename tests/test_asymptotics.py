@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import re
 import weakref
 
 import numpy as np
@@ -16,6 +17,7 @@ import qwscatter.scattering as scattering
 import qwscatter.spectral as spectral
 from qwscatter.asymptotics import (
     FIRST_ORDER_BAND,
+    PEAK_FLOOR,
     SECOND_ORDER_BAND,
     THETA_TOL,
     THETA_WINDOW,
@@ -51,6 +53,7 @@ from qwscatter.models import (
     matrix_schrodinger_family,
 )
 from qwscatter.scattering import (
+    EIGENVALUE_HIT_TOL,
     AtInteriorResonance,
     OrthogonalityViolated,
     PoleHit,
@@ -590,6 +593,82 @@ def test_a_lockstep_step_on_a_pole_fails_that_shape_alone():
     assert str(searched.value) == str(own.value)
     for seed, shape in zip((0, 1), others):
         assert shape.window == skewed_line_shape(np.random.default_rng(seed)).window
+
+
+def pole_at_the_hit_distance(z):
+    """A pole nearly radially inside the circle point ``z`` = 1 + iy (y tiny) whose
+    computed distance to ``z`` is exactly the hit tolerance, and the same pole one
+    float further in.  Below 1 floats are 2^-53 apart, so the radial part is the
+    largest such multiple within the tolerance and a tangential part of a few
+    1e-13 makes up the rest: circle points 1e-12 or more from ``z`` lie further."""
+    assert z.real == 1.0
+    ulp = 2.0**-53
+    real = 1.0 - math.floor(EIGENVALUE_HIT_TOL / ulp) * ulp
+    radial = 1.0 - real
+    pole = complex(real, z.imag - math.sqrt((EIGENVALUE_HIT_TOL - radial) * (EIGENVALUE_HIT_TOL + radial)))
+    for _ in range(64):  # the tangential part to the last float
+        distance = abs(z - pole)
+        if distance == EIGENVALUE_HIT_TOL:
+            break
+        pole = complex(real, np.nextafter(pole.imag, math.inf if distance > EIGENVALUE_HIT_TOL else -math.inf))
+    further = complex(np.nextafter(real, 0.0), pole.imag)
+    assert abs(z - pole) == EIGENVALUE_HIT_TOL < abs(z - further)
+    return pole, further
+
+
+def flat_shape(pole):
+    # T = 1 everywhere but at its pole: a search that hits nothing finds no crossing;
+    # z* = 1 and |λ| ~ 1 put the first doubling step at 1e-12
+    return LineShape(z_star=1.0 + 0j, modulus=1.0 - 1e-15, t_at_peak=1.0, values=np.array([pole]),
+                     residues=np.zeros((1, 1, 1), dtype=complex), direct=np.ones(1, dtype=complex))
+
+
+def test_a_pole_exactly_the_hit_tolerance_away_is_hit_by_every_path():
+    # the first point of the lockstep's + side, e^(i·1e-12): a pole at exactly
+    # EIGENVALUE_HIT_TOL raises in the resolvent kernel, in a line shape's call
+    # and in a lockstep search alike, and the next float further out in none
+    z = np.exp(1j * (np.zeros(1) + 1e-12))[0]
+    pole, further = pole_at_the_hit_distance(z)
+    for value, hit in [(pole, True), (further, False)]:
+        one = np.ones((1, 1), dtype=complex)
+        basis = scattering.PoleBasis(np.array([value]), one, one, 0 * one, 0 * one, ())
+        kernel = scattering.ResolventKernel(basis, 0 * one, one, (1,), 0.0, False)
+        shape, searched = flat_shape(value), flat_shape(value)
+        asymptotics._search_windows([searched])
+        if hit:
+            with pytest.raises(AtInteriorResonance) as own:
+                kernel(z)
+            with pytest.raises(AtInteriorResonance, match=re.escape(str(own.value))):
+                shape(z)
+            with pytest.raises(AtInteriorResonance, match=re.escape(str(own.value))):
+                searched.window
+        else:
+            assert kernel(z).amp_out.tolist() == [[1.0]]
+            assert shape(z) == 1.0
+            with pytest.raises(NoCrossing):
+                searched.window
+
+
+def peak_shape(t_at_peak):
+    # one pole at r z*: T at z* is t_at_peak, and T falls to one half within the window
+    r, z_star = 0.99, 1j
+    residue = np.full((1, 1, 1), math.sqrt(t_at_peak) * (1 - r), dtype=complex)
+    return LineShape(z_star=z_star, modulus=r, t_at_peak=t_at_peak, values=np.array([r * z_star]),
+                     residues=residue, direct=np.zeros(1, dtype=complex))
+
+
+def test_the_peak_floor_is_one_rule_for_a_window_and_a_sweep():
+    # T at z* exactly PEAK_FLOOR is a peak to .window and to a lockstep alike;
+    # one float below it is a peak to neither
+    alone, swept = peak_shape(PEAK_FLOOR), peak_shape(PEAK_FLOOR)
+    asymptotics._search_windows([swept])
+    assert swept._window == alone.window and alone.width_measured is not None
+    below = np.nextafter(PEAK_FLOOR, 0.0)
+    alone, swept = peak_shape(below), peak_shape(below)
+    asymptotics._search_windows([swept])
+    assert swept._window is None and alone.width_measured is None
+    with pytest.raises(ValueError, match="below 0.9"):
+        alone.window
 
 
 def test_a_window_error_comes_before_a_later_eps_that_fails(monkeypatch):
@@ -1306,6 +1385,28 @@ def test_remainder_table_needs_a_grid_point_before_any_walk(n_grid):
     with pytest.raises(ValueError, match="n_grid"):
         remainder_table(spy, [0.01, 0.02], n_grid=n_grid)
     assert calls == []
+
+
+ROUTE_TABLES = {
+    "discrepancy": lambda family, route: discrepancy_table(family, None, [0.01, 0.02], route),
+    "remainder": lambda family, route: remainder_table(family, [0.01, 0.02], route=route),
+}
+
+
+@pytest.mark.parametrize("table", sorted(ROUTE_TABLES))
+def test_an_unknown_route_is_refused_before_any_walk(monkeypatch, table):
+    calls, decomposed = [], []
+    family = matrix_schrodinger_family()
+    decompose = asymptotics.eigen_decompose
+    monkeypatch.setattr(asymptotics, "eigen_decompose", lambda walks: decomposed.append(walks) or decompose(walks))
+
+    def spy(eps):
+        calls.append(eps)
+        return family(eps)
+
+    with pytest.raises(ValueError, match="unknown route 'bogus'"):
+        ROUTE_TABLES[table](spy, "bogus")
+    assert calls == decomposed == []
 
 
 @pytest.mark.parametrize(

@@ -814,9 +814,10 @@ def test_keyed_columns_match_a_row_by_row_writer(capsys, fmt, size):
 
 
 def test_a_z_grid_formats_each_point_and_entry_once(monkeypatch):
-    # 256 points of a 16 x 16 matrix: each point's eps, z and residual text and
-    # each entry's row and col text is formatted once, and only the two value
-    # columns are searched for their distinct values
+    # 256 points of a 16 x 16 matrix: each column's distinct values (by bit
+    # pattern) are formatted once, keyed or plain, so the one eps once; only
+    # the two value columns are searched over all rows, a keyed column over
+    # its keys' values alone
     emitted, formatted, searched = [], [], []
     emit, column_text, unique = cli._emit, cli._column_text, np.unique
 
@@ -839,16 +840,39 @@ def test_a_z_grid_formats_each_point_and_entry_once(monkeypatch):
     code, out, _ = run_cli(EMIT_CASES["smatrix_chunks"][0])
     assert code == 0
     [table] = emitted
-    points = np.exp(2j * np.pi * np.arange(256) / 256)
-    assert [len(values) for values in formatted[:5]] == [256] * 5
-    assert np.array_equal(formatted[1], points.real) and np.array_equal(formatted[2], points.imag)
-    assert np.array_equal(formatted[3], np.repeat(np.arange(1, 17), 16))
-    assert np.array_equal(formatted[4], np.tile(np.arange(1, 17), 16))
-    assert len(formatted[7]) == 256
-    assert len(searched) == 2
-    for values, name in zip(searched, ["value_re", "value_im"]):
-        assert np.array_equal(values, np.asarray(table[name]).view(np.uint64))
+    assert len(formatted) == len(searched) == len(table) == 8
+    for (name, column), values, keys in zip(table.items(), formatted, searched):
+        rows = np.asarray(column)
+        floats = rows.dtype == np.float64
+        want = np.unique(rows.view(np.uint64) if floats else rows)
+        assert np.array_equal(values.view(np.uint64) if floats else values, want), name
+        keyed = isinstance(column, cli._Keyed)
+        assert len(keys) == (len(column.values) if keyed else 256 * 256), name
+    assert [name for name, column in table.items() if not isinstance(column, cli._Keyed)] == [
+        "value_re", "value_im"]
+    assert len(formatted[0]) == 1
     assert len(out.splitlines()) == 256 * 256 + 1
+
+
+def test_a_keyed_column_formats_each_distinct_value_once(monkeypatch):
+    # crossing has 4 rows a point: its one eps is formatted once, not once
+    # per point, and no column's text is formatted twice for one bit pattern
+    formatted = []
+    column_text = cli._column_text
+
+    def spy_text(values, *args):
+        formatted.append(values)
+        return column_text(values, *args)
+
+    monkeypatch.setattr(cli, "_column_text", spy_text)
+    argv = ["smatrix", "--model", "crossing", "--eps", "0.1", "--z-grid", "512", "--format", "json"]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    assert len(formatted) == 8 and len(formatted[0]) == 1
+    for values in formatted:
+        bits = values.view(np.uint64) if values.dtype == np.float64 else values
+        assert len(np.unique(bits)) == len(values)
+    assert len(json.loads(out)["rows"]) == 512 * 4
 
 
 @pytest.mark.parametrize("case", EMIT_CASES)

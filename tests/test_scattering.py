@@ -725,3 +725,13 @@ def test_transmission_reflection_on_a_stack_matches_single_matrices():
         transmission_reflection(stack, {1}, amp)
     with pytest.raises(NotNormalized):
         transmission_reflection(stack, {1, 2}, 2 * amp)
+
+
+def test_scattering_matrix_refuses_an_unknown_route_before_any_decomposition(monkeypatch):
+    calls = []
+    decompose = scattering.eigen_decompose
+    monkeypatch.setattr(scattering, "eigen_decompose", lambda walk: calls.append(walk) or decompose(walk))
+    walk = matrix_schrodinger_family()(0.3)
+    with pytest.raises(ValueError, match="unknown route 'bogus'"):
+        scattering_matrix(walk, 1j, "bogus")
+    assert calls == []
