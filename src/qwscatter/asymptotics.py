@@ -928,16 +928,16 @@ def _peak_sweep(family, lam, eps_values, quantities, split=None) -> tuple:
     and every eps's window is searched after the stream, in one lockstep
     (:func:`_search_windows`).  The rows come out in grid order, and so
     does the first error: an eps whose window fails raises before a later
-    eps that failed in the stream.  ``lam=None`` first tracks every
-    start over the grid (:func:`track_resonances`, a stream of its own)
-    and picks the one that detaches fastest, whose path ends nearest the
-    origin.
+    eps that failed in the stream.  ``lam=None`` picks the start that
+    detaches fastest, whose path ends nearest the origin, from a track of
+    eps = 0 and the grid's last eps alone (:func:`track_resonances`, one
+    step that :func:`_advance` bisects where it must).
     A ``None`` value is absent: it makes no row, and NaN in the
     quantity's array.  Every row carries the peak z* = λ_ε/|λ_ε|.
     """
     grid = _positive(eps_values)
     if lam is None:
-        track = track_resonances(family, np.concatenate([[0.0], grid]))
+        track = track_resonances(family, [0.0, grid[-1]])
         if not track.starts:
             raise NoDetachingResonance("the eps=0 walk has no unit-circle resonances to track")
         finals = np.abs(track.paths[-1])

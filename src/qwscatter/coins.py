@@ -508,7 +508,7 @@ class CoinProgram:
                 columns, positions = squares.setdefault(rows, ([], []))
                 columns.extend(range(start, start + rows * cols))
                 positions.append(k)
-        self.squares = [(size, np.array(columns, dtype=np.intp), positions, np.eye(size))
+        self.squares = [(size, np.array(columns, dtype=np.intp), positions)
                         for size, (columns, positions) in squares.items()]
 
     def evaluate(self, eps: np.ndarray) -> tuple:
@@ -572,6 +572,16 @@ class CoinStack(NamedTuple):
     errors: list  # each eps's error, or None
 
 
+def _unitarity_residual(stack: np.ndarray) -> np.ndarray:
+    """The unitarity rule's residual of each stacked square coin: max-entry ``|C*C - I|``, NaN if not finite."""
+    with np.errstate(all="ignore"):
+        product = np.einsum("kji,kjl->kil", stack.conj(), stack)
+        error = np.abs(product - np.eye(stack.shape[-1])).max(axis=(1, 2))
+        # the entries of a unitary are at most 1, so a finite coin has a finite sum
+        error[~np.isfinite(stack.sum(axis=(1, 2)))] = np.nan
+    return error
+
+
 def eval_coins(coins, eps):
     """Evaluate every coin in the family at ``eps``, or at each of a 1-D array of eps.
 
@@ -587,14 +597,10 @@ def eval_coins(coins, eps):
     program = coins if isinstance(coins, CoinProgram) else CoinProgram(coins)
     grid = np.asarray(eps, dtype=float)
     values, errors = program.evaluate(grid.reshape(-1))
-    residual = np.zeros((len(values), len(program.vertices)))  # max-entry |C*C - I|, NaN if not finite
-    with np.errstate(all="ignore"):
-        for size, columns, positions, eye in program.squares:
-            stack = values[:, columns].reshape(-1, size, size)
-            error = np.abs(np.einsum("kji,kjl->kil", stack.conj(), stack) - eye).max(axis=(1, 2))
-            # the entries of a unitary are at most 1, so a finite coin has a finite sum
-            error[~np.isfinite(stack.sum(axis=(1, 2)))] = np.nan
-            residual[:, positions] = error.reshape(len(values), len(positions))
+    residual = np.zeros((len(values), len(program.vertices)))
+    for size, columns, positions in program.squares:
+        error = _unitarity_residual(values[:, columns].reshape(-1, size, size))
+        residual[:, positions] = error.reshape(len(values), len(positions))
     for k in np.flatnonzero(~(residual <= UNITARITY_TOL).all(axis=1)):
         v = np.flatnonzero(~(residual[k] <= UNITARITY_TOL))[0]
         errors[k] = errors[k] or NotUnitary(program.vertices[v], float(residual[k, v]))

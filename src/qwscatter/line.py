@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coins import UNITARITY_TOL, const_expr, eval_coins
+from .coins import UNITARITY_TOL, _unitarity_residual, const_expr, eval_coins
 from .graph import build_graph
 from .scattering import scattering_matrix
 from .spectral import eigen_decompose
@@ -53,8 +53,8 @@ def _as_coin(matrix) -> np.ndarray:
     coin = np.asarray(matrix, dtype=complex)
     if coin.shape != (2, 2):
         raise BadBarrier(f"barrier coin must be 2x2, got shape {coin.shape}")
-    residual = np.abs(coin.conj().T @ coin - np.eye(2)).max()
-    if residual > UNITARITY_TOL:
+    residual = _unitarity_residual(coin[None])[0]
+    if not residual <= UNITARITY_TOL:  # NaN too
         raise BadBarrier(f"barrier coin not unitary (residual {residual:.3e})")
     return coin
 

@@ -32,8 +32,9 @@ interiors (the real eigensolver for a real interior, whose nonreal pairs
 come out exact conjugates), or one closed-form lift, serves every simple
 cluster, and one sort, normalisation, ``inv`` and classification on or
 off the circle run over the stack; each walk keeps the bits it gets
-alone.  A multiple cluster is *semisimple* when its ``eig`` values agree
-within the floor and its unit columns are well conditioned
+alone, and a group that fails is decomposed again walk by walk.  A
+multiple cluster is *semisimple* when its ``eig`` values agree within
+the floor and its unit columns are well conditioned
 (:func:`_semisimple`): those columns are its chains.  The others run the
 Jordan staircase on their own generalized eigenspace, walk by walk.
 
@@ -801,7 +802,7 @@ def eigen_decompose(walks):
 
     One walk is a stack of one, on the same path: each step runs once over the walks of one dtype,
     tail shape and sparsity pattern, elementwise or as each walk's own LAPACK or BLAS call, so every
-    array has the bits of its walk alone.
+    array has the bits of its walk alone.  A group that fails is decomposed again walk by walk.
     """
     stack = walks if isinstance(walks, Sequence) else [walks]
     members, groups = [None] * len(stack), {}
@@ -814,7 +815,7 @@ def eigen_decompose(walks):
         try:
             group = _decompose_group([stack[i] for i in own], [matrices[i] for i in own],
                                      np.stack([inputs[i] for i in own]))
-        except np.linalg.LinAlgError as exc:  # LAPACK failed on the stack: each walk alone
+        except (np.linalg.LinAlgError, NumericalError) as exc:  # a failing stack: each walk alone
             group = [exc] if len(own) == 1 else [eigen_decompose([stack[i]]).members[0] for i in own]
         for i, member in zip(own, group):
             members[i] = member
@@ -823,7 +824,8 @@ def eigen_decompose(walks):
 
 
 def _decompose_group(walks, matrices, a) -> list:
-    """Each walk's system or error; ``a`` stacks their ``matrices``, of one dtype and pattern, for eig."""
+    """Each walk's system; ``a`` stacks their ``matrices``, of one dtype and pattern, for eig.
+    The first failure raises, for :func:`eigen_decompose` to decompose each walk alone."""
     k, n = a.shape[:2]
     tails = [np.stack([getattr(w, t) for w in walks]) for t in ("interior_to_tail", "tail_to_interior")]
     if n == 0:
@@ -842,16 +844,13 @@ def _decompose_group(walks, matrices, a) -> list:
             break
         values[redo], vectors[redo], _, scale[redo] = _eig_pairs(a[redo])
         closed &= ~redo
-    out, clusters, orders = [None] * k, {}, np.zeros((k, n), dtype=int)
+    clusters, orders = {}, np.zeros((k, n), dtype=int)
     if simple.any():
         orders[simple] = _value_order(values[simple].tolist())
     for i in np.flatnonzero(~simple).tolist():
-        try:
-            groups, centres = _cluster_indices(values[i], float(tol[i]))
-            orders[i] = [j for idx in groups for j in idx]
-            clusters[i] = list(map(len, groups)), centres
-        except NumericalError as exc:
-            out[i] = exc
+        groups, centres = _cluster_indices(values[i], float(tol[i]))
+        orders[i] = [j for idx in groups for j in idx]
+        clusters[i] = list(map(len, groups)), centres
     # each member's columns in Fortran order, as eig and the closed form give them alone
     members = np.arange(k)[:, None]
     columns = vectors.swapaxes(1, 2)[members, orders].swapaxes(1, 2)
@@ -859,55 +858,46 @@ def _decompose_group(walks, matrices, a) -> list:
     floor = 1e-12 * np.maximum(scale, 1.0)
     # one pass normalises every column; the staircase writes its chains over its clusters' own
     norms, divisors = _unit_pivot(columns)
-    for i in np.flatnonzero(norms.min(axis=1) < floor).tolist():
-        out[i] = out[i] or IllConditionedChain(complex(column_values[i, norms[i].argmin()]), math.inf)
-        divisors[i] = 1.0
+    short = norms.min(axis=1) < floor
+    if short.any():  # a column too short to normalise
+        i = int(short.argmax())
+        raise IllConditionedChain(complex(column_values[i, norms[i].argmin()]), math.inf)
     columns /= divisors[:, None, :]
-    staircase = {}
-    for i, (widths, centres) in clusters.items():
-        try:
-            if out[i] is None:
-                staircase[i] = _multiple_clusters(matrices[i], columns[i], column_values[i], centres, widths,
-                                                  scale[i], floor[i])
-        except NumericalError as exc:
-            out[i] = exc
+    staircase = {i: _multiple_clusters(matrices[i], columns[i], column_values[i], centres, widths, scale[i],
+                                       floor[i]) for i, (widths, centres) in clusters.items()}
     left_h = np.empty(columns.shape, complex) if co is None else co[members, orders]
     if co is not None:  # the closed form's dual rows, scaled as their columns; eig's members take inv
         left_h *= divisors[:, :, None]
-    solve = [i for i in np.flatnonzero(~closed).tolist() if out[i] is None]
+    solve = np.flatnonzero(~closed)
     try:
-        if len(solve) == k:
-            left_h = np.linalg.inv(columns)
-        elif solve:
-            left_h[solve] = np.linalg.inv(columns[solve])
-    except np.linalg.LinAlgError:  # a singular basis: blame the cluster nearest to another one
-        if len(solve) > 1:
+        left_h[solve] = np.linalg.inv(columns[solve])
+    except np.linalg.LinAlgError:  # a singular basis: alone, blame the cluster nearest to another one
+        if k > 1:
             raise  # each walk alone finds its own
-        lams = np.array(clusters[solve[0]][1] if solve[0] in clusters else column_values[solve[0]])
+        lams = np.array(clusters[0][1] if clusters else column_values[0])
         gaps = np.abs(np.subtract.outer(lams, lams)) + np.diag(np.full(len(lams), np.inf))
-        out[solve[0]] = IllConditionedChain(complex(lams[int(np.argmin(gaps.min(axis=1)))]), math.inf)
-    live = [i for i in range(k) if out[i] is None]
-    pick = live if len(live) < k else slice(None)  # no copies when every member lives
-    widths = [clusters[i][0] if i in clusters else [1] * n for i in live]
-    starts = [pos * n + start for pos, own in enumerate(widths) for start in accumulate(own[:-1], initial=0)]
-    right, left_h = columns.swapaxes(1, 2)[pick].swapaxes(1, 2), left_h[pick]
-    bound, on_circle, emission, pickup = _classify(tails[0][pick], tails[1][pick], right, left_h, starts)
-    for array in (column_values, right, left_h, emission, pickup):
+        raise IllConditionedChain(complex(lams[int(np.argmin(gaps.min(axis=1)))]), math.inf) from None
+    widths = [clusters[i][0] if i in clusters else [1] * n for i in range(k)]
+    starts = [i * n + start for i, own in enumerate(widths) for start in accumulate(own[:-1], initial=0)]
+    bound, on_circle, emission, pickup = _classify(*tails, columns, left_h, starts)
+    for array in (column_values, columns, left_h, emission, pickup):
         array.flags.writeable = False
     firsts = list(accumulate(map(len, widths), initial=0))
-    for pos, (i, own, cut) in enumerate(zip(live, widths, map(slice, firsts, firsts[1:]))):
+    systems = []
+    for i, (own, cut) in enumerate(zip(widths, map(slice, firsts, firsts[1:]))):
         lams = column_values[i] if i not in clusters else np.array(clusters[i][1])
         lams.flags.writeable = False
         chains = staircase.get(i, {})
         lengths = [size for c, width in enumerate(own) for size in chains.get(c, [1] * width)]
-        out[i] = system = EigenSystem(matrices[i], lams, right[pos], left_h[pos], emission[pos], pickup[pos],
-                                      np.array(own), np.array(lengths), on_circle[cut], bound[cut])
+        system = EigenSystem(matrices[i], lams, columns[i], left_h[i], emission[i], pickup[i],
+                             np.array(own), np.array(lengths), on_circle[cut], bound[cut])
         if not np.maximum.reduce(bound[cut]) * GRAM_REL_TOL <= 1.0:  # NaN too: check the conditions
             condition = system.condition
             if not np.maximum.reduce(condition) * GRAM_REL_TOL <= 1.0:
                 bad = int(condition.argmax())
-                out[i] = IllConditionedChain(complex(lams[bad]), float(condition[bad]))
-    return out
+                raise IllConditionedChain(complex(lams[bad]), float(condition[bad]))
+        systems.append(system)
+    return systems
 
 
 # ---------------------------------------------------------------------------

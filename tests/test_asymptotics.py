@@ -1007,10 +1007,31 @@ def test_peak_tables_pick_the_fastest_start_for_lam_none(model, monkeypatch):
         assert (rows, summary) == table(fastest), name
 
 
-def test_lam_none_streams_the_grid_twice(monkeypatch):
-    # the track that picks lambda is a stream of its own: over N eps it
-    # walks and decomposes N + 1 eps, then the streamed pass walks and
-    # decomposes N + 1 eps, with no eigvals; a chunk counts each of its eps
+@pytest.mark.parametrize("grid", [None, geometric_grid(0.01, 0.6, 5)], ids=["default", "to-0.6"])
+@pytest.mark.parametrize("model", ["ms", "cycle4", "two_loop"])
+def test_lam_none_picks_as_a_track_of_the_whole_grid(monkeypatch, model, grid):
+    # the pick tracks eps = 0 to the last eps in one step, bisected where it
+    # must be, and ends where a track over every eps of the grid ends
+    family = PEAKS[model][0]
+    full = track_resonances(family, default_eps_grid() if grid is None else np.concatenate([[0.0], grid]))
+    fastest = full.starts[int(np.argmin(np.abs(full.paths[-1])))]
+    picks, tracker = [], asymptotics.track_resonances
+
+    def spy(family, eps_grid):
+        track = tracker(family, eps_grid)
+        picks.append((list(eps_grid), track.starts[int(np.argmin(np.abs(track.paths[-1])))]))
+        return track
+
+    monkeypatch.setattr(asymptotics, "track_resonances", spy)
+    _, summary = comfort_table(family, None, grid)
+    assert picks == [([0.0, full.eps_grid[-1]], fastest)]
+    assert complex(summary["lambda_re"], summary["lambda_im"]) == fastest
+
+
+def test_lam_none_streams_the_grid_once(monkeypatch):
+    # the pick walks and decomposes eps = 0 and the last eps, then the
+    # streamed pass walks and decomposes N + 1 eps, with no eigvals; a
+    # chunk counts each of its eps
     family, _, split = PEAKS["ms"]
     grid = geometric_grid(1e-3, 0.1, 25)
     counts = {"walk": 0, "decompose": 0, "eigvals": 0}
@@ -1025,7 +1046,7 @@ def test_lam_none_streams_the_grid_twice(monkeypatch):
     monkeypatch.setattr(asymptotics, "eigen_decompose", counted("decompose", eigen_decompose))
     monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
     width_table(counted("walk", family), None, split, grid)
-    assert counts == {"walk": 2 * len(grid) + 2, "decompose": 2 * len(grid) + 2, "eigvals": 0}
+    assert counts == {"walk": len(grid) + 3, "decompose": len(grid) + 3, "eigvals": 0}
 
 
 STREAMED = {
@@ -1164,6 +1185,31 @@ def test_a_chunk_raises_each_failure_when_the_stream_reaches_its_eps(monkeypatch
     with pytest.raises(spectral.IllConditionedChain):
         comfort_table(family, lam, [0.01, 0.02, 0.03])
     assert measured == [0.01]
+
+
+def test_a_plain_callable_raises_inside_a_chunk_after_the_eps_before_it(monkeypatch):
+    # a family with no ``walks`` is walked eps by eps, up to the first that
+    # fails: the two before it are decomposed in one call and measured, and
+    # then its own error is raised; the eps after it is never walked
+    ms, lam = matrix_schrodinger_family(), PEAKS["ms"][1]
+    walked, handed, decompose = [], [], asymptotics.eigen_decompose
+
+    def family(eps):
+        walked.append(eps)
+        return ms.walk(eps)
+
+    def decomposing(walks):
+        handed.append([walk.eps for walk in walks] if isinstance(walks, list) else [walks.eps])
+        return decompose(walks)
+
+    monkeypatch.setattr(asymptotics, "eigen_decompose", decomposing)
+    with pytest.raises(EpsOutOfRange) as alone:
+        ms.walk(0.8)
+    with pytest.raises(EpsOutOfRange) as streamed:
+        comfort_table(family, lam, [0.01, 0.02, 0.8, 0.9])
+    assert str(streamed.value) == str(alone.value)
+    assert walked == [0.0, 0.01, 0.02, 0.8]
+    assert handed == [[0.0], [0.01, 0.02]]
 
 
 def ms_with_factor(factor):

@@ -433,3 +433,14 @@ def test_transmission_plus_reflection_is_unity(r0, r1, gap, angle):
     z = cmath.exp(1j * angle)
     out = double_barrier(spec, z)
     assert abs(out.transmission + out.reflection - 1.0) <= 1e-10
+
+
+def test_spec_holds_its_coins_to_the_unitarity_rule():
+    # the rule eval_coins applies: a coin with a NaN entry has a NaN residual,
+    # which fails it, and a finite coin is named with its max-entry |C*C - I|
+    coin = rotation_coin(0.5)
+    with pytest.raises(BadBarrier, match=r"^barrier coin not unitary \(residual nan\)$"):
+        BarrierSpec((0, 3), (np.array([[np.nan, 0], [0, 1]]), coin))
+    with pytest.raises(BadBarrier, match=r"^barrier coin not unitary \(residual 3\.000e\+00\)$"):
+        BarrierSpec((0, 3), (coin, 2 * coin))
+    BarrierSpec((0, 3), (coin, coin * (1 + 4e-11)))

@@ -1170,3 +1170,66 @@ def test_a_mixed_stack_keeps_each_walks_system_and_error():
     assert stack[0].on_unit_circle.any()
     assert stack[3].multiplicity.max() == 2
     assert max(stack[5].lengths) == max(stack[7].lengths) == 2
+
+
+def spy_groups(monkeypatch):
+    """The number of walks in each ``_decompose_group`` call."""
+    sizes, original = [], spectral._decompose_group
+
+    def spy(walks, *args):
+        sizes.append(len(walks))
+        return original(walks, *args)
+
+    monkeypatch.setattr(spectral, "_decompose_group", spy)
+    return sizes
+
+
+def assert_each_walk_alone(stack, walks):
+    """Each member of ``stack`` is its walk's system, or raises its walk's error, decomposed alone."""
+    for k, walk in enumerate(walks):
+        try:
+            alone = eigen_decompose(walk)
+        except spectral.NumericalError as exc:
+            with pytest.raises(type(exc)) as read:
+                stack[k]
+            assert str(read.value) == str(exc)
+        else:
+            assert_same_bits(stack[k], alone)
+
+
+def test_a_failing_member_sends_its_group_walk_by_walk(monkeypatch):
+    # one dtype and sparsity pattern: one group, decomposed once as a stack;
+    # the second member raises there, so each walk is decomposed alone
+    walks = [bare(staircase(1e-5)), bare(staircase(1e-7))]
+    sizes = spy_groups(monkeypatch)
+    stack = eigen_decompose(walks)
+    assert sizes == [2, 1, 1]
+    assert_each_walk_alone(stack, walks)
+    with pytest.raises(IllConditionedChain):
+        stack[1]
+
+
+def upper_triangular(diagonal, fill):
+    """A walk on the eig path: an upper-triangular interior, whose arc digraph is not strongly connected."""
+    return bare(np.diag(diagonal) + np.triu(np.full((len(diagonal),) * 2, fill), 1))
+
+
+def test_a_singular_basis_blames_the_value_nearest_another(monkeypatch):
+    # alone, a walk whose inv fails names the cluster value nearest another
+    # one; a group whose inv fails is decomposed walk by walk, each naming its own
+    walks = [upper_triangular([0.1, 0.5, 0.52, 0.9], 0.1), upper_triangular([0.2, 0.9, 0.35, 0.85], 0.3)]
+    assert [eigen_decompose(walk).values.tolist() for walk in walks] == [
+        [0.1, 0.5, 0.52, 0.9], [0.2, 0.35, 0.85, 0.9]]
+
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    for walk, nearest in zip(walks, [0.5, 0.85]):
+        with pytest.raises(IllConditionedChain) as alone:
+            eigen_decompose(walk)
+        assert str(alone.value) == str(IllConditionedChain(complex(nearest), math.inf))
+    sizes = spy_groups(monkeypatch)
+    stack = eigen_decompose(walks)
+    assert sizes == [2, 1, 1]
+    assert_each_walk_alone(stack, walks)
