@@ -162,7 +162,7 @@ def _circle_grid(n: int) -> np.ndarray:
 def _project_to_circle(z: complex) -> complex:
     z = complex(z)
     radius = abs(z)
-    if abs(radius - 1.0) > CIRCLE_SLACK:
+    if not abs(radius - 1.0) <= CIRCLE_SLACK:  # NaN too
         raise ValueError(f"z = {z:.6g} is not on the unit circle")
     return z / radius
 
@@ -829,7 +829,7 @@ def _search_windows(shapes) -> None:
 def comfortability_bound(lambda_eps: complex) -> float:
     """Divergence-rate lower bound (1 + |l|) |l|^2 / (1 - |l|)."""
     mod = abs(lambda_eps)
-    if mod >= 1.0:
+    if not mod < 1.0:  # NaN too
         raise ResonanceOnCircle(f"|lambda| = {mod} is not inside the disk")
     return (1.0 + mod) * mod * mod / (1.0 - mod)
 

@@ -673,10 +673,9 @@ def _show_error(kind: str, exc: Exception) -> None:
 
 def main(argv=None) -> int:
     try:
+        # out of standalone mode click returns the code of --help and friends
         result = cli.main(args=argv, standalone_mode=False)
         return int(result) if isinstance(result, int) else 0
-    except click.exceptions.Exit as exc:  # --help and friends
-        return int(exc.exit_code)
     except click.UsageError as exc:
         exc.show()
         return 3

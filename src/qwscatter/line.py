@@ -26,7 +26,7 @@ import numpy as np
 
 from .coins import UNITARITY_TOL, _unitarity_residual, const_expr, eval_coins
 from .graph import build_graph
-from .scattering import scattering_matrix
+from .scattering import _points, scattering_matrix
 from .spectral import eigen_decompose
 from .walk import assemble
 
@@ -117,14 +117,12 @@ def transfer_matrix(coin, z) -> np.ndarray:
     """One-site transfer matrix (1/C11) [[z, -C12], [C21, det(C)/z]].
 
     Propagates the pair (left-moving amplitude at x, right-moving amplitude
-    at x+1) across the site x carrying the given coin.  A 1-d array of
-    ``nz`` points returns an ``(nz, 2, 2)`` stack.
+    at x+1) across the site x carrying the given coin.  ``z`` is a finite
+    point or a 1-d array of ``nz`` of them, which returns an ``(nz, 2, 2)`` stack.
     """
     coin = np.asarray(coin, dtype=complex)
     _check_corners(coin)
-    z = np.asarray(z, dtype=complex)
-    if z.ndim > 1:
-        raise ValueError(f"z must be a scalar or a 1-d array, got shape {z.shape}")
+    z, _ = _points(z)
     if np.any(z == 0):
         raise ZeroCorner(0j)
     entries = np.broadcast_arrays(z, -coin[0, 1], coin[1, 0], _det(coin) / z)

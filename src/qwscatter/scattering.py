@@ -28,8 +28,9 @@ scatters every tail in one pass (``amp_in = np.eye(n_tails)``), as one
 :class:`ResolventKernel` that can be evaluated at any number of ``z``.
 
 Every function that takes ``z`` takes a scalar or a 1-d array of
-points.  An array of ``nz`` points puts one leading axis of length
-``nz`` on each result, so ``scattering_matrix`` returns an
+finite points (:func:`_points`, the line's transfer matrices too).  An
+array of ``nz`` points puts one leading axis of length ``nz`` on each
+result, so ``scattering_matrix`` returns an
 ``(nz, n_tails, n_tails)`` stack; a scalar is the one-point case of the
 same computation and returns the shapes without that axis.  What does
 not depend on ``z`` (the chain coefficients ``W* T_ti amp_in``, the
@@ -137,12 +138,23 @@ def _first(mask: np.ndarray) -> int:
     return int(np.argmax(mask.reshape(-1)))
 
 
-def _check_z(z) -> np.ndarray:
-    """``z`` as a complex array of shape () or (nz,), clear of the zero guard."""
+def _points(z) -> tuple:
+    """``z`` as a complex array of shape () or (nz,) of finite points, and its moduli:
+    the z rule, applied here alone."""
     z = np.asarray(z, dtype=complex)
     if z.ndim > 1:
         raise ValueError(f"z must be a scalar or a 1-d array, got shape {z.shape}")
-    small = np.abs(z) < SMALL_Z
+    size = np.abs(z)
+    finite = size < math.inf  # NaN fails too
+    if np.count_nonzero(finite) < finite.size:
+        raise ValueError(f"z = {complex(z.reshape(-1)[_first(~finite)]):.9g} is not a finite point")
+    return z, size
+
+
+def _check_z(z) -> np.ndarray:
+    """``z`` as a complex array of shape () or (nz,) of finite points, clear of the zero guard."""
+    z, size = _points(z)
+    small = size < SMALL_Z
     if np.count_nonzero(small):
         bad = complex(z.reshape(-1)[_first(small)])
         raise PoleHit(
@@ -299,7 +311,7 @@ def oracle_direct_solve(
     over the regular points; only singular points fall back to the
     pseudo-inverse.
     """
-    z = np.asarray(z, dtype=complex)
+    z, _ = _points(z)
     amp_in = np.asarray(amp_in, dtype=complex)
     f = walk.tail_to_interior @ amp_in
     n0 = walk.n_interior
@@ -496,7 +508,7 @@ def transmission_reflection(matrix: np.ndarray, split: set, amp_in: np.ndarray) 
     if np.any(_supported(amp_in[~mask])):
         raise BadSupport("incoming amplitude has support outside the split")
     norm = float(np.linalg.norm(amp_in))
-    if abs(norm - 1.0) > NORMALIZATION_TOL:
+    if not abs(norm - 1.0) <= NORMALIZATION_TOL:  # NaN too
         raise NotNormalized(norm)
     out = matrix @ amp_in
     transmitted = np.sum(np.abs(out[..., ~mask]) ** 2, axis=-1)

@@ -43,14 +43,15 @@ rows of ``inv(V)``: if ``M V = V J`` then ``M* W = W J*``, which is the
 co-chain recursion, so ``W* V = I`` holds across the whole spectrum.
 
 A periodic interior takes its eigenpairs from a smaller problem: when
-its arc digraph splits into strongly connected components whose level
-classes have one size ``m``, each block is permutation-similar to a
-block-cyclic matrix (Varga, *Matrix Iterative Analysis*, §4.2), lifted
-from the eigenpairs of its ``m × m`` level product (:func:`_periodic_eig`).
-A weighted permutation (every cycle model, two-barrier line and
-``crossing``) has ``m = 1`` and runs no ``eig``.  Coinciding values, a
-singular level product or a lifted vector whose residual exceeds
-``n·u·||M||`` send that walk to ``eig``.
+its arc digraph is one strongly connected component whose level classes
+have one size ``m``, it is permutation-similar to a block-cyclic matrix
+(Varga, *Matrix Iterative Analysis*, §4.2), lifted from the eigenpairs
+of its ``m × m`` level product (:func:`_periodic_eig`).  A weighted
+cycle (every cycle model, two-barrier line and ``crossing``) has
+``m = 1`` and runs no ``eig``.  Any other interior, several components
+among them, takes ``eig``, and so does a walk whose values coincide,
+whose level product is singular or whose lifted vector leaves a
+residual above ``n·u·||M||``.
 """
 
 from __future__ import annotations
@@ -471,62 +472,51 @@ def _root_powers(size: int):
 
 
 def _levels(a: np.ndarray):
-    """The arcs of each component of ``a``'s arc digraph, class by class, or None.
+    """``(g, arcs)`` of ``a``'s arc digraph if it is one periodic component, else None.
 
     Arc ``j`` feeds arc ``k`` when ``a[k, j] != 0`` (exact zeros, as
-    ``assemble`` leaves them).  A breadth-first search from the first arc
-    of each component gives every arc a level, and the period ``g`` is the
-    gcd of ``level[j] + 1 - level[k]`` over the component's arcs, so every
-    arc runs from level class ``t`` to ``t + 1 (mod g)``.  A search back
-    along the arcs must reach the same arcs: each component is strongly
-    connected and no arc joins two of them.  Returns ``(g, arcs)`` per
-    component, its arcs class by class (a cycle's in its own order), or
-    None for a component of period 1 with more than one arc, or with
-    classes of unequal size.  A weighted permutation (every cycle model,
-    two-barrier line and ``crossing``) is its cycles, each of period its
-    length with one arc per class, from its lowest arc.
+    ``assemble`` leaves them).  A breadth-first search from arc 0 must
+    reach every arc; it gives each a level, and the period ``g`` is the
+    gcd of ``level[j] + 1 - level[k]`` over the arcs, so every arc runs
+    from level class ``t`` to ``t + 1 (mod g)``.  A search back along the
+    arcs must reach every arc too: the digraph is strongly connected.
+    Returns ``(g, arcs)``, the arcs class by class (a cycle's in its own
+    order, from arc 0), or None for period 1 with more than one arc,
+    classes of unequal size, or an interior that is not one strongly
+    connected component.  A weighted cycle (every cycle model, two-barrier
+    line and ``crossing``) has period its length with one arc per class.
     """
     n = a.shape[0]
     feeds = [divmod(f, n) for f in np.flatnonzero(a != 0).tolist()]  # (k, j): arc j feeds arc k
-    ahead, back = [[] for _ in range(n)], None
+    ahead = [[] for _ in range(n)]
     for k, j in feeds:
         ahead[j].append(k)
-    level, out = [-1] * n, []
-    for root in range(n):
-        if level[root] >= 0:
-            continue
-        level[root], arcs, g = 0, [root], 0
-        for j in arcs:  # arcs grows as the search reaches new ones
-            step = level[j] + 1
-            for k in ahead[j]:
-                if level[k] < 0:
-                    level[k] = step
-                    arcs.append(k)
-                elif level[k] != step:
-                    g = math.gcd(g, step - level[k])
-        if not (g > 1 or len(arcs) == g == 1):
-            return None
-        classes = [[] for _ in range(g)]
-        for j in arcs:
-            classes[level[j] % g].append(j)
-        if any(len(c) * g != len(arcs) for c in classes):
-            return None
-        if back is None:
-            back = [[] for _ in range(n)]
-            for k, j in feeds:
-                back[k].append(j)
-        reached, seen = [root], {root}
-        for k in reached:
-            for j in back[k]:
-                if j not in seen:
-                    if level[j] < 0:  # an arc into the component from outside
-                        return None
-                    seen.add(j)
-                    reached.append(j)
-        if len(reached) != len(arcs):
-            return None
-        out.append((g, [j for c in classes for j in c]))
-    return out
+    level, arcs, g = [0] + [-1] * (n - 1), [0], 0
+    for j in arcs:  # arcs grows as the search reaches new ones
+        step = level[j] + 1
+        for k in ahead[j]:
+            if level[k] < 0:
+                level[k] = step
+                arcs.append(k)
+            elif level[k] != step:
+                g = math.gcd(g, step - level[k])
+    if len(arcs) < n or not (g > 1 or n == g == 1):
+        return None
+    classes = [[] for _ in range(g)]
+    for j in arcs:
+        classes[level[j] % g].append(j)
+    if any(len(c) * g != n for c in classes):
+        return None
+    back = [[] for _ in range(n)]
+    for k, j in feeds:
+        back[k].append(j)
+    reached, seen = [0], {0}
+    for k in reached:
+        for j in back[k]:
+            if j not in seen:
+                seen.add(j)
+                reached.append(j)
+    return (g, [j for c in classes for j in c]) if len(reached) == n else None
 
 
 def _cycle_eig(weights: np.ndarray, real: bool):
@@ -626,45 +616,32 @@ def _squares(a: np.ndarray, axis) -> np.ndarray:
 
 
 def _periodic_eig(a: np.ndarray):
-    """Closed-form eigenpairs of the stacked ``a`` if every component of their arc digraph is periodic.
+    """Closed-form eigenpairs of the stacked ``a`` if their arc digraph is one periodic component.
 
-    One :func:`_levels` search serves the stack's pattern.  A component of
-    period g with one arc per class is a weighted cycle, lifted for the whole
-    stack at once (:func:`_cycle_eig`); one with m > 1 arcs per class runs
-    ``eig`` on each member's m × m level product (:func:`_level_product_eig`),
-    whose lifted vectors must leave residuals within ``n·u·||M||``.  Returns
-    stacked values, vectors, dual rows and 2-norms (NaN where declined), or None.
+    One :func:`_levels` search serves the stack's pattern.  Period g with
+    one arc per class is a weighted cycle, lifted for the whole stack at
+    once (:func:`_cycle_eig`); m > 1 arcs per class runs ``eig`` on each
+    member's m × m level product (:func:`_level_product_eig`), whose lifted
+    vectors must leave residuals within ``n·u·||M||``.  Returns stacked
+    values, vectors, dual rows and 2-norms (NaN where declined), or None.
     """
-    k, n = a.shape[:2]
-    components = _levels(a[0])
-    if components is None:
+    n = a.shape[1]
+    levels = _levels(a[0])
+    if levels is None:
         return None
+    g, arcs = levels
     real = not np.iscomplexobj(a)
-    sums = a.sum(axis=1)  # a cycle's arc feeds one arc: its column sum is its weight
-    parts = []
-    for g, arcs in components:
-        if g == len(arcs):
-            parts.append(_cycle_eig(sums[:, arcs], real))
-        else:
-            grid, size = np.array(arcs).reshape(g, -1), len(arcs)
-            declined = (np.broadcast_to(0j, size), *[np.broadcast_to(0j, (size, size))] * 2, math.nan, 0.0)
-            lifts = [_level_product_eig(b, real) or declined
-                     for b in a[:, np.roll(grid, -1, axis=0)[:, :, None], grid[:, None, :]]]
-            parts.append([np.stack(field) for field in zip(*lifts)])
-    if len(parts) == 1:
-        values, rows, co, scale, miss = parts[0]
-    else:  # block diagonal, columns in component order
-        scale, miss = (np.maximum.reduce([part[f] for part in parts]) for f in (3, 4))
-        values = np.concatenate([part[0] for part in parts], axis=1)
-        rows, co = np.zeros((2, k, n, n), dtype=complex)
-        stop = 0
-        for _, block, co_block, *_ in parts:
-            cut = slice(stop, stop + block.shape[1])
-            rows[:, cut, cut], co[:, cut, cut], stop = block, co_block, cut.stop
+    if g == n:  # a cycle's arc feeds one arc: its column sum is its weight
+        values, rows, co, scale, miss = _cycle_eig(a.sum(axis=1)[:, arcs], real)
+    else:
+        grid = np.array(arcs).reshape(g, -1)
+        declined = (np.broadcast_to(0j, n), *[np.broadcast_to(0j, (n, n))] * 2, math.nan, 0.0)
+        lifts = [_level_product_eig(b, real) or declined
+                 for b in a[:, np.roll(grid, -1, axis=0)[:, :, None], grid[:, None, :]]]
+        values, rows, co, scale, miss = map(np.stack, zip(*lifts))
     scale[~(miss <= n * UNIT_ROUNDOFF * scale)] = math.nan
-    order = [j for _, arcs in components for j in arcs]
-    if order != list(range(n)):  # columns back in arc order
-        inverse = np.argsort(order)
+    if arcs != list(range(n)):  # columns back in arc order
+        inverse = np.argsort(arcs)
         rows, co = rows[:, :, inverse], co[:, :, inverse]
     return values, rows.transpose(0, 2, 1), co, scale
 

@@ -246,6 +246,32 @@ def test_a_walk_with_no_circle_start_is_built_at_eps_zero_alone():
     assert track.starts == () and track.paths.shape == (3, 0)
 
 
+def test_a_walk_with_no_circle_start_names_no_resonance():
+    graph, coins = line_to_graph(BarrierSpec((0, 20), (rotation_coin(0.8), rotation_coin(0.6))))
+    with pytest.raises(ValueError, match="no resonances tracked"):
+        tunneling_check(ModelFamily("line", graph, coins, eps_limit=math.inf), 0.01, 1j, (1,))
+
+
+def test_a_negative_eps_has_no_tunneling_check():
+    with pytest.raises(ValueError, match="eps must be nonnegative"):
+        tunneling_check(matrix_schrodinger_family(), -0.01, 1j, (1,))
+
+
+def test_an_eps_grid_with_no_positive_point_is_refused():
+    with pytest.raises(ValueError, match="need at least one positive eps value"):
+        discrepancy_table(matrix_schrodinger_family(), 1j, [0.0])
+
+
+def test_a_nan_z_is_not_on_the_circle():
+    with pytest.raises(ValueError, match="z = nan\\+0j is not on the unit circle"):
+        discrepancy_table(matrix_schrodinger_family(), math.nan, [0.01, 0.02])
+
+
+def test_a_nan_resonance_has_no_comfortability_bound():
+    with pytest.raises(ResonanceOnCircle, match="nan"):
+        comfortability_bound(complex(math.nan, 0.0))
+
+
 def test_nonresonant_point_keeps_distance():
     fam = matrix_schrodinger_family()
     z = nonresonant_point(fam)

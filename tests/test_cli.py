@@ -58,6 +58,12 @@ def write_model(tmp_path, name, document):
     return str(path)
 
 
+
+def test_help_exits_zero():
+    code, out, err = run_cli(["--help"])
+    assert code == 0 and err == ""
+    assert "Usage:" in out
+
 def self_loop_document(coin_rows):
     return {
         "vertices": ["u"],

@@ -1,6 +1,7 @@
 """Tests for generalized eigenfunctions and the scattering matrix routes."""
 
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwscatter.scattering as scattering
-from qwscatter.asymptotics import TunnelingReport, _peak_at
+from qwscatter.asymptotics import TunnelingReport, _peak_at, tunneling_check
 from qwscatter.coins import eval_coins
 from qwscatter.graph import build_graph
-from qwscatter.line import BarrierSpec, line_to_graph, rotation_coin
+from qwscatter.line import BarrierSpec, barrier_scattering, line_to_graph, rotation_coin
 from qwscatter.models import (
     closed_form_sigma_cycle,
     closed_form_sigma_ms,
@@ -209,6 +210,47 @@ def test_transmission_guards():
     t, r = transmission_reflection(sigma, {1, 2}, np.array([0.6, 0.8]))
     assert t == 0.0
     assert abs(r - 1) <= 1e-12
+
+
+def test_a_nan_amplitude_is_not_normalized():
+    sigma = scattering_matrix(ms_walk(0.3), np.exp(0.3j)).matrix
+    with pytest.raises(NotNormalized, match="nan"):
+        transmission_reflection(sigma, {1}, np.array([np.nan, 0.0]))
+
+
+def nonzero_off_circle(walk):
+    return [c for c in eigen_decompose(walk).off_circle() if not c.is_zero]
+
+
+# one callable per entry point that takes z
+Z_ENTRY_POINTS = {
+    "smatrix-resolvent": lambda z: scattering_matrix(ms_walk(), z),
+    "smatrix-expansion": lambda z: scattering_matrix(ms_walk(), z, "expansion"),
+    "generalized-eigenfunction": lambda z: generalized_eigenfunction(ms_walk(), z, np.array([1.0, 0.0])),
+    "pole-block": lambda z: pole_block(ms_walk(), nonzero_off_circle(ms_walk()), z),
+    "line-shape": lambda z: tunneling_check(matrix_schrodinger_family(), 0.1, 1j, (1,)).line_shape(z),
+    "oracle": lambda z: oracle_direct_solve(ms_walk(), z, np.eye(2)),
+    "barrier": lambda z: barrier_scattering(BarrierSpec((0, 3), (rotation_coin(0.8), rotation_coin(0.6))), z),
+}
+
+
+@pytest.mark.parametrize(
+    "z, named",
+    [(complex(np.nan, 0.0), "nan+0j"), (complex(np.inf, 0.0), "inf+0j"), (complex(0.0, -np.inf), "0-infj"),
+     (np.array([1j, complex(np.nan, 1.0), np.inf]), "nan+1j")],
+    ids=["nan", "inf", "minus-inf-imag", "first-bad-in-array"],
+)
+@pytest.mark.parametrize("entry", sorted(Z_ENTRY_POINTS))
+def test_a_non_finite_z_is_refused_at_every_entry_point(entry, z, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic warns
+        with pytest.raises(ValueError, match=re.escape(f"z = {named} is not a finite point")):
+            Z_ENTRY_POINTS[entry](z)
+
+
+def test_the_direct_solve_refuses_a_2d_z():
+    with pytest.raises(ValueError, match=re.escape("got shape (2, 1)")):
+        oracle_direct_solve(ms_walk(), np.array([[1j], [-1j]]), np.eye(2))
 
 
 def test_comfortability_is_interior_mass():

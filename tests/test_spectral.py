@@ -823,7 +823,6 @@ PERMUTATION_WALKS = {
     },
     **{f"line-x{x0}": (lambda x0=x0: barrier_line_walk(x0)[1]) for x0 in (1, 40, 100)},
     "crossing": lambda: crossing_family().walk(0.3),
-    "complex-cycles-1-2-5": complex_permutation,
 }
 
 
@@ -942,8 +941,8 @@ def not_strongly_connected():
     """Two period-2 lines, one arc from the first into the second's next level class."""
     first = np.asarray(rotation_line_walk((0, 5, 13)).interior)
     second = np.asarray(three_barrier_line_walk().interior)
-    (_, arcs_first), = spectral._levels(first.real)
-    (_, arcs_second), = spectral._levels(second.real)
+    _, arcs_first = spectral._levels(first.real)
+    _, arcs_second = spectral._levels(second.real)
     a = np.zeros((52, 52), dtype=complex)
     a[:26, :26], a[26:, 26:] = first, second
     a[26 + arcs_second[13], arcs_first[0]] = 0.5  # level class 0 feeds class 1
@@ -1005,15 +1004,77 @@ def test_other_interiors_keep_their_eig(monkeypatch, build):
     n = walk.interior.shape[0]
     seen = spy_shapes(monkeypatch, "eig")
     system = eigen_decompose(walk)
-    # equal lines decompose one by one before their values are found to coincide
     assert seen[-1] == (n, n) and seen.count((n, n)) == 1
     assert sum(system.multiplicity.tolist()) == n
+
+
+def two_rings_family():
+    """Rings a0 -> a1 -> a0 and b0 -> b1 -> b2 -> b0, tail 1 at a0 and tail 2 at b0."""
+    graph = build_graph(["a0", "a1", "b0", "b1", "b2"],
+                        [("a0", "a1"), ("a1", "a0"), ("b0", "b1"), ("b1", "b2"), ("b2", "b0")],
+                        [(1, "a0", "a0"), (2, "b0", "b0")])
+    coins = {"a0": [["sqrt(1-eps^2)", "eps"], ["-eps", "sqrt(1-eps^2)"]], "a1": [["1"]],
+             "b0": [["sqrt(1-0.25*eps^2)", "0.5*eps"], ["-0.5*eps", "sqrt(1-0.25*eps^2)"]],
+             "b1": [["exp(i*pi/5)"]], "b2": [["1"]]}
+    return ModelFamily("two-rings", graph, parse_coin_family(coins), eps_limit=1.0)
+
+
+def permutation_values(a):
+    """The values of the weighted permutation ``a``: per cycle, the roots of its weight product."""
+    succ = np.argmax(a != 0, axis=0)
+    roots = []
+    for size, cycle in cycles_of(succ.tolist()):
+        product = np.prod(a[succ[cycle], cycle])
+        roots += [product ** (1 / size) * np.exp(2j * np.pi * t / size) for t in range(size)]
+    return np.array(roots)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [complex_permutation, lambda: two_cycle3_family().walk(0.3), lambda: two_rings_family().walk(0.3)],
+    ids=["complex-cycles-1-2-5", "two-cycle3", "two-rings"],
+)
+def test_several_periodic_components_take_one_eig(monkeypatch, build):
+    walk = build()
+    a = np.asarray(walk.interior)
+    seen = spy_shapes(monkeypatch, "eig")
+    system = eigen_decompose(walk)
+    assert seen == [a.shape]
+    assert len(system.values) == len(a)
+    assert np.abs(np.subtract.outer(permutation_values(a), system.values)).min(axis=1).max() <= 1e-13
 
 
 def test_a_singular_level_product_decomposes_into_a_jordan_chain_at_zero():
     system = eigen_decompose(singular_level_product())
     zero = system.zero_cluster()
     assert zero.multiplicity == 2 and zero.lengths == (2,)
+
+
+def test_a_level_product_with_a_singular_eigenvector_matrix_declines():
+    # P = b[1] b[0] is a Jordan block at 1, whose two eig columns LAPACK gives equal
+    b = np.array([np.eye(2), [[-1.0, 2.0], [-2.0, 3.0]]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.linalg.eig(b[1] @ b[0])[1])
+    assert spectral._level_product_eig(b, True) is None
+
+
+def test_a_chain_shorter_than_the_floor_is_ill_conditioned():
+    with pytest.raises(IllConditionedChain, match=r"eigenvalue 0\.5\+0j .*condition inf"):
+        spectral._right_chains(jordan_example(), 0.5, 2, floor=2.0)
+
+
+def test_a_column_shorter_than_the_floor_is_ill_conditioned(monkeypatch):
+    # eig's columns have unit norm and a closed-form column holds a 1: only a patch makes one short
+    eig_pairs = spectral._eig_pairs
+
+    def short_column(a):
+        values, vectors, co, scale = eig_pairs(a)
+        vectors[:, :, 1] = 0
+        return values, vectors, co, scale
+
+    monkeypatch.setattr(spectral, "_eig_pairs", short_column)
+    with pytest.raises(IllConditionedChain, match=r"eigenvalue 0\.5\+0j .*condition inf"):
+        eigen_decompose(upper_triangular([0.1, 0.5, 0.52, 0.9], 0.1))
 
 
 def test_level_search_needs_strong_connectivity():
@@ -1062,7 +1123,9 @@ INTERLEAVED = [6, 4, 5, 3, 7, 1, 0, 2]
     + list(random_permutations()),
 )
 def test_the_level_search_finds_a_weighted_permutations_cycles(succ, weights):
-    assert spectral._levels(weighted_permutation(succ, weights)) == cycles_of(succ)
+    # one cycle is one periodic component; several go to eig
+    cycles = cycles_of(succ)
+    assert spectral._levels(weighted_permutation(succ, weights)) == (cycles[0] if len(cycles) == 1 else None)
 
 
 def test_a_zero_column_or_a_repeated_successor_is_no_permutation():

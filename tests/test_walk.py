@@ -94,6 +94,12 @@ def test_missing_coin_rejected():
         assemble(g, {"u": np.eye(2)})
 
 
+def test_an_isolated_vertex_needs_no_coin():
+    arcs, tails, coins = [("u", "v"), ("v", "u")], [(1, "u", "u")], {"u": np.eye(2), "v": np.eye(1)}
+    lone = assemble(build_graph(["u", "v", "lone"], arcs, tails), coins)
+    assert np.array_equal(lone.full, assemble(build_graph(["u", "v"], arcs, tails), coins).full)
+
+
 def test_wrong_coin_shape_rejected():
     g = build_graph(["u", "v"], [("u", "v"), ("v", "u")], [(1, "u", "u")])
     with pytest.raises(DimensionMismatch):
