@@ -50,7 +50,6 @@ from .line import (
     ZeroCorner,
     barrier_scattering,
     double_barrier,
-    double_barrier_peaks,
     double_barrier_state_balance,
     graph_transmission,
     line_to_graph,

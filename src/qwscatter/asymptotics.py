@@ -22,14 +22,15 @@ fitted slopes and band checks; the command line serialises them.
 The tables that follow a resonance (tunneling, width, comfort and
 remainder) stream the eps grid (:func:`_stream`): each eps's walk is
 built once and decomposed once, a chunk of eps in one ``family.walks``
-and one ``eigen_decompose`` call (:func:`_decomposed`), tracking matches on that
-decomposition's cluster values, and the measure at that eps reads the
-same walk and decomposition, one eps at a time.  Each peak builds one
-resolvent kernel over every tail and the co-state profile, and checks the split
-once: one solve at z* gives T, R, the out-channel overlap and the
-comfortability.  The half-height window reads a :class:`LineShape` off
-the same kernel, with no new solve: T through the split as a pole–residue
-sum, O(n_poles·n_channels) per z with no interior wave.  A sweep keeps
+and one ``eigen_decompose`` call (:func:`_decomposed`, which alone orders
+errors by eps), tracking matches on that decomposition's cluster values,
+and the measure at that eps reads the same walk and decomposition, one
+eps at a time.  Each peak builds one resolvent kernel over every tail and
+the co-state profile, and checks the split once: one solve at z* gives
+T, R, the out-channel overlap and the comfortability.  The half-height
+window reads a :class:`LineShape` off the same kernel, with no new solve:
+T through the split as a pole–residue sum, O(n_poles·n_channels) per z
+with no interior wave.  A sweep keeps
 only each eps's line shape past the stream and searches every window
 afterwards in one lockstep (:func:`_search_windows`), one stacked
 evaluation per step for all the eps, each bracket stepping on its own
@@ -51,6 +52,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .scattering import (
+    _channel_mask,
     _check_route,
     _checked,
     _hits,
@@ -290,36 +292,23 @@ def _decomposed(family, eps_values, n0: int):
     """``(eps, walk, system)`` for each of ``eps_values``, decomposed a chunk at a time.
 
     Each chunk's walks are built in one ``family.walks`` call (eps by eps
-    for a plain callable, up to the first that fails) and decomposed in one
-    :func:`eigen_decompose` call, their ``n0 × n0`` interiors within
-    ``CHUNK_BYTES``.  An error raises when the stream reaches its eps, after
-    the chunk's earlier eps: a walk's when it was built, a decomposition's
-    when its system is read.  One chunk is alive at a time.
+    for a plain callable) and decomposed in one :func:`eigen_decompose`
+    call, their ``n0 × n0`` interiors within ``CHUNK_BYTES``.  A chunk that
+    raises is redone eps by eps, so an eps's own error raises when the
+    stream reaches it, after the chunk's earlier eps.  One chunk is alive
+    at a time.
     """
     size = max(1, CHUNK_BYTES // (16 * n0 * n0 or 1))
     for start in range(0, len(eps_values), size):
         chunk = eps_values[start : start + size]
-        walks = family.walks(chunk) if hasattr(family, "walks") else _each_walk(family, chunk)
-        stop = next((k for k, walk in enumerate(walks) if isinstance(walk, Exception)), len(walks))
-        failure = walks[stop] if stop < len(walks) else None
-        walks = walks[:stop]
-        systems = eigen_decompose(walks) if walks else ()
-        for k, walk in enumerate(walks):
-            yield float(chunk[k]), walk, systems[k]
-        del walks, systems  # the next chunk is built with this one gone
-        if failure is not None:
-            raise failure
-
-
-def _each_walk(family, chunk) -> list:
-    """``family(eps)`` for each eps of ``chunk``, up to and with the error of the first that fails."""
-    walks = []
-    for eps in chunk:
         try:
-            walks.append(family(eps))
-        except Exception as exc:  # raised once the eps before it are yielded
-            return walks + [exc]
-    return walks
+            walks = family.walks(chunk) if hasattr(family, "walks") else list(map(family, chunk))
+            members = zip(walks, eigen_decompose(walks))
+        except Exception:  # the chunk again eps by eps: the eps before the failing one come first
+            members = ((walk, eigen_decompose(walk)) for walk in map(family, chunk))
+        for eps, (walk, system) in zip(chunk, members):
+            yield float(eps), walk, system
+        walks = members = walk = system = None  # the next chunk is built with this one gone
 
 
 class _GridPoint(NamedTuple):
@@ -477,11 +466,7 @@ class TunnelingReport:
         if not channels:
             raise ValueError("channel split must be nonempty")
         n_tails = peak.walk.n_tails
-        mask = np.zeros(n_tails, dtype=bool)
-        for n in channels:
-            if not 1 <= n <= n_tails:
-                raise ValueError(f"channel {n} is not one of 1..{n_tails}")
-            mask[n - 1] = True
+        mask = _channel_mask(channels, n_tails)
         if mask.all():
             raise ValueError("channel split must leave at least one channel out")
         restricted = np.where(mask, peak.profile, 0.0)

@@ -15,9 +15,11 @@ directly.  Any other division by zero is an error.
 
 A family is compiled once (:class:`CoinProgram`) and evaluated over a
 whole stack of eps: each node of each entry shape is one numpy operation.
-Values keep the bits of CPython's complex arithmetic and ``cmath``: a
-node uses CPython's formula where numpy's differs, and an element numpy
-cannot be trusted with takes CPython's own operation.
+A stack returns every eps's coins or raises the first failing eps's
+error, as that eps alone raises it.  Values keep the bits of CPython's
+complex arithmetic and ``cmath``: a node uses CPython's formula where
+numpy's differs, and an element numpy cannot be trusted with takes
+CPython's own operation.
 """
 
 from __future__ import annotations
@@ -569,7 +571,6 @@ class CoinStack(NamedTuple):
 
     layout: dict  # vertex -> (its coin's first entry, its shape), in family order
     values: np.ndarray  # every entry at each eps, (n_eps, entries)
-    errors: list  # each eps's error, or None
 
 
 def _unitarity_residual(stack: np.ndarray) -> np.ndarray:
@@ -586,13 +587,14 @@ def eval_coins(coins, eps):
     """Evaluate every coin in the family at ``eps``, or at each of a 1-D array of eps.
 
     ``coins`` is a family or its :class:`CoinProgram`.  At one eps the
-    result is a dict vertex -> matrix, and an error raises; at an array it
-    is their :class:`CoinStack`, which keeps each eps's error.  Square
-    coins are required to be unitary to ``UNITARITY_TOL`` (max-entry norm
-    of C*C - I); a coin with a non-finite entry is not.  The coins of each
-    size are checked in one stack, and the first failing vertex in family
-    order is named.  Rectangular grids are left to the walk assembler,
-    which will reject them with a dimension error.
+    result is a dict vertex -> matrix; at an array it is their
+    :class:`CoinStack`.  Either way the first failing eps raises the error
+    it raises alone.  Square coins are required to be unitary to
+    ``UNITARITY_TOL`` (max-entry norm of C*C - I); a coin with a non-finite
+    entry is not.  The coins of each size are checked in one stack, and the
+    first failing vertex in family order is named.  Rectangular grids are
+    left to the walk assembler, which will reject them with a dimension
+    error.
     """
     program = coins if isinstance(coins, CoinProgram) else CoinProgram(coins)
     grid = np.asarray(eps, dtype=float)
@@ -604,9 +606,9 @@ def eval_coins(coins, eps):
     for k in np.flatnonzero(~(residual <= UNITARITY_TOL).all(axis=1)):
         v = np.flatnonzero(~(residual[k] <= UNITARITY_TOL))[0]
         errors[k] = errors[k] or NotUnitary(program.vertices[v], float(residual[k, v]))
+    for error in filter(None, errors):
+        raise error  # the first failing eps's
     if grid.ndim:
-        return CoinStack(program.layout, values, errors)
-    if errors[0] is not None:
-        raise errors[0]
+        return CoinStack(program.layout, values)
     return {v: values[0, start : start + rows * cols].reshape(rows, cols)
             for v, (start, (rows, cols)) in program.layout.items()}

@@ -137,9 +137,9 @@ class BarrierScattering:
     M of :func:`barrier_scattering`: transmission = 1/|a|^2 and reflection
     = |b/a|^2, each an array over z when z is one.  For two barriers
     ``resonances`` lists the nonzero resonances (the conventional
-    resonance at 0 is omitted) and ``peaks`` the unit-circle spectral
-    parameters of perfect transmission candidates, when defined; both are
-    empty for any other number of barriers.
+    resonance at 0 is omitted) and ``peaks`` their radial projections
+    λ/|λ|, the unit-circle points where a transmission peak can sit; both
+    are empty for any other number of barriers.
     """
 
     z: complex
@@ -169,7 +169,7 @@ def barrier_scattering(spec: BarrierSpec, z) -> BarrierScattering:
     if len(spec.positions) == 2:
         c0, cx = spec.coins
         resonances = _roots_of_power(2 * spec.positions[1], c0[1, 0] * cx[0, 1])
-        peaks = double_barrier_peaks(spec)
+        peaks = tuple(lam / abs(lam) for lam in resonances if lam)
     return BarrierScattering(
         z=z[()],
         transmission=1.0 / np.abs(a) ** 2,
@@ -191,22 +191,6 @@ def double_barrier(spec: BarrierSpec, z) -> BarrierScattering:
     if len(spec.positions) != 2:
         raise BadBarrier("double_barrier needs exactly two barriers")
     return barrier_scattering(spec, z)
-
-
-def double_barrier_peaks(spec: BarrierSpec) -> tuple:
-    """Unit-circle points where a two-barrier transmission peak can sit.
-
-    These are the 2*x0 roots of z^{2 x0} = -C(0)_21 det(C(x0)) / C(x0)_21,
-    a unimodular right-hand side; empty when C(x0)_21 = 0 (in that case
-    the peak condition degenerates).
-    """
-    if len(spec.positions) != 2:
-        raise BadBarrier("double_barrier_peaks needs exactly two barriers")
-    c0, cx = spec.coins
-    x0 = spec.positions[1]
-    if abs(cx[1, 0]) <= CORNER_TOL:
-        return ()
-    return _roots_of_power(2 * x0, -c0[1, 0] * _det(cx) / cx[1, 0])
 
 
 def _roots_of_power(order: int, value: complex) -> tuple:

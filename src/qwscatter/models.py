@@ -4,6 +4,10 @@ random test models.
 Closed forms are implemented straight from the displayed formulas, with
 no code shared with the spectral pipeline below complex arithmetic:
 they are the reference values everything else is checked against.
+
+A :class:`ModelFamily` builds its walk at one eps, or the walks of a
+stack of eps from one coin evaluation and one assembly; a stack returns
+every walk or raises, as one eps does.
 """
 
 from __future__ import annotations
@@ -50,23 +54,13 @@ class ModelFamily:
         return CoinProgram(self.coins)
 
     def walks(self, eps_values) -> list:
-        """Each eps's walk, or the error its build raised (as ``walk`` raises it),
-        from one coin evaluation and one assembly."""
-        checked = []
-        for eps in eps_values:
-            try:
-                checked.append(self.check_eps(eps))
-            except EpsOutOfRange as exc:
-                checked.append(exc)
-        good = [eps for eps in checked if not isinstance(eps, Exception)]
-        built = iter(assemble(self.graph, eval_coins(self.program, np.array(good, dtype=float)), good))
-        return [eps if isinstance(eps, Exception) else next(built) for eps in checked]
+        """Each eps's walk, from one coin evaluation and one assembly; an eps
+        out of range, or the first that fails to build, raises as ``walk`` does."""
+        checked = [self.check_eps(eps) for eps in eps_values]
+        return assemble(self.graph, eval_coins(self.program, np.array(checked, dtype=float)), checked)
 
     def walk(self, eps: float) -> WalkOperator:
-        member = self.walks([eps])[0]
-        if isinstance(member, Exception):
-            raise member
-        return member
+        return self.walks([eps])[0]
 
     __call__ = walk
 

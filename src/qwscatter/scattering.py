@@ -486,6 +486,16 @@ def scattering_matrix(
     return ScatteringReport(z[()], walk.eps, route, matrix, residual, residuals)
 
 
+def _channel_mask(split, n_tails: int) -> np.ndarray:
+    """The tails of ``split``, 1-based channel numbers, as a mask: the channel-split rule alone."""
+    mask = np.zeros(n_tails, dtype=bool)
+    for n in split:
+        if not 1 <= n <= n_tails:
+            raise BadSupport(f"channel {n} is not one of 1..{n_tails}")
+        mask[n - 1] = True
+    return mask
+
+
 def transmission_reflection(matrix: np.ndarray, split: set, amp_in: np.ndarray) -> tuple:
     """Transmitted and reflected power for a wave entering on channels ``split``.
 
@@ -499,12 +509,7 @@ def transmission_reflection(matrix: np.ndarray, split: set, amp_in: np.ndarray) 
     """
     matrix = np.asarray(matrix, dtype=complex)
     amp_in = np.asarray(amp_in, dtype=complex)
-    nt = matrix.shape[-1]
-    mask = np.zeros(nt, dtype=bool)
-    for n in split:
-        if not 1 <= n <= nt:
-            raise BadSupport(f"channel {n} is not one of 1..{nt}")
-        mask[n - 1] = True
+    mask = _channel_mask(split, matrix.shape[-1])
     if np.any(_supported(amp_in[~mask])):
         raise BadSupport("incoming amplitude has support outside the split")
     norm = float(np.linalg.norm(amp_in))

@@ -32,11 +32,12 @@ interiors (the real eigensolver for a real interior, whose nonreal pairs
 come out exact conjugates), or one closed-form lift, serves every simple
 cluster, and one sort, normalisation, ``inv`` and classification on or
 off the circle run over the stack; each walk keeps the bits it gets
-alone, and a group that fails is decomposed again walk by walk.  A
-multiple cluster is *semisimple* when its ``eig`` values agree within
-the floor and its unit columns are well conditioned
-(:func:`_semisimple`): those columns are its chains.  The others run the
-Jordan staircase on their own generalized eigenspace, walk by walk.
+alone.  When a group fails, the stack is decomposed again walk by walk,
+in order, so it raises the first failing walk's own error.  A multiple
+cluster is *semisimple* when its ``eig`` values agree within the floor
+and its unit columns are well conditioned (:func:`_semisimple`): those
+columns are its chains.  The others run the Jordan staircase on their
+own generalized eigenspace, walk by walk.
 
 The co-chains are the dual basis of the whole right basis ``V``, the
 rows of ``inv(V)``: if ``M V = V J`` then ``M* W = W J*``, which is the
@@ -754,23 +755,16 @@ def _classify(to_tail: np.ndarray, from_tail: np.ndarray, right: np.ndarray, lef
     return np.sqrt(sq[:, 0] * sq[:, 2]), circle, emission, pickup
 
 
-class EigenStack(Sequence):
-    """The systems of a sequence of walks (:func:`eigen_decompose`): member ``k``
-    is its :class:`EigenSystem`, or raises the error its decomposition raised.
+class EigenStack(tuple):
+    """The systems of a sequence of walks (:func:`eigen_decompose`), in order:
     ``matrix`` (the largest interior) and ``clusters`` (none) read as one system's."""
 
     clusters = ()
 
-    def __init__(self, members: tuple, matrix: np.ndarray):
-        self.members, self.matrix = members, matrix  # each walk's EigenSystem or error; the largest interior
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __getitem__(self, k):
-        if isinstance(self.members[k], Exception):
-            raise self.members[k]
-        return self.members[k]
+    def __new__(cls, systems, matrix: np.ndarray):
+        out = super().__new__(cls, systems)
+        out.matrix = matrix
+        return out
 
 
 def eigen_decompose(walks):
@@ -779,7 +773,8 @@ def eigen_decompose(walks):
 
     One walk is a stack of one, on the same path: each step runs once over the walks of one dtype,
     tail shape and sparsity pattern, elementwise or as each walk's own LAPACK or BLAS call, so every
-    array has the bits of its walk alone.  A group that fails is decomposed again walk by walk.
+    array has the bits of its walk alone.  A stack that fails is decomposed again walk by walk, in
+    order, so the first walk that fails alone raises its own error.
     """
     stack = walks if isinstance(walks, Sequence) else [walks]
     members, groups = [None] * len(stack), {}
@@ -788,16 +783,18 @@ def eigen_decompose(walks):
     inputs = [m if np.count_nonzero(m.imag) else m.real for m in matrices]
     for i, (walk, a) in enumerate(zip(stack, inputs)):
         groups.setdefault((a.dtype, np.shape(walk.interior_to_tail), (a != 0).tobytes()), []).append(i)
+    largest = max(matrices, key=len, default=np.zeros((0, 0), complex))
     for own in groups.values():
         try:
             group = _decompose_group([stack[i] for i in own], [matrices[i] for i in own],
                                      np.stack([inputs[i] for i in own]))
-        except (np.linalg.LinAlgError, NumericalError) as exc:  # a failing stack: each walk alone
-            group = [exc] if len(own) == 1 else [eigen_decompose([stack[i]]).members[0] for i in own]
+        except (np.linalg.LinAlgError, NumericalError):
+            if len(stack) == 1:  # a lone walk's error is its own
+                raise
+            return EigenStack(map(eigen_decompose, stack), largest)  # each walk alone, in order
         for i, member in zip(own, group):
             members[i] = member
-    out = EigenStack(tuple(members), max(matrices, key=len, default=np.zeros((0, 0), complex)))
-    return out if stack is walks else out[0]
+    return EigenStack(members, largest) if stack is walks else members[0]
 
 
 def _decompose_group(walks, matrices, a) -> list:

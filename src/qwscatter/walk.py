@@ -15,7 +15,9 @@ Four blocks of ``full`` drive everything downstream:
 * ``interior_to_tail``  -- interior arcs to outgoing boundary arcs
 * ``tail_to_tail``      -- straight-through boundary to boundary
 
-The support floor ``SUPPORT_TOL`` is applied by :func:`_supported` alone.
+:func:`assemble` places one eps's coins, or a stack of eps's coins in one
+indexed assignment, which gives each eps's walk or raises.  The support
+floor ``SUPPORT_TOL`` is applied by :func:`_supported` alone.
 """
 
 from __future__ import annotations
@@ -136,8 +138,7 @@ def assemble(graph: TailedGraph, coin_matrices, eps=None):
     both in carrier order (interior arcs by list position, then tails by
     index).  It may instead be a :class:`CoinStack`, the coins at each of
     ``eps``: then every eps is placed by one indexed assignment, and the
-    result is a list of each eps's walk, or of the error its coins or their
-    shapes raised.
+    result is the list of their walks.  A coin that does not fit raises.
     """
     stack = coin_matrices
     if not isinstance(stack, CoinStack):
@@ -145,40 +146,33 @@ def assemble(graph: TailedGraph, coin_matrices, eps=None):
         starts = itertools.accumulate((coin.size for coin in coins), initial=0)
         layout = dict(zip(coin_matrices, zip(starts, (coin.shape for coin in coins))))
         values = np.concatenate([coin.ravel() for coin in coins] + [np.zeros(0, complex)])
-        stack = CoinStack(layout, values[None], [None])
-    take, failure = _placement(graph, stack.layout)
+        stack = CoinStack(layout, values[None])
     dim = graph.carrier_dim
-    full = np.zeros((len(stack.errors), dim, dim), dtype=complex)
-    if failure is None:
-        full[(slice(None), *graph.coin_entries)] = stack.values[:, take]
-    labels = eps if stack is coin_matrices else [eps]
-    walks = [error or failure or WalkOperator(graph, full[k], label)
-             for k, (error, label) in enumerate(zip(stack.errors, labels))]
-    if stack is coin_matrices:
-        return walks
-    if isinstance(walks[0], Exception):
-        raise walks[0]
-    return walks[0]
+    full = np.zeros((len(stack.values), dim, dim), dtype=complex)
+    full[(slice(None), *graph.coin_entries)] = stack.values[:, _placement(graph, stack.layout)]
+    walks = [WalkOperator(graph, matrix, label)
+             for matrix, label in zip(full, eps if stack is coin_matrices else [eps])]
+    return walks if stack is coin_matrices else walks[0]
 
 
-def _placement(graph: TailedGraph, layout: dict) -> tuple:
-    """The columns of a coin stack's entries in the order of ``graph.coin_entries``,
-    or the ``DimensionMismatch`` of the first vertex whose coin does not fit."""
+def _placement(graph: TailedGraph, layout: dict) -> np.ndarray:
+    """The columns of a coin stack's entries in the order of ``graph.coin_entries``;
+    the first vertex whose coin does not fit raises ``DimensionMismatch``."""
     take = []
     for v, (n_out, n_in) in graph.coin_shapes.items():
         if v not in layout:
             if n_in:
-                return None, DimensionMismatch(f"no coin given for vertex {v!r}")
+                raise DimensionMismatch(f"no coin given for vertex {v!r}")
             continue  # isolated vertex, nothing to place
         start, shape = layout[v]
         if shape != (n_out, n_in):
-            return None, DimensionMismatch(
+            raise DimensionMismatch(
                 f"coin at vertex {v!r} has shape {shape}, "
                 f"but the vertex has {n_in} incoming and {n_out} "
                 "outgoing slots"
             )
         take += range(start, start + n_in * n_out)
-    return np.array(take, dtype=np.intp), None
+    return np.array(take, dtype=np.intp)
 
 
 def _supported(values):

@@ -1182,8 +1182,9 @@ def test_the_chunk_size_changes_nothing(monkeypatch, model, table):
 
 
 def test_a_chunk_raises_each_failure_when_the_stream_reaches_its_eps(monkeypatch):
-    # a walk that fails to build, or a member whose decomposition failed,
-    # raises once the eps before it in its chunk are measured
+    # a walk that fails to build, or a walk whose decomposition fails, raises
+    # once the eps before it in its chunk are measured: the chunk that raised
+    # is redone eps by eps
     family, lam, _ = PEAKS["ms"]
     measured, peak_at, decompose = [], asymptotics._peak_at, asymptotics.eigen_decompose
 
@@ -1192,12 +1193,9 @@ def test_a_chunk_raises_each_failure_when_the_stream_reaches_its_eps(monkeypatch
         return peak_at(walk, system, lambda_eps)
 
     def second_fails(walks):
-        out = decompose(walks)
-        if isinstance(walks, list) and len(walks) > 1:
-            members = list(out.members)
-            members[1] = spectral.IllConditionedChain(0.5, math.inf)
-            out = spectral.EigenStack(tuple(members), out.matrix)
-        return out
+        if isinstance(walks, list) and len(walks) > 1 or getattr(walks, "eps", None) == 0.02:
+            raise spectral.IllConditionedChain(0.5, math.inf)
+        return decompose(walks)
 
     monkeypatch.setattr(asymptotics, "_peak_at", measuring)
     with pytest.raises(EpsOutOfRange) as alone:
@@ -1215,8 +1213,9 @@ def test_a_chunk_raises_each_failure_when_the_stream_reaches_its_eps(monkeypatch
 
 def test_a_plain_callable_raises_inside_a_chunk_after_the_eps_before_it(monkeypatch):
     # a family with no ``walks`` is walked eps by eps, up to the first that
-    # fails: the two before it are decomposed in one call and measured, and
-    # then its own error is raised; the eps after it is never walked
+    # fails; the chunk is then redone eps by eps, each walk decomposed alone:
+    # the two before it are measured, and then its own error is raised; the
+    # eps after it is never walked
     ms, lam = matrix_schrodinger_family(), PEAKS["ms"][1]
     walked, handed, decompose = [], [], asymptotics.eigen_decompose
 
@@ -1234,8 +1233,8 @@ def test_a_plain_callable_raises_inside_a_chunk_after_the_eps_before_it(monkeypa
     with pytest.raises(EpsOutOfRange) as streamed:
         comfort_table(family, lam, [0.01, 0.02, 0.8, 0.9])
     assert str(streamed.value) == str(alone.value)
-    assert walked == [0.0, 0.01, 0.02, 0.8]
-    assert handed == [[0.0], [0.01, 0.02]]
+    assert walked == [0.0, 0.01, 0.02, 0.8, 0.01, 0.02, 0.8]
+    assert handed == [[0.0], [0.01], [0.02]]
 
 
 def ms_with_factor(factor):
@@ -1297,17 +1296,18 @@ def test_each_chunk_is_built_by_one_coin_evaluation_and_one_assembly(monkeypatch
 
 
 def test_a_stack_of_walks_is_each_eps_walked_alone():
-    # ModelFamily.walks keeps each eps's walk, bit for bit, and each build error in its place
+    # ModelFamily.walks keeps each eps's walk, bit for bit; a grid holding an
+    # eps out of range raises that eps's own walk error
     family = matrix_schrodinger_family()
-    grid = [0.0, 0.3, 0.75, 0.1, -0.2, 0.5]
-    stack = family.walks(grid)
-    for eps, member in zip(grid, stack):
-        if eps in (0.75, -0.2):
-            with pytest.raises(EpsOutOfRange) as alone:
-                family.walk(eps)
-            assert isinstance(member, EpsOutOfRange) and str(member) == str(alone.value)
-        else:
-            assert member.eps == eps and member.full.tobytes() == family.walk(eps).full.tobytes()
+    grid = [0.0, 0.3, 0.1, 0.5]
+    for eps, member in zip(grid, family.walks(grid)):
+        assert member.eps == eps and member.full.tobytes() == family.walk(eps).full.tobytes()
+    for bad in (0.75, -0.2):
+        with pytest.raises(EpsOutOfRange) as alone:
+            family.walk(bad)
+        with pytest.raises(EpsOutOfRange) as stacked:
+            family.walks(grid[:2] + [bad] + grid[2:])
+        assert str(stacked.value) == str(alone.value)
 
 
 def test_discrepancy_without_z_walks_and_decomposes_eps_zero_once(monkeypatch):

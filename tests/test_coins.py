@@ -269,6 +269,18 @@ def test_eval_coins_names_the_first_failing_vertex_in_family_order(raw, vertex):
         assert math.isnan(info.value.residual)
 
 
+@pytest.mark.parametrize("grid", [[0.0, 0.3, 0.1], [0.0, 0.5, 0.3]], ids=["division-first", "unitarity-first"])
+def test_eval_coins_on_an_array_raises_the_first_failing_eps_as_it_fails_alone(grid):
+    # 0/0 at eps = 0.3; the coin 1 + eps is not unitary at 0.1 and 0.5
+    family = parse_coin_family({"v": [["(eps - 0.3)/(eps - 0.3)"]], "w": [["1 + eps"]]})
+    assert eval_coins(family, np.array([0.0, 0.0])).values.tolist() == [[1, 1], [1, 1]]
+    with pytest.raises(ValueError) as alone:
+        eval_coins(family, grid[1])
+    with pytest.raises(type(alone.value)) as stacked:
+        eval_coins(family, np.array(grid))
+    assert str(stacked.value) == str(alone.value)
+
+
 def test_unitarity_tolerance_is_tight():
     off = 10 * UNITARITY_TOL
     family = parse_coin_family({"v": [[f"1+{off}"]]})

@@ -15,7 +15,6 @@ from qwscatter.line import (
     ZeroCorner,
     barrier_scattering,
     double_barrier,
-    double_barrier_peaks,
     double_barrier_state_balance,
     graph_transmission,
     line_to_graph,
@@ -100,6 +99,18 @@ def test_peaks_sit_radially_above_resonances():
     for lam in out.resonances:
         direction = lam / abs(lam)
         assert min(abs(direction - p / abs(p)) for p in out.peaks) <= 1e-10
+
+
+@pytest.mark.parametrize("x0, coins", [
+    (3, (rotation_coin(0.5), rotation_coin(0.8))),
+    (6, tuple(map(_random_unitary, [np.random.default_rng(7100)] * 2))),  # two draws of one generator
+], ids=["rotations", "haar"])
+def test_unequal_barriers_give_unimodular_peaks_at_the_resonance_phases(x0, coins):
+    out = barrier_scattering(BarrierSpec((0, x0), coins), 1j)
+    assert len(out.peaks) == len(out.resonances) == 2 * x0
+    for peak, lam in zip(out.peaks, out.resonances):
+        assert abs(abs(peak) - 1.0) <= 1e-15
+        assert abs(cmath.phase(peak * lam.conjugate())) <= 1e-15
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -291,8 +302,6 @@ def test_dispatch_rejects_unsupported_counts():
     with pytest.raises(BadBarrier):
         double_barrier(TRIPLE, 1j)
     with pytest.raises(BadBarrier):
-        double_barrier_peaks(TRIPLE)
-    with pytest.raises(BadBarrier):
         double_barrier_state_balance(TRIPLE, 0.5j)
 
 
@@ -309,7 +318,7 @@ def test_zero_corner_rejected():
 def test_peaks_empty_when_condition_degenerates():
     # identity second coin: no reflection there, peak condition collapses
     spec = BarrierSpec((0, 1), (rotation_coin(0.5), np.eye(2)))
-    assert double_barrier_peaks(spec) == ()
+    assert barrier_scattering(spec, 1j).peaks == ()
 
 
 # ------------------------------------------------ any number of barriers

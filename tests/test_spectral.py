@@ -1211,28 +1211,30 @@ def test_a_stack_of_every_fixture_decomposes_as_each_walk_alone():
 
 def test_a_mixed_stack_keeps_each_walks_system_and_error():
     # eps = 0 with on-circle clusters, a closed form, closed-form values that
-    # coincide (eig takes them), a staircase, and two that raise: each member
-    # is its walk alone, and a failure is raised when that member is read
+    # coincide (eig takes them), a staircase, and two that raise: the stack
+    # raises the first failing walk's own error, and without the two each
+    # member is its walk alone
     chained = bare(np.diag([1.0, 1.0 + 0.9e-8, 1.0 + 1.8e-8, 1.0 + 2.7e-8]))
     walks = [matrix_schrodinger_family().walk(0.0), bare(staircase(1e-7)),
              cycle_family(5, STRENGTHS).walk(0.3), two_cycle3_family().walk(0.0), chained,
              jordan_walk_with_tails(), bare(staircase(1e-5)), singular_level_product()]
-    stack = eigen_decompose(walks)
     raised = {}
     for k, walk in enumerate(walks):
         try:
-            alone = eigen_decompose(walk)
+            eigen_decompose(walk)
         except spectral.NumericalError as exc:
-            with pytest.raises(type(exc)) as read:
-                stack[k]
-            assert str(read.value) == str(exc)
-            raised[k] = type(exc)
-        else:
-            assert_same_bits(stack[k], alone)
-    assert raised == {1: IllConditionedChain, 4: ClusterAmbiguity}
+            raised[k] = exc
+    assert {k: type(exc) for k, exc in raised.items()} == {1: IllConditionedChain, 4: ClusterAmbiguity}
+    with pytest.raises(IllConditionedChain) as stacked:
+        eigen_decompose(walks)
+    assert str(stacked.value) == str(raised[1])
+    kept = [walk for k, walk in enumerate(walks) if k not in raised]
+    stack = eigen_decompose(kept)
+    for walk, system in zip(kept, stack):
+        assert_same_bits(system, eigen_decompose(walk))
     assert stack[0].on_unit_circle.any()
-    assert stack[3].multiplicity.max() == 2
-    assert max(stack[5].lengths) == max(stack[7].lengths) == 2
+    assert stack[2].multiplicity.max() == 2
+    assert max(stack[3].lengths) == max(stack[5].lengths) == 2
 
 
 def spy_groups(monkeypatch):
@@ -1247,29 +1249,41 @@ def spy_groups(monkeypatch):
     return sizes
 
 
-def assert_each_walk_alone(stack, walks):
-    """Each member of ``stack`` is its walk's system, or raises its walk's error, decomposed alone."""
-    for k, walk in enumerate(walks):
-        try:
-            alone = eigen_decompose(walk)
-        except spectral.NumericalError as exc:
-            with pytest.raises(type(exc)) as read:
-                stack[k]
-            assert str(read.value) == str(exc)
-        else:
-            assert_same_bits(stack[k], alone)
-
-
 def test_a_failing_member_sends_its_group_walk_by_walk(monkeypatch):
     # one dtype and sparsity pattern: one group, decomposed once as a stack;
-    # the second member raises there, so each walk is decomposed alone
+    # the second member raises there, so each walk is decomposed alone, in
+    # order: the first keeps its own bits, and the second raises its own error
     walks = [bare(staircase(1e-5)), bare(staircase(1e-7))]
-    sizes = spy_groups(monkeypatch)
-    stack = eigen_decompose(walks)
+    sizes, lone, decompose = spy_groups(monkeypatch), [], spectral.eigen_decompose
+
+    def alone(walk):
+        lone.append(decompose(walk))
+        return lone[-1]
+
+    monkeypatch.setattr(spectral, "eigen_decompose", alone)
+    with pytest.raises(IllConditionedChain) as stacked:
+        decompose(walks)
     assert sizes == [2, 1, 1]
-    assert_each_walk_alone(stack, walks)
-    with pytest.raises(IllConditionedChain):
-        stack[1]
+    assert len(lone) == 1
+    assert_same_bits(lone[0], decompose(walks[0]))
+    with pytest.raises(IllConditionedChain) as read:
+        decompose(walks[1])
+    assert str(stacked.value) == str(read.value)
+
+
+def test_a_stack_raises_the_first_failing_walk_in_list_order(monkeypatch):
+    # ok and bad_b share a dtype and pattern, and their group, decomposed
+    # first, fails at bad_b; the walks are then decomposed alone in list
+    # order, so bad_a, in a group of its own, raises its error first
+    ok, bad_b = bare(staircase(1e-5)), bare(staircase(1e-7))
+    bad_a = bare(np.diag([1.0, 1.0 + 0.9e-8, 1.0 + 1.8e-8, 1.0 + 2.7e-8]))
+    with pytest.raises(ClusterAmbiguity) as alone:
+        eigen_decompose(bad_a)
+    sizes = spy_groups(monkeypatch)
+    with pytest.raises(ClusterAmbiguity) as stacked:
+        eigen_decompose([ok, bad_a, bad_b])
+    assert sizes == [2, 1, 1]
+    assert str(stacked.value) == str(alone.value)
 
 
 def upper_triangular(diagonal, fill):
@@ -1279,7 +1293,8 @@ def upper_triangular(diagonal, fill):
 
 def test_a_singular_basis_blames_the_value_nearest_another(monkeypatch):
     # alone, a walk whose inv fails names the cluster value nearest another
-    # one; a group whose inv fails is decomposed walk by walk, each naming its own
+    # one; a group whose inv fails is decomposed walk by walk, and the first
+    # walk names its own
     walks = [upper_triangular([0.1, 0.5, 0.52, 0.9], 0.1), upper_triangular([0.2, 0.9, 0.35, 0.85], 0.3)]
     assert [eigen_decompose(walk).values.tolist() for walk in walks] == [
         [0.1, 0.5, 0.52, 0.9], [0.2, 0.35, 0.85, 0.9]]
@@ -1293,6 +1308,7 @@ def test_a_singular_basis_blames_the_value_nearest_another(monkeypatch):
             eigen_decompose(walk)
         assert str(alone.value) == str(IllConditionedChain(complex(nearest), math.inf))
     sizes = spy_groups(monkeypatch)
-    stack = eigen_decompose(walks)
-    assert sizes == [2, 1, 1]
-    assert_each_walk_alone(stack, walks)
+    with pytest.raises(IllConditionedChain) as stacked:
+        eigen_decompose(walks)
+    assert sizes == [2, 1]
+    assert str(stacked.value) == str(IllConditionedChain(complex(0.5), math.inf))
